@@ -72,6 +72,26 @@ def _line_search(fun, lo: float, hi: float, evals: int = 64) -> float:
     return (a + b) / 2
 
 
+def _slope_search(slope, lo: float, hi: float, evals: int = 64) -> float:
+    """Zero of a nondecreasing slope on [lo, hi] by bisection.
+
+    Float values stop telling points apart about sqrt(machine epsilon) from a
+    smooth minimum, where _line_search stalls; the slope still resolves there.
+    """
+    if slope(lo) >= 0:
+        return lo
+    if slope(hi) <= 0:
+        return hi
+    a, b = lo, hi
+    for _ in range(evals):
+        m = (a + b) / 2
+        if slope(m) < 0:
+            a = m
+        else:
+            b = m
+    return (a + b) / 2
+
+
 def _diameter_estimate(lp: LinearProgram) -> float:
     """Crude per-variable upper bounds from all-nonnegative rows, default 1."""
     ub = {v: None for v in lp.variables}
@@ -236,6 +256,16 @@ def solve_convex_over_polytope(
         val_fw = value_at(moved)
 
         current = trace[-1]
+        if val_fw >= current:
+            # the value search saw no descent although the gap is open
+            def slope(t):
+                point = {v: x[v] + t * d_fw.get(v, 0.0) for v in x}
+                grad = objective.gradient(point)
+                return sum(grad.get(v, 0.0) * dv for v, dv in d_fw.items())
+
+            g_fw = _slope_search(slope, 0.0, 1.0)
+            moved = {v: x[v] + g_fw * d_fw.get(v, 0.0) for v in x}
+            val_fw = value_at(moved)
         if val_fw <= current:
             active[:] = [(vert, w * (1 - g_fw)) for vert, w in active]
             _add_vertex(active, s, g_fw)

@@ -42,7 +42,16 @@ from .lp import EQ, LE, LinearProgram
 from .convex import ConvexSolveResult, solve_convex_over_polytope
 from .model import Instance, Schedule, evaluate_lp_norm_pow, load_vector, require_valid
 from .modes import FullEnum, Guided
-from .rationals import ONE, ZERO, is_integral, parse_rational, rat, rat_ceil, rat_floor
+from .rationals import (
+    ONE,
+    ZERO,
+    geometric_grid,
+    is_integral,
+    parse_rational,
+    rat,
+    rat_ceil,
+    rat_floor,
+)
 from .rounding import (
     JobRoutes,
     RoundingEngine,
@@ -106,23 +115,12 @@ def calibrate_eps(eps_user):
 def size_class(cost, eps) -> int:
     """Largest e with (1+eps)^e <= cost (round down to the geometric grid)."""
     cost = rat(cost)
-    base = ONE + rat(eps)
     assert cost > 0
-    e = 0
-    power = ONE
-    if cost >= 1:
-        while power * base <= cost:
-            power = power * base
-            e += 1
-    else:
-        while power > cost:
-            power = power / base
-            e -= 1
-    return e
+    return geometric_grid(rat(eps)).round_down(cost)
 
 
 def class_size(e: int, eps):
-    return (ONE + rat(eps)) ** e
+    return geometric_grid(rat(eps)).value(e)
 
 
 def _charge(cost, p):
@@ -212,32 +210,39 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
     return Guess(tuple(per_type))
 
 
-def _type_guess_options(inst: Instance, t: int, p, eps) -> Iterator[TypeGuess]:
+def _cost_table(inst: Instance, t: int, eps) -> list[tuple]:
+    """(cost, size class) of every job on type t, computed once per enumeration."""
+    out = []
+    for j in range(inst.num_jobs):
+        c = rat(inst.cost(j, t))
+        out.append((c, size_class(c, eps)))
+    return out
+
+
+def _type_guess_options(inst: Instance, t: int, p, eps, table) -> Iterator[TypeGuess]:
     n = inst.num_jobs
     m = inst.machine_counts[t]
     f = f_threshold(p, eps)
-    costs = sorted({rat(inst.cost(j, t)) for j in range(n)})
+    costs = sorted({c for c, _ in table})
     for h in range(0, m + 1):
         nvh = min(f, h)
         for vh in itertools.combinations(range(n), nvh):
-            vh_sorted = tuple(sorted(vh, key=lambda j: (-rat(inst.cost(j, t)), j)))
+            vh_sorted = tuple(sorted(vh, key=lambda j: (-table[j][0], j)))
             non_huge = m - h
             yield TypeGuess(h, vh_sorted, None, 1, tuple(() for _ in range(non_huge)))
             if non_huge == 0:
                 continue
             for c_max in costs:
                 for alpha in range(1, n + 1):
-                    for profile in _profiles_for(inst, t, non_huge, c_max, alpha, eps):
+                    for profile in _profiles_for(table, non_huge, c_max, alpha, eps):
                         yield TypeGuess(h, vh_sorted, c_max, alpha, profile)
 
 
-def _profiles_for(inst, t, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern, ...]]:
+def _profiles_for(table, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern, ...]]:
     threshold = rat(eps) * alpha * rat(c_max)
     counts: dict[int, int] = {}
-    for j in range(inst.num_jobs):
-        c = rat(inst.cost(j, t))
+    for c, e in table:
         if threshold < c <= rat(c_max):
-            e = size_class(c, eps)
             counts[e] = counts.get(e, 0) + 1
     count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
     klasses = sorted(counts)
@@ -275,65 +280,56 @@ def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
     eps = parse_rational(eps)
-    options = [list(_type_guess_options(inst, t, p, eps)) for t in range(inst.num_types)]
+    # per type option: (guess, mask of its very-huge jobs, mask of the jobs
+    # it can route); a combination is skipped when two types pin one job or
+    # some unpinned job has no route on any type
+    options = []
+    for t in range(inst.num_types):
+        table = _cost_table(inst, t, eps)
+        options.append([
+            (tg, sum(1 << j for j in tg.very_huge), _routable_mask(inst, eps, t, tg, table))
+            for tg in _type_guess_options(inst, t, p, eps, table)
+        ])
+    every_job = (1 << inst.num_jobs) - 1
     yielded = 0
     for combo in itertools.product(*options):
-        pinned: set[int] = set()
-        clash = False
-        for tg in combo:
-            for j in tg.very_huge:
-                if j in pinned:
-                    clash = True
-                    break
-                pinned.add(j)
-            if clash:
+        pinned = routed = 0
+        for _, vh, routes in combo:
+            if pinned & vh:
                 break
-        if clash:
-            continue
-        guess = Guess(tuple(combo))
-        if not _all_jobs_routable(inst, eps, guess, pinned):
-            continue
-        if yielded >= budget:
-            raise BudgetExhausted(f"guess budget {budget} exhausted")
-        yielded += 1
-        yield guess
-
-
-def _all_jobs_routable(inst, eps, guess: Guess, pinned: set[int]) -> bool:
-    for j in range(inst.num_jobs):
-        if j in pinned:
-            continue
-        ok = False
-        for t, tg in enumerate(guess.types):
-            if inst.machine_counts[t] == 0:
+            pinned |= vh
+            routed |= routes
+        else:
+            if pinned | routed != every_job:
                 continue
-            c = rat(inst.cost(j, t))
-            free_huge = tg.huge_count - len(tg.very_huge)
-            if tg.c_max is None:
-                if free_huge > 0 and _in_h(c, tg, inst, t):
-                    ok = True
-            elif c > rat(tg.c_max):
-                if free_huge > 0 and _in_h(c, tg, inst, t):
-                    ok = True
-            elif c > rat(eps) * tg.alpha * rat(tg.c_max):
-                e = size_class(c, eps)
-                if any(e in pat for pat in tg.profile):
-                    ok = True
-            else:
-                if inst.machine_counts[t] - tg.huge_count > 0:
-                    ok = True
-            if ok:
-                break
-        if not ok:
-            return False
-    return True
+            if yielded >= budget:
+                raise BudgetExhausted(f"guess budget {budget} exhausted")
+            yielded += 1
+            yield Guess(tuple(tg for tg, _, _ in combo))
 
 
-def _in_h(cost, tg: TypeGuess, inst, t) -> bool:
-    if not tg.very_huge:
-        return False
-    floor = min(rat(inst.cost(j, t)) for j in tg.very_huge)
-    return rat(cost) <= floor
+def _routable_mask(inst, eps, t: int, tg: TypeGuess, table) -> int:
+    """Bit j set when type t offers job j a route under tg."""
+    if inst.machine_counts[t] == 0:
+        return 0
+    free_huge = tg.huge_count - len(tg.very_huge)
+    floor = _huge_floor(inst, t, tg)
+    mask = 0
+    for j, (c, e) in enumerate(table):
+        if tg.c_max is None or c > rat(tg.c_max):
+            ok = free_huge > 0 and floor is not None and c <= floor
+        elif c > rat(eps) * tg.alpha * rat(tg.c_max):
+            ok = any(e in pat for pat in tg.profile)
+        else:
+            ok = inst.machine_counts[t] - tg.huge_count > 0
+        if ok:
+            mask |= 1 << j
+    return mask
+
+
+def _huge_floor(inst, t: int, tg: TypeGuess):
+    """Shortest very-huge cost of tg on type t (None if none): jobs up to it may go huge."""
+    return min((rat(inst.cost(j, t)) for j in tg.very_huge), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +414,7 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
             load_floor[mk] = tg.alpha * rat(tg.c_max)
             small_caps[mk] = eps * tg.alpha * rat(tg.c_max)
 
+    floors = [_huge_floor(inst, t, tg) for t, tg in enumerate(guess.types)]
     routes: dict[int, JobRoutes] = {}
     for j in range(inst.num_jobs):
         if j in vh_machines:
@@ -431,7 +428,7 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
             c = rat(inst.cost(j, t))
             hugeworthy = tg.c_max is None or c > rat(tg.c_max)
             if hugeworthy:
-                if t in budgets and _in_h(c, tg, inst, t):
+                if t in budgets and floors[t] is not None and c <= floors[t]:
                     huge[t] = (c, _charge(c, p))
                 continue
             if c > rat(eps) * tg.alpha * rat(tg.c_max):

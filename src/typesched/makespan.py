@@ -25,7 +25,7 @@ from typing import Iterator
 from .errors import BudgetExhausted, Infeasible, PatternOverflow
 from .model import Instance, Schedule, evaluate_makespan, require_valid
 from .modes import FullEnum, Guided
-from .rationals import ONE, ZERO, parse_rational, rat, rat_floor
+from .rationals import ONE, ZERO, geometric_grid, parse_rational, rat, rat_floor
 from .rounding import (
     JobRoutes,
     RoundingEngine,
@@ -72,18 +72,9 @@ def power_round_up(value, eps) -> tuple[int, object]:
     value = rat(value)
     eps = rat(eps)
     assert value > 0 and eps > 0
-    base = ONE + eps
-    k = 0
-    power = ONE
-    if value <= 1:
-        while power / base >= value:
-            power = power / base
-            k += 1
-    else:
-        while power < value:
-            power = power * base
-            k -= 1
-    return k, power
+    grid = geometric_grid(eps)
+    e = grid.round_up(value)
+    return -e, grid.value(e)
 
 
 def make_scaled_instance(inst: Instance, target, eps) -> ScaledInstance:
@@ -119,20 +110,16 @@ def make_scaled_instance(inst: Instance, target, eps) -> ScaledInstance:
 
 
 def klass_value(eps, klass: Klass) -> tuple:
-    base = ONE + rat(eps)
-    return tuple(base ** (-k) for k in klass)
+    grid = geometric_grid(rat(eps))
+    return tuple(grid.value(-k) for k in klass)
 
 
 def large_type_grid(eps, dims: int) -> list[Klass]:
     """The unrestricted set Q: per-dimension powers of 1/(1+eps) in [eps^2/D, 1]."""
     eps = parse_rational(eps)
-    base = ONE + eps
     lo = eps * eps / dims
-    ks = []
-    k = 0
-    while base ** (-k) >= lo:
-        ks.append(k)
-        k += 1
+    # k runs while (1+eps)^(-k) >= lo, i.e. up to -round_up(lo)
+    ks = range(-geometric_grid(eps).round_up(lo) + 1)
     return [tuple(combo) for combo in itertools.product(ks, repeat=dims)]
 
 
@@ -411,9 +398,9 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     eps_user = parse_rational(eps_user)
     eps = calibrate_eps(eps_user, inst.dims)
     lower, upper = _target_bounds(inst)
-    grid = [lower]
-    while grid[-1] < upper:
-        grid.append(grid[-1] * (ONE + eps))
+    # lower * (1+eps)^i up to the first value >= upper (upper >= lower)
+    powers = geometric_grid(eps)
+    grid = [lower * powers.value(i) for i in range(powers.round_up(upper / lower) + 1)]
 
     probes = 0
     probe_stats: list[RoundingStats] = []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from typesched.model import (
     make_instance,
 )
 from typesched.oracle import exact_solve
-from typesched.rationals import ONE, rat
+from typesched.rationals import ONE, rat, rat_str
 
 
 def brute_f(p, eps):
@@ -286,6 +287,33 @@ def test_tiny_guess_stream_contains_both_shapes():
         g.types[0].huge_count == 0 and g.types[0].c_max == 5 and g.types[0].alpha == 1
         for g in stream
     )
+
+
+# (machine counts, jobs, seed) -> (guesses yielded, sha256 of their reprs),
+# recorded before the enumeration was restructured; eps = calibrate_eps(1/2)
+GUESS_STREAM_PINS = [
+    ((1, 1), 3, 41, 486, "c6e7ff88779c50855931b0cbad85c82ba5d1917fb45ed90dd291bd7d04fbfea3"),
+    ((2, 1), 3, 42, 3450, "993c6be489ffaa94d9a79f4db021dd30efd8daa0a5d3cb1a69f388ee0ae0b796"),
+    ((1, 1), 4, 43, 1942, "8e56ff735981a9c6e860b56298c4825ac26aa3b6aa839b4b2376875c09b8fd8f"),
+]
+
+
+@pytest.mark.parametrize("counts,n,seed,count,digest", GUESS_STREAM_PINS)
+def test_guess_stream_is_pinned(counts, n, seed, count, digest):
+    # which guesses are yielded, and in what order, must not move; c_max is
+    # rendered as 'a/b' so the digest does not depend on the rational backend
+    inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+    stream = list(enumerate_guesses(inst, 2, calibrate_eps(rat(1, 2)), 10**6))
+    text = "\n".join(
+        repr(tuple(
+            (tg.huge_count, tg.very_huge, None if tg.c_max is None else rat_str(tg.c_max),
+             tg.alpha, tg.profile)
+            for tg in g.types
+        ))
+        for g in stream
+    )
+    assert len(stream) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_lp_without_huge_jobs_has_plain_slot_shape():
