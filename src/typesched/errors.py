@@ -80,3 +80,13 @@ class GuessInconsistent(TypeschedError):
 
 class TooLarge(TypeschedError):
     """Instance exceeds the exact oracle's size caps."""
+
+
+class PivotLimitExceeded(TypeschedError):
+    """The simplex took more pivots than its guard allows.  Bland's rule
+    terminates, so this must never fire; indicates a solver bug."""
+
+
+class InvariantViolation(TypeschedError):
+    """A checked invariant of the paper's arguments failed at run time.
+    Must never fire; indicates a solver bug."""

@@ -1,12 +1,28 @@
 """Exact-arithmetic linear programming with extreme-point guarantees.
 
 The rounding arguments of both approximation pipelines count *exactly*
-fractional variables, so the solver works in rational arithmetic end to
-end and "fractional" means value not in {0, 1} with no tolerance.  The
-two-phase simplex below uses Bland's rule (termination without cycling)
-and returns basic feasible solutions: the number of variables with
-positive value never exceeds the number of constraint rows, which is the
-sparsity the rounding counting arguments rely on.
+fractional variables, so the solver is exact end to end and "fractional"
+means value not in {0, 1} with no tolerance.  The two-phase simplex below
+uses Bland's rule (termination without cycling) and returns basic feasible
+solutions: the number of variables with positive value never exceeds the
+number of constraint rows, which is the sparsity the rounding counting
+arguments rely on.  Every solve checks that bound and raises
+InvariantViolation if it fails, so ``python -O`` cannot strip the check.
+
+The tableau holds Python ints.  Each row is its rational row, rhs last,
+times one positive integer of its own: the lcm of the row's denominators
+when it is read from the sparse constraint, and afterwards whatever the
+integer-preserving elimination of Edmonds (1967) and Bareiss (1968) leaves.
+A pivot on (r, c) replaces every other row with a nonzero in column c by
+``row*piv - row[c]*pivot_row`` divided by the gcd of its entries; the
+reduced-cost row is carried the same way.  A positive scale changes no sign
+and no ratio rhs/a within a row, so Bland's entering rule (first negative
+reduced cost), the ratio test (integer cross-multiplication, ties to the
+lower basis index) and the phase-1 verdict decide exactly as a rational
+tableau would: the pivot sequence, bases and vertices are the same.
+Rationals appear only where the constraints are read and the basic values
+are returned, through integer numerators and denominators, so the tableau
+does not depend on the rational backend.
 
 Equality constraints are handled natively via phase-1 artificials rather
 than split into inequality pairs, keeping row counts aligned with the
@@ -15,10 +31,11 @@ counting arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .errors import Infeasible, Unbounded
-from .rationals import ONE, ZERO, rat, rat_str
+from .errors import Infeasible, InvariantViolation, PivotLimitExceeded, Unbounded
+from .rationals import ZERO, rat, rat_str
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -74,6 +91,8 @@ class ExtremePointSolution:
     values: dict[str, object]
     basis: tuple[str, ...]
     objective_value: object
+    # pivots taken as (phase 1 including driving out artificials, phase 2)
+    pivots: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def positives(self) -> dict[str, object]:
         return {v: x for v, x in self.values.items() if x > 0}
@@ -82,84 +101,86 @@ class ExtremePointSolution:
         return {v: x for v, x in self.values.items() if 0 < x < 1}
 
 
-class _Tableau:
-    """Dense simplex tableau over exact rationals."""
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """row with column c cleared against prow (prow[c] > 0), divided by its gcd."""
+    piv, f = prow[c], row[c]
+    if piv == 1:
+        new = [a - f * b for a, b in zip(row, prow)]
+    else:
+        new = [a * piv - f * b for a, b in zip(row, prow)]
+    g = math.gcd(*new)
+    return [a // g for a in new] if g > 1 else new
 
-    def __init__(self, rows, rhs, ncols):
-        self.rows = rows            # list of lists, len ncols each
-        self.rhs = rhs              # list
+
+class _Tableau:
+    """Dense simplex tableau over Python ints, one positive scale per row.
+
+    rows[i] is constraint row i with its rhs last, times a positive integer,
+    so rows[i][basis[i]] is that integer.  cost is the reduced-cost row of
+    the current basis, held the same way; only its signs are read.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
+        self.rows = rows
+        self.basis = basis
         self.ncols = ncols
-        self.basis = [-1] * len(rows)
+        self.cost = [0] * (ncols + 1)
+
+    def price(self, cost: list[int]) -> None:
+        """Install cost (one int per column, then 0) as reduced costs of the basis."""
+        for row, b in zip(self.rows, self.basis):
+            if cost[b]:
+                cost = _eliminate(cost, row, b)
+        self.cost = cost
 
     def pivot(self, r: int, c: int) -> None:
         row = self.rows[r]
-        piv = row[c]
-        if piv != ONE:
-            inv = ONE / piv
-            self.rows[r] = row = [a * inv for a in row]
-            self.rhs[r] = self.rhs[r] * inv
+        if row[c] < 0:  # only driving out an artificial meets a negative pivot
+            self.rows[r] = row = [-a for a in row]
         for k, other in enumerate(self.rows):
-            if k == r:
-                continue
-            factor = other[c]
-            if factor == 0:
-                continue
-            self.rows[k] = [a - factor * b for a, b in zip(other, row)]
-            self.rhs[k] = self.rhs[k] - factor * self.rhs[r]
+            if k != r and other[c]:
+                self.rows[k] = _eliminate(other, row, c)
+        if self.cost[c]:
+            self.cost = _eliminate(self.cost, row, c)
         self.basis[r] = c
 
 
-def _reduced_costs(tab: _Tableau, cost):
-    """Cost row for the current basis: c - c_B B^-1 A, plus objective offset."""
-    red = list(cost)
-    offset = ZERO
-    for r, b in enumerate(tab.basis):
-        cb = red[b]
-        if cb == 0:
-            continue
-        row = tab.rows[r]
-        red = [a - cb * e for a, e in zip(red, row)]
-        offset = offset + cb * tab.rhs[r]
-    return red, offset
-
-
-def _run_simplex(tab: _Tableau, cost, banned: set[int]):
-    """Bland's-rule simplex to optimality.  Returns objective value."""
-    red, offset = _reduced_costs(tab, cost)
-    guard = 0
-    limit = 2000 + 200 * (len(tab.rows) + tab.ncols)
+def _run_simplex(tab: _Tableau) -> int:
+    """Bland's-rule pivots until no reduced cost is negative; returns their count."""
+    rows, basis, cols = tab.rows, tab.basis, range(tab.ncols)
+    limit = 2000 + 200 * (len(rows) + tab.ncols)
+    pivots = 0
     while True:
-        guard += 1
-        if guard > limit:  # Bland's rule terminates; this is a bug trip-wire
-            raise RuntimeError("simplex exceeded its pivot guard")
-        enter = -1
-        for c in range(tab.ncols):
-            if c in banned:
-                continue
-            if red[c] < 0:
-                enter = c
-                break
+        if pivots >= limit:  # Bland's rule terminates; this is a bug trip-wire
+            raise PivotLimitExceeded(f"simplex exceeded its guard of {limit} pivots")
+        cost = tab.cost
+        enter = next((c for c in cols if cost[c] < 0), -1)
         if enter < 0:
-            return offset
+            return pivots
         leave = -1
-        best = None
-        for r, row in enumerate(tab.rows):
+        for r, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = tab.rhs[r] / a
-                if best is None or ratio < best or (
-                    ratio == best and tab.basis[r] < tab.basis[leave]
-                ):
-                    best = ratio
-                    leave = r
+                if leave < 0:
+                    leave, best_b, best_a = r, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, best_b, best_a = r, row[-1], a
         if leave < 0:
             raise Unbounded("objective unbounded below")
-        piv_cost = red[enter]
         tab.pivot(leave, enter)
-        row = tab.rows[leave]
-        red = [a - piv_cost * b for a, b in zip(red, row)]
-        red[enter] = ZERO
-        offset = offset + piv_cost * tab.rhs[leave]
+        pivots += 1
+
+
+def _int_row(coeffs: dict, index: dict[str, int], rhs, width: int) -> tuple[list[int], int]:
+    """(row, scale): coeffs and rhs as ints over the lcm of their denominators."""
+    scale = math.lcm(int(rhs.denominator), *(int(a.denominator) for a in coeffs.values()))
+    row = [0] * width
+    for v, a in coeffs.items():
+        row[index[v]] = int(a.numerator) * (scale // int(a.denominator))
+    row[-1] = int(rhs.numerator) * (scale // int(rhs.denominator))
+    return row, scale
 
 
 def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
@@ -171,93 +192,77 @@ def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
     """
     nvars = len(lp.variables)
     index = {v: j for j, v in enumerate(lp.variables)}
-
     nslack = sum(1 for c in lp.constraints if c.rel != EQ)
-    rows: list[list] = []
-    rhs: list = []
-    seed_col: list[int | None] = []
+    art_start = nvars + nslack
 
     # Normalize every row to  a.x (+ slack) = b with b >= 0.  A slack whose
-    # coefficient stays +1 after the sign flip seeds the basis; every other
-    # row gets a phase-1 artificial.
-    col = nvars
-    for c in lp.constraints:
-        coeffs = [ZERO] * (nvars + nslack)
-        for v, a in c.coeffs.items():
-            coeffs[index[v]] = a
-        b = c.rhs
-        slack = None
+    # coefficient stays positive after the sign flip seeds the basis; every
+    # other row gets a phase-1 artificial.
+    seeded = [c.rel != EQ and (c.rel == LE) == (c.rhs >= 0) for c in lp.constraints]
+    nart = seeded.count(False)
+    total = art_start + nart
+    rows: list[list[int]] = []
+    basis: list[int] = []
+    slack, art = nvars, art_start
+    for c, slack_basic in zip(lp.constraints, seeded):
+        row, scale = _int_row(c.coeffs, index, c.rhs, total + 1)
         if c.rel != EQ:
-            coeffs[col] = ONE if c.rel == LE else -ONE
-            slack = col
-            col += 1
-        if b < 0:
-            coeffs = [-a for a in coeffs]
-            b = -b
-        rows.append(coeffs)
-        rhs.append(b)
-        seed_col.append(slack if slack is not None and coeffs[slack] == ONE else None)
-
-    nart = sum(1 for s in seed_col if s is None)
-    total = nvars + nslack + nart
-    art_cols = set()
-    ai = nvars + nslack
-    tab_rows = []
-    basis_seed = []
-    for r in range(len(rows)):
-        row = rows[r] + [ZERO] * nart
-        if seed_col[r] is None:
-            row[ai] = ONE
-            basis_seed.append(ai)
-            art_cols.add(ai)
-            ai += 1
+            row[slack] = scale if c.rel == LE else -scale
+        if c.rhs < 0:
+            row = [-a for a in row]
+        if slack_basic:
+            basis.append(slack)
         else:
-            basis_seed.append(seed_col[r])
-        tab_rows.append(row)
+            row[art] = scale
+            basis.append(art)
+            art += 1
+        if c.rel != EQ:
+            slack += 1
+        rows.append(row)
 
-    tab = _Tableau(tab_rows, list(rhs), total)
-    tab.basis = basis_seed
-
-    if art_cols:
-        phase1 = [ZERO] * total
-        for c in art_cols:
-            phase1[c] = ONE
-        value = _run_simplex(tab, phase1, banned=set())
-        if value > 0:
+    tab = _Tableau(rows, basis, total)
+    phase1 = 0
+    if nart:
+        tab.price([0] * art_start + [1] * nart + [0])
+        phase1 = _run_simplex(tab)
+        if any(b >= art_start and row[-1] > 0 for row, b in zip(tab.rows, tab.basis)):
             raise Infeasible("phase-1 optimum positive")
         # Drive leftover zero-valued artificials out of the basis; a row with
         # no structural pivot candidate is redundant and can be dropped.
         drop = []
         for r in range(len(tab.rows)):
-            if tab.basis[r] in art_cols:
-                for c in range(total):
-                    if c not in art_cols and tab.rows[r][c] != 0:
-                        tab.pivot(r, c)
-                        break
-                else:
+            if tab.basis[r] >= art_start:
+                row = tab.rows[r]
+                c = next((c for c in range(art_start) if row[c]), -1)
+                if c < 0:
                     drop.append(r)
+                else:
+                    tab.pivot(r, c)
+                    phase1 += 1
         for r in reversed(drop):
             del tab.rows[r]
-            del tab.rhs[r]
             del tab.basis[r]
+        # artificials are never basic again and never enter: cut their columns
+        tab = _Tableau([row[:art_start] + row[-1:] for row in tab.rows], tab.basis, art_start)
 
-    cost = [ZERO] * total
-    for v, a in lp.objective.items():
-        cost[index[v]] = rat(a)
-    _run_simplex(tab, cost, banned=art_cols)
+    objective = {v: rat(a) for v, a in lp.objective.items()}
+    tab.price(_int_row(objective, index, ZERO, tab.ncols + 1)[0])
+    phase2 = _run_simplex(tab)
 
     values = {v: ZERO for v in lp.variables}
-    for r, b in enumerate(tab.basis):
+    for row, b in zip(tab.rows, tab.basis):
         if b < nvars:
-            values[lp.variables[b]] = tab.rhs[r]
-    objective_value = sum(
-        (rat(a) * values[v] for v, a in lp.objective.items()), ZERO
-    )
+            values[lp.variables[b]] = rat(row[-1], row[b])
+    objective_value = sum((a * values[v] for v, a in objective.items()), ZERO)
     basis_names = tuple(
         lp.variables[b] if b < nvars else f"_col{b}" for b in sorted(tab.basis)
     )
-    sol = ExtremePointSolution(values=values, basis=basis_names, objective_value=objective_value)
-    assert len(sol.positives()) <= lp.num_rows, "extreme point lost basic sparsity"
+    sol = ExtremePointSolution(values, basis_names, objective_value, (phase1, phase2))
+    if len(sol.positives()) > lp.num_rows:
+        raise InvariantViolation(
+            f"extreme point lost basic sparsity: {len(sol.positives())} positive "
+            f"values over {lp.num_rows} rows"
+        )
     return sol
 
 

@@ -25,6 +25,7 @@ covered by the eps calibration (1+4e)(1+e)^2 <= 1 + eps_user.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -123,6 +124,12 @@ def class_size(e: int, eps):
     return geometric_grid(rat(eps)).value(e)
 
 
+@functools.lru_cache(maxsize=4096)
+def _pattern_mass(pattern: Pattern, eps):
+    """Total slot size of a pattern; guesses share few patterns, so it is cached."""
+    return sum((class_size(e, eps) for e in pattern), ZERO)
+
+
 def _charge(cost, p):
     if is_integral(p):
         return rat(cost) ** int(p)
@@ -202,10 +209,10 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
             )
             if len(classes) > count_cap:
                 raise GuessInconsistent("pattern slot count exceeds its cap")
-            mass = sum((class_size(e, eps) for e in classes), ZERO)
-            if mass > mass_cap:
+            pattern = tuple(classes)
+            if _pattern_mass(pattern, eps) > mass_cap:
                 raise GuessInconsistent("pattern mass exceeds the load window")
-            pats.append(tuple(classes))
+            pats.append(pattern)
         per_type.append(TypeGuess(len(huge), vh, c_max, alpha, tuple(sorted(pats))))
     return Guess(tuple(per_type))
 
@@ -960,6 +967,5 @@ def _guess_lower_bound(inst: Instance, p, eps, guess: Guess):
             continue
         floor_val = tg.alpha * rat(tg.c_max)
         for pat in tg.profile:
-            mass = sum((class_size(e, eps) for e in pat), ZERO)
-            total += _charge(max(floor_val, mass), p)
+            total += _charge(max(floor_val, _pattern_mass(pat, eps)), p)
     return total

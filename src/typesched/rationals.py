@@ -1,9 +1,10 @@
 """Exact rational arithmetic helpers.
 
 All solver-facing numbers are exact rationals so that classification
-thresholds, LP pivots and overshoot bounds compare exactly.  gmpy2.mpq is
-used when available (an order of magnitude faster than fractions.Fraction);
-the two types interoperate, so callers may pass either.
+thresholds, LP inputs and outputs and overshoot bounds compare exactly.
+gmpy2.mpq is used when available, otherwise fractions.Fraction; the two
+types interoperate, so callers may pass either.  The simplex itself pivots
+over Python ints (see lp.py), so its speed does not depend on the backend.
 
 GeometricGrid holds the powers (1+eps)^e that both approximation schemes
 round onto, and rounds a rational to its grid exponent in O(1) exact

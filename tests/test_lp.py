@@ -1,11 +1,188 @@
+"""Exact simplex tests, including a differential test against the old tableau.
+
+The reference functions below are the dense Fraction tableau that
+solve_extreme_point ran before its rows became scaled Python ints.  The
+integer tableau must take the same pivots and return the same basis,
+values and objective, or raise the same exception.
+"""
+
+import copy
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from typesched import convex, lp as lp_module, rounding
 from typesched.audits import random_lp, vertex_enumeration_optimum
-from typesched.errors import Infeasible, Unbounded
+from typesched.errors import Infeasible, InvariantViolation, PivotLimitExceeded, Unbounded
 from typesched.lp import EQ, GE, LE, LinearProgram, lp_format, solve_extreme_point
+from typesched.lpnorm import lpnorm_ptas
+from typesched.makespan import Guided, makespan_ptas
+from typesched.model import GeneratorSpec, generate_instance
+from typesched.oracle import exact_solve
 from typesched.rationals import rat
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+class RefTableau:
+    """Dense simplex tableau over exact rationals."""
+
+    def __init__(self, rows, rhs, ncols):
+        self.rows = rows            # list of lists, len ncols each
+        self.rhs = rhs              # list
+        self.ncols = ncols
+        self.basis = [-1] * len(rows)
+
+    def pivot(self, r: int, c: int) -> None:
+        row = self.rows[r]
+        piv = row[c]
+        if piv != ONE:
+            inv = ONE / piv
+            self.rows[r] = row = [a * inv for a in row]
+            self.rhs[r] = self.rhs[r] * inv
+        for k, other in enumerate(self.rows):
+            if k == r:
+                continue
+            factor = other[c]
+            if factor == 0:
+                continue
+            self.rows[k] = [a - factor * b for a, b in zip(other, row)]
+            self.rhs[k] = self.rhs[k] - factor * self.rhs[r]
+        self.basis[r] = c
+
+
+def ref_reduced_costs(tab, cost):
+    red = list(cost)
+    offset = ZERO
+    for r, b in enumerate(tab.basis):
+        cb = red[b]
+        if cb == 0:
+            continue
+        row = tab.rows[r]
+        red = [a - cb * e for a, e in zip(red, row)]
+        offset = offset + cb * tab.rhs[r]
+    return red, offset
+
+
+def ref_run_simplex(tab, cost, banned):
+    red, offset = ref_reduced_costs(tab, cost)
+    guard = 0
+    limit = 2000 + 200 * (len(tab.rows) + tab.ncols)
+    while True:
+        guard += 1
+        if guard > limit:
+            raise RuntimeError("simplex exceeded its pivot guard")
+        enter = -1
+        for c in range(tab.ncols):
+            if c in banned:
+                continue
+            if red[c] < 0:
+                enter = c
+                break
+        if enter < 0:
+            return offset
+        leave = -1
+        best = None
+        for r, row in enumerate(tab.rows):
+            a = row[enter]
+            if a > 0:
+                ratio = tab.rhs[r] / a
+                if best is None or ratio < best or (
+                    ratio == best and tab.basis[r] < tab.basis[leave]
+                ):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            raise Unbounded("objective unbounded below")
+        piv_cost = red[enter]
+        tab.pivot(leave, enter)
+        row = tab.rows[leave]
+        red = [a - piv_cost * b for a, b in zip(red, row)]
+        red[enter] = ZERO
+        offset = offset + piv_cost * tab.rhs[leave]
+
+
+def ref_solve_extreme_point(lp):
+    """(basis names, values, objective value) of the old Fraction tableau."""
+    nvars = len(lp.variables)
+    index = {v: j for j, v in enumerate(lp.variables)}
+    nslack = sum(1 for c in lp.constraints if c.rel != EQ)
+    rows, rhs, seed_col = [], [], []
+    col = nvars
+    for c in lp.constraints:
+        coeffs = [ZERO] * (nvars + nslack)
+        for v, a in c.coeffs.items():
+            coeffs[index[v]] = Fraction(a)
+        b = Fraction(c.rhs)
+        slack = None
+        if c.rel != EQ:
+            coeffs[col] = ONE if c.rel == LE else -ONE
+            slack = col
+            col += 1
+        if b < 0:
+            coeffs = [-a for a in coeffs]
+            b = -b
+        rows.append(coeffs)
+        rhs.append(b)
+        seed_col.append(slack if slack is not None and coeffs[slack] == ONE else None)
+
+    nart = sum(1 for s in seed_col if s is None)
+    total = nvars + nslack + nart
+    art_cols = set()
+    ai = nvars + nslack
+    tab_rows, basis_seed = [], []
+    for r in range(len(rows)):
+        row = rows[r] + [ZERO] * nart
+        if seed_col[r] is None:
+            row[ai] = ONE
+            basis_seed.append(ai)
+            art_cols.add(ai)
+            ai += 1
+        else:
+            basis_seed.append(seed_col[r])
+        tab_rows.append(row)
+
+    tab = RefTableau(tab_rows, list(rhs), total)
+    tab.basis = basis_seed
+    if art_cols:
+        phase1 = [ZERO] * total
+        for c in art_cols:
+            phase1[c] = ONE
+        if ref_run_simplex(tab, phase1, banned=set()) > 0:
+            raise Infeasible("phase-1 optimum positive")
+        drop = []
+        for r in range(len(tab.rows)):
+            if tab.basis[r] in art_cols:
+                for c in range(total):
+                    if c not in art_cols and tab.rows[r][c] != 0:
+                        tab.pivot(r, c)
+                        break
+                else:
+                    drop.append(r)
+        for r in reversed(drop):
+            del tab.rows[r]
+            del tab.rhs[r]
+            del tab.basis[r]
+
+    cost = [ZERO] * total
+    for v, a in lp.objective.items():
+        cost[index[v]] = Fraction(a)
+    ref_run_simplex(tab, cost, banned=art_cols)
+
+    values = {v: ZERO for v in lp.variables}
+    for r, b in enumerate(tab.basis):
+        if b < nvars:
+            values[lp.variables[b]] = tab.rhs[r]
+    objective_value = sum((Fraction(a) * values[v] for v, a in lp.objective.items()), ZERO)
+    basis_names = tuple(
+        lp.variables[b] if b < nvars else f"_col{b}" for b in sorted(tab.basis)
+    )
+    return basis_names, values, objective_value
 
 
 def test_feasibility_vertex_of_simplex():
@@ -118,3 +295,235 @@ def test_lp_format_smoke():
     lp.add_constraint({"x": 1}, LE, 3)
     text = lp_format(lp)
     assert "Minimize" in text and "1/2 x" in text and "<= 3" in text
+
+
+# ---------------------------------------------------------------------------
+# differential test: integer tableau against the Fraction reference
+
+DENOMS = (1, 2, 3, 4, 5, 7, 12)
+
+
+def diff_lp(rng):
+    """Random LP with mixed denominators, signed rhs, all relations, and
+    sometimes a redundant equality (a multiple of an equality already there)."""
+    nvars = rng.randint(2, 6)
+    lp = LinearProgram()
+    for j in range(nvars):
+        kind = rng.random()
+        if kind < 0.4:
+            objective = rat(rng.uniform(-1, 1))  # float gradients, as convex._lmo
+        elif kind < 0.8:
+            objective = rng.randint(-2, 3)
+        else:
+            objective = 0
+        lp.add_variable(f"x{j}", objective=objective)
+    equalities = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {
+            f"x{j}": rat(rng.randint(-3, 4), rng.choice(DENOMS))
+            for j in range(nvars) if rng.random() < 0.7
+        }
+        rel = rng.choice((LE, EQ, GE))
+        # a zero rhs makes degenerate vertices and ratio ties likely
+        rhs = rat(rng.randint(-3, 6), rng.choice(DENOMS)) if rng.random() < 0.7 else 0
+        lp.add_constraint(coeffs, rel, rhs)
+        if rel == EQ:
+            equalities.append((coeffs, rhs))
+    if equalities and rng.random() < 0.3:
+        coeffs, rhs = rng.choice(equalities)
+        k = rat(rng.choice((-3, -1, 1, 2)), rng.choice(DENOMS))
+        lp.add_constraint({v: k * a for v, a in coeffs.items()}, EQ, k * rhs)
+    return lp
+
+
+@pytest.fixture
+def pivot_logs(monkeypatch):
+    """(new, reference) pivot logs of (row, col), plus tallies of the new
+    side's negative pivots and of ties at a positive ratio."""
+    logs = {"new": [], "ref": [], "negative": 0, "ties": 0}
+    new_pivot, ref_pivot = lp_module._Tableau.pivot, RefTableau.pivot
+
+    def record_new(tab, r, c):
+        rows = tab.rows
+        a = rows[r][c]
+        if a < 0:
+            logs["negative"] += 1
+        elif rows[r][-1] > 0 and any(  # drive-out pivots have rhs 0
+            k != r and row[c] > 0 and row[-1] * a == rows[r][-1] * row[c]
+            for k, row in enumerate(rows)
+        ):
+            logs["ties"] += 1
+        logs["new"].append((r, c))
+        new_pivot(tab, r, c)
+
+    def record_ref(tab, r, c):
+        logs["ref"].append((r, c))
+        ref_pivot(tab, r, c)
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", record_new)
+    monkeypatch.setattr(RefTableau, "pivot", record_ref)
+    return logs
+
+
+def assert_same_as_reference(lp, logs):
+    """Both tableaux on lp; returns the new solution or the exception type."""
+    logs["new"].clear()
+    logs["ref"].clear()
+    try:
+        expected = ref_solve_extreme_point(lp)
+    except (Infeasible, Unbounded) as exc:
+        with pytest.raises(type(exc)):
+            solve_extreme_point(lp)
+        assert logs["new"] == logs["ref"]
+        return type(exc)
+    sol = solve_extreme_point(lp)
+    assert logs["new"] == logs["ref"]
+    assert (sol.basis, sol.values, sol.objective_value) == expected
+    assert sum(sol.pivots) == len(logs["new"])
+    return sol
+
+
+def test_integer_tableau_pivots_like_the_fraction_tableau(pivot_logs):
+    rng = random.Random(20261018)
+    outcomes = {"optimal": 0, Infeasible: 0, Unbounded: 0}
+    dropped = 0
+    for i in range(400):
+        lp = diff_lp(rng) if i % 4 else random_lp(rng, max_vars=5, max_rows=4)
+        outcome = assert_same_as_reference(lp, pivot_logs)
+        if isinstance(outcome, type):
+            outcomes[outcome] += 1
+            continue
+        outcomes["optimal"] += 1
+        dropped += len(outcome.basis) < lp.num_rows
+    # the stream reaches every outcome, the row-drop path, negative
+    # drive-out pivots and degenerate ratio ties
+    assert min(outcomes.values()) >= 10, outcomes
+    assert dropped >= 5
+    assert pivot_logs["negative"] >= 5 and pivot_logs["ties"] >= 5, pivot_logs
+
+
+def test_pipeline_lps_pivot_like_the_fraction_tableau(pivot_logs, monkeypatch):
+    # the LPs the pipelines really solve: slot LPs of the rounding engine and
+    # Frank-Wolfe LMO calls with rat(float) objectives
+    captured = []
+
+    def capture(lp):
+        captured.append(copy.deepcopy(lp))  # _lmo rewrites lp.objective in place
+        return solve_extreme_point(lp)
+
+    monkeypatch.setattr(convex, "solve_extreme_point", capture)
+    monkeypatch.setattr(rounding, "solve_extreme_point", capture)
+    for seed in (3, 4, 5, 6):
+        inst = generate_instance(GeneratorSpec(7, 1, (2, 2), 1, 10), seed)
+        lpnorm_ptas(inst, 2, rat(1, 2), Guided(exact_solve(inst, "lp_norm", p=2).witness))
+        inst = generate_instance(GeneratorSpec(6, 2, (2, 2), 1, 10), seed)
+        makespan_ptas(inst, rat(1, 2), Guided(exact_solve(inst).witness))
+    assert any(
+        any(a.denominator > 2**20 for a in lp.objective.values()) for lp in captured
+    )
+    assert len(captured) >= 20
+    for lp in captured:
+        assert_same_as_reference(lp, pivot_logs)
+
+
+# ---------------------------------------------------------------------------
+# pivot counts and trip-wires
+
+
+def _lp(variables, rows, objective=None):
+    lp = LinearProgram()
+    for v in variables:
+        lp.add_variable(v, objective=(objective or {}).get(v, 0))
+    for coeffs, rel, rhs in rows:
+        lp.add_constraint(coeffs, rel, rhs)
+    return lp
+
+
+def test_pivot_counts_on_hand_solved_programs():
+    # min x1+x2, x1+2x2 >= 2, 2x1+x2 >= 2: phase 1 enters x1 (ratio 1 on
+    # row 2), then x2 (ratio 2/3 on row 1); both artificials leave, and the
+    # slacks price out at 1/3, so phase 2 takes no pivot
+    lp = _lp(["x1", "x2"], [({"x1": 1, "x2": 2}, GE, 2), ({"x1": 2, "x2": 1}, GE, 2)],
+             {"x1": 1, "x2": 1})
+    assert solve_extreme_point(lp).pivots == (2, 0)
+    # min -x-y, x <= 1, y <= 2: the slacks start basic, phase 2 enters x, then y
+    lp = _lp(["x", "y"], [({"x": 1}, LE, 1), ({"y": 1}, LE, 2)], {"x": -1, "y": -1})
+    sol = solve_extreme_point(lp)
+    assert sol.pivots == (0, 2) and sol.values == {"x": 1, "y": 2}
+    # x+y = 1, x = 1: phase 1 enters x on row 1 (tie, lower artificial), which
+    # leaves row 2 as -y - a1 + a2 = 0; driving a2 out pivots on the -1 at y
+    lp = _lp(["x", "y"], [({"x": 1, "y": 1}, EQ, 1), ({"x": 1}, EQ, 1)], {"y": 1})
+    sol = solve_extreme_point(lp)
+    assert sol.pivots == (2, 0) and sol.basis == ("x", "y")
+    assert sol.values == {"x": 1, "y": 0}
+    # a repeated equality: one phase-1 pivot, then the copy's row is dropped
+    lp = _lp(["x", "y"], [({"x": 1, "y": 1}, EQ, 2), ({"x": 2, "y": 2}, EQ, 4)])
+    sol = solve_extreme_point(lp)
+    assert sol.pivots == (1, 0) and sol.basis == ("x",)
+
+
+def test_pivot_count_is_not_part_of_equality():
+    lp = _lp(["x"], [({"x": 1}, LE, 1)], {"x": -1})
+    sol = solve_extreme_point(lp)
+    assert sol.pivots == (0, 1)
+    assert sol == lp_module.ExtremePointSolution(sol.values, sol.basis, sol.objective_value)
+
+
+def test_stalled_simplex_hits_the_pivot_guard(monkeypatch):
+    # a pivot that changes nothing makes Bland's rule pick it again forever
+    monkeypatch.setattr(lp_module._Tableau, "pivot", lambda tab, r, c: None)
+    lp = _lp(["x"], [({"x": 1}, LE, 1)], {"x": -1})
+    with pytest.raises(PivotLimitExceeded):
+        solve_extreme_point(lp)
+
+
+class UnderCountedLP(LinearProgram):
+    """Reports zero rows, so any positive value breaks the sparsity bound."""
+
+    @property
+    def num_rows(self) -> int:
+        return 0
+
+
+def test_sparsity_check_raises_invariant_violation():
+    lp = UnderCountedLP()
+    lp.add_variable("x", objective=-1)
+    lp.add_constraint({"x": 1}, LE, 1)
+    with pytest.raises(InvariantViolation):
+        solve_extreme_point(lp)
+
+
+TRIP_WIRES_UNDER_O = """
+import sys
+from typesched import lp as lp_module
+from typesched.errors import InvariantViolation, PivotLimitExceeded
+from typesched.lp import LE, LinearProgram, solve_extreme_point
+
+assert False, "assert statements must be stripped"
+
+class UnderCountedLP(LinearProgram):
+    num_rows = property(lambda self: 0)
+
+lp = UnderCountedLP()
+lp.add_variable("x", objective=-1)
+lp.add_constraint({"x": 1}, LE, 1)
+try:
+    solve_extreme_point(lp)
+except InvariantViolation:
+    print("sparsity checked")
+lp_module._Tableau.pivot = lambda tab, r, c: None
+try:
+    solve_extreme_point(lp)
+except PivotLimitExceeded:
+    print("guard checked")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_trip_wires_survive_python_O():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", TRIP_WIRES_UNDER_O],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:3] == ["sparsity checked", "guard checked", "optimize 1"]

@@ -6,6 +6,8 @@ import pytest
 from typesched.errors import BadExponent, DimensionMismatch, GuessInconsistent
 from typesched.lpnorm import (
     FullEnum,
+    _charge,
+    _guess_lower_bound,
     Guided,
     build_cp_model,
     build_lp_from_cp,
@@ -13,6 +15,7 @@ from typesched.lpnorm import (
     enumerate_guesses,
     f_threshold,
     guess_from_schedule,
+    class_size,
     lpnorm_ptas,
     size_class,
     solve_slot_cp,
@@ -25,7 +28,7 @@ from typesched.model import (
     make_instance,
 )
 from typesched.oracle import exact_solve
-from typesched.rationals import ONE, rat, rat_str
+from typesched.rationals import ONE, ZERO, rat, rat_str
 
 
 def brute_f(p, eps):
@@ -314,6 +317,30 @@ def test_guess_stream_is_pinned(counts, n, seed, count, digest):
     )
     assert len(stream) == count
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def ref_guess_lower_bound(inst, p, eps, guess):
+    """The bound as computed before pattern masses were cached."""
+    total = ZERO
+    for t, tg in enumerate(guess.types):
+        for j in tg.very_huge:
+            total += _charge(inst.cost(j, t), p)
+        if tg.c_max is None:
+            continue
+        floor_val = tg.alpha * rat(tg.c_max)
+        for pat in tg.profile:
+            mass = sum((class_size(e, eps) for e in pat), ZERO)
+            total += _charge(max(floor_val, mass), p)
+    return total
+
+
+@pytest.mark.parametrize("counts,n,seed,count,digest", GUESS_STREAM_PINS)
+def test_guess_lower_bound_matches_uncached_masses(counts, n, seed, count, digest):
+    inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+    eps = calibrate_eps(rat(1, 2))
+    for guess in enumerate_guesses(inst, 2, eps, 10**6):
+        expected = ref_guess_lower_bound(inst, 2, eps, guess)
+        assert _guess_lower_bound(inst, 2, eps, guess) == expected
 
 
 def test_lp_without_huge_jobs_has_plain_slot_shape():
