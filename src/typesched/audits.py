@@ -61,23 +61,13 @@ def enumerate_vertices(lp: LinearProgram) -> list[dict]:
             continue
         if any(v < 0 for v in x):
             continue
-        ok = True
-        for c in lp.constraints:
-            lhs = sum((c.coeffs.get(v, ZERO) * x[j] for j, v in enumerate(names)), ZERO)
-            if c.rel == LE and lhs > c.rhs:
-                ok = False
-            elif c.rel == GE and lhs < c.rhs:
-                ok = False
-            elif c.rel == EQ and lhs != c.rhs:
-                ok = False
-            if not ok:
-                break
-        if not ok:
+        point = {v: x[j] for j, v in enumerate(names)}
+        if not all(c.holds(point) for c in lp.constraints):
             continue
         key = tuple(x)
         if key not in seen:
             seen.add(key)
-            vertices.append({v: x[j] for j, v in enumerate(names)})
+            vertices.append(point)
     return vertices
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from . import audits, lpnorm, makespan
 from .errors import BudgetExhausted, Infeasible, TypeschedError
+from .modes import FullEnum, Guided
 from .model import (
     GeneratorSpec,
     Instance,
@@ -105,15 +106,23 @@ class Report:
         return "\n".join(lines)
 
 
-def _stats_row(stats) -> dict:
+# reported name -> RoundingStats field, in report order
+_STATS_FIELDS = {
+    "lp_solves": "lp_solves",
+    "rounding_iterations": "iterations",
+    "machine_drops": "case_machine_drop",
+    "slot_merges": "case_slot_merge",
+    "improper_types": "case_improper",
+    "counting_checks": "counting_checks",
+    "art_lp_solves": "art_lp_solves",
+}
+
+
+def _stats_row(stats_list) -> dict:
+    """The reported rounding counters, summed over a list of RoundingStats."""
     return {
-        "lp_solves": stats.lp_solves,
-        "rounding_iterations": stats.iterations,
-        "machine_drops": stats.case_machine_drop,
-        "slot_merges": stats.case_slot_merge,
-        "improper_types": stats.case_improper,
-        "counting_checks": stats.counting_checks,
-        "art_lp_solves": stats.art_lp_solves,
+        name: sum(getattr(stats, attr) for stats in stats_list)
+        for name, attr in _STATS_FIELDS.items()
     }
 
 
@@ -135,26 +144,16 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         inst = generate_instance(cfg.trial_spec(i), cfg.seed + i)
         row = {"trial": i, "digest": instance_digest(inst)}
         try:
+            opt = exact_solve(inst, cfg.objective, p=cfg.p)
+            mode = Guided(opt.witness) if cfg.mode == "guided" else FullEnum(cfg.enum_budget)
             if cfg.objective == "makespan":
-                opt = exact_solve(inst)
-                mode = (
-                    makespan.Guided(opt.witness)
-                    if cfg.mode == "guided"
-                    else makespan.FullEnum(cfg.enum_budget)
-                )
                 res = makespan.makespan_ptas(inst, cfg.eps_user, mode)
                 algo_val = rat(res.makespan)
                 oracle_val = rat(opt.optimum)
                 ratio = algo_val / oracle_val
                 row["probes"] = res.probes
-                merged = _merge_stats(res.probe_stats)
+                stats = res.probe_stats
             else:
-                opt = exact_solve(inst, "lp_norm", p=cfg.p)
-                mode = (
-                    lpnorm.Guided(opt.witness)
-                    if cfg.mode == "guided"
-                    else lpnorm.FullEnum(cfg.enum_budget)
-                )
                 res = lpnorm.lpnorm_ptas(inst, cfg.p, cfg.eps_user, mode)
                 # compare the norms, not their p-th powers
                 pval = parse_rational(cfg.p)
@@ -163,11 +162,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 ratio_pow = algo_val / oracle_val
                 ratio = rat(float(ratio_pow) ** (1 / float(pval)))
                 row["cp_gap"] = res.run.cp_gap
-                merged = _merge_stats([res.run.stats])
+                stats = [res.run.stats]
             row["oracle"] = rat_str(oracle_val)
             row["algorithm"] = rat_str(algo_val)
             row["ratio"] = rat_str(ratio)
-            row.update(_stats_row(merged))
+            row.update(_stats_row(stats))
             within = (
                 ratio <= bound
                 if cfg.objective == "makespan"
@@ -186,22 +185,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             row["error"] = f"InvariantViolation: {exc}"
         report.rows.append(row)
     return report
-
-
-def _merge_stats(stats_list):
-    from .rounding import RoundingStats
-
-    merged = RoundingStats()
-    for st in stats_list:
-        merged.lp_solves += st.lp_solves
-        merged.iterations += st.iterations
-        merged.case_machine_drop += st.case_machine_drop
-        merged.case_slot_merge += st.case_slot_merge
-        merged.case_slot_single += st.case_slot_single
-        merged.case_improper += st.case_improper
-        merged.counting_checks += st.counting_checks
-        merged.art_lp_solves += st.art_lp_solves
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -301,38 +284,37 @@ def _cmd_solve(args) -> int:
         if args.objective == "makespan":
             if args.mode == "guided":
                 opt = exact_solve(inst)
-                mode = makespan.Guided(opt.witness)
+                mode = Guided(opt.witness)
                 doc["oracle"] = rat_str(rat(opt.optimum))
             else:
-                mode = makespan.FullEnum(args.enum_budget)
+                mode = FullEnum(args.enum_budget)
             res = makespan.makespan_ptas(inst, eps, mode)
             doc["makespan"] = rat_str(rat(res.makespan))
             doc["accepted_target"] = rat_str(rat(res.accepted_target))
             doc["eps_internal"] = rat_str(rat(res.eps_internal))
             doc["probes"] = res.probes
-            doc["stats"] = _stats_row(_merge_stats(res.probe_stats))
-            doc["schedule"] = [list(mk) for mk in res.schedule.assignment]
+            doc["stats"] = _stats_row(res.probe_stats)
             forest = res.forest
         else:
             p = parse_rational(args.p)
             if args.mode == "guided":
                 opt = exact_solve(inst, "lp_norm", p=p)
-                mode = lpnorm.Guided(opt.witness)
+                mode = Guided(opt.witness)
                 doc["oracle_pow"] = rat_str(rat(opt.optimum))
             else:
-                mode = lpnorm.FullEnum(args.enum_budget)
+                mode = FullEnum(args.enum_budget)
             res = lpnorm.lpnorm_ptas(inst, p, eps, mode, cp_tol=args.cp_tol_override)
             doc["objective_pow"] = rat_str(rat(res.objective_pow))
             doc["cp_objective"] = res.run.cp_objective
             doc["cp_gap"] = res.run.cp_gap
             doc["cp_tolerance"] = res.run.cp_tolerance
             doc["guesses_tried"] = res.guesses_tried
-            doc["stats"] = _stats_row(res.run.stats)
-            doc["schedule"] = [list(mk) for mk in res.schedule.assignment]
+            doc["stats"] = _stats_row([res.run.stats])
             forest = res.run.forest
             if "oracle_pow" in doc:
                 ratio_pow = rat(res.objective_pow) / parse_rational(doc["oracle_pow"])
                 doc["norm_ratio"] = float(ratio_pow) ** (1 / float(p))
+        doc["schedule"] = [list(mk) for mk in res.schedule.assignment]
         if "oracle" in doc:
             doc["ratio"] = rat_str(rat(parse_rational(doc["makespan"])) / parse_rational(doc["oracle"]))
     except (Infeasible, BudgetExhausted) as exc:

@@ -26,11 +26,17 @@ from .rationals import ZERO, rat
 
 
 class ConvexObjective(Protocol):
+    """A convex differentiable objective evaluated in floats.
+
+    Exact form: an objective may also carry exact_value(x) and
+    exact_gradient(x) over rationals.  It carries both or neither, and it
+    carries them iff it is to be certified in exact arithmetic: their
+    presence alone switches the final gap check from floats to rationals.
+    """
+
     def value(self, x: dict[str, float]) -> float: ...
 
     def gradient(self, x: dict[str, float]) -> dict[str, float]: ...
-
-    # optional: exact_value(x) / exact_gradient(x) over rationals
 
 
 @dataclass
@@ -172,10 +178,7 @@ def solve_convex_over_polytope(
             )
             assert gap_ex >= 0
             if gap_ex <= rat(additive_tol):
-                value = objective.exact_value(x_ex) if hasattr(objective, "exact_value") else None
-                fval = float(value) if value is not None else objective.value(
-                    {v: float(val) for v, val in x_ex.items()}
-                )
+                fval = float(objective.exact_value(x_ex))
                 return ConvexSolveResult(x_ex, fval, float(gap_ex), iteration, trace)
             return None
         xf = {v: float(val) for v, val in x_ex.items()}
@@ -186,9 +189,6 @@ def solve_convex_over_polytope(
         if gap <= additive_tol * (1 - 1e-9):
             return ConvexSolveResult(x_ex, objective.value(xf), gap, iteration, trace)
         return None
-
-    def value_at(point):
-        return objective.value(point)
 
     def correct_over_active() -> float:
         """Pairwise weight transfers among the active vertices (no LP calls).
@@ -219,12 +219,12 @@ def solve_convex_over_polytope(
                 for v in set(lo_vert) | set(hi_vert)
             }
             gamma = _line_search(
-                lambda t: value_at({v: x[v] + t * d.get(v, 0.0) for v in x}),
+                lambda t: objective.value({v: x[v] + t * d.get(v, 0.0) for v in x}),
                 0.0,
                 hi_weight,
             )
             probe = {v: x[v] + gamma * d.get(v, 0.0) for v in x}
-            val = value_at(probe)
+            val = objective.value(probe)
             if val >= current:
                 break
             active[hi] = (hi_vert, hi_weight - gamma)
@@ -250,10 +250,10 @@ def solve_convex_over_polytope(
 
         d_fw = {v: sf.get(v, 0.0) - x[v] for v in x}
         g_fw = _line_search(
-            lambda t: value_at({v: x[v] + t * d_fw.get(v, 0.0) for v in x}), 0.0, 1.0
+            lambda t: objective.value({v: x[v] + t * d_fw.get(v, 0.0) for v in x}), 0.0, 1.0
         )
         moved = {v: x[v] + g_fw * d_fw.get(v, 0.0) for v in x}
-        val_fw = value_at(moved)
+        val_fw = objective.value(moved)
 
         current = trace[-1]
         if val_fw >= current:
@@ -265,7 +265,7 @@ def solve_convex_over_polytope(
 
             g_fw = _slope_search(slope, 0.0, 1.0)
             moved = {v: x[v] + g_fw * d_fw.get(v, 0.0) for v in x}
-            val_fw = value_at(moved)
+            val_fw = objective.value(moved)
         if val_fw <= current:
             active[:] = [(vert, w * (1 - g_fw)) for vert, w in active]
             _add_vertex(active, s, g_fw)

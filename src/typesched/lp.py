@@ -53,6 +53,15 @@ class Constraint:
         self.coeffs = {v: rat(c) for v, c in self.coeffs.items() if rat(c) != 0}
         self.rhs = rat(self.rhs)
 
+    def holds(self, values: dict) -> bool:
+        """Whether the row holds exactly at values (absent variables count as 0)."""
+        lhs = sum((a * values.get(v, ZERO) for v, a in self.coeffs.items()), ZERO)
+        if self.rel == LE:
+            return lhs <= self.rhs
+        if self.rel == GE:
+            return lhs >= self.rhs
+        return lhs == self.rhs
+
 
 @dataclass
 class LinearProgram:

@@ -38,8 +38,9 @@ from .errors import (
     GuessInconsistent,
     Infeasible,
     InfeasibleRegion,
+    InvariantViolation,
 )
-from .lp import EQ, LE, LinearProgram
+from .lp import GE, LE, LinearProgram
 from .convex import ConvexSolveResult, solve_convex_over_polytope
 from .model import Instance, Schedule, evaluate_lp_norm_pow, load_vector, require_valid
 from .modes import FullEnum, Guided
@@ -59,6 +60,13 @@ from .rounding import (
     RoundingProblem,
     RoundingStats,
     SlotInfo,
+    SlotRows,
+    assemble_schedule,
+    pattern_multisets,
+    route_var,
+    route_vars,
+    slot_lp,
+    slot_patterns,
     untangle,
 )
 
@@ -202,19 +210,21 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
         count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
         pats = []
         for mk in non_huge:
-            classes = sorted(
-                size_class(inst.cost(j, t), eps)
-                for j in jobs_on[mk]
-                if rat(inst.cost(j, t)) > threshold
-            )
-            if len(classes) > count_cap:
+            pattern = _large_pattern(inst, t, eps, threshold, jobs_on[mk])
+            if len(pattern) > count_cap:
                 raise GuessInconsistent("pattern slot count exceeds its cap")
-            pattern = tuple(classes)
             if _pattern_mass(pattern, eps) > mass_cap:
                 raise GuessInconsistent("pattern mass exceeds the load window")
             pats.append(pattern)
         per_type.append(TypeGuess(len(huge), vh, c_max, alpha, tuple(sorted(pats))))
     return Guess(tuple(per_type))
+
+
+def _large_pattern(inst: Instance, t: int, eps, threshold, jobs) -> Pattern:
+    """Sorted size classes of the jobs costing more than threshold on type t."""
+    return tuple(sorted(
+        size_class(inst.cost(j, t), eps) for j in jobs if rat(inst.cost(j, t)) > threshold
+    ))
 
 
 def _cost_table(inst: Instance, t: int, eps) -> list[tuple]:
@@ -252,30 +262,8 @@ def _profiles_for(table, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern,
         if threshold < c <= rat(c_max):
             counts[e] = counts.get(e, 0) + 1
     count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
-    klasses = sorted(counts)
-    patterns: list[Pattern] = []
-
-    def extend(idx, chosen, mass):
-        patterns.append(tuple(chosen))
-        for i in range(idx, len(klasses)):
-            e = klasses[i]
-            if len(chosen) >= count_cap or chosen.count(e) >= counts[e]:
-                continue
-            size = class_size(e, eps)
-            if mass + size > mass_cap:
-                continue
-            chosen.append(e)
-            extend(i, chosen, mass + size)
-            chosen.pop()
-
-    extend(0, [], ZERO)
-    for combo in itertools.combinations_with_replacement(sorted(set(patterns)), machines):
-        used: dict[int, int] = {}
-        for pat in combo:
-            for e in pat:
-                used[e] = used.get(e, 0) + 1
-        if all(used[e] <= counts[e] for e in used):
-            yield combo
+    patterns = slot_patterns(counts, count_cap, lambda e: (class_size(e, eps),), mass_cap)
+    yield from pattern_multisets(patterns, machines, counts)
 
 
 def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
@@ -355,6 +343,7 @@ class CpModel:
     slots: dict[int, SlotInfo]
     routes: dict[int, JobRoutes]
     budgets: dict[int, int]
+    free_huge: dict[int, list[tuple[int, int]]]     # huge machines past the pinned ones
     vh_machines: dict[int, tuple[int, int]]          # job -> pinned machine
     vh_loads: dict[tuple[int, int], object]          # t*_i of very huge machines
     small_caps: dict[tuple[int, int], object]
@@ -367,6 +356,7 @@ class CpSolution:
     objective_value: float
     duality_gap: float
     iterations: int
+    tolerance: float
 
 
 def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
@@ -385,6 +375,7 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
     vh_machines: dict[int, tuple[int, int]] = {}
     vh_loads: dict[tuple[int, int], object] = {}
     budgets: dict[int, int] = {}
+    free_huge: dict[int, list[tuple[int, int]]] = {}
     sid = 0
 
     for t, tg in enumerate(guess.types):
@@ -398,9 +389,9 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
             mk = (t, non_huge + r)
             vh_machines[j] = mk
             vh_loads[mk] = rat(inst.cost(j, t))
-        free_huge = tg.huge_count - len(tg.very_huge)
-        if free_huge > 0:
-            budgets[t] = free_huge
+        free_huge[t] = [(t, k) for k in range(non_huge + len(tg.very_huge), m)]
+        if free_huge[t]:
+            budgets[t] = len(free_huge[t])
         for i in range(non_huge):
             mk = (t, i)
             small_machines.append(mk)
@@ -459,201 +450,121 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
         slots=slots,
         routes=routes,
         budgets=budgets,
+        free_huge=free_huge,
         vh_machines=vh_machines,
         vh_loads=vh_loads,
         small_caps=small_caps,
     )
 
 
-def _var_names(j: int, routes: JobRoutes):
-    for mk in routes.machine_costs:
-        yield f"m|{j}|{mk[0]}|{mk[1]}", ("m", mk)
-    for s in sorted(routes.slots):
-        yield f"s|{j}|{s}", ("s", s)
-    for t in sorted(routes.huge):
-        yield f"h|{j}|{t}", ("h", t)
-
-
 def _load_var(mk) -> str:
     return f"t|{mk[0]}|{mk[1]}"
 
 
-def build_cp_region(model: CpModel, with_loads: bool = False) -> LinearProgram:
-    """Assignment, huge-budget and slot rows; loads live in the objective.
+def build_cp_region(model: CpModel) -> LinearProgram:
+    """Slot-LP rows, huge-budget rows, then one allowance variable per
+    non-huge machine with the rows  small_load <= t_i  and
+    t_i >= alpha*c_max - B_i.
 
-    with_loads adds one allowance variable per non-huge machine together
-    with the rows  small_load <= t_i  and  t_i >= alpha*c_max - B_i; the
-    solver iterates on this smooth formulation (the eliminated max() form
-    puts a kink exactly where optima sit, which stalls float iterates and
-    inflates subgradient-based gap certificates).
+    Loads live in the objective.  The solver iterates on this smooth
+    formulation (the eliminated max() form puts a kink exactly where optima
+    sit, which stalls float iterates and inflates subgradient-based gap
+    certificates).  The huge routes carry their charges as the LP objective,
+    which the convex solver ignores.
     """
-    lp = LinearProgram()
-    slot_vars: dict[int, list] = {s: [] for s in model.slots}
-    budget_vars: dict[int, list] = {t: [] for t in model.budgets}
-    machine_terms: dict[tuple, dict] = {mk: {} for mk in model.small_machines}
-    for j in sorted(model.routes):
-        row = {}
-        routes = model.routes[j]
-        for name, (kind, target) in _var_names(j, routes):
-            lp.add_variable(name)
-            row[name] = 1
-            if kind == "s":
-                slot_vars[target].append(name)
-            elif kind == "h":
-                budget_vars[target].append(name)
-            else:
-                machine_terms[target][name] = routes.machine_costs[target][0]
-        lp.add_constraint(row, EQ, 1)
-    for s in sorted(model.slots):
-        if slot_vars[s]:
-            lp.add_constraint({v: 1 for v in slot_vars[s]}, LE, 1)
-    for t in sorted(model.budgets):
-        if budget_vars[t]:
-            lp.add_constraint({v: 1 for v in budget_vars[t]}, LE, model.budgets[t])
-    if with_loads:
-        from .lp import GE
-
-        for mk in model.small_machines:
-            tvar = lp.add_variable(_load_var(mk))
-            coeffs = dict(machine_terms[mk])
-            coeffs[tvar] = -1
-            lp.add_constraint(coeffs, LE, 0)
-            floor_val = model.load_floor[mk] - model.pattern_mass[mk]
-            if floor_val > 0:
-                lp.add_constraint({tvar: 1}, GE, floor_val)
+    rows = SlotRows({j: model.routes[j] for j in sorted(model.routes)}, model.slots)
+    rows.add_budget_rows(model.budgets)
+    lp = rows.lp
+    for mk in model.small_machines:
+        tvar = lp.add_variable(_load_var(mk))
+        coeffs = {name: cost[0] for name, cost in rows.machine_vars.get(mk, [])}
+        coeffs[tvar] = -1
+        lp.add_constraint(coeffs, LE, 0)
+        floor_val = model.load_floor[mk] - model.pattern_mass[mk]
+        if floor_val > 0:
+            lp.add_constraint({tvar: 1}, GE, floor_val)
     return lp
 
 
-class LoadPowObjective:
-    """sum over non-huge machines of max(u_i + B_i, alpha*c_max)^p plus the
-    linear huge charges and the constant very-huge term."""
+class LoadObjective:
+    """The slot CP's objective, each form written once over the number type.
+
+    The solver minimizes the smooth form  sum (t_i + B_i)^p  over the
+    allowance variables t_i; it is differentiable everywhere, so the
+    conditional-gradient certificate is the plain gradient gap.  Route
+    points (warm-start incumbent, reported value) are priced by the
+    eliminated form  sum max(u_i + B_i, alpha*c_max)^p  over the small loads
+    u_i.  Both add the linear huge charges and the constant very-huge term.
+    value and gradient run in floats for the Frank-Wolfe iterates; when p is
+    an integer, exact_value and exact_gradient run over rationals, and the
+    convex solver certifies in exact arithmetic iff they exist.
+    """
 
     def __init__(self, model: CpModel):
-        self.p = model.p
         self.exact_p = is_integral(model.p)
-        self.machines = []
-        coeff_of: dict[tuple[int, int], dict[str, object]] = {
+        coeffs_of: dict[tuple[int, int], dict[str, object]] = {
             mk: {} for mk in model.small_machines
         }
         self.linear: dict[str, object] = {}
         for j, routes in model.routes.items():
-            for name, (kind, target) in _var_names(j, routes):
+            for name, kind, target in route_vars(j, routes):
                 if kind == "m":
-                    coeff_of[target][name] = routes.machine_costs[target][0]
+                    coeffs_of[target][name] = routes.machine_costs[target][0]
                 elif kind == "h":
                     self.linear[name] = routes.huge[target][1]
-        for mk in model.small_machines:
-            self.machines.append(
-                (mk, coeff_of[mk], model.pattern_mass[mk], model.load_floor[mk])
-            )
-        self.const = sum((_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
-        if self.exact_p:
-            # expose the exact paths only when p is integral; the convex
-            # solver certifies in rational arithmetic iff they exist
-            self.exact_value = self._exact_value
-            self.exact_gradient = self._exact_gradient
-        else:
-            self.const = float(self.const)
-
-    def _pow_f(self, x: float) -> float:
-        return x ** float(self.p)
-
-    def value(self, x: dict[str, float]) -> float:
-        total = float(self.const)
-        for _, coeffs, B, floor_val in self.machines:
-            u = sum(float(c) * x.get(v, 0.0) for v, c in coeffs.items())
-            total += self._pow_f(max(u + float(B), float(floor_val)))
-        total += sum(float(c) * x.get(v, 0.0) for v, c in self.linear.items())
-        return total
-
-    def gradient(self, x: dict[str, float]) -> dict[str, float]:
-        g = {v: float(c) for v, c in self.linear.items()}
-        pf = float(self.p)
-        for _, coeffs, B, floor_val in self.machines:
-            u = sum(float(c) * x.get(v, 0.0) for v, c in coeffs.items())
-            load = u + float(B)
-            if load >= float(floor_val):
-                scale = pf * load ** (pf - 1)
-                for v, c in coeffs.items():
-                    g[v] = g.get(v, 0.0) + scale * float(c)
-        return g
-
-    def _exact_value(self, x: dict):
-        k = int(self.p)
-        total = rat(self.const)
-        for _, coeffs, B, floor_val in self.machines:
-            u = sum((rat(c) * x.get(v, ZERO) for v, c in coeffs.items()), ZERO)
-            total += max(u + B, floor_val) ** k
-        total += sum((rat(c) * x.get(v, ZERO) for v, c in self.linear.items()), ZERO)
-        return total
-
-    def _exact_gradient(self, x: dict) -> dict:
-        k = int(self.p)
-        g = {v: rat(c) for v, c in self.linear.items()}
-        for _, coeffs, B, floor_val in self.machines:
-            u = sum((rat(c) * x.get(v, ZERO) for v, c in coeffs.items()), ZERO)
-            load = u + B
-            if load >= floor_val:
-                scale = k * load ** (k - 1)
-                for v, c in coeffs.items():
-                    g[v] = g.get(v, ZERO) + scale * rat(c)
-        return g
-
-
-class _SmoothLoadObjective:
-    """(t_i + B_i)^p over explicit allowance variables, plus linear charges.
-
-    Differentiable everywhere; the conditional-gradient certificate is the
-    plain gradient gap.  Used only inside the solver; reporting and the
-    frozen-allowance LP use the eliminated form.
-    """
-
-    def __init__(self, model: CpModel):
-        self.p = model.p
-        self.exact_p = is_integral(model.p)
-        self.terms = [
-            (_load_var(mk), model.pattern_mass[mk]) for mk in model.small_machines
+        # (machine, allowance variable, small-load coefficients, B_i, alpha*c_max)
+        self.machines = [
+            (mk, _load_var(mk), coeffs_of[mk], model.pattern_mass[mk], model.load_floor[mk])
+            for mk in model.small_machines
         ]
-        self.linear: dict[str, object] = {}
-        for j, routes in model.routes.items():
-            for t in routes.huge:
-                self.linear[f"h|{j}|{t}"] = routes.huge[t][1]
         self.const = sum((_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
+        # (conversion, zero, exponent) of each number type
+        self._floats = (float, 0.0, float(model.p))
         if self.exact_p:
-            self.exact_value = self._exact_value
-            self.exact_gradient = self._exact_gradient
-        else:
-            self.const = float(self.const)
+            self._exact = (rat, ZERO, int(model.p))
+            self.exact_value = lambda x: self._value(x, *self._exact)
+            self.exact_gradient = lambda x: self._gradient(x, *self._exact)
 
     def value(self, x: dict[str, float]) -> float:
-        pf = float(self.p)
-        total = float(self.const)
-        for tvar, B in self.terms:
-            total += (x.get(tvar, 0.0) + float(B)) ** pf
-        total += sum(float(c) * x.get(v, 0.0) for v, c in self.linear.items())
-        return total
+        return self._value(x, *self._floats)
 
     def gradient(self, x: dict[str, float]) -> dict[str, float]:
-        pf = float(self.p)
-        g = {v: float(c) for v, c in self.linear.items()}
-        for tvar, B in self.terms:
-            g[tvar] = pf * (x.get(tvar, 0.0) + float(B)) ** (pf - 1)
-        return g
+        return self._gradient(x, *self._floats)
 
-    def _exact_value(self, x: dict):
-        k = int(self.p)
-        total = rat(self.const)
-        for tvar, B in self.terms:
-            total += (x.get(tvar, ZERO) + B) ** k
-        total += sum((rat(c) * x.get(v, ZERO) for v, c in self.linear.items()), ZERO)
+    def _charges(self, x: dict, num, zero):
+        return sum((num(c) * x.get(v, zero) for v, c in self.linear.items()), zero)
+
+    def _value(self, x: dict, num, zero, power):
+        total = num(self.const)
+        for _, tvar, _, B, _ in self.machines:
+            total += (x.get(tvar, zero) + num(B)) ** power
+        total += self._charges(x, num, zero)
         return total
 
-    def _exact_gradient(self, x: dict) -> dict:
-        k = int(self.p)
-        g = {v: rat(c) for v, c in self.linear.items()}
-        for tvar, B in self.terms:
-            g[tvar] = k * (x.get(tvar, ZERO) + B) ** (k - 1)
+    def _gradient(self, x: dict, num, zero, power) -> dict:
+        g = {v: num(c) for v, c in self.linear.items()}
+        for _, tvar, _, B, _ in self.machines:
+            g[tvar] = power * (x.get(tvar, zero) + num(B)) ** (power - 1)
         return g
+
+    def eliminated_value(self, x: dict, exact: bool) -> float:
+        """The eliminated form at route point x, summed exactly or in floats."""
+        num, zero, power = self._exact if exact else self._floats
+        x = {v: num(val) for v, val in x.items()}
+        total = num(self.const)
+        for _, _, coeffs, B, floor_val in self.machines:
+            u = sum((num(c) * x.get(v, zero) for v, c in coeffs.items()), zero)
+            total += max(u + num(B), num(floor_val)) ** power
+        total += self._charges(x, num, zero)
+        return float(total)
+
+    def allowances(self, x: dict) -> dict:
+        """Exact t_i = max(small_load, alpha*c_max - B_i) at route point x."""
+        out = {}
+        for mk, _, coeffs, B, floor_val in self.machines:
+            u = sum((rat(c) * rat(x.get(v, ZERO)) for v, c in coeffs.items()), ZERO)
+            out[mk] = max(u, floor_val - B)
+        return out
 
 
 def additive_tolerance(model: CpModel, incumbent: float) -> float:
@@ -675,56 +586,42 @@ def solve_slot_cp(
     objective); the returned allowances are then the analytic elimination
     t_i = max(small_load, alpha*c_max - B_i), which never increases the
     objective, so the certificate carries over to the reported values.
+    Without additive_tol, the tolerance is additive_tolerance at the
+    eliminated value of start, or of the zero point when there is no start.
     """
-    region = build_cp_region(model, with_loads=True)
-    eliminated = LoadPowObjective(model)
-    smooth = _SmoothLoadObjective(model)
+    region = build_cp_region(model)
+    objective = LoadObjective(model)
+    if additive_tol is None:
+        # the zero point is priced in floats even for integral p; the
+        # tolerance, and so the Frank-Wolfe stopping point, rest on its bits
+        exact = start is not None and objective.exact_p
+        incumbent = objective.eliminated_value({} if start is None else start, exact)
+        additive_tol = additive_tolerance(model, incumbent)
     if start is not None:
         start = dict(start)
-        for mk, coeffs, B, floor_val in eliminated.machines:
-            u = sum((rat(c) * rat(start.get(v, 0)) for v, c in coeffs.items()), ZERO)
-            start[_load_var(mk)] = max(u, floor_val - B)
+        for mk, t in objective.allowances(start).items():
+            start[_load_var(mk)] = t
         _assert_region_point(region, start)
-    if additive_tol is None:
-        probe = start or {v: 0 for v in region.variables}
-        incumbent = smooth.value({v: float(rat(x)) for v, x in probe.items()})
-        additive_tol = additive_tolerance(model, incumbent)
     res: ConvexSolveResult = solve_convex_over_polytope(
-        region, smooth, additive_tol, start=start
+        region, objective, additive_tol, start=start
     )
     # drop the allowance coordinates and re-evaluate at their eliminated
     # values; the point only improves, so f(x) - f* <= gap still holds
     x_routes = {v: val for v, val in res.x.items() if not v.startswith("t|")}
-    t_star = {}
-    for mk, coeffs, B, floor_val in eliminated.machines:
-        u = sum((rat(c) * x_routes.get(v, ZERO) for v, c in coeffs.items()), ZERO)
-        t_star[mk] = max(u, floor_val - B)
-    if eliminated.exact_p:
-        reported = float(eliminated.exact_value(x_routes))
-    else:
-        reported = eliminated.value({v: float(val) for v, val in x_routes.items()})
     return CpSolution(
         x=x_routes,
-        t_star=t_star,
-        objective_value=reported,
+        t_star=objective.allowances(x_routes),
+        objective_value=objective.eliminated_value(x_routes, objective.exact_p),
         duality_gap=res.duality_gap,
         iterations=res.iterations,
+        tolerance=additive_tol,
     )
 
 
 def _assert_region_point(region: LinearProgram, point: dict) -> None:
-    from .lp import GE
-
     vals = {v: rat(point.get(v, 0)) for v in region.variables}
-    for c in region.constraints:
-        lhs = sum((a * vals[v] for v, a in c.coeffs.items()), ZERO)
-        if c.rel == LE:
-            ok = lhs <= c.rhs
-        elif c.rel == GE:
-            ok = lhs >= c.rhs
-        else:
-            ok = lhs == c.rhs
-        assert ok, "warm-start point is not exactly feasible"
+    if not all(c.holds(vals) for c in region.constraints):
+        raise InvariantViolation("warm-start point is not exactly feasible")
 
 
 def build_rounding_from_cp(model: CpModel, t_star: dict) -> RoundingProblem:
@@ -752,8 +649,7 @@ def _lp_job_class(model: CpModel, j: int, t: int):
 
 def build_lp_from_cp(model: CpModel, t_star: dict) -> LinearProgram:
     """The frozen-allowance Slot-LP (objective: huge charges only)."""
-    lp, _, _ = RoundingEngine(build_rounding_from_cp(model, t_star))._build_lp()
-    return lp
+    return slot_lp(build_rounding_from_cp(model, t_star))
 
 
 # ---------------------------------------------------------------------------
@@ -803,109 +699,57 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
         if tg.c_max is None:
             continue
         threshold = rat(eps) * tg.alpha * rat(tg.c_max)
-
-        def pattern_of(k):
-            return tuple(
-                sorted(
-                    size_class(inst.cost(j, t), eps)
-                    for j in jobs_by_machine[k]
-                    if rat(inst.cost(j, t)) > threshold
-                )
-            )
-
-        ordered = sorted(non_huge_orig, key=lambda k: (pattern_of(k), k))
+        patterns = {
+            k: _large_pattern(inst, t, eps, threshold, jobs_by_machine[k]) for k in non_huge_orig
+        }
+        ordered = sorted(non_huge_orig, key=lambda k: (patterns[k], k))
         for canon, orig in enumerate(ordered):
             mk = (t, canon)
-            assert pattern_of(orig) == tg.profile[canon], "profile out of sync"
+            assert patterns[orig] == tg.profile[canon], "profile out of sync"
             for j in jobs_by_machine[orig]:
                 c = rat(inst.cost(j, t))
                 if c > threshold:
                     e = size_class(c, eps)
                     s = slot_pool[(mk, e)].pop(0)
-                    point[f"s|{j}|{s}"] = ONE
+                    point[route_var("s", j, s)] = ONE
                 else:
-                    point[f"m|{j}|{mk[0]}|{mk[1]}"] = ONE
+                    point[route_var("m", j, mk)] = ONE
     # remaining unpinned jobs on huge machines travel the huge route
-    pinned = set(model.vh_machines)
     for j, routes in model.routes.items():
         covered = any(
-            point.get(name, ZERO) == ONE for name, _ in _var_names(j, routes)
+            point.get(name, ZERO) == ONE for name, _, _ in route_vars(j, routes)
         )
-        if not covered and j not in pinned:
+        if not covered:
             t = sched.assignment[j][0]
             assert t in routes.huge, "guided schedule routed a job outside the guess"
-            point[f"h|{j}|{t}"] = ONE
+            point[route_var("h", j, t)] = ONE
     return point
-
-
-def _assemble_schedule(model: CpModel, final) -> Schedule:
-    inst = model.inst
-    assignment: list = [None] * inst.num_jobs
-    for j, mk in model.vh_machines.items():
-        assignment[j] = mk
-    for j, mk in final.machine_assign.items():
-        assert assignment[j] is None
-        assignment[j] = mk
-    for s, j in final.slot_assign.items():
-        assert assignment[j] is None
-        assignment[j] = model.slots[s].machine
-    free_huge: dict[int, list[tuple[int, int]]] = {}
-    for t, tg in enumerate(model.guess.types):
-        non_huge = inst.machine_counts[t] - tg.huge_count
-        first_free = non_huge + len(tg.very_huge)
-        free_huge[t] = [(t, k) for k in range(first_free, inst.machine_counts[t])]
-    for j in sorted(final.huge_assign):
-        t = final.huge_assign[j]
-        assert free_huge[t], "huge budget exceeded the free machines"
-        mk = free_huge[t].pop(0)
-        assert assignment[j] is None
-        assignment[j] = mk
-    for t, members in sorted(final.improper.items()):
-        if not members:
-            continue
-        assert free_huge[t], "no free machine left for the improper lineup"
-        mk = free_huge[t].pop(0)
-        for j in members:
-            assert assignment[j] is None
-            assignment[j] = mk
-    assert all(a is not None for a in assignment), "schedule not total"
-    return Schedule(tuple(assignment))
 
 
 def _run_guess(inst: Instance, p, eps, guess: Guess, start_schedule=None, cp_tol=None) -> LpnormRun:
     model = build_cp_model(inst, p, eps, guess)
     start = _warm_start(model, start_schedule) if start_schedule is not None else None
-    if cp_tol is not None:
-        tol = cp_tol
-    else:
-        objective = LoadPowObjective(model)
-        if start is not None:
-            incumbent = float(objective.exact_value({v: rat(x) for v, x in start.items()})
-                              if objective.exact_p else objective.value({v: float(x) for v, x in start.items()}))
-        else:
-            incumbent = objective.value({v: 0.0 for v in build_cp_region(model).variables})
-        tol = additive_tolerance(model, incumbent)
-    cp = solve_slot_cp(model, tol, start=start)
+    cp = solve_slot_cp(model, cp_tol, start=start)
     problem = build_rounding_from_cp(model, cp.t_star)
     engine = RoundingEngine(problem)
     outcome = engine.run()  # CP point is LP-feasible, so Infeasible cannot fire
     final = untangle(problem, outcome)
-    schedule = _assemble_schedule(model, final)
+    schedule = assemble_schedule(problem, final, inst.num_jobs, model.vh_machines, model.free_huge)
     total = evaluate_lp_norm_pow(inst, schedule, p)
-    _assert_quality_chain(model, cp, final, total, tol)
+    _assert_quality_chain(model, cp, final, total)
     return LpnormRun(
         schedule=schedule,
         objective_pow=total,
         cp_objective=cp.objective_value,
         cp_gap=cp.duality_gap,
-        cp_tolerance=tol,
+        cp_tolerance=cp.tolerance,
         guess=guess,
         stats=engine.stats,
         forest=outcome.forest,
     )
 
 
-def _assert_quality_chain(model: CpModel, cp: CpSolution, final, total, tol) -> None:
+def _assert_quality_chain(model: CpModel, cp: CpSolution, final, total) -> None:
     eps = rat(model.eps)
     # per-machine bound: g_i <= (1+eps) B_i + t*_i + 3 eps alpha c_max
     for mk in model.small_machines:

@@ -32,6 +32,10 @@ from .rounding import (
     RoundingProblem,
     RoundingStats,
     SlotInfo,
+    assemble_schedule,
+    pattern_multisets,
+    slot_lp,
+    slot_patterns,
     untangle,
 )
 
@@ -114,15 +118,6 @@ def klass_value(eps, klass: Klass) -> tuple:
     return tuple(grid.value(-k) for k in klass)
 
 
-def large_type_grid(eps, dims: int) -> list[Klass]:
-    """The unrestricted set Q: per-dimension powers of 1/(1+eps) in [eps^2/D, 1]."""
-    eps = parse_rational(eps)
-    lo = eps * eps / dims
-    # k runs while (1+eps)^(-k) >= lo, i.e. up to -round_up(lo)
-    ks = range(-geometric_grid(eps).round_up(lo) + 1)
-    return [tuple(combo) for combo in itertools.product(ks, repeat=dims)]
-
-
 def realized_types(scaled: ScaledInstance) -> dict[int, dict[Klass, int]]:
     """Large-job types actually achieved, per machine type, with job counts."""
     out: dict[int, dict[Klass, int]] = {t: {} for t in range(scaled.base.num_types)}
@@ -146,28 +141,13 @@ def enumerate_large_job_types(scaled: ScaledInstance) -> set[Klass]:
 
 def feasible_patterns(scaled: ScaledInstance, mtype: int) -> list[Pattern]:
     """Patterns over realized classes: count and per-dimension mass limits."""
-    counts = realized_types(scaled)[mtype]
-    klasses = sorted(counts)
-    dims = scaled.base.dims
-    cap = scaled.capacity
-    out: list[Pattern] = []
-
-    def extend(idx: int, chosen: list[Klass], mass: list, slots_left: int):
-        out.append(tuple(chosen))
-        for i in range(idx, len(klasses)):
-            q = klasses[i]
-            if slots_left == 0 or chosen.count(q) >= counts[q]:
-                continue
-            size = klass_value(scaled.eps, q)
-            new_mass = [m + s for m, s in zip(mass, size)]
-            if any(m > cap for m in new_mass):
-                continue
-            chosen.append(q)
-            extend(i, chosen, new_mass, slots_left - 1)
-            chosen.pop()
-
-    extend(0, [], [ZERO] * dims, scaled.large_cap)
-    return sorted(set(out))
+    return slot_patterns(
+        realized_types(scaled)[mtype],
+        scaled.large_cap,
+        lambda q: klass_value(scaled.eps, q),
+        scaled.capacity,
+        scaled.base.dims,
+    )
 
 
 def _type_profiles(scaled: ScaledInstance, mtype: int) -> list[tuple[Pattern, ...]]:
@@ -175,17 +155,8 @@ def _type_profiles(scaled: ScaledInstance, mtype: int) -> list[tuple[Pattern, ..
     m = scaled.base.machine_counts[mtype]
     if m == 0:
         return [()]
-    patterns = feasible_patterns(scaled, mtype)
     counts = realized_types(scaled)[mtype]
-    out = []
-    for combo in itertools.combinations_with_replacement(patterns, m):
-        used: dict[Klass, int] = {}
-        for pat in combo:
-            for q in pat:
-                used[q] = used.get(q, 0) + 1
-        if all(used[q] <= counts[q] for q in used):
-            out.append(combo)
-    return out
+    return list(pattern_multisets(feasible_patterns(scaled, mtype), m, counts))
 
 
 def enumerate_pattern_profiles(scaled: ScaledInstance, budget: int) -> Iterator[Profile]:
@@ -291,8 +262,7 @@ def build_rounding_problem(
 def build_slot_lp(scaled: ScaledInstance, profile: Profile):
     """The initial Slot-LP (rows: n jobs + slots + D per machine) plus slot system."""
     problem, system = build_rounding_problem(scaled, profile)
-    lp, _, _ = RoundingEngine(problem)._build_lp()
-    return lp, system
+    return slot_lp(problem), system
 
 
 def guarantee_factor(eps, dims: int):
@@ -333,17 +303,6 @@ class MakespanResult:
     forest: dict = field(default_factory=dict)
 
 
-def _assemble_schedule(inst: Instance, problem: RoundingProblem, final) -> Schedule:
-    assignment: list = [None] * inst.num_jobs
-    for j, mk in final.machine_assign.items():
-        assignment[j] = mk
-    for s, j in final.slot_assign.items():
-        assert assignment[j] is None
-        assignment[j] = problem.slots[s].machine
-    assert all(a is not None for a in assignment), "schedule not total"
-    return Schedule(tuple(assignment))
-
-
 def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
     """Schedule with makespan <= G(eps, D) * target, or Infeasible.
 
@@ -375,7 +334,7 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
         except Infeasible:
             continue
         final = untangle(problem, outcome)
-        schedule = _assemble_schedule(inst, problem, final)
+        schedule = assemble_schedule(problem, final, inst.num_jobs)
         makespan = evaluate_makespan(inst, schedule)
         assert makespan <= bound, "decision exceeded its guarantee factor"
         return DecisionResult(

@@ -25,15 +25,21 @@ CountingViolation.  Untangling then replaces every artificial job by real
 jobs: tree placement for artificial jobs sitting in foreign slots or on
 huge machines, and a per-machine covering LP whose extreme point has at
 most |AJ_i| + D nonzeros for artificial jobs sitting in remaining space.
+
+The route column names, the assignment and slot rows (SlotRows, also the
+base of the L_p convex region) and the final schedule assembly live here
+too, so both pipelines build and read one LP shape.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import CountingViolation, ForestInconsistent, Infeasible
+from .errors import CountingViolation, ForestInconsistent, Infeasible, InvariantViolation
 from .lp import EQ, GE, LE, LinearProgram, solve_extreme_point
+from .model import Schedule
 from .rationals import ONE, ZERO, rat
 
 MachineKey = tuple[int, int]
@@ -123,8 +129,149 @@ class FinalAssignment:
     final_loads: dict[MachineKey, list]
 
 
+def assemble_schedule(
+    problem: RoundingProblem,
+    final: FinalAssignment,
+    num_jobs: int,
+    pinned: dict[int, MachineKey] | None = None,
+    free_huge: dict[int, list[MachineKey]] | None = None,
+) -> Schedule:
+    """Total schedule from untangled placements.
+
+    pinned jobs keep their machines; each huge-routed job, then each type's
+    improper lineup, takes the next free huge machine of its type.
+    """
+    assignment: list = [None] * num_jobs
+    for j, mk in (pinned or {}).items():
+        assignment[j] = mk
+    free = {t: list(machines) for t, machines in (free_huge or {}).items()}
+
+    def place(j: int, mk: MachineKey) -> None:
+        if assignment[j] is not None:
+            raise InvariantViolation(f"job {j} placed twice")
+        assignment[j] = mk
+
+    def next_free(t: int, failure: str) -> MachineKey:
+        if not free.get(t):
+            raise InvariantViolation(failure)
+        return free[t].pop(0)
+
+    for j, mk in final.machine_assign.items():
+        place(j, mk)
+    for s, j in final.slot_assign.items():
+        place(j, problem.slots[s].machine)
+    for j in sorted(final.huge_assign):
+        place(j, next_free(final.huge_assign[j], "huge budget exceeded the free machines"))
+    for t, members in sorted(final.improper.items()):
+        if members:
+            mk = next_free(t, "no free machine left for the improper lineup")
+            for j in members:
+                place(j, mk)
+    if None in assignment:
+        raise InvariantViolation("schedule not total")
+    return Schedule(tuple(assignment))
+
+
 def _job_sort_key(key: JobKey):
     return (0, key, "") if isinstance(key, int) else (1, int(key[1:]), key)
+
+
+def slot_patterns(counts: dict, slot_cap: int, size, mass_cap, dims: int = 1) -> list[tuple]:
+    """Sorted distinct slot patterns: sorted tuples of classes q, at most
+    slot_cap slots and counts[q] slots of class q, whose sizes size(q) (one
+    entry per dimension) add up to at most mass_cap in every dimension."""
+    klasses = sorted(counts)
+    out: list[tuple] = []
+
+    def extend(idx: int, chosen: list, mass: list) -> None:
+        out.append(tuple(chosen))
+        for i in range(idx, len(klasses)):
+            q = klasses[i]
+            if len(chosen) >= slot_cap or chosen.count(q) >= counts[q]:
+                continue
+            new_mass = [m + s for m, s in zip(mass, size(q))]
+            if any(m > mass_cap for m in new_mass):
+                continue
+            chosen.append(q)
+            extend(i, chosen, new_mass)
+            chosen.pop()
+
+    extend(0, [], [ZERO] * dims)
+    return sorted(set(out))
+
+
+def pattern_multisets(patterns: list[tuple], machines: int, counts: dict):
+    """Multisets of `machines` patterns needing at most counts[q] jobs of each class q."""
+    for combo in itertools.combinations_with_replacement(patterns, machines):
+        used: dict = {}
+        for pat in combo:
+            for q in pat:
+                used[q] = used.get(q, 0) + 1
+        if all(used[q] <= counts[q] for q in used):
+            yield combo
+
+
+def route_var(kind: str, jkey: JobKey, target) -> str:
+    """Name of the column routing jkey to a machine ("m"), slot ("s") or huge type ("h")."""
+    if kind == "m":
+        return f"m|{jkey}|{target[0]}|{target[1]}"
+    return f"{kind}|{jkey}|{target}"
+
+
+def route_vars(jkey: JobKey, routes: JobRoutes):
+    """(name, kind, target) of every route of jkey, in column order."""
+    for mk in routes.machine_costs:
+        yield route_var("m", jkey, mk), "m", mk
+    for s in sorted(routes.slots):
+        yield route_var("s", jkey, s), "s", s
+    for t in sorted(routes.huge):
+        yield route_var("h", jkey, t), "h", t
+
+
+class SlotRows:
+    """The rows every slot LP starts with.
+
+    One column per route, huge routes priced at their charge; one assignment
+    row per job, in the order given; one row per routed slot, in slot order.
+    Callers append capacity, budget or allowance rows after these.
+    """
+
+    def __init__(self, jobs: dict[JobKey, JobRoutes], slots):
+        self.lp = LinearProgram()
+        self.registry: dict[str, tuple] = {}
+        self.machine_vars: dict[MachineKey, list] = {}  # machine -> [(name, cost vector)]
+        self.budget_vars: dict[int, list] = {}
+        slot_vars: dict[int, list] = {s: [] for s in slots}
+        for jkey, routes in jobs.items():
+            row = {}
+            for name, kind, target in route_vars(jkey, routes):
+                if kind == "h":
+                    self.lp.add_variable(name, objective=routes.huge[target][1])
+                    self.budget_vars.setdefault(target, []).append(name)
+                else:
+                    self.lp.add_variable(name)
+                    if kind == "m":
+                        cost = routes.machine_costs[target]
+                        self.machine_vars.setdefault(target, []).append((name, cost))
+                    else:
+                        slot_vars[target].append(name)
+                self.registry[name] = (kind, jkey, target)
+                row[name] = 1
+            self.lp.add_constraint(row, EQ, 1)
+        self.slot_rows = 0
+        for s in sorted(slot_vars):
+            if slot_vars[s]:
+                self.lp.add_constraint({v: 1 for v in slot_vars[s]}, LE, 1)
+                self.slot_rows += 1
+
+    def add_budget_rows(self, budgets: dict[int, int]) -> int:
+        """At most budgets[t] huge routes per type that has any; returns the row count."""
+        added = 0
+        for t in sorted(budgets):
+            if t in self.budget_vars:
+                self.lp.add_constraint({v: 1 for v in self.budget_vars[t]}, LE, budgets[t])
+                added += 1
+        return added
 
 
 class RoundingEngine:
@@ -158,54 +305,21 @@ class RoundingEngine:
     # -- LP construction ---------------------------------------------------
 
     def _build_lp(self):
-        lp = LinearProgram()
-        registry: dict[str, tuple] = {}
-        slot_vars: dict[int, list] = {s: [] for s in self.live_slots}
-        machine_vars: dict[MachineKey, list] = {}
-        budget_vars: dict[int, list] = {}
-        for jkey in sorted(self.live, key=_job_sort_key):
-            routes = self.live[jkey]
-            row = {}
-            for mk in routes.machine_costs:
-                name = f"m|{jkey}|{mk[0]}|{mk[1]}"
-                lp.add_variable(name)
-                registry[name] = ("m", jkey, mk)
-                machine_vars.setdefault(mk, []).append((name, routes.machine_costs[mk]))
-                row[name] = 1
-            for s in sorted(routes.slots):
-                name = f"s|{jkey}|{s}"
-                lp.add_variable(name)
-                registry[name] = ("s", jkey, s)
-                slot_vars[s].append(name)
-                row[name] = 1
-            for t in sorted(routes.huge):
-                name = f"h|{jkey}|{t}"
-                cost, charge = routes.huge[t]
-                lp.add_variable(name, objective=charge)
-                registry[name] = ("h", jkey, t)
-                budget_vars.setdefault(t, []).append(name)
-                row[name] = 1
-            lp.add_constraint(row, EQ, 1)
-        n_slot_rows = 0
-        for s in sorted(self.live_slots):
-            if slot_vars[s]:
-                lp.add_constraint({v: 1 for v in slot_vars[s]}, LE, 1)
-                n_slot_rows += 1
+        rows = SlotRows({j: self.live[j] for j in sorted(self.live, key=_job_sort_key)},
+                        self.live_slots)
+        lp = rows.lp
         n_cap_machines = 0
         for mk in sorted(self.machine_live):
-            if not self.machine_live[mk] or mk not in machine_vars:
+            if not self.machine_live[mk] or mk not in rows.machine_vars:
                 continue
             n_cap_machines += 1
             for d in range(self.dims):
-                coeffs = {name: vec[d] for name, vec in machine_vars[mk] if vec[d] != 0}
+                coeffs = {name: vec[d] for name, vec in rows.machine_vars[mk] if vec[d] != 0}
                 rhs = self.problem.capacities[mk][d] - self.committed[mk][d]
                 lp.add_constraint(coeffs, LE, rhs)
-        n_budget_rows = 0
-        for t in sorted(self.budget_live):
-            if self.budget_live[t] and t in budget_vars:
-                lp.add_constraint({v: 1 for v in budget_vars[t]}, LE, self.budget_left[t])
-                n_budget_rows += 1
-        return lp, registry, (n_slot_rows, n_cap_machines, n_budget_rows)
+        live_budgets = {t: self.budget_left[t] for t in self.budget_live if self.budget_live[t]}
+        n_budget_rows = rows.add_budget_rows(live_budgets)
+        return lp, rows.registry, (rows.slot_rows, n_cap_machines, n_budget_rows)
 
     def _cleanup_structures(self):
         """Drop rows that no longer constrain any live variable."""
@@ -359,12 +473,7 @@ class RoundingEngine:
         self._art_counter += 1
 
         def val(kind, jkey, target):
-            name = {
-                "m": f"m|{jkey}|{target[0]}|{target[1]}",
-                "s": f"s|{jkey}|{target}",
-                "h": f"h|{jkey}|{target}",
-            }[kind]
-            return sol.values.get(name, ZERO)
+            return sol.values.get(route_var(kind, jkey, target), ZERO)
 
         machine_costs = {}
         machine_weights = {}
@@ -471,6 +580,11 @@ class RoundingEngine:
             art_costs=self.art_costs,
             stats=self.stats,
         )
+
+
+def slot_lp(problem: RoundingProblem) -> LinearProgram:
+    """The first LP the engine solves for problem."""
+    return RoundingEngine(problem)._build_lp()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from typesched.lpnorm import class_size, size_class
-from typesched.makespan import klass_value, large_type_grid, power_round_up
+from typesched.makespan import klass_value, power_round_up
 from typesched.rationals import GeometricGrid, geometric_grid, rat
 
 EPS_VALUES = [Fraction(1, 2), Fraction(1, 16), Fraction(1, 32), Fraction(3, 7)]
@@ -117,12 +117,10 @@ def test_exact_powers_and_neighbours(eps):
 
 @pytest.mark.parametrize("eps", EPS_VALUES)
 def test_large_type_grid_and_klass_values_match_the_loops(eps):
-    # dims stays small: the grid has len(ks)^dims classes (261^2 at eps=1/32)
-    for dims in (1, 2):
+    # per dimension, the large classes k run while (1+eps)^(-k) >= eps^2/D
+    for dims in (1, 2, 3):
         ks = ref_large_type_ks(eps, dims)
-        grid = large_type_grid(eps, dims)
-        assert sorted({q[0] for q in grid}) == ks
-        assert len(grid) == len(ks) ** dims
+        assert ks == list(range(-geometric_grid(rat(eps)).round_up(rat(eps * eps / dims)) + 1))
     for k in ks:
         q = (k, ks[-1] - k)
         assert klass_value(eps, q) == tuple((1 + eps) ** (-i) for i in q)

@@ -516,6 +516,12 @@ try:
     solve_extreme_point(lp)
 except PivotLimitExceeded:
     print("guard checked")
+from typesched.rounding import FinalAssignment, RoundingProblem, assemble_schedule
+empty = FinalAssignment({}, {}, {}, {}, {})
+try:
+    assemble_schedule(RoundingProblem(1, {}, {}, {}, {}), empty, 1)
+except InvariantViolation:
+    print("assembler checked")
 print("optimize", sys.flags.optimize)
 """
 
@@ -526,4 +532,6 @@ def test_trip_wires_survive_python_O():
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:3] == ["sparsity checked", "guard checked", "optimize 1"]
+    assert out.stdout.split("\n")[:4] == [
+        "sparsity checked", "guard checked", "assembler checked", "optimize 1"
+    ]

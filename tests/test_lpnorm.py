@@ -3,13 +3,22 @@ import random
 
 import pytest
 
-from typesched.errors import BadExponent, DimensionMismatch, GuessInconsistent
+from typesched.errors import (
+    BadExponent,
+    DimensionMismatch,
+    GuessInconsistent,
+    InfeasibleRegion,
+    InvariantViolation,
+)
 from typesched.lpnorm import (
     FullEnum,
     _charge,
     _guess_lower_bound,
     Guided,
+    LoadObjective,
+    additive_tolerance,
     build_cp_model,
+    build_cp_region,
     build_lp_from_cp,
     calibrate_eps,
     enumerate_guesses,
@@ -20,7 +29,7 @@ from typesched.lpnorm import (
     size_class,
     solve_slot_cp,
 )
-from typesched.lp import solve_extreme_point
+from typesched.lp import EQ, GE, LE, LinearProgram, solve_extreme_point
 from typesched.model import (
     GeneratorSpec,
     Schedule,
@@ -28,7 +37,7 @@ from typesched.model import (
     make_instance,
 )
 from typesched.oracle import exact_solve
-from typesched.rationals import ONE, ZERO, rat, rat_str
+from typesched.rationals import ONE, ZERO, is_integral, rat, rat_str
 
 
 def brute_f(p, eps):
@@ -366,3 +375,290 @@ def test_non_integer_exponent_uses_float_certification():
     res = lpnorm_ptas(inst, rat(5, 2), rat(1, 2), Guided(opt.witness))
     ratio = (float(res.objective_pow) / float(opt.optimum)) ** (1 / 2.5)
     assert 1 - 1e-9 <= ratio <= 1.5 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# reference code: the CP region builder and the two objective classes that
+# build_cp_region and LoadObjective replaced, copied unchanged apart from
+# their names (and a local import moved to the top)
+
+
+def ref_var_names(j, routes):
+    for mk in routes.machine_costs:
+        yield f"m|{j}|{mk[0]}|{mk[1]}", ("m", mk)
+    for s in sorted(routes.slots):
+        yield f"s|{j}|{s}", ("s", s)
+    for t in sorted(routes.huge):
+        yield f"h|{j}|{t}", ("h", t)
+
+
+def ref_load_var(mk) -> str:
+    return f"t|{mk[0]}|{mk[1]}"
+
+
+def ref_build_cp_region(model, with_loads: bool = False) -> LinearProgram:
+    """Assignment, huge-budget and slot rows; loads live in the objective.
+
+    with_loads adds one allowance variable per non-huge machine together
+    with the rows  small_load <= t_i  and  t_i >= alpha*c_max - B_i; the
+    solver iterates on this smooth formulation (the eliminated max() form
+    puts a kink exactly where optima sit, which stalls float iterates and
+    inflates subgradient-based gap certificates).
+    """
+    lp = LinearProgram()
+    slot_vars: dict[int, list] = {s: [] for s in model.slots}
+    budget_vars: dict[int, list] = {t: [] for t in model.budgets}
+    machine_terms: dict[tuple, dict] = {mk: {} for mk in model.small_machines}
+    for j in sorted(model.routes):
+        row = {}
+        routes = model.routes[j]
+        for name, (kind, target) in ref_var_names(j, routes):
+            lp.add_variable(name)
+            row[name] = 1
+            if kind == "s":
+                slot_vars[target].append(name)
+            elif kind == "h":
+                budget_vars[target].append(name)
+            else:
+                machine_terms[target][name] = routes.machine_costs[target][0]
+        lp.add_constraint(row, EQ, 1)
+    for s in sorted(model.slots):
+        if slot_vars[s]:
+            lp.add_constraint({v: 1 for v in slot_vars[s]}, LE, 1)
+    for t in sorted(model.budgets):
+        if budget_vars[t]:
+            lp.add_constraint({v: 1 for v in budget_vars[t]}, LE, model.budgets[t])
+    if with_loads:
+        for mk in model.small_machines:
+            tvar = lp.add_variable(ref_load_var(mk))
+            coeffs = dict(machine_terms[mk])
+            coeffs[tvar] = -1
+            lp.add_constraint(coeffs, LE, 0)
+            floor_val = model.load_floor[mk] - model.pattern_mass[mk]
+            if floor_val > 0:
+                lp.add_constraint({tvar: 1}, GE, floor_val)
+    return lp
+
+
+class RefLoadPowObjective:
+    """sum over non-huge machines of max(u_i + B_i, alpha*c_max)^p plus the
+    linear huge charges and the constant very-huge term."""
+
+    def __init__(self, model):
+        self.p = model.p
+        self.exact_p = is_integral(model.p)
+        self.machines = []
+        coeff_of: dict[tuple[int, int], dict[str, object]] = {
+            mk: {} for mk in model.small_machines
+        }
+        self.linear: dict[str, object] = {}
+        for j, routes in model.routes.items():
+            for name, (kind, target) in ref_var_names(j, routes):
+                if kind == "m":
+                    coeff_of[target][name] = routes.machine_costs[target][0]
+                elif kind == "h":
+                    self.linear[name] = routes.huge[target][1]
+        for mk in model.small_machines:
+            self.machines.append(
+                (mk, coeff_of[mk], model.pattern_mass[mk], model.load_floor[mk])
+            )
+        self.const = sum((_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
+        if self.exact_p:
+            # expose the exact paths only when p is integral; the convex
+            # solver certifies in rational arithmetic iff they exist
+            self.exact_value = self._exact_value
+            self.exact_gradient = self._exact_gradient
+        else:
+            self.const = float(self.const)
+
+    def _pow_f(self, x: float) -> float:
+        return x ** float(self.p)
+
+    def value(self, x: dict[str, float]) -> float:
+        total = float(self.const)
+        for _, coeffs, B, floor_val in self.machines:
+            u = sum(float(c) * x.get(v, 0.0) for v, c in coeffs.items())
+            total += self._pow_f(max(u + float(B), float(floor_val)))
+        total += sum(float(c) * x.get(v, 0.0) for v, c in self.linear.items())
+        return total
+
+    def gradient(self, x: dict[str, float]) -> dict[str, float]:
+        g = {v: float(c) for v, c in self.linear.items()}
+        pf = float(self.p)
+        for _, coeffs, B, floor_val in self.machines:
+            u = sum(float(c) * x.get(v, 0.0) for v, c in coeffs.items())
+            load = u + float(B)
+            if load >= float(floor_val):
+                scale = pf * load ** (pf - 1)
+                for v, c in coeffs.items():
+                    g[v] = g.get(v, 0.0) + scale * float(c)
+        return g
+
+    def _exact_value(self, x: dict):
+        k = int(self.p)
+        total = rat(self.const)
+        for _, coeffs, B, floor_val in self.machines:
+            u = sum((rat(c) * x.get(v, ZERO) for v, c in coeffs.items()), ZERO)
+            total += max(u + B, floor_val) ** k
+        total += sum((rat(c) * x.get(v, ZERO) for v, c in self.linear.items()), ZERO)
+        return total
+
+    def _exact_gradient(self, x: dict) -> dict:
+        k = int(self.p)
+        g = {v: rat(c) for v, c in self.linear.items()}
+        for _, coeffs, B, floor_val in self.machines:
+            u = sum((rat(c) * x.get(v, ZERO) for v, c in coeffs.items()), ZERO)
+            load = u + B
+            if load >= floor_val:
+                scale = k * load ** (k - 1)
+                for v, c in coeffs.items():
+                    g[v] = g.get(v, ZERO) + scale * rat(c)
+        return g
+
+
+class RefSmoothLoadObjective:
+    """(t_i + B_i)^p over explicit allowance variables, plus linear charges.
+
+    Differentiable everywhere; the conditional-gradient certificate is the
+    plain gradient gap.  Used only inside the solver; reporting and the
+    frozen-allowance LP use the eliminated form.
+    """
+
+    def __init__(self, model):
+        self.p = model.p
+        self.exact_p = is_integral(model.p)
+        self.terms = [
+            (ref_load_var(mk), model.pattern_mass[mk]) for mk in model.small_machines
+        ]
+        self.linear: dict[str, object] = {}
+        for j, routes in model.routes.items():
+            for t in routes.huge:
+                self.linear[f"h|{j}|{t}"] = routes.huge[t][1]
+        self.const = sum((_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
+        if self.exact_p:
+            self.exact_value = self._exact_value
+            self.exact_gradient = self._exact_gradient
+        else:
+            self.const = float(self.const)
+
+    def value(self, x: dict[str, float]) -> float:
+        pf = float(self.p)
+        total = float(self.const)
+        for tvar, B in self.terms:
+            total += (x.get(tvar, 0.0) + float(B)) ** pf
+        total += sum(float(c) * x.get(v, 0.0) for v, c in self.linear.items())
+        return total
+
+    def gradient(self, x: dict[str, float]) -> dict[str, float]:
+        pf = float(self.p)
+        g = {v: float(c) for v, c in self.linear.items()}
+        for tvar, B in self.terms:
+            g[tvar] = pf * (x.get(tvar, 0.0) + float(B)) ** (pf - 1)
+        return g
+
+    def _exact_value(self, x: dict):
+        k = int(self.p)
+        total = rat(self.const)
+        for tvar, B in self.terms:
+            total += (x.get(tvar, ZERO) + B) ** k
+        total += sum((rat(c) * x.get(v, ZERO) for v, c in self.linear.items()), ZERO)
+        return total
+
+    def _exact_gradient(self, x: dict) -> dict:
+        k = int(self.p)
+        g = {v: rat(c) for v, c in self.linear.items()}
+        for tvar, B in self.terms:
+            g[tvar] = k * (x.get(tvar, ZERO) + B) ** (k - 1)
+        return g
+
+
+def bits(x):
+    return type(x).__name__, x.hex()
+
+
+def float_items(d):
+    return [(v, bits(g)) for v, g in d.items()]
+
+
+@pytest.mark.parametrize("p", [2, 3, rat(5, 2)])
+def test_region_and_objective_match_the_code_they_replaced(p):
+    # eps = 1 lists only f = 2 very-huge jobs per type, so the models carry
+    # huge routes as well as small loads; seed 302 solves to a fractional point
+    rng = random.Random(23)
+    eps = ONE
+    exact = p != rat(5, 2)
+    for seed in range(300, 304):
+        inst = generate_instance(GeneratorSpec(7, 1, (4, 1), 1, 10), seed)
+        opt = exact_solve(inst, "lp_norm", p=p)
+        model = build_cp_model(inst, p, eps, guess_from_schedule(inst, p, eps, opt.witness))
+        new = LoadObjective(model)
+        smooth, eliminated = RefSmoothLoadObjective(model), RefLoadPowObjective(model)
+        assert hasattr(new, "exact_value") == hasattr(new, "exact_gradient") == exact
+        assert hasattr(smooth, "exact_gradient") == exact
+        # same columns and the same rows in the same order: Bland's pivots follow it
+        region, ref_region = build_cp_region(model), ref_build_cp_region(model, with_loads=True)
+        assert region.variables == ref_region.variables
+        assert [(list(c.coeffs.items()), c.rel, c.rhs) for c in region.constraints] == [
+            (list(c.coeffs.items()), c.rel, c.rhs) for c in ref_region.constraints
+        ]
+        start = _start(model, opt.witness)
+        cp = solve_slot_cp(model, 1e-6, start=start)
+        variables = region.variables
+        points = [start, cp.x] + [
+            {v: rat(rng.randint(0, 12), rng.randint(1, 12)) for v in variables} for _ in range(6)
+        ]
+        for point in points:
+            xf = {v: float(x) for v, x in point.items()}
+            # smooth form, float: bit for bit
+            assert bits(new.value(xf)) == bits(smooth.value(xf))
+            assert float_items(new.gradient(xf)) == float_items(smooth.gradient(xf))
+            # eliminated form at the route coordinates
+            routes = {v: x for v, x in point.items() if not v.startswith("t|")}
+            routes_f = {v: float(x) for v, x in routes.items()}
+            assert bits(new.eliminated_value(routes, False)) == bits(eliminated.value(routes_f))
+            for mk, coeffs, B, floor_val in eliminated.machines:
+                u = sum((rat(c) * routes.get(v, ZERO) for v, c in coeffs.items()), ZERO)
+                assert new.allowances(routes)[mk] == max(u, floor_val - B)
+            if exact:
+                assert new.exact_value(point) == smooth.exact_value(point)
+                assert list(new.exact_gradient(point).items()) == list(
+                    smooth.exact_gradient(point).items()
+                )
+                expected = float(eliminated.exact_value(routes))
+                assert bits(new.eliminated_value(routes, True)) == bits(expected)
+        # the full-mode incumbent: the eliminated form in floats at the zero point
+        zero = {name: 0.0 for j, r in model.routes.items() for name, _ in ref_var_names(j, r)}
+        assert bits(new.eliminated_value({}, False)) == bits(eliminated.value(zero))
+
+
+def test_zero_point_tolerance_is_priced_in_floats():
+    # with no warm start (full mode) the tolerance comes from the eliminated
+    # form summed in floats at the zero point; on these guesses that sum
+    # differs in the last bit from the exact value rounded once
+    inst = generate_instance(GeneratorSpec(3, 1, (1, 2), 1, 1000), 0)
+    eps = calibrate_eps(rat(1, 2))
+    checked = 0
+    for guess in enumerate_guesses(inst, 2, eps, 10**6):
+        model = build_cp_model(inst, 2, eps, guess)
+        ref = RefLoadPowObjective(model)
+        zero = {name: 0.0 for j, r in model.routes.items() for name, _ in ref_var_names(j, r)}
+        in_floats = additive_tolerance(model, ref.value(zero))
+        if in_floats == additive_tolerance(model, float(ref.exact_value(zero))):
+            continue
+        try:
+            cp = solve_slot_cp(model)
+        except InfeasibleRegion:
+            continue
+        assert cp.tolerance == in_floats
+        checked += 1
+    assert checked > 0
+
+
+def test_infeasible_warm_start_raises_invariant_violation():
+    inst = make_instance(1, [2], [[[3]], [[3]], [[1]], [[1]]])
+    sched = Schedule(((0, 0), (0, 1), (0, 0), (0, 1)))
+    eps = rat(1, 2)
+    model = build_cp_model(inst, 2, eps, guess_from_schedule(inst, 2, eps, sched))
+    bad = {v: ZERO for v in _start(model, sched)}  # every assignment row reads 0 = 1
+    with pytest.raises(InvariantViolation):
+        solve_slot_cp(model, 1e-6, start=bad)

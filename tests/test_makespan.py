@@ -11,7 +11,6 @@ from typesched.makespan import (
     enumerate_large_job_types,
     enumerate_pattern_profiles,
     guarantee_factor,
-    large_type_grid,
     make_scaled_instance,
     makespan_decision,
     makespan_ptas,
@@ -21,16 +20,6 @@ from typesched.makespan import (
 from typesched.model import GeneratorSpec, Schedule, generate_instance, make_instance
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, rat
-
-
-def powers_of_two_thirds(limit_low):
-    # independent enumeration of powers of 1/(1+eps) for eps = 1/2
-    vals = []
-    v = rat(1)
-    while v >= limit_low:
-        vals.append(v)
-        v = v * rat(2, 3)
-    return vals
 
 
 def round_up_oracle(x, eps=rat(1, 2)):
@@ -84,16 +73,6 @@ def test_large_lift_applies_only_to_large_jobs():
     entry = scaled.entry(0, 0)
     assert entry.large
     assert entry.rounded[1] >= rat(1, 8)
-
-
-def test_large_type_grid_matches_hand_enumeration():
-    # eps = 1/2, D = 1: powers in [1/4, 1] are {1, 2/3, 4/9, 8/27}
-    grid = large_type_grid(rat(1, 2), 1)
-    values = sorted((rat(3, 2) ** (-k[0]) for k in grid), reverse=True)
-    assert values == powers_of_two_thirds(rat(1, 4))
-    assert len(grid) == 4
-    # kappa: patterns as vectors in {0..floor(D/eps)}^Q
-    assert (2 + 1) ** len(grid) == 81
 
 
 def test_realized_types_restriction():

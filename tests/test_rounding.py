@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from typesched.errors import ForestInconsistent, Infeasible
+from typesched.errors import ForestInconsistent, Infeasible, InvariantViolation
 from typesched.makespan import build_rounding_problem, make_scaled_instance, profile_from_schedule
 from typesched.model import GeneratorSpec, generate_instance
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, ZERO, rat
 from typesched.rounding import (
+    FinalAssignment,
     JobRoutes,
     MergeNode,
     RoundingEngine,
@@ -15,6 +16,7 @@ from typesched.rounding import (
     RoundingProblem,
     RoundingStats,
     SlotInfo,
+    assemble_schedule,
     untangle,
 )
 
@@ -412,3 +414,25 @@ def test_engine_places_every_job_or_reports_infeasible(problem):
     for mk, loads in final.final_loads.items():
         cap = problem.capacities[mk][0]
         assert loads[0] <= cap + 3 * rat(problem.small_caps[mk])
+
+
+def test_assemble_schedule_places_every_route_kind():
+    # job 0 pinned, 1 on a machine, 2 in a slot, 3 huge, 4 and 5 improper
+    problem = simple_problem({}, {0: SlotInfo(0, (0, 1), "q", (ONE,))}, {(0, 0): (ONE,)})
+    final = FinalAssignment({0: 2}, {1: (0, 0)}, {3: 0}, {0: [4, 5]}, {})
+    free = {0: [(0, 3), (0, 4)]}
+    sched = assemble_schedule(problem, final, 6, {0: (0, 2)}, free)
+    assert sched.assignment == ((0, 2), (0, 0), (0, 1), (0, 3), (0, 4), (0, 4))
+    assert free == {0: [(0, 3), (0, 4)]}  # the caller's lists are not consumed
+
+
+@pytest.mark.parametrize("final,free,message", [
+    (FinalAssignment({}, {0: (0, 0)}, {}, {}, {}), {}, "not total"),
+    (FinalAssignment({}, {0: (0, 0), 1: (0, 0)}, {1: 0}, {}, {}), {0: [(0, 1)]}, "placed twice"),
+    (FinalAssignment({}, {0: (0, 0)}, {1: 0}, {}, {}), {}, "huge budget"),
+    (FinalAssignment({}, {0: (0, 0)}, {}, {0: [1]}, {}), {0: []}, "improper lineup"),
+])
+def test_assemble_schedule_raises_typed_errors(final, free, message):
+    problem = simple_problem({}, {}, {(0, 0): (ONE,)})
+    with pytest.raises(InvariantViolation, match=message):
+        assemble_schedule(problem, final, 2, None, free)
