@@ -31,7 +31,7 @@ from .model import (
     instance_to_json,
 )
 from .oracle import exact_solve
-from .rationals import parse_rational, rat, rat_str
+from .rationals import parse_rational, power, rat, rat_str
 from .rounding import forest_dot
 
 
@@ -167,13 +167,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             row["algorithm"] = rat_str(algo_val)
             row["ratio"] = rat_str(ratio)
             row.update(_stats_row(stats))
-            within = (
-                ratio <= bound
-                if cfg.objective == "makespan"
-                else algo_val <= bound ** int(parse_rational(cfg.p)) * oracle_val
-                if parse_rational(cfg.p).denominator == 1
-                else float(algo_val) <= float(bound) ** float(parse_rational(cfg.p)) * float(oracle_val)
-            )
+            if cfg.objective == "makespan":
+                within = ratio <= bound
+            else:
+                within = algo_val <= power(bound, pval) * oracle_val
             row["ok"] = bool(within)
             if not within:
                 row["error"] = "ratio bound exceeded"

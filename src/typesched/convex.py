@@ -138,7 +138,6 @@ def solve_convex_over_polytope(
     objective: ConvexObjective,
     additive_tol: float,
     start: dict | None = None,
-    max_iterations: int | None = None,
 ) -> ConvexSolveResult:
     """Minimize a convex differentiable objective to additive_tol over region.
 
@@ -159,10 +158,9 @@ def solve_convex_over_polytope(
     active: list[tuple[dict, float]] = [(base, 1.0)]
     x = {v: float(val) for v, val in base.items()}
 
-    if max_iterations is None:
-        max_iterations = min(
-            500_000, max(1000, int(10 * math.ceil(1 / additive_tol) * _diameter_estimate(lp)))
-        )
+    max_iterations = min(
+        500_000, max(1000, int(10 * math.ceil(1 / additive_tol) * _diameter_estimate(lp)))
+    )
 
     exact_mode = hasattr(objective, "exact_gradient")
     trace = [objective.value(x)]
@@ -185,7 +183,7 @@ def solve_convex_over_polytope(
         g = objective.gradient(xf)
         s = _lmo(lp, g)
         gap = sum(g.get(v, 0.0) * (xf[v] - float(s[v])) for v in region.variables)
-        gap = max(gap, 0.0)
+        gap = float(max(gap, 0.0))  # the sum is the int 0 when there are no variables
         if gap <= additive_tol * (1 - 1e-9):
             return ConvexSolveResult(x_ex, objective.value(xf), gap, iteration, trace)
         return None

@@ -48,8 +48,10 @@ from .rationals import (
     ONE,
     ZERO,
     geometric_grid,
+    halve_until,
     is_integral,
     parse_rational,
+    power,
     rat,
     rat_ceil,
     rat_floor,
@@ -62,6 +64,7 @@ from .rounding import (
     SlotInfo,
     SlotRows,
     assemble_schedule,
+    build_slots,
     pattern_multisets,
     route_var,
     route_vars,
@@ -112,13 +115,8 @@ def f_threshold(p, eps) -> int:
 
 def calibrate_eps(eps_user):
     """Largest eps_user/2^k with (1+4e)(1+e)^2 <= 1 + eps_user."""
-    eps_user = parse_rational(eps_user)
-    assert 0 < eps_user <= 1
-    for k in range(0, 64):
-        e = eps_user / (2 ** k)
-        if (ONE + 4 * e) * (ONE + e) ** 2 <= ONE + eps_user:
-            return e
-    raise AssertionError("calibration failed to terminate")
+    bound = ONE + parse_rational(eps_user)
+    return halve_until(eps_user, lambda e: (ONE + 4 * e) * (ONE + e) ** 2 <= bound)
 
 
 def size_class(cost, eps) -> int:
@@ -138,10 +136,23 @@ def _pattern_mass(pattern: Pattern, eps):
     return sum((class_size(e, eps) for e in pattern), ZERO)
 
 
-def _charge(cost, p):
-    if is_integral(p):
-        return rat(cost) ** int(p)
-    return rat(float(cost) ** float(p))
+HUGE, LARGE, SMALL = "huge", "large", "small"
+
+
+def job_kind(c_max, alpha: int, eps):
+    """The huge/large/small split of a type guess as cost -> kind: huge above
+    c_max (every cost when c_max is None), large above eps*alpha*c_max."""
+    if c_max is None:
+        return lambda c: HUGE
+    c_max = rat(c_max)
+    threshold = rat(eps) * alpha * c_max
+
+    def kind(c):
+        if c > c_max:
+            return HUGE
+        return LARGE if c > threshold else SMALL
+
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +217,11 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
             if spill:
                 raise GuessInconsistent("huge machine hosts a job not huge on its type")
 
-        threshold = eps * alpha * c_max
+        kind = job_kind(c_max, alpha, eps)
         count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
         pats = []
         for mk in non_huge:
-            pattern = _large_pattern(inst, t, eps, threshold, jobs_on[mk])
+            pattern = _large_pattern(inst, t, eps, kind, jobs_on[mk])
             if len(pattern) > count_cap:
                 raise GuessInconsistent("pattern slot count exceeds its cap")
             if _pattern_mass(pattern, eps) > mass_cap:
@@ -220,10 +231,10 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
     return Guess(tuple(per_type))
 
 
-def _large_pattern(inst: Instance, t: int, eps, threshold, jobs) -> Pattern:
-    """Sorted size classes of the jobs costing more than threshold on type t."""
+def _large_pattern(inst: Instance, t: int, eps, kind, jobs) -> Pattern:
+    """Sorted size classes of the jobs that are large on type t."""
     return tuple(sorted(
-        size_class(inst.cost(j, t), eps) for j in jobs if rat(inst.cost(j, t)) > threshold
+        size_class(inst.cost(j, t), eps) for j in jobs if kind(rat(inst.cost(j, t))) is LARGE
     ))
 
 
@@ -256,10 +267,10 @@ def _type_guess_options(inst: Instance, t: int, p, eps, table) -> Iterator[TypeG
 
 
 def _profiles_for(table, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern, ...]]:
-    threshold = rat(eps) * alpha * rat(c_max)
+    kind = job_kind(c_max, alpha, eps)
     counts: dict[int, int] = {}
     for c, e in table:
-        if threshold < c <= rat(c_max):
+        if kind(c) is LARGE:
             counts[e] = counts.get(e, 0) + 1
     count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
     patterns = slot_patterns(counts, count_cap, lambda e: (class_size(e, eps),), mass_cap)
@@ -309,11 +320,13 @@ def _routable_mask(inst, eps, t: int, tg: TypeGuess, table) -> int:
         return 0
     free_huge = tg.huge_count - len(tg.very_huge)
     floor = _huge_floor(inst, t, tg)
+    kind = job_kind(tg.c_max, tg.alpha, eps)
     mask = 0
     for j, (c, e) in enumerate(table):
-        if tg.c_max is None or c > rat(tg.c_max):
+        k = kind(c)
+        if k is HUGE:
             ok = free_huge > 0 and floor is not None and c <= floor
-        elif c > rat(eps) * tg.alpha * rat(tg.c_max):
+        elif k is LARGE:
             ok = any(e in pat for pat in tg.profile)
         else:
             ok = inst.machine_counts[t] - tg.huge_count > 0
@@ -368,15 +381,13 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
         raise GuessInconsistent("guess covers the wrong number of types")
 
     small_machines: list[tuple[int, int]] = []
-    pattern_mass: dict[tuple[int, int], object] = {}
     load_floor: dict[tuple[int, int], object] = {}
     small_caps: dict[tuple[int, int], object] = {}
-    slots: dict[int, SlotInfo] = {}
     vh_machines: dict[int, tuple[int, int]] = {}
     vh_loads: dict[tuple[int, int], object] = {}
     budgets: dict[int, int] = {}
     free_huge: dict[int, list[tuple[int, int]]] = {}
-    sid = 0
+    patterns: list = []  # (machine, pattern) of every non-huge machine
 
     for t, tg in enumerate(guess.types):
         m = inst.machine_counts[t]
@@ -395,23 +406,16 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
         for i in range(non_huge):
             mk = (t, i)
             small_machines.append(mk)
-            if tg.c_max is None:
-                if tg.profile[i]:
-                    raise GuessInconsistent(f"type {t}: pattern without c_max")
-                pattern_mass[mk] = ZERO
-                load_floor[mk] = ZERO
-                small_caps[mk] = ZERO
-                continue
-            mass = ZERO
-            for e in tg.profile[i]:
-                size = class_size(e, eps)
-                slots[sid] = SlotInfo(sid, mk, e, (size,))
-                sid += 1
-                mass += size
-            pattern_mass[mk] = mass
-            load_floor[mk] = tg.alpha * rat(tg.c_max)
-            small_caps[mk] = eps * tg.alpha * rat(tg.c_max)
+            patterns.append((mk, tg.profile[i]))
+            if tg.c_max is None and tg.profile[i]:
+                raise GuessInconsistent(f"type {t}: pattern without c_max")
+            load_floor[mk] = ZERO if tg.c_max is None else tg.alpha * rat(tg.c_max)
+            small_caps[mk] = eps * load_floor[mk]
+    slots, mass, slots_of = build_slots(patterns, lambda e: (class_size(e, eps),), 1)
 
+    # huge jobs up to the shortest very-huge one may take a free huge
+    # machine, large ones the slots of their class, small ones any machine
+    kinds = [job_kind(tg.c_max, tg.alpha, eps) for tg in guess.types]
     floors = [_huge_floor(inst, t, tg) for t, tg in enumerate(guess.types)]
     routes: dict[int, JobRoutes] = {}
     for j in range(inst.num_jobs):
@@ -424,16 +428,12 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
             if inst.machine_counts[t] == 0:
                 continue
             c = rat(inst.cost(j, t))
-            hugeworthy = tg.c_max is None or c > rat(tg.c_max)
-            if hugeworthy:
+            kind = kinds[t](c)
+            if kind is HUGE:
                 if t in budgets and floors[t] is not None and c <= floors[t]:
-                    huge[t] = (c, _charge(c, p))
-                continue
-            if c > rat(eps) * tg.alpha * rat(tg.c_max):
-                e = size_class(c, eps)
-                for s, info in slots.items():
-                    if info.machine[0] == t and info.klass == e:
-                        slot_ids.add(s)
+                    huge[t] = (c, rat(power(c, p)))
+            elif kind is LARGE:
+                slot_ids.update(slots_of.get((t, size_class(c, eps)), ()))
             else:
                 for i in range(inst.machine_counts[t] - tg.huge_count):
                     machine_costs[(t, i)] = (c,)
@@ -445,7 +445,7 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
         eps=eps,
         guess=guess,
         small_machines=small_machines,
-        pattern_mass=pattern_mass,
+        pattern_mass={mk: mass[mk][0] for mk in small_machines},
         load_floor=load_floor,
         slots=slots,
         routes=routes,
@@ -517,7 +517,7 @@ class LoadObjective:
             (mk, _load_var(mk), coeffs_of[mk], model.pattern_mass[mk], model.load_floor[mk])
             for mk in model.small_machines
         ]
-        self.const = sum((_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
+        self.const = sum((rat(power(v, model.p)) for v in model.vh_loads.values()), ZERO)
         # (conversion, zero, exponent) of each number type
         self._floats = (float, 0.0, float(model.p))
         if self.exact_p:
@@ -534,27 +534,27 @@ class LoadObjective:
     def _charges(self, x: dict, num, zero):
         return sum((num(c) * x.get(v, zero) for v, c in self.linear.items()), zero)
 
-    def _value(self, x: dict, num, zero, power):
+    def _value(self, x: dict, num, zero, exponent):
         total = num(self.const)
         for _, tvar, _, B, _ in self.machines:
-            total += (x.get(tvar, zero) + num(B)) ** power
+            total += (x.get(tvar, zero) + num(B)) ** exponent
         total += self._charges(x, num, zero)
         return total
 
-    def _gradient(self, x: dict, num, zero, power) -> dict:
+    def _gradient(self, x: dict, num, zero, exponent) -> dict:
         g = {v: num(c) for v, c in self.linear.items()}
         for _, tvar, _, B, _ in self.machines:
-            g[tvar] = power * (x.get(tvar, zero) + num(B)) ** (power - 1)
+            g[tvar] = exponent * (x.get(tvar, zero) + num(B)) ** (exponent - 1)
         return g
 
     def eliminated_value(self, x: dict, exact: bool) -> float:
         """The eliminated form at route point x, summed exactly or in floats."""
-        num, zero, power = self._exact if exact else self._floats
+        num, zero, exponent = self._exact if exact else self._floats
         x = {v: num(val) for v, val in x.items()}
         total = num(self.const)
         for _, _, coeffs, B, floor_val in self.machines:
             u = sum((num(c) * x.get(v, zero) for v, c in coeffs.items()), zero)
-            total += max(u + num(B), num(floor_val)) ** power
+            total += max(u + num(B), num(floor_val)) ** exponent
         total += self._charges(x, num, zero)
         return float(total)
 
@@ -632,19 +632,8 @@ def build_rounding_from_cp(model: CpModel, t_star: dict) -> RoundingProblem:
         capacities={mk: (t_star[mk],) for mk in model.small_machines},
         small_caps={mk: model.small_caps[mk] for mk in model.small_machines},
         type_budgets=dict(model.budgets),
-        job_class=lambda j, t: _lp_job_class(model, j, t),
         leaf_raw_cost=lambda j, t: rat(model.inst.cost(j, t)),
     )
-
-
-def _lp_job_class(model: CpModel, j: int, t: int):
-    tg = model.guess.types[t]
-    if tg.c_max is None:
-        return None
-    c = rat(model.inst.cost(j, t))
-    if c > rat(tg.c_max) or c <= rat(model.eps) * tg.alpha * rat(tg.c_max):
-        return None
-    return size_class(c, model.eps)
 
 
 def build_lp_from_cp(model: CpModel, t_star: dict) -> LinearProgram:
@@ -698,9 +687,9 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
         non_huge_orig = [k for k in jobs_by_machine if len(jobs_by_machine[k]) != 1]
         if tg.c_max is None:
             continue
-        threshold = rat(eps) * tg.alpha * rat(tg.c_max)
+        kind = job_kind(tg.c_max, tg.alpha, eps)
         patterns = {
-            k: _large_pattern(inst, t, eps, threshold, jobs_by_machine[k]) for k in non_huge_orig
+            k: _large_pattern(inst, t, eps, kind, jobs_by_machine[k]) for k in non_huge_orig
         }
         ordered = sorted(non_huge_orig, key=lambda k: (patterns[k], k))
         for canon, orig in enumerate(ordered):
@@ -708,7 +697,7 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
             assert patterns[orig] == tg.profile[canon], "profile out of sync"
             for j in jobs_by_machine[orig]:
                 c = rat(inst.cost(j, t))
-                if c > threshold:
+                if kind(c) is LARGE:
                     e = size_class(c, eps)
                     s = slot_pool[(mk, e)].pop(0)
                     point[route_var("s", j, s)] = ONE
@@ -806,10 +795,10 @@ def _guess_lower_bound(inst: Instance, p, eps, guess: Guess):
     total = ZERO
     for t, tg in enumerate(guess.types):
         for j in tg.very_huge:
-            total += _charge(inst.cost(j, t), p)
+            total += rat(power(inst.cost(j, t), p))
         if tg.c_max is None:
             continue
         floor_val = tg.alpha * rat(tg.c_max)
         for pat in tg.profile:
-            total += _charge(max(floor_val, _pattern_mass(pat, eps)), p)
+            total += rat(power(max(floor_val, _pattern_mass(pat, eps)), p))
     return total

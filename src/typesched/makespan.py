@@ -18,6 +18,7 @@ calibrated so G(eps)*(1+eps) <= 1 + eps_user covers the grid granularity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -25,14 +26,14 @@ from typing import Iterator
 from .errors import BudgetExhausted, Infeasible, PatternOverflow
 from .model import Instance, Schedule, evaluate_makespan, require_valid
 from .modes import FullEnum, Guided
-from .rationals import ONE, ZERO, geometric_grid, parse_rational, rat, rat_floor
+from .rationals import ONE, ZERO, geometric_grid, halve_until, parse_rational, rat, rat_floor
 from .rounding import (
     JobRoutes,
     RoundingEngine,
     RoundingProblem,
     RoundingStats,
-    SlotInfo,
     assemble_schedule,
+    build_slots,
     pattern_multisets,
     slot_lp,
     slot_patterns,
@@ -63,12 +64,6 @@ class ScaledInstance:
 
     def entry(self, job: int, mtype: int) -> ScaledEntry:
         return self.entries[job][mtype]
-
-
-@dataclass
-class SlotSystem:
-    slots: dict[int, SlotInfo]
-    rem: dict[tuple[int, int], tuple]
 
 
 def power_round_up(value, eps) -> tuple[int, object]:
@@ -203,29 +198,21 @@ def profile_from_schedule(scaled: ScaledInstance, sched: Schedule) -> Profile:
     return tuple(profile)
 
 
-def build_rounding_problem(
-    scaled: ScaledInstance, profile: Profile
-) -> tuple[RoundingProblem, SlotSystem]:
+def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> RoundingProblem:
     inst = scaled.base
-    dims = inst.dims
-    slots: dict[int, SlotInfo] = {}
-    rem: dict[tuple[int, int], list] = {}
-    sid = 0
-    for t in range(inst.num_types):
-        for k in range(inst.machine_counts[t]):
-            pattern = profile[t][k]
-            machine = (t, k)
-            used = [ZERO] * dims
-            for q in pattern:
-                size = klass_value(scaled.eps, q)
-                slots[sid] = SlotInfo(sid, machine, q, size)
-                sid += 1
-                for d in range(dims):
-                    used[d] += size[d]
-            rem[machine] = [scaled.capacity - u for u in used]
-            if any(r < 0 for r in rem[machine]):
-                raise PatternOverflow(f"pattern mass exceeds capacity on {machine}")
+    slots, mass, slots_of = build_slots(
+        [(mk, profile[mk[0]][mk[1]]) for mk in inst.machines()],
+        functools.partial(klass_value, scaled.eps),
+        inst.dims,
+    )
+    rem = {}
+    for machine, used in mass.items():
+        rem[machine] = tuple([scaled.capacity - u for u in used])
+        if any(r < 0 for r in rem[machine]):
+            raise PatternOverflow(f"pattern mass exceeds capacity on {machine}")
 
+    # large jobs route to the slots of their class, small ones to every machine
+    # at unrounded scaled cost (keeping the 2D*eps overshoot bound exact)
     jobs: dict[int, JobRoutes] = {}
     for j in range(inst.num_jobs):
         machine_costs = {}
@@ -235,34 +222,26 @@ def build_rounding_problem(
                 continue
             entry = scaled.entry(j, t)
             if entry.large:
-                if entry.klass is None:
-                    continue
-                for s, info in slots.items():
-                    if info.machine[0] == t and info.klass == entry.klass:
-                        slot_ids.add(s)
+                slot_ids.update(slots_of.get((t, entry.klass), ()))
             else:
-                # unrounded scaled costs keep the 2D*eps overshoot bound exact
                 for k in range(inst.machine_counts[t]):
                     machine_costs[(t, k)] = entry.raw
         jobs[j] = JobRoutes(machine_costs, slot_ids)
 
-    problem = RoundingProblem(
-        dims=dims,
+    return RoundingProblem(
+        dims=inst.dims,
         jobs=jobs,
         slots=slots,
-        capacities={m: tuple(v) for m, v in rem.items()},
+        capacities=rem,
         small_caps={m: scaled.eps for m in rem},
         type_budgets={},
-        job_class=lambda j, t: scaled.entry(j, t).klass,
         leaf_raw_cost=lambda j, t: max(scaled.entry(j, t).raw),
     )
-    return problem, SlotSystem(slots, {m: tuple(v) for m, v in rem.items()})
 
 
 def build_slot_lp(scaled: ScaledInstance, profile: Profile):
-    """The initial Slot-LP (rows: n jobs + slots + D per machine) plus slot system."""
-    problem, system = build_rounding_problem(scaled, profile)
-    return slot_lp(problem), system
+    """The initial Slot-LP (rows: n jobs + slots + D per machine)."""
+    return slot_lp(build_rounding_problem(scaled, profile))
 
 
 def guarantee_factor(eps, dims: int):
@@ -272,13 +251,8 @@ def guarantee_factor(eps, dims: int):
 
 def calibrate_eps(eps_user, dims: int):
     """Largest eps_user/2^k whose end-to-end factor stays within 1 + eps_user."""
-    eps_user = parse_rational(eps_user)
-    assert 0 < eps_user <= 1
-    for k in range(0, 64):
-        eps = eps_user / (2 ** k)
-        if guarantee_factor(eps, dims) * (ONE + eps) <= ONE + eps_user:
-            return eps
-    raise AssertionError("calibration failed to terminate")
+    bound = ONE + parse_rational(eps_user)
+    return halve_until(eps_user, lambda eps: guarantee_factor(eps, dims) * (ONE + eps) <= bound)
 
 
 @dataclass
@@ -325,7 +299,7 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
         except StopIteration:
             raise Infeasible("every enumerated profile failed") from None
         try:
-            problem, _ = build_rounding_problem(scaled, profile)
+            problem = build_rounding_problem(scaled, profile)
         except PatternOverflow:
             continue
         engine = RoundingEngine(problem)

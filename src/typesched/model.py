@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BadExponent, BadSpec, DimensionMismatch, InvalidSchedule
-from .rationals import ZERO, is_integral, parse_rational, rat, rat_str
+from .rationals import ZERO, parse_rational, power, rat, rat_str
 
 #: machine identifier: (type index, slot-in-type index)
 MachineId = tuple[int, int]
@@ -149,10 +149,7 @@ def evaluate_lp_norm_pow(inst: Instance, sched: Schedule, p):
     if p <= 1:
         raise BadExponent(f"norm exponent must be > 1, got {rat_str(p)}")
     loads = load_vector(inst, sched)
-    if is_integral(p):
-        exp = int(p)
-        return sum((vec[0] ** exp for vec in loads.values()), ZERO)
-    return float(sum(float(vec[0]) ** float(p) for vec in loads.values()))
+    return sum((power(vec[0], p) for vec in loads.values()), power(ZERO, p))
 
 
 # ---------------------------------------------------------------------------

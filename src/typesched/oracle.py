@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BadExponent, DimensionMismatch, TooLarge
 from .model import Instance, Schedule
-from .rationals import ZERO, is_integral, parse_rational, rat
+from .rationals import ZERO, parse_rational, power, rat
 
 DEFAULT_JOB_CAP = 8
 DEFAULT_MACHINE_CAP = 5
@@ -114,17 +114,17 @@ def _solve_makespan(inst: Instance, prune: bool) -> OracleResult:
 def _solve_lp_norm(inst: Instance, p, prune: bool) -> OracleResult:
     n = inst.num_jobs
     counts = inst.machine_counts
-    exact = is_integral(p)
-    exp = int(p) if exact else float(p)
 
-    def power(x):
-        return x ** exp if exact else float(x) ** exp
+    def power_p(x):
+        return power(x, p)
+
+    zero = power_p(ZERO)
 
     job_floor = [
-        power(min(rat(inst.cost(j, t, 0)) for t in range(inst.num_types) if counts[t] > 0))
+        power_p(min(rat(inst.cost(j, t, 0)) for t in range(inst.num_types) if counts[t] > 0))
         for j in range(n)
     ]
-    suffix = [ZERO if exact else 0.0] * (n + 1)
+    suffix = [zero] * (n + 1)
     for j in range(n - 1, -1, -1):
         suffix[j] = suffix[j + 1] + job_floor[j]
 
@@ -151,7 +151,7 @@ def _solve_lp_norm(inst: Instance, p, prune: bool) -> OracleResult:
                 old = loads[(t, k)]
                 loads[(t, k)] = old + c
                 assignment[j] = (t, k)
-                delta = power(old + c) - power(old)
+                delta = power_p(old + c) - power_p(old)
                 opened = k == used[t]
                 if opened:
                     used[t] += 1
@@ -161,5 +161,5 @@ def _solve_lp_norm(inst: Instance, p, prune: bool) -> OracleResult:
                 loads[(t, k)] = old
         assignment[j] = None
 
-    dfs(0, ZERO if exact else 0.0)
+    dfs(0, zero)
     return OracleResult(best["value"], Schedule(best["witness"]), best["explored"])

@@ -80,6 +80,29 @@ def is_integral(value) -> bool:
     return rat(value).denominator == 1
 
 
+def power(value, p):
+    """value^p for rationals value and p: exact when p is integral, a float
+    otherwise (so power(0, p) is the zero to start a sum of such powers from)."""
+    if p.denominator == 1:
+        return value ** p.numerator
+    return float(value) ** float(p)
+
+
+def halve_until(eps_user, fits):
+    """Largest eps_user/2^k, k < 64, that passes a scheme's fit test.
+
+    eps_user outside (0, 1] is a ValueError (a plain check: python -O keeps it).
+    """
+    eps_user = parse_rational(eps_user)
+    if not 0 < eps_user <= 1:
+        raise ValueError(f"eps must lie in (0, 1], got {rat_str(eps_user)}")
+    for k in range(64):
+        eps = eps_user / (2 ** k)
+        if fits(eps):
+            return eps
+    raise AssertionError("calibration failed to terminate")
+
+
 class GeometricGrid:
     """The exact powers (1+eps)^e, e any integer, with rounding onto them.
 

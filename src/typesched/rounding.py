@@ -26,9 +26,10 @@ jobs: tree placement for artificial jobs sitting in foreign slots or on
 huge machines, and a per-machine covering LP whose extreme point has at
 most |AJ_i| + D nonzeros for artificial jobs sitting in remaining space.
 
-The route column names, the assignment and slot rows (SlotRows, also the
-base of the L_p convex region) and the final schedule assembly live here
-too, so both pipelines build and read one LP shape.
+The slots of a pattern profile, the route column names, the assignment
+and slot rows (SlotRows, also the base of the L_p convex region) and the
+final schedule assembly live here too, so both pipelines build and read one
+LP shape.  Untangling reads slot fit from the routes alone.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ class RoundingProblem:
     capacities: dict[MachineKey, tuple]
     small_caps: dict[MachineKey, object]
     type_budgets: dict[int, int] = field(default_factory=dict)
-    # class of a real job on a machine type (None = no large size there)
-    job_class: Callable[[int, int], object] = lambda j, t: None
     # raw cost used to break ties when choosing slot occupants
     leaf_raw_cost: Callable[[int, int], object] = lambda j, t: ZERO
 
@@ -198,6 +197,28 @@ def slot_patterns(counts: dict, slot_cap: int, size, mass_cap, dims: int = 1) ->
 
     extend(0, [], [ZERO] * dims)
     return sorted(set(out))
+
+
+def build_slots(patterns, size, dims: int):
+    """The slots of (machine, pattern) pairs, numbered in the order given.
+
+    size(q) is a class-q slot's reserved mass per dimension.  Returns the
+    slots by id, each machine's pattern mass (a list per dimension), and the
+    ascending slot ids of each (machine type, class), so a job's slot routes
+    take one lookup instead of a scan over all slots.
+    """
+    slots: dict[int, SlotInfo] = {}
+    mass: dict[MachineKey, list] = {}
+    slots_of: dict[tuple, list[int]] = {}
+    for machine, pattern in patterns:
+        used = mass[machine] = [ZERO] * dims
+        for q in pattern:
+            sid = len(slots)
+            slots[sid] = SlotInfo(sid, machine, q, size(q))
+            slots_of.setdefault((machine[0], q), []).append(sid)
+            for d in range(dims):
+                used[d] += slots[sid].size[d]
+    return slots, mass, slots_of
 
 
 def pattern_multisets(patterns: list[tuple], machines: int, counts: dict):
@@ -609,7 +630,7 @@ class _ForestView:
         return [node.slot] + self.slots_of(node.child1) + self.slots_of(node.child2)
 
     def fits_slot(self, leaf: int, slot: SlotInfo) -> bool:
-        return self.problem.job_class(leaf, slot.machine[0]) == slot.klass
+        return slot.slot_id in self.problem.jobs[leaf].slots
 
     def pick_for_slot(self, key: JobKey, slot: SlotInfo) -> int:
         candidates = [l for l in self.leaves(key) if self.fits_slot(l, slot)]

@@ -183,7 +183,6 @@ def test_a6_forest_untangling(a1_report):
             slots=slots,
             capacities={(0, 0): (rat(10),)},
             small_caps={(0, 0): rat(1, 2)},
-            job_class=lambda j, t: "q",
             leaf_raw_cost=lambda j, t, w=withheld: rat(100 if j == w else 5 - j),
         )
         forest = {

@@ -105,3 +105,18 @@ def test_warm_start_is_used():
     assert res.duality_gap == 0
     assert res.x["x"] == rat(1, 2)
     assert res.iterations <= 2
+
+
+def test_float_gap_is_a_float_on_a_region_without_variables():
+    # the float certificate sums over no variables; the gap must still be a
+    # float, as reports print it beside the gaps of other solves
+    class Constant:
+        def value(self, x):
+            return 1.0
+
+        def gradient(self, x):
+            return {}
+
+    res = solve_convex_over_polytope(region([], []), Constant(), 1e-6)
+    assert type(res.duality_gap) is float
+    assert res.duality_gap == 0.0

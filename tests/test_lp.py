@@ -522,6 +522,12 @@ try:
     assemble_schedule(RoundingProblem(1, {}, {}, {}, {}), empty, 1)
 except InvariantViolation:
     print("assembler checked")
+from typesched import lpnorm, makespan
+for calibrate in (lambda eps: makespan.calibrate_eps(eps, 1), lpnorm.calibrate_eps):
+    try:
+        calibrate("2")
+    except ValueError as exc:
+        print(exc)
 print("optimize", sys.flags.optimize)
 """
 
@@ -532,6 +538,7 @@ def test_trip_wires_survive_python_O():
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:4] == [
-        "sparsity checked", "guard checked", "assembler checked", "optimize 1"
+    assert out.stdout.split("\n")[:6] == [
+        "sparsity checked", "guard checked", "assembler checked",
+        "eps must lie in (0, 1], got 2", "eps must lie in (0, 1], got 2", "optimize 1",
     ]

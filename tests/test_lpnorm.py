@@ -12,8 +12,9 @@ from typesched.errors import (
 )
 from typesched.lpnorm import (
     FullEnum,
-    _charge,
+    _cost_table,
     _guess_lower_bound,
+    _routable_mask,
     Guided,
     LoadObjective,
     additive_tolerance,
@@ -328,18 +329,56 @@ def test_guess_stream_is_pinned(counts, n, seed, count, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the eps = 1 stream lists f = 2 very-huge jobs per type, so the third
+# machine of type 0 is a free huge machine and huge routes occur
+ROUTE_STREAMS = [
+    (counts, n, seed, calibrate_eps(rat(1, 2))) for counts, n, seed, _, _ in GUESS_STREAM_PINS
+] + [((3, 1), 5, 44, ONE)]
+
+
+@pytest.mark.parametrize("counts,n,seed,eps", ROUTE_STREAMS)
+def test_routable_mask_is_the_routes_of_build_cp_model(counts, n, seed, eps):
+    # the enumeration's filter and the CP builder share one split, so bit j
+    # of a type's mask is set exactly when the built model routes j there
+    inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+    tables = [_cost_table(inst, t, eps) for t in range(inst.num_types)]
+    checks = huge_routes = 0
+    for guess in enumerate_guesses(inst, 2, eps, 10**6):
+        model = build_cp_model(inst, 2, eps, guess)
+        for t, tg in enumerate(guess.types):
+            mask = _routable_mask(inst, eps, t, tg, tables[t])
+            for j, routes in model.routes.items():
+                on_type = (
+                    t in routes.huge
+                    or any(mk[0] == t for mk in routes.machine_costs)
+                    or any(model.slots[s].machine[0] == t for s in routes.slots)
+                )
+                assert bool(mask >> j & 1) == on_type
+                checks += 1
+                huge_routes += t in routes.huge
+    assert checks > 2000
+    assert huge_routes > 0 if eps == ONE else huge_routes == 0
+
+
+def ref_charge(cost, p):
+    """lpnorm._charge, the rational p-th power rationals.power replaced."""
+    if is_integral(p):
+        return rat(cost) ** int(p)
+    return rat(float(cost) ** float(p))
+
+
 def ref_guess_lower_bound(inst, p, eps, guess):
     """The bound as computed before pattern masses were cached."""
     total = ZERO
     for t, tg in enumerate(guess.types):
         for j in tg.very_huge:
-            total += _charge(inst.cost(j, t), p)
+            total += ref_charge(inst.cost(j, t), p)
         if tg.c_max is None:
             continue
         floor_val = tg.alpha * rat(tg.c_max)
         for pat in tg.profile:
             mass = sum((class_size(e, eps) for e in pat), ZERO)
-            total += _charge(max(floor_val, mass), p)
+            total += ref_charge(max(floor_val, mass), p)
     return total
 
 
@@ -462,7 +501,7 @@ class RefLoadPowObjective:
             self.machines.append(
                 (mk, coeff_of[mk], model.pattern_mass[mk], model.load_floor[mk])
             )
-        self.const = sum((_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
+        self.const = sum((ref_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
         if self.exact_p:
             # expose the exact paths only when p is integral; the convex
             # solver certifies in rational arithmetic iff they exist
@@ -534,7 +573,7 @@ class RefSmoothLoadObjective:
         for j, routes in model.routes.items():
             for t in routes.huge:
                 self.linear[f"h|{j}|{t}"] = routes.huge[t][1]
-        self.const = sum((_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
+        self.const = sum((ref_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
         if self.exact_p:
             self.exact_value = self._exact_value
             self.exact_gradient = self._exact_gradient

@@ -6,6 +6,7 @@ from typesched.errors import BudgetExhausted, Infeasible, PatternOverflow
 from typesched.makespan import (
     FullEnum,
     Guided,
+    build_rounding_problem,
     build_slot_lp,
     calibrate_eps,
     enumerate_large_job_types,
@@ -135,8 +136,8 @@ def test_slot_lp_row_count():
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
     profiles = list(enumerate_pattern_profiles(scaled, 10**6))
     profile = max(profiles, key=lambda p: sum(len(x) for pats in p for x in pats))
-    lp, system = build_slot_lp(scaled, profile)
-    n_slots = len(system.slots)
+    lp = build_slot_lp(scaled, profile)
+    n_slots = len(build_rounding_problem(scaled, profile).slots)
     assert n_slots > 0
     assert lp.num_rows == inst.num_jobs + n_slots + inst.dims * inst.num_machines
 

@@ -45,9 +45,11 @@ BENCH_PINS = [
         "52a50149d493b81778fee5bbbf141d43e508ab1146e1e1f277a09a9b1fa21680",
     ),
     (
-        # non-integral p: evaluation and certification on the float path
+        # non-integral p: evaluation and certification on the float path;
+        # re-pinned when the float gap of a region without variables became
+        # 0.0 instead of the int 0 (trial 1's "cp_gap", the only byte moved)
         dict(objective="lp_norm", trials=6, seed=11, eps_user=rat(1, 2), p=rat(5, 2)),
-        "f5f45c7bb5bc3aa7d0017c3d107ca4dd51af24c6b6edd3b8143a713c189fb875",
+        "f00c0d835fe949ecc62b7aabfc3012029522768b1f026d1a109d3ae4a89a291c",
     ),
 ]
 

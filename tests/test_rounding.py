@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from typesched import lpnorm, makespan
 from typesched.errors import ForestInconsistent, Infeasible, InvariantViolation
+from typesched.lpnorm import size_class
 from typesched.makespan import build_rounding_problem, make_scaled_instance, profile_from_schedule
-from typesched.model import GeneratorSpec, generate_instance
+from typesched.model import GeneratorSpec, Schedule, generate_instance
+from typesched.modes import FullEnum, Guided
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, ZERO, rat
 from typesched.rounding import (
@@ -21,7 +24,7 @@ from typesched.rounding import (
 )
 
 
-def simple_problem(jobs, slots, capacities, small_caps=None, budgets=None, klass_of=None):
+def simple_problem(jobs, slots, capacities, small_caps=None, budgets=None):
     return RoundingProblem(
         dims=1,
         jobs=jobs,
@@ -29,7 +32,6 @@ def simple_problem(jobs, slots, capacities, small_caps=None, budgets=None, klass
         capacities=capacities,
         small_caps=small_caps or {m: rat(1, 2) for m in capacities},
         type_budgets=budgets or {},
-        job_class=klass_of or (lambda j, t: "q"),
         leaf_raw_cost=lambda j, t: rat(1),
     )
 
@@ -158,7 +160,6 @@ def test_nested_forest_untangles_for_every_withheld_leaf(withheld):
         slots=slots,
         capacities={(0, 0): (rat(10),)},
         small_caps={(0, 0): rat(1, 2)},
-        job_class=lambda j, t: "q",
         leaf_raw_cost=lambda j, t: rat(100 if j == withheld else 5 - j),
     )
     outcome = build_nested_forest_outcome(problem)
@@ -170,15 +171,15 @@ def test_nested_forest_untangles_for_every_withheld_leaf(withheld):
 
 
 def test_forest_rejects_incompatible_leaves():
+    # a leaf fits a slot exactly when it has a route there; these reach none
     slots = {s: SlotInfo(s, (0, 0), "q", (rat(1),)) for s in range(6)}
-    jobs = {j: JobRoutes({}, set(range(6))) for j in range(5)}
+    jobs = {j: JobRoutes({}, set()) for j in range(5)}
     problem = RoundingProblem(
         dims=1,
         jobs=jobs,
         slots=slots,
         capacities={(0, 0): (rat(10),)},
         small_caps={(0, 0): rat(1, 2)},
-        job_class=lambda j, t: "other",  # nothing fits anywhere
         leaf_raw_cost=lambda j, t: rat(1),
     )
     outcome = build_nested_forest_outcome(problem)
@@ -212,7 +213,6 @@ def test_improper_case_semantics_whitebox():
         capacities={},
         small_caps={},
         type_budgets={0: 2},
-        job_class=lambda j, t: None,
         leaf_raw_cost=lambda j, t: rat(1),
     )
     engine = RoundingEngine(problem)
@@ -240,7 +240,6 @@ def test_integral_huge_routes_consume_budget():
         capacities={},
         small_caps={},
         type_budgets={0: 2},
-        job_class=lambda j, t: None,
         leaf_raw_cost=lambda j, t: rat(1),
     )
     outcome = RoundingEngine(problem).run()
@@ -267,17 +266,17 @@ def test_rounded_loads_within_two_d_eps_on_sampled_decisions():
         eps = rat(1, 16)
         scaled = make_scaled_instance(inst, opt.optimum, eps)
         profile = profile_from_schedule(scaled, opt.witness)
-        problem, system = build_rounding_problem(scaled, profile)
+        problem = build_rounding_problem(scaled, profile)
         outcome = RoundingEngine(problem).run()
         slack = 2 * inst.dims * eps
         for mk, committed in outcome.committed.items():
             for d in range(inst.dims):
-                assert committed[d] <= rat(system.rem[mk][d]) + slack
+                assert committed[d] <= rat(problem.capacities[mk][d]) + slack
         final = untangle(problem, outcome)
         slack3 = 3 * inst.dims * eps
         for mk, loads in final.final_loads.items():
             for d in range(inst.dims):
-                assert loads[d] <= rat(system.rem[mk][d]) + slack3
+                assert loads[d] <= rat(problem.capacities[mk][d]) + slack3
         checked += 1
         assert outcome.stats.counting_checks > 0
     assert checked == 12
@@ -297,7 +296,6 @@ def test_art_lp_untangles_machine_committed_artificial():
         slots={0: SlotInfo(0, (1, 0), "q", (rat(1),))},
         capacities={M: (rat(1, 2),)},
         small_caps={M: rat(1, 2)},
-        job_class=lambda j, t: "q" if t == 1 else None,
         leaf_raw_cost=lambda j, t: rat(j + 1),
     )
     w = (rat(1, 2), rat(1, 2))
@@ -338,7 +336,6 @@ def test_art_lp_seed_mismatch_is_detected():
         slots={0: SlotInfo(0, (1, 0), "q", (rat(1),))},
         capacities={M: (rat(1, 2),)},
         small_caps={M: rat(1, 2)},
-        job_class=lambda j, t: "q" if t == 1 else None,
         leaf_raw_cost=lambda j, t: rat(1),
     )
     outcome = RoundingOutcome(
@@ -364,7 +361,7 @@ from typesched.errors import Infeasible as _Infeasible
 
 @st.composite
 def slot_problems(draw):
-    """Random tiny slot systems; jobs route to machines, slots, or both."""
+    """Random tiny slot systems, with the class drawn for each slot-routed job."""
     n_machines = draw(st.integers(1, 3))
     n_slots = draw(st.integers(0, 3))
     n_jobs = draw(st.integers(1, 5))
@@ -386,20 +383,21 @@ def slot_problems(draw):
             klass_of[j] = draw(st.sampled_from(["a", "b"]))
             routes.slots = {s for s in slots if slots[s].klass == klass_of[j]}
         jobs[j] = routes
-    return RoundingProblem(
+    problem = RoundingProblem(
         dims=1,
         jobs=jobs,
         slots=slots,
         capacities=machines,
         small_caps={mk: rat(1, 2) for mk in machines},
-        job_class=lambda j, t, k=klass_of: k.get(j) if t == 1 else None,
         leaf_raw_cost=lambda j, t: rat(j + 1),
     )
+    return problem, klass_of
 
 
 @settings(max_examples=120, deadline=None)
 @given(slot_problems())
-def test_engine_places_every_job_or_reports_infeasible(problem):
+def test_engine_places_every_job_or_reports_infeasible(drawn):
+    problem, klass_of = drawn
     try:
         outcome = RoundingEngine(problem).run()
     except _Infeasible:
@@ -407,7 +405,7 @@ def test_engine_places_every_job_or_reports_infeasible(problem):
     final = untangle(problem, outcome)
     placed = set(final.machine_assign)
     for s, j in final.slot_assign.items():
-        assert problem.job_class(j, problem.slots[s].machine[0]) == problem.slots[s].klass
+        assert klass_of.get(j) == problem.slots[s].klass
         assert j not in placed
         placed.add(j)
     assert placed == set(problem.jobs)
@@ -436,3 +434,77 @@ def test_assemble_schedule_raises_typed_errors(final, free, message):
     problem = simple_problem({}, {}, {(0, 0): (ONE,)})
     with pytest.raises(InvariantViolation, match=message):
         assemble_schedule(problem, final, 2, None, free)
+
+
+# ---------------------------------------------------------------------------
+# reference code: the class rules untangling read before slot fit came from
+# the routes, namely makespan's ScaledEntry.klass and lpnorm._lp_job_class
+# (copied unchanged apart from its name)
+
+
+def ref_lp_job_class(model, j: int, t: int):
+    tg = model.guess.types[t]
+    if tg.c_max is None:
+        return None
+    c = rat(model.inst.cost(j, t))
+    if c > rat(tg.c_max) or c <= rat(model.eps) * tg.alpha * rat(tg.c_max):
+        return None
+    return size_class(c, model.eps)
+
+
+def greedy_schedule(inst):
+    """Longest job first, each onto the machine whose squared load grows least."""
+    loads = {m: ZERO for m in inst.machines()}
+    assignment: list = [None] * inst.num_jobs
+    cheapest = [min(inst.cost(j, t) for t in range(inst.num_types)) for j in range(inst.num_jobs)]
+    for j in sorted(range(inst.num_jobs), key=lambda j: (-cheapest[j], j)):
+        m = min(loads, key=lambda m: ((loads[m] + inst.cost(j, m[0])) ** 2 - loads[m] ** 2, m))
+        assignment[j] = m
+        loads[m] += inst.cost(j, m[0])
+    return Schedule(tuple(assignment))
+
+
+def test_slot_routes_agree_with_the_old_class_rules(monkeypatch):
+    # every rounding problem the pipelines build: a job has a route to a slot
+    # exactly when the old rule gave it the slot's class on the slot's type
+    problems = []  # (old class rule, rounding problem)
+
+    def record(module, name, rule_of):
+        original = getattr(module, name)
+
+        def recording(*args):
+            problem = original(*args)
+            problems.append((rule_of(*args), problem))
+            return problem
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(makespan, "build_rounding_problem",
+           lambda scaled, profile: lambda j, t: scaled.entry(j, t).klass)
+    record(lpnorm, "build_rounding_from_cp",
+           lambda model, t_star: lambda j, t: ref_lp_job_class(model, j, t))
+
+    half = rat(1, 2)
+    for seed in range(16):
+        inst = generate_instance(GeneratorSpec(5, 1 + seed % 2, (2, 2), 1, 10), 1500 + seed)
+        makespan.makespan_ptas(inst, half, Guided(exact_solve(inst).witness))
+        inst = generate_instance(GeneratorSpec(5, 1, (2, 2), 1, 10), 1600 + seed)
+        lpnorm.lpnorm_ptas(inst, 2, half, Guided(exact_solve(inst, "lp_norm", p=2).witness))
+    for seed in range(4):
+        inst = generate_instance(GeneratorSpec(4, 1, (2, 2), 1, 10), 1700 + seed)
+        makespan.makespan_ptas(inst, half, FullEnum())
+        inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 1800 + seed)
+        lpnorm.lpnorm_ptas(inst, 2, half, FullEnum())
+        inst = generate_instance(GeneratorSpec(20, 1, (3, 3), 1, 10), 1900 + seed)
+        lpnorm.lpnorm_ptas(inst, 2, half, Guided(greedy_schedule(inst)))
+
+    pairs = routed = 0
+    for klass, problem in problems:
+        for j, routes in problem.jobs.items():
+            for s, slot in problem.slots.items():
+                fits = klass(j, slot.machine[0]) == slot.klass
+                assert fits == (s in routes.slots)
+                pairs += 1
+                routed += fits
+    assert {type(p.slots[0].klass) for _, p in problems if p.slots} == {tuple, int}
+    assert routed > 0 and pairs > routed
