@@ -188,6 +188,29 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 # argument parsing
 
 
+def _rational_arg(text: str):
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
+def _eps_arg(text: str):
+    """--eps: a rational in (0, 1], checked before any solve starts."""
+    eps = _rational_arg(text)
+    if not 0 < eps <= 1:
+        raise argparse.ArgumentTypeError(f"eps must lie in (0, 1], got {rat_str(eps)}")
+    return eps
+
+
+def _p_arg(text: str):
+    """--p: a rational norm exponent above 1, as every L_p solver requires."""
+    p = _rational_arg(text)
+    if not p > 1:
+        raise argparse.ArgumentTypeError(f"norm exponent must be > 1, got {rat_str(p)}")
+    return p
+
+
 def _add_common_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance JSON file")
 
@@ -211,8 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run an approximation pipeline")
     _add_common_instance_flags(s)
     s.add_argument("--objective", choices=["makespan", "lpnorm"], default="makespan")
-    s.add_argument("--eps", default="1/2", help="target accuracy eps_user (rational)")
-    s.add_argument("--p", default="2", help="norm exponent for lpnorm")
+    s.add_argument("--eps", type=_eps_arg, default="1/2",
+                   help="target accuracy eps_user (rational in (0, 1])")
+    s.add_argument("--p", type=_p_arg, default="2", help="norm exponent for lpnorm (> 1)")
     s.add_argument("--mode", choices=["guided", "full"], default="guided")
     s.add_argument("--enum-budget", type=int, default=10**6)
     s.add_argument("--cp-tol-override", type=float, default=None)
@@ -223,14 +247,14 @@ def _build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exact brute-force solve")
     _add_common_instance_flags(o)
     o.add_argument("--objective", choices=["makespan", "lpnorm"], default="makespan")
-    o.add_argument("--p", default="2")
+    o.add_argument("--p", type=_p_arg, default="2")
 
     b = sub.add_parser("bench", help="seeded experiment batch")
     b.add_argument("--objective", choices=["makespan", "lpnorm"], default="makespan")
     b.add_argument("--trials", type=int, default=20)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--eps", default="1/2")
-    b.add_argument("--p", default="2")
+    b.add_argument("--eps", type=_eps_arg, default="1/2")
+    b.add_argument("--p", type=_p_arg, default="2")
     b.add_argument("--mode", choices=["guided", "full"], default="guided")
     b.add_argument("--enum-budget", type=int, default=10**6)
     b.add_argument("--jobs-max", type=int, default=7)
@@ -275,7 +299,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    eps = parse_rational(args.eps)
+    eps = args.eps
     doc: dict = {"objective": args.objective, "eps_user": rat_str(eps), "mode": args.mode}
     try:
         if args.objective == "makespan":
@@ -293,7 +317,7 @@ def _cmd_solve(args) -> int:
             doc["stats"] = _stats_row(res.probe_stats)
             forest = res.forest
         else:
-            p = parse_rational(args.p)
+            p = args.p
             if args.mode == "guided":
                 opt = exact_solve(inst, "lp_norm", p=p)
                 mode = Guided(opt.witness)
@@ -336,7 +360,7 @@ def _cmd_oracle(args) -> int:
     if args.objective == "makespan":
         res = exact_solve(inst)
     else:
-        res = exact_solve(inst, "lp_norm", p=parse_rational(args.p))
+        res = exact_solve(inst, "lp_norm", p=args.p)
     doc = {
         "optimum": rat_str(rat(res.optimum)) if not isinstance(res.optimum, float) else res.optimum,
         "explored": res.explored,
@@ -351,8 +375,8 @@ def _cmd_bench(args) -> int:
         objective="makespan" if args.objective == "makespan" else "lp_norm",
         trials=args.trials,
         seed=args.seed,
-        eps_user=parse_rational(args.eps),
-        p=parse_rational(args.p),
+        eps_user=args.eps,
+        p=args.p,
         mode=args.mode,
         enum_budget=args.enum_budget,
         jobs_max=args.jobs_max,

@@ -7,6 +7,17 @@ to powers of 1/(1+eps), enumerate (or extract from a certificate schedule)
 per-type pattern profiles for the large-job slots, solve the slot LP, and
 round it iteratively to an integral schedule.
 
+Machines of one type are identical, so whether a profile can host the jobs
+that are large on every usable type depends only on its slot counts per
+(type, class).  Each profile first passes a count-level check, with no
+slots, rows or LP built: every such job needs a slot group of its own
+(type, class), and the jobs must match distinct slots (augmenting paths
+over the groups, each with its slot count as capacity).  Both conditions
+are necessary for the slot LP: its assignment and slot rows hold exactly a
+fractional matching of these jobs, and a bipartite graph has one only if
+it has an integral one.  A profile that fails is skipped like one whose LP
+is infeasible, so full mode builds an LP only for profiles that pass.
+
 A makespan-T solution survives the lift (+eps additively) and the round-up
 (factor 1+eps), so rounded per-machine loads stay within (1+eps)^2; that is
 the pattern capacity, and rem(i) is whatever the pattern leaves unused.
@@ -23,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import BudgetExhausted, Infeasible, PatternOverflow
+from .errors import BudgetExhausted, Infeasible, InvariantViolation, PatternOverflow
 from .model import Instance, Schedule, evaluate_makespan, require_valid
 from .modes import FullEnum, Guided
 from .rationals import ONE, ZERO, geometric_grid, halve_until, parse_rational, rat, rat_floor
@@ -43,6 +54,7 @@ from .rounding import (
 Klass = tuple[int, ...]  # per-dimension exponents k, size (1+eps)^(-k)
 Pattern = tuple[Klass, ...]  # sorted multiset of large-job types on one machine
 Profile = tuple[tuple[Pattern, ...], ...]  # per type, one pattern per machine
+SlotGroup = tuple[int, Klass]  # (machine type, class): slots a large job may take
 
 
 @dataclass(frozen=True)
@@ -134,10 +146,11 @@ def enumerate_large_job_types(scaled: ScaledInstance) -> set[Klass]:
     return out
 
 
-def feasible_patterns(scaled: ScaledInstance, mtype: int) -> list[Pattern]:
-    """Patterns over realized classes: count and per-dimension mass limits."""
+def feasible_patterns(scaled: ScaledInstance, counts: dict[Klass, int]) -> list[Pattern]:
+    """Patterns over the realized classes of one type (counts, from
+    realized_types): count and per-dimension mass limits."""
     return slot_patterns(
-        realized_types(scaled)[mtype],
+        counts,
         scaled.large_cap,
         lambda q: klass_value(scaled.eps, q),
         scaled.capacity,
@@ -145,18 +158,20 @@ def feasible_patterns(scaled: ScaledInstance, mtype: int) -> list[Pattern]:
     )
 
 
-def _type_profiles(scaled: ScaledInstance, mtype: int) -> list[tuple[Pattern, ...]]:
+def _type_profiles(
+    scaled: ScaledInstance, mtype: int, counts: dict[Klass, int]
+) -> list[tuple[Pattern, ...]]:
     """Multisets of patterns for the machines of one type, slot-count pruned."""
     m = scaled.base.machine_counts[mtype]
     if m == 0:
         return [()]
-    counts = realized_types(scaled)[mtype]
-    return list(pattern_multisets(feasible_patterns(scaled, mtype), m, counts))
+    return list(pattern_multisets(feasible_patterns(scaled, counts), m, counts))
 
 
 def enumerate_pattern_profiles(scaled: ScaledInstance, budget: int) -> Iterator[Profile]:
     """Lazily yield profiles; raise BudgetExhausted when the cap cuts the stream."""
-    per_type = [_type_profiles(scaled, t) for t in range(scaled.base.num_types)]
+    realized = realized_types(scaled)
+    per_type = [_type_profiles(scaled, t, realized[t]) for t in range(scaled.base.num_types)]
     yielded = 0
     for profile in itertools.product(*per_type):
         if yielded >= budget:
@@ -196,6 +211,53 @@ def profile_from_schedule(scaled: ScaledInstance, sched: Schedule) -> Profile:
             pats.append(tuple(qs))
         profile.append(tuple(sorted(pats)))
     return tuple(profile)
+
+
+def slot_only_groups(scaled: ScaledInstance) -> list[tuple[SlotGroup, ...]]:
+    """For each job that is large on every usable type (so it has no machine
+    route), the slot groups it can take: one per usable type on which it is
+    not oversize."""
+    inst = scaled.base
+    usable = [t for t in range(inst.num_types) if inst.machine_counts[t] > 0]
+    out = []
+    for row in scaled.entries:
+        if all(row[t].large for t in usable):
+            out.append(tuple((t, row[t].klass) for t in usable if row[t].klass is not None))
+    return out
+
+
+def profile_admits(groups: list[tuple[SlotGroup, ...]], profile: Profile) -> bool:
+    """Count-level necessary condition for the slot LP of profile.
+
+    groups is slot_only_groups(scaled).  Each of those jobs needs a slot of
+    one of its groups (route check), and all of them need distinct slots
+    (Hall check, by augmenting paths over group capacities).
+    """
+    capacity: dict[SlotGroup, int] = {}
+    for t, patterns in enumerate(profile):
+        for pattern in patterns:
+            for q in pattern:
+                capacity[(t, q)] = capacity.get((t, q), 0) + 1
+    options = [[g for g in job_groups if g in capacity] for job_groups in groups]
+    if not all(options):
+        return False
+    holders: dict[SlotGroup, list[int]] = {g: [] for g in capacity}
+
+    def place(i: int, seen: set) -> bool:
+        for g in options[i]:
+            if g in seen:
+                continue
+            seen.add(g)
+            if len(holders[g]) < capacity[g]:
+                holders[g].append(i)
+                return True
+            for pos, other in enumerate(holders[g]):
+                if place(other, seen):
+                    holders[g][pos] = i
+                    return True
+        return False
+
+    return all(place(i, set()) for i in range(len(options)))
 
 
 def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> RoundingProblem:
@@ -293,11 +355,14 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
         profiles = enumerate_pattern_profiles(scaled, mode.budget)
 
     bound = guarantee_factor(eps, inst.dims) * rat(parse_rational(target))
+    groups = slot_only_groups(scaled)
     while True:
         try:
             profile = next(profiles)
         except StopIteration:
             raise Infeasible("every enumerated profile failed") from None
+        if not profile_admits(groups, profile):
+            continue
         try:
             problem = build_rounding_problem(scaled, profile)
         except PatternOverflow:
@@ -310,7 +375,8 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
         final = untangle(problem, outcome)
         schedule = assemble_schedule(problem, final, inst.num_jobs)
         makespan = evaluate_makespan(inst, schedule)
-        assert makespan <= bound, "decision exceeded its guarantee factor"
+        if makespan > bound:
+            raise InvariantViolation("decision exceeded its guarantee factor")
         return DecisionResult(
             schedule, makespan, parse_rational(target), profile, engine.stats, outcome.forest
         )
@@ -352,7 +418,8 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     if best is None:
         hi = len(grid) - 1
         best = probe(hi)
-        assert best is not None, "decision rejected a valid upper bound"
+        if best is None:
+            raise InvariantViolation("decision rejected a valid upper bound")
         lo = 0
         while hi - lo > 1:
             mid = (lo + hi) // 2

@@ -560,7 +560,7 @@ class RoundingEngine:
             except Infeasible:
                 if first:
                     raise
-                raise AssertionError(
+                raise InvariantViolation(
                     "reduced LP became infeasible; reduction invariants broken"
                 ) from None
             first = False

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from typesched.cli import ExperimentConfig, main, run_experiment
 from typesched.model import instance_from_json
 from typesched.rationals import rat
@@ -99,3 +101,38 @@ def test_audit_subcommand(capsys):
     code, out = run(capsys, "audit", "--suite", "power-mean", "--samples", "24", "--seed", "3")
     assert code == 0
     assert "[pass] power-mean" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--eps", "2", "eps must lie in (0, 1], got 2"),
+        ("--eps", "0", "eps must lie in (0, 1], got 0"),
+        ("--eps", "1/0", "not a rational: '1/0'"),
+        ("--p", "1/2", "norm exponent must be > 1, got 1/2"),
+        ("--p", "1", "norm exponent must be > 1, got 1"),
+    ],
+)
+def test_bad_eps_or_p_is_a_usage_error(tmp_path, capsys, flag, value, message):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--jobs", "3", "--machines", "1,1", "--seed", "2", "--out", str(path))
+    for argv in (
+        ["solve", "--instance", str(path), "--objective", "lpnorm"],
+        ["bench", "--objective", "lpnorm", "--trials", "1"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+        assert "Traceback" not in err
+
+
+def test_eps_and_p_boundaries_are_accepted(capsys):
+    code, out = run(
+        capsys, "bench", "--objective", "lpnorm", "--trials", "1", "--seed", "1",
+        "--eps", "1", "--p", "3/2", "--format", "json",
+    )
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["eps_user"] == "1" and config["p"] == "3/2"

@@ -511,11 +511,13 @@ try:
     solve_extreme_point(lp)
 except InvariantViolation:
     print("sparsity checked")
+real_pivot = lp_module._Tableau.pivot
 lp_module._Tableau.pivot = lambda tab, r, c: None
 try:
     solve_extreme_point(lp)
 except PivotLimitExceeded:
     print("guard checked")
+lp_module._Tableau.pivot = real_pivot
 from typesched.rounding import FinalAssignment, RoundingProblem, assemble_schedule
 empty = FinalAssignment({}, {}, {}, {}, {})
 try:
@@ -528,6 +530,44 @@ for calibrate in (lambda eps: makespan.calibrate_eps(eps, 1), lpnorm.calibrate_e
         calibrate("2")
     except ValueError as exc:
         print(exc)
+from typesched import rounding
+from typesched.errors import Infeasible
+from typesched.model import make_instance
+from typesched.modes import FullEnum
+from typesched.rationals import rat
+from typesched.rounding import JobRoutes, RoundingEngine
+inst = make_instance(1, [1], [[[5]]])
+makespan.evaluate_makespan = lambda inst, sched: 10**9
+try:
+    makespan.makespan_decision(inst, 5, rat(1, 2), FullEnum())
+except InvariantViolation as exc:
+    print(exc)
+def reject(*args):
+    raise Infeasible("rejected")
+makespan.makespan_decision = reject
+try:
+    makespan.makespan_ptas(inst, rat(1, 2), FullEnum())
+except InvariantViolation as exc:
+    print(exc)
+# job 0 splits over machines 0 and 1, job 1 over 1 and 2; dropping machine 0
+# leaves job 1 live, and its reduced LP is made to fail
+one, half = (rat(1),), (rat(1, 2),)
+problem = RoundingProblem(
+    1, {0: JobRoutes({(0, 0): one, (0, 1): one}, set()),
+        1: JobRoutes({(0, 1): one, (0, 2): one}, set())}, {},
+    {(0, 0): half, (0, 1): one, (0, 2): half}, {(0, k): rat(1) for k in range(3)},
+)
+solves = []
+def solve_first_only(lp):
+    solves.append(lp)
+    if len(solves) > 1:
+        raise Infeasible("reduced")
+    return solve_extreme_point(lp)
+rounding.solve_extreme_point = solve_first_only
+try:
+    RoundingEngine(problem).run()
+except InvariantViolation as exc:
+    print(exc)
 print("optimize", sys.flags.optimize)
 """
 
@@ -538,7 +578,9 @@ def test_trip_wires_survive_python_O():
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:6] == [
+    assert out.stdout.split("\n")[:9] == [
         "sparsity checked", "guard checked", "assembler checked",
-        "eps must lie in (0, 1], got 2", "eps must lie in (0, 1], got 2", "optimize 1",
+        "eps must lie in (0, 1], got 2", "eps must lie in (0, 1], got 2",
+        "decision exceeded its guarantee factor", "decision rejected a valid upper bound",
+        "reduced LP became infeasible; reduction invariants broken", "optimize 1",
     ]

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from typesched import makespan
 from typesched.errors import BudgetExhausted, Infeasible, PatternOverflow
+from typesched.lp import solve_extreme_point
 from typesched.makespan import (
     FullEnum,
     Guided,
@@ -16,11 +18,14 @@ from typesched.makespan import (
     makespan_decision,
     makespan_ptas,
     power_round_up,
+    profile_admits,
     profile_from_schedule,
+    slot_only_groups,
 )
 from typesched.model import GeneratorSpec, Schedule, generate_instance, make_instance
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, rat
+from typesched.rounding import slot_lp
 
 
 def round_up_oracle(x, eps=rat(1, 2)):
@@ -99,13 +104,81 @@ def test_profile_enumeration_tiny_cases():
     assert max(counts) <= 1
 
 
-def test_profile_budget_exhaustion():
+def test_profile_budget_exhaustion(monkeypatch):
     inst = make_instance(1, [2], [[[8]], [[9]], [[10]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
     gen = enumerate_pattern_profiles(scaled, 1)
     next(gen)
     with pytest.raises(BudgetExhausted):
         next(gen)
+    # profiles the count check rejects still use up the budget, and no
+    # rounding problem is built for them
+    groups = slot_only_groups(scaled)
+    verdicts = [profile_admits(groups, p) for p in enumerate_pattern_profiles(scaled, 10**6)]
+    first = verdicts.index(True)
+    assert first > 0
+    built = []
+    real_build = makespan.build_rounding_problem
+    monkeypatch.setattr(
+        makespan, "build_rounding_problem", lambda *args: built.append(1) or real_build(*args)
+    )
+    with pytest.raises(BudgetExhausted):
+        makespan_decision(inst, 10, rat(1, 2), FullEnum(budget=first))
+    assert built == []
+    res = makespan_decision(inst, 10, rat(1, 2), FullEnum(budget=first + 1))
+    assert len(built) == 1
+    assert res.makespan <= guarantee_factor(rat(1, 2), 1) * 10
+
+
+def _lp_feasible(scaled, profile) -> bool:
+    try:
+        solve_extreme_point(slot_lp(build_rounding_problem(scaled, profile)))
+    except Infeasible:
+        return False
+    return True
+
+
+def _slot_classes_routed(groups, profile) -> bool:
+    present = {(t, q) for t, pats in enumerate(profile) for pat in pats for q in pat}
+    return all(any(g in present for g in job_groups) for job_groups in groups)
+
+
+@pytest.mark.parametrize("dims, machines", [(1, (2, 2)), (2, (2, 2)), (1, (1, 1, 2))])
+def test_count_check_rejects_only_lp_infeasible_profiles(dims, machines):
+    # every enumerated profile around the optimum: a rejection must be a
+    # profile whose slot LP is infeasible (the check is only a necessary
+    # condition), and the sweep must reject profiles by both parts of it
+    route_rejects = hall_rejects = 0
+    for seed in range(880, 900):
+        inst = generate_instance(GeneratorSpec(4, dims, machines, 1, 10), seed)
+        opt = rat(exact_solve(inst).optimum)
+        eps = calibrate_eps(rat(1, 2), dims)
+        for k in (-3, 0, 3):
+            scaled = make_scaled_instance(inst, opt * (1 + eps) ** k, eps)
+            groups = slot_only_groups(scaled)
+            for profile in enumerate_pattern_profiles(scaled, 10**6):
+                if profile_admits(groups, profile):
+                    continue
+                assert not _lp_feasible(scaled, profile), (seed, k, profile)
+                if _slot_classes_routed(groups, profile):
+                    hall_rejects += 1
+                else:
+                    route_rejects += 1
+    assert route_rejects > 0 and hall_rejects > 0
+
+
+def test_hall_check_counts_slots_per_group():
+    # two jobs large on the single type, one slot of their class: each has a
+    # route, but they cannot both have a slot
+    inst = make_instance(1, [2], [[[8]], [[9]]])
+    scaled = make_scaled_instance(inst, 10, rat(1, 2))
+    groups = slot_only_groups(scaled)
+    q = scaled.entry(0, 0).klass
+    assert groups == [((0, q),), ((0, q),)]
+    assert not profile_admits(groups, (((), (q,)),))
+    assert profile_admits(groups, (((q,), (q,)),))
+    assert profile_admits(groups, (((), (q, q)),))
+    assert not _lp_feasible(scaled, (((), (q,)),))
 
 
 def test_profile_from_schedule():
