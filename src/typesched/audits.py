@@ -9,6 +9,7 @@ random multisets.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -17,21 +18,33 @@ from .rationals import ONE, ZERO, rat
 
 
 def _solve_square(matrix, rhs):
-    """Exact Gaussian elimination; None when the system is singular."""
+    """Exact solution of matrix x = rhs; None when the system is singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan: each row is scaled to integers by
+    the lcm of its denominators, and every later entry stays an integer minor,
+    so each division is exact.  At the end row r reads det * x_r = a[r][n].
+    """
     n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    a = []
+    for row, b in zip(matrix, rhs):
+        row = [rat(x) for x in row] + [rat(b)]
+        scale = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        pivot_row = a[col]
+        p = pivot_row[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+            if r != col:
+                row = a[r]
+                f = row[col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return [rat(a[r][n], prev) for r in range(n)]
 
 
 def enumerate_vertices(lp: LinearProgram) -> list[dict]:

@@ -177,9 +177,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         except TypeschedError as exc:
             row["ok"] = False
             row["error"] = f"{type(exc).__name__}: {exc}"
-        except AssertionError as exc:
-            row["ok"] = False
-            row["error"] = f"InvariantViolation: {exc}"
         report.rows.append(row)
     return report
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .errors import Infeasible, InfeasibleRegion, ToleranceNotReached
+from .errors import Infeasible, InfeasibleRegion, InvariantViolation, ToleranceNotReached
 from .lp import EQ, LE, LinearProgram, solve_extreme_point
 from .rationals import ZERO, rat
 
@@ -46,17 +46,6 @@ class ConvexSolveResult:
     duality_gap: float
     iterations: int
     objective_trace: list[float] = field(default_factory=list)
-
-
-def _feasibility_vertex(lp: LinearProgram) -> dict[str, object]:
-    probe = LinearProgram()
-    for v in lp.variables:
-        probe.add_variable(v)
-    probe.constraints = lp.constraints
-    try:
-        return dict(solve_extreme_point(probe).values)
-    except Infeasible as exc:
-        raise InfeasibleRegion("empty polytope") from exc
 
 
 def _lmo(lp: LinearProgram, gradient: dict) -> dict[str, object]:
@@ -121,7 +110,8 @@ def _exactify(active: list[tuple[dict, float]], variables) -> dict[str, object]:
     for _, w in active:
         weights.append(rat(max(0, round(w * scale)), scale))
     total = sum(weights, ZERO)
-    assert total > 0
+    if total <= 0:
+        raise InvariantViolation("active vertex weights vanished")
     x = {v: ZERO for v in variables}
     for (vertex, _), w in zip(active, weights):
         if w == 0:
@@ -154,7 +144,10 @@ def solve_convex_over_polytope(
     if start is not None:
         base = {v: rat(start.get(v, 0)) for v in region.variables}
     else:
-        base = _feasibility_vertex(lp)
+        try:  # lp has no objective yet, so this is a feasibility vertex
+            base = dict(solve_extreme_point(lp).values)
+        except Infeasible as exc:
+            raise InfeasibleRegion("empty polytope") from exc
     active: list[tuple[dict, float]] = [(base, 1.0)]
     x = {v: float(val) for v, val in base.items()}
 
@@ -174,7 +167,8 @@ def solve_convex_over_polytope(
             gap_ex = sum(
                 (g * (x_ex[v] - s_ex[v]) for v, g in g_ex.items()), ZERO
             )
-            assert gap_ex >= 0
+            if gap_ex < 0:
+                raise InvariantViolation("negative exact duality gap")
             if gap_ex <= rat(additive_tol):
                 fval = float(objective.exact_value(x_ex))
                 return ConvexSolveResult(x_ex, fval, float(gap_ex), iteration, trace)

@@ -122,7 +122,8 @@ def calibrate_eps(eps_user):
 def size_class(cost, eps) -> int:
     """Largest e with (1+eps)^e <= cost (round down to the geometric grid)."""
     cost = rat(cost)
-    assert cost > 0
+    if cost <= 0:
+        raise ValueError("a size class needs a positive cost")
     return geometric_grid(rat(eps)).round_down(cost)
 
 
@@ -314,30 +315,34 @@ def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
             yield Guess(tuple(tg for tg, _, _ in combo))
 
 
-def _routable_mask(inst, eps, t: int, tg: TypeGuess, table) -> int:
-    """Bit j set when type t offers job j a route under tg."""
+def _type_routes(inst, eps, t: int, tg: TypeGuess, table) -> list:
+    """Each job's route kind on type t under tg, or None when it has no route there.
+
+    Huge jobs up to the shortest very-huge one may take a free huge machine,
+    large ones the slots of their class, small ones any non-huge machine.
+    """
     if inst.machine_counts[t] == 0:
-        return 0
-    free_huge = tg.huge_count - len(tg.very_huge)
-    floor = _huge_floor(inst, t, tg)
+        return [None] * len(table)
+    free_huge = tg.huge_count > len(tg.very_huge)
+    floor = min((table[j][0] for j in tg.very_huge), default=None)
+    classes = {e for pat in tg.profile for e in pat}
+    small_ok = inst.machine_counts[t] > tg.huge_count
     kind = job_kind(tg.c_max, tg.alpha, eps)
-    mask = 0
-    for j, (c, e) in enumerate(table):
+    out = []
+    for c, e in table:
         k = kind(c)
         if k is HUGE:
-            ok = free_huge > 0 and floor is not None and c <= floor
-        elif k is LARGE:
-            ok = any(e in pat for pat in tg.profile)
+            ok = free_huge and floor is not None and c <= floor
         else:
-            ok = inst.machine_counts[t] - tg.huge_count > 0
-        if ok:
-            mask |= 1 << j
-    return mask
+            ok = e in classes if k is LARGE else small_ok
+        out.append(k if ok else None)
+    return out
 
 
-def _huge_floor(inst, t: int, tg: TypeGuess):
-    """Shortest very-huge cost of tg on type t (None if none): jobs up to it may go huge."""
-    return min((rat(inst.cost(j, t)) for j in tg.very_huge), default=None)
+def _routable_mask(inst, eps, t: int, tg: TypeGuess, table) -> int:
+    """Bit j set when type t offers job j a route under tg."""
+    routes = _type_routes(inst, eps, t, tg, table)
+    return sum(1 << j for j, k in enumerate(routes) if k is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +418,8 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
             small_caps[mk] = eps * load_floor[mk]
     slots, mass, slots_of = build_slots(patterns, lambda e: (class_size(e, eps),), 1)
 
-    # huge jobs up to the shortest very-huge one may take a free huge
-    # machine, large ones the slots of their class, small ones any machine
-    kinds = [job_kind(tg.c_max, tg.alpha, eps) for tg in guess.types]
-    floors = [_huge_floor(inst, t, tg) for t, tg in enumerate(guess.types)]
+    tables = [_cost_table(inst, t, eps) for t in range(inst.num_types)]
+    route_kinds = [_type_routes(inst, eps, t, tg, tables[t]) for t, tg in enumerate(guess.types)]
     routes: dict[int, JobRoutes] = {}
     for j in range(inst.num_jobs):
         if j in vh_machines:
@@ -425,16 +428,13 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
         slot_ids: set[int] = set()
         huge: dict[int, tuple] = {}
         for t, tg in enumerate(guess.types):
-            if inst.machine_counts[t] == 0:
-                continue
-            c = rat(inst.cost(j, t))
-            kind = kinds[t](c)
+            c, e = tables[t][j]
+            kind = route_kinds[t][j]
             if kind is HUGE:
-                if t in budgets and floors[t] is not None and c <= floors[t]:
-                    huge[t] = (c, rat(power(c, p)))
+                huge[t] = (c, rat(power(c, p)))
             elif kind is LARGE:
-                slot_ids.update(slots_of.get((t, size_class(c, eps)), ()))
-            else:
+                slot_ids.update(slots_of[(t, e)])
+            elif kind is SMALL:
                 for i in range(inst.machine_counts[t] - tg.huge_count):
                     machine_costs[(t, i)] = (c,)
         routes[j] = JobRoutes(machine_costs, slot_ids, huge)
@@ -694,7 +694,8 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
         ordered = sorted(non_huge_orig, key=lambda k: (patterns[k], k))
         for canon, orig in enumerate(ordered):
             mk = (t, canon)
-            assert patterns[orig] == tg.profile[canon], "profile out of sync"
+            if patterns[orig] != tg.profile[canon]:
+                raise InvariantViolation("profile out of sync")
             for j in jobs_by_machine[orig]:
                 c = rat(inst.cost(j, t))
                 if kind(c) is LARGE:
@@ -710,7 +711,8 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
         )
         if not covered:
             t = sched.assignment[j][0]
-            assert t in routes.huge, "guided schedule routed a job outside the guess"
+            if t not in routes.huge:
+                raise InvariantViolation("guided schedule routed a job outside the guess")
             point[route_var("h", j, t)] = ONE
     return point
 
@@ -749,13 +751,13 @@ def _assert_quality_chain(model: CpModel, cp: CpSolution, final, total) -> None:
                 slot_true += rat(model.inst.cost(j, mk[0]))
         g = load + slot_true
         bound = (ONE + eps) * model.pattern_mass[mk] + cp.t_star[mk] + 3 * model.small_caps[mk]
-        assert g <= bound, "per-machine load above the rounding bound"
+        if g > bound:
+            raise InvariantViolation("per-machine load above the rounding bound")
     if is_integral(model.p):
         # whole-solution chain against the certified relaxation value
         factor = float((ONE + 4 * eps) ** int(model.p))
-        assert float(total) <= factor * (cp.objective_value + 1e-9) * (1 + 1e-9), (
-            "final cost above (1+4eps)^p times the relaxation value"
-        )
+        if float(total) > factor * (cp.objective_value + 1e-9) * (1 + 1e-9):
+            raise InvariantViolation("final cost above (1+4eps)^p times the relaxation value")
 
 
 def lpnorm_ptas(inst: Instance, p, eps_user, mode, cp_tol=None) -> LpnormResult:
@@ -786,7 +788,8 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode, cp_tol=None) -> LpnormResult:
             continue  # wrong guess, not an instance failure
         if best is None or rat(run.objective_pow) < rat(best.objective_pow):
             best = run
-    assert best is not None, "no guess produced a schedule"
+    if best is None:
+        raise InvariantViolation("no guess produced a schedule")
     return LpnormResult(best.schedule, best.objective_pow, eps, tried, best)
 
 

@@ -82,7 +82,8 @@ def power_round_up(value, eps) -> tuple[int, object]:
     """Least power of 1/(1+eps) that is >= value, as (exponent, value)."""
     value = rat(value)
     eps = rat(eps)
-    assert value > 0 and eps > 0
+    if value <= 0 or eps <= 0:
+        raise ValueError("power_round_up needs a positive value and eps")
     grid = geometric_grid(eps)
     e = grid.round_up(value)
     return -e, grid.value(e)
@@ -92,7 +93,8 @@ def make_scaled_instance(inst: Instance, target, eps) -> ScaledInstance:
     """Classify on cost/T, lift large costs to eps^2/D, then round up."""
     target = parse_rational(target)
     eps = parse_rational(eps)
-    assert target > 0 and 0 < eps < 1
+    if target <= 0 or not 0 < eps < 1:
+        raise ValueError("scaling needs a positive target and eps in (0, 1)")
     dims = inst.dims
     floor_val = eps * eps / dims
     entries: list[list[ScaledEntry]] = []

@@ -17,6 +17,8 @@ import functools
 import math
 from fractions import Fraction
 
+from .errors import InvariantViolation
+
 try:
     from gmpy2 import mpq as _mpq
 
@@ -100,7 +102,7 @@ def halve_until(eps_user, fits):
         eps = eps_user / (2 ** k)
         if fits(eps):
             return eps
-    raise AssertionError("calibration failed to terminate")
+    raise InvariantViolation("calibration failed to terminate")
 
 
 class GeometricGrid:

@@ -302,8 +302,10 @@ class RoundingEngine:
         self.live: dict[JobKey, JobRoutes] = {
             j: routes.clone() for j, routes in sorted(problem.jobs.items())
         }
+        # rows still in the LP: slot rows, capacity rows, huge-budget rows
         self.live_slots: set[int] = set(problem.slots)
-        self.machine_live: dict[MachineKey, bool] = {m: True for m in problem.capacities}
+        self.live_machines: set[MachineKey] = set(problem.capacities)
+        self.live_types: set[int] = set(problem.type_budgets)
         self.committed: dict[MachineKey, list] = {
             m: [ZERO] * self.dims for m in problem.capacities
         }
@@ -311,7 +313,6 @@ class RoundingEngine:
             m: [ZERO] * self.dims for m in problem.capacities
         }
         self.budget_left: dict[int, int] = dict(problem.type_budgets)
-        self.budget_live: dict[int, bool] = {t: True for t in problem.type_budgets}
         self.slot_assign: dict[int, JobKey] = {}
         self.machine_assign: dict[JobKey, MachineKey] = {}
         self.huge_assign: dict[JobKey, int] = {}
@@ -329,45 +330,33 @@ class RoundingEngine:
         rows = SlotRows({j: self.live[j] for j in sorted(self.live, key=_job_sort_key)},
                         self.live_slots)
         lp = rows.lp
-        n_cap_machines = 0
-        for mk in sorted(self.machine_live):
-            if not self.machine_live[mk] or mk not in rows.machine_vars:
-                continue
-            n_cap_machines += 1
+        cap_machines = sorted(self.live_machines & rows.machine_vars.keys())
+        for mk in cap_machines:
             for d in range(self.dims):
                 coeffs = {name: vec[d] for name, vec in rows.machine_vars[mk] if vec[d] != 0}
                 rhs = self.problem.capacities[mk][d] - self.committed[mk][d]
                 lp.add_constraint(coeffs, LE, rhs)
-        live_budgets = {t: self.budget_left[t] for t in self.budget_live if self.budget_live[t]}
-        n_budget_rows = rows.add_budget_rows(live_budgets)
-        return lp, rows.registry, (rows.slot_rows, n_cap_machines, n_budget_rows)
+        n_budget_rows = rows.add_budget_rows({t: self.budget_left[t] for t in self.live_types})
+        return lp, rows.registry, (rows.slot_rows, len(cap_machines), n_budget_rows)
 
-    def _cleanup_structures(self):
-        """Drop rows that no longer constrain any live variable."""
-        routed_slots = set()
-        routed_machines = set()
-        routed_types = set()
-        for routes in self.live.values():
-            routed_slots |= routes.slots
-            routed_machines |= routes.machine_costs.keys()
-            routed_types |= routes.huge.keys()
-        for s in list(self.live_slots):
-            if s not in routed_slots:
-                self.live_slots.discard(s)  # slot stays empty
-        for mk, is_live in self.machine_live.items():
-            if is_live and mk not in routed_machines:
-                self.machine_live[mk] = False
-        for t, is_live in self.budget_live.items():
-            if is_live and t not in routed_types:
-                self.budget_live[t] = False
+    def _route_index(self):
+        """The live jobs routed to each machine, slot and huge type."""
+        by_machine: dict[MachineKey, list] = {}
+        by_slot: dict[int, list] = {}
+        by_type: dict[int, list] = {}
+        for jkey, routes in self.live.items():
+            for mk in routes.machine_costs:
+                by_machine.setdefault(mk, []).append(jkey)
+            for s in routes.slots:
+                by_slot.setdefault(s, []).append(jkey)
+            for t in routes.huge:
+                by_type.setdefault(t, []).append(jkey)
+        return by_machine, by_slot, by_type
 
     # -- commitments --------------------------------------------------------
 
-    def _remove_job(self, jkey: JobKey):
-        del self.live[jkey]
-
     def _commit_machine(self, jkey: JobKey, mk: MachineKey):
-        cost = self.live[jkey].machine_costs[mk]
+        cost = self.live.pop(jkey).machine_costs[mk]
         for d in range(self.dims):
             self.committed[mk][d] += cost[d]
         if isinstance(jkey, int):
@@ -377,21 +366,21 @@ class RoundingEngine:
         else:
             self.art_on_machine.setdefault(mk, []).append(jkey)
             self.art_costs[(jkey, mk)] = cost
-        self._remove_job(jkey)
 
     def _commit_slot(self, jkey: JobKey, s: int):
-        assert s not in self.slot_assign
+        if s in self.slot_assign:
+            raise InvariantViolation("slot filled twice")
         self.slot_assign[s] = jkey
         self.live_slots.discard(s)
-        self._remove_job(jkey)
+        del self.live[jkey]
 
     def _commit_huge(self, jkey: JobKey, t: int):
-        _, charge = self.live[jkey].huge[t]
+        _, charge = self.live.pop(jkey).huge[t]
         self._committed_charge += charge
         self.budget_left[t] -= 1
-        assert self.budget_left[t] >= 0
+        if self.budget_left[t] < 0:
+            raise InvariantViolation("huge budget overdrawn")
         self.huge_assign[jkey] = t
-        self._remove_job(jkey)
 
     def _fix_integrals(self, sol, registry):
         ones = []
@@ -416,46 +405,25 @@ class RoundingEngine:
                 self._commit_slot(jkey, target)
             else:
                 self._commit_huge(jkey, target)
-        for mk in touched:
-            if self.machine_live[mk]:
-                for d in range(self.dims):
-                    assert self.committed[mk][d] <= self.problem.capacities[mk][d], (
-                        "capacity exceeded while rows were live"
-                    )
+        for mk in touched & self.live_machines:
+            if any(c > b for c, b in zip(self.committed[mk], self.problem.capacities[mk])):
+                raise InvariantViolation("capacity exceeded while rows were live")
 
     # -- case reductions ----------------------------------------------------
 
-    def _fractional_by_structure(self):
-        by_machine: dict[MachineKey, list] = {}
-        by_slot: dict[int, list] = {}
-        by_type: dict[int, list] = {}
-        for jkey in self.live:
-            routes = self.live[jkey]
-            for mk in routes.machine_costs:
-                by_machine.setdefault(mk, []).append(jkey)
-            for s in routes.slots:
-                by_slot.setdefault(s, []).append(jkey)
-            for t in routes.huge:
-                by_type.setdefault(t, []).append(jkey)
-        return by_machine, by_slot, by_type
+    def _apply_case(self, sol) -> None:
+        by_machine, by_slot, by_type = self._route_index()
 
-    def _apply_case(self, sol, registry) -> None:
-        by_machine, by_slot, by_type = self._fractional_by_structure()
-
-        for mk in sorted(self.machine_live):
-            if not self.machine_live[mk]:
-                continue
+        for mk in sorted(self.live_machines):
             jobs = by_machine.get(mk, [])
             if len(jobs) <= 2 * self.dims:
                 for jkey in sorted(jobs, key=_job_sort_key):
                     self._commit_machine(jkey, mk)
-                self.machine_live[mk] = False
+                self.live_machines.discard(mk)
                 cap = self.problem.capacities[mk]
                 slack = 2 * self.dims * rat(self.problem.small_caps[mk])
-                for d in range(self.dims):
-                    assert self.committed[mk][d] <= cap[d] + slack, (
-                        "machine-drop overshoot above 2D*smallcap"
-                    )
+                if any(c > b + slack for c, b in zip(self.committed[mk], cap)):
+                    raise InvariantViolation("machine-drop overshoot above 2D*smallcap")
                 self.stats.overshoot_drop_checks += 1
                 self.stats.case_machine_drop += 1
                 return
@@ -473,79 +441,59 @@ class RoundingEngine:
                 self.stats.case_slot_merge += 1
             return
 
-        for t in sorted(self.budget_live):
-            if not self.budget_live[t]:
-                continue
+        for t in sorted(self.live_types):
             jobs = by_type.get(t, [])
             if len(jobs) <= 2:
                 lineup = self.improper.setdefault(t, [])
                 for jkey in sorted(jobs, key=_job_sort_key):
                     lineup.append(jkey)
-                    self._remove_job(jkey)
-                self.budget_live[t] = False
+                    del self.live[jkey]
+                self.live_types.discard(t)
                 self.stats.case_improper += 1
                 return
 
         raise CountingViolation("no machine, slot, or type was reducible")
 
     def _merge(self, j1: JobKey, j2: JobKey, s: int, sol) -> None:
-        r1, r2 = self.live[j1], self.live[j2]
+        r1, r2 = self.live.pop(j1), self.live.pop(j2)
         key = f"a{self._art_counter}"
         self._art_counter += 1
 
-        def val(kind, jkey, target):
-            return sol.values.get(route_var(kind, jkey, target), ZERO)
+        def weights(kind: str, target, in1: bool, in2: bool) -> tuple:
+            """Each parent's share of a route: its LP value over both, or all of it alone."""
+            if in1 and in2:
+                x1 = sol.values.get(route_var(kind, j1, target), ZERO)
+                x2 = sol.values.get(route_var(kind, j2, target), ZERO)
+                w1 = x1 / (x1 + x2)
+                return w1, ONE - w1
+            return (ONE, ZERO) if in1 else (ZERO, ONE)
 
         machine_costs = {}
         machine_weights = {}
+        zero = (ZERO,) * self.dims
         for mk in sorted(set(r1.machine_costs) | set(r2.machine_costs)):
             in1, in2 = mk in r1.machine_costs, mk in r2.machine_costs
-            if in1 and in2:
-                x1, x2 = val("m", j1, mk), val("m", j2, mk)
-                w1 = x1 / (x1 + x2)
-                w2 = ONE - w1
-            elif in1:
-                w1, w2 = ONE, ZERO
-            else:
-                w1, w2 = ZERO, ONE
-            c1 = r1.machine_costs.get(mk, (ZERO,) * self.dims)
-            c2 = r2.machine_costs.get(mk, (ZERO,) * self.dims)
-            combo = tuple(w1 * a + w2 * b for a, b in zip(c1, c2))
+            w1, w2 = machine_weights[mk] = weights("m", mk, in1, in2)
+            c1 = r1.machine_costs.get(mk, zero)
+            c2 = r2.machine_costs.get(mk, zero)
+            combo = machine_costs[mk] = tuple(w1 * a + w2 * b for a, b in zip(c1, c2))
             # convex-combination invariant: each dimension between the parents
             for d in range(self.dims):
-                inputs = []
-                if in1:
-                    inputs.append(c1[d])
-                if in2:
-                    inputs.append(c2[d])
-                assert min(inputs) <= combo[d] <= max(inputs)
-            machine_costs[mk] = combo
-            machine_weights[mk] = (w1, w2)
+                inputs = [c[d] for c, inside in ((c1, in1), (c2, in2)) if inside]
+                if not min(inputs) <= combo[d] <= max(inputs):
+                    raise InvariantViolation("merged cost outside its parents' range")
 
         huge = {}
         huge_weights = {}
         for t in sorted(set(r1.huge) | set(r2.huge)):
-            in1, in2 = t in r1.huge, t in r2.huge
-            if in1 and in2:
-                x1, x2 = val("h", j1, t), val("h", j2, t)
-                w1 = x1 / (x1 + x2)
-                w2 = ONE - w1
-            elif in1:
-                w1, w2 = ONE, ZERO
-            else:
-                w1, w2 = ZERO, ONE
+            w1, w2 = huge_weights[t] = weights("h", t, t in r1.huge, t in r2.huge)
             cost1, charge1 = r1.huge.get(t, (ZERO, ZERO))
             cost2, charge2 = r2.huge.get(t, (ZERO, ZERO))
             huge[t] = (w1 * cost1 + w2 * cost2, w1 * charge1 + w2 * charge2)
-            huge_weights[t] = (w1, w2)
 
-        slots = (r1.slots | r2.slots) - {s}
-        node = MergeNode(key, j1, j2, s, machine_weights, huge_weights)
-        self.forest[key] = node
-        del self.live[j1]
-        del self.live[j2]
+        self.forest[key] = MergeNode(key, j1, j2, s, machine_weights, huge_weights)
         self.live_slots.discard(s)  # disposed
-        self.live[key] = JobRoutes(machine_costs, slots, huge)
+        self.live[key] = JobRoutes(machine_costs, (r1.slots | r2.slots) - {s}, huge)
 
     # -- main loop -----------------------------------------------------------
 
@@ -553,7 +501,11 @@ class RoundingEngine:
         first = True
         prev_objective = None
         while self.live:
-            self._cleanup_structures()
+            # drop rows that no longer constrain a live variable; a dropped slot stays empty
+            by_machine, by_slot, by_type = self._route_index()
+            self.live_slots &= by_slot.keys()
+            self.live_machines &= by_machine.keys()
+            self.live_types &= by_type.keys()
             lp, registry, (s_rows, m_rows, t_rows) = self._build_lp()
             try:
                 sol = solve_extreme_point(lp)
@@ -576,17 +528,15 @@ class RoundingEngine:
                 self.stats.max_fractional_slack, bound - frac
             )
             full_objective = sol.objective_value + self._committed_charge
-            if prev_objective is not None:
-                assert full_objective <= prev_objective, (
-                    "reduced-LP optimum increased across an iteration"
-                )
+            if prev_objective is not None and full_objective > prev_objective:
+                raise InvariantViolation("reduced-LP optimum increased across an iteration")
             prev_objective = full_objective
             self.stats.lp_objectives.append(full_objective)
 
             self._fix_integrals(sol, registry)
             if not self.live:
                 break
-            self._apply_case(sol, registry)
+            self._apply_case(sol)
             self.stats.iterations += 1
 
         return RoundingOutcome(
@@ -676,8 +626,9 @@ def untangle(problem: RoundingProblem, outcome: RoundingOutcome) -> FinalAssignm
     view = _ForestView(problem, outcome.forest)
     stats = outcome.stats
 
-    roots = [k for k in outcome.forest if not _is_child(outcome.forest, k)]
-    _assert_forest_shape(problem, outcome, view, roots)
+    children = {c for node in outcome.forest.values() for c in (node.child1, node.child2)}
+    roots = [k for k in outcome.forest if k not in children]
+    _check_forest_shape(outcome, view, roots)
 
     slot_assign: dict[int, int] = {}
     machine_assign: dict[int, MachineKey] = {}
@@ -697,47 +648,40 @@ def untangle(problem: RoundingProblem, outcome: RoundingOutcome) -> FinalAssignm
             occupant = outer
         else:
             occupant = view.pick_for_slot(outer, slot)
-        assert node.slot not in slot_assign
+        if node.slot in slot_assign:
+            raise InvariantViolation("merge slot filled twice")
         slot_assign[node.slot] = occupant
         if isinstance(outer, str):
             place_rest(outer, occupant)
         if isinstance(inner, str):
             place_rest(inner, withheld)
-        else:
-            assert inner == withheld
+        elif inner != withheld:
+            raise InvariantViolation("withheld leaf is not the inner child")
+
+    def resolve(jkey: JobKey, pick) -> int:
+        """The real job standing in for jkey: itself, or the leaf pick(jkey)
+        chooses, with the rest of its tree placed in the tree's slots."""
+        if isinstance(jkey, int):
+            return jkey
+        leaf = pick(jkey)
+        place_rest(jkey, leaf)
+        return leaf
 
     # artificial jobs sitting in foreign slots
     for s, jkey in sorted(outcome.slot_assign.items()):
-        if isinstance(jkey, int):
-            slot_assign[s] = jkey
-            continue
-        leaf = view.pick_for_slot(jkey, problem.slots[s])
-        slot_assign[s] = leaf
-        place_rest(jkey, leaf)
+        slot_assign[s] = resolve(jkey, lambda k: view.pick_for_slot(k, problem.slots[s]))
 
     # artificial jobs routed to huge machines, integrally or as improper pairs
     for jkey, t in sorted(outcome.huge_assign.items(), key=lambda kv: _job_sort_key(kv[0])):
-        if isinstance(jkey, int):
-            huge_assign[jkey] = t
-            continue
-        leaf = view.pick_for_huge(jkey, t)
-        huge_assign[leaf] = t
-        place_rest(jkey, leaf)
+        huge_assign[resolve(jkey, lambda k: view.pick_for_huge(k, t))] = t
     for t, members in sorted(outcome.improper.items()):
-        reals = []
-        for jkey in members:
-            if isinstance(jkey, int):
-                reals.append(jkey)
-            else:
-                leaf = view.pick_for_huge(jkey, t)
-                reals.append(leaf)
-                place_rest(jkey, leaf)
-        improper[t] = reals
+        improper[t] = [resolve(jkey, lambda k: view.pick_for_huge(k, t)) for jkey in members]
 
     # artificial jobs in remaining space: per-machine covering LP
     final_loads = {mk: list(vec) for mk, vec in outcome.committed_real.items()}
     for jkey, mk in outcome.machine_assign.items():
-        assert isinstance(jkey, int)
+        if not isinstance(jkey, int):
+            raise InvariantViolation("artificial job in the real machine assignment")
         machine_assign[jkey] = mk
 
     for mk in sorted(outcome.art_on_machine):
@@ -750,12 +694,9 @@ def untangle(problem: RoundingProblem, outcome: RoundingOutcome) -> FinalAssignm
             for d in range(problem.dims):
                 final_loads[mk][d] += cost[d]
             place_rest(key, rep)
-        cap = problem.capacities[mk]
         slack = 3 * problem.dims * rat(problem.small_caps[mk])
-        for d in range(problem.dims):
-            assert final_loads[mk][d] <= cap[d] + slack, (
-                "untangled load above cap + 3D*smallcap"
-            )
+        if any(g > b + slack for g, b in zip(final_loads[mk], problem.capacities[mk])):
+            raise InvariantViolation("untangled load above cap + 3D*smallcap")
         stats.overshoot_final_checks += 1
 
     return FinalAssignment(
@@ -767,29 +708,28 @@ def untangle(problem: RoundingProblem, outcome: RoundingOutcome) -> FinalAssignm
     )
 
 
-def _is_child(forest: dict[str, MergeNode], key: str) -> bool:
-    return any(key in (n.child1, n.child2) for n in forest.values())
-
-
-def _assert_forest_shape(problem, outcome, view, roots) -> None:
+def _check_forest_shape(outcome, view, roots) -> None:
     seen_leaves: set[int] = set()
     seen_slots: set[int] = set()
+    slotted = {j for j in outcome.slot_assign.values() if isinstance(j, int)}
     for root in roots:
-        leaves = view.leaves(root)
-        slots = view.slots_of(root)
+        leaf_list, slot_list = view.leaves(root), view.slots_of(root)
+        leaves, slots = set(leaf_list), set(slot_list)
         # disjointness across trees and the |J| = |S| + 1 merge-tree shape
-        assert len(leaves) == len(set(leaves)) and not (set(leaves) & seen_leaves)
-        assert len(slots) == len(set(slots)) and not (set(slots) & seen_slots)
-        assert len(leaves) == len(slots) + 1
-        seen_leaves |= set(leaves)
-        seen_slots |= set(slots)
-        slotted = {j for j in outcome.slot_assign.values() if isinstance(j, int)}
-        for leaf in leaves:
-            assert leaf not in outcome.machine_assign, "subsumed job assigned directly"
-            assert leaf not in outcome.huge_assign
-            assert leaf not in slotted, "subsumed job sits in a slot"
-        for s in slots:
-            assert s not in outcome.slot_assign, "disposed slot used by the rounding"
+        if len(leaves) != len(leaf_list) or leaves & seen_leaves:
+            raise InvariantViolation("merge trees share a leaf")
+        if len(slots) != len(slot_list) or slots & seen_slots:
+            raise InvariantViolation("merge trees share a slot")
+        if len(leaf_list) != len(slot_list) + 1:
+            raise InvariantViolation("merge tree without one more leaf than slots")
+        seen_leaves |= leaves
+        seen_slots |= slots
+        if leaves & (outcome.machine_assign.keys() | outcome.huge_assign.keys()):
+            raise InvariantViolation("subsumed job assigned directly")
+        if leaves & slotted:
+            raise InvariantViolation("subsumed job sits in a slot")
+        if slots & outcome.slot_assign.keys():
+            raise InvariantViolation("disposed slot used by the rounding")
 
 
 def _solve_art_lp(problem, outcome, view, mk: MachineKey, arts: list[str]):
@@ -823,29 +763,32 @@ def _solve_art_lp(problem, outcome, view, mk: MachineKey, arts: list[str]):
     # job's cost exactly, certifying feasibility before we solve
     for key in arts:
         seeds = view.seed_weights(key, mk)
-        total = sum(seeds.values(), ZERO)
-        assert total == 1, "decomposition weights must sum to one"
+        if sum(seeds.values(), ZERO) != 1:
+            raise InvariantViolation("decomposition weights must sum to one")
         committed_cost = outcome.art_costs[(key, mk)]
         for d in range(problem.dims):
             rebuilt = sum(
                 (w * problem.jobs[l].machine_costs[mk][d] for l, w in seeds.items()),
                 ZERO,
             )
-            assert rebuilt == committed_cost[d], (
-                "weight decomposition does not reproduce the artificial cost"
-            )
+            if rebuilt != committed_cost[d]:
+                raise InvariantViolation(
+                    "weight decomposition does not reproduce the artificial cost"
+                )
     try:
         sol = solve_extreme_point(lp)
     except Infeasible as exc:  # seed argument above makes this impossible
         raise ForestInconsistent("Art-LP infeasible despite decomposition seed") from exc
-    assert len(sol.positives()) <= len(arts) + problem.dims
+    if len(sol.positives()) > len(arts) + problem.dims:
+        raise InvariantViolation("Art-LP extreme point above |AJ_i| + D nonzeros")
 
     reps: dict[str, int] = {}
     for key, mem in members.items():
         # round fractional values up to 1; the lowest-index covered leaf stays
         # on the machine, surplus members flow back to the tree slots
         chosen = [leaf for leaf in mem if sol.values[f"x{leaf}"] > 0]
-        assert chosen, "coverage row unsatisfied after rounding"
+        if not chosen:
+            raise InvariantViolation("coverage row unsatisfied after rounding")
         reps[key] = min(chosen)
     return reps
 

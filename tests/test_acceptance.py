@@ -11,7 +11,12 @@ import random
 import pytest
 
 from typesched import lpnorm, makespan
-from typesched.audits import load_difference_audit, lp_equivalence_audit, power_mean_audit
+from typesched.audits import (
+    _solve_square,
+    load_difference_audit,
+    lp_equivalence_audit,
+    power_mean_audit,
+)
 from typesched.cli import ExperimentConfig, run_experiment
 from typesched.errors import BudgetExhausted
 from typesched.lpnorm import f_threshold
@@ -22,7 +27,7 @@ from typesched.model import (
     make_instance,
 )
 from typesched.oracle import exact_solve
-from typesched.rationals import rat
+from typesched.rationals import ONE, rat
 from typesched.rounding import (
     JobRoutes,
     MergeNode,
@@ -290,6 +295,41 @@ def test_a10_lp_solver_equivalence():
         f"{res.samples} random LPs, simplex == vertex enumeration exactly, "
         f"{res.failures} mismatches",
     )
+
+
+def ref_solve_square(matrix, rhs):
+    # rational Gauss-Jordan, the vertex enumeration's solver before the
+    # fraction-free elimination replaced it
+    n = len(matrix)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = ONE / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def test_fraction_free_solver_matches_rational_gauss_jordan():
+    rng = random.Random(20240818)
+    singular = 0
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        entry = lambda: rat(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7 else rat(0)
+        matrix = [[entry() for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:  # a scaled copy of another row
+            matrix[rng.randrange(n)] = [rat(rng.randint(-2, 2)) * x for x in rng.choice(matrix)]
+        rhs = [entry() for _ in range(n)]
+        expected = ref_solve_square(matrix, rhs)
+        assert _solve_square(matrix, rhs) == expected
+        singular += expected is None
+    assert 100 < singular < 900
 
 
 def test_supporting_audits_agree():

@@ -6,6 +6,7 @@ integer tableau must take the same pivots and return the same basis,
 values and objective, or raise the same exception.
 """
 
+import ast
 import copy
 import random
 import subprocess
@@ -584,3 +585,15 @@ def test_trip_wires_survive_python_O():
         "decision exceeded its guarantee factor", "decision rejected a valid upper bound",
         "reduced LP became infeasible; reduction invariants broken", "optimize 1",
     ]
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert statements, so paper invariants raise instead
+    offenders = []
+    for path in sorted((SRC / "typesched").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "AssertionError"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

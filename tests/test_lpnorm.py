@@ -15,6 +15,9 @@ from typesched.lpnorm import (
     _cost_table,
     _guess_lower_bound,
     _routable_mask,
+    _type_guess_options,
+    HUGE,
+    LARGE,
     Guided,
     LoadObjective,
     additive_tolerance,
@@ -27,6 +30,7 @@ from typesched.lpnorm import (
     guess_from_schedule,
     class_size,
     lpnorm_ptas,
+    job_kind,
     size_class,
     solve_slot_cp,
 )
@@ -701,3 +705,41 @@ def test_infeasible_warm_start_raises_invariant_violation():
     bad = {v: ZERO for v in _start(model, sched)}  # every assignment row reads 0 = 1
     with pytest.raises(InvariantViolation):
         solve_slot_cp(model, 1e-6, start=bad)
+
+
+def ref_routable_mask(inst, eps, t, tg, table):
+    # the route rule as the enumeration filter wrote it before the CP builder
+    # shared it: huge up to the shortest very-huge cost, large into a profile
+    # class, small onto any non-huge machine
+    if inst.machine_counts[t] == 0:
+        return 0
+    free_huge = tg.huge_count - len(tg.very_huge)
+    floor = min((rat(inst.cost(j, t)) for j in tg.very_huge), default=None)
+    kind = job_kind(tg.c_max, tg.alpha, eps)
+    mask = 0
+    for j, (c, e) in enumerate(table):
+        k = kind(c)
+        if k is HUGE:
+            ok = free_huge > 0 and floor is not None and c <= floor
+        elif k is LARGE:
+            ok = any(e in pat for pat in tg.profile)
+        else:
+            ok = inst.machine_counts[t] - tg.huge_count > 0
+        if ok:
+            mask |= 1 << j
+    return mask
+
+
+@pytest.mark.parametrize("counts,n,seed,eps", ROUTE_STREAMS)
+def test_routable_mask_matches_the_reference_rule(counts, n, seed, eps):
+    # every type option the enumeration considers, not only yielded guesses
+    inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+    options = set_bits = 0
+    for t in range(inst.num_types):
+        table = _cost_table(inst, t, eps)
+        for tg in _type_guess_options(inst, t, 2, eps, table):
+            mask = _routable_mask(inst, eps, t, tg, table)
+            assert mask == ref_routable_mask(inst, eps, t, tg, table)
+            options += 1
+            set_bits += bin(mask).count("1")
+    assert options >= 50 and 0 < set_bits < options * n

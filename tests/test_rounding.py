@@ -221,10 +221,10 @@ def test_improper_case_semantics_whitebox():
         values = {"h|0|0": rat(1, 2), "h|1|0": rat(1, 2)}
         objective_value = rat(9)
 
-    engine._apply_case(FakeSol(), {})
+    engine._apply_case(FakeSol())
     assert engine.improper == {0: [0, 1]}
     assert not engine.live
-    assert engine.budget_live[0] is False
+    assert 0 not in engine.live_types
     assert engine.stats.case_improper == 1
 
 
@@ -325,7 +325,7 @@ def test_art_lp_untangles_machine_committed_artificial():
 
 
 def test_art_lp_seed_mismatch_is_detected():
-    # corrupting the recorded weights must trip the decomposition assert
+    # corrupting the recorded weights must trip the decomposition check
     M = (0, 0)
     problem = RoundingProblem(
         dims=1,
@@ -350,7 +350,7 @@ def test_art_lp_seed_mismatch_is_detected():
         art_costs={("a0", M): (rat(7, 24),)},  # combo of (1/2,1/2), weights say (1,0)
         stats=RoundingStats(),
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation, match="weight decomposition"):
         untangle(problem, outcome)
 
 
