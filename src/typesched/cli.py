@@ -236,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=_p_arg, default="2", help="norm exponent for lpnorm (> 1)")
     s.add_argument("--mode", choices=["guided", "full"], default="guided")
     s.add_argument("--enum-budget", type=int, default=10**6)
-    s.add_argument("--cp-tol-override", type=float, default=None)
     s.add_argument("--emit-forest", action="store_true", help="dump the subsumption forest")
     s.add_argument("--format", choices=["json", "table"], default="table")
     s.add_argument("--out", help="output path (default: stdout)")
@@ -321,7 +320,7 @@ def _cmd_solve(args) -> int:
                 doc["oracle_pow"] = rat_str(rat(opt.optimum))
             else:
                 mode = FullEnum(args.enum_budget)
-            res = lpnorm.lpnorm_ptas(inst, p, eps, mode, cp_tol=args.cp_tol_override)
+            res = lpnorm.lpnorm_ptas(inst, p, eps, mode)
             doc["objective_pow"] = rat_str(rat(res.objective_pow))
             doc["cp_objective"] = res.run.cp_objective
             doc["cp_gap"] = res.run.cp_gap

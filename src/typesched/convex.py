@@ -9,9 +9,13 @@ rational gradients the final gap is certified in exact arithmetic at an
 exactly feasible point (the convex combination is re-normalized in
 rationals), so the reported bound f(x) - f* <= gap carries no float slack.
 
-Away/pairwise steps are used when they descend faster than the plain
-Frank-Wolfe step; the step size 2/(k+2) bounds the default step, with the
-univariate line search only ever shrinking it.
+Pairwise steps move weight between active vertices when they descend
+faster than the plain Frank-Wolfe step.  Every step length, Frank-Wolfe or
+pairwise, is an exact line search: bisection on the sign of the
+directional derivative, which still resolves where float values of the
+objective no longer tell points apart.  An iteration that moves neither
+the iterate nor a vertex weight would repeat forever, so it ends the
+solve: the gap is certified there or ToleranceNotReached is raised.
 """
 
 from __future__ import annotations
@@ -54,31 +58,24 @@ def _lmo(lp: LinearProgram, gradient: dict) -> dict[str, object]:
     return dict(solve_extreme_point(lp).values)
 
 
-def _line_search(fun, lo: float, hi: float, evals: int = 64) -> float:
-    """Minimize a convex univariate function on [lo, hi] by ternary search."""
-    a, b = lo, hi
-    for _ in range(evals):
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        if fun(m1) <= fun(m2):
-            b = m2
-        else:
-            a = m1
-    return (a + b) / 2
+def _line_min(objective, x: dict, d: dict, hi: float) -> float:
+    """Minimizer of objective on x + t*d, t in [0, hi], by bisection on the
+    sign of the slope.
 
-
-def _slope_search(slope, lo: float, hi: float, evals: int = 64) -> float:
-    """Zero of a nondecreasing slope on [lo, hi] by bisection.
-
-    Float values stop telling points apart about sqrt(machine epsilon) from a
-    smooth minimum, where _line_search stalls; the slope still resolves there.
+    The slope is summed over x in its variable order, so the result does not
+    depend on the iteration order of d.
     """
-    if slope(lo) >= 0:
-        return lo
+
+    def slope(t: float) -> float:
+        grad = objective.gradient({v: x[v] + t * d.get(v, 0.0) for v in x})
+        return sum(grad.get(v, 0.0) * d.get(v, 0.0) for v in x)
+
+    if slope(0.0) >= 0:
+        return 0.0
     if slope(hi) <= 0:
         return hi
-    a, b = lo, hi
-    for _ in range(evals):
+    a, b = 0.0, hi
+    for _ in range(64):
         m = (a + b) / 2
         if slope(m) < 0:
             a = m
@@ -206,15 +203,8 @@ def solve_convex_over_polytope(
                 break
             hi_vert, hi_weight = active[hi]
             lo_vert = active[lo][0]
-            d = {
-                v: float(lo_vert.get(v, 0)) - float(hi_vert.get(v, 0))
-                for v in set(lo_vert) | set(hi_vert)
-            }
-            gamma = _line_search(
-                lambda t: objective.value({v: x[v] + t * d.get(v, 0.0) for v in x}),
-                0.0,
-                hi_weight,
-            )
+            d = {v: float(lo_vert.get(v, 0)) - float(hi_vert.get(v, 0)) for v in x}
+            gamma = _line_min(objective, x, d, hi_weight)
             probe = {v: x[v] + gamma * d.get(v, 0.0) for v in x}
             val = objective.value(probe)
             if val >= current:
@@ -241,23 +231,12 @@ def solve_convex_over_polytope(
                 return result
 
         d_fw = {v: sf.get(v, 0.0) - x[v] for v in x}
-        g_fw = _line_search(
-            lambda t: objective.value({v: x[v] + t * d_fw.get(v, 0.0) for v in x}), 0.0, 1.0
-        )
+        g_fw = _line_min(objective, x, d_fw, 1.0)
         moved = {v: x[v] + g_fw * d_fw.get(v, 0.0) for v in x}
         val_fw = objective.value(moved)
 
+        before = (list(x.values()), list(active))
         current = trace[-1]
-        if val_fw >= current:
-            # the value search saw no descent although the gap is open
-            def slope(t):
-                point = {v: x[v] + t * d_fw.get(v, 0.0) for v in x}
-                grad = objective.gradient(point)
-                return sum(grad.get(v, 0.0) * dv for v, dv in d_fw.items())
-
-            g_fw = _slope_search(slope, 0.0, 1.0)
-            moved = {v: x[v] + g_fw * d_fw.get(v, 0.0) for v in x}
-            val_fw = objective.value(moved)
         if val_fw <= current:
             active[:] = [(vert, w * (1 - g_fw)) for vert, w in active]
             _add_vertex(active, s, g_fw)
@@ -267,12 +246,8 @@ def solve_convex_over_polytope(
             trace.append(current)
         trace[-1] = correct_over_active()
         active[:] = [(vert, w) for vert, w in active if w > 1e-15]
-
-        if val_fw > current and trace[-1] >= current:
-            # no float-visible descent in any direction; certification decides
-            result = certify()
-            if result is not None:
-                return result
+        if (list(x.values()), list(active)) == before:
+            break  # stationary: every later iteration would repeat this one
 
     result = certify()
     if result is not None:

@@ -39,7 +39,8 @@ class InfeasibleRegion(TypeschedError):
 
 
 class ToleranceNotReached(TypeschedError):
-    """Convex solve hit its iteration cap before certifying the gap."""
+    """Convex solve hit its iteration cap, or stopped moving, before
+    certifying the gap."""
 
     def __init__(self, gap: float, tolerance: float, iterations: int):
         super().__init__(

@@ -106,9 +106,6 @@ class ExtremePointSolution:
     def positives(self) -> dict[str, object]:
         return {v: x for v, x in self.values.items() if x > 0}
 
-    def fractionals(self) -> dict[str, object]:
-        return {v: x for v, x in self.values.items() if 0 < x < 1}
-
 
 def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
     """row with column c cleared against prow (prow[c] > 0), divided by its gcd."""

@@ -717,10 +717,10 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
     return point
 
 
-def _run_guess(inst: Instance, p, eps, guess: Guess, start_schedule=None, cp_tol=None) -> LpnormRun:
+def _run_guess(inst: Instance, p, eps, guess: Guess, start_schedule=None) -> LpnormRun:
     model = build_cp_model(inst, p, eps, guess)
     start = _warm_start(model, start_schedule) if start_schedule is not None else None
-    cp = solve_slot_cp(model, cp_tol, start=start)
+    cp = solve_slot_cp(model, start=start)
     problem = build_rounding_from_cp(model, cp.t_star)
     engine = RoundingEngine(problem)
     outcome = engine.run()  # CP point is LP-feasible, so Infeasible cannot fire
@@ -760,7 +760,7 @@ def _assert_quality_chain(model: CpModel, cp: CpSolution, final, total) -> None:
             raise InvariantViolation("final cost above (1+4eps)^p times the relaxation value")
 
 
-def lpnorm_ptas(inst: Instance, p, eps_user, mode, cp_tol=None) -> LpnormResult:
+def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     """Schedule with ||g||_p <= (1 + eps_user) * OPT_p."""
     require_valid(inst)
     if inst.dims != 1:
@@ -773,7 +773,7 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode, cp_tol=None) -> LpnormResult:
 
     if isinstance(mode, Guided):
         guess = guess_from_schedule(inst, p, eps, mode.schedule)
-        run = _run_guess(inst, p, eps, guess, start_schedule=mode.schedule, cp_tol=cp_tol)
+        run = _run_guess(inst, p, eps, guess, start_schedule=mode.schedule)
         return LpnormResult(run.schedule, run.objective_pow, eps, 1, run)
 
     best: LpnormRun | None = None
@@ -783,7 +783,7 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode, cp_tol=None) -> LpnormResult:
         if best is not None and _guess_lower_bound(inst, p, eps, guess) > rat(best.objective_pow):
             continue
         try:
-            run = _run_guess(inst, p, eps, guess, cp_tol=cp_tol)
+            run = _run_guess(inst, p, eps, guess)
         except (Infeasible, InfeasibleRegion, GuessInconsistent):
             continue  # wrong guess, not an instance failure
         if best is None or rat(run.objective_pow) < rat(best.objective_pow):

@@ -269,11 +269,13 @@ def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> Rounding
         functools.partial(klass_value, scaled.eps),
         inst.dims,
     )
+    # slot_patterns and profile_from_schedule both keep every pattern within
+    # the capacity, so a negative remainder is a bug, not a wrong profile
     rem = {}
     for machine, used in mass.items():
         rem[machine] = tuple([scaled.capacity - u for u in used])
         if any(r < 0 for r in rem[machine]):
-            raise PatternOverflow(f"pattern mass exceeds capacity on {machine}")
+            raise InvariantViolation("pattern mass exceeds capacity")
 
     # large jobs route to the slots of their class, small ones to every machine
     # at unrounded scaled cost (keeping the 2D*eps overshoot bound exact)
@@ -335,7 +337,6 @@ class MakespanResult:
     makespan: object
     accepted_target: object
     eps_internal: object
-    oracle_lower_bound: object
     probes: int
     probe_stats: list[RoundingStats] = field(default_factory=list)
     forest: dict = field(default_factory=dict)
@@ -365,10 +366,7 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
             raise Infeasible("every enumerated profile failed") from None
         if not profile_admits(groups, profile):
             continue
-        try:
-            problem = build_rounding_problem(scaled, profile)
-        except PatternOverflow:
-            continue
+        problem = build_rounding_problem(scaled, profile)
         engine = RoundingEngine(problem)
         try:
             outcome = engine.run()
@@ -436,7 +434,6 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
         makespan=best.makespan,
         accepted_target=best.target,
         eps_internal=eps,
-        oracle_lower_bound=lower,
         probes=probes,
         probe_stats=probe_stats,
         forest=best.forest,

@@ -84,7 +84,6 @@ class MergeNode:
     child2: JobKey
     slot: int
     machine_weights: dict[MachineKey, tuple]
-    huge_weights: dict[int, tuple]
 
 
 @dataclass
@@ -92,7 +91,6 @@ class RoundingStats:
     iterations: int = 0
     lp_solves: int = 0
     counting_checks: int = 0
-    max_fractional_slack: int = 0  # max of bound - F observed (diagnostic)
     case_machine_drop: int = 0
     case_slot_single: int = 0
     case_slot_merge: int = 0
@@ -484,14 +482,13 @@ class RoundingEngine:
                     raise InvariantViolation("merged cost outside its parents' range")
 
         huge = {}
-        huge_weights = {}
         for t in sorted(set(r1.huge) | set(r2.huge)):
-            w1, w2 = huge_weights[t] = weights("h", t, t in r1.huge, t in r2.huge)
+            w1, w2 = weights("h", t, t in r1.huge, t in r2.huge)
             cost1, charge1 = r1.huge.get(t, (ZERO, ZERO))
             cost2, charge2 = r2.huge.get(t, (ZERO, ZERO))
             huge[t] = (w1 * cost1 + w2 * cost2, w1 * charge1 + w2 * charge2)
 
-        self.forest[key] = MergeNode(key, j1, j2, s, machine_weights, huge_weights)
+        self.forest[key] = MergeNode(key, j1, j2, s, machine_weights)
         self.live_slots.discard(s)  # disposed
         self.live[key] = JobRoutes(machine_costs, (r1.slots | r2.slots) - {s}, huge)
 
@@ -524,9 +521,6 @@ class RoundingEngine:
                     f"{frac} fractional variables exceeds bound {bound}"
                 )
             self.stats.counting_checks += 1
-            self.stats.max_fractional_slack = max(
-                self.stats.max_fractional_slack, bound - frac
-            )
             full_objective = sol.objective_value + self._committed_charge
             if prev_objective is not None and full_objective > prev_objective:
                 raise InvariantViolation("reduced-LP optimum increased across an iteration")

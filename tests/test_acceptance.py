@@ -191,10 +191,10 @@ def test_a6_forest_untangling(a1_report):
             leaf_raw_cost=lambda j, t, w=withheld: rat(100 if j == w else 5 - j),
         )
         forest = {
-            "a0": MergeNode("a0", 0, 1, 0, {}, {}),
-            "a1": MergeNode("a1", "a0", 2, 1, {}, {}),
-            "a2": MergeNode("a2", 3, 4, 2, {}, {}),
-            "a3": MergeNode("a3", "a1", "a2", 3, {}, {}),
+            "a0": MergeNode("a0", 0, 1, 0, {}),
+            "a1": MergeNode("a1", "a0", 2, 1, {}),
+            "a2": MergeNode("a2", 3, 4, 2, {}),
+            "a3": MergeNode("a3", "a1", "a2", 3, {}),
         }
         outcome = RoundingOutcome(
             slot_assign={5: "a3"},

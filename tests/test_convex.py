@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from typesched.convex import solve_convex_over_polytope
-from typesched.errors import InfeasibleRegion
+from typesched.convex import _line_min, solve_convex_over_polytope
+from typesched.errors import InfeasibleRegion, ToleranceNotReached
 from typesched.lp import EQ, GE, LE, LinearProgram
 from typesched.rationals import rat
 
@@ -120,3 +120,64 @@ def test_float_gap_is_a_float_on_a_region_without_variables():
     res = solve_convex_over_polytope(region([], []), Constant(), 1e-6)
     assert type(res.duality_gap) is float
     assert res.duality_gap == 0.0
+
+
+class Parabola:
+    """f(x) = level + (x - center)^2 in one variable x, floats only."""
+
+    def __init__(self, center, level=0.0):
+        self.center = center
+        self.level = level
+
+    def value(self, x):
+        return self.level + (x["x"] - self.center) ** 2
+
+    def gradient(self, x):
+        return {"x": 2 * (x["x"] - self.center)}
+
+
+def test_line_min_stops_at_an_ascending_start():
+    # the slope at t = 0 is already nonnegative
+    assert _line_min(Parabola(0.25), {"x": 0.5}, {"x": 1.0}, 1.0) == 0.0
+
+
+def test_line_min_runs_to_a_descending_end():
+    # the slope at t = hi is still nonpositive
+    assert _line_min(Parabola(3.0), {"x": 0.5}, {"x": 1.0}, 2.0) == 2.0
+
+
+def test_line_min_finds_an_interior_minimizer():
+    t = _line_min(Parabola(0.3), {"x": 0.0}, {"x": 1.0}, 1.0)
+    assert abs(t - 0.3) <= 1e-12
+
+
+def test_line_min_resolves_what_float_values_cannot():
+    # 1e-8 from the minimum the value moves by 1e-16, below the spacing of
+    # floats near 1, so no comparison of values can place the step
+    objective = Parabola(0.5 + 1e-8, level=1.0)
+    assert objective.value({"x": 0.5}) == objective.value({"x": 0.5 + 1e-8})
+    t = _line_min(objective, {"x": 0.5}, {"x": 1.0}, 1.0)
+    assert abs(t - 1e-8) <= 1e-14
+
+
+def test_forced_stall_is_reported_after_one_iteration():
+    # the float gradient is 0, so no step can descend, while the exact
+    # gradient 1 leaves the gap at x = 1 open; the second iteration would
+    # repeat the first, so the solve must not run to its cap
+    class FlatInFloats:
+        def value(self, x):
+            return 0.0
+
+        def gradient(self, x):
+            return {"x": 0.0}
+
+        def exact_value(self, x):
+            return x["x"]
+
+        def exact_gradient(self, x):
+            return {"x": rat(1)}
+
+    reg = region(["x"], [({"x": 1}, LE, 1)])
+    with pytest.raises(ToleranceNotReached) as info:
+        solve_convex_over_polytope(reg, FlatInFloats(), 1e-3, start={"x": rat(1)})
+    assert info.value.iterations == 1

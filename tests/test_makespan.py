@@ -3,7 +3,7 @@ import random
 import pytest
 
 from typesched import makespan
-from typesched.errors import BudgetExhausted, Infeasible, PatternOverflow
+from typesched.errors import BudgetExhausted, Infeasible, InvariantViolation, PatternOverflow
 from typesched.lp import solve_extreme_point
 from typesched.makespan import (
     FullEnum,
@@ -201,6 +201,16 @@ def test_profile_overflow_when_target_too_small():
     assert scaled.large_cap == 2
     with pytest.raises(PatternOverflow):
         profile_from_schedule(scaled, Schedule(((0, 0), (0, 0), (0, 0))))
+
+
+def test_pattern_over_capacity_is_a_bug():
+    # slot_patterns and profile_from_schedule never yield this profile: three
+    # class-(0,) slots have mass 3, above the capacity (1 + 1/2)^2 = 9/4
+    inst = make_instance(1, [1], [[[10]], [[10]], [[10]]])
+    scaled = make_scaled_instance(inst, 10, rat(1, 2))
+    assert scaled.capacity == rat(9, 4)
+    with pytest.raises(InvariantViolation):
+        build_rounding_problem(scaled, ((((0,), (0,), (0,)),),))
 
 
 def test_slot_lp_row_count():

@@ -130,10 +130,10 @@ def build_nested_forest_outcome(problem, foreign_slot=5):
     merges: a0=(0,1)@s0, a1=(a0,2)@s1, a2=(3,4)@s2, a3=(a1,a2)@s3.
     """
     forest = {
-        "a0": MergeNode("a0", 0, 1, 0, {}, {}),
-        "a1": MergeNode("a1", "a0", 2, 1, {}, {}),
-        "a2": MergeNode("a2", 3, 4, 2, {}, {}),
-        "a3": MergeNode("a3", "a1", "a2", 3, {}, {}),
+        "a0": MergeNode("a0", 0, 1, 0, {}),
+        "a1": MergeNode("a1", "a0", 2, 1, {}),
+        "a2": MergeNode("a2", 3, 4, 2, {}),
+        "a3": MergeNode("a3", "a1", "a2", 3, {}),
     }
     return RoundingOutcome(
         slot_assign={foreign_slot: "a3"},
@@ -305,7 +305,7 @@ def test_art_lp_untangles_machine_committed_artificial():
         machine_assign={},
         huge_assign={},
         improper={},
-        forest={"a0": MergeNode("a0", 0, 1, 0, {M: w}, {})},
+        forest={"a0": MergeNode("a0", 0, 1, 0, {M: w})},
         committed={M: [combo[0]]},
         committed_real={M: [ZERO]},
         art_on_machine={M: ["a0"]},
@@ -343,7 +343,7 @@ def test_art_lp_seed_mismatch_is_detected():
         machine_assign={},
         huge_assign={},
         improper={},
-        forest={"a0": MergeNode("a0", 0, 1, 0, {M: (rat(1), ZERO)}, {})},
+        forest={"a0": MergeNode("a0", 0, 1, 0, {M: (rat(1), ZERO)})},
         committed={M: [rat(7, 24)]},
         committed_real={M: [ZERO]},
         art_on_machine={M: ["a0"]},
