@@ -154,9 +154,10 @@ def solve_convex_over_polytope(
 
     exact_mode = hasattr(objective, "exact_gradient")
     trace = [objective.value(x)]
-    last_gap = math.inf
 
-    def certify() -> ConvexSolveResult | None:
+    def certify() -> tuple[ConvexSolveResult | None, float]:
+        """The result at the current point if its gap is within tolerance,
+        and the gap measured there."""
         x_ex = _exactify(active, region.variables)
         if exact_mode:
             g_ex = objective.exact_gradient(x_ex)
@@ -166,18 +167,19 @@ def solve_convex_over_polytope(
             )
             if gap_ex < 0:
                 raise InvariantViolation("negative exact duality gap")
+            gap = float(gap_ex)
             if gap_ex <= rat(additive_tol):
                 fval = float(objective.exact_value(x_ex))
-                return ConvexSolveResult(x_ex, fval, float(gap_ex), iteration, trace)
-            return None
+                return ConvexSolveResult(x_ex, fval, gap, iteration, trace), gap
+            return None, gap
         xf = {v: float(val) for v, val in x_ex.items()}
         g = objective.gradient(xf)
         s = _lmo(lp, g)
         gap = sum(g.get(v, 0.0) * (xf[v] - float(s[v])) for v in region.variables)
         gap = float(max(gap, 0.0))  # the sum is the int 0 when there are no variables
         if gap <= additive_tol * (1 - 1e-9):
-            return ConvexSolveResult(x_ex, objective.value(xf), gap, iteration, trace)
-        return None
+            return ConvexSolveResult(x_ex, objective.value(xf), gap, iteration, trace), gap
+        return None, gap
 
     def correct_over_active() -> float:
         """Pairwise weight transfers among the active vertices (no LP calls).
@@ -217,16 +219,16 @@ def solve_convex_over_polytope(
         return current
 
     iteration = 0
+    checked_gap = None  # gap certify() measured at the current point, if it ran there
     while iteration < max_iterations:
         iteration += 1
         g = objective.gradient(x)
         s = _lmo(lp, g)
         sf = {v: float(val) for v, val in s.items()}
         gap = sum(g.get(v, 0.0) * (x[v] - sf[v]) for v in region.variables)
-        last_gap = gap
 
         if gap <= 0.5 * additive_tol:
-            result = certify()
+            result, checked_gap = certify()
             if result is not None:
                 return result
 
@@ -248,11 +250,13 @@ def solve_convex_over_polytope(
         active[:] = [(vert, w) for vert, w in active if w > 1e-15]
         if (list(x.values()), list(active)) == before:
             break  # stationary: every later iteration would repeat this one
+        checked_gap = None
 
-    result = certify()
-    if result is not None:
-        return result
-    raise ToleranceNotReached(last_gap, additive_tol, iteration)
+    if checked_gap is None:  # certify() has not run at this point
+        result, checked_gap = certify()
+        if result is not None:
+            return result
+    raise ToleranceNotReached(checked_gap, additive_tol, iteration)
 
 
 def _add_vertex(active: list, vertex: dict, weight: float) -> None:

@@ -7,6 +7,10 @@ to powers of 1/(1+eps), enumerate (or extract from a certificate schedule)
 per-type pattern profiles for the large-job slots, solve the slot LP, and
 round it iteratively to an integral schedule.
 
+The targets are lower*(1+eps)^i, so one scale ladder rounds every cost once,
+against lower; the probe at target i shifts those grid exponents by i
+instead of rounding every cost again (see ScaleLadder).
+
 Machines of one type are identical, so whether a profile can host the jobs
 that are large on every usable type depends only on its slot counts per
 (type, class).  Each profile first passes a count-level check, with no
@@ -37,7 +41,16 @@ from typing import Iterator
 from .errors import BudgetExhausted, Infeasible, InvariantViolation, PatternOverflow
 from .model import Instance, Schedule, evaluate_makespan, require_valid
 from .modes import FullEnum, Guided
-from .rationals import ONE, ZERO, geometric_grid, halve_until, parse_rational, rat, rat_floor
+from .rationals import (
+    ONE,
+    ZERO,
+    GeometricGrid,
+    geometric_grid,
+    halve_until,
+    parse_rational,
+    rat,
+    rat_floor,
+)
 from .rounding import (
     JobRoutes,
     RoundingEngine,
@@ -73,6 +86,7 @@ class ScaledInstance:
     entries: list[list[ScaledEntry]]
     capacity: object       # (1+eps)^2
     large_cap: int         # floor(D/eps), max large jobs per machine
+    grid: GeometricGrid    # powers of 1+eps; class exponents index into it
 
     def entry(self, job: int, mtype: int) -> ScaledEntry:
         return self.entries[job][mtype]
@@ -89,41 +103,70 @@ def power_round_up(value, eps) -> tuple[int, object]:
     return -e, grid.value(e)
 
 
+class ScaleLadder:
+    """The scaled instances of one instance at the targets base*(1+eps)^i.
+
+    Every cost c is rounded once, to its class exponent k against base: the
+    least power (1+eps)^(-k) >= c/base (power_round_up).  At rung i, c/T_i is
+    (c/base)*(1+eps)^(-i), whose exponent is k + i; rounding up is monotone,
+    so a large cost lifted to eps^2/D has exponent min(k + i, lift), lift
+    being the exponent of eps^2/D.  A rung therefore makes one exact
+    comparison per (job, type), large iff max cost >= eps*T_i, and divides
+    only for raw = c/T_i.
+    """
+
+    def __init__(self, inst: Instance, base, eps):
+        base = parse_rational(base)
+        eps = parse_rational(eps)
+        if base <= 0 or not 0 < eps < 1:
+            raise ValueError("scaling needs a positive target and eps in (0, 1)")
+        self.inst = inst
+        self.base = base
+        self.eps = eps
+        self.grid = geometric_grid(eps)
+        self.lift = power_round_up(eps * eps / inst.dims, eps)[0]
+        self.capacity = (ONE + eps) ** 2
+        self.large_cap = rat_floor(rat(inst.dims) / eps)
+        # per (job, type): exact costs, their max, their exponents against base
+        self._costs = []
+        for j in range(inst.num_jobs):
+            row = []
+            for t in range(inst.num_types):
+                vec = tuple(rat(c) for c in inst.cost_vec(j, t))
+                ks = tuple(power_round_up(c / base, eps)[0] for c in vec)
+                row.append((vec, max(vec), ks))
+            self._costs.append(row)
+
+    def rung(self, i: int) -> ScaledInstance:
+        """The scaled instance at target base*(1+eps)^i."""
+        target = self.base * self.grid.value(i)
+        threshold = self.eps * target
+        lift, grid = self.lift, self.grid
+        entries: list[list[ScaledEntry]] = []
+        for row in self._costs:
+            out = []
+            for vec, top, ks in row:
+                raw = tuple(c / target for c in vec)
+                if top >= threshold:
+                    ks = tuple(min(k + i, lift) for k in ks)
+                    klass = ks if min(ks) >= 0 else None
+                    out.append(ScaledEntry(True, raw, klass_value(grid, ks), klass))
+                else:
+                    ks = tuple(k + i for k in ks)
+                    out.append(ScaledEntry(False, raw, klass_value(grid, ks), None))
+            entries.append(out)
+        return ScaledInstance(
+            self.inst, self.eps, target, entries, self.capacity, self.large_cap, grid
+        )
+
+
 def make_scaled_instance(inst: Instance, target, eps) -> ScaledInstance:
-    """Classify on cost/T, lift large costs to eps^2/D, then round up."""
-    target = parse_rational(target)
-    eps = parse_rational(eps)
-    if target <= 0 or not 0 < eps < 1:
-        raise ValueError("scaling needs a positive target and eps in (0, 1)")
-    dims = inst.dims
-    floor_val = eps * eps / dims
-    entries: list[list[ScaledEntry]] = []
-    for j in range(inst.num_jobs):
-        row = []
-        for t in range(inst.num_types):
-            raw = tuple(rat(c) / target for c in inst.cost_vec(j, t))
-            large = any(c >= eps for c in raw)
-            ks, rounded = [], []
-            for c in raw:
-                lifted = max(c, floor_val) if large else c
-                k, power = power_round_up(lifted, eps)
-                ks.append(k)
-                rounded.append(power)
-            klass = tuple(ks) if large and all(p <= 1 for p in rounded) else None
-            row.append(ScaledEntry(large, raw, tuple(rounded), klass))
-        entries.append(row)
-    return ScaledInstance(
-        base=inst,
-        eps=eps,
-        target=target,
-        entries=entries,
-        capacity=(ONE + eps) ** 2,
-        large_cap=rat_floor(rat(dims) / eps),
-    )
+    """Classify on cost/T, lift large costs to eps^2/D, then round up: rung 0
+    of the ladder whose base is target."""
+    return ScaleLadder(inst, target, eps).rung(0)
 
 
-def klass_value(eps, klass: Klass) -> tuple:
-    grid = geometric_grid(rat(eps))
+def klass_value(grid: GeometricGrid, klass: Klass) -> tuple:
     return tuple(grid.value(-k) for k in klass)
 
 
@@ -154,7 +197,7 @@ def feasible_patterns(scaled: ScaledInstance, counts: dict[Klass, int]) -> list[
     return slot_patterns(
         counts,
         scaled.large_cap,
-        lambda q: klass_value(scaled.eps, q),
+        lambda q: klass_value(scaled.grid, q),
         scaled.capacity,
         scaled.base.dims,
     )
@@ -206,7 +249,7 @@ def profile_from_schedule(scaled: ScaledInstance, sched: Schedule) -> Profile:
                 )
             mass = [ZERO] * scaled.base.dims
             for q in qs:
-                for d, s in enumerate(klass_value(scaled.eps, q)):
+                for d, s in enumerate(klass_value(scaled.grid, q)):
                     mass[d] += s
             if any(m > scaled.capacity for m in mass):
                 raise PatternOverflow(f"machine ({t},{k}) pattern mass exceeds capacity")
@@ -266,7 +309,7 @@ def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> Rounding
     inst = scaled.base
     slots, mass, slots_of = build_slots(
         [(mk, profile[mk[0]][mk[1]]) for mk in inst.machines()],
-        functools.partial(klass_value, scaled.eps),
+        functools.partial(klass_value, scaled.grid),
         inst.dims,
     )
     # slot_patterns and profile_from_schedule both keep every pattern within
@@ -348,7 +391,12 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
     BudgetExhausted (full mode only) is not an infeasibility certificate and
     propagates distinctly.
     """
-    scaled = make_scaled_instance(inst, target, eps)
+    return decide(make_scaled_instance(inst, target, eps), mode)
+
+
+def decide(scaled: ScaledInstance, mode) -> DecisionResult:
+    """The decision step of makespan_decision, at the target of scaled."""
+    inst = scaled.base
     if isinstance(mode, Guided):
         try:
             profiles: Iterator[Profile] = iter([profile_from_schedule(scaled, mode.schedule)])
@@ -357,7 +405,7 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
     else:
         profiles = enumerate_pattern_profiles(scaled, mode.budget)
 
-    bound = guarantee_factor(eps, inst.dims) * rat(parse_rational(target))
+    bound = guarantee_factor(scaled.eps, inst.dims) * scaled.target
     groups = slot_only_groups(scaled)
     while True:
         try:
@@ -378,7 +426,7 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
         if makespan > bound:
             raise InvariantViolation("decision exceeded its guarantee factor")
         return DecisionResult(
-            schedule, makespan, parse_rational(target), profile, engine.stats, outcome.forest
+            schedule, makespan, scaled.target, profile, engine.stats, outcome.forest
         )
 
 
@@ -397,9 +445,9 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     eps_user = parse_rational(eps_user)
     eps = calibrate_eps(eps_user, inst.dims)
     lower, upper = _target_bounds(inst)
-    # lower * (1+eps)^i up to the first value >= upper (upper >= lower)
-    powers = geometric_grid(eps)
-    grid = [lower * powers.value(i) for i in range(powers.round_up(upper / lower) + 1)]
+    # rungs lower * (1+eps)^i up to the first target >= upper (upper >= lower)
+    ladder = ScaleLadder(inst, lower, eps)
+    top = ladder.grid.round_up(upper / lower)
 
     probes = 0
     probe_stats: list[RoundingStats] = []
@@ -408,7 +456,7 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
         nonlocal probes
         probes += 1
         try:
-            res = makespan_decision(inst, grid[idx], eps, mode)
+            res = decide(ladder.rung(idx), mode)
             probe_stats.append(res.stats)
             return res
         except Infeasible:
@@ -416,7 +464,7 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
 
     best = probe(0)
     if best is None:
-        hi = len(grid) - 1
+        hi = top
         best = probe(hi)
         if best is None:
             raise InvariantViolation("decision rejected a valid upper bound")

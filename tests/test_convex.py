@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
+from typesched import convex
 from typesched.convex import _line_min, solve_convex_over_polytope
 from typesched.errors import InfeasibleRegion, ToleranceNotReached
-from typesched.lp import EQ, GE, LE, LinearProgram
+from typesched.lp import EQ, GE, LE, LinearProgram, solve_extreme_point
 from typesched.rationals import rat
 
 
@@ -160,7 +161,7 @@ def test_line_min_resolves_what_float_values_cannot():
     assert abs(t - 1e-8) <= 1e-14
 
 
-def test_forced_stall_is_reported_after_one_iteration():
+def test_forced_stall_is_reported_after_one_iteration(monkeypatch):
     # the float gradient is 0, so no step can descend, while the exact
     # gradient 1 leaves the gap at x = 1 open; the second iteration would
     # repeat the first, so the solve must not run to its cap
@@ -177,7 +178,17 @@ def test_forced_stall_is_reported_after_one_iteration():
         def exact_gradient(self, x):
             return {"x": rat(1)}
 
+    lp_calls = []
+    monkeypatch.setattr(
+        convex, "solve_extreme_point", lambda lp: lp_calls.append(1) or solve_extreme_point(lp)
+    )
     reg = region(["x"], [({"x": 1}, LE, 1)])
     with pytest.raises(ToleranceNotReached) as info:
         solve_convex_over_polytope(reg, FlatInFloats(), 1e-3, start={"x": rat(1)})
     assert info.value.iterations == 1
+    # the error carries the exact gap certification measured (x - 0 = 1), not
+    # the float gap 0 of the loop, and the stationary point is certified once:
+    # one LMO call in the loop and one in certification
+    assert info.value.gap == 1.0
+    assert str(info.value) == "duality gap 1.0 above tolerance 0.001 after 1 iterations"
+    assert len(lp_calls) == 2

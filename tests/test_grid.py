@@ -123,7 +123,7 @@ def test_large_type_grid_and_klass_values_match_the_loops(eps):
         assert ks == list(range(-geometric_grid(rat(eps)).round_up(rat(eps * eps / dims)) + 1))
     for k in ks:
         q = (k, ks[-1] - k)
-        assert klass_value(eps, q) == tuple((1 + eps) ** (-i) for i in q)
+        assert klass_value(geometric_grid(rat(eps)), q) == tuple((1 + eps) ** (-i) for i in q)
 
 
 def test_grid_rejects_non_positive_input():

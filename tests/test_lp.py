@@ -545,7 +545,7 @@ except InvariantViolation as exc:
     print(exc)
 def reject(*args):
     raise Infeasible("rejected")
-makespan.makespan_decision = reject
+makespan.decide = reject
 try:
     makespan.makespan_ptas(inst, rat(1, 2), FullEnum())
 except InvariantViolation as exc:

@@ -3,14 +3,17 @@ import random
 import pytest
 
 from typesched import makespan
+from typesched.cli import ExperimentConfig
 from typesched.errors import BudgetExhausted, Infeasible, InvariantViolation, PatternOverflow
 from typesched.lp import solve_extreme_point
 from typesched.makespan import (
     FullEnum,
     Guided,
+    ScaleLadder,
     build_rounding_problem,
     build_slot_lp,
     calibrate_eps,
+    decide,
     enumerate_large_job_types,
     enumerate_pattern_profiles,
     guarantee_factor,
@@ -24,7 +27,7 @@ from typesched.makespan import (
 )
 from typesched.model import GeneratorSpec, Schedule, generate_instance, make_instance
 from typesched.oracle import exact_solve
-from typesched.rationals import ONE, rat
+from typesched.rationals import ONE, parse_rational, rat, rat_floor
 from typesched.rounding import slot_lp
 
 
@@ -79,6 +82,113 @@ def test_large_lift_applies_only_to_large_jobs():
     entry = scaled.entry(0, 0)
     assert entry.large
     assert entry.rounded[1] >= rat(1, 8)
+
+
+def reference_scaled(inst, target, eps):
+    """(entries, target, capacity, large_cap) from the per-cost loop that
+    scaled every instance before the scale ladder: each cost is divided by
+    the target and rounded on its own."""
+    target = parse_rational(target)
+    eps = parse_rational(eps)
+    dims = inst.dims
+    floor_val = eps * eps / dims
+    entries = []
+    for j in range(inst.num_jobs):
+        row = []
+        for t in range(inst.num_types):
+            raw = tuple(rat(c) / target for c in inst.cost_vec(j, t))
+            large = any(c >= eps for c in raw)
+            ks, rounded = [], []
+            for c in raw:
+                lifted = max(c, floor_val) if large else c
+                k, power = power_round_up(lifted, eps)
+                ks.append(k)
+                rounded.append(power)
+            klass = tuple(ks) if large and all(p <= 1 for p in rounded) else None
+            row.append(makespan.ScaledEntry(large, raw, tuple(rounded), klass))
+        entries.append(row)
+    return entries, target, (ONE + eps) ** 2, rat_floor(rat(dims) / eps)
+
+
+def assert_ladder_matches_reference(inst, base, eps, rungs):
+    ladder = ScaleLadder(inst, base, eps)
+    for i in rungs:
+        target = rat(base) * (1 + rat(eps)) ** i
+        expected = reference_scaled(inst, target, eps)
+        scaled = ladder.rung(i)
+        assert (scaled.entries, scaled.target, scaled.capacity, scaled.large_cap) == expected
+        direct = make_scaled_instance(inst, target, eps)
+        assert (direct.entries, direct.target, direct.capacity, direct.large_cap) == expected
+    return ladder
+
+
+def test_ladder_rungs_match_the_per_cost_loop():
+    # every rung of the makespan_ptas target grid, on A1-shape instances
+    # (D 1 and 2) and (2,2) instances of D 1 and 2, at the calibrated eps
+    # and at coarse ones, where the eps^2/D lift binds
+    cases = [generate_instance(ExperimentConfig("makespan", 1, s, 1).trial_spec(0), s)
+             for s in range(300, 330)]
+    cases += [generate_instance(GeneratorSpec(4, dims, (2, 2), 1, 10), 600 + s)
+              for dims in (1, 2) for s in range(10)]
+    rungs = lifted = 0
+    for inst in cases:
+        lower, upper = makespan._target_bounds(inst)
+        for eps in (calibrate_eps(rat(1, 2), inst.dims), rat(1, 2), rat(1, 3)):
+            top = ScaleLadder(inst, lower, eps).grid.round_up(upper / lower)
+            ladder = assert_ladder_matches_reference(inst, lower, eps, range(top + 1))
+            rungs += top + 1
+            lifted += sum(
+                e.large and min(e.raw) < eps * eps / inst.dims
+                for i in range(top + 1) for row in ladder.rung(i).entries for e in row
+            )
+    assert rungs > 1000 and lifted > 0
+
+
+def test_ladder_boundaries_match_the_per_cost_loop():
+    eps = rat(1, 2)
+    # max cost exactly eps*T: 5 at T = 10 (rung 2 of base 40/9) is large
+    inst = make_instance(1, [1], [[[5]]])
+    ladder = assert_ladder_matches_reference(inst, rat(40, 9), eps, range(-1, 5))
+    assert ladder.rung(2).target == 10
+    assert ladder.rung(2).entry(0, 0).large and not ladder.rung(3).entry(0, 0).large
+    # a lifted cost exactly eps^2/D = 1/8: (5, 1) at T = 8 (rung 2 of base
+    # 32/9); (10, 1) stays large above it, where 1/T lifts to 1/8
+    inst = make_instance(2, [1], [[[5, 1]], [[10, 1]]])
+    ladder = assert_ladder_matches_reference(inst, rat(32, 9), eps, range(-1, 6))
+    entry = ladder.rung(2).entry(0, 0)
+    assert entry.large and entry.raw[1] == rat(1, 8)
+    assert entry.rounded[1] == power_round_up(rat(1, 8), eps)[1] == rat(32, 243)
+    assert ladder.rung(4).entry(1, 0).rounded[1] == rat(32, 243)
+    # costs exactly on a grid power: 4/9 = (2/3)^2 small, 6/9 = (2/3)^1 large
+    inst = make_instance(1, [1], [[[4]], [[6]]])
+    ladder = assert_ladder_matches_reference(inst, 4, eps, range(-1, 5))
+    small, large = ladder.rung(2).entries
+    assert small[0].rounded == (rat(4, 9),) and small[0].klass is None
+    assert large[0].rounded == (rat(2, 3),) and large[0].klass == (1,)
+
+
+def test_guided_acceptance_implies_full_acceptance_at_every_rung():
+    # full mode enumerates the profile the certificate induces (its patterns
+    # keep the slot cap and the capacity, its slot counts the job counts), so
+    # a rung the guided decision accepts is one the full decision accepts
+    accepted = rejected = 0
+    for seed in range(40):
+        dims = 1 + seed % 2
+        machines = ((1, 1), (2, 1))[seed // 2 % 2]
+        inst = generate_instance(GeneratorSpec(3, dims, machines, 1, 10), 700 + seed)
+        witness = exact_solve(inst).witness
+        lower, upper = makespan._target_bounds(inst)
+        ladder = ScaleLadder(inst, lower, calibrate_eps(rat(1, 2), dims))
+        for i in range(ladder.grid.round_up(upper / lower) + 1):
+            scaled = ladder.rung(i)
+            try:
+                decide(scaled, Guided(witness))
+            except Infeasible:
+                rejected += 1
+                continue
+            decide(scaled, FullEnum(budget=10**6))
+            accepted += 1
+    assert accepted > 0 and rejected > 0
 
 
 def test_realized_types_restriction():
