@@ -256,7 +256,7 @@ def solve_convex_over_polytope(
         result, checked_gap = certify()
         if result is not None:
             return result
-    raise ToleranceNotReached(checked_gap, additive_tol, iteration)
+    raise ToleranceNotReached(checked_gap, additive_tol, iteration, list(trace))
 
 
 def _add_vertex(active: list, vertex: dict, weight: float) -> None:

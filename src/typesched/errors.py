@@ -40,9 +40,12 @@ class InfeasibleRegion(TypeschedError):
 
 class ToleranceNotReached(TypeschedError):
     """Convex solve hit its iteration cap, or stopped moving, before
-    certifying the gap."""
+    certifying the gap.  objective_trace holds the objective value after
+    each iteration, the start value first."""
 
-    def __init__(self, gap: float, tolerance: float, iterations: int):
+    def __init__(
+        self, gap: float, tolerance: float, iterations: int, objective_trace: list[float]
+    ):
         super().__init__(
             f"duality gap {gap!r} above tolerance {tolerance!r} "
             f"after {iterations} iterations"
@@ -50,6 +53,7 @@ class ToleranceNotReached(TypeschedError):
         self.gap = gap
         self.tolerance = tolerance
         self.iterations = iterations
+        self.objective_trace = objective_trace
 
 
 class BudgetExhausted(TypeschedError):

@@ -27,12 +27,23 @@ does not depend on the rational backend.
 Equality constraints are handled natively via phase-1 artificials rather
 than split into inequality pairs, keeping row counts aligned with the
 counting arguments.
+
+Phase 1 (the integer rows, the artificials, driving them out and cutting
+their columns) reads no objective, so it runs once per constraint set: the
+first solve memoises its feasible tableau on the LinearProgram, and every
+later solve prices its own objective on a shallow copy of those rows and
+runs phase 2 from there.  That is the basis a from-scratch solve would
+reach before phase 2, so the pivots, vertex and objective value are the
+same.  add_variable, add_constraint and assigning lp.variables or
+lp.constraints drop the memo, a copy of the program does not carry it, and
+an infeasible phase 1 stores nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import Infeasible, InvariantViolation, PivotLimitExceeded, Unbounded
 from .rationals import ZERO, rat, rat_str
@@ -71,12 +82,25 @@ class LinearProgram:
     constraints: list[Constraint] = field(default_factory=list)
     objective: dict[str, object] = field(default_factory=dict)
 
+    # the _Phase1 of the current rows, memoised by the first solve (see the
+    # module docstring for when it is dropped)
+    _phase1 = None
+
     def __post_init__(self):
         self._index = {v: j for j, v in enumerate(self.variables)}
+
+    def __setattr__(self, name, value):
+        if name in ("variables", "constraints"):
+            self.__dict__.pop("_phase1", None)
+        super().__setattr__(name, value)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_phase1"}
 
     def add_variable(self, name: str, objective=0) -> str:
         if name in self._index:
             raise ValueError(f"duplicate variable {name!r}")
+        self._phase1 = None
         self._index[name] = len(self.variables)
         self.variables.append(name)
         coeff = rat(objective)
@@ -88,6 +112,7 @@ class LinearProgram:
         for v in coeffs:
             if v not in self._index:
                 raise ValueError(f"constraint references undeclared variable {v!r}")
+        self._phase1 = None
         self.constraints.append(Constraint(dict(coeffs), rel, rhs))
 
     @property
@@ -100,7 +125,8 @@ class ExtremePointSolution:
     values: dict[str, object]
     basis: tuple[str, ...]
     objective_value: object
-    # pivots taken as (phase 1 including driving out artificials, phase 2)
+    # pivots this call took, as (phase 1 including driving out artificials,
+    # phase 2); phase 1 is 0 when the call reused the program's phase 1
     pivots: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def positives(self) -> dict[str, object]:
@@ -151,6 +177,15 @@ class _Tableau:
         self.basis[r] = c
 
 
+class _Phase1(NamedTuple):
+    """Tableau rows and basis after phase 1, artificial columns cut."""
+
+    rows: list[list[int]]
+    basis: list[int]
+    ncols: int
+    pivots: int  # phase-1 pivots, drive-out included
+
+
 def _run_simplex(tab: _Tableau) -> int:
     """Bland's-rule pivots until no reduced cost is negative; returns their count."""
     rows, basis, cols = tab.rows, tab.basis, range(tab.ncols)
@@ -189,12 +224,10 @@ def _int_row(coeffs: dict, index: dict[str, int], rhs, width: int) -> tuple[list
     return row, scale
 
 
-def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
-    """Optimal basic feasible solution of lp, exact.
+def _phase_one(lp: LinearProgram) -> _Phase1:
+    """A feasible basis of lp's constraints, artificial columns cut.
 
-    Raises Infeasible when no point satisfies the constraints and Unbounded
-    when the minimum does not exist.  For feasibility-sense programs (empty
-    objective) any vertex of the feasible region is returned.
+    Reads no objective.  Raises Infeasible when no point satisfies the rows.
     """
     nvars = len(lp.variables)
     index = {v: j for j, v in enumerate(lp.variables)}
@@ -226,31 +259,51 @@ def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
             slack += 1
         rows.append(row)
 
+    if not nart:
+        return _Phase1(rows, basis, total, 0)
     tab = _Tableau(rows, basis, total)
-    phase1 = 0
-    if nart:
-        tab.price([0] * art_start + [1] * nart + [0])
-        phase1 = _run_simplex(tab)
-        if any(b >= art_start and row[-1] > 0 for row, b in zip(tab.rows, tab.basis)):
-            raise Infeasible("phase-1 optimum positive")
-        # Drive leftover zero-valued artificials out of the basis; a row with
-        # no structural pivot candidate is redundant and can be dropped.
-        drop = []
-        for r in range(len(tab.rows)):
-            if tab.basis[r] >= art_start:
-                row = tab.rows[r]
-                c = next((c for c in range(art_start) if row[c]), -1)
-                if c < 0:
-                    drop.append(r)
-                else:
-                    tab.pivot(r, c)
-                    phase1 += 1
-        for r in reversed(drop):
-            del tab.rows[r]
-            del tab.basis[r]
-        # artificials are never basic again and never enter: cut their columns
-        tab = _Tableau([row[:art_start] + row[-1:] for row in tab.rows], tab.basis, art_start)
+    tab.price([0] * art_start + [1] * nart + [0])
+    pivots = _run_simplex(tab)
+    if any(b >= art_start and row[-1] > 0 for row, b in zip(tab.rows, tab.basis)):
+        raise Infeasible("phase-1 optimum positive")
+    # Drive leftover zero-valued artificials out of the basis; a row with
+    # no structural pivot candidate is redundant and can be dropped.
+    drop = []
+    for r in range(len(tab.rows)):
+        if tab.basis[r] >= art_start:
+            row = tab.rows[r]
+            c = next((c for c in range(art_start) if row[c]), -1)
+            if c < 0:
+                drop.append(r)
+            else:
+                tab.pivot(r, c)
+                pivots += 1
+    for r in reversed(drop):
+        del tab.rows[r]
+        del tab.basis[r]
+    # artificials are never basic again and never enter: cut their columns
+    return _Phase1([row[:art_start] + row[-1:] for row in tab.rows], tab.basis, art_start, pivots)
 
+
+def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
+    """Optimal basic feasible solution of lp, exact.
+
+    Raises Infeasible when no point satisfies the constraints and Unbounded
+    when the minimum does not exist.  For feasibility-sense programs (empty
+    objective) any vertex of the feasible region is returned.  Phase 1 runs
+    on the first solve of a constraint set; later solves start phase 2 from
+    its memoised basis and report no phase-1 pivots.
+    """
+    start = lp._phase1
+    phase1 = 0
+    if start is None:
+        start = lp._phase1 = _phase_one(lp)
+        phase1 = start.pivots
+    # pivots replace rows and never write into one, so the memo's rows are shared
+    tab = _Tableau(list(start.rows), list(start.basis), start.ncols)
+
+    nvars = len(lp.variables)
+    index = {v: j for j, v in enumerate(lp.variables)}
     objective = {v: rat(a) for v, a in lp.objective.items()}
     tab.price(_int_row(objective, index, ZERO, tab.ncols + 1)[0])
     phase2 = _run_simplex(tab)

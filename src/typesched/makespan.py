@@ -70,12 +70,45 @@ Profile = tuple[tuple[Pattern, ...], ...]  # per type, one pattern per machine
 SlotGroup = tuple[int, Klass]  # (machine type, class): slots a large job may take
 
 
-@dataclass(frozen=True)
 class ScaledEntry:
-    large: bool
-    raw: tuple       # cost / T, exact
-    rounded: tuple   # after large-lift and round-up to powers of 1/(1+eps)
-    klass: Klass | None  # None unless large with every rounded dim <= 1
+    """One (job, type) cost vector at target T.
+
+    raw: cost / T, exact; rounded: after large-lift and round-up to powers
+    of 1/(1+eps); klass: None unless large with every rounded dim <= 1.
+    The scale ladder passes raw=None with the costs and T, and raw is
+    divided out on first read: a probe rejected before its rounding problem
+    is built never reads it.
+    """
+
+    __slots__ = ("large", "_raw", "rounded", "klass", "_costs", "_target")
+
+    def __init__(self, large: bool, raw: tuple | None, rounded: tuple,
+                 klass: Klass | None, costs: tuple = (), target=None):
+        self.large = large
+        self._raw = raw
+        self.rounded = rounded
+        self.klass = klass
+        self._costs = costs
+        self._target = target
+
+    @property
+    def raw(self) -> tuple:
+        if self._raw is None:
+            self._raw = tuple(c / self._target for c in self._costs)
+        return self._raw
+
+    def _fields(self) -> tuple:
+        return self.large, self.raw, self.rounded, self.klass
+
+    def __eq__(self, other):
+        if not isinstance(other, ScaledEntry):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "ScaledEntry(large={!r}, raw={!r}, rounded={!r}, klass={!r})".format(
+            *self._fields()
+        )
 
 
 @dataclass
@@ -112,7 +145,7 @@ class ScaleLadder:
     so a large cost lifted to eps^2/D has exponent min(k + i, lift), lift
     being the exponent of eps^2/D.  A rung therefore makes one exact
     comparison per (job, type), large iff max cost >= eps*T_i, and divides
-    only for raw = c/T_i.
+    for raw = c/T_i only when an entry's raw is read.
     """
 
     def __init__(self, inst: Instance, base, eps):
@@ -146,14 +179,13 @@ class ScaleLadder:
         for row in self._costs:
             out = []
             for vec, top, ks in row:
-                raw = tuple(c / target for c in vec)
                 if top >= threshold:
                     ks = tuple(min(k + i, lift) for k in ks)
                     klass = ks if min(ks) >= 0 else None
-                    out.append(ScaledEntry(True, raw, klass_value(grid, ks), klass))
+                    out.append(ScaledEntry(True, None, klass_value(grid, ks), klass, vec, target))
                 else:
                     ks = tuple(k + i for k in ks)
-                    out.append(ScaledEntry(False, raw, klass_value(grid, ks), None))
+                    out.append(ScaledEntry(False, None, klass_value(grid, ks), None, vec, target))
             entries.append(out)
         return ScaledInstance(
             self.inst, self.eps, target, entries, self.capacity, self.large_cap, grid

@@ -192,3 +192,6 @@ def test_forced_stall_is_reported_after_one_iteration(monkeypatch):
     assert info.value.gap == 1.0
     assert str(info.value) == "duality gap 1.0 above tolerance 0.001 after 1 iterations"
     assert len(lp_calls) == 2
+    # the objective at the start and after the one iteration, flat in floats
+    assert len(info.value.objective_trace) == 2
+    assert info.value.objective_trace[-1] == 0.0

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from typesched import convex, lp as lp_module, rounding
+from typesched import convex, lp as lp_module, lpnorm, rounding
 from typesched.audits import random_lp, vertex_enumeration_optimum
 from typesched.errors import Infeasible, InvariantViolation, PivotLimitExceeded, Unbounded
 from typesched.lp import EQ, GE, LE, LinearProgram, lp_format, solve_extreme_point
@@ -428,6 +428,122 @@ def test_pipeline_lps_pivot_like_the_fraction_tableau(pivot_logs, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# phase 1 once per constraint set
+
+
+def random_objective(rng, lp):
+    """Float-derived (as convex._lmo) or integer coefficients on most variables."""
+    use_floats = rng.random() < 0.5
+    return {
+        v: rat(rng.uniform(-1, 1)) if use_floats else rng.randint(-2, 3)
+        for v in lp.variables if rng.random() < 0.8
+    }
+
+
+def fresh_outcome(lp):
+    """Solution of a deep copy of lp, which solves from scratch, or the exception type."""
+    try:
+        return solve_extreme_point(copy.deepcopy(lp))
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+def assert_solves_like(lp, expected, reused: bool):
+    """Solve lp and check it against expected (a fresh_outcome); returns the outcome."""
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            solve_extreme_point(lp)
+        return expected
+    sol = solve_extreme_point(lp)
+    assert (sol.basis, sol.values, sol.objective_value) == (
+        expected.basis, expected.values, expected.objective_value
+    )
+    assert sol.pivots == ((0, expected.pivots[1]) if reused else expected.pivots)
+    return sol
+
+
+def test_reused_phase_one_solves_like_a_fresh_copy():
+    rng = random.Random(20261019)
+    outcomes = {"optimal": 0, Infeasible: 0, Unbounded: 0}
+    reused = 0
+    for i in range(200):
+        lp = diff_lp(rng) if i % 4 else random_lp(rng, max_vars=5, max_rows=4)
+        primed = False  # whether a solve of lp has run phase 1 to a feasible basis
+        phase1 = None  # phase-1 pivots of a fresh copy at the first optimum
+        for _ in range(rng.randint(3, 5)):
+            lp.objective = random_objective(rng, lp)
+            expected = fresh_outcome(lp)
+            outcome = assert_solves_like(lp, expected, primed)
+            outcomes[outcome if isinstance(outcome, type) else "optimal"] += 1
+            if isinstance(outcome, type):
+                primed |= outcome is Unbounded
+                continue
+            # a deep copy of a primed program still runs the whole phase 1
+            phase1 = expected.pivots[0] if phase1 is None else phase1
+            assert expected.pivots[0] == phase1
+            reused += primed
+            primed = True
+    assert min(outcomes.values()) >= 20, outcomes
+    assert reused >= 150
+
+
+def positives(outcome):
+    return outcome if isinstance(outcome, type) else outcome.positives()
+
+
+def test_changing_the_rows_drops_the_phase_one_memo():
+    rng = random.Random(20261020)
+    changed = {"add_constraint": 0, "add_variable": 0, "assign": 0}
+    for i in range(300):
+        lp = diff_lp(rng)
+        try:
+            before = solve_extreme_point(lp)
+        except Infeasible:
+            continue
+        except Unbounded:
+            before = Unbounded
+        how = tuple(changed)[i % 3]
+        coeffs = {v: rat(rng.randint(-3, 4), rng.choice(DENOMS)) for v in lp.variables}
+        rel, rhs = rng.choice((LE, EQ, GE)), rng.randint(-2, 4)
+        if how == "add_constraint":
+            lp.add_constraint(coeffs, rel, rhs)
+        elif how == "add_variable":  # a new column in no row: unbounded iff priced below 0
+            lp.add_variable("y", objective=rng.randint(-1, 1))
+        else:
+            lp.constraints = [*lp.constraints, lp_module.Constraint(coeffs, rel, rhs)]
+        expected = fresh_outcome(lp)
+        outcome = assert_solves_like(lp, expected, False)
+        changed[how] += positives(outcome) != positives(before)
+    assert min(changed.values()) >= 5, changed
+
+
+def test_convex_solves_run_phase_one_once(monkeypatch):
+    from test_pinned_outputs import greedy_schedule, guided_instance
+
+    # phase-1 pivots of each solve_extreme_point call, per convex solve
+    per_solve = []
+
+    def convex_solve(*args, **kwargs):
+        per_solve.append([])
+        return convex.solve_convex_over_polytope(*args, **kwargs)
+
+    def solve(lp):
+        sol = solve_extreme_point(lp)
+        per_solve[-1].append(sol.pivots[0])
+        return sol
+
+    monkeypatch.setattr(lpnorm, "solve_convex_over_polytope", convex_solve)
+    monkeypatch.setattr(convex, "solve_extreme_point", solve)
+    inst = guided_instance(56)  # the lpnorm-guided shape: n=20, machines (3,3)
+    lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst)))
+    inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 30)
+    lpnorm_ptas(inst, 2, rat(1, 2), lpnorm.FullEnum(10**6))
+    assert len(per_solve) >= 3  # one guided convex solve, two in full mode
+    assert all(pivots[1:] == [0] * (len(pivots) - 1) for pivots in per_solve), per_solve
+    assert any(pivots[0] > 0 and len(pivots) > 1 for pivots in per_solve)
+
+
+# ---------------------------------------------------------------------------
 # pivot counts and trip-wires
 
 
@@ -519,6 +635,28 @@ try:
 except PivotLimitExceeded:
     print("guard checked")
 lp_module._Tableau.pivot = real_pivot
+# the second solve reuses the first one's phase 1 and is still checked
+from typesched.lp import EQ
+lp = LinearProgram()
+lp.add_variable("x", objective=1)
+lp.add_variable("y")
+lp.add_constraint({"x": 1, "y": 1}, EQ, 1)
+print("phase-1 pivots", solve_extreme_point(lp).pivots[0])
+real_run = lp_module._run_simplex
+runs = []
+def non_basic(tab):
+    runs.append(tab)
+    pivots = real_run(tab)
+    tab.rows.append([1] * (tab.ncols + 1))  # a second basic variable, at 1
+    tab.basis.append(1 - tab.basis[0])
+    return pivots
+lp_module._run_simplex = non_basic
+lp.objective = {"y": 1}
+try:
+    solve_extreme_point(lp)
+except InvariantViolation:
+    print("sparsity checked on reuse, simplex runs", len(runs))
+lp_module._run_simplex = real_run
 from typesched.rounding import FinalAssignment, RoundingProblem, assemble_schedule
 empty = FinalAssignment({}, {}, {}, {}, {})
 try:
@@ -579,8 +717,9 @@ def test_trip_wires_survive_python_O():
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:9] == [
-        "sparsity checked", "guard checked", "assembler checked",
+    assert out.stdout.split("\n")[:11] == [
+        "sparsity checked", "guard checked",
+        "phase-1 pivots 1", "sparsity checked on reuse, simplex runs 1", "assembler checked",
         "eps must lie in (0, 1], got 2", "eps must lie in (0, 1], got 2",
         "decision exceeded its guarantee factor", "decision rejected a valid upper bound",
         "reduced LP became infeasible; reduction invariants broken", "optimize 1",
