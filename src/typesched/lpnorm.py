@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -88,6 +89,9 @@ class TypeGuess:
 @dataclass(frozen=True)
 class Guess:
     types: tuple[TypeGuess, ...]
+    # exact lower bound on any schedule consistent with the guess, the sum of
+    # its types' _type_lower_bound; set by enumerate_guesses only
+    lower_bound: object = field(default=None, compare=False, repr=False)
 
 
 def f_threshold(p, eps) -> int:
@@ -171,8 +175,10 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
     """Structural guess induced by a schedule (certificate-guided mode).
 
     Raises GuessInconsistent when the schedule violates the load-difference
-    properties every optimal solution has; callers then fall back to
-    enumeration.
+    properties every optimal solution has.  Nothing falls back to
+    enumeration: lpnorm_ptas in Guided mode lets the error propagate, so a
+    certificate that is not optimal (a greedy list schedule, say) can fail
+    the solve, and the caller must retry with FullEnum or another schedule.
     """
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
@@ -282,26 +288,30 @@ def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
     """Lazily yield structural guesses; BudgetExhausted when truncated.
 
     Guesses that leave some job without any route are skipped before being
-    charged against the budget (they can never be feasible).
+    charged against the budget (they can never be feasible).  Each yielded
+    guess carries its lower_bound, summed from per-type shares priced once
+    per type option.
     """
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
+    p = parse_rational(p)
     eps = parse_rational(eps)
     # per type option: (guess, mask of its very-huge jobs, mask of the jobs
-    # it can route); a combination is skipped when two types pin one job or
-    # some unpinned job has no route on any type
+    # it can route, its lower-bound share); a combination is skipped when two
+    # types pin one job or some unpinned job has no route on any type
     options = []
     for t in range(inst.num_types):
         table = _cost_table(inst, t, eps)
         options.append([
-            (tg, sum(1 << j for j in tg.very_huge), _routable_mask(inst, eps, t, tg, table))
+            (tg, sum(1 << j for j in tg.very_huge), _routable_mask(inst, eps, t, tg, table),
+             _type_lower_bound(inst, p, eps, t, tg))
             for tg in _type_guess_options(inst, t, p, eps, table)
         ])
     every_job = (1 << inst.num_jobs) - 1
     yielded = 0
     for combo in itertools.product(*options):
         pinned = routed = 0
-        for _, vh, routes in combo:
+        for _, vh, routes, _ in combo:
             if pinned & vh:
                 break
             pinned |= vh
@@ -312,7 +322,20 @@ def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
             if yielded >= budget:
                 raise BudgetExhausted(f"guess budget {budget} exhausted")
             yielded += 1
-            yield Guess(tuple(tg for tg, _, _ in combo))
+            bound = functools.reduce(operator.add, (lb for *_, lb in combo))
+            yield Guess(tuple(tg for tg, *_ in combo), bound)
+
+
+def _type_lower_bound(inst: Instance, p, eps, t: int, tg: TypeGuess):
+    """Type t's share of a certified lower bound on any schedule consistent
+    with a guess holding tg: the charge of each very-huge job plus
+    max(alpha*c_max, pattern mass)^p per non-huge machine."""
+    total = sum((rat(power(inst.cost(j, t), p)) for j in tg.very_huge), ZERO)
+    if tg.c_max is not None:
+        floor_val = tg.alpha * rat(tg.c_max)
+        for pat in tg.profile:
+            total += rat(power(max(floor_val, _pattern_mass(pat, eps)), p))
+    return total
 
 
 def _type_routes(inst, eps, t: int, tg: TypeGuess, table) -> list:
@@ -777,31 +800,19 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
         return LpnormResult(run.schedule, run.objective_pow, eps, 1, run)
 
     best: LpnormRun | None = None
+    incumbent = None  # rat(best.objective_pow)
     tried = 0
     for guess in enumerate_guesses(inst, p, eps, mode.budget):
         tried += 1
-        if best is not None and _guess_lower_bound(inst, p, eps, guess) > rat(best.objective_pow):
+        if incumbent is not None and guess.lower_bound > incumbent:
             continue
         try:
             run = _run_guess(inst, p, eps, guess)
         except (Infeasible, InfeasibleRegion, GuessInconsistent):
             continue  # wrong guess, not an instance failure
-        if best is None or rat(run.objective_pow) < rat(best.objective_pow):
-            best = run
+        value = rat(run.objective_pow)
+        if incumbent is None or value < incumbent:
+            best, incumbent = run, value
     if best is None:
         raise InvariantViolation("no guess produced a schedule")
     return LpnormResult(best.schedule, best.objective_pow, eps, tried, best)
-
-
-def _guess_lower_bound(inst: Instance, p, eps, guess: Guess):
-    """Cheap certified lower bound on any schedule consistent with the guess."""
-    total = ZERO
-    for t, tg in enumerate(guess.types):
-        for j in tg.very_huge:
-            total += rat(power(inst.cost(j, t), p))
-        if tg.c_max is None:
-            continue
-        floor_val = tg.alpha * rat(tg.c_max)
-        for pat in tg.profile:
-            total += rat(power(max(floor_val, _pattern_mass(pat, eps)), p))
-    return total

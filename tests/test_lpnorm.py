@@ -3,18 +3,21 @@ import random
 
 import pytest
 
+from typesched import lpnorm
 from typesched.errors import (
     BadExponent,
+    BudgetExhausted,
     DimensionMismatch,
     GuessInconsistent,
+    Infeasible,
     InfeasibleRegion,
     InvariantViolation,
 )
 from typesched.lpnorm import (
     FullEnum,
     _cost_table,
-    _guess_lower_bound,
     _routable_mask,
+    _run_guess,
     _type_guess_options,
     HUGE,
     LARGE,
@@ -149,6 +152,9 @@ def test_guided_guess_is_enumerable():
         guess = guess_from_schedule(inst, 2, eps, opt.witness)
         stream = list(enumerate_guesses(inst, 2, eps, 10**6))
         assert guess in stream
+        # the carried bound takes no part in equality; extraction leaves it unset
+        assert guess.lower_bound is None
+        assert stream[stream.index(guess)].lower_bound is not None
 
 
 def test_cp_single_machine_all_small():
@@ -388,11 +394,62 @@ def ref_guess_lower_bound(inst, p, eps, guess):
 
 @pytest.mark.parametrize("counts,n,seed,count,digest", GUESS_STREAM_PINS)
 def test_guess_lower_bound_matches_uncached_masses(counts, n, seed, count, digest):
+    # the bound each yielded guess carries, summed from per-type shares, is
+    # exactly the bound priced from the whole guess
     inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
     eps = calibrate_eps(rat(1, 2))
     for guess in enumerate_guesses(inst, 2, eps, 10**6):
-        expected = ref_guess_lower_bound(inst, 2, eps, guess)
-        assert _guess_lower_bound(inst, 2, eps, guess) == expected
+        assert guess.lower_bound == ref_guess_lower_bound(inst, 2, eps, guess)
+
+
+def ref_full_mode(inst, p, eps_user, budget):
+    """lpnorm_ptas's full-mode loop as it was when every guess was priced
+    against the incumbent: (best run, guesses tried)."""
+    eps = calibrate_eps(eps_user)
+    best = None
+    tried = 0
+    for guess in enumerate_guesses(inst, p, eps, budget):
+        tried += 1
+        bound = ref_guess_lower_bound(inst, p, eps, guess)
+        if best is not None and bound > rat(best.objective_pow):
+            continue
+        try:
+            run = _run_guess(inst, p, eps, guess)
+        except (Infeasible, InfeasibleRegion, GuessInconsistent):
+            continue
+        if best is None or rat(run.objective_pow) < rat(best.objective_pow):
+            best = run
+    return best, tried
+
+
+# (machine counts, seed, eps_user) of n=3 instances; the three-type shape
+# runs at the coarse eps only, its finer stream costs seconds per side
+FULL_MODE_CASES = [
+    (counts, seed, eps_user)
+    for counts, seed in (((1, 1), 51), ((2, 1), 52), ((1, 2), 53))
+    for eps_user in (rat(1, 2), ONE)
+] + [((1, 1, 1), 59, ONE)]
+
+
+@pytest.mark.parametrize("counts,seed,eps_user", FULL_MODE_CASES)
+def test_full_mode_matches_the_per_guess_pricing_loop(counts, seed, eps_user, monkeypatch):
+    # the carried bound prunes exactly the guesses the per-guess pricing did
+    inst = generate_instance(GeneratorSpec(3, 1, counts, 1, 10), seed)
+    built = []
+    build = lpnorm.build_cp_model
+    monkeypatch.setattr(lpnorm, "build_cp_model", lambda *a: built.append(1) or build(*a))
+    ref, ref_tried = ref_full_mode(inst, 2, eps_user, 10**6)
+    ref_built = len(built)
+    built.clear()
+    res = lpnorm_ptas(inst, 2, eps_user, FullEnum(10**6))
+    assert res.schedule == ref.schedule
+    assert res.objective_pow == ref.objective_pow
+    assert res.guesses_tried == ref_tried
+    assert len(built) == ref_built < ref_tried
+    with pytest.raises(BudgetExhausted):
+        ref_full_mode(inst, 2, eps_user, ref_tried - 1)
+    with pytest.raises(BudgetExhausted):
+        lpnorm_ptas(inst, 2, eps_user, FullEnum(ref_tried - 1))
 
 
 def test_lp_without_huge_jobs_has_plain_slot_shape():

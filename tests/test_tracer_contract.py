@@ -1,15 +1,21 @@
 """The benchmark tracer's contract with the library.
 
 perfbench/layers.py rebinds the functions named in its TARGETS by name, so
-renaming or deleting one of them breaks only a traced benchmark run.  This
-test enters the tracer against the current library and checks that every
-target is found, rebound, and restored on exit.
+renaming or deleting one of them breaks only a traced benchmark run.  These
+tests enter the tracer against the current library and check that every
+target is found, rebound, and restored on exit, and that the solver calls
+the rebound names.
 """
 
 import importlib
 import sys
 import types
 from pathlib import Path
+
+from typesched import lpnorm
+from typesched.model import GeneratorSpec, generate_instance
+from typesched.modes import FullEnum
+from typesched.rationals import rat
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -55,3 +61,18 @@ def test_every_tracer_target_is_rebound_and_restored():
     after = bindings(layers.TARGETS)
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []
+
+
+def test_full_mode_reads_the_guess_stream_the_tracer_sees():
+    # lpnorm_ptas must iterate the module-global enumerate_guesses: a solve
+    # that walked a private generator would leave the traced yield count,
+    # and the guesses_tried row derived from it, at 0
+    layers = load_layers()
+    inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 41)
+    rec = layers.Recorder()
+    with layers.installed(rec):
+        res = lpnorm.lpnorm_ptas(inst, 2, rat(1, 2), FullEnum(10**6))
+    values = layers.summarize(rec)
+    assert res.guesses_tried > 0
+    assert values["lpnorm.enumerate_guesses.yielded"] == res.guesses_tried
+    assert values["lpnorm.guesses_tried"] == res.guesses_tried
