@@ -9,20 +9,25 @@ number of constraint rows, which is the sparsity the rounding counting
 arguments rely on.  Every solve checks that bound and raises
 InvariantViolation if it fails, so ``python -O`` cannot strip the check.
 
-The tableau holds Python ints.  Each row is its rational row, rhs last,
-times one positive integer of its own: the lcm of the row's denominators
-when it is read from the sparse constraint, and afterwards whatever the
+The tableau holds Python ints.  Each row is its rational row times one
+positive integer of its own: the lcm of the row's denominators when it is
+read from the sparse constraint, and afterwards whatever the
 integer-preserving elimination of Edmonds (1967) and Bareiss (1968) leaves.
-A pivot on (r, c) replaces every other row with a nonzero in column c by
-``row*piv - row[c]*pivot_row`` divided by the gcd of its entries; the
-reduced-cost row is carried the same way.  A positive scale changes no sign
-and no ratio rhs/a within a row, so Bland's entering rule (first negative
-reduced cost), the ratio test (integer cross-multiplication, ties to the
-lower basis index) and the phase-1 verdict decide exactly as a rational
-tableau would: the pivot sequence, bases and vertices are the same.
-Rationals appear only where the constraints are read and the basic values
-are returned, through integer numerators and denominators, so the tableau
-does not depend on the rational backend.
+A row is stored sparse, as a dict from column to its nonzero entries, with
+the rhs (when nonzero) under the key RHS = -1; an entry that becomes 0 is
+deleted, so no row holds a 0.  A pivot on (r, c) replaces every other row
+with a nonzero in column c by ``row*piv - row[c]*pivot_row`` divided by the
+gcd of its entries, touching only the pivot row's nonzeros; the
+reduced-cost row is carried the same way.  These are the integers a dense
+row would hold (the gcd of the nonzeros is the gcd of the row).  A positive
+scale changes no sign and no ratio rhs/a within a row, so Bland's entering
+rule (first negative reduced cost), the ratio test (integer
+cross-multiplication, ties to the lower basis index) and the phase-1
+verdict decide exactly as a rational tableau would: the pivot sequence,
+bases and vertices are the same.  Rationals appear only where the
+constraints are read and the basic values are returned, through integer
+numerators and denominators, so the tableau does not depend on the
+rational backend.
 
 Equality constraints are handled natively via phase-1 artificials rather
 than split into inequality pairs, keeping row counts aligned with the
@@ -36,7 +41,12 @@ runs phase 2 from there.  That is the basis a from-scratch solve would
 reach before phase 2, so the pivots, vertex and objective value are the
 same.  add_variable, add_constraint and assigning lp.variables or
 lp.constraints drop the memo, a copy of the program does not carry it, and
-an infeasible phase 1 stores nothing.
+an infeasible phase 1 stores nothing.  The memo also records how many
+variables and constraints it was built from, and a solve that finds other
+counts runs phase 1 again: a shallow copy shares the variable and
+constraint lists, so its add_variable or add_constraint grows them behind
+the memo.  Replacing a constraint in place, which keeps the counts, is not
+detected.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .rationals import ZERO, rat, rat_str
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
+RHS = -1  # the key of the rhs in a tableau row; columns are numbered from 0
 
 
 @dataclass
@@ -133,46 +144,52 @@ class ExtremePointSolution:
         return {v: x for v, x in self.values.items() if x > 0}
 
 
-def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
     """row with column c cleared against prow (prow[c] > 0), divided by its gcd."""
     piv, f = prow[c], row[c]
-    if piv == 1:
-        new = [a - f * b for a, b in zip(row, prow)]
-    else:
-        new = [a * piv - f * b for a, b in zip(row, prow)]
-    g = math.gcd(*new)
-    return [a // g for a in new] if g > 1 else new
+    new = {k: a * piv for k, a in row.items()} if piv != 1 else dict(row)
+    get = new.get
+    for k, b in prow.items():
+        a = get(k, 0) - f * b
+        if a:
+            new[k] = a
+        else:  # f and b are nonzero, so only a key already in new reaches 0
+            del new[k]
+    g = math.gcd(*new.values())
+    return {k: a // g for k, a in new.items()} if g > 1 else new
 
 
 class _Tableau:
-    """Dense simplex tableau over Python ints, one positive scale per row.
+    """Sparse simplex tableau over Python ints, one positive scale per row.
 
-    rows[i] is constraint row i with its rhs last, times a positive integer,
-    so rows[i][basis[i]] is that integer.  cost is the reduced-cost row of
-    the current basis, held the same way; only its signs are read.
+    rows[i] maps the columns where constraint row i is nonzero, and RHS to
+    its rhs when that is nonzero, to the row's entries times a positive
+    integer, so rows[i][basis[i]] is that integer.  No row stores a 0.  cost
+    is the reduced-cost row of the current basis, held the same way; only its
+    signs are read.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
+    def __init__(self, rows: list[dict[int, int]], basis: list[int], ncols: int):
         self.rows = rows
         self.basis = basis
         self.ncols = ncols
-        self.cost = [0] * (ncols + 1)
+        self.cost: dict[int, int] = {}
 
-    def price(self, cost: list[int]) -> None:
-        """Install cost (one int per column, then 0) as reduced costs of the basis."""
+    def price(self, cost: dict[int, int]) -> None:
+        """Install cost (the nonzero cost per column) as reduced costs of the basis."""
         for row, b in zip(self.rows, self.basis):
-            if cost[b]:
+            if b in cost:
                 cost = _eliminate(cost, row, b)
         self.cost = cost
 
     def pivot(self, r: int, c: int) -> None:
         row = self.rows[r]
         if row[c] < 0:  # only driving out an artificial meets a negative pivot
-            self.rows[r] = row = [-a for a in row]
+            self.rows[r] = row = {k: -a for k, a in row.items()}
         for k, other in enumerate(self.rows):
-            if k != r and other[c]:
+            if k != r and c in other:
                 self.rows[k] = _eliminate(other, row, c)
-        if self.cost[c]:
+        if c in self.cost:
             self.cost = _eliminate(self.cost, row, c)
         self.basis[r] = c
 
@@ -180,47 +197,50 @@ class _Tableau:
 class _Phase1(NamedTuple):
     """Tableau rows and basis after phase 1, artificial columns cut."""
 
-    rows: list[list[int]]
+    rows: list[dict[int, int]]
     basis: list[int]
     ncols: int
     pivots: int  # phase-1 pivots, drive-out included
+    shape: tuple[int, int]  # (variables, constraints) of the program it was built from
 
 
 def _run_simplex(tab: _Tableau) -> int:
     """Bland's-rule pivots until no reduced cost is negative; returns their count."""
-    rows, basis, cols = tab.rows, tab.basis, range(tab.ncols)
+    rows, basis = tab.rows, tab.basis
     limit = 2000 + 200 * (len(rows) + tab.ncols)
     pivots = 0
     while True:
         if pivots >= limit:  # Bland's rule terminates; this is a bug trip-wire
             raise PivotLimitExceeded(f"simplex exceeded its guard of {limit} pivots")
-        cost = tab.cost
-        enter = next((c for c in cols if cost[c] < 0), -1)
+        enter = min((c for c, a in tab.cost.items() if a < 0 and c != RHS), default=-1)
         if enter < 0:
             return pivots
         leave = -1
         for r, row in enumerate(rows):
-            a = row[enter]
+            a = row.get(enter, 0)
             if a > 0:
+                b = row.get(RHS, 0)
                 if leave < 0:
-                    leave, best_b, best_a = r, row[-1], a
+                    leave, best_b, best_a = r, b, a
                     continue
-                lhs, rhs = row[-1] * best_a, best_b * a
+                lhs, rhs = b * best_a, best_b * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave, best_b, best_a = r, row[-1], a
+                    leave, best_b, best_a = r, b, a
         if leave < 0:
             raise Unbounded("objective unbounded below")
         tab.pivot(leave, enter)
         pivots += 1
 
 
-def _int_row(coeffs: dict, index: dict[str, int], rhs, width: int) -> tuple[list[int], int]:
-    """(row, scale): coeffs and rhs as ints over the lcm of their denominators."""
+def _int_row(coeffs: dict, index: dict[str, int], rhs) -> tuple[dict[int, int], int]:
+    """(row, scale): the nonzero coeffs and rhs as ints over the lcm of their denominators."""
     scale = math.lcm(int(rhs.denominator), *(int(a.denominator) for a in coeffs.values()))
-    row = [0] * width
-    for v, a in coeffs.items():
-        row[index[v]] = int(a.numerator) * (scale // int(a.denominator))
-    row[-1] = int(rhs.numerator) * (scale // int(rhs.denominator))
+    row = {
+        index[v]: int(a.numerator) * (scale // int(a.denominator))
+        for v, a in coeffs.items() if a
+    }
+    if rhs:
+        row[RHS] = int(rhs.numerator) * (scale // int(rhs.denominator))
     return row, scale
 
 
@@ -240,15 +260,15 @@ def _phase_one(lp: LinearProgram) -> _Phase1:
     seeded = [c.rel != EQ and (c.rel == LE) == (c.rhs >= 0) for c in lp.constraints]
     nart = seeded.count(False)
     total = art_start + nart
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     basis: list[int] = []
     slack, art = nvars, art_start
     for c, slack_basic in zip(lp.constraints, seeded):
-        row, scale = _int_row(c.coeffs, index, c.rhs, total + 1)
+        row, scale = _int_row(c.coeffs, index, c.rhs)
         if c.rel != EQ:
             row[slack] = scale if c.rel == LE else -scale
         if c.rhs < 0:
-            row = [-a for a in row]
+            row = {k: -a for k, a in row.items()}
         if slack_basic:
             basis.append(slack)
         else:
@@ -259,12 +279,13 @@ def _phase_one(lp: LinearProgram) -> _Phase1:
             slack += 1
         rows.append(row)
 
+    shape = (nvars, len(lp.constraints))
     if not nart:
-        return _Phase1(rows, basis, total, 0)
+        return _Phase1(rows, basis, total, 0, shape)
     tab = _Tableau(rows, basis, total)
-    tab.price([0] * art_start + [1] * nart + [0])
+    tab.price(dict.fromkeys(range(art_start, total), 1))
     pivots = _run_simplex(tab)
-    if any(b >= art_start and row[-1] > 0 for row, b in zip(tab.rows, tab.basis)):
+    if any(b >= art_start and row.get(RHS, 0) > 0 for row, b in zip(tab.rows, tab.basis)):
         raise Infeasible("phase-1 optimum positive")
     # Drive leftover zero-valued artificials out of the basis; a row with
     # no structural pivot candidate is redundant and can be dropped.
@@ -272,7 +293,7 @@ def _phase_one(lp: LinearProgram) -> _Phase1:
     for r in range(len(tab.rows)):
         if tab.basis[r] >= art_start:
             row = tab.rows[r]
-            c = next((c for c in range(art_start) if row[c]), -1)
+            c = min((c for c in row if 0 <= c < art_start), default=-1)
             if c < 0:
                 drop.append(r)
             else:
@@ -282,7 +303,8 @@ def _phase_one(lp: LinearProgram) -> _Phase1:
         del tab.rows[r]
         del tab.basis[r]
     # artificials are never basic again and never enter: cut their columns
-    return _Phase1([row[:art_start] + row[-1:] for row in tab.rows], tab.basis, art_start, pivots)
+    rows = [{k: a for k, a in row.items() if k < art_start} for row in tab.rows]
+    return _Phase1(rows, tab.basis, art_start, pivots, shape)
 
 
 def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
@@ -296,7 +318,7 @@ def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
     """
     start = lp._phase1
     phase1 = 0
-    if start is None:
+    if start is None or start.shape != (len(lp.variables), len(lp.constraints)):
         start = lp._phase1 = _phase_one(lp)
         phase1 = start.pivots
     # pivots replace rows and never write into one, so the memo's rows are shared
@@ -305,13 +327,13 @@ def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
     nvars = len(lp.variables)
     index = {v: j for j, v in enumerate(lp.variables)}
     objective = {v: rat(a) for v, a in lp.objective.items()}
-    tab.price(_int_row(objective, index, ZERO, tab.ncols + 1)[0])
+    tab.price(_int_row(objective, index, ZERO)[0])
     phase2 = _run_simplex(tab)
 
     values = {v: ZERO for v in lp.variables}
     for row, b in zip(tab.rows, tab.basis):
         if b < nvars:
-            values[lp.variables[b]] = rat(row[-1], row[b])
+            values[lp.variables[b]] = rat(row.get(RHS, 0), row[b])
     objective_value = sum((a * values[v] for v, a in objective.items()), ZERO)
     basis_names = tuple(
         lp.variables[b] if b < nvars else f"_col{b}" for b in sorted(tab.basis)

@@ -3,11 +3,15 @@
 The reference functions below are the dense Fraction tableau that
 solve_extreme_point ran before its rows became scaled Python ints.  The
 integer tableau must take the same pivots and return the same basis,
-values and objective, or raise the same exception.
+values and objective, or raise the same exception.  Further down,
+DenseTableau is the integer tableau with dense list rows that ran before
+the rows became sparse dicts; after every pivot the sparse rows must hold
+its integers with the zeros dropped.
 """
 
 import ast
 import copy
+import math
 import random
 import subprocess
 import sys
@@ -345,12 +349,12 @@ def pivot_logs(monkeypatch):
     new_pivot, ref_pivot = lp_module._Tableau.pivot, RefTableau.pivot
 
     def record_new(tab, r, c):
-        rows = tab.rows
-        a = rows[r][c]
+        rows, rhs = tab.rows, lp_module.RHS
+        a, b = rows[r][c], rows[r].get(rhs, 0)
         if a < 0:
             logs["negative"] += 1
-        elif rows[r][-1] > 0 and any(  # drive-out pivots have rhs 0
-            k != r and row[c] > 0 and row[-1] * a == rows[r][-1] * row[c]
+        elif b > 0 and any(  # drive-out pivots have rhs 0
+            k != r and row.get(c, 0) > 0 and row.get(rhs, 0) * a == b * row[c]
             for k, row in enumerate(rows)
         ):
             logs["ties"] += 1
@@ -404,6 +408,8 @@ def test_integer_tableau_pivots_like_the_fraction_tableau(pivot_logs):
 
 
 def test_pipeline_lps_pivot_like_the_fraction_tableau(pivot_logs, monkeypatch):
+    from test_pinned_outputs import greedy_schedule, guided_instance
+
     # the LPs the pipelines really solve: slot LPs of the rounding engine and
     # Frank-Wolfe LMO calls with rat(float) objectives
     captured = []
@@ -419,12 +425,132 @@ def test_pipeline_lps_pivot_like_the_fraction_tableau(pivot_logs, monkeypatch):
         lpnorm_ptas(inst, 2, rat(1, 2), Guided(exact_solve(inst, "lp_norm", p=2).witness))
         inst = generate_instance(GeneratorSpec(6, 2, (2, 2), 1, 10), seed)
         makespan_ptas(inst, rat(1, 2), Guided(exact_solve(inst).witness))
+    small = len(captured)
+    # the lpnorm-guided shape (n=20, machines (3,3), greedy certificate),
+    # whose LPs are the size the sparse rows were made for
+    inst = guided_instance(56)
+    lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst)))
     assert any(
         any(a.denominator > 2**20 for a in lp.objective.values()) for lp in captured
     )
-    assert len(captured) >= 20
+    assert small >= 20 and len(captured) > small
+    assert max(lp.num_rows for lp in captured[small:]) >= 40
     for lp in captured:
         assert_same_as_reference(lp, pivot_logs)
+
+
+# ---------------------------------------------------------------------------
+# sparse integer rows against the dense integer rows they replaced
+
+
+def dense_eliminate(row, prow, c):
+    """row with column c cleared against prow (prow[c] > 0), divided by its gcd."""
+    piv, f = prow[c], row[c]
+    if piv == 1:
+        new = [a - f * b for a, b in zip(row, prow)]
+    else:
+        new = [a * piv - f * b for a, b in zip(row, prow)]
+    g = math.gcd(*new)
+    return [a // g for a in new] if g > 1 else new
+
+
+class DenseTableau:
+    """Integer tableau with every row a list of ncols entries, then the rhs."""
+
+    def __init__(self, rows, basis, ncols):
+        self.rows = rows
+        self.basis = basis
+        self.ncols = ncols
+        self.cost = [0] * (ncols + 1)
+
+    def price(self, cost):
+        for row, b in zip(self.rows, self.basis):
+            if cost[b]:
+                cost = dense_eliminate(cost, row, b)
+        self.cost = cost
+
+    def pivot(self, r, c):
+        row = self.rows[r]
+        if row[c] < 0:
+            self.rows[r] = row = [-a for a in row]
+        for k, other in enumerate(self.rows):
+            if k != r and other[c]:
+                self.rows[k] = dense_eliminate(other, row, c)
+        if self.cost[c]:
+            self.cost = dense_eliminate(self.cost, row, c)
+        self.basis[r] = c
+
+
+def assert_sparse_row(row, ncols):
+    """row stores no 0 and no key but a column below ncols or the rhs key."""
+    assert 0 not in row.values(), row
+    assert all(0 <= k < ncols or k == lp_module.RHS for k in row), (row, ncols)
+
+
+def densify(row, ncols):
+    dense = [0] * (ncols + 1)
+    for k, a in row.items():
+        dense[ncols if k == lp_module.RHS else k] = a
+    return dense
+
+
+def sparsify(dense, ncols):
+    return {lp_module.RHS if k == ncols else k: a for k, a in enumerate(dense) if a}
+
+
+@pytest.fixture
+def dense_shadow(monkeypatch):
+    """Runs a DenseTableau beside every _Tableau from its pricing on, and
+    checks after each price and pivot that the sparse rows and cost are the
+    dense ones with their zeros dropped; returns the tally of pivots checked."""
+    real_price, real_pivot = lp_module._Tableau.price, lp_module._Tableau.pivot
+    tally = {"pivots": 0, "negative": 0}
+
+    def assert_same(tab):
+        ncols, dense = tab.ncols, tab.dense
+        assert tab.basis == dense.basis and len(tab.rows) == len(dense.rows)
+        for row, drow in zip([*tab.rows, tab.cost], [*dense.rows, dense.cost]):
+            assert_sparse_row(row, ncols)
+            assert row == sparsify(drow, ncols)
+
+    def price(tab, cost):
+        for row in [*tab.rows, cost]:
+            assert_sparse_row(row, tab.ncols)
+        rows = [densify(row, tab.ncols) for row in tab.rows]
+        tab.dense = DenseTableau(rows, list(tab.basis), tab.ncols)
+        tab.dense.price(densify(cost, tab.ncols))
+        real_price(tab, cost)
+        assert_same(tab)
+
+    def pivot(tab, r, c):
+        tally["negative"] += tab.rows[r][c] < 0
+        tab.dense.pivot(r, c)
+        real_pivot(tab, r, c)
+        assert_same(tab)
+        tally["pivots"] += 1
+
+    monkeypatch.setattr(lp_module._Tableau, "price", price)
+    monkeypatch.setattr(lp_module._Tableau, "pivot", pivot)
+    return tally
+
+
+def test_sparse_rows_are_the_dense_integer_rows(dense_shadow):
+    rng = random.Random(20261021)
+    solved = 0
+    for i in range(300):
+        lp = diff_lp(rng) if i % 4 else random_lp(rng, max_vars=5, max_rows=4)
+        # the second objective prices the memoised phase-1 rows
+        for objective in (lp.objective, random_objective(rng, lp)):
+            lp.objective = objective
+            try:
+                solve_extreme_point(lp)
+            except Infeasible:
+                break
+            except Unbounded:
+                continue
+            solved += 1
+    assert solved >= 150 and dense_shadow["negative"] >= 5, (solved, dense_shadow)
+    assert dense_shadow["pivots"] >= 500, dense_shadow
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +641,24 @@ def test_changing_the_rows_drops_the_phase_one_memo():
         outcome = assert_solves_like(lp, expected, False)
         changed[how] += positives(outcome) != positives(before)
     assert min(changed.values()) >= 5, changed
+
+
+def test_rows_added_through_a_shallow_copy_drop_the_phase_one_memo():
+    # copy.copy shares the constraint and variable lists, so the copy's
+    # add_constraint and add_variable change lp's rows behind its memo
+    lp = _lp(["x"], [({"x": 1}, LE, 5)], {"x": -1})
+    assert solve_extreme_point(lp).values == {"x": 5}
+    shallow = copy.copy(lp)
+    shallow.add_constraint({"x": 1}, LE, 2)
+    assert lp.num_rows == 2
+    sol = solve_extreme_point(lp)
+    assert sol.values == {"x": 2} and sol.pivots == (0, 1)
+    assert all(row.holds(sol.values) for row in lp.constraints)
+    shallow = copy.copy(lp)
+    shallow.add_variable("y")
+    lp.objective = {"y": -1}  # y is in no row
+    with pytest.raises(Unbounded):
+        solve_extreme_point(lp)
 
 
 def test_convex_solves_run_phase_one_once(monkeypatch):
@@ -647,7 +791,8 @@ runs = []
 def non_basic(tab):
     runs.append(tab)
     pivots = real_run(tab)
-    tab.rows.append([1] * (tab.ncols + 1))  # a second basic variable, at 1
+    # a second basic variable, at 1
+    tab.rows.append(dict.fromkeys([*range(tab.ncols), lp_module.RHS], 1))
     tab.basis.append(1 - tab.basis[0])
     return pivots
 lp_module._run_simplex = non_basic
