@@ -9,7 +9,8 @@ Subcommands
 
 Reports are emitted as sorted-key JSON (byte-stable for a given config and
 seed) or as a plain text table.  Exit code 0 means every trial succeeded
-and every audited bound held.
+and every audited bound held.  A library error that ends a command is
+printed as ``<Type>: <message>`` on stderr, with exit code 1.
 """
 
 from __future__ import annotations
@@ -412,7 +413,11 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
         "audit": _cmd_audit,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except TypeschedError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

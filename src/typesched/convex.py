@@ -52,12 +52,6 @@ class ConvexSolveResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def _lmo(lp: LinearProgram, gradient: dict) -> dict[str, object]:
-    """Vertex minimizing the linearization; gradient entries may be float or rational."""
-    lp.objective = {v: rat(g) for v, g in gradient.items() if g != 0}
-    return dict(solve_extreme_point(lp).values)
-
-
 def _line_min(objective, x: dict, d: dict, hi: float) -> float:
     """Minimizer of objective on x + t*d, t in [0, hi], by bisection on the
     sign of the slope.
@@ -133,16 +127,22 @@ def solve_convex_over_polytope(
     """
     if additive_tol <= 0:
         raise ValueError("additive_tol must be positive")
-    lp = LinearProgram()
-    for v in region.variables:
-        lp.add_variable(v)
-    lp.constraints = region.constraints
+    lp = LinearProgram(region.variables, region.constraints)
+    phase1 = None  # the first solve's phase-1 tableau: every later solve starts there
+
+    def lmo(gradient: dict) -> dict[str, object]:
+        """Vertex minimizing the linearization; gradient entries may be float or rational."""
+        nonlocal phase1
+        lp.objective = {v: rat(g) for v, g in gradient.items() if g != 0}
+        sol = solve_extreme_point(lp, start=phase1)
+        phase1 = sol.start
+        return dict(sol.values)
 
     if start is not None:
         base = {v: rat(start.get(v, 0)) for v in region.variables}
     else:
-        try:  # lp has no objective yet, so this is a feasibility vertex
-            base = dict(solve_extreme_point(lp).values)
+        try:  # an empty objective: this is a feasibility vertex
+            base = lmo({})
         except Infeasible as exc:
             raise InfeasibleRegion("empty polytope") from exc
     active: list[tuple[dict, float]] = [(base, 1.0)]
@@ -161,7 +161,7 @@ def solve_convex_over_polytope(
         x_ex = _exactify(active, region.variables)
         if exact_mode:
             g_ex = objective.exact_gradient(x_ex)
-            s_ex = _lmo(lp, g_ex)
+            s_ex = lmo(g_ex)
             gap_ex = sum(
                 (g * (x_ex[v] - s_ex[v]) for v, g in g_ex.items()), ZERO
             )
@@ -174,7 +174,7 @@ def solve_convex_over_polytope(
             return None, gap
         xf = {v: float(val) for v, val in x_ex.items()}
         g = objective.gradient(xf)
-        s = _lmo(lp, g)
+        s = lmo(g)
         gap = sum(g.get(v, 0.0) * (xf[v] - float(s[v])) for v in region.variables)
         gap = float(max(gap, 0.0))  # the sum is the int 0 when there are no variables
         if gap <= additive_tol * (1 - 1e-9):
@@ -223,7 +223,7 @@ def solve_convex_over_polytope(
     while iteration < max_iterations:
         iteration += 1
         g = objective.gradient(x)
-        s = _lmo(lp, g)
+        s = lmo(g)
         sf = {v: float(val) for v, val in s.items()}
         gap = sum(g.get(v, 0.0) * (x[v] - sf[v]) for v in region.variables)
 

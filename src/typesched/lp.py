@@ -34,19 +34,11 @@ than split into inequality pairs, keeping row counts aligned with the
 counting arguments.
 
 Phase 1 (the integer rows, the artificials, driving them out and cutting
-their columns) reads no objective, so it runs once per constraint set: the
-first solve memoises its feasible tableau on the LinearProgram, and every
-later solve prices its own objective on a shallow copy of those rows and
-runs phase 2 from there.  That is the basis a from-scratch solve would
-reach before phase 2, so the pivots, vertex and objective value are the
-same.  add_variable, add_constraint and assigning lp.variables or
-lp.constraints drop the memo, a copy of the program does not carry it, and
-an infeasible phase 1 stores nothing.  The memo also records how many
-variables and constraints it was built from, and a solve that finds other
-counts runs phase 1 again: a shallow copy shares the variable and
-constraint lists, so its add_variable or add_constraint grows them behind
-the memo.  Replacing a constraint in place, which keeps the counts, is not
-detected.
+their columns) reads no objective.  Every solution carries its feasible
+phase-1 tableau as ``start``; a caller that prices another objective over
+the same rows passes it back, and phase 2 begins from the basis a fresh
+solve would reach, so the pivots, vertex and objective value are the same.
+Without a start, a solve runs phase 1 on the rows the program holds now.
 """
 
 from __future__ import annotations
@@ -93,25 +85,12 @@ class LinearProgram:
     constraints: list[Constraint] = field(default_factory=list)
     objective: dict[str, object] = field(default_factory=dict)
 
-    # the _Phase1 of the current rows, memoised by the first solve (see the
-    # module docstring for when it is dropped)
-    _phase1 = None
-
     def __post_init__(self):
         self._index = {v: j for j, v in enumerate(self.variables)}
-
-    def __setattr__(self, name, value):
-        if name in ("variables", "constraints"):
-            self.__dict__.pop("_phase1", None)
-        super().__setattr__(name, value)
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_phase1"}
 
     def add_variable(self, name: str, objective=0) -> str:
         if name in self._index:
             raise ValueError(f"duplicate variable {name!r}")
-        self._phase1 = None
         self._index[name] = len(self.variables)
         self.variables.append(name)
         coeff = rat(objective)
@@ -123,7 +102,6 @@ class LinearProgram:
         for v in coeffs:
             if v not in self._index:
                 raise ValueError(f"constraint references undeclared variable {v!r}")
-        self._phase1 = None
         self.constraints.append(Constraint(dict(coeffs), rel, rhs))
 
     @property
@@ -137,8 +115,10 @@ class ExtremePointSolution:
     basis: tuple[str, ...]
     objective_value: object
     # pivots this call took, as (phase 1 including driving out artificials,
-    # phase 2); phase 1 is 0 when the call reused the program's phase 1
+    # phase 2); phase 1 is 0 when the call was handed its start
     pivots: tuple[int, int] = field(default=(0, 0), compare=False)
+    # the phase-1 tableau phase 2 began from, to hand to a solve over the same rows
+    start: _Phase1 | None = field(default=None, compare=False, repr=False)
 
     def positives(self) -> dict[str, object]:
         return {v: x for v, x in self.values.items() if x > 0}
@@ -201,7 +181,6 @@ class _Phase1(NamedTuple):
     basis: list[int]
     ncols: int
     pivots: int  # phase-1 pivots, drive-out included
-    shape: tuple[int, int]  # (variables, constraints) of the program it was built from
 
 
 def _run_simplex(tab: _Tableau) -> int:
@@ -279,9 +258,8 @@ def _phase_one(lp: LinearProgram) -> _Phase1:
             slack += 1
         rows.append(row)
 
-    shape = (nvars, len(lp.constraints))
     if not nart:
-        return _Phase1(rows, basis, total, 0, shape)
+        return _Phase1(rows, basis, total, 0)
     tab = _Tableau(rows, basis, total)
     tab.price(dict.fromkeys(range(art_start, total), 1))
     pivots = _run_simplex(tab)
@@ -304,24 +282,24 @@ def _phase_one(lp: LinearProgram) -> _Phase1:
         del tab.basis[r]
     # artificials are never basic again and never enter: cut their columns
     rows = [{k: a for k, a in row.items() if k < art_start} for row in tab.rows]
-    return _Phase1(rows, tab.basis, art_start, pivots, shape)
+    return _Phase1(rows, tab.basis, art_start, pivots)
 
 
-def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
+def solve_extreme_point(lp: LinearProgram, start: _Phase1 | None = None) -> ExtremePointSolution:
     """Optimal basic feasible solution of lp, exact.
 
     Raises Infeasible when no point satisfies the constraints and Unbounded
     when the minimum does not exist.  For feasibility-sense programs (empty
-    objective) any vertex of the feasible region is returned.  Phase 1 runs
-    on the first solve of a constraint set; later solves start phase 2 from
-    its memoised basis and report no phase-1 pivots.
+    objective) any vertex of the feasible region is returned.  start is the
+    ``start`` of an earlier solution of a program with these same variables
+    and rows: phase 2 then begins from it and the call reports no phase-1
+    pivots.  Without it, phase 1 runs on lp's rows.
     """
-    start = lp._phase1
     phase1 = 0
-    if start is None or start.shape != (len(lp.variables), len(lp.constraints)):
-        start = lp._phase1 = _phase_one(lp)
+    if start is None:
+        start = _phase_one(lp)
         phase1 = start.pivots
-    # pivots replace rows and never write into one, so the memo's rows are shared
+    # pivots replace rows and never write into one, so start's rows are shared
     tab = _Tableau(list(start.rows), list(start.basis), start.ncols)
 
     nvars = len(lp.variables)
@@ -338,7 +316,7 @@ def solve_extreme_point(lp: LinearProgram) -> ExtremePointSolution:
     basis_names = tuple(
         lp.variables[b] if b < nvars else f"_col{b}" for b in sorted(tab.basis)
     )
-    sol = ExtremePointSolution(values, basis_names, objective_value, (phase1, phase2))
+    sol = ExtremePointSolution(values, basis_names, objective_value, (phase1, phase2), start)
     if len(sol.positives()) > lp.num_rows:
         raise InvariantViolation(
             f"extreme point lost basic sparsity: {len(sol.positives())} positive "

@@ -594,7 +594,7 @@ def additive_tolerance(model: CpModel, incumbent: float) -> float:
     """eps^p (min alpha*c_max)^p / 4, floored at 1e-6 of the incumbent."""
     floors = [v for v in model.load_floor.values() if v > 0]
     if floors:
-        base = float(rat(model.eps) ** 1) ** float(model.p) * float(min(floors)) ** float(model.p) / 4
+        base = float(model.eps) ** float(model.p) * float(min(floors)) ** float(model.p) / 4
     else:
         base = 0.0
     return max(base, 1e-6 * abs(incumbent), 1e-9)

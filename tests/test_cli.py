@@ -136,3 +136,40 @@ def test_eps_and_p_boundaries_are_accepted(capsys):
     assert code == 0
     config = json.loads(out)["config"]
     assert config["eps_user"] == "1" and config["p"] == "3/2"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--jobs", "0", "--machines", "1,1"], "BadSpec: non-positive sizes in "),
+        (["solve", "--instance", "{bad}"], "BadSpec: malformed instance document: "),
+        (["solve", "--instance", "{big}", "--mode", "guided"],
+         "TooLarge: 10 jobs / 4 machines exceed caps (8 / 5)"),
+        (["solve", "--instance", "{dims2}", "--objective", "lpnorm"],
+         "DimensionMismatch: lp_norm oracle requires D=1"),
+        (["oracle", "--instance", "{big}"], "TooLarge: 10 jobs / 4 machines exceed caps (8 / 5)"),
+    ],
+    ids=["gen-no-jobs", "solve-malformed", "solve-too-large", "solve-lpnorm-2d", "oracle-too-large"],
+)
+def test_library_errors_end_a_command_without_a_traceback(tmp_path, capsys, argv, message):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("bad", "big", "dims2")}
+    (tmp_path / "bad.json").write_text('{"bad": 1}')
+    run(capsys, "gen", "--jobs", "10", "--machines", "2,2", "--out", paths["big"])
+    run(capsys, "gen", "--jobs", "3", "--dims", "2", "--machines", "1,1", "--out", paths["dims2"])
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def test_solve_reports_an_exhausted_budget_as_its_json_document(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--jobs", "3", "--machines", "1,1", "--seed", "2", "--out", str(path))
+    code = main(["solve", "--instance", str(path), "--mode", "full", "--enum-budget", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out == json.dumps(
+        {"eps_user": "1/2", "error": "BudgetExhausted: profile budget 0 exhausted",
+         "mode": "full", "objective": "makespan"},
+        indent=2, sort_keys=True,
+    ) + "\n"

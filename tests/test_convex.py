@@ -180,7 +180,8 @@ def test_forced_stall_is_reported_after_one_iteration(monkeypatch):
 
     lp_calls = []
     monkeypatch.setattr(
-        convex, "solve_extreme_point", lambda lp: lp_calls.append(1) or solve_extreme_point(lp)
+        convex, "solve_extreme_point",
+        lambda lp, start=None: lp_calls.append(1) or solve_extreme_point(lp, start),
     )
     reg = region(["x"], [({"x": 1}, LE, 1)])
     with pytest.raises(ToleranceNotReached) as info:

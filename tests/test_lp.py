@@ -316,7 +316,7 @@ def diff_lp(rng):
     for j in range(nvars):
         kind = rng.random()
         if kind < 0.4:
-            objective = rat(rng.uniform(-1, 1))  # float gradients, as convex._lmo
+            objective = rat(rng.uniform(-1, 1))  # float gradients, as convex's LMO
         elif kind < 0.8:
             objective = rng.randint(-2, 3)
         else:
@@ -414,9 +414,9 @@ def test_pipeline_lps_pivot_like_the_fraction_tableau(pivot_logs, monkeypatch):
     # Frank-Wolfe LMO calls with rat(float) objectives
     captured = []
 
-    def capture(lp):
-        captured.append(copy.deepcopy(lp))  # _lmo rewrites lp.objective in place
-        return solve_extreme_point(lp)
+    def capture(lp, start=None):
+        captured.append(copy.deepcopy(lp))  # the LMO rewrites lp.objective in place
+        return solve_extreme_point(lp, start)
 
     monkeypatch.setattr(convex, "solve_extreme_point", capture)
     monkeypatch.setattr(rounding, "solve_extreme_point", capture)
@@ -539,11 +539,12 @@ def test_sparse_rows_are_the_dense_integer_rows(dense_shadow):
     solved = 0
     for i in range(300):
         lp = diff_lp(rng) if i % 4 else random_lp(rng, max_vars=5, max_rows=4)
-        # the second objective prices the memoised phase-1 rows
+        # the second objective prices the first solve's phase-1 rows
+        start = None
         for objective in (lp.objective, random_objective(rng, lp)):
             lp.objective = objective
             try:
-                solve_extreme_point(lp)
+                start = solve_extreme_point(lp, start).start
             except Infeasible:
                 break
             except Unbounded:
@@ -554,11 +555,11 @@ def test_sparse_rows_are_the_dense_integer_rows(dense_shadow):
 
 
 # ---------------------------------------------------------------------------
-# phase 1 once per constraint set
+# phase 1 once per constraint set, handed on as a solution's start
 
 
 def random_objective(rng, lp):
-    """Float-derived (as convex._lmo) or integer coefficients on most variables."""
+    """Float-derived (as convex's LMO) or integer coefficients on most variables."""
     use_floats = rng.random() < 0.5
     return {
         v: rat(rng.uniform(-1, 1)) if use_floats else rng.randint(-2, 3)
@@ -567,24 +568,26 @@ def random_objective(rng, lp):
 
 
 def fresh_outcome(lp):
-    """Solution of a deep copy of lp, which solves from scratch, or the exception type."""
+    """Solution of a deep copy of lp, solved from scratch, or the exception type."""
     try:
         return solve_extreme_point(copy.deepcopy(lp))
     except (Infeasible, Unbounded) as exc:
         return type(exc)
 
 
-def assert_solves_like(lp, expected, reused: bool):
-    """Solve lp and check it against expected (a fresh_outcome); returns the outcome."""
+def assert_solves_like(lp, expected, previous):
+    """Solve lp from the start of previous (an earlier solution over its rows,
+    or none) and check it against expected (a fresh_outcome); returns the outcome."""
+    start = previous.start if previous else None
     if isinstance(expected, type):
         with pytest.raises(expected):
-            solve_extreme_point(lp)
+            solve_extreme_point(lp, start)
         return expected
-    sol = solve_extreme_point(lp)
+    sol = solve_extreme_point(lp, start)
     assert (sol.basis, sol.values, sol.objective_value) == (
         expected.basis, expected.values, expected.objective_value
     )
-    assert sol.pivots == ((0, expected.pivots[1]) if reused else expected.pivots)
+    assert sol.pivots == ((0, expected.pivots[1]) if previous else expected.pivots)
     return sol
 
 
@@ -594,23 +597,25 @@ def test_reused_phase_one_solves_like_a_fresh_copy():
     reused = 0
     for i in range(200):
         lp = diff_lp(rng) if i % 4 else random_lp(rng, max_vars=5, max_rows=4)
-        primed = False  # whether a solve of lp has run phase 1 to a feasible basis
+        previous = None  # the last solution of lp, whose start the next solve reuses
         phase1 = None  # phase-1 pivots of a fresh copy at the first optimum
         for _ in range(rng.randint(3, 5)):
             lp.objective = random_objective(rng, lp)
             expected = fresh_outcome(lp)
-            outcome = assert_solves_like(lp, expected, primed)
+            outcome = assert_solves_like(lp, expected, previous)
             outcomes[outcome if isinstance(outcome, type) else "optimal"] += 1
             if isinstance(outcome, type):
-                primed |= outcome is Unbounded
+                if outcome is Unbounded and previous is None:
+                    # the rows are feasible: their phase 1 is a feasibility solve's start
+                    previous = solve_extreme_point(LinearProgram(lp.variables, lp.constraints))
                 continue
-            # a deep copy of a primed program still runs the whole phase 1
+            # every fresh solve runs the same phase 1
             phase1 = expected.pivots[0] if phase1 is None else phase1
             assert expected.pivots[0] == phase1
-            reused += primed
-            primed = True
+            reused += previous is not None
+            previous = outcome
     assert min(outcomes.values()) >= 20, outcomes
-    assert reused >= 150
+    assert reused >= 150, reused
 
 
 def positives(outcome):
@@ -661,6 +666,15 @@ def test_rows_added_through_a_shallow_copy_drop_the_phase_one_memo():
         solve_extreme_point(lp)
 
 
+def test_a_plain_solve_reads_rows_replaced_or_edited_in_place():
+    lp = _lp(["x"], [({"x": 1}, LE, 5)], {"x": -1})
+    assert solve_extreme_point(lp).values == {"x": 5}
+    lp.constraints[0] = lp_module.Constraint({"x": 1}, LE, 2)
+    assert solve_extreme_point(lp).values == {"x": 2}
+    lp.constraints[0].rhs = rat(1)
+    assert solve_extreme_point(lp).values == {"x": 1}
+
+
 def test_convex_solves_run_phase_one_once(monkeypatch):
     from test_pinned_outputs import greedy_schedule, guided_instance
 
@@ -671,8 +685,8 @@ def test_convex_solves_run_phase_one_once(monkeypatch):
         per_solve.append([])
         return convex.solve_convex_over_polytope(*args, **kwargs)
 
-    def solve(lp):
-        sol = solve_extreme_point(lp)
+    def solve(lp, start=None):
+        sol = solve_extreme_point(lp, start)
         per_solve[-1].append(sol.pivots[0])
         return sol
 
@@ -779,13 +793,14 @@ try:
 except PivotLimitExceeded:
     print("guard checked")
 lp_module._Tableau.pivot = real_pivot
-# the second solve reuses the first one's phase 1 and is still checked
+# a second solve from the first one's start is still checked
 from typesched.lp import EQ
 lp = LinearProgram()
 lp.add_variable("x", objective=1)
 lp.add_variable("y")
 lp.add_constraint({"x": 1, "y": 1}, EQ, 1)
-print("phase-1 pivots", solve_extreme_point(lp).pivots[0])
+first = solve_extreme_point(lp)
+print("phase-1 pivots", first.pivots[0])
 real_run = lp_module._run_simplex
 runs = []
 def non_basic(tab):
@@ -798,7 +813,7 @@ def non_basic(tab):
 lp_module._run_simplex = non_basic
 lp.objective = {"y": 1}
 try:
-    solve_extreme_point(lp)
+    solve_extreme_point(lp, first.start)
 except InvariantViolation:
     print("sparsity checked on reuse, simplex runs", len(runs))
 lp_module._run_simplex = real_run
