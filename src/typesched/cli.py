@@ -201,6 +201,14 @@ def _eps_arg(text: str):
     return eps
 
 
+def _ints_arg(text: str) -> tuple[int, ...]:
+    """--machines, --dims: comma-separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def _p_arg(text: str):
     """--p: a rational norm exponent above 1, as every L_p solver requires."""
     p = _rational_arg(text)
@@ -223,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a random instance file")
     g.add_argument("--jobs", type=int, required=True)
     g.add_argument("--dims", type=int, default=1)
-    g.add_argument("--machines", required=True, help="comma-separated counts per type")
+    g.add_argument("--machines", type=_ints_arg, required=True,
+                   help="comma-separated counts per type")
     g.add_argument("--cost-min", type=int, default=1)
     g.add_argument("--cost-max", type=int, default=10)
     g.add_argument("--seed", type=int, default=0)
@@ -257,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--jobs-max", type=int, default=7)
     b.add_argument("--machines-max", type=int, default=4)
     b.add_argument("--types", type=int, default=2)
-    b.add_argument("--dims", default="1,2", help="comma-separated dimension choices")
+    b.add_argument("--dims", type=_ints_arg, default="1,2",
+                   help="comma-separated dimension choices")
     b.add_argument("--cost-min", type=int, default=1)
     b.add_argument("--cost-max", type=int, default=10)
     b.add_argument("--format", choices=["json", "table"], default="table")
@@ -288,8 +298,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def _cmd_gen(args) -> int:
-    counts = tuple(int(x) for x in args.machines.split(","))
-    spec = GeneratorSpec(args.jobs, args.dims, counts, args.cost_min, args.cost_max)
+    spec = GeneratorSpec(args.jobs, args.dims, args.machines, args.cost_min, args.cost_max)
     _emit(instance_to_json(generate_instance(spec, args.seed)), args.out)
     return 0
 
@@ -379,7 +388,7 @@ def _cmd_bench(args) -> int:
         jobs_max=args.jobs_max,
         machines_max=args.machines_max,
         num_types=args.types,
-        dims_choices=tuple(int(d) for d in args.dims.split(",")),
+        dims_choices=args.dims,
         cost_min=args.cost_min,
         cost_max=args.cost_max,
     )
@@ -415,7 +424,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except TypeschedError as exc:
+    except (TypeschedError, OSError) as exc:  # OSError: --instance or --out cannot be opened
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ solve: the gap is certified there or ToleranceNotReached is raised.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -76,6 +77,9 @@ def _line_min(objective, x: dict, d: dict, hi: float) -> float:
         else:
             b = m
     return (a + b) / 2
+
+
+_MIN_CAP = 1000  # the least iteration cap of a solve
 
 
 def _diameter_estimate(lp: LinearProgram) -> float:
@@ -148,10 +152,6 @@ def solve_convex_over_polytope(
     active: list[tuple[dict, float]] = [(base, 1.0)]
     x = {v: float(val) for v, val in base.items()}
 
-    max_iterations = min(
-        500_000, max(1000, int(10 * math.ceil(1 / additive_tol) * _diameter_estimate(lp)))
-    )
-
     exact_mode = hasattr(objective, "exact_gradient")
     trace = [objective.value(x)]
 
@@ -218,9 +218,17 @@ def solve_convex_over_polytope(
             active[:] = [(vert, w) for vert, w in active if w > 1e-15]
         return current
 
+    @functools.cache
+    def max_iterations() -> int:
+        """The iteration cap.  It is at least _MIN_CAP, so only a solve that
+        gets that far pays for the diameter estimate; most certify at once."""
+        return min(
+            500_000, max(_MIN_CAP, int(10 * math.ceil(1 / additive_tol) * _diameter_estimate(lp)))
+        )
+
     iteration = 0
     checked_gap = None  # gap certify() measured at the current point, if it ran there
-    while iteration < max_iterations:
+    while iteration < _MIN_CAP or iteration < max_iterations():
         iteration += 1
         g = objective.gradient(x)
         s = lmo(g)

@@ -182,7 +182,11 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    return instance_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadSpec(f"malformed instance document: {exc}") from exc
+    return instance_from_dict(data)
 
 
 def instance_digest(inst: Instance) -> str:

@@ -2,9 +2,27 @@
 
 All solver-facing numbers are exact rationals so that classification
 thresholds, LP inputs and outputs and overshoot bounds compare exactly.
-gmpy2.mpq is used when available, otherwise fractions.Fraction; the two
-types interoperate, so callers may pass either.  The simplex itself pivots
-over Python ints (see lp.py), so its speed does not depend on the backend.
+rat() builds them: gmpy2.mpq when gmpy2 is installed, otherwise
+FastFraction.  The types interoperate, so callers may pass either, or a
+plain int or Fraction.  The simplex itself pivots over Python ints (see
+lp.py), so its speed does not depend on the backend.
+
+FastFraction is a fractions.Fraction subclass with no instance dict
+(__slots__ = ()).  It overrides only the operators the solvers use: + - * /
+from either side, unary -, abs, ** by an int, the six comparisons, float()
+and bool().  Each override has a fast path for an operand whose type is
+exactly int, Fraction or FastFraction: it computes the reduced pair with
+the gcd steps of Fraction._add and Fraction._mul and writes it straight
+into Fraction's _numerator and _denominator slots, skipping Fraction's
+generic dispatch, its numbers-ABC checks and its property reads.  Any
+other operand (bool, float, complex, Decimal, mpq, ...) and every division
+by zero go to Fraction's own method, and everything not overridden is
+Fraction's, so results, exceptions, hash and repr ("Fraction(n, d)") are
+Fraction's; only a fast-path result is a FastFraction instead.  A rational
+has one reduced pair, so every value, comparison, schedule and report is
+the same as with plain Fractions.  The _numerator/_denominator slots are
+an implementation detail of CPython's fractions module; they are present
+in CPython 3.10 to 3.13, and the module has been tested on 3.11.7 only.
 
 GeometricGrid holds the powers (1+eps)^e that both approximation schemes
 round onto, and rounds a rational to its grid exponent in O(1) exact
@@ -18,6 +36,233 @@ import math
 from fractions import Fraction
 
 from .errors import InvariantViolation
+
+_gcd = math.gcd
+_new = object.__new__
+
+
+def _make(n: int, d: int) -> "FastFraction":
+    """The FastFraction n/d, for coprime ints n and d > 0 (not checked)."""
+    q = _new(FastFraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db, reduced as in Fraction._add."""
+    g = _gcd(da, db)
+    if g == 1:
+        return _make(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _make(t, s * db)
+    return _make(t // g2, s * (db // g2))
+
+
+def _product(na, da, nb, db):
+    """(na/da) * (nb/db) for db > 0, reduced as in Fraction._mul."""
+    g1 = _gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = _gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _make(na * nb, db * da)
+
+
+def _quotient(na, da, nb, db):
+    """(na/da) / (nb/db) for nb != 0, reduced as in Fraction._div."""
+    g1 = _gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = _gcd(db, da)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    if d < 0:
+        return _make(-n, -d)
+    return _make(n, d)
+
+
+class FastFraction(Fraction):
+    """A Fraction with fast paths for int, Fraction and FastFraction operands
+    (see the module docstring); everything not overridden here is Fraction's."""
+
+    __slots__ = ()
+    __hash__ = Fraction.__hash__  # defining __eq__ would otherwise unset it
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __add__(a, b):
+        tb = type(b)
+        if tb is int:
+            d = a._denominator
+            return _make(a._numerator + b * d, d)
+        if tb is FastFraction or tb is Fraction:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        return Fraction.__add__(a, b)
+
+    def __radd__(a, b):
+        tb = type(b)
+        if tb is int:
+            d = a._denominator
+            return _make(b * d + a._numerator, d)
+        if tb is FastFraction or tb is Fraction:
+            return _sum(b._numerator, b._denominator, a._numerator, a._denominator)
+        return Fraction.__radd__(a, b)
+
+    def __sub__(a, b):
+        tb = type(b)
+        if tb is int:
+            d = a._denominator
+            return _make(a._numerator - b * d, d)
+        if tb is FastFraction or tb is Fraction:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        tb = type(b)
+        if tb is int:
+            d = a._denominator
+            return _make(b * d - a._numerator, d)
+        if tb is FastFraction or tb is Fraction:
+            return _sum(b._numerator, b._denominator, -a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        tb = type(b)
+        if tb is int:
+            da = a._denominator
+            g = _gcd(b, da)
+            if g > 1:
+                return _make(a._numerator * (b // g), da // g)
+            return _make(a._numerator * b, da)
+        if tb is FastFraction or tb is Fraction:
+            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(a, b):
+        tb = type(b)
+        if tb is int:
+            da = a._denominator
+            g = _gcd(b, da)
+            if g > 1:
+                return _make((b // g) * a._numerator, da // g)
+            return _make(b * a._numerator, da)
+        if tb is FastFraction or tb is Fraction:
+            return _product(b._numerator, b._denominator, a._numerator, a._denominator)
+        return Fraction.__rmul__(a, b)
+
+    def __truediv__(a, b):
+        tb = type(b)
+        if tb is int:
+            if b:
+                return _quotient(a._numerator, a._denominator, b, 1)
+        elif tb is FastFraction or tb is Fraction:
+            if b._numerator:
+                return _quotient(a._numerator, a._denominator, b._numerator, b._denominator)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(a, b):
+        if a._numerator:
+            tb = type(b)
+            if tb is int:
+                return _quotient(b, 1, a._numerator, a._denominator)
+            if tb is FastFraction or tb is Fraction:
+                return _quotient(b._numerator, b._denominator, a._numerator, a._denominator)
+        return Fraction.__rtruediv__(a, b)
+
+    def __neg__(a):
+        return _make(-a._numerator, a._denominator)
+
+    def __abs__(a):
+        n = a._numerator
+        return _make(-n, a._denominator) if n < 0 else a
+
+    def __pow__(a, b):
+        if type(b) is int:
+            n, d = a._numerator, a._denominator
+            if b >= 0:
+                return _make(n ** b, d ** b)
+            if n > 0:
+                return _make(d ** -b, n ** -b)
+            if n < 0:
+                return _make((-d) ** -b, (-n) ** -b)
+        return Fraction.__pow__(a, b)  # non-int exponent, or 0 ** -k
+
+    def __eq__(a, b):
+        tb = type(b)
+        if tb is int:
+            return a._numerator == b and a._denominator == 1
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        return Fraction.__eq__(a, b)
+
+    def __lt__(a, b):
+        tb = type(b)
+        if tb is int:
+            return a._numerator < b * a._denominator
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator * b._denominator < a._denominator * b._numerator
+        return Fraction.__lt__(a, b)
+
+    def __le__(a, b):
+        tb = type(b)
+        if tb is int:
+            return a._numerator <= b * a._denominator
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator * b._denominator <= a._denominator * b._numerator
+        return Fraction.__le__(a, b)
+
+    def __gt__(a, b):
+        tb = type(b)
+        if tb is int:
+            return a._numerator > b * a._denominator
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator * b._denominator > a._denominator * b._numerator
+        return Fraction.__gt__(a, b)
+
+    def __ge__(a, b):
+        tb = type(b)
+        if tb is int:
+            return a._numerator >= b * a._denominator
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator * b._denominator >= a._denominator * b._numerator
+        return Fraction.__ge__(a, b)
+
+    def __float__(a):
+        return a._numerator / a._denominator
+
+    def __bool__(a):
+        return a._numerator != 0
+
+
+def _fast_rat(num, den=None):
+    """rat() without gmpy2: num, or num/den, as a FastFraction."""
+    if den is None:
+        t = type(num)
+        if t is FastFraction:
+            return num  # immutable: no need to rebuild
+        if t is int:
+            return _make(num, 1)
+        if t is Fraction:
+            return _make(num._numerator, num._denominator)
+        return FastFraction(num)
+    if type(num) is int and type(den) is int and den > 0:
+        g = _gcd(num, den)
+        if g == 1:
+            return _make(num, den)
+        return _make(num // g, den // g)
+    return FastFraction(num, den)
+
 
 try:
     from gmpy2 import mpq as _mpq
@@ -33,13 +278,7 @@ try:
 
     HAVE_GMPY = True
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def rat(num, den=None):
-        if den is None:
-            if type(num) is Fraction:
-                return num  # immutable: no need to rebuild
-            return Fraction(num)
-        return Fraction(num, den)
-
+    rat = _fast_rat
     HAVE_GMPY = False
 
 ZERO = rat(0)
@@ -54,8 +293,6 @@ def parse_rational(value) -> "rat":
             num, den = text.split("/", 1)
             return rat(int(num), int(den))
         return rat(int(text))
-    if isinstance(value, float):
-        return rat(Fraction(value))
     return rat(value)
 
 

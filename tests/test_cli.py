@@ -128,6 +128,25 @@ def test_bad_eps_or_p_is_a_usage_error(tmp_path, capsys, flag, value, message):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--jobs", "3", "--machines", "a,b"],
+        ["gen", "--jobs", "3", "--machines", "1,,1"],
+        ["bench", "--trials", "1", "--dims", "a"],
+    ],
+    ids=["gen-machines-letters", "gen-machines-empty", "bench-dims-letters"],
+)
+def test_bad_integer_list_is_a_usage_error(capsys, argv):
+    flag, value = argv[-2:]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not comma-separated integers: {value!r}" in err
+    assert "Traceback" not in err
+
+
 def test_eps_and_p_boundaries_are_accepted(capsys):
     code, out = run(
         capsys, "bench", "--objective", "lpnorm", "--trials", "1", "--seed", "1",
@@ -148,12 +167,18 @@ def test_eps_and_p_boundaries_are_accepted(capsys):
         (["solve", "--instance", "{dims2}", "--objective", "lpnorm"],
          "DimensionMismatch: lp_norm oracle requires D=1"),
         (["oracle", "--instance", "{big}"], "TooLarge: 10 jobs / 4 machines exceed caps (8 / 5)"),
+        (["solve", "--instance", "{text}"],
+         "BadSpec: malformed instance document: Expecting value: line 1 column 1 (char 0)"),
+        (["solve", "--instance", "{missing}"],
+         "FileNotFoundError: [Errno 2] No such file or directory: "),
     ],
-    ids=["gen-no-jobs", "solve-malformed", "solve-too-large", "solve-lpnorm-2d", "oracle-too-large"],
+    ids=["gen-no-jobs", "solve-malformed", "solve-too-large", "solve-lpnorm-2d", "oracle-too-large",
+         "solve-not-json", "solve-missing-file"],
 )
 def test_library_errors_end_a_command_without_a_traceback(tmp_path, capsys, argv, message):
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("bad", "big", "dims2")}
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("bad", "big", "dims2", "text", "missing")}
     (tmp_path / "bad.json").write_text('{"bad": 1}')
+    (tmp_path / "text.json").write_text("jobs: 3\n")
     run(capsys, "gen", "--jobs", "10", "--machines", "2,2", "--out", paths["big"])
     run(capsys, "gen", "--jobs", "3", "--dims", "2", "--machines", "1,1", "--out", paths["dims2"])
     code = main([arg.format(**paths) for arg in argv])

@@ -196,3 +196,42 @@ def test_forced_stall_is_reported_after_one_iteration(monkeypatch):
     # the objective at the start and after the one iteration, flat in floats
     assert len(info.value.objective_trace) == 2
     assert info.value.objective_trace[-1] == 0.0
+
+
+def test_early_certificate_skips_the_diameter_estimate(monkeypatch):
+    # the cap is at least 1000 iterations, so a solve certified before that
+    # never needs the estimate it is computed from
+    calls = []
+    monkeypatch.setattr(convex, "_diameter_estimate", lambda lp: calls.append(lp) or 1.0)
+    reg = region(["t1", "t2"], [({"t1": 1, "t2": 1}, EQ, 2)])
+    res = solve_convex_over_polytope(reg, Quadratic({"t1": 0, "t2": 0}), 1e-9)
+    assert res.iterations < 1000
+    assert calls == []
+
+
+def test_long_solve_gets_the_cap_of_its_diameter(monkeypatch):
+    # f(x) = x over [0, 1] from x = 1 with every step forced to length 1/1000:
+    # the gap x = 0.999^k stays open, so the solve runs to its cap
+    # min(500000, max(1000, 10 * ceil(1/tol) * diameter)) = 10 * 150 * 1
+    class FlatLinear:
+        def value(self, x):
+            return 0.0  # flat, so no pairwise correction is taken
+
+        def gradient(self, x):
+            return {"x": 1.0}
+
+    estimates = []
+    real = convex._diameter_estimate
+
+    def estimate(lp):
+        estimates.append(real(lp))
+        return estimates[-1]
+
+    monkeypatch.setattr(convex, "_diameter_estimate", estimate)
+    monkeypatch.setattr(convex, "_line_min", lambda objective, x, d, hi: min(hi, 1e-3))
+    reg = region(["x"], [({"x": 1}, LE, 1)])
+    with pytest.raises(ToleranceNotReached) as info:
+        solve_convex_over_polytope(reg, FlatLinear(), 1 / 150, start={"x": rat(1)})
+    assert estimates == [1.0]
+    assert info.value.iterations == 1500
+    assert info.value.gap == pytest.approx(0.999 ** 1500)

@@ -896,3 +896,26 @@ def test_no_assert_statements_in_the_library():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_rationals_touches_fractions():
+    # every solver rational comes from rat(), so it is the backend's fast type
+    offenders = []
+    for path in sorted((SRC / "typesched").glob("*.py")):
+        if path.name == "rationals.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                hit = any(a.name.split(".")[0] == "fractions" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").split(".")[0] == "fractions"
+            elif isinstance(node, ast.Call):
+                func = node.func
+                hit = (isinstance(func, ast.Name) and func.id == "Fraction") or (
+                    isinstance(func, ast.Attribute) and func.attr == "Fraction"
+                )
+            else:
+                hit = False
+            if hit:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
