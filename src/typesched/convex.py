@@ -37,6 +37,10 @@ class ConvexObjective(Protocol):
     exact_gradient(x) over rationals.  It carries both or neither, and it
     carries them iff it is to be certified in exact arithmetic: their
     presence alone switches the final gap check from floats to rationals.
+
+    Support: an objective may also carry support, the set of variables its
+    value and gradient read; its gradient is 0 off the support, and the line
+    search then works on the support alone.
     """
 
     def value(self, x: dict[str, float]) -> float: ...
@@ -58,12 +62,18 @@ def _line_min(objective, x: dict, d: dict, hi: float) -> float:
     sign of the slope.
 
     The slope is summed over x in its variable order, so the result does not
-    depend on the iteration order of d.
+    depend on the iteration order of d.  An objective with a support (the
+    variables its gradient reads and may be nonzero on) has its probe point
+    and slope taken over the variables of x in the support only: every
+    skipped term is an exact +-0.0, which can flip only the sign of a zero
+    sum, and the bisection's slope < 0 does not see that sign.
     """
+    support = getattr(objective, "support", None)
+    keys = list(x) if support is None else [v for v in x if v in support]
 
     def slope(t: float) -> float:
-        grad = objective.gradient({v: x[v] + t * d.get(v, 0.0) for v in x})
-        return sum(grad.get(v, 0.0) * d.get(v, 0.0) for v in x)
+        grad = objective.gradient({v: x[v] + t * d.get(v, 0.0) for v in keys})
+        return sum(grad.get(v, 0.0) * d.get(v, 0.0) for v in keys)
 
     if slope(0.0) >= 0:
         return 0.0

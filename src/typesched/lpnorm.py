@@ -21,6 +21,23 @@ replace slot masses); the load lower bound applies to the full modeled
 load t_i + B_i, and the huge budget excludes the pinned very-huge
 machines.  Both adjustments keep the end-to-end ratio provable and are
 covered by the eps calibration (1+4e)(1+e)^2 <= 1 + eps_user.
+
+Full mode walks the guess stream without testing every combination of
+per-type options: each prefix over the first K-1 types looks up the last
+type's options that complete it, keyed by the jobs the prefix pins and the
+jobs it leaves unrouted (see enumerate_guesses).
+
+Each guess's CP model then passes a count-level check before its region is
+built (region_admits): the jobs without a machine route need distinct
+slots of their (type, class) groups or free huge machines, at most
+budgets[t] of them on type t, found by augmenting paths as in makespan's
+profile check.  Unlike that check, this one is exact.  A job with a
+machine route can always take it, since the allowance variables t_i are
+unbounded above and their rows never bind; so the region is nonempty iff
+the remaining jobs have a fractional b-matching onto the slots (capacity
+1) and the huge budgets.  A bipartite b-matching polytope is integral, so
+that holds iff an integral matching exists, which is Hall's condition.  A
+refuted guess raises InfeasibleRegion, as its convex solve would.
 """
 
 from __future__ import annotations
@@ -28,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -66,6 +82,7 @@ from .rounding import (
     SlotRows,
     assemble_schedule,
     build_slots,
+    has_matching,
     pattern_multisets,
     route_var,
     route_vars,
@@ -287,18 +304,22 @@ def _profiles_for(table, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern,
 def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
     """Lazily yield structural guesses; BudgetExhausted when truncated.
 
-    Guesses that leave some job without any route are skipped before being
-    charged against the budget (they can never be feasible).  Each yielded
-    guess carries its lower_bound, summed from per-type shares priced once
-    per type option.
+    The guesses are the combinations of one option per type, in product
+    order, that pin no job on two types and leave no unpinned job without a
+    route on some type; the others can never be feasible and are not charged
+    against the budget.  The walk runs over the first K-1 types' options,
+    dropping a prefix as soon as it pins a job twice, and completes each
+    prefix with the last type's options that fit it, looked up by what the
+    prefix pins and what it leaves unrouted.  Each yielded guess carries its
+    lower_bound, the left-to-right sum of per-type shares priced once per
+    type option.
     """
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
     p = parse_rational(p)
     eps = parse_rational(eps)
     # per type option: (guess, mask of its very-huge jobs, mask of the jobs
-    # it can route, its lower-bound share); a combination is skipped when two
-    # types pin one job or some unpinned job has no route on any type
+    # it can route, its lower-bound share)
     options = []
     for t in range(inst.num_types):
         table = _cost_table(inst, t, eps)
@@ -307,23 +328,41 @@ def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
              _type_lower_bound(inst, p, eps, t, tg))
             for tg in _type_guess_options(inst, t, p, eps, table)
         ])
+    *head, last = options
     every_job = (1 << inst.num_jobs) - 1
+    # (pinned, unrouted) of a prefix -> the last type's options completing it
+    completions: dict[tuple[int, int], list] = {}
+
+    def completing(pinned: int, missing: int) -> list:
+        found = completions.get((pinned, missing))
+        if found is None:
+            found = completions[(pinned, missing)] = [
+                (tg, lb) for tg, vh, routes, lb in last
+                if not pinned & vh and not missing & ~(vh | routes)
+            ]
+        return found
+
+    def prefixes(t: int, chosen: tuple, pinned: int, routed: int, bound):
+        """(prefix, pinned, routed, bound) of every conflict-free prefix over
+        the first K-1 types that extends chosen (a prefix over types < t),
+        in product order; bound is the left-to-right sum of its shares."""
+        if t == len(head):
+            yield chosen, pinned, routed, bound
+            return
+        for tg, vh, routes, lb in head[t]:
+            if not pinned & vh:
+                yield from prefixes(
+                    t + 1, chosen + (tg,), pinned | vh, routed | routes,
+                    lb if bound is None else bound + lb,
+                )
+
     yielded = 0
-    for combo in itertools.product(*options):
-        pinned = routed = 0
-        for _, vh, routes, _ in combo:
-            if pinned & vh:
-                break
-            pinned |= vh
-            routed |= routes
-        else:
-            if pinned | routed != every_job:
-                continue
+    for chosen, pinned, routed, bound in prefixes(0, (), 0, 0, None):
+        for tg, lb in completing(pinned, every_job & ~(pinned | routed)):
             if yielded >= budget:
                 raise BudgetExhausted(f"guess budget {budget} exhausted")
             yielded += 1
-            bound = functools.reduce(operator.add, (lb for *_, lb in combo))
-            yield Guess(tuple(tg for tg, *_ in combo), bound)
+            yield Guess(chosen + (tg,), lb if bound is None else bound + lb)
 
 
 def _type_lower_bound(inst: Instance, p, eps, t: int, tg: TypeGuess):
@@ -520,7 +559,8 @@ class LoadObjective:
     u_i.  Both add the linear huge charges and the constant very-huge term.
     value and gradient run in floats for the Frank-Wolfe iterates; when p is
     an integer, exact_value and exact_gradient run over rationals, and the
-    convex solver certifies in exact arithmetic iff they exist.
+    convex solver certifies in exact arithmetic iff they exist.  Both forms
+    read only the support: the huge routes and the allowance variables.
     """
 
     def __init__(self, model: CpModel):
@@ -541,6 +581,7 @@ class LoadObjective:
             for mk in model.small_machines
         ]
         self.const = sum((rat(power(v, model.p)) for v in model.vh_loads.values()), ZERO)
+        self.support = frozenset(self.linear).union(tvar for _, tvar, *_ in self.machines)
         # (conversion, zero, exponent) of each number type
         self._floats = (float, 0.0, float(model.p))
         if self.exact_p:
@@ -740,8 +781,28 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
     return point
 
 
+def region_admits(model: CpModel) -> bool:
+    """Whether the CP region of model is nonempty (the count check of the
+    module docstring): the jobs without a machine route take distinct slots
+    of their (type, class) groups or free huge machines, at most
+    model.budgets[t] of them on type t."""
+    capacity: dict = {("h", t): b for t, b in model.budgets.items()}
+    for info in model.slots.values():
+        group = (info.machine[0], info.klass)
+        capacity[group] = capacity.get(group, 0) + 1
+    options = []
+    for routes in model.routes.values():
+        if routes.machine_costs:
+            continue  # its allowance absorbs any small load
+        groups = {(model.slots[s].machine[0], model.slots[s].klass) for s in routes.slots}
+        options.append([*groups, *(("h", t) for t in routes.huge)])
+    return has_matching(options, capacity)
+
+
 def _run_guess(inst: Instance, p, eps, guess: Guess, start_schedule=None) -> LpnormRun:
     model = build_cp_model(inst, p, eps, guess)
+    if not region_admits(model):
+        raise InfeasibleRegion("the jobs without a machine route cannot take distinct places")
     start = _warm_start(model, start_schedule) if start_schedule is not None else None
     cp = solve_slot_cp(model, start=start)
     problem = build_rounding_from_cp(model, cp.t_star)

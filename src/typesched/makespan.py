@@ -58,6 +58,7 @@ from .rounding import (
     RoundingStats,
     assemble_schedule,
     build_slots,
+    has_matching,
     pattern_multisets,
     slot_lp,
     slot_patterns,
@@ -139,8 +140,9 @@ def power_round_up(value, eps) -> tuple[int, object]:
 class ScaleLadder:
     """The scaled instances of one instance at the targets base*(1+eps)^i.
 
-    Every cost c is rounded once, to its class exponent k against base: the
-    least power (1+eps)^(-k) >= c/base (power_round_up).  At rung i, c/T_i is
+    Every distinct cost c is rounded once, to its class exponent k against
+    base: the least power (1+eps)^(-k) >= c/base, the exponent
+    power_round_up gives, read off the ladder's grid.  At rung i, c/T_i is
     (c/base)*(1+eps)^(-i), whose exponent is k + i; rounding up is monotone,
     so a large cost lifted to eps^2/D has exponent min(k + i, lift), lift
     being the exponent of eps^2/D.  A rung therefore makes one exact
@@ -162,12 +164,21 @@ class ScaleLadder:
         self.large_cap = rat_floor(rat(inst.dims) / eps)
         # per (job, type): exact costs, their max, their exponents against base
         self._costs = []
+        # exponent of each distinct cost, keyed by its integer pair: hashing
+        # a rational would take a modular inverse per lookup
+        exponents: dict[tuple[int, int], int] = {}
         for j in range(inst.num_jobs):
             row = []
             for t in range(inst.num_types):
                 vec = tuple(rat(c) for c in inst.cost_vec(j, t))
-                ks = tuple(power_round_up(c / base, eps)[0] for c in vec)
-                row.append((vec, max(vec), ks))
+                ks = []
+                for c in vec:
+                    key = (c.numerator, c.denominator)
+                    k = exponents.get(key)
+                    if k is None:
+                        k = exponents[key] = -self.grid.round_up(c / base)
+                    ks.append(k)
+                row.append((vec, max(vec), tuple(ks)))
             self._costs.append(row)
 
     def rung(self, i: int) -> ScaledInstance:
@@ -316,25 +327,7 @@ def profile_admits(groups: list[tuple[SlotGroup, ...]], profile: Profile) -> boo
             for q in pattern:
                 capacity[(t, q)] = capacity.get((t, q), 0) + 1
     options = [[g for g in job_groups if g in capacity] for job_groups in groups]
-    if not all(options):
-        return False
-    holders: dict[SlotGroup, list[int]] = {g: [] for g in capacity}
-
-    def place(i: int, seen: set) -> bool:
-        for g in options[i]:
-            if g in seen:
-                continue
-            seen.add(g)
-            if len(holders[g]) < capacity[g]:
-                holders[g].append(i)
-                return True
-            for pos, other in enumerate(holders[g]):
-                if place(other, seen):
-                    holders[g][pos] = i
-                    return True
-        return False
-
-    return all(place(i, set()) for i in range(len(options)))
+    return has_matching(options, capacity)
 
 
 def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> RoundingProblem:

@@ -29,7 +29,8 @@ most |AJ_i| + D nonzeros for artificial jobs sitting in remaining space.
 The slots of a pattern profile, the route column names, the assignment
 and slot rows (SlotRows, also the base of the L_p convex region) and the
 final schedule assembly live here too, so both pipelines build and read one
-LP shape.  Untangling reads slot fit from the routes alone.
+LP shape; so does the matcher (has_matching) behind both pipelines' count
+checks.  Untangling reads slot fit from the routes alone.
 """
 
 from __future__ import annotations
@@ -228,6 +229,33 @@ def pattern_multisets(patterns: list[tuple], machines: int, counts: dict):
                 used[q] = used.get(q, 0) + 1
         if all(used[q] <= counts[q] for q in used):
             yield combo
+
+
+def has_matching(options: list[list], capacity: dict) -> bool:
+    """Whether job i can take one of the groups options[i], every group g
+    holding at most capacity[g] jobs (Hall's condition, by augmenting paths).
+
+    Every option must be a key of capacity.
+    """
+    if not all(options):
+        return False
+    holders: dict = {g: [] for g in capacity}
+
+    def place(i: int, seen: set) -> bool:
+        for g in options[i]:
+            if g in seen:
+                continue
+            seen.add(g)
+            if len(holders[g]) < capacity[g]:
+                holders[g].append(i)
+                return True
+            for pos, other in enumerate(holders[g]):
+                if place(other, seen):
+                    holders[g][pos] = i
+                    return True
+        return False
+
+    return all(place(i, set()) for i in range(len(options)))
 
 
 def route_var(kind: str, jkey: JobKey, target) -> str:

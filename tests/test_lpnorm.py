@@ -1,9 +1,12 @@
+import functools
 import hashlib
+import itertools
+import operator
 import random
 
 import pytest
 
-from typesched import lpnorm
+from typesched import convex, lpnorm
 from typesched.errors import (
     BadExponent,
     BudgetExhausted,
@@ -15,10 +18,12 @@ from typesched.errors import (
 )
 from typesched.lpnorm import (
     FullEnum,
+    Guess,
     _cost_table,
     _routable_mask,
     _run_guess,
     _type_guess_options,
+    _type_lower_bound,
     HUGE,
     LARGE,
     Guided,
@@ -32,6 +37,7 @@ from typesched.lpnorm import (
     f_threshold,
     guess_from_schedule,
     class_size,
+    region_admits,
     lpnorm_ptas,
     job_kind,
     size_class,
@@ -452,6 +458,125 @@ def test_full_mode_matches_the_per_guess_pricing_loop(counts, seed, eps_user, mo
         lpnorm_ptas(inst, 2, eps_user, FullEnum(ref_tried - 1))
 
 
+def ref_enumerate_guesses(inst, p, eps, budget):
+    """enumerate_guesses as it was before the completion walk: every
+    combination of the product, filtered one by one."""
+    p, eps = rat(p), rat(eps)
+    options = []
+    for t in range(inst.num_types):
+        table = _cost_table(inst, t, eps)
+        options.append([
+            (tg, sum(1 << j for j in tg.very_huge), _routable_mask(inst, eps, t, tg, table),
+             _type_lower_bound(inst, p, eps, t, tg))
+            for tg in _type_guess_options(inst, t, p, eps, table)
+        ])
+    every_job = (1 << inst.num_jobs) - 1
+    yielded = 0
+    for combo in itertools.product(*options):
+        pinned = routed = 0
+        for _, vh, routes, _ in combo:
+            if pinned & vh:
+                break
+            pinned |= vh
+            routed |= routes
+        else:
+            if pinned | routed != every_job:
+                continue
+            if yielded >= budget:
+                raise BudgetExhausted(f"guess budget {budget} exhausted")
+            yielded += 1
+            bound = functools.reduce(operator.add, (lb for *_, lb in combo))
+            yield Guess(tuple(tg for tg, *_ in combo), bound)
+
+
+def yields_before_exhaustion(stream) -> int:
+    count = 0
+    with pytest.raises(BudgetExhausted):
+        for _ in stream:
+            count += 1
+    return count
+
+
+# (machine counts, jobs, seed, eps_user): K = 1, 2 and 3
+STREAM_CASES = [
+    ((2,), 3, 61, rat(1, 2)),
+    ((3,), 4, 65, ONE),
+    ((1, 1), 3, 62, rat(1, 2)),
+    ((2, 1), 3, 63, ONE),
+    ((1, 1, 1), 3, 64, ONE),
+    ((1, 1, 1), 2, 66, rat(1, 2)),
+]
+
+
+@pytest.mark.parametrize("counts,n,seed,eps_user", STREAM_CASES)
+def test_completion_walk_yields_the_product_stream(counts, n, seed, eps_user):
+    # same guesses in the same order, the same exact bounds, and the budget
+    # cuts the stream at the same yield
+    inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+    eps = calibrate_eps(eps_user)
+    ref = list(ref_enumerate_guesses(inst, 2, eps, 10**6))
+    walk = list(enumerate_guesses(inst, 2, eps, 10**6))
+    assert [g.types for g in walk] == [g.types for g in ref]
+    assert [g.lower_bound for g in walk] == [g.lower_bound for g in ref]
+    total = len(ref)
+    assert total > 10
+    for budget in sorted({0, 1, total // 2, total - 1}):
+        assert yields_before_exhaustion(enumerate_guesses(inst, 2, eps, budget)) == budget
+        assert yields_before_exhaustion(ref_enumerate_guesses(inst, 2, eps, budget)) == budget
+    assert len(list(enumerate_guesses(inst, 2, eps, total))) == total
+
+
+# (machine counts, seed, stride): instances whose streams hold guesses with
+# an empty region; the three-type streams are checked at every stride-th guess
+REGION_CASES = [((1, 1), 30, 1), ((2, 1), 37, 1), ((1, 2), 37, 1), ((1, 1, 1), 34, 4)]
+
+
+@pytest.mark.parametrize("eps_user", [rat(1, 2), ONE])
+@pytest.mark.parametrize("counts,seed,stride", REGION_CASES)
+def test_region_check_refutes_exactly_the_empty_regions(counts, seed, stride, eps_user):
+    # a refuted guess's convex solve finds its region empty; an admitted one
+    # solves (every tenth admitted guess is solved, every refuted one is)
+    inst = generate_instance(GeneratorSpec(3, 1, counts, 1, 10), seed)
+    eps = calibrate_eps(eps_user)
+    refuted = admitted = 0
+    for i, guess in enumerate(enumerate_guesses(inst, 2, eps, 10**6)):
+        if i % stride:
+            continue
+        model = build_cp_model(inst, 2, eps, guess)
+        if not region_admits(model):
+            with pytest.raises(InfeasibleRegion):
+                solve_slot_cp(model)
+            refuted += 1
+            continue
+        if admitted % 10 == 0:
+            solve_slot_cp(model)
+        admitted += 1
+    assert refuted > 10 and admitted > 100
+
+
+@pytest.mark.parametrize("unpinned", [1, 2, 3])
+def test_region_check_counts_huge_routes_against_the_budget(unpinned):
+    # one type of three machines, all huge, job 0 pinned alone: the other
+    # jobs, all shorter, have only the huge route of the type and compete
+    # for its two free huge machines
+    inst = make_instance(1, [3], [[[9]]] + [[[c]] for c in range(2, 2 + unpinned)])
+    guess = Guess((lpnorm.TypeGuess(3, (0,), None, 1, ()),))
+    model = build_cp_model(inst, 2, ONE, guess)
+    assert model.budgets == {0: 2}
+    assert len(model.routes) == unpinned
+    assert all(set(r.huge) == {0} and not r.machine_costs and not r.slots
+               for r in model.routes.values())
+    assert region_admits(model) == (unpinned <= 2)
+    if unpinned <= 2:
+        solve_slot_cp(model)
+        _run_guess(inst, 2, ONE, guess)
+    else:
+        with pytest.raises(InfeasibleRegion):
+            solve_slot_cp(model)
+        with pytest.raises(InfeasibleRegion):
+            _run_guess(inst, 2, ONE, guess)
+
+
 def test_lp_without_huge_jobs_has_plain_slot_shape():
     # no huge routes: rows are exactly jobs + slots + one capacity row per
     # machine carrying a small route (coarse eps makes the cost-1 jobs small)
@@ -729,6 +854,66 @@ def test_region_and_objective_match_the_code_they_replaced(p):
         # the full-mode incumbent: the eliminated form in floats at the zero point
         zero = {name: 0.0 for j, r in model.routes.items() for name, _ in ref_var_names(j, r)}
         assert bits(new.eliminated_value({}, False)) == bits(eliminated.value(zero))
+
+
+class FullLoop:
+    """An objective's gradient without its support, so the line search
+    loops over every variable."""
+
+    def __init__(self, objective):
+        self.gradient = objective.gradient
+
+
+def greedy_schedule(inst, p=2):
+    """Longest job first, each onto the machine whose load^p grows least."""
+    loads = {mk: ZERO for mk in inst.machines()}
+    cheapest = [min(inst.cost(j, t) for t in range(inst.num_types)) for j in range(inst.num_jobs)]
+    assignment = [None] * inst.num_jobs
+    for j in sorted(range(inst.num_jobs), key=lambda j: (-cheapest[j], j)):
+        mk = min(loads, key=lambda m: (loads[m] + inst.cost(j, m[0])) ** p - loads[m] ** p)
+        loads[mk] += inst.cost(j, mk[0])
+        assignment[j] = mk
+    return Schedule(tuple(assignment))
+
+
+def test_line_search_on_the_support_takes_the_full_loop_step(monkeypatch):
+    # bit for bit against the loop over every variable: random points and
+    # directions on eps = 1 models with huge routes (their charges are the
+    # linear part of the support), then every line search, Frank-Wolfe and
+    # pairwise, of guided solves at n=40 on (5,5) machines from greedy
+    # certificates
+    line_min = convex._line_min
+    searches = interior = 0
+
+    def both(objective, x, d, hi):
+        nonlocal searches, interior
+        assert len(objective.support) < len(x)
+        step = line_min(objective, x, d, hi)
+        assert bits(step) == bits(line_min(FullLoop(objective), x, d, hi))
+        searches += 1
+        interior += 0 < step < hi
+        return step
+
+    rng = random.Random(37)
+    for seed in range(300, 304):
+        inst = generate_instance(GeneratorSpec(7, 1, (4, 1), 1, 10), seed)
+        opt = exact_solve(inst, "lp_norm", p=2)
+        model = build_cp_model(inst, 2, ONE, guess_from_schedule(inst, 2, ONE, opt.witness))
+        objective = LoadObjective(model)
+        assert objective.linear
+        variables = build_cp_region(model).variables
+        for _ in range(50):
+            x = {v: rng.uniform(0, 3) for v in variables}
+            d = {v: rng.uniform(-2, 2) for v in variables}
+            both(objective, x, d, rng.uniform(1, 100))
+    assert interior > 50
+
+    monkeypatch.setattr(convex, "_line_min", both)
+    searches = interior = 0
+    for seed in range(100, 120):
+        inst = generate_instance(GeneratorSpec(40, 1, (5, 5), 1, 10), seed)
+        lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst)))
+    assert searches > 100 and interior > 100
 
 
 def test_zero_point_tolerance_is_priced_in_floats():

@@ -144,6 +144,23 @@ def test_ladder_rungs_match_the_per_cost_loop():
     assert rungs > 1000 and lifted > 0
 
 
+def test_ladder_exponents_are_the_power_round_up_exponents():
+    # the ladder rounds each distinct cost once, off its grid; on A1-shape
+    # instances every exponent is the one power_round_up gives
+    checked = 0
+    for s in range(300, 340):
+        inst = generate_instance(ExperimentConfig("makespan", 1, s, 1).trial_spec(0), s)
+        lower, _ = makespan._target_bounds(inst)
+        for eps in (calibrate_eps(rat(1, 2), inst.dims), rat(1, 3)):
+            ladder = ScaleLadder(inst, lower, eps)
+            for j, row in enumerate(ladder._costs):
+                for t, (vec, _, ks) in enumerate(row):
+                    assert vec == tuple(rat(c) for c in inst.cost_vec(j, t))
+                    assert ks == tuple(power_round_up(c / lower, eps)[0] for c in vec)
+                    checked += len(ks)
+    assert checked > 500
+
+
 def test_ladder_boundaries_match_the_per_cost_loop():
     eps = rat(1, 2)
     # max cost exactly eps*T: 5 at T = 10 (rung 2 of base 40/9) is large

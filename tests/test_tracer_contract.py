@@ -67,12 +67,22 @@ def test_full_mode_reads_the_guess_stream_the_tracer_sees():
     # lpnorm_ptas must iterate the module-global enumerate_guesses: a solve
     # that walked a private generator would leave the traced yield count,
     # and the guesses_tried row derived from it, at 0
+    assert_traced_guess_count((1, 1), rat(1, 2), 486)
+
+
+def test_full_mode_on_three_types_reads_the_guess_stream_the_tracer_sees():
+    # the stream walks the first two types and completes with the third; the
+    # count is the one the product over all three types yielded
+    assert_traced_guess_count((1, 1, 1), 1, 46230)
+
+
+def assert_traced_guess_count(counts, eps_user, expected):
     layers = load_layers()
-    inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 41)
+    inst = generate_instance(GeneratorSpec(3, 1, counts, 1, 10), 41)
     rec = layers.Recorder()
     with layers.installed(rec):
-        res = lpnorm.lpnorm_ptas(inst, 2, rat(1, 2), FullEnum(10**6))
+        res = lpnorm.lpnorm_ptas(inst, 2, eps_user, FullEnum(10**6))
     values = layers.summarize(rec)
-    assert res.guesses_tried > 0
+    assert res.guesses_tried == expected
     assert values["lpnorm.enumerate_guesses.yielded"] == res.guesses_tried
     assert values["lpnorm.guesses_tried"] == res.guesses_tried
