@@ -6,10 +6,9 @@ brute-force oracle for desk-scale verification.
 """
 
 from .convex import ConvexSolveResult, solve_convex_over_polytope
-from .lp import LinearProgram, ExtremePointSolution, lp_format, solve_extreme_point
+from .lp import LinearProgram, ExtremePointSolution, solve_extreme_point
 from .lpnorm import (
     build_cp_model,
-    build_lp_from_cp,
     calibrate_eps as calibrate_eps_lpnorm,
     enumerate_guesses,
     f_threshold,
@@ -20,9 +19,7 @@ from .lpnorm import (
 from .makespan import (
     FullEnum,
     Guided,
-    build_slot_lp,
     calibrate_eps,
-    enumerate_large_job_types,
     enumerate_pattern_profiles,
     guarantee_factor,
     make_scaled_instance,
@@ -59,12 +56,9 @@ __all__ = [
     "RoundingProblem",
     "Schedule",
     "build_cp_model",
-    "build_lp_from_cp",
-    "build_slot_lp",
     "calibrate_eps",
     "calibrate_eps_lpnorm",
     "enumerate_guesses",
-    "enumerate_large_job_types",
     "enumerate_pattern_profiles",
     "evaluate_lp_norm_pow",
     "evaluate_makespan",
@@ -76,7 +70,6 @@ __all__ = [
     "instance_from_json",
     "instance_to_json",
     "load_vector",
-    "lp_format",
     "lpnorm_ptas",
     "make_instance",
     "make_scaled_instance",

@@ -209,6 +209,23 @@ def _ints_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
+def _int_at_least(low: int):
+    """The type of an integer option that must be >= low, checked before any
+    work starts (bench shapes divide by jobs-max - 1, machines-max - 1 and
+    types; an audit needs a sample)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _p_arg(text: str):
     """--p: a rational norm exponent above 1, as every L_p solver requires."""
     p = _rational_arg(text)
@@ -263,9 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=_p_arg, default="2")
     b.add_argument("--mode", choices=["guided", "full"], default="guided")
     b.add_argument("--enum-budget", type=int, default=10**6)
-    b.add_argument("--jobs-max", type=int, default=7)
-    b.add_argument("--machines-max", type=int, default=4)
-    b.add_argument("--types", type=int, default=2)
+    b.add_argument("--jobs-max", type=_int_at_least(2), default=7)
+    b.add_argument("--machines-max", type=_int_at_least(2), default=4)
+    b.add_argument("--types", type=_int_at_least(1), default=2)
     b.add_argument("--dims", type=_ints_arg, default="1,2",
                    help="comma-separated dimension choices")
     b.add_argument("--cost-min", type=int, default=1)
@@ -280,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--samples", type=int, default=None)
+    a.add_argument("--samples", type=_int_at_least(1), default=None)
     return parser
 
 

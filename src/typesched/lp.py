@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import Infeasible, InvariantViolation, PivotLimitExceeded, Unbounded
-from .rationals import ZERO, rat, rat_str
+from .rationals import ZERO, rat
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -323,25 +323,3 @@ def solve_extreme_point(lp: LinearProgram, start: _Phase1 | None = None) -> Extr
             f"values over {lp.num_rows} rows"
         )
     return sol
-
-
-def lp_format(lp: LinearProgram) -> str:
-    """Text rendering in LP-file style, for eyeballing and external cross-checks."""
-    def term(v, a):
-        a = rat(a)
-        sign = "+" if a >= 0 else "-"
-        mag = abs(a)
-        return f"{sign} {rat_str(mag)} {v}"
-
-    lines = ["Minimize"]
-    obj = " ".join(term(v, a) for v, a in lp.objective.items()) or "+ 0 zero"
-    lines.append(f" obj: {obj}")
-    lines.append("Subject To")
-    for i, c in enumerate(lp.constraints):
-        body = " ".join(term(v, a) for v, a in c.coeffs.items()) or "+ 0 zero"
-        lines.append(f" r{i}: {body} {c.rel} {rat_str(c.rhs)}")
-    lines.append("Bounds")
-    for v in lp.variables:
-        lines.append(f" 0 <= {v}")
-    lines.append("End")
-    return "\n".join(lines)

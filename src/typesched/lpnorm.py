@@ -42,7 +42,6 @@ refuted guess raises InfeasibleRegion, as its convex solve would.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -86,7 +85,6 @@ from .rounding import (
     pattern_multisets,
     route_var,
     route_vars,
-    slot_lp,
     slot_patterns,
     untangle,
 )
@@ -152,12 +150,6 @@ def class_size(e: int, eps):
     return geometric_grid(rat(eps)).value(e)
 
 
-@functools.lru_cache(maxsize=4096)
-def _pattern_mass(pattern: Pattern, eps):
-    """Total slot size of a pattern; guesses share few patterns, so it is cached."""
-    return sum((class_size(e, eps) for e in pattern), ZERO)
-
-
 HUGE, LARGE, SMALL = "huge", "large", "small"
 
 
@@ -200,22 +192,14 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
     eps = parse_rational(eps)
+    grid = geometric_grid(eps)
     f = f_threshold(p, eps)
     loads = load_vector(inst, sched)
-    jobs_on: dict[tuple[int, int], list[int]] = {m: [] for m in inst.machines()}
-    for j, mk in enumerate(sched.assignment):
-        jobs_on[mk].append(j)
 
     per_type = []
     for t in range(inst.num_types):
-        m = inst.machine_counts[t]
-        machines = [(t, k) for k in range(m)]
-        huge = [mk for mk in machines if len(jobs_on[mk]) == 1]
-        non_huge = [mk for mk in machines if len(jobs_on[mk]) != 1]
-        huge_jobs = sorted(
-            (jobs_on[mk][0] for mk in huge),
-            key=lambda j: (-rat(inst.cost(j, t)), j),
-        )
+        huge_jobs, non_huge = _certificate_machines(inst, sched, t)
+        huge_jobs.sort(key=lambda j: (-rat(inst.cost(j, t)), j))
         vh = tuple(huge_jobs[: min(f, len(huge_jobs))])
         if len(vh) < len(huge_jobs):
             floor = min(rat(inst.cost(j, t)) for j in vh)
@@ -223,14 +207,14 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
                 if rat(inst.cost(j, t)) > floor:
                     raise GuessInconsistent("non-listed huge job longer than a listed one")
 
-        hosted = [j for mk in non_huge for j in jobs_on[mk]]
+        hosted = [j for jobs in non_huge.values() for j in jobs]
         if not hosted:
             per_type.append(
-                TypeGuess(len(huge), vh, None, 1, tuple(() for _ in non_huge))
+                TypeGuess(len(huge_jobs), vh, None, 1, tuple(() for _ in non_huge))
             )
             continue
         c_max = max(rat(inst.cost(j, t)) for j in hosted)
-        nh_loads = [loads[mk][0] for mk in non_huge]
+        nh_loads = [loads[(t, k)][0] for k in non_huge]
         if min(nh_loads) < c_max or max(nh_loads) - min(nh_loads) > c_max:
             raise GuessInconsistent("non-huge loads violate the load-difference property")
         alpha = max(1, min(inst.num_jobs, rat_floor(min(nh_loads) / c_max)))
@@ -243,31 +227,47 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
 
         kind = job_kind(c_max, alpha, eps)
         count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
-        pats = []
-        for mk in non_huge:
-            pattern = _large_pattern(inst, t, eps, kind, jobs_on[mk])
+        pats = tuple(pattern for pattern, _ in _large_patterns(inst, t, grid, kind, non_huge))
+        for pattern in pats:
             if len(pattern) > count_cap:
                 raise GuessInconsistent("pattern slot count exceeds its cap")
-            if _pattern_mass(pattern, eps) > mass_cap:
+            if sum((grid.value(e) for e in pattern), ZERO) > mass_cap:
                 raise GuessInconsistent("pattern mass exceeds the load window")
-            pats.append(pattern)
-        per_type.append(TypeGuess(len(huge), vh, c_max, alpha, tuple(sorted(pats))))
+        per_type.append(TypeGuess(len(huge_jobs), vh, c_max, alpha, pats))
     return Guess(tuple(per_type))
 
 
-def _large_pattern(inst: Instance, t: int, eps, kind, jobs) -> Pattern:
-    """Sorted size classes of the jobs that are large on type t."""
-    return tuple(sorted(
-        size_class(inst.cost(j, t), eps) for j in jobs if kind(rat(inst.cost(j, t))) is LARGE
-    ))
+def _certificate_machines(
+    inst: Instance, sched: Schedule, t: int
+) -> tuple[list[int], dict[int, list[int]]]:
+    """Type t's machines under a certificate schedule: the jobs alone on a
+    machine (its huge machines, in machine order), and the job lists of the
+    other machines by index."""
+    jobs_on: dict[int, list[int]] = {k: [] for k in range(inst.machine_counts[t])}
+    for j, (tt, k) in enumerate(sched.assignment):
+        if tt == t:
+            jobs_on[k].append(j)
+    huge = [jobs[0] for jobs in jobs_on.values() if len(jobs) == 1]
+    return huge, {k: jobs for k, jobs in jobs_on.items() if len(jobs) != 1}
+
+
+def _large_patterns(inst: Instance, t: int, grid, kind, machines) -> list[tuple[Pattern, int]]:
+    """(pattern, k) of each machine k of type t in machines (index -> jobs), in
+    canonical order; a pattern is the sorted size classes of its large jobs."""
+    out = []
+    for k, jobs in machines.items():
+        costs = [rat(inst.cost(j, t)) for j in jobs]
+        out.append((tuple(sorted(grid.round_down(c) for c in costs if kind(c) is LARGE)), k))
+    return sorted(out)
 
 
 def _cost_table(inst: Instance, t: int, eps) -> list[tuple]:
     """(cost, size class) of every job on type t, computed once per enumeration."""
+    grid = geometric_grid(eps)
     out = []
     for j in range(inst.num_jobs):
         c = rat(inst.cost(j, t))
-        out.append((c, size_class(c, eps)))
+        out.append((c, grid.round_down(c)))
     return out
 
 
@@ -297,7 +297,8 @@ def _profiles_for(table, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern,
         if kind(c) is LARGE:
             counts[e] = counts.get(e, 0) + 1
     count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
-    patterns = slot_patterns(counts, count_cap, lambda e: (class_size(e, eps),), mass_cap)
+    grid = geometric_grid(eps)
+    patterns = slot_patterns(counts, count_cap, lambda e: (grid.value(e),), mass_cap)
     yield from pattern_multisets(patterns, machines, counts)
 
 
@@ -371,9 +372,11 @@ def _type_lower_bound(inst: Instance, p, eps, t: int, tg: TypeGuess):
     max(alpha*c_max, pattern mass)^p per non-huge machine."""
     total = sum((rat(power(inst.cost(j, t), p)) for j in tg.very_huge), ZERO)
     if tg.c_max is not None:
+        grid = geometric_grid(eps)
         floor_val = tg.alpha * rat(tg.c_max)
         for pat in tg.profile:
-            total += rat(power(max(floor_val, _pattern_mass(pat, eps)), p))
+            mass = sum((grid.value(e) for e in pat), ZERO)
+            total += rat(power(max(floor_val, mass), p))
     return total
 
 
@@ -478,7 +481,8 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
                 raise GuessInconsistent(f"type {t}: pattern without c_max")
             load_floor[mk] = ZERO if tg.c_max is None else tg.alpha * rat(tg.c_max)
             small_caps[mk] = eps * load_floor[mk]
-    slots, mass, slots_of = build_slots(patterns, lambda e: (class_size(e, eps),), 1)
+    grid = geometric_grid(eps)
+    slots, mass, slots_of = build_slots(patterns, lambda e: (grid.value(e),), 1)
 
     tables = [_cost_table(inst, t, eps) for t in range(inst.num_types)]
     route_kinds = [_type_routes(inst, eps, t, tg, tables[t]) for t, tg in enumerate(guess.types)]
@@ -700,11 +704,6 @@ def build_rounding_from_cp(model: CpModel, t_star: dict) -> RoundingProblem:
     )
 
 
-def build_lp_from_cp(model: CpModel, t_star: dict) -> LinearProgram:
-    """The frozen-allowance Slot-LP (objective: huge charges only)."""
-    return slot_lp(build_rounding_from_cp(model, t_star))
-
-
 # ---------------------------------------------------------------------------
 # full pipeline
 
@@ -733,38 +732,25 @@ class LpnormResult:
 def _warm_start(model: CpModel, sched: Schedule) -> dict:
     """Exact CP point induced by a schedule consistent with the guess."""
     inst = model.inst
-    eps = model.eps
+    grid = geometric_grid(model.eps)
     point: dict[str, object] = {}
     slot_pool: dict[tuple[tuple[int, int], int], list[int]] = {}
     for s, info in sorted(model.slots.items()):
         slot_pool.setdefault((info.machine, info.klass), []).append(s)
     # map original machines to canonical pattern positions, per type
     for t, tg in enumerate(model.guess.types):
-        if inst.machine_counts[t] == 0:
+        if inst.machine_counts[t] == 0 or tg.c_max is None:
             continue
-        jobs_by_machine: dict[int, list[int]] = {
-            k: [] for k in range(inst.machine_counts[t])
-        }
-        for j, (tt, k) in enumerate(sched.assignment):
-            if tt == t:
-                jobs_by_machine[k].append(j)
-        non_huge_orig = [k for k in jobs_by_machine if len(jobs_by_machine[k]) != 1]
-        if tg.c_max is None:
-            continue
-        kind = job_kind(tg.c_max, tg.alpha, eps)
-        patterns = {
-            k: _large_pattern(inst, t, eps, kind, jobs_by_machine[k]) for k in non_huge_orig
-        }
-        ordered = sorted(non_huge_orig, key=lambda k: (patterns[k], k))
-        for canon, orig in enumerate(ordered):
+        _, non_huge = _certificate_machines(inst, sched, t)
+        kind = job_kind(tg.c_max, tg.alpha, model.eps)
+        for canon, (pattern, orig) in enumerate(_large_patterns(inst, t, grid, kind, non_huge)):
             mk = (t, canon)
-            if patterns[orig] != tg.profile[canon]:
+            if pattern != tg.profile[canon]:
                 raise InvariantViolation("profile out of sync")
-            for j in jobs_by_machine[orig]:
+            for j in non_huge[orig]:
                 c = rat(inst.cost(j, t))
                 if kind(c) is LARGE:
-                    e = size_class(c, eps)
-                    s = slot_pool[(mk, e)].pop(0)
+                    s = slot_pool[(mk, grid.round_down(c))].pop(0)
                     point[route_var("s", j, s)] = ONE
                 else:
                     point[route_var("m", j, mk)] = ONE

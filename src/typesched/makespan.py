@@ -25,10 +25,11 @@ is infeasible, so full mode builds an LP only for profiles that pass.
 A makespan-T solution survives the lift (+eps additively) and the round-up
 (factor 1+eps), so rounded per-machine loads stay within (1+eps)^2; that is
 the pattern capacity, and rem(i) is whatever the pattern leaves unused.
-Small-job routes use unrounded scaled costs so the 2D*eps / 3D*eps
-overshoot bounds of the rounding engine hold exactly.  The decision
-guarantee factor is G(eps, D) = (1+eps)^3 + 3D*eps, and the internal eps is
-calibrated so G(eps)*(1+eps) <= 1 + eps_user covers the grid granularity.
+Small-job routes use unrounded scaled costs c/T, divided out per rounding
+problem, so the 2D*eps / 3D*eps overshoot bounds of the rounding engine
+hold exactly.  The decision guarantee factor is G(eps, D) = (1+eps)^3 +
+3D*eps, and the internal eps is calibrated so G(eps)*(1+eps) <= 1 + eps_user
+covers the grid granularity.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExhausted, Infeasible, InvariantViolation, PatternOverflow
 from .model import Instance, Schedule, evaluate_makespan, require_valid
@@ -60,7 +61,6 @@ from .rounding import (
     build_slots,
     has_matching,
     pattern_multisets,
-    slot_lp,
     slot_patterns,
     untangle,
 )
@@ -71,45 +71,16 @@ Profile = tuple[tuple[Pattern, ...], ...]  # per type, one pattern per machine
 SlotGroup = tuple[int, Klass]  # (machine type, class): slots a large job may take
 
 
-class ScaledEntry:
-    """One (job, type) cost vector at target T.
+class ScaledEntry(NamedTuple):
+    """One (job, type) pair at target T: large iff some dimension of cost/T
+    reaches eps; klass is None unless large with every lifted, rounded-up
+    dimension <= 1."""
 
-    raw: cost / T, exact; rounded: after large-lift and round-up to powers
-    of 1/(1+eps); klass: None unless large with every rounded dim <= 1.
-    The scale ladder passes raw=None with the costs and T, and raw is
-    divided out on first read: a probe rejected before its rounding problem
-    is built never reads it.
-    """
+    large: bool
+    klass: Klass | None
 
-    __slots__ = ("large", "_raw", "rounded", "klass", "_costs", "_target")
 
-    def __init__(self, large: bool, raw: tuple | None, rounded: tuple,
-                 klass: Klass | None, costs: tuple = (), target=None):
-        self.large = large
-        self._raw = raw
-        self.rounded = rounded
-        self.klass = klass
-        self._costs = costs
-        self._target = target
-
-    @property
-    def raw(self) -> tuple:
-        if self._raw is None:
-            self._raw = tuple(c / self._target for c in self._costs)
-        return self._raw
-
-    def _fields(self) -> tuple:
-        return self.large, self.raw, self.rounded, self.klass
-
-    def __eq__(self, other):
-        if not isinstance(other, ScaledEntry):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "ScaledEntry(large={!r}, raw={!r}, rounded={!r}, klass={!r})".format(
-            *self._fields()
-        )
+_SMALL = ScaledEntry(False, None)
 
 
 @dataclass
@@ -146,8 +117,8 @@ class ScaleLadder:
     (c/base)*(1+eps)^(-i), whose exponent is k + i; rounding up is monotone,
     so a large cost lifted to eps^2/D has exponent min(k + i, lift), lift
     being the exponent of eps^2/D.  A rung therefore makes one exact
-    comparison per (job, type), large iff max cost >= eps*T_i, and divides
-    for raw = c/T_i only when an entry's raw is read.
+    comparison per (job, type), large iff max cost >= eps*T_i, and shifts
+    exponents only for the large pairs; it divides no cost.
     """
 
     def __init__(self, inst: Instance, base, eps):
@@ -162,7 +133,7 @@ class ScaleLadder:
         self.lift = power_round_up(eps * eps / inst.dims, eps)[0]
         self.capacity = (ONE + eps) ** 2
         self.large_cap = rat_floor(rat(inst.dims) / eps)
-        # per (job, type): exact costs, their max, their exponents against base
+        # per (job, type): max cost, and each cost's exponent against base
         self._costs = []
         # exponent of each distinct cost, keyed by its integer pair: hashing
         # a rational would take a modular inverse per lookup
@@ -178,28 +149,26 @@ class ScaleLadder:
                     if k is None:
                         k = exponents[key] = -self.grid.round_up(c / base)
                     ks.append(k)
-                row.append((vec, max(vec), tuple(ks)))
+                row.append((max(vec), tuple(ks)))
             self._costs.append(row)
 
     def rung(self, i: int) -> ScaledInstance:
         """The scaled instance at target base*(1+eps)^i."""
         target = self.base * self.grid.value(i)
         threshold = self.eps * target
-        lift, grid = self.lift, self.grid
+        lift = self.lift
         entries: list[list[ScaledEntry]] = []
         for row in self._costs:
             out = []
-            for vec, top, ks in row:
+            for top, ks in row:
                 if top >= threshold:
                     ks = tuple(min(k + i, lift) for k in ks)
-                    klass = ks if min(ks) >= 0 else None
-                    out.append(ScaledEntry(True, None, klass_value(grid, ks), klass, vec, target))
+                    out.append(ScaledEntry(True, ks if min(ks) >= 0 else None))
                 else:
-                    ks = tuple(k + i for k in ks)
-                    out.append(ScaledEntry(False, None, klass_value(grid, ks), None, vec, target))
+                    out.append(_SMALL)
             entries.append(out)
         return ScaledInstance(
-            self.inst, self.eps, target, entries, self.capacity, self.large_cap, grid
+            self.inst, self.eps, target, entries, self.capacity, self.large_cap, self.grid
         )
 
 
@@ -226,34 +195,23 @@ def realized_types(scaled: ScaledInstance) -> dict[int, dict[Klass, int]]:
     return out
 
 
-def enumerate_large_job_types(scaled: ScaledInstance) -> set[Klass]:
-    """Q restricted to realized size vectors (unrealizable slots cannot be filled)."""
-    out: set[Klass] = set()
-    for per_type in realized_types(scaled).values():
-        out |= per_type.keys()
-    return out
-
-
-def feasible_patterns(scaled: ScaledInstance, counts: dict[Klass, int]) -> list[Pattern]:
-    """Patterns over the realized classes of one type (counts, from
-    realized_types): count and per-dimension mass limits."""
-    return slot_patterns(
-        counts,
-        scaled.large_cap,
-        lambda q: klass_value(scaled.grid, q),
-        scaled.capacity,
-        scaled.base.dims,
-    )
-
-
 def _type_profiles(
     scaled: ScaledInstance, mtype: int, counts: dict[Klass, int]
 ) -> list[tuple[Pattern, ...]]:
-    """Multisets of patterns for the machines of one type, slot-count pruned."""
+    """Multisets of patterns for the machines of one type, slot-count pruned:
+    patterns over the type's realized classes (counts, from realized_types)
+    within the count and per-dimension mass limits."""
     m = scaled.base.machine_counts[mtype]
     if m == 0:
         return [()]
-    return list(pattern_multisets(feasible_patterns(scaled, counts), m, counts))
+    patterns = slot_patterns(
+        counts,
+        scaled.large_cap,
+        functools.partial(klass_value, scaled.grid),
+        scaled.capacity,
+        scaled.base.dims,
+    )
+    return list(pattern_multisets(patterns, m, counts))
 
 
 def enumerate_pattern_profiles(scaled: ScaledInstance, budget: int) -> Iterator[Profile]:
@@ -290,10 +248,7 @@ def profile_from_schedule(scaled: ScaledInstance, sched: Schedule) -> Profile:
                 raise PatternOverflow(
                     f"machine ({t},{k}) holds {len(qs)} large jobs, cap {scaled.large_cap}"
                 )
-            mass = [ZERO] * scaled.base.dims
-            for q in qs:
-                for d, s in enumerate(klass_value(scaled.grid, q)):
-                    mass[d] += s
+            mass = [sum(dim, ZERO) for dim in zip(*(klass_value(scaled.grid, q) for q in qs))]
             if any(m > scaled.capacity for m in mass):
                 raise PatternOverflow(f"machine ({t},{k}) pattern mass exceeds capacity")
             pats.append(tuple(qs))
@@ -358,8 +313,9 @@ def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> Rounding
             if entry.large:
                 slot_ids.update(slots_of.get((t, entry.klass), ()))
             else:
+                raw = tuple(rat(c) / scaled.target for c in inst.cost_vec(j, t))
                 for k in range(inst.machine_counts[t]):
-                    machine_costs[(t, k)] = entry.raw
+                    machine_costs[(t, k)] = raw
         jobs[j] = JobRoutes(machine_costs, slot_ids)
 
     return RoundingProblem(
@@ -369,13 +325,8 @@ def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> Rounding
         capacities=rem,
         small_caps={m: scaled.eps for m in rem},
         type_budgets={},
-        leaf_raw_cost=lambda j, t: max(scaled.entry(j, t).raw),
+        leaf_raw_cost=lambda j, t: max(inst.cost_vec(j, t)) / scaled.target,
     )
-
-
-def build_slot_lp(scaled: ScaledInstance, profile: Profile):
-    """The initial Slot-LP (rows: n jobs + slots + D per machine)."""
-    return slot_lp(build_rounding_problem(scaled, profile))
 
 
 def guarantee_factor(eps, dims: int):

@@ -147,6 +147,40 @@ def test_bad_integer_list_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--trials", "1", "--jobs-max", "1"], "argument --jobs-max: must be at least 2, got 1"),
+        (["bench", "--trials", "1", "--machines-max", "1"],
+         "argument --machines-max: must be at least 2, got 1"),
+        (["bench", "--trials", "1", "--types", "0"], "argument --types: must be at least 1, got 0"),
+        (["bench", "--trials", "1", "--types", "two"], "argument --types: not an integer: 'two'"),
+        (["audit", "--suite", "power-mean", "--samples", "0"],
+         "argument --samples: must be at least 1, got 0"),
+    ],
+    ids=["bench-jobs-max-1", "bench-machines-max-1", "bench-types-0", "bench-types-letters",
+         "audit-samples-0"],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_smallest_counts_are_accepted(capsys):
+    code, out = run(
+        capsys, "bench", "--trials", "2", "--jobs-max", "2", "--machines-max", "2",
+        "--types", "1", "--format", "json",
+    )
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == 2 and all(row["ok"] for row in rows)
+    code, out = run(capsys, "audit", "--suite", "power-mean", "--samples", "1")
+    assert code == 0 and "power-mean: 1 samples" in out
+
+
 def test_eps_and_p_boundaries_are_accepted(capsys):
     code, out = run(
         capsys, "bench", "--objective", "lpnorm", "--trials", "1", "--seed", "1",

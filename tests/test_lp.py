@@ -23,7 +23,7 @@ import pytest
 from typesched import convex, lp as lp_module, lpnorm, rounding
 from typesched.audits import random_lp, vertex_enumeration_optimum
 from typesched.errors import Infeasible, InvariantViolation, PivotLimitExceeded, Unbounded
-from typesched.lp import EQ, GE, LE, LinearProgram, lp_format, solve_extreme_point
+from typesched.lp import EQ, GE, LE, LinearProgram, solve_extreme_point
 from typesched.lpnorm import lpnorm_ptas
 from typesched.makespan import Guided, makespan_ptas
 from typesched.model import GeneratorSpec, generate_instance
@@ -292,14 +292,6 @@ def test_redundant_rows_are_tolerated():
     lp.add_constraint({"x": 2, "y": 2}, EQ, 4)  # same hyperplane
     sol = solve_extreme_point(lp)
     assert sol.objective_value == 2
-
-
-def test_lp_format_smoke():
-    lp = LinearProgram()
-    lp.add_variable("x", objective=rat(1, 2))
-    lp.add_constraint({"x": 1}, LE, 3)
-    text = lp_format(lp)
-    assert "Minimize" in text and "1/2 x" in text and "<= 3" in text
 
 
 # ---------------------------------------------------------------------------

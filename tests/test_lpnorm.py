@@ -31,7 +31,7 @@ from typesched.lpnorm import (
     additive_tolerance,
     build_cp_model,
     build_cp_region,
-    build_lp_from_cp,
+    build_rounding_from_cp,
     calibrate_eps,
     enumerate_guesses,
     f_threshold,
@@ -52,6 +52,7 @@ from typesched.model import (
 )
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, ZERO, is_integral, rat, rat_str
+from typesched.rounding import slot_lp
 
 
 def brute_f(p, eps):
@@ -211,7 +212,7 @@ def test_cp_relaxation_below_oracle_and_lp_consistency():
         # relaxation: CP value minus its certified gap lower-bounds the oracle
         assert cp.objective_value - cp.duality_gap <= float(opt.optimum) * (1 + 1e-9)
         # the CP point is feasible for the frozen-allowance LP
-        lp = build_lp_from_cp(model, cp.t_star)
+        lp = slot_lp(build_rounding_from_cp(model, cp.t_star))
         sol = solve_extreme_point(lp)
         huge_part = sum(
             float(model.routes[j].huge[t][1]) * float(cp.x.get(f"h|{j}|{t}", 0))
@@ -588,7 +589,7 @@ def test_lp_without_huge_jobs_has_plain_slot_shape():
     assert not model.budgets
     assert len(model.slots) == 2  # one large-class slot per machine
     cp = solve_slot_cp(model, 1e-6)
-    lp = build_lp_from_cp(model, cp.t_star)
+    lp = slot_lp(build_rounding_from_cp(model, cp.t_star))
     assert lp.num_rows == inst.num_jobs + len(model.slots) + len(model.small_machines)
     assert not lp.objective  # huge charges absent
 

@@ -11,18 +11,18 @@ from typesched.makespan import (
     Guided,
     ScaleLadder,
     build_rounding_problem,
-    build_slot_lp,
     calibrate_eps,
     decide,
-    enumerate_large_job_types,
     enumerate_pattern_profiles,
     guarantee_factor,
+    klass_value,
     make_scaled_instance,
     makespan_decision,
     makespan_ptas,
     power_round_up,
     profile_admits,
     profile_from_schedule,
+    realized_types,
     slot_only_groups,
 )
 from typesched.model import GeneratorSpec, Schedule, generate_instance, make_instance
@@ -60,12 +60,10 @@ def test_scaled_instance_classification():
     inst = make_instance(1, [1], [[[3]], [[7]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
     small = scaled.entry(0, 0)
-    assert not small.large and small.raw == (rat(3, 10),)
-    assert small.rounded == (rat(4, 9),)
-    assert small.klass is None
+    assert not small.large and small.klass is None
     large = scaled.entry(1, 0)
-    assert large.large and large.rounded == (ONE,)
-    assert large.klass == (0,)
+    assert large.large and large.klass == (0,)
+    assert klass_value(scaled.grid, large.klass) == (ONE,)
 
 
 def test_scaled_boundary_is_large():
@@ -81,7 +79,7 @@ def test_large_lift_applies_only_to_large_jobs():
     scaled = make_scaled_instance(inst, 100, rat(1, 2))
     entry = scaled.entry(0, 0)
     assert entry.large
-    assert entry.rounded[1] >= rat(1, 8)
+    assert klass_value(scaled.grid, entry.klass)[1] >= rat(1, 8)
 
 
 def reference_scaled(inst, target, eps):
@@ -105,7 +103,7 @@ def reference_scaled(inst, target, eps):
                 ks.append(k)
                 rounded.append(power)
             klass = tuple(ks) if large and all(p <= 1 for p in rounded) else None
-            row.append(makespan.ScaledEntry(large, raw, tuple(rounded), klass))
+            row.append(makespan.ScaledEntry(large, klass))
         entries.append(row)
     return entries, target, (ONE + eps) ** 2, rat_floor(rat(dims) / eps)
 
@@ -137,10 +135,12 @@ def test_ladder_rungs_match_the_per_cost_loop():
             top = ScaleLadder(inst, lower, eps).grid.round_up(upper / lower)
             ladder = assert_ladder_matches_reference(inst, lower, eps, range(top + 1))
             rungs += top + 1
-            lifted += sum(
-                e.large and min(e.raw) < eps * eps / inst.dims
-                for i in range(top + 1) for row in ladder.rung(i).entries for e in row
-            )
+            for i in range(top + 1):
+                rung = ladder.rung(i)
+                lifted += sum(
+                    e.large and min(inst.cost_vec(j, t)) / rung.target < eps * eps / inst.dims
+                    for j, row in enumerate(rung.entries) for t, e in enumerate(row)
+                )
     assert rungs > 1000 and lifted > 0
 
 
@@ -154,8 +154,9 @@ def test_ladder_exponents_are_the_power_round_up_exponents():
         for eps in (calibrate_eps(rat(1, 2), inst.dims), rat(1, 3)):
             ladder = ScaleLadder(inst, lower, eps)
             for j, row in enumerate(ladder._costs):
-                for t, (vec, _, ks) in enumerate(row):
-                    assert vec == tuple(rat(c) for c in inst.cost_vec(j, t))
+                for t, (top, ks) in enumerate(row):
+                    vec = tuple(rat(c) for c in inst.cost_vec(j, t))
+                    assert top == max(vec)
                     assert ks == tuple(power_round_up(c / lower, eps)[0] for c in vec)
                     checked += len(ks)
     assert checked > 500
@@ -172,16 +173,51 @@ def test_ladder_boundaries_match_the_per_cost_loop():
     # 32/9); (10, 1) stays large above it, where 1/T lifts to 1/8
     inst = make_instance(2, [1], [[[5, 1]], [[10, 1]]])
     ladder = assert_ladder_matches_reference(inst, rat(32, 9), eps, range(-1, 6))
-    entry = ladder.rung(2).entry(0, 0)
-    assert entry.large and entry.raw[1] == rat(1, 8)
-    assert entry.rounded[1] == power_round_up(rat(1, 8), eps)[1] == rat(32, 243)
-    assert ladder.rung(4).entry(1, 0).rounded[1] == rat(32, 243)
+    rung = ladder.rung(2)
+    entry = rung.entry(0, 0)
+    assert entry.large and rung.target == 8
+    assert klass_value(rung.grid, entry.klass)[1] == power_round_up(rat(1, 8), eps)[1] == rat(32, 243)
+    assert klass_value(rung.grid, ladder.rung(4).entry(1, 0).klass)[1] == rat(32, 243)
     # costs exactly on a grid power: 4/9 = (2/3)^2 small, 6/9 = (2/3)^1 large
     inst = make_instance(1, [1], [[[4]], [[6]]])
     ladder = assert_ladder_matches_reference(inst, 4, eps, range(-1, 5))
     small, large = ladder.rung(2).entries
-    assert small[0].rounded == (rat(4, 9),) and small[0].klass is None
-    assert large[0].rounded == (rat(2, 3),) and large[0].klass == (1,)
+    assert not small[0].large and small[0].klass is None
+    assert large[0].large and large[0].klass == (1,)
+    assert klass_value(ladder.grid, large[0].klass) == (rat(2, 3),)
+
+
+def test_small_routes_cost_exactly_cost_over_target_at_every_rung():
+    # build_rounding_problem divides each small route's costs by the rung's
+    # target; on A1-shape and (2,2) instances, at every rung of the
+    # makespan_ptas grid where the oracle certificate gives a profile, the
+    # routes cost exactly cost/T_i and each leaf max(cost)/T_i (at the
+    # calibrated eps few pairs are small, so coarse eps values join it)
+    cases = [generate_instance(ExperimentConfig("makespan", 1, s, 1).trial_spec(0), s)
+             for s in range(300, 316)]
+    cases += [generate_instance(GeneratorSpec(4, dims, (2, 2), 1, 10), 600 + s)
+              for dims in (1, 2) for s in range(6)]
+    routes = {}
+    for inst in cases:
+        witness = exact_solve(inst).witness
+        lower, upper = makespan._target_bounds(inst)
+        for eps in (calibrate_eps(rat(1, 2), inst.dims), rat(1, 2), rat(1, 3)):
+            ladder = ScaleLadder(inst, lower, eps)
+            for i in range(ladder.grid.round_up(upper / lower) + 1):
+                scaled = ladder.rung(i)
+                target = lower * (1 + eps) ** i
+                try:
+                    profile = profile_from_schedule(scaled, witness)
+                except PatternOverflow:
+                    continue
+                problem = build_rounding_problem(scaled, profile)
+                for j, job in problem.jobs.items():
+                    for (t, _), cost in job.machine_costs.items():
+                        assert cost == tuple(rat(c) / target for c in inst.cost_vec(j, t))
+                        routes[i > 0] = routes.get(i > 0, 0) + 1
+                    for t in range(inst.num_types):
+                        assert problem.leaf_raw_cost(j, t) == max(inst.cost_vec(j, t)) / target
+    assert routes[False] > 50 and routes[True] > 1000
 
 
 def test_guided_acceptance_implies_full_acceptance_at_every_rung():
@@ -212,7 +248,7 @@ def test_realized_types_restriction():
     # all large jobs round to size 1 -> Q restricted to {(0,)}
     inst = make_instance(1, [1], [[[9]], [[10]], [[2]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
-    assert enumerate_large_job_types(scaled) == {(0,)}
+    assert realized_types(scaled) == {0: {(0,): 2}}
 
 
 def test_profile_enumeration_tiny_cases():
@@ -346,7 +382,7 @@ def test_slot_lp_row_count():
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
     profiles = list(enumerate_pattern_profiles(scaled, 10**6))
     profile = max(profiles, key=lambda p: sum(len(x) for pats in p for x in pats))
-    lp = build_slot_lp(scaled, profile)
+    lp = slot_lp(build_rounding_problem(scaled, profile))
     n_slots = len(build_rounding_problem(scaled, profile).slots)
     assert n_slots > 0
     assert lp.num_rows == inst.num_jobs + n_slots + inst.dims * inst.num_machines
