@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import audits, lpnorm, makespan
-from .errors import BudgetExhausted, Infeasible, TypeschedError
+from .errors import BadSpec, BudgetExhausted, Infeasible, TypeschedError
 from .modes import FullEnum, Guided
 from .model import (
     GeneratorSpec,
@@ -51,6 +51,19 @@ class ExperimentConfig:
     dims_choices: tuple[int, ...] = (1, 2)
     cost_min: int = 1
     cost_max: int = 10
+
+    def __post_init__(self):
+        # trial_spec divides by jobs_max - 1, machines_max - 1, num_types and
+        # the number of dims choices, and a batch without trials checks nothing
+        for name, value, low in (
+            ("trials", self.trials, 1),
+            ("jobs_max", self.jobs_max, 2),
+            ("machines_max", self.machines_max, 2),
+            ("num_types", self.num_types, 1),
+            ("len(dims_choices)", len(self.dims_choices), 1),
+        ):
+            if value < low:
+                raise BadSpec(f"{name} must be at least {low}, got {value}")
 
     def trial_spec(self, index: int) -> GeneratorSpec:
         """Deterministic instance shape for one trial (spec + seed fix it)."""
@@ -212,7 +225,7 @@ def _ints_arg(text: str) -> tuple[int, ...]:
 def _int_at_least(low: int):
     """The type of an integer option that must be >= low, checked before any
     work starts (bench shapes divide by jobs-max - 1, machines-max - 1 and
-    types; an audit needs a sample)."""
+    types; a bench needs a trial and an audit a sample)."""
 
     def parse(text: str) -> int:
         try:
@@ -274,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="seeded experiment batch")
     b.add_argument("--objective", choices=["makespan", "lpnorm"], default="makespan")
-    b.add_argument("--trials", type=int, default=20)
+    b.add_argument("--trials", type=_int_at_least(1), default=20)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--eps", type=_eps_arg, default="1/2")
     b.add_argument("--p", type=_p_arg, default="2")

@@ -138,18 +138,6 @@ def calibrate_eps(eps_user):
     return halve_until(eps_user, lambda e: (ONE + 4 * e) * (ONE + e) ** 2 <= bound)
 
 
-def size_class(cost, eps) -> int:
-    """Largest e with (1+eps)^e <= cost (round down to the geometric grid)."""
-    cost = rat(cost)
-    if cost <= 0:
-        raise ValueError("a size class needs a positive cost")
-    return geometric_grid(rat(eps)).round_down(cost)
-
-
-def class_size(e: int, eps):
-    return geometric_grid(rat(eps)).value(e)
-
-
 HUGE, LARGE, SMALL = "huge", "large", "small"
 
 

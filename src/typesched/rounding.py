@@ -21,10 +21,20 @@ variables, and then applies one reduction:
 
 The extreme-point counting bound (#fractional <= 2*slots + 2D*machines +
 2*budget rows) guarantees a case always applies; its failure is a fatal
-CountingViolation.  Untangling then replaces every artificial job by real
-jobs: tree placement for artificial jobs sitting in foreign slots or on
-huge machines, and a per-machine covering LP whose extreme point has at
-most |AJ_i| + D nonzeros for artificial jobs sitting in remaining space.
+CountingViolation.
+
+A round in which every live job has exactly one live route is solved
+without the simplex: the assignment rows fix every route at 1, so that
+point is the LP's only candidate.  It is checked exactly against the slot,
+capacity and budget rows the LP would hold and returned in the LP's column
+order with the summed huge charges as its objective, which is the simplex's
+own answer; a violated row raises Infeasible where the simplex would.  Such
+a round commits every live job, so it is always the last.
+
+Untangling then replaces every artificial job by real jobs: tree placement
+for artificial jobs sitting in foreign slots or on huge machines, and a
+per-machine covering LP whose extreme point has at most |AJ_i| + D nonzeros
+for artificial jobs sitting in remaining space.
 
 The slots of a pattern profile, the route column names, the assignment
 and slot rows (SlotRows, also the base of the L_p convex region) and the
@@ -90,7 +100,7 @@ class MergeNode:
 @dataclass
 class RoundingStats:
     iterations: int = 0
-    lp_solves: int = 0
+    lp_solves: int = 0  # rounds solved, by the simplex or by the forced-route check
     counting_checks: int = 0
     case_machine_drop: int = 0
     case_slot_single: int = 0
@@ -305,20 +315,15 @@ class SlotRows:
                 self.registry[name] = (kind, jkey, target)
                 row[name] = 1
             self.lp.add_constraint(row, EQ, 1)
-        self.slot_rows = 0
         for s in sorted(slot_vars):
             if slot_vars[s]:
                 self.lp.add_constraint({v: 1 for v in slot_vars[s]}, LE, 1)
-                self.slot_rows += 1
 
-    def add_budget_rows(self, budgets: dict[int, int]) -> int:
-        """At most budgets[t] huge routes per type that has any; returns the row count."""
-        added = 0
+    def add_budget_rows(self, budgets: dict[int, int]) -> None:
+        """At most budgets[t] huge routes per type that has any."""
         for t in sorted(budgets):
             if t in self.budget_vars:
                 self.lp.add_constraint({v: 1 for v in self.budget_vars[t]}, LE, budgets[t])
-                added += 1
-        return added
 
 
 class RoundingEngine:
@@ -353,17 +358,57 @@ class RoundingEngine:
     # -- LP construction ---------------------------------------------------
 
     def _build_lp(self):
+        """This round's LP and its registry (column -> (kind, job, target))."""
         rows = SlotRows({j: self.live[j] for j in sorted(self.live, key=_job_sort_key)},
                         self.live_slots)
         lp = rows.lp
-        cap_machines = sorted(self.live_machines & rows.machine_vars.keys())
-        for mk in cap_machines:
+        for mk in sorted(self.live_machines & rows.machine_vars.keys()):
             for d in range(self.dims):
                 coeffs = {name: vec[d] for name, vec in rows.machine_vars[mk] if vec[d] != 0}
-                rhs = self.problem.capacities[mk][d] - self.committed[mk][d]
-                lp.add_constraint(coeffs, LE, rhs)
-        n_budget_rows = rows.add_budget_rows({t: self.budget_left[t] for t in self.live_types})
-        return lp, rows.registry, (rows.slot_rows, len(cap_machines), n_budget_rows)
+                lp.add_constraint(coeffs, LE, self._room(mk, d))
+        rows.add_budget_rows({t: self.budget_left[t] for t in self.live_types})
+        return lp, rows.registry
+
+    def _room(self, mk: MachineKey, d: int):
+        """The rhs of machine mk's capacity row in dimension d."""
+        return self.problem.capacities[mk][d] - self.committed[mk][d]
+
+    def _forced_point(self, by_machine, by_slot, by_type):
+        """(values, registry, objective) of a round in which every live job
+        has exactly one live route.
+
+        The assignment rows then fix every route at 1, so that point is the
+        LP's only candidate: it is returned, in _build_lp's column order, when
+        it satisfies the slot, capacity and budget rows _build_lp would emit,
+        and Infeasible is raised otherwise, as the simplex would.
+        """
+        if any(len(by_slot[s]) > 1 for s in self.live_slots):
+            raise Infeasible("forced routes share a slot")
+        for mk in self.live_machines:
+            for d in range(self.dims):
+                load = sum((self.live[j].machine_costs[mk][d] for j in by_machine[mk]), ZERO)
+                if load > self._room(mk, d):
+                    raise Infeasible("forced routes exceed a machine's capacity")
+        if any(len(by_type[t]) > self.budget_left[t] for t in self.live_types):
+            raise Infeasible("forced huge routes exceed a type's budget")
+        values, registry, objective = {}, {}, ZERO
+        for jkey in sorted(self.live, key=_job_sort_key):
+            routes = self.live[jkey]
+            (name, kind, target), = route_vars(jkey, routes)
+            values[name] = ONE
+            registry[name] = (kind, jkey, target)
+            if kind == "h":
+                objective += rat(routes.huge[target][1])
+        return values, registry, objective
+
+    def _solve_round(self, by_machine, by_slot, by_type):
+        """(values, registry, objective) of an extreme point of this round's LP; the
+        row clean-up has run, so every live row has a live route."""
+        if all(len(r.machine_costs) + len(r.slots) + len(r.huge) == 1 for r in self.live.values()):
+            return self._forced_point(by_machine, by_slot, by_type)
+        lp, registry = self._build_lp()
+        sol = solve_extreme_point(lp)
+        return sol.values, registry, sol.objective_value
 
     def _route_index(self):
         """The live jobs routed to each machine, slot and huge type."""
@@ -408,9 +453,9 @@ class RoundingEngine:
             raise InvariantViolation("huge budget overdrawn")
         self.huge_assign[jkey] = t
 
-    def _fix_integrals(self, sol, registry):
+    def _fix_integrals(self, values, registry):
         ones = []
-        for name, value in sol.values.items():
+        for name, value in values.items():
             kind, jkey, target = registry[name]
             if value == 1:
                 ones.append((kind, jkey, target))
@@ -437,7 +482,7 @@ class RoundingEngine:
 
     # -- case reductions ----------------------------------------------------
 
-    def _apply_case(self, sol) -> None:
+    def _apply_case(self, values) -> None:
         by_machine, by_slot, by_type = self._route_index()
 
         for mk in sorted(self.live_machines):
@@ -463,7 +508,7 @@ class RoundingEngine:
                 self.stats.case_slot_single += 1
             else:
                 j1, j2 = sorted(jobs, key=_job_sort_key)
-                self._merge(j1, j2, s, sol)
+                self._merge(j1, j2, s, values)
                 self.stats.case_slot_merge += 1
             return
 
@@ -480,7 +525,7 @@ class RoundingEngine:
 
         raise CountingViolation("no machine, slot, or type was reducible")
 
-    def _merge(self, j1: JobKey, j2: JobKey, s: int, sol) -> None:
+    def _merge(self, j1: JobKey, j2: JobKey, s: int, values) -> None:
         r1, r2 = self.live.pop(j1), self.live.pop(j2)
         key = f"a{self._art_counter}"
         self._art_counter += 1
@@ -488,8 +533,8 @@ class RoundingEngine:
         def weights(kind: str, target, in1: bool, in2: bool) -> tuple:
             """Each parent's share of a route: its LP value over both, or all of it alone."""
             if in1 and in2:
-                x1 = sol.values.get(route_var(kind, j1, target), ZERO)
-                x2 = sol.values.get(route_var(kind, j2, target), ZERO)
+                x1 = values.get(route_var(kind, j1, target), ZERO)
+                x2 = values.get(route_var(kind, j2, target), ZERO)
                 w1 = x1 / (x1 + x2)
                 return w1, ONE - w1
             return (ONE, ZERO) if in1 else (ZERO, ONE)
@@ -531,9 +576,8 @@ class RoundingEngine:
             self.live_slots &= by_slot.keys()
             self.live_machines &= by_machine.keys()
             self.live_types &= by_type.keys()
-            lp, registry, (s_rows, m_rows, t_rows) = self._build_lp()
             try:
-                sol = solve_extreme_point(lp)
+                values, registry, objective = self._solve_round(by_machine, by_slot, by_type)
             except Infeasible:
                 if first:
                     raise
@@ -542,23 +586,25 @@ class RoundingEngine:
                 ) from None
             first = False
             self.stats.lp_solves += 1
-            frac = sum(1 for v in sol.values.values() if 0 < v < 1)
-            bound = 2 * s_rows + 2 * self.dims * m_rows + 2 * t_rows
+            frac = sum(1 for v in values.values() if 0 < v < 1)
+            # after the clean-up every live row constrains a live route
+            bound = (2 * len(self.live_slots) + 2 * self.dims * len(self.live_machines)
+                     + 2 * len(self.live_types))
             if frac > bound:
                 raise CountingViolation(
                     f"{frac} fractional variables exceeds bound {bound}"
                 )
             self.stats.counting_checks += 1
-            full_objective = sol.objective_value + self._committed_charge
+            full_objective = objective + self._committed_charge
             if prev_objective is not None and full_objective > prev_objective:
                 raise InvariantViolation("reduced-LP optimum increased across an iteration")
             prev_objective = full_objective
             self.stats.lp_objectives.append(full_objective)
 
-            self._fix_integrals(sol, registry)
+            self._fix_integrals(values, registry)
             if not self.live:
                 break
-            self._apply_case(sol)
+            self._apply_case(values)
             self.stats.iterations += 1
 
         return RoundingOutcome(

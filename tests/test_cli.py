@@ -3,6 +3,7 @@ import json
 import pytest
 
 from typesched.cli import ExperimentConfig, main, run_experiment
+from typesched.errors import BadSpec
 from typesched.model import instance_from_json
 from typesched.rationals import rat
 
@@ -68,11 +69,25 @@ def test_bench_report_byte_stable():
     assert a == b
 
 
-def test_bench_zero_trials_empty_report():
-    cfg = ExperimentConfig(objective="makespan", trials=0, seed=0, eps_user=rat(1, 2))
-    report = run_experiment(cfg)
-    assert report.ok and report.rows == []
-    assert report.summary()["failures"] == 0
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("trials", 0, "trials must be at least 1, got 0"),
+        ("trials", -1, "trials must be at least 1, got -1"),
+        ("jobs_max", 1, "jobs_max must be at least 2, got 1"),
+        ("machines_max", 1, "machines_max must be at least 2, got 1"),
+        ("num_types", 0, "num_types must be at least 1, got 0"),
+        ("dims_choices", (), "len(dims_choices) must be at least 1, got 0"),
+    ],
+    ids=["trials-0", "trials-negative", "jobs-max-1", "machines-max-1", "types-0", "no-dims"],
+)
+def test_experiment_config_rejects_shapes_it_cannot_run(field, value, message):
+    # each of these used to run no trial, or end in ZeroDivisionError from trial_spec
+    spec = dict(objective="makespan", trials=1, seed=0, eps_user=rat(1, 2))
+    spec[field] = value
+    with pytest.raises(BadSpec) as info:
+        ExperimentConfig(**spec)
+    assert str(info.value) == message
 
 
 def test_bench_zero_budget_reports_budget_exhausted():
@@ -157,9 +172,11 @@ def test_bad_integer_list_is_a_usage_error(capsys, argv):
         (["bench", "--trials", "1", "--types", "two"], "argument --types: not an integer: 'two'"),
         (["audit", "--suite", "power-mean", "--samples", "0"],
          "argument --samples: must be at least 1, got 0"),
+        (["bench", "--trials", "0"], "argument --trials: must be at least 1, got 0"),
+        (["bench", "--trials", "-1"], "argument --trials: must be at least 1, got -1"),
     ],
     ids=["bench-jobs-max-1", "bench-machines-max-1", "bench-types-0", "bench-types-letters",
-         "audit-samples-0"],
+         "audit-samples-0", "bench-trials-0", "bench-trials-negative"],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:

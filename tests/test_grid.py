@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from typesched.lpnorm import class_size, size_class
 from typesched.makespan import klass_value, power_round_up
 from typesched.rationals import GeometricGrid, geometric_grid, rat
 
@@ -78,8 +77,6 @@ def assert_grid_matches(x: Fraction, eps: Fraction):
     assert grid.value(-k) == power
     assert grid.value(down) == (1 + eps) ** down
     assert power_round_up(x, eps) == (k, power)
-    assert size_class(x, eps) == down
-    assert class_size(down, eps) == (1 + eps) ** down
 
 
 positive_rationals = st.builds(

@@ -412,7 +412,7 @@ def test_pipeline_lps_pivot_like_the_fraction_tableau(pivot_logs, monkeypatch):
 
     monkeypatch.setattr(convex, "solve_extreme_point", capture)
     monkeypatch.setattr(rounding, "solve_extreme_point", capture)
-    for seed in (3, 4, 5, 6):
+    for seed in range(3, 11):
         inst = generate_instance(GeneratorSpec(7, 1, (2, 2), 1, 10), seed)
         lpnorm_ptas(inst, 2, rat(1, 2), Guided(exact_solve(inst, "lp_norm", p=2).witness))
         inst = generate_instance(GeneratorSpec(6, 2, (2, 2), 1, 10), seed)

@@ -36,11 +36,9 @@ from typesched.lpnorm import (
     enumerate_guesses,
     f_threshold,
     guess_from_schedule,
-    class_size,
     region_admits,
     lpnorm_ptas,
     job_kind,
-    size_class,
     solve_slot_cp,
 )
 from typesched.lp import EQ, GE, LE, LinearProgram, solve_extreme_point
@@ -51,7 +49,7 @@ from typesched.model import (
     make_instance,
 )
 from typesched.oracle import exact_solve
-from typesched.rationals import ONE, ZERO, is_integral, rat, rat_str
+from typesched.rationals import ONE, ZERO, geometric_grid, is_integral, rat, rat_str
 from typesched.rounding import slot_lp
 
 
@@ -108,11 +106,13 @@ def test_calibrate_eps_lpnorm():
 
 def test_size_class_round_down():
     eps = rat(1, 2)
+    grid = geometric_grid(eps)
     # (3/2)^e <= c: c = 4 -> e = 3 ((3/2)^3 = 27/8 = 3.375 <= 4 < 5.0625)
-    assert size_class(4, eps) == 3
+    assert grid.round_down(rat(4)) == 3
     assert class_value_check(3, eps) <= 4 < class_value_check(4, eps)
-    assert size_class(1, eps) == 0
-    assert size_class(rat(1, 2), eps) == -2  # (2/3)^2 = 4/9 <= 1/2 < 2/3
+    assert grid.value(3) == class_value_check(3, eps)
+    assert grid.round_down(rat(1)) == 0
+    assert grid.round_down(rat(1, 2)) == -2  # (2/3)^2 = 4/9 <= 1/2 < 2/3
 
 
 def class_value_check(e, eps):
@@ -394,7 +394,7 @@ def ref_guess_lower_bound(inst, p, eps, guess):
             continue
         floor_val = tg.alpha * rat(tg.c_max)
         for pat in tg.profile:
-            mass = sum((class_size(e, eps) for e in pat), ZERO)
+            mass = sum((geometric_grid(rat(eps)).value(e) for e in pat), ZERO)
             total += ref_charge(max(floor_val, mass), p)
     return total
 

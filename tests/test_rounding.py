@@ -1,15 +1,17 @@
+import collections
 import random
 
 import pytest
 
-from typesched import lpnorm, makespan
+from typesched import lp as lp_module
+from typesched import lpnorm, makespan, rounding
+from typesched.cli import ExperimentConfig
 from typesched.errors import ForestInconsistent, Infeasible, InvariantViolation
-from typesched.lpnorm import size_class
 from typesched.makespan import build_rounding_problem, make_scaled_instance, profile_from_schedule
 from typesched.model import GeneratorSpec, Schedule, generate_instance
 from typesched.modes import FullEnum, Guided
 from typesched.oracle import exact_solve
-from typesched.rationals import ONE, ZERO, rat
+from typesched.rationals import ONE, ZERO, geometric_grid, rat
 from typesched.rounding import (
     FinalAssignment,
     JobRoutes,
@@ -80,16 +82,13 @@ def test_merge_equal_costs_yields_same_cost_artificial():
         capacities={(0, 0): (rat(1),), (0, 1): (rat(1),)},
     )
     engine = RoundingEngine(problem)
-
-    class FakeSol:
-        values = {
-            "m|0|0|0": rat(1, 2),
-            "s|0|0": rat(1, 2),
-            "m|1|0|0": rat(1, 2),
-            "s|1|0": rat(1, 2),
-        }
-
-    engine._merge(0, 1, 0, FakeSol())
+    values = {
+        "m|0|0|0": rat(1, 2),
+        "s|0|0": rat(1, 2),
+        "m|1|0|0": rat(1, 2),
+        "s|1|0": rat(1, 2),
+    }
+    engine._merge(0, 1, 0, values)
     assert "a0" in engine.live
     art = engine.live["a0"]
     assert art.machine_costs[(0, 0)] == (rat(1, 4),)  # convex combination of equals
@@ -108,16 +107,13 @@ def test_merge_one_sided_route_inherits_cost():
         capacities={(0, 0): (rat(1),), (0, 1): (rat(1),), (1, 0): (rat(1),)},
     )
     engine = RoundingEngine(problem)
-
-    class FakeSol:
-        values = {
-            "m|0|0|0": rat(1, 2),
-            "s|0|0": rat(1, 2),
-            "m|1|0|1": rat(1, 2),
-            "s|1|0": rat(1, 2),
-        }
-
-    engine._merge(0, 1, 0, FakeSol())
+    values = {
+        "m|0|0|0": rat(1, 2),
+        "s|0|0": rat(1, 2),
+        "m|1|0|1": rat(1, 2),
+        "s|1|0": rat(1, 2),
+    }
+    engine._merge(0, 1, 0, values)
     art = engine.live["a0"]
     assert art.machine_costs[(0, 0)] == (rat(1, 8),)
     assert art.machine_costs[(0, 1)] == (rat(1, 3),)
@@ -216,12 +212,7 @@ def test_improper_case_semantics_whitebox():
         leaf_raw_cost=lambda j, t: rat(1),
     )
     engine = RoundingEngine(problem)
-
-    class FakeSol:
-        values = {"h|0|0": rat(1, 2), "h|1|0": rat(1, 2)}
-        objective_value = rat(9)
-
-    engine._apply_case(FakeSol())
+    engine._apply_case({"h|0|0": rat(1, 2), "h|1|0": rat(1, 2)})
     assert engine.improper == {0: [0, 1]}
     assert not engine.live
     assert 0 not in engine.live_types
@@ -449,7 +440,7 @@ def ref_lp_job_class(model, j: int, t: int):
     c = rat(model.inst.cost(j, t))
     if c > rat(tg.c_max) or c <= rat(model.eps) * tg.alpha * rat(tg.c_max):
         return None
-    return size_class(c, model.eps)
+    return geometric_grid(rat(model.eps)).round_down(c)
 
 
 def greedy_schedule(inst):
@@ -508,3 +499,153 @@ def test_slot_routes_agree_with_the_old_class_rules(monkeypatch):
                 routed += fits
     assert {type(p.slots[0].klass) for _, p in problems if p.slots} == {tuple, int}
     assert routed > 0 and pairs > routed
+
+
+# ---------------------------------------------------------------------------
+# forced rounds: every live job has one live route, so the round is checked
+# without the simplex; the simplex on the same round's LP is the reference
+
+
+class SimplexEngine(RoundingEngine):
+    """The engine with every forced round solved by the simplex instead."""
+
+    def _forced_point(self, by_machine, by_slot, by_type):
+        lp, registry = self._build_lp()
+        sol = lp_module.solve_extreme_point(lp)
+        return sol.values, registry, sol.objective_value
+
+
+def no_simplex(lp, start=None):
+    raise AssertionError("a forced round reached the simplex")
+
+
+def forced_problems():
+    """Hand-built problems whose first round is forced, by expected outcome."""
+    half, quarter = rat(1, 2), rat(1, 4)
+    m0, m1 = (0, 0), (0, 1)
+    feasible = RoundingProblem(
+        dims=2,
+        jobs={
+            0: JobRoutes({m0: (half, quarter)}, set()),
+            1: JobRoutes({}, {0}),
+            2: JobRoutes({}, set(), {1: (rat(3), rat(9))}),
+            3: JobRoutes({m0: (half, quarter)}, set()),
+            4: JobRoutes({}, set(), {1: (rat(2), rat(4))}),
+            5: JobRoutes({m1: (ONE, ZERO)}, set()),
+        },
+        slots={0: SlotInfo(0, m1, "q", (half, half)), 1: SlotInfo(1, m1, "q", (half, half))},
+        capacities={m0: (ONE, half), m1: (ONE, ONE)},
+        small_caps={m0: half, m1: half},
+        type_budgets={1: 2},
+    )
+    clash = simple_problem(
+        jobs={0: JobRoutes({}, {0}), 1: JobRoutes({}, {0})},
+        slots={0: SlotInfo(0, (0, 1), "q", (ONE,))},
+        capacities={(0, 0): (ONE,), (0, 1): (ONE,)},
+    )
+    # dimension 0 fits exactly, dimension 1 is over by 1/4
+    overflow = RoundingProblem(
+        dims=2,
+        jobs={0: JobRoutes({m0: (half, half)}, set()), 1: JobRoutes({m0: (half, quarter)}, set())},
+        slots={},
+        capacities={m0: (ONE, half)},
+        small_caps={m0: half},
+    )
+    budget = simple_problem(
+        jobs={j: JobRoutes({}, set(), {0: (rat(3), rat(9))}) for j in range(3)},
+        slots={},
+        capacities={},
+        budgets={0: 2},
+    )
+    return {"feasible": feasible, "slot-clash": clash, "capacity": overflow, "budget": budget}
+
+
+@pytest.mark.parametrize("name", ["feasible", "slot-clash", "capacity", "budget"])
+def test_forced_round_gives_the_simplex_outcome(monkeypatch, name):
+    problem = forced_problems()[name]
+    try:
+        expected = SimplexEngine(problem).run()
+    except Infeasible:
+        expected = Infeasible
+    assert (expected is Infeasible) == (name != "feasible")
+    monkeypatch.setattr(rounding, "solve_extreme_point", no_simplex)
+    if expected is Infeasible:
+        with pytest.raises(Infeasible):
+            RoundingEngine(problem).run()
+        return
+    outcome = RoundingEngine(problem).run()
+    assert outcome == expected  # stats included
+    assert outcome.stats.lp_solves == outcome.stats.counting_checks == 1
+    assert outcome.stats.lp_objectives == [rat(13)]
+    assert outcome.slot_assign == {0: 1}
+    assert outcome.huge_assign == {2: 1, 4: 1}
+    assert outcome.machine_assign == {0: (0, 0), 3: (0, 0), 5: (0, 1)}
+
+
+@pytest.mark.parametrize("committed, fits", [(rat(1, 2), True), (rat(3, 4), False)],
+                         ids=["fits", "over"])
+def test_forced_capacity_check_counts_committed_load(monkeypatch, committed, fits):
+    # a capacity row's rhs is the capacity less the load already committed
+    m0 = (0, 0)
+    problem = simple_problem(
+        jobs={0: JobRoutes({m0: (rat(1, 2),)}, set())}, slots={}, capacities={m0: (ONE,)},
+    )
+    outcomes = []
+    for engine_class in (SimplexEngine, RoundingEngine):
+        if engine_class is RoundingEngine:
+            monkeypatch.setattr(rounding, "solve_extreme_point", no_simplex)
+        engine = engine_class(problem)
+        engine.committed[m0] = [committed]
+        try:
+            outcomes.append(engine.run().machine_assign)
+        except Infeasible:
+            outcomes.append(Infeasible)
+    assert outcomes == ([{0: m0}] if fits else [Infeasible]) * 2
+
+
+def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
+    # every forced round of seeded makespan (guided, full) and L_p full-mode
+    # runs: the simplex on that round's LP gives the same values, column
+    # order and objective, or both raise Infeasible
+    seen = collections.defaultdict(collections.Counter)  # pipeline -> round kinds
+    pipeline = [None]
+    check_forced = RoundingEngine._forced_point
+    simplex = rounding.solve_extreme_point
+
+    def checked(self, by_machine, by_slot, by_type):
+        lp, registry = self._build_lp()
+        try:
+            sol = lp_module.solve_extreme_point(lp)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                check_forced(self, by_machine, by_slot, by_type)
+            seen[pipeline[0]]["infeasible"] += 1
+            raise
+        values, forced_registry, objective = check_forced(self, by_machine, by_slot, by_type)
+        assert list(values.items()) == list(sol.values.items())
+        assert list(forced_registry.items()) == list(registry.items())
+        assert objective == sol.objective_value
+        seen[pipeline[0]]["forced"] += 1
+        return values, forced_registry, objective
+
+    def counted(lp, start=None):
+        seen[pipeline[0]]["simplex"] += 1
+        return simplex(lp, start)
+
+    monkeypatch.setattr(RoundingEngine, "_forced_point", checked)
+    monkeypatch.setattr(rounding, "solve_extreme_point", counted)
+    half = rat(1, 2)
+    for seed in range(2100, 2130):
+        pipeline[0] = "makespan guided"
+        inst = generate_instance(ExperimentConfig("makespan", 1, seed, half).trial_spec(0), seed)
+        makespan.makespan_ptas(inst, half, Guided(exact_solve(inst).witness))
+    for seed in range(10):
+        pipeline[0] = "makespan full"
+        inst = generate_instance(GeneratorSpec(4, 1, (2, 2), 1, 10), 2200 + seed)
+        makespan.makespan_ptas(inst, half, FullEnum())
+        pipeline[0] = "lpnorm full"
+        inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 2300 + seed)
+        lpnorm.lpnorm_ptas(inst, 2, half, FullEnum())
+    assert set(seen) == {"makespan guided", "makespan full", "lpnorm full"}
+    for tally in seen.values():
+        assert tally["forced"] > 0 and tally["simplex"] > 0, seen
