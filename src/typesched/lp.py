@@ -266,7 +266,9 @@ def _phase_one(lp: LinearProgram) -> _Phase1:
     if any(b >= art_start and row.get(RHS, 0) > 0 for row, b in zip(tab.rows, tab.basis)):
         raise Infeasible("phase-1 optimum positive")
     # Drive leftover zero-valued artificials out of the basis; a row with
-    # no structural pivot candidate is redundant and can be dropped.
+    # no structural pivot candidate is redundant and can be dropped.  The
+    # phase-1 costs are not read again, so the pivots carry none.
+    tab.price({})
     drop = []
     for r in range(len(tab.rows)):
         if tab.basis[r] >= art_start:

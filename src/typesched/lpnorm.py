@@ -42,6 +42,7 @@ refuted guess raises InfeasibleRegion, as its convex solve would.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -134,8 +135,16 @@ def f_threshold(p, eps) -> int:
 
 def calibrate_eps(eps_user):
     """Largest eps_user/2^k with (1+4e)(1+e)^2 <= 1 + eps_user."""
-    bound = ONE + parse_rational(eps_user)
-    return halve_until(eps_user, lambda e: (ONE + 4 * e) * (ONE + e) ** 2 <= bound)
+    eps_user = parse_rational(eps_user)
+    return _calibrated(eps_user.numerator, eps_user.denominator)
+
+
+@functools.lru_cache(maxsize=64)
+def _calibrated(num: int, den: int):
+    """calibrate_eps of num/den, computed once; the key is the integer pair,
+    since hashing a rational would take a modular inverse per call."""
+    bound = ONE + rat(num, den)
+    return halve_until(rat(num, den), lambda e: (ONE + 4 * e) * (ONE + e) ** 2 <= bound)
 
 
 HUGE, LARGE, SMALL = "huge", "large", "small"
@@ -331,27 +340,29 @@ def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
             ]
         return found
 
-    def prefixes(t: int, chosen: tuple, pinned: int, routed: int, bound):
-        """(prefix, pinned, routed, bound) of every conflict-free prefix over
-        the first K-1 types that extends chosen (a prefix over types < t),
-        in product order; bound is the left-to-right sum of its shares."""
-        if t == len(head):
-            yield chosen, pinned, routed, bound
-            return
-        for tg, vh, routes, lb in head[t]:
-            if not pinned & vh:
-                yield from prefixes(
-                    t + 1, chosen + (tg,), pinned | vh, routed | routes,
-                    lb if bound is None else bound + lb,
-                )
-
     yielded = 0
-    for chosen, pinned, routed, bound in prefixes(0, (), 0, 0, None):
+    for chosen, pinned, routed, bound in _prefixes(head, 0, (), 0, 0, None):
         for tg, lb in completing(pinned, every_job & ~(pinned | routed)):
             if yielded >= budget:
                 raise BudgetExhausted(f"guess budget {budget} exhausted")
             yielded += 1
             yield Guess(chosen + (tg,), lb if bound is None else bound + lb)
+
+
+def _prefixes(head: list, t: int, chosen: tuple, pinned: int, routed: int, bound):
+    """(prefix, pinned, routed, bound) of every conflict-free prefix over the
+    types of head (per type, enumerate_guesses' options) that extends chosen,
+    a prefix over the types before t, in product order; bound is the
+    left-to-right sum of its shares."""
+    if t == len(head):
+        yield chosen, pinned, routed, bound
+        return
+    for tg, vh, routes, lb in head[t]:
+        if not pinned & vh:
+            yield from _prefixes(
+                head, t + 1, chosen + (tg,), pinned | vh, routed | routes,
+                lb if bound is None else bound + lb,
+            )
 
 
 def _type_lower_bound(inst: Instance, p, eps, t: int, tg: TypeGuess):
@@ -578,14 +589,28 @@ class LoadObjective:
         self._floats = (float, 0.0, float(model.p))
         if self.exact_p:
             self._exact = (rat, ZERO, int(model.p))
-            self.exact_value = lambda x: self._value(x, *self._exact)
-            self.exact_gradient = lambda x: self._gradient(x, *self._exact)
 
     def value(self, x: dict[str, float]) -> float:
         return self._value(x, *self._floats)
 
     def gradient(self, x: dict[str, float]) -> dict[str, float]:
         return self._gradient(x, *self._floats)
+
+    @property
+    def exact_value(self):
+        return self._exact_form(self._value)
+
+    @property
+    def exact_gradient(self):
+        return self._exact_form(self._gradient)
+
+    def _exact_form(self, form):
+        """form over rationals.  Raises AttributeError unless p is integral,
+        so hasattr, the convex solver's switch to exact mode, sees the exact
+        forms just then; none is stored on the objective."""
+        if not self.exact_p:
+            raise AttributeError("the exact forms need an integral p")
+        return lambda x: form(x, *self._exact)
 
     def _charges(self, x: dict, num, zero):
         return sum((num(c) * x.get(v, zero) for v, c in self.linear.items()), zero)

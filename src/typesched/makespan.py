@@ -22,6 +22,13 @@ fractional matching of these jobs, and a bipartite graph has one only if
 it has an integral one.  A profile that fails is skipped like one whose LP
 is infeasible, so full mode builds an LP only for profiles that pass.
 
+Full mode runs the first condition as a route mask (see route_check): each
+(type, class) carries the bitmask of the jobs its slots can serve, each
+type's pattern multiset the OR of its classes' masks, computed once per
+decision, and a profile the OR of its types' masks.  Only a profile whose
+mask covers every such job reaches the matching.  The stream and its
+budget are untouched: a masked-out profile was yielded and charged.
+
 A makespan-T solution survives the lift (+eps additively) and the round-up
 (factor 1+eps), so rounded per-machine loads stay within (1+eps)^2; that is
 the pattern capacity, and rem(i) is whatever the pattern leaves unused.
@@ -121,7 +128,8 @@ class ScaleLadder:
     exponents only for the large pairs; it divides no cost.
     """
 
-    def __init__(self, inst: Instance, base, eps):
+    def __init__(self, inst: Instance, base, eps, rows: list | None = None):
+        """rows, when given, is _cost_rows(inst)."""
         base = parse_rational(base)
         eps = parse_rational(eps)
         if base <= 0 or not 0 < eps < 1:
@@ -138,10 +146,9 @@ class ScaleLadder:
         # exponent of each distinct cost, keyed by its integer pair: hashing
         # a rational would take a modular inverse per lookup
         exponents: dict[tuple[int, int], int] = {}
-        for j in range(inst.num_jobs):
-            row = []
-            for t in range(inst.num_types):
-                vec = tuple(rat(c) for c in inst.cost_vec(j, t))
+        for row in _cost_rows(inst) if rows is None else rows:
+            out = []
+            for vec, top in row:
                 ks = []
                 for c in vec:
                     key = (c.numerator, c.denominator)
@@ -149,8 +156,8 @@ class ScaleLadder:
                     if k is None:
                         k = exponents[key] = -self.grid.round_up(c / base)
                     ks.append(k)
-                row.append((max(vec), tuple(ks)))
-            self._costs.append(row)
+                out.append((top, tuple(ks)))
+            self._costs.append(out)
 
     def rung(self, i: int) -> ScaledInstance:
         """The scaled instance at target base*(1+eps)^i."""
@@ -176,6 +183,18 @@ def make_scaled_instance(inst: Instance, target, eps) -> ScaledInstance:
     """Classify on cost/T, lift large costs to eps^2/D, then round up: rung 0
     of the ladder whose base is target."""
     return ScaleLadder(inst, target, eps).rung(0)
+
+
+def _cost_rows(inst: Instance) -> list[list[tuple]]:
+    """Per job, per type: (the cost vector as rationals, its max)."""
+    out = []
+    for j in range(inst.num_jobs):
+        row = []
+        for t in range(inst.num_types):
+            vec = tuple(rat(c) for c in inst.cost_vec(j, t))
+            row.append((vec, max(vec)))
+        out.append(row)
+    return out
 
 
 def klass_value(grid: GeometricGrid, klass: Klass) -> tuple:
@@ -211,7 +230,7 @@ def _type_profiles(
         scaled.capacity,
         scaled.base.dims,
     )
-    return list(pattern_multisets(patterns, m, counts))
+    return pattern_multisets(patterns, m, counts)
 
 
 def enumerate_pattern_profiles(scaled: ScaledInstance, budget: int) -> Iterator[Profile]:
@@ -285,6 +304,39 @@ def profile_admits(groups: list[tuple[SlotGroup, ...]], profile: Profile) -> boo
     return has_matching(options, capacity)
 
 
+def route_check(groups: list[tuple[SlotGroup, ...]], num_types: int):
+    """profile -> whether every job of groups (slot_only_groups) has a slot
+    group of its own in the profile: profile_admits' route check, by masks.
+
+    Bit i of a (type, class)'s mask is set when job i can take its slots.
+    Each type's pattern multiset is ORed once and memoised, so a profile
+    costs one lookup per type.  Build one per decision: the memo is keyed
+    by that decision's multisets.
+    """
+    serves: dict[SlotGroup, int] = {}
+    for i, job_groups in enumerate(groups):
+        for g in job_groups:
+            serves[g] = serves.get(g, 0) | 1 << i
+    every = (1 << len(groups)) - 1
+    memos: list[dict] = [{} for _ in range(num_types)]
+
+    def routed(profile: Profile) -> bool:
+        covered = 0
+        for t, patterns in enumerate(profile):
+            memo = memos[t]
+            mask = memo.get(patterns)
+            if mask is None:
+                mask = 0
+                for pattern in patterns:
+                    for q in pattern:
+                        mask |= serves.get((t, q), 0)
+                memo[patterns] = mask
+            covered |= mask
+        return covered == every
+
+    return routed
+
+
 def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> RoundingProblem:
     inst = scaled.base
     slots, mass, slots_of = build_slots(
@@ -336,8 +388,18 @@ def guarantee_factor(eps, dims: int):
 
 def calibrate_eps(eps_user, dims: int):
     """Largest eps_user/2^k whose end-to-end factor stays within 1 + eps_user."""
-    bound = ONE + parse_rational(eps_user)
-    return halve_until(eps_user, lambda eps: guarantee_factor(eps, dims) * (ONE + eps) <= bound)
+    eps_user = parse_rational(eps_user)
+    return _calibrated(eps_user.numerator, eps_user.denominator, dims)
+
+
+@functools.lru_cache(maxsize=64)
+def _calibrated(num: int, den: int, dims: int):
+    """calibrate_eps of num/den, computed once per dims; the key is the
+    integer pair, since hashing a rational would take a modular inverse."""
+    bound = ONE + rat(num, den)
+    return halve_until(
+        rat(num, den), lambda eps: guarantee_factor(eps, dims) * (ONE + eps) <= bound
+    )
 
 
 @dataclass
@@ -373,6 +435,8 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
 def decide(scaled: ScaledInstance, mode) -> DecisionResult:
     """The decision step of makespan_decision, at the target of scaled."""
     inst = scaled.base
+    groups = slot_only_groups(scaled)
+    routed = None
     if isinstance(mode, Guided):
         try:
             profiles: Iterator[Profile] = iter([profile_from_schedule(scaled, mode.schedule)])
@@ -380,14 +444,17 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
             raise Infeasible(str(exc)) from exc
     else:
         profiles = enumerate_pattern_profiles(scaled, mode.budget)
+        if groups:
+            routed = route_check(groups, inst.num_types)
 
     bound = guarantee_factor(scaled.eps, inst.dims) * scaled.target
-    groups = slot_only_groups(scaled)
     while True:
         try:
             profile = next(profiles)
         except StopIteration:
             raise Infeasible("every enumerated profile failed") from None
+        if routed is not None and not routed(profile):
+            continue
         if not profile_admits(groups, profile):
             continue
         problem = build_rounding_problem(scaled, profile)
@@ -406,11 +473,12 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
         )
 
 
-def _target_bounds(inst: Instance):
+def _target_bounds(inst: Instance, rows: list | None = None):
+    """(lower, upper): the largest and the sum of the jobs' least max costs
+    over the usable types; rows, when given, is _cost_rows(inst)."""
     usable = [t for t in range(inst.num_types) if inst.machine_counts[t] > 0]
     floors = [
-        min(max(rat(c) for c in inst.cost_vec(j, t)) for t in usable)
-        for j in range(inst.num_jobs)
+        min(row[t][1] for t in usable) for row in (_cost_rows(inst) if rows is None else rows)
     ]
     return max(floors), sum(floors, ZERO)
 
@@ -420,9 +488,10 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     require_valid(inst)
     eps_user = parse_rational(eps_user)
     eps = calibrate_eps(eps_user, inst.dims)
-    lower, upper = _target_bounds(inst)
+    rows = _cost_rows(inst)
+    lower, upper = _target_bounds(inst, rows)
     # rungs lower * (1+eps)^i up to the first target >= upper (upper >= lower)
-    ladder = ScaleLadder(inst, lower, eps)
+    ladder = ScaleLadder(inst, lower, eps, rows)
     top = ladder.grid.round_up(upper / lower)
 
     probes = 0

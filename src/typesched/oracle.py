@@ -72,22 +72,64 @@ def _solve_makespan(inst: Instance, prune: bool) -> OracleResult:
     suffix_floor = [ZERO] * (n + 1)
     for j in range(n - 1, -1, -1):
         suffix_floor[j] = max(job_floor[j], suffix_floor[j + 1])
+    search = _Search(inst, prune, suffix_floor, {m: [ZERO] * dims for m in inst.machines()})
+    search.makespan_dfs(0, ZERO)
+    return search.result()
 
-    loads = {m: [ZERO] * dims for m in inst.machines()}
-    used = [0] * inst.num_types
-    assignment: list = [None] * n
-    best = {"value": None, "witness": None, "explored": 0}
 
-    def dfs(j: int, cur_max):
-        if j == n:
-            best["explored"] += 1
-            if best["value"] is None or cur_max < best["value"]:
-                best["value"] = cur_max
-                best["witness"] = tuple(assignment)
+def _solve_lp_norm(inst: Instance, p, prune: bool) -> OracleResult:
+    n = inst.num_jobs
+    counts = inst.machine_counts
+    zero = power(ZERO, p)
+    job_floor = [
+        power(min(rat(inst.cost(j, t, 0)) for t in range(inst.num_types) if counts[t] > 0), p)
+        for j in range(n)
+    ]
+    suffix = [zero] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + job_floor[j]
+    search = _Search(inst, prune, suffix, {m: ZERO for m in inst.machines()})
+    search.lp_norm_dfs(0, zero, p)
+    return search.result()
+
+
+class _Search:
+    """State of one canonical depth-first search: the loads, the machines
+    opened per type, the partial assignment and the best leaf so far.
+
+    bound[j] is the admissible bound on what jobs j.. add: their largest
+    floor for makespan, the sum of their floors' p-th powers for L_p.
+    """
+
+    def __init__(self, inst: Instance, prune: bool, bound: list, loads: dict):
+        self.inst = inst
+        self.prune = prune
+        self.bound = bound
+        self.loads = loads
+        self.used = [0] * inst.num_types
+        self.assignment: list = [None] * inst.num_jobs
+        self.value = None
+        self.witness = None
+        self.explored = 0
+
+    def result(self) -> OracleResult:
+        return OracleResult(self.value, Schedule(self.witness), self.explored)
+
+    def _leaf(self, value) -> None:
+        self.explored += 1
+        if self.value is None or value < self.value:
+            self.value = value
+            self.witness = tuple(self.assignment)
+
+    def makespan_dfs(self, j: int, cur_max) -> None:
+        inst, used, assignment = self.inst, self.used, self.assignment
+        if j == inst.num_jobs:
+            self._leaf(cur_max)
             return
-        if prune and best["value"] is not None:
-            if max(cur_max, suffix_floor[j]) >= best["value"]:
+        if self.prune and self.value is not None:
+            if max(cur_max, self.bound[j]) >= self.value:
                 return
+        dims, counts, loads = inst.dims, inst.machine_counts, self.loads
         for t in range(inst.num_types):
             top = min(used[t] + 1, counts[t])
             vec = inst.cost_vec(j, t)
@@ -100,50 +142,23 @@ def _solve_makespan(inst: Instance, prune: bool) -> OracleResult:
                 opened = k == used[t]
                 if opened:
                     used[t] += 1
-                dfs(j + 1, new_max)
+                self.makespan_dfs(j + 1, new_max)
                 if opened:
                     used[t] -= 1
                 for d in range(dims):
                     machine[d] -= rat(vec[d])
         assignment[j] = None
 
-    dfs(0, ZERO)
-    return OracleResult(best["value"], Schedule(best["witness"]), best["explored"])
-
-
-def _solve_lp_norm(inst: Instance, p, prune: bool) -> OracleResult:
-    n = inst.num_jobs
-    counts = inst.machine_counts
-
-    def power_p(x):
-        return power(x, p)
-
-    zero = power_p(ZERO)
-
-    job_floor = [
-        power_p(min(rat(inst.cost(j, t, 0)) for t in range(inst.num_types) if counts[t] > 0))
-        for j in range(n)
-    ]
-    suffix = [zero] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + job_floor[j]
-
-    loads = {m: ZERO for m in inst.machines()}
-    used = [0] * inst.num_types
-    assignment: list = [None] * n
-    best = {"value": None, "witness": None, "explored": 0}
-
-    def dfs(j: int, cur_sum):
-        if j == n:
-            best["explored"] += 1
-            if best["value"] is None or cur_sum < best["value"]:
-                best["value"] = cur_sum
-                best["witness"] = tuple(assignment)
+    def lp_norm_dfs(self, j: int, cur_sum, p) -> None:
+        inst, used, assignment = self.inst, self.used, self.assignment
+        if j == inst.num_jobs:
+            self._leaf(cur_sum)
             return
-        if prune and best["value"] is not None:
+        if self.prune and self.value is not None:
             # (L + c)^p >= L^p + c^p for p > 1, so this bound is admissible
-            if cur_sum + suffix[j] >= best["value"]:
+            if cur_sum + self.bound[j] >= self.value:
                 return
+        counts, loads = inst.machine_counts, self.loads
         for t in range(inst.num_types):
             top = min(used[t] + 1, counts[t])
             c = rat(inst.cost(j, t, 0))
@@ -151,15 +166,12 @@ def _solve_lp_norm(inst: Instance, p, prune: bool) -> OracleResult:
                 old = loads[(t, k)]
                 loads[(t, k)] = old + c
                 assignment[j] = (t, k)
-                delta = power_p(old + c) - power_p(old)
+                delta = power(old + c, p) - power(old, p)
                 opened = k == used[t]
                 if opened:
                     used[t] += 1
-                dfs(j + 1, cur_sum + delta)
+                self.lp_norm_dfs(j + 1, cur_sum + delta, p)
                 if opened:
                     used[t] -= 1
                 loads[(t, k)] = old
         assignment[j] = None
-
-    dfs(0, zero)
-    return OracleResult(best["value"], Schedule(best["witness"]), best["explored"])

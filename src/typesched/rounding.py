@@ -45,7 +45,6 @@ checks.  Untangling reads slot fit from the routes alone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -187,25 +186,33 @@ def _job_sort_key(key: JobKey):
 def slot_patterns(counts: dict, slot_cap: int, size, mass_cap, dims: int = 1) -> list[tuple]:
     """Sorted distinct slot patterns: sorted tuples of classes q, at most
     slot_cap slots and counts[q] slots of class q, whose sizes size(q) (one
-    entry per dimension) add up to at most mass_cap in every dimension."""
-    klasses = sorted(counts)
-    out: list[tuple] = []
+    entry per dimension) add up to at most mass_cap in every dimension.
 
-    def extend(idx: int, chosen: list, mass: list) -> None:
-        out.append(tuple(chosen))
-        for i in range(idx, len(klasses)):
-            q = klasses[i]
-            if len(chosen) >= slot_cap or chosen.count(q) >= counts[q]:
+    A depth-first walk over non-decreasing class indices, each pattern
+    listed before its extensions and those in class order, meets every
+    pattern once and in sorted order.
+    """
+    klasses = sorted(counts)
+    sizes = [size(q) for q in klasses]
+    out: list[tuple] = []
+    # (pattern, its mass, index of its last class, copies of that class)
+    stack = [((), [ZERO] * dims, 0, 0)]
+    while stack:
+        chosen, mass, last, run = stack.pop()
+        out.append(chosen)
+        if len(chosen) >= slot_cap:
+            continue
+        children = []
+        for i in range(last, len(klasses)):
+            copies = run + 1 if i == last else 1
+            if copies > counts[klasses[i]]:
                 continue
-            new_mass = [m + s for m, s in zip(mass, size(q))]
+            new_mass = [m + s for m, s in zip(mass, sizes[i])]
             if any(m > mass_cap for m in new_mass):
                 continue
-            chosen.append(q)
-            extend(i, chosen, new_mass)
-            chosen.pop()
-
-    extend(0, [], [ZERO] * dims)
-    return sorted(set(out))
+            children.append((chosen + (klasses[i],), new_mass, i, copies))
+        stack.extend(reversed(children))
+    return out
 
 
 def build_slots(patterns, size, dims: int):
@@ -230,15 +237,62 @@ def build_slots(patterns, size, dims: int):
     return slots, mass, slots_of
 
 
-def pattern_multisets(patterns: list[tuple], machines: int, counts: dict):
-    """Multisets of `machines` patterns needing at most counts[q] jobs of each class q."""
-    for combo in itertools.combinations_with_replacement(patterns, machines):
-        used: dict = {}
-        for pat in combo:
-            for q in pat:
-                used[q] = used.get(q, 0) + 1
-        if all(used[q] <= counts[q] for q in used):
-            yield combo
+def pattern_multisets(patterns: list[tuple], machines: int, counts: dict) -> list[tuple]:
+    """Multisets of `machines` patterns needing at most counts[q] jobs of each
+    class q, in itertools.combinations_with_replacement order.  Every class
+    of a pattern must be a key of counts.
+
+    Each pattern's class counts are packed once into one int, a field of
+    `width` bits per class, and a multiset's counts are the sum of its
+    patterns' ints.  Class q's field starts at half - 1 - counts[q], where
+    half = 2^(width-1) exceeds every count and every sum of `machines`
+    pattern lengths, so no field carries into the next and a field's top
+    bit is set iff its class is over its count.  The walk runs over
+    non-decreasing pattern indices and stops extending a prefix that is
+    over; counts only grow along a path, so it keeps the multisets and the
+    order of the filtered combinations.
+    """
+    if machines == 0:
+        return [()]
+    longest = max(map(len, patterns), default=0)
+    half = 1 << max(max(counts.values(), default=0), machines * longest).bit_length()
+    width = half.bit_length()
+    shift = {q: width * i for i, q in enumerate(counts)}
+    start = over = 0
+    for q, s in shift.items():
+        start += (half - 1 - counts[q]) << s
+        over += half << s
+    need = []
+    for pat in patterns:
+        packed = 0
+        for q in pat:
+            packed += 1 << shift[q]
+        need.append(packed)
+    out: list[tuple] = []
+    # at depth d: picks[d] is the pattern index tried there, used[d] the
+    # packed counts of the patterns picked above it
+    picks = [0] * machines
+    used = [start] + [0] * machines
+    last = machines - 1
+    d = 0
+    while True:
+        i = picks[d]
+        if i == len(patterns):
+            if d == 0:
+                return out
+            d -= 1
+            picks[d] += 1
+            continue
+        total = used[d] + need[i]
+        if total & over:
+            picks[d] += 1
+        elif d == last:
+            out.append(tuple([patterns[k] for k in picks]))
+            picks[d] += 1
+        else:
+            d += 1
+            used[d] = total
+            picks[d] = i
 
 
 def has_matching(options: list[list], capacity: dict) -> bool:
@@ -250,22 +304,24 @@ def has_matching(options: list[list], capacity: dict) -> bool:
     if not all(options):
         return False
     holders: dict = {g: [] for g in capacity}
+    return all(_augment(i, set(), options, capacity, holders) for i in range(len(options)))
 
-    def place(i: int, seen: set) -> bool:
-        for g in options[i]:
-            if g in seen:
-                continue
-            seen.add(g)
-            if len(holders[g]) < capacity[g]:
-                holders[g].append(i)
+
+def _augment(i: int, seen: set, options: list[list], capacity: dict, holders: dict) -> bool:
+    """Place job i, moving the holders of groups not in seen along an
+    augmenting path when its groups are full."""
+    for g in options[i]:
+        if g in seen:
+            continue
+        seen.add(g)
+        if len(holders[g]) < capacity[g]:
+            holders[g].append(i)
+            return True
+        for pos, other in enumerate(holders[g]):
+            if _augment(other, seen, options, capacity, holders):
+                holders[g][pos] = i
                 return True
-            for pos, other in enumerate(holders[g]):
-                if place(other, seen):
-                    holders[g][pos] = i
-                    return True
-        return False
-
-    return all(place(i, set()) for i in range(len(options)))
+    return False
 
 
 def route_var(kind: str, jkey: JobKey, target) -> str:
@@ -671,6 +727,39 @@ class _ForestView:
         # convex-combination charge the LP accounted for
         return min(candidates, key=lambda l: (self.problem.jobs[l].huge[t][0], l))
 
+    def place_rest(self, key: str, withheld: int, slot_assign: dict[int, int]) -> None:
+        """Fill the merge slots of key's tree with all its leaves but withheld."""
+        node = self.forest[key]
+        side1 = withheld in self.leaves(node.child1)
+        if not side1 and withheld not in self.leaves(node.child2):
+            raise ForestInconsistent(f"withheld leaf {withheld} not under {key}")
+        inner, outer = (node.child1, node.child2) if side1 else (node.child2, node.child1)
+        slot = self.problem.slots[node.slot]
+        if isinstance(outer, int):
+            if not self.fits_slot(outer, slot):
+                raise ForestInconsistent(f"real child {outer} does not fit its merge slot")
+            occupant = outer
+        else:
+            occupant = self.pick_for_slot(outer, slot)
+        if node.slot in slot_assign:
+            raise InvariantViolation("merge slot filled twice")
+        slot_assign[node.slot] = occupant
+        if isinstance(outer, str):
+            self.place_rest(outer, occupant, slot_assign)
+        if isinstance(inner, str):
+            self.place_rest(inner, withheld, slot_assign)
+        elif inner != withheld:
+            raise InvariantViolation("withheld leaf is not the inner child")
+
+    def resolve(self, jkey: JobKey, pick, slot_assign: dict[int, int]) -> int:
+        """The real job standing in for jkey: itself, or the leaf pick(jkey)
+        chooses, with the rest of its tree placed in the tree's slots."""
+        if isinstance(jkey, int):
+            return jkey
+        leaf = pick(jkey)
+        self.place_rest(jkey, leaf, slot_assign)
+        return leaf
+
     def seed_weights(self, key: JobKey, mk: MachineKey) -> dict[int, object]:
         """Exact decomposition of the artificial job's unit mass on machine mk."""
         if isinstance(key, int):
@@ -703,47 +792,20 @@ def untangle(problem: RoundingProblem, outcome: RoundingOutcome) -> FinalAssignm
     huge_assign: dict[int, int] = {}
     improper: dict[int, list[int]] = {}
 
-    def place_rest(key: str, withheld: int) -> None:
-        node = outcome.forest[key]
-        side1 = withheld in view.leaves(node.child1)
-        if not side1 and withheld not in view.leaves(node.child2):
-            raise ForestInconsistent(f"withheld leaf {withheld} not under {key}")
-        inner, outer = (node.child1, node.child2) if side1 else (node.child2, node.child1)
-        slot = problem.slots[node.slot]
-        if isinstance(outer, int):
-            if not view.fits_slot(outer, slot):
-                raise ForestInconsistent(f"real child {outer} does not fit its merge slot")
-            occupant = outer
-        else:
-            occupant = view.pick_for_slot(outer, slot)
-        if node.slot in slot_assign:
-            raise InvariantViolation("merge slot filled twice")
-        slot_assign[node.slot] = occupant
-        if isinstance(outer, str):
-            place_rest(outer, occupant)
-        if isinstance(inner, str):
-            place_rest(inner, withheld)
-        elif inner != withheld:
-            raise InvariantViolation("withheld leaf is not the inner child")
-
-    def resolve(jkey: JobKey, pick) -> int:
-        """The real job standing in for jkey: itself, or the leaf pick(jkey)
-        chooses, with the rest of its tree placed in the tree's slots."""
-        if isinstance(jkey, int):
-            return jkey
-        leaf = pick(jkey)
-        place_rest(jkey, leaf)
-        return leaf
-
     # artificial jobs sitting in foreign slots
     for s, jkey in sorted(outcome.slot_assign.items()):
-        slot_assign[s] = resolve(jkey, lambda k: view.pick_for_slot(k, problem.slots[s]))
+        slot_assign[s] = view.resolve(
+            jkey, lambda k: view.pick_for_slot(k, problem.slots[s]), slot_assign
+        )
 
     # artificial jobs routed to huge machines, integrally or as improper pairs
     for jkey, t in sorted(outcome.huge_assign.items(), key=lambda kv: _job_sort_key(kv[0])):
-        huge_assign[resolve(jkey, lambda k: view.pick_for_huge(k, t))] = t
+        huge_assign[view.resolve(jkey, lambda k: view.pick_for_huge(k, t), slot_assign)] = t
     for t, members in sorted(outcome.improper.items()):
-        improper[t] = [resolve(jkey, lambda k: view.pick_for_huge(k, t)) for jkey in members]
+        improper[t] = [
+            view.resolve(jkey, lambda k: view.pick_for_huge(k, t), slot_assign)
+            for jkey in members
+        ]
 
     # artificial jobs in remaining space: per-machine covering LP
     final_loads = {mk: list(vec) for mk, vec in outcome.committed_real.items()}
@@ -761,7 +823,7 @@ def untangle(problem: RoundingProblem, outcome: RoundingOutcome) -> FinalAssignm
             cost = problem.jobs[rep].machine_costs[mk]
             for d in range(problem.dims):
                 final_loads[mk][d] += cost[d]
-            place_rest(key, rep)
+            view.place_rest(key, rep, slot_assign)
         slack = 3 * problem.dims * rat(problem.small_caps[mk])
         if any(g > b + slack for g, b in zip(final_loads[mk], problem.capacities[mk])):
             raise InvariantViolation("untangled load above cap + 3D*smallcap")

@@ -23,12 +23,13 @@ from typesched.makespan import (
     profile_admits,
     profile_from_schedule,
     realized_types,
+    route_check,
     slot_only_groups,
 )
 from typesched.model import GeneratorSpec, Schedule, generate_instance, make_instance
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, parse_rational, rat, rat_floor
-from typesched.rounding import slot_lp
+from typesched.rounding import RoundingEngine, assemble_schedule, slot_lp, untangle
 
 
 def round_up_oracle(x, eps=rat(1, 2)):
@@ -328,6 +329,56 @@ def test_count_check_rejects_only_lp_infeasible_profiles(dims, machines):
                 else:
                     route_rejects += 1
     assert route_rejects > 0 and hall_rejects > 0
+
+
+def reference_full_decide(scaled):
+    """Full-mode decide before the route mask: every profile goes through
+    profile_admits.  (profile, schedule, stats) of the first that rounds,
+    or None when none does."""
+    groups = slot_only_groups(scaled)
+    for profile in enumerate_pattern_profiles(scaled, 10**6):
+        if not profile_admits(groups, profile):
+            continue
+        problem = build_rounding_problem(scaled, profile)
+        engine = RoundingEngine(problem)
+        try:
+            outcome = engine.run()
+        except Infeasible:
+            continue
+        final = untangle(problem, outcome)
+        return profile, assemble_schedule(problem, final, scaled.base.num_jobs), engine.stats
+    return None
+
+
+@pytest.mark.parametrize(
+    "n, dims, machines", [(4, 1, (2, 2)), (4, 2, (2, 2)), (4, 1, (1, 1, 2)), (5, 1, (2, 1))]
+)
+def test_route_mask_decides_as_the_matching_loop(n, dims, machines):
+    # the mask rejects exactly the profiles that leave a slot-only job
+    # without a group, and decide picks the profile, schedule and rounding
+    # stats the unmasked loop picks, at rungs on both sides of the optimum
+    masked = accepted = rejected = 0
+    for seed in range(900, 912):
+        inst = generate_instance(GeneratorSpec(n, dims, machines, 1, 10), seed)
+        opt = rat(exact_solve(inst).optimum)
+        eps = calibrate_eps(rat(1, 2), dims)
+        for k in (-4, -2, -1, 0, 1, 3):
+            scaled = make_scaled_instance(inst, opt * (1 + eps) ** k, eps)
+            groups = slot_only_groups(scaled)
+            routed = route_check(groups, inst.num_types)
+            for profile in enumerate_pattern_profiles(scaled, 10**6):
+                assert routed(profile) == _slot_classes_routed(groups, profile)
+                masked += not routed(profile)
+            expected = reference_full_decide(scaled)
+            try:
+                res = decide(scaled, FullEnum())
+            except Infeasible:
+                assert expected is None, (seed, k)
+                rejected += 1
+                continue
+            assert (res.profile, res.schedule, res.stats) == expected, (seed, k)
+            accepted += 1
+    assert masked > 0 and accepted > 0 and rejected > 0
 
 
 def test_hall_check_counts_slots_per_group():

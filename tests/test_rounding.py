@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,8 @@ from typesched.rounding import (
     RoundingStats,
     SlotInfo,
     assemble_schedule,
+    pattern_multisets,
+    slot_patterns,
     untangle,
 )
 
@@ -649,3 +652,64 @@ def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
     assert set(seen) == {"makespan guided", "makespan full", "lpnorm full"}
     for tally in seen.values():
         assert tally["forced"] > 0 and tally["simplex"] > 0, seen
+
+
+def ref_slot_patterns(counts, slot_cap, size, mass_cap, dims=1):
+    # the recursive walk and its sorted(set(...)) pass, as they stood before
+    klasses = sorted(counts)
+    out = []
+
+    def extend(idx, chosen, mass):
+        out.append(tuple(chosen))
+        for i in range(idx, len(klasses)):
+            q = klasses[i]
+            if len(chosen) >= slot_cap or chosen.count(q) >= counts[q]:
+                continue
+            new_mass = [m + s for m, s in zip(mass, size(q))]
+            if any(m > mass_cap for m in new_mass):
+                continue
+            chosen.append(q)
+            extend(i, chosen, new_mass)
+            chosen.pop()
+
+    extend(0, [], [ZERO] * dims)
+    return sorted(set(out))
+
+
+def ref_pattern_multisets(patterns, machines, counts):
+    out = []
+    for combo in itertools.combinations_with_replacement(patterns, machines):
+        used = collections.Counter(q for pat in combo for q in pat)
+        if all(used[q] <= counts[q] for q in used):
+            out.append(combo)
+    return out
+
+
+def test_pattern_walks_match_the_filtered_combinations():
+    # classes are int exponents (L_p) or per-dimension tuples (makespan); the
+    # multisets are also drawn from patterns built for larger counts, so
+    # single patterns over a count are filtered too
+    rng = random.Random(57)
+    machine_counts = collections.Counter()
+    for _ in range(400):
+        dims = rng.choice([1, 2])
+        klasses = rng.sample(range(-2, 6), rng.randint(0, 4))
+        if dims == 2 or rng.random() < 0.3:
+            klasses = [(k, rng.randint(0, 3)) for k in klasses]
+        counts = {q: rng.randint(1, 4) for q in klasses}
+        sizes = {
+            q: tuple(rat(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(dims))
+            for q in klasses
+        }
+        mass_cap = rat(rng.randint(1, 12), rng.randint(1, 3))
+        args = (rng.randint(0, 5), sizes.__getitem__, mass_cap, dims)
+        patterns = slot_patterns(counts, *args)
+        assert patterns == ref_slot_patterns(counts, *args)
+        if rng.random() < 0.3:
+            wider = {q: c + rng.randint(0, 2) for q, c in counts.items()}
+            patterns = slot_patterns(wider, *args)
+        machines = rng.randint(0, 4 if len(patterns) <= 12 else 2)
+        machine_counts[machines] += 1
+        got = pattern_multisets(patterns, machines, counts)
+        assert got == ref_pattern_multisets(patterns, machines, counts)
+    assert machine_counts[0] > 0 and machine_counts[1] > 0
