@@ -16,6 +16,11 @@ directional derivative, which still resolves where float values of the
 objective no longer tell points apart.  An iteration that moves neither
 the iterate nor a vertex weight would repeat forever, so it ends the
 solve: the gap is certified there or ToleranceNotReached is raised.
+
+Every LMO call prices its gradient over the region's rows, so phase 1 runs
+once, in the first call, and the later calls begin from its tableau.  The
+result hands that tableau on as start: a caller whose next LP is a leading
+block of the region reads its own phase 1 off it (lp.leading_block_start).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .errors import Infeasible, InfeasibleRegion, InvariantViolation, ToleranceNotReached
-from .lp import EQ, LE, LinearProgram, solve_extreme_point
+from .lp import EQ, LE, LinearProgram, _Phase1, solve_extreme_point
 from .rationals import ZERO, rat
 
 
@@ -55,6 +60,9 @@ class ConvexSolveResult:
     duality_gap: float
     iterations: int
     objective_trace: list[float] = field(default_factory=list)
+    # the region's phase-1 tableau every LMO call began from, for a later
+    # solve over the same rows or a leading block of them
+    start: _Phase1 | None = field(default=None, compare=False, repr=False)
 
 
 def _line_min(objective, x: dict, d: dict, hi: float) -> float:
@@ -180,7 +188,7 @@ def solve_convex_over_polytope(
             gap = float(gap_ex)
             if gap_ex <= rat(additive_tol):
                 fval = float(objective.exact_value(x_ex))
-                return ConvexSolveResult(x_ex, fval, gap, iteration, trace), gap
+                return ConvexSolveResult(x_ex, fval, gap, iteration, trace, phase1), gap
             return None, gap
         xf = {v: float(val) for v, val in x_ex.items()}
         g = objective.gradient(xf)
@@ -188,7 +196,9 @@ def solve_convex_over_polytope(
         gap = sum(g.get(v, 0.0) * (xf[v] - float(s[v])) for v in region.variables)
         gap = float(max(gap, 0.0))  # the sum is the int 0 when there are no variables
         if gap <= additive_tol * (1 - 1e-9):
-            return ConvexSolveResult(x_ex, objective.value(xf), gap, iteration, trace), gap
+            return ConvexSolveResult(
+                x_ex, objective.value(xf), gap, iteration, trace, phase1
+            ), gap
         return None, gap
 
     def correct_over_active() -> float:

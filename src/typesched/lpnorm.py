@@ -15,6 +15,13 @@ Pipeline per guess (enumerated, or extracted from a certificate schedule):
     max(small_load, alpha*c_max - B_i), rounded iteratively with the slot
     engine extended by the improper-machine case.
 
+The rounding LP is the region's assignment, slot and budget rows with each
+allowance frozen.  When no job has a machine route it has no capacity row,
+so it is exactly the region's leading block: the region's later rows
+(small_load - t_i <= 0, t_i >= ...) touch only the t_i columns.  Its first
+round then reads phase 1 off the tableau the Frank-Wolfe LMO calls began
+from (CpSolution.start, lp.leading_block_start) instead of running it again.
+
 Slot sizes are rounded DOWN so the relaxation never exceeds the integral
 optimum (the correctness chain then pays a (1+eps) factor when real jobs
 replace slot masses); the load lower bound applies to the full modeled
@@ -57,7 +64,7 @@ from .errors import (
     InfeasibleRegion,
     InvariantViolation,
 )
-from .lp import GE, LE, LinearProgram
+from .lp import GE, LE, LinearProgram, _Phase1
 from .convex import ConvexSolveResult, solve_convex_over_polytope
 from .model import Instance, Schedule, evaluate_lp_norm_pow, load_vector, require_valid
 from .modes import FullEnum, Guided
@@ -439,6 +446,9 @@ class CpSolution:
     duality_gap: float
     iterations: int
     tolerance: float
+    # the region LP and the phase-1 tableau its LMO calls began from
+    region: LinearProgram | None = field(default=None, compare=False, repr=False)
+    start: _Phase1 | None = field(default=None, compare=False, repr=False)
 
 
 def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
@@ -696,6 +706,8 @@ def solve_slot_cp(
         duality_gap=res.duality_gap,
         iterations=res.iterations,
         tolerance=additive_tol,
+        region=region,
+        start=res.start,
     )
 
 
@@ -805,7 +817,7 @@ def _run_guess(inst: Instance, p, eps, guess: Guess, start_schedule=None) -> Lpn
     start = _warm_start(model, start_schedule) if start_schedule is not None else None
     cp = solve_slot_cp(model, start=start)
     problem = build_rounding_from_cp(model, cp.t_star)
-    engine = RoundingEngine(problem)
+    engine = RoundingEngine(problem, cp.region, cp.start)
     outcome = engine.run()  # CP point is LP-feasible, so Infeasible cannot fire
     final = untangle(problem, outcome)
     schedule = assemble_schedule(problem, final, inst.num_jobs, model.vh_machines, model.free_huge)

@@ -13,14 +13,20 @@ instead of rounding every cost again (see ScaleLadder).
 
 Machines of one type are identical, so whether a profile can host the jobs
 that are large on every usable type depends only on its slot counts per
-(type, class).  Each profile first passes a count-level check, with no
-slots, rows or LP built: every such job needs a slot group of its own
-(type, class), and the jobs must match distinct slots (augmenting paths
-over the groups, each with its slot count as capacity).  Both conditions
-are necessary for the slot LP: its assignment and slot rows hold exactly a
-fractional matching of these jobs, and a bipartite graph has one only if
-it has an integral one.  A profile that fails is skipped like one whose LP
+(type, class).  In full mode each profile first passes a count-level
+check, with no slots, rows or LP built: every such job needs a slot group
+of its own (type, class), and the jobs must match distinct slots
+(augmenting paths over the groups, each with its slot count as
+capacity).  Both conditions are necessary for the slot LP: its assignment
+and slot rows hold exactly a fractional matching of these jobs, and a
+bipartite graph has one only if it has an integral one.  A profile that fails is skipped like one whose LP
 is infeasible, so full mode builds an LP only for profiles that pass.
+
+Guided mode skips the check: it cannot fail there.  profile_from_schedule
+puts the class of every job that is large on every usable type into the
+pattern of the certificate machine that job sits on, or raises
+PatternOverflow, so the certificate itself is a matching of those jobs onto
+distinct slots of their own groups.
 
 Full mode runs the first condition as a route mask (see route_check): each
 (type, class) carries the bitmask of the jobs its slots can serve, each
@@ -435,8 +441,7 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
 def decide(scaled: ScaledInstance, mode) -> DecisionResult:
     """The decision step of makespan_decision, at the target of scaled."""
     inst = scaled.base
-    groups = slot_only_groups(scaled)
-    routed = None
+    groups = routed = None  # no count check in guided mode (module docstring)
     if isinstance(mode, Guided):
         try:
             profiles: Iterator[Profile] = iter([profile_from_schedule(scaled, mode.schedule)])
@@ -444,6 +449,7 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
             raise Infeasible(str(exc)) from exc
     else:
         profiles = enumerate_pattern_profiles(scaled, mode.budget)
+        groups = slot_only_groups(scaled)
         if groups:
             routed = route_check(groups, inst.num_types)
 
@@ -455,7 +461,7 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
             raise Infeasible("every enumerated profile failed") from None
         if routed is not None and not routed(profile):
             continue
-        if not profile_admits(groups, profile):
+        if groups is not None and not profile_admits(groups, profile):
             continue
         problem = build_rounding_problem(scaled, profile)
         engine = RoundingEngine(problem)

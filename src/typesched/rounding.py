@@ -31,6 +31,13 @@ order with the summed huge charges as its objective, which is the simplex's
 own answer; a violated row raises Infeasible where the simplex would.  Such
 a round commits every live job, so it is always the last.
 
+The engine may be handed an LP solved before and that solve's phase-1
+tableau (the L_p pipeline hands over its convex region).  When the first
+round's LP is a decoupled leading block of that LP (lp.leading_block_start),
+phase 2 begins from the block's rows of that tableau, which are the rows
+its own phase 1 would reach; otherwise, as when the round has a capacity
+row, it runs its own phase 1.
+
 Untangling then replaces every artificial job by real jobs: tree placement
 for artificial jobs sitting in foreign slots or on huge machines, and a
 per-machine covering LP whose extreme point has at most |AJ_i| + D nonzeros
@@ -49,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import CountingViolation, ForestInconsistent, Infeasible, InvariantViolation
-from .lp import EQ, GE, LE, LinearProgram, solve_extreme_point
+from .lp import EQ, GE, LE, LinearProgram, _Phase1, leading_block_start, solve_extreme_point
 from .model import Schedule
 from .rationals import ONE, ZERO, rat
 
@@ -383,8 +390,14 @@ class SlotRows:
 
 
 class RoundingEngine:
-    def __init__(self, problem: RoundingProblem):
+    """The iterative rounding of problem.  region and start, when given, are
+    an LP solved before and its phase-1 tableau, which only the first
+    round's LP may read (module docstring)."""
+
+    def __init__(self, problem: RoundingProblem, region: LinearProgram | None = None,
+                 start: _Phase1 | None = None):
         self.problem = problem
+        self._region = (region, start) if region is not None and start is not None else None
         self.dims = problem.dims
         self.live: dict[JobKey, JobRoutes] = {
             j: routes.clone() for j, routes in sorted(problem.jobs.items())
@@ -463,7 +476,12 @@ class RoundingEngine:
         if all(len(r.machine_costs) + len(r.slots) + len(r.huge) == 1 for r in self.live.values()):
             return self._forced_point(by_machine, by_slot, by_type)
         lp, registry = self._build_lp()
-        sol = solve_extreme_point(lp)
+        start = None
+        if self._region is not None:
+            region, region_start = self._region
+            start = leading_block_start(region_start, region, lp)
+            self._region = None
+        sol = solve_extreme_point(lp, start)
         return sol.values, registry, sol.objective_value
 
     def _route_index(self):

@@ -48,7 +48,7 @@ def ref_size_class(cost, eps):
     return e
 
 
-def ref_large_type_ks(eps, dims):
+def ref_large_class_ks(eps, dims):
     base = 1 + eps
     lo = eps * eps / dims
     ks = []
@@ -113,10 +113,10 @@ def test_exact_powers_and_neighbours(eps):
 
 
 @pytest.mark.parametrize("eps", EPS_VALUES)
-def test_large_type_grid_and_klass_values_match_the_loops(eps):
+def test_large_class_range_and_klass_values_match_the_loops(eps):
     # per dimension, the large classes k run while (1+eps)^(-k) >= eps^2/D
     for dims in (1, 2, 3):
-        ks = ref_large_type_ks(eps, dims)
+        ks = ref_large_class_ks(eps, dims)
         assert ks == list(range(-geometric_grid(rat(eps)).round_up(rat(eps * eps / dims)) + 1))
     for k in ks:
         q = (k, ks[-1] - k)

@@ -694,6 +694,93 @@ def test_convex_solves_run_phase_one_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# phase 1 of a decoupled leading block, read off the whole program's
+
+
+def renamed(lp, prefix):
+    """lp's rows and objective over its variables renamed x<j> -> <prefix><j>."""
+    name = {v: prefix + v[1:] for v in lp.variables}
+    rows = [
+        lp_module.Constraint({name[v]: a for v, a in c.coeffs.items()}, c.rel, c.rhs)
+        for c in lp.constraints
+    ]
+    return [name[v] for v in lp.variables], rows, {name[v]: a for v, a in lp.objective.items()}
+
+
+def block_lps(rng):
+    """(whole, part): part is a diff_lp over columns x, whole is part's
+    variables and rows followed by a second block over columns y."""
+    part = diff_lp(rng)
+    q = diff_lp(rng)
+    if rng.random() < 0.3:  # a second block with no artificial: every row seeds its slack
+        q.constraints = [lp_module.Constraint(c.coeffs, LE, abs(c.rhs)) for c in q.constraints]
+    qvars, qrows, qobjective = renamed(q, "y")
+    whole = LinearProgram(part.variables + qvars, part.constraints + qrows,
+                          {**part.objective, **qobjective})
+    return whole, part
+
+
+def edited(whole, i, coeffs=None, rhs=None):
+    """whole with row i's coefficients or rhs replaced."""
+    rows = list(whole.constraints)
+    c = rows[i]
+    rows[i] = lp_module.Constraint(c.coeffs if coeffs is None else coeffs, c.rel,
+                                   c.rhs if rhs is None else rhs)
+    return LinearProgram(whole.variables, rows)
+
+
+def test_leading_block_phase_one_is_read_off_the_whole_program():
+    rng = random.Random(20261022)
+    tally = {"read": 0, "second block with artificials": 0, "second block without": 0,
+             "rows dropped in part": 0, "mutations": 0}
+    for _ in range(400):
+        whole, part = block_lps(rng)
+        try:
+            whole_start = lp_module._phase_one(whole)
+        except Infeasible:
+            continue
+        expected = lp_module._phase_one(part)
+        got = lp_module.leading_block_start(whole_start, whole, part)
+        assert (got.rows, got.basis, got.ncols) == (expected.rows, expected.basis, expected.ncols)
+        assert got.pivots == 0
+        tally["read"] += 1
+        qrows = whole.constraints[part.num_rows:]
+        seeded = all(c.rel != EQ and (c.rel == LE) == (c.rhs >= 0) for c in qrows)
+        tally["second block without" if seeded else "second block with artificials"] += 1
+        tally["rows dropped in part"] += len(expected.rows) < part.num_rows
+        # phase 2 from the block's tableau is a fresh solve
+        fresh = fresh_outcome(part)
+        if isinstance(fresh, type):
+            with pytest.raises(fresh):
+                solve_extreme_point(part, got)
+        else:
+            sol = solve_extreme_point(part, got)
+            assert (sol.basis, sol.values, sol.objective_value) == (
+                fresh.basis, fresh.values, fresh.objective_value
+            )
+            assert sol.pivots == (0, fresh.pivots[1])
+        # each mutation leaves part no decoupled leading block of whole
+        first = part.constraints[0]
+        v = next(iter(first.coeffs), part.variables[0])
+        mutants = [
+            edited(whole, 0, coeffs={**first.coeffs, v: first.coeffs.get(v, 0) + 1}),
+            edited(whole, 0, rhs=first.rhs + 1),
+        ]
+        if qrows:
+            mutants.append(edited(whole, part.num_rows, coeffs={**qrows[0].coeffs, "x0": rat(1)}))
+        order = list(range(part.num_rows))
+        i = next((i for i in order[1:] if whole.constraints[i] != first), None)
+        if i is not None:
+            order[0], order[i] = i, 0
+            rows = [whole.constraints[k] for k in order] + qrows
+            mutants.append(LinearProgram(whole.variables, rows))
+        for mutant in mutants:
+            assert lp_module.leading_block_start(whole_start, mutant, part) is None
+            tally["mutations"] += 1
+    assert tally["read"] >= 150 and min(tally.values()) >= 10, tally
+
+
+# ---------------------------------------------------------------------------
 # pivot counts and trip-wires
 
 
@@ -849,11 +936,11 @@ problem = RoundingProblem(
     {(0, 0): half, (0, 1): one, (0, 2): half}, {(0, k): rat(1) for k in range(3)},
 )
 solves = []
-def solve_first_only(lp):
+def solve_first_only(lp, start=None):
     solves.append(lp)
     if len(solves) > 1:
         raise Infeasible("reduced")
-    return solve_extreme_point(lp)
+    return solve_extreme_point(lp, start)
 rounding.solve_extreme_point = solve_first_only
 try:
     RoundingEngine(problem).run()

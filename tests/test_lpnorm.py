@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from typesched import convex, lpnorm
+from typesched import convex, lpnorm, rounding
 from typesched.errors import (
     BadExponent,
     BudgetExhausted,
@@ -986,3 +986,70 @@ def test_routable_mask_matches_the_reference_rule(counts, n, seed, eps):
             options += 1
             set_bits += bin(mask).count("1")
     assert options >= 50 and 0 < set_bits < options * n
+
+
+# ---------------------------------------------------------------------------
+# the first rounding LP reads phase 1 off the region's tableau
+
+
+def test_first_rounding_lp_reused_from_the_region_solves_like_a_fresh_one(monkeypatch):
+    from test_pinned_outputs import greedy_schedule, guided_instance
+
+    # every first round that begins from the region's phase-1 tableau gives
+    # the values, registry, outcome and stats of an engine that runs its own
+    handed = []  # first-round starts handed to the simplex, per engine
+    reused = {}  # shape -> engines whose first round was read off the region
+    with_budget_rows = [0]
+    simplex = rounding.solve_extreme_point
+    shape = [None]
+
+    def solve(lp, start=None):
+        if start is not None:
+            handed.append(start)
+            with_budget_rows[0] += any(
+                all(v.startswith("h|") for v in c.coeffs) and c.rel == LE for c in lp.constraints
+            )
+        return simplex(lp, start)
+
+    class FirstRound(rounding.RoundingEngine):
+        def _solve_round(self, *args):
+            result = super()._solve_round(*args)
+            if not hasattr(self, "first"):
+                values, registry, objective = result
+                self.first = (list(values.items()), list(registry.items()), objective)
+            return result
+
+    class Compared(FirstRound):
+        def run(self):
+            before = len(handed)
+            outcome = super().run()
+            if len(handed) > before:
+                fresh = FirstRound(self.problem)
+                assert fresh.run() == outcome  # RoundingOutcome, stats included
+                assert fresh.stats == self.stats
+                assert fresh.first == self.first
+                reused[shape[0]] = reused.get(shape[0], 0) + 1
+            return outcome
+
+    monkeypatch.setattr(rounding, "solve_extreme_point", solve)
+    monkeypatch.setattr(lpnorm, "RoundingEngine", Compared)
+    half = rat(1, 2)
+    shape[0] = "guided (3,3)"  # the lpnorm-guided shape
+    for seed in range(56, 60):
+        inst = guided_instance(seed)
+        lpnorm_ptas(inst, 2, half, Guided(greedy_schedule(inst)))
+    shape[0] = "full (1,1)"
+    for seed in range(30, 36):
+        inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), seed)
+        lpnorm_ptas(inst, 2, half, FullEnum(10**6))
+    # 20 machines of type 0 give it huge machines past the pinned ones, so
+    # the leading block holds a budget row; seed 2 is the first whose region
+    # has one and whose first round has no machine-routed job
+    assert sum(reused.values()) == len(handed)
+    budget_rows_before = with_budget_rows[0]
+    shape[0] = "guided (20,2)"
+    inst = generate_instance(GeneratorSpec(24, 1, (20, 2), 1, 10), 2)
+    lpnorm_ptas(inst, 2, ONE, Guided(greedy_schedule(inst)))
+    assert with_budget_rows[0] > budget_rows_before
+    assert reused["guided (3,3)"] >= 3 and reused["full (1,1)"] >= 3, reused
+    assert reused["guided (20,2)"] == 1, reused

@@ -245,6 +245,31 @@ def test_guided_acceptance_implies_full_acceptance_at_every_rung():
     assert accepted > 0 and rejected > 0
 
 
+def test_certificate_profiles_pass_the_count_check_at_every_rung():
+    # guided decide runs no profile_admits: profile_from_schedule puts the
+    # class of every slot-only job into its own machine's pattern, so the
+    # certificate profile always passes the check
+    shapes = {"D=1": (1, (2, 2)), "D=2": (2, (2, 2)), "K=3": (1, (1, 1, 1)),
+              "machines (2,1)": (1, (2, 1))}
+    checked = dict.fromkeys(shapes, 0)  # certificate profiles with slot-only jobs
+    for name, (dims, machines) in shapes.items():
+        for seed in range(8):
+            inst = generate_instance(GeneratorSpec(4, dims, machines, 1, 10), 800 + seed)
+            witness = exact_solve(inst).witness
+            lower, upper = makespan._target_bounds(inst)
+            ladder = ScaleLadder(inst, lower, calibrate_eps(rat(1, 2), dims))
+            for i in range(ladder.grid.round_up(upper / lower) + 1):
+                scaled = ladder.rung(i)
+                try:
+                    profile = profile_from_schedule(scaled, witness)
+                except PatternOverflow:
+                    continue
+                groups = slot_only_groups(scaled)
+                assert profile_admits(groups, profile), (name, seed, i)
+                checked[name] += bool(groups)
+    assert min(checked.values()) >= 5, checked
+
+
 def test_realized_types_restriction():
     # all large jobs round to size 1 -> Q restricted to {(0,)}
     inst = make_instance(1, [1], [[[9]], [[10]], [[2]]])
