@@ -140,6 +140,17 @@ def _stats_row(stats_list) -> dict:
     }
 
 
+def _run_pipeline(inst: Instance, objective: str, eps_user, p, mode):
+    """(result, exact objective value, list of RoundingStats, forest) of the
+    makespan pipeline, or of the L_p one for any other objective ("lpnorm"
+    or "lp_norm"), whose value is the norm's p-th power."""
+    if objective == "makespan":
+        res = makespan.makespan_ptas(inst, eps_user, mode)
+        return res, rat(res.makespan), res.probe_stats, res.forest
+    res = lpnorm.lpnorm_ptas(inst, p, eps_user, mode)
+    return res, rat(res.objective_pow), [res.run.stats], res.run.forest
+
+
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Execute trials; every pipeline invariant stays asserted (always on)."""
     bound = 1 + rat(parse_rational(cfg.eps_user))
@@ -160,31 +171,22 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         try:
             opt = exact_solve(inst, cfg.objective, p=cfg.p)
             mode = Guided(opt.witness) if cfg.mode == "guided" else FullEnum(cfg.enum_budget)
+            res, algo_val, stats, _ = _run_pipeline(inst, cfg.objective, cfg.eps_user, cfg.p, mode)
+            oracle_val = rat(opt.optimum)
             if cfg.objective == "makespan":
-                res = makespan.makespan_ptas(inst, cfg.eps_user, mode)
-                algo_val = rat(res.makespan)
-                oracle_val = rat(opt.optimum)
                 ratio = algo_val / oracle_val
                 row["probes"] = res.probes
-                stats = res.probe_stats
+                within = ratio <= bound
             else:
-                res = lpnorm.lpnorm_ptas(inst, cfg.p, cfg.eps_user, mode)
                 # compare the norms, not their p-th powers
                 pval = parse_rational(cfg.p)
-                algo_val = rat(res.objective_pow)
-                oracle_val = rat(opt.optimum)
-                ratio_pow = algo_val / oracle_val
-                ratio = rat(float(ratio_pow) ** (1 / float(pval)))
+                ratio = rat(float(algo_val / oracle_val) ** (1 / float(pval)))
                 row["cp_gap"] = res.run.cp_gap
-                stats = [res.run.stats]
+                within = algo_val <= power(bound, pval) * oracle_val
             row["oracle"] = rat_str(oracle_val)
             row["algorithm"] = rat_str(algo_val)
             row["ratio"] = rat_str(ratio)
             row.update(_stats_row(stats))
-            if cfg.objective == "makespan":
-                within = ratio <= bound
-            else:
-                within = algo_val <= power(bound, pval) * oracle_val
             row["ok"] = bool(within)
             if not within:
                 row["error"] = "ratio bound exceeded"
@@ -335,45 +337,35 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    eps = args.eps
+    eps, p, is_makespan = args.eps, args.p, args.objective == "makespan"
     doc: dict = {"objective": args.objective, "eps_user": rat_str(eps), "mode": args.mode}
     try:
-        if args.objective == "makespan":
-            if args.mode == "guided":
-                opt = exact_solve(inst)
-                mode = Guided(opt.witness)
-                doc["oracle"] = rat_str(rat(opt.optimum))
-            else:
-                mode = FullEnum(args.enum_budget)
-            res = makespan.makespan_ptas(inst, eps, mode)
-            doc["makespan"] = rat_str(rat(res.makespan))
+        if args.mode == "guided":
+            opt = exact_solve(inst, "makespan" if is_makespan else "lp_norm", p=p)
+            mode = Guided(opt.witness)
+            doc["oracle" if is_makespan else "oracle_pow"] = rat_str(rat(opt.optimum))
+        else:
+            mode = FullEnum(args.enum_budget)
+        res, value, stats, forest = _run_pipeline(inst, args.objective, eps, p, mode)
+        if is_makespan:
+            doc["makespan"] = rat_str(value)
             doc["accepted_target"] = rat_str(rat(res.accepted_target))
             doc["eps_internal"] = rat_str(rat(res.eps_internal))
             doc["probes"] = res.probes
-            doc["stats"] = _stats_row(res.probe_stats)
-            forest = res.forest
         else:
-            p = args.p
-            if args.mode == "guided":
-                opt = exact_solve(inst, "lp_norm", p=p)
-                mode = Guided(opt.witness)
-                doc["oracle_pow"] = rat_str(rat(opt.optimum))
-            else:
-                mode = FullEnum(args.enum_budget)
-            res = lpnorm.lpnorm_ptas(inst, p, eps, mode)
-            doc["objective_pow"] = rat_str(rat(res.objective_pow))
+            doc["objective_pow"] = rat_str(value)
             doc["cp_objective"] = res.run.cp_objective
             doc["cp_gap"] = res.run.cp_gap
             doc["cp_tolerance"] = res.run.cp_tolerance
             doc["guesses_tried"] = res.guesses_tried
-            doc["stats"] = _stats_row([res.run.stats])
-            forest = res.run.forest
-            if "oracle_pow" in doc:
-                ratio_pow = rat(res.objective_pow) / parse_rational(doc["oracle_pow"])
-                doc["norm_ratio"] = float(ratio_pow) ** (1 / float(p))
+        doc["stats"] = _stats_row(stats)
+        if args.mode == "guided":
+            ratio = value / rat(opt.optimum)
+            if is_makespan:
+                doc["ratio"] = rat_str(ratio)
+            else:
+                doc["norm_ratio"] = float(ratio) ** (1 / float(p))
         doc["schedule"] = [list(mk) for mk in res.schedule.assignment]
-        if "oracle" in doc:
-            doc["ratio"] = rat_str(rat(parse_rational(doc["makespan"])) / parse_rational(doc["oracle"]))
     except (Infeasible, BudgetExhausted) as exc:
         doc["error"] = f"{type(exc).__name__}: {exc}"
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)

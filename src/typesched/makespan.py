@@ -13,27 +13,20 @@ instead of rounding every cost again (see ScaleLadder).
 
 Machines of one type are identical, so whether a profile can host the jobs
 that are large on every usable type depends only on its slot counts per
-(type, class).  In full mode each profile first passes a count-level
-check, with no slots, rows or LP built: every such job needs a slot group
-of its own (type, class), and the jobs must match distinct slots
-(augmenting paths over the groups, each with its slot count as
-capacity).  Both conditions are necessary for the slot LP: its assignment
-and slot rows hold exactly a fractional matching of these jobs, and a
-bipartite graph has one only if it has an integral one.  A profile that fails is skipped like one whose LP
-is infeasible, so full mode builds an LP only for profiles that pass.
-
-Guided mode skips the check: it cannot fail there.  profile_from_schedule
-puts the class of every job that is large on every usable type into the
-pattern of the certificate machine that job sits on, or raises
-PatternOverflow, so the certificate itself is a matching of those jobs onto
-distinct slots of their own groups.
-
-Full mode runs the first condition as a route mask (see route_check): each
-(type, class) carries the bitmask of the jobs its slots can serve, each
-type's pattern multiset the OR of its classes' masks, computed once per
-decision, and a profile the OR of its types' masks.  Only a profile whose
-mask covers every such job reaches the matching.  The stream and its
-budget are untouched: a masked-out profile was yielded and charged.
+(type, class).  In full mode each profile first passes a count check
+(count_check), with no slots, rows or LP built: every such job needs a slot
+group of its own (type, class), and the jobs must match distinct slots
+(augmenting paths over the groups, each with its slot count as capacity).
+Both conditions are necessary for the slot LP: its assignment and slot rows
+hold exactly a fractional matching of these jobs, and a bipartite graph has
+one only if it has an integral one.  Per type and pattern multiset the check
+memoises the bitmask of the jobs its slots can serve and its slot counts, so
+a profile that leaves a job without a group fails on one lookup per type,
+and only the rest reach the matching.  A profile that fails is skipped like
+one whose LP is infeasible; it was still yielded and charged to the budget.
+Guided mode skips the check, which cannot fail there: profile_from_schedule
+puts the class of every such job into the pattern of the certificate
+machine that job sits on, or raises PatternOverflow.
 
 A makespan-T solution survives the lift (+eps additively) and the round-up
 (factor 1+eps), so rounded per-machine loads stay within (1+eps)^2; that is
@@ -50,7 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExhausted, Infeasible, InvariantViolation, PatternOverflow
 from .model import Instance, Schedule, evaluate_makespan, require_valid
@@ -281,66 +274,60 @@ def profile_from_schedule(scaled: ScaledInstance, sched: Schedule) -> Profile:
     return tuple(profile)
 
 
-def slot_only_groups(scaled: ScaledInstance) -> list[tuple[SlotGroup, ...]]:
-    """For each job that is large on every usable type (so it has no machine
-    route), the slot groups it can take: one per usable type on which it is
-    not oversize."""
+def count_check(scaled: ScaledInstance) -> Callable[[Profile], bool] | None:
+    """The count check of the module docstring, built once per decision:
+    None when no job is large on every usable type, so every profile
+    passes; else profile -> whether it passes.
+
+    Per type and pattern multiset it memoises the route mask (bit i set
+    when one of the multiset's slots can serve the i-th such job) and the
+    slot count of each (type, class) group.  A profile whose masks miss a
+    job fails without a matching; only one whose masks cover every job
+    counts its multisets' slots, once each, and merges the counts (their
+    keys hold the type, so they never collide) for has_matching.
+    """
     inst = scaled.base
     usable = [t for t in range(inst.num_types) if inst.machine_counts[t] > 0]
-    out = []
-    for row in scaled.entries:
-        if all(row[t].large for t in usable):
-            out.append(tuple((t, row[t].klass) for t in usable if row[t].klass is not None))
-    return out
-
-
-def profile_admits(groups: list[tuple[SlotGroup, ...]], profile: Profile) -> bool:
-    """Count-level necessary condition for the slot LP of profile.
-
-    groups is slot_only_groups(scaled).  Each of those jobs needs a slot of
-    one of its groups (route check), and all of them need distinct slots
-    (Hall check, by augmenting paths over group capacities).
-    """
-    capacity: dict[SlotGroup, int] = {}
-    for t, patterns in enumerate(profile):
-        for pattern in patterns:
-            for q in pattern:
-                capacity[(t, q)] = capacity.get((t, q), 0) + 1
-    options = [[g for g in job_groups if g in capacity] for job_groups in groups]
-    return has_matching(options, capacity)
-
-
-def route_check(groups: list[tuple[SlotGroup, ...]], num_types: int):
-    """profile -> whether every job of groups (slot_only_groups) has a slot
-    group of its own in the profile: profile_admits' route check, by masks.
-
-    Bit i of a (type, class)'s mask is set when job i can take its slots.
-    Each type's pattern multiset is ORed once and memoised, so a profile
-    costs one lookup per type.  Build one per decision: the memo is keyed
-    by that decision's multisets.
-    """
+    groups: list[list[SlotGroup]] = [
+        [(t, row[t].klass) for t in usable if row[t].klass is not None]
+        for row in scaled.entries
+        if all(row[t].large for t in usable)
+    ]
+    if not groups:
+        return None
     serves: dict[SlotGroup, int] = {}
     for i, job_groups in enumerate(groups):
         for g in job_groups:
             serves[g] = serves.get(g, 0) | 1 << i
     every = (1 << len(groups)) - 1
-    memos: list[dict] = [{} for _ in range(num_types)]
+    masks: list[dict] = [{} for _ in range(inst.num_types)]
+    counts: list[dict] = [{} for _ in range(inst.num_types)]
 
-    def routed(profile: Profile) -> bool:
+    def admits(profile: Profile) -> bool:
         covered = 0
         for t, patterns in enumerate(profile):
-            memo = memos[t]
-            mask = memo.get(patterns)
+            mask = masks[t].get(patterns)
             if mask is None:
                 mask = 0
                 for pattern in patterns:
                     for q in pattern:
                         mask |= serves.get((t, q), 0)
-                memo[patterns] = mask
+                masks[t][patterns] = mask
             covered |= mask
-        return covered == every
+        if covered != every:
+            return False
+        capacity: dict[SlotGroup, int] = {}
+        for t, patterns in enumerate(profile):
+            slots = counts[t].get(patterns)
+            if slots is None:
+                slots = counts[t][patterns] = {}
+                for pattern in patterns:
+                    for q in pattern:
+                        slots[(t, q)] = slots.get((t, q), 0) + 1
+            capacity.update(slots)
+        return has_matching([[g for g in gs if g in capacity] for gs in groups], capacity)
 
-    return routed
+    return admits
 
 
 def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> RoundingProblem:
@@ -441,7 +428,7 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
 def decide(scaled: ScaledInstance, mode) -> DecisionResult:
     """The decision step of makespan_decision, at the target of scaled."""
     inst = scaled.base
-    groups = routed = None  # no count check in guided mode (module docstring)
+    check = None  # guided mode runs no count check (module docstring)
     if isinstance(mode, Guided):
         try:
             profiles: Iterator[Profile] = iter([profile_from_schedule(scaled, mode.schedule)])
@@ -449,9 +436,7 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
             raise Infeasible(str(exc)) from exc
     else:
         profiles = enumerate_pattern_profiles(scaled, mode.budget)
-        groups = slot_only_groups(scaled)
-        if groups:
-            routed = route_check(groups, inst.num_types)
+        check = count_check(scaled)
 
     bound = guarantee_factor(scaled.eps, inst.dims) * scaled.target
     while True:
@@ -459,9 +444,7 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
             profile = next(profiles)
         except StopIteration:
             raise Infeasible("every enumerated profile failed") from None
-        if routed is not None and not routed(profile):
-            continue
-        if groups is not None and not profile_admits(groups, profile):
+        if check is not None and not check(profile):
             continue
         problem = build_rounding_problem(scaled, profile)
         engine = RoundingEngine(problem)

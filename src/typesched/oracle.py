@@ -16,8 +16,8 @@ from .errors import BadExponent, DimensionMismatch, TooLarge
 from .model import Instance, Schedule
 from .rationals import ZERO, parse_rational, power, rat
 
-DEFAULT_JOB_CAP = 8
-DEFAULT_MACHINE_CAP = 5
+JOB_CAP = 8
+MACHINE_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -32,16 +32,15 @@ def exact_solve(
     objective: str = "makespan",
     p=None,
     *,
-    job_cap: int = DEFAULT_JOB_CAP,
-    machine_cap: int = DEFAULT_MACHINE_CAP,
     prune: bool = True,
 ) -> OracleResult:
-    """Exact optimum and witness for makespan or lp_norm objectives."""
+    """Exact optimum and witness for makespan or lp_norm objectives, on at
+    most JOB_CAP jobs and MACHINE_CAP machines."""
     n = inst.num_jobs
-    if n > job_cap or inst.num_machines > machine_cap:
+    if n > JOB_CAP or inst.num_machines > MACHINE_CAP:
         raise TooLarge(
             f"{n} jobs / {inst.num_machines} machines exceed caps "
-            f"({job_cap} / {machine_cap})"
+            f"({JOB_CAP} / {MACHINE_CAP})"
         )
     if objective == "makespan":
         return _solve_makespan(inst, prune)

@@ -164,6 +164,26 @@ def test_guided_guess_is_enumerable():
         assert stream[stream.index(guess)].lower_bound is not None
 
 
+@pytest.mark.parametrize(
+    "n, machines", [(3, (1, 1)), (3, (2, 1)), (4, (2, 1)), (3, (1, 1, 1)), (4, (2, 2)), (4, (3,))]
+)
+def test_guided_guess_is_a_full_mode_guess_with_a_sound_bound(n, machines):
+    # full mode enumerates the guess the oracle certificate induces, and the
+    # bound it carries there is at most the optimum's p-th power (the
+    # certificate is consistent with the guess); p alternates 2 and 3
+    eps = rat(1, 2)  # coarse grid keeps the streams small
+    tight = 0
+    for seed in range(5000, 5020):
+        p = 2 + seed % 2
+        inst = generate_instance(GeneratorSpec(n, 1, machines, 1, 10), seed)
+        opt = exact_solve(inst, "lp_norm", p=p)
+        guess = guess_from_schedule(inst, p, eps, opt.witness)
+        streamed = next(g for g in enumerate_guesses(inst, p, eps, 10**6) if g == guess)
+        assert streamed.lower_bound <= opt.optimum, seed
+        tight += streamed.lower_bound == opt.optimum
+    assert tight > 0
+
+
 def test_cp_single_machine_all_small():
     # one non-huge machine, all jobs small (cost <= eps*alpha*c_max):
     # t1 = max(alpha*c_max, total load) and the objective is t1^p

@@ -12,6 +12,7 @@ from typesched.makespan import (
     ScaleLadder,
     build_rounding_problem,
     calibrate_eps,
+    count_check,
     decide,
     enumerate_pattern_profiles,
     guarantee_factor,
@@ -20,16 +21,19 @@ from typesched.makespan import (
     makespan_decision,
     makespan_ptas,
     power_round_up,
-    profile_admits,
     profile_from_schedule,
     realized_types,
-    route_check,
-    slot_only_groups,
 )
 from typesched.model import GeneratorSpec, Schedule, generate_instance, make_instance
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, parse_rational, rat, rat_floor
-from typesched.rounding import RoundingEngine, assemble_schedule, slot_lp, untangle
+from typesched.rounding import (
+    RoundingEngine,
+    assemble_schedule,
+    has_matching,
+    slot_lp,
+    untangle,
+)
 
 
 def round_up_oracle(x, eps=rat(1, 2)):
@@ -246,7 +250,7 @@ def test_guided_acceptance_implies_full_acceptance_at_every_rung():
 
 
 def test_certificate_profiles_pass_the_count_check_at_every_rung():
-    # guided decide runs no profile_admits: profile_from_schedule puts the
+    # guided decide runs no count check: profile_from_schedule puts the
     # class of every slot-only job into its own machine's pattern, so the
     # certificate profile always passes the check
     shapes = {"D=1": (1, (2, 2)), "D=2": (2, (2, 2)), "K=3": (1, (1, 1, 1)),
@@ -264,9 +268,9 @@ def test_certificate_profiles_pass_the_count_check_at_every_rung():
                     profile = profile_from_schedule(scaled, witness)
                 except PatternOverflow:
                     continue
-                groups = slot_only_groups(scaled)
-                assert profile_admits(groups, profile), (name, seed, i)
-                checked[name] += bool(groups)
+                check = count_check(scaled)
+                assert check is None or check(profile), (name, seed, i)
+                checked[name] += check is not None
     assert min(checked.values()) >= 5, checked
 
 
@@ -302,8 +306,8 @@ def test_profile_budget_exhaustion(monkeypatch):
         next(gen)
     # profiles the count check rejects still use up the budget, and no
     # rounding problem is built for them
-    groups = slot_only_groups(scaled)
-    verdicts = [profile_admits(groups, p) for p in enumerate_pattern_profiles(scaled, 10**6)]
+    check = count_check(scaled)
+    verdicts = [check(p) for p in enumerate_pattern_profiles(scaled, 10**6)]
     first = verdicts.index(True)
     assert first > 0
     built = []
@@ -327,6 +331,30 @@ def _lp_feasible(scaled, profile) -> bool:
     return True
 
 
+def slot_only_groups(scaled) -> list[list]:
+    """Per job that is large on every usable type, the (type, class) slot
+    groups it can take: one per usable type on which it is not oversize."""
+    inst = scaled.base
+    usable = [t for t in range(inst.num_types) if inst.machine_counts[t] > 0]
+    return [
+        [(t, row[t].klass) for t in usable if row[t].klass is not None]
+        for row in scaled.entries
+        if all(row[t].large for t in usable)
+    ]
+
+
+def reference_admits(groups, profile) -> bool:
+    """The count check from scratch, groups being slot_only_groups: the
+    profile's slot count per (type, class), and a matching of the jobs of
+    groups onto distinct slots of their groups."""
+    capacity = {}
+    for t, patterns in enumerate(profile):
+        for pattern in patterns:
+            for q in pattern:
+                capacity[(t, q)] = capacity.get((t, q), 0) + 1
+    return has_matching([[g for g in gs if g in capacity] for gs in groups], capacity)
+
+
 def _slot_classes_routed(groups, profile) -> bool:
     present = {(t, q) for t, pats in enumerate(profile) for pat in pats for q in pat}
     return all(any(g in present for g in job_groups) for job_groups in groups)
@@ -344,9 +372,10 @@ def test_count_check_rejects_only_lp_infeasible_profiles(dims, machines):
         eps = calibrate_eps(rat(1, 2), dims)
         for k in (-3, 0, 3):
             scaled = make_scaled_instance(inst, opt * (1 + eps) ** k, eps)
+            check = count_check(scaled)
             groups = slot_only_groups(scaled)
             for profile in enumerate_pattern_profiles(scaled, 10**6):
-                if profile_admits(groups, profile):
+                if check is None or check(profile):
                     continue
                 assert not _lp_feasible(scaled, profile), (seed, k, profile)
                 if _slot_classes_routed(groups, profile):
@@ -357,12 +386,12 @@ def test_count_check_rejects_only_lp_infeasible_profiles(dims, machines):
 
 
 def reference_full_decide(scaled):
-    """Full-mode decide before the route mask: every profile goes through
-    profile_admits.  (profile, schedule, stats) of the first that rounds,
+    """Full-mode decide with every profile checked from scratch by
+    reference_admits.  (profile, schedule, stats) of the first that rounds,
     or None when none does."""
     groups = slot_only_groups(scaled)
     for profile in enumerate_pattern_profiles(scaled, 10**6):
-        if not profile_admits(groups, profile):
+        if not reference_admits(groups, profile):
             continue
         problem = build_rounding_problem(scaled, profile)
         engine = RoundingEngine(problem)
@@ -379,9 +408,10 @@ def reference_full_decide(scaled):
     "n, dims, machines", [(4, 1, (2, 2)), (4, 2, (2, 2)), (4, 1, (1, 1, 2)), (5, 1, (2, 1))]
 )
 def test_route_mask_decides_as_the_matching_loop(n, dims, machines):
-    # the mask rejects exactly the profiles that leave a slot-only job
-    # without a group, and decide picks the profile, schedule and rounding
-    # stats the unmasked loop picks, at rungs on both sides of the optimum
+    # count_check gives the from-scratch verdict on every profile, so decide
+    # picks the profile, schedule and rounding stats the reference loop
+    # picks, at rungs on both sides of the optimum; the sweep covers
+    # profiles that leave a slot-only job without a group
     masked = accepted = rejected = 0
     for seed in range(900, 912):
         inst = generate_instance(GeneratorSpec(n, dims, machines, 1, 10), seed)
@@ -389,11 +419,12 @@ def test_route_mask_decides_as_the_matching_loop(n, dims, machines):
         eps = calibrate_eps(rat(1, 2), dims)
         for k in (-4, -2, -1, 0, 1, 3):
             scaled = make_scaled_instance(inst, opt * (1 + eps) ** k, eps)
+            check = count_check(scaled)
             groups = slot_only_groups(scaled)
-            routed = route_check(groups, inst.num_types)
             for profile in enumerate_pattern_profiles(scaled, 10**6):
-                assert routed(profile) == _slot_classes_routed(groups, profile)
-                masked += not routed(profile)
+                verdict = reference_admits(groups, profile)
+                assert (check is None or check(profile)) == verdict, (seed, k, profile)
+                masked += not _slot_classes_routed(groups, profile)
             expected = reference_full_decide(scaled)
             try:
                 res = decide(scaled, FullEnum())
@@ -411,13 +442,27 @@ def test_hall_check_counts_slots_per_group():
     # route, but they cannot both have a slot
     inst = make_instance(1, [2], [[[8]], [[9]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
-    groups = slot_only_groups(scaled)
+    check = count_check(scaled)
     q = scaled.entry(0, 0).klass
-    assert groups == [((0, q),), ((0, q),)]
-    assert not profile_admits(groups, (((), (q,)),))
-    assert profile_admits(groups, (((q,), (q,)),))
-    assert profile_admits(groups, (((), (q, q)),))
+    assert slot_only_groups(scaled) == [[(0, q)], [(0, q)]]
+    assert not check((((), (q,)),))
+    assert check((((q,), (q,)),))
+    assert check((((), (q, q)),))
     assert not _lp_feasible(scaled, (((), (q,)),))
+
+
+def test_count_check_is_none_without_slot_only_jobs():
+    # each job is small on one of the two types, so it has a machine route
+    # and every profile passes; making job 0 large on both types (and on
+    # the type with no machines) builds the check
+    inst = make_instance(1, [1, 1], [[[8], [1]], [[1], [9]]])
+    scaled = make_scaled_instance(inst, 10, rat(1, 2))
+    assert count_check(scaled) is None
+    assert decide(scaled, FullEnum()).makespan == 1
+    inst = make_instance(1, [1, 1, 0], [[[8], [9], [7]], [[1], [9], [1]]])
+    scaled = make_scaled_instance(inst, 10, rat(1, 2))
+    check = count_check(scaled)
+    assert check is not None and not check(((), (), ()))
 
 
 def test_profile_from_schedule():

@@ -5,7 +5,7 @@ schedule assembly were each merged into one piece of shared code.  Comparing
 two runs of the same code cannot catch a refactor that moves a schedule, a
 count or one bit of a reported float; these pins do.
 
-Bench reports pin the CLI layer.  Their convex solves mostly stop at the
+Bench reports and `solve` outputs pin the CLI layer.  The bench reports' convex solves mostly stop at the
 warm start, so the solver-level pins add guided runs whose Frank-Wolfe solve
 iterates (nonzero gaps, p in {2, 3, 5/2}) and full-mode runs, whose
 tolerance comes from the objective at the zero point.
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from typesched.cli import ExperimentConfig, run_experiment
+from typesched.cli import ExperimentConfig, main, run_experiment
 from typesched.lpnorm import FullEnum, Guided, lpnorm_ptas
 from typesched.model import GeneratorSpec, Schedule, generate_instance
 from typesched.rationals import ZERO, rat, rat_str
@@ -63,6 +63,43 @@ def test_bench_report_bytes_are_pinned(config, digest):
     report = run_experiment(ExperimentConfig(**config))
     assert report.ok
     assert sha(report.to_json()) == digest
+
+
+# `gen` arguments of the two solve instances
+SOLVE_INSTANCES = {
+    "makespan": ["--jobs", "5", "--dims", "2", "--machines", "2,1", "--seed", "3"],
+    "lpnorm": ["--jobs", "4", "--machines", "1,2", "--seed", "5"],
+}
+
+# (objective, solve arguments, format) -> digest of the `solve --out` file
+SOLVE_PINS = [
+    ("makespan", ["--mode", "guided", "--emit-forest"], "json",
+     "a24a6c83331b8fb005058189064c0ade21eea21e0399094c379638493b965abf"),
+    ("makespan", ["--mode", "guided", "--emit-forest"], "table",
+     "d08ca08d7deaa84c184e53d9cf5d9bb5c22095535102253ac111f08a00bc7b80"),
+    ("makespan", ["--mode", "full"], "json",
+     "84c130f53d5c453d6908d80753a6dab288e0bc6ae0dba42a83cb38886d20d59d"),
+    ("makespan", ["--mode", "full"], "table",
+     "6823da7f1bd38ab75202cbdc9e4cbb70eb1c417125a8343c9ad75a401d9fe706"),
+    ("lpnorm", ["--mode", "guided", "--p", "5/2", "--emit-forest"], "json",
+     "f95b583a2f04073c213308762d874bd29b8072ca6ef7097a5f9ac9e75599ec79"),
+    ("lpnorm", ["--mode", "guided", "--p", "5/2", "--emit-forest"], "table",
+     "61eeeff2419640fe1c6dd2a805306a63253810c1f8a1eaa8e792e27df0289799"),
+    ("lpnorm", ["--mode", "full"], "json",
+     "84dbc03ce09d6d7f411668504ac07514109cb45ae42399c4c94bc3383132c8b3"),
+    ("lpnorm", ["--mode", "full"], "table",
+     "484bdad57e2039eb2ec4e3fe26356c7fc3c7b111de678e28466712766f0d0ae9"),
+]
+
+
+@pytest.mark.parametrize("objective,args,fmt,digest", SOLVE_PINS)
+def test_solve_output_bytes_are_pinned(tmp_path, objective, args, fmt, digest):
+    # the table prints the keys in insertion order, so it pins that order too
+    inst, out = tmp_path / "inst.json", tmp_path / "out"
+    assert main(["gen", *SOLVE_INSTANCES[objective], "--out", str(inst)]) == 0
+    argv = ["solve", "--instance", str(inst), "--objective", objective, *args]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    assert sha(out.read_text()) == digest
 
 
 def greedy_schedule(inst, p=2) -> Schedule:
