@@ -9,7 +9,6 @@ from .convex import ConvexSolveResult, solve_convex_over_polytope
 from .lp import LinearProgram, ExtremePointSolution, solve_extreme_point
 from .lpnorm import (
     build_cp_model,
-    calibrate_eps as calibrate_eps_lpnorm,
     enumerate_guesses,
     f_threshold,
     guess_from_schedule,
@@ -57,7 +56,6 @@ __all__ = [
     "Schedule",
     "build_cp_model",
     "calibrate_eps",
-    "calibrate_eps_lpnorm",
     "enumerate_guesses",
     "enumerate_pattern_profiles",
     "evaluate_lp_norm_pow",

@@ -9,7 +9,11 @@ round it iteratively to an integral schedule.
 
 The targets are lower*(1+eps)^i, so one scale ladder rounds every cost once,
 against lower; the probe at target i shifts those grid exponents by i
-instead of rounding every cost again (see ScaleLadder).
+instead of rounding every cost again (see ScaleLadder).  In guided mode
+every rung whose target is at least the certificate's makespan is known to
+accept (makespan_ptas gives the argument), so the search takes those rungs
+as accepted without deciding them, and decides its final rung once if it
+was one of them; probes counts the decisions run.
 
 Machines of one type are identical, so whether a profile can host the jobs
 that are large on every usable type depends only on its slot counts per
@@ -411,7 +415,7 @@ class MakespanResult:
     makespan: object
     accepted_target: object
     eps_internal: object
-    probes: int
+    probes: int  # decisions run; guided mode skips rungs it knows accept
     probe_stats: list[RoundingStats] = field(default_factory=list)
     forest: dict = field(default_factory=dict)
 
@@ -473,7 +477,25 @@ def _target_bounds(inst: Instance, rows: list | None = None):
 
 
 def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
-    """Schedule with makespan <= (1 + eps_user) * OPT."""
+    """Schedule with makespan <= (1 + eps_user) * OPT; in guided mode also
+    <= (1 + eps_user) * C, C the certificate's makespan: the accepted target
+    is at most T_{r_c} < (1+eps) * C, and G(eps, D) * (1+eps) <= 1 + eps_user.
+
+    r_c is the least rung whose target is >= C, and guided decide accepts
+    every such rung, so the search decides none of them.  Scaled by such a
+    T, a certificate machine has loads <= 1, so it holds at most
+    floor(D/eps) large jobs, and as the lift adds at most eps^2/D per job,
+    its pattern mass per dimension is at most (1+eps)(L + eps) <= (1+eps)^2,
+    L <= 1 being its large load: profile_from_schedule raises no
+    PatternOverflow.  Its small load is at most 1 - L <= (1+eps)(1 - L) <=
+    rem, so the certificate is a point of the slot LP, and the rounding
+    loop never turns a feasible first LP into Infeasible (a later failure
+    raises InvariantViolation).  So the probes (rung 0, top, then the
+    midpoints) and the accepted rung are those of deciding every probe.
+    Each midpoint >= r_c moves hi down, so the final hi is at most r_c; if
+    it was never decided, it is decided once at the end.  top is raised to
+    r_c for a valid certificate above the ladder.
+    """
     require_valid(inst)
     eps_user = parse_rational(eps_user)
     eps = calibrate_eps(eps_user, inst.dims)
@@ -482,35 +504,42 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     # rungs lower * (1+eps)^i up to the first target >= upper (upper >= lower)
     ladder = ScaleLadder(inst, lower, eps, rows)
     top = ladder.grid.round_up(upper / lower)
+    known = top + 1  # rungs >= known accept without a decision
+    if isinstance(mode, Guided):
+        known = ladder.grid.round_up(evaluate_makespan(inst, mode.schedule) / lower)
+        top = max(top, known)
 
     probes = 0
     probe_stats: list[RoundingStats] = []
+    best: DecisionResult | None = None  # the last accepting decision run
 
-    def probe(idx: int) -> DecisionResult | None:
-        nonlocal probes
+    def accepts(idx: int) -> bool:
+        nonlocal probes, best
+        if idx >= known:
+            return True
         probes += 1
         try:
-            res = decide(ladder.rung(idx), mode)
-            probe_stats.append(res.stats)
-            return res
+            best = decide(ladder.rung(idx), mode)
         except Infeasible:
-            return None
+            return False
+        probe_stats.append(best.stats)
+        return True
 
-    best = probe(0)
-    if best is None:
-        hi = top
-        best = probe(hi)
-        if best is None:
+    hi = 0
+    if not accepts(0):
+        lo, hi = 0, top
+        if not accepts(hi):
             raise InvariantViolation("decision rejected a valid upper bound")
-        lo = 0
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            res = probe(mid)
-            if res is None:
-                lo = mid
-            else:
+            if accepts(mid):
                 hi = mid
-                best = res
+            else:
+                lo = mid
+    if best is None:
+        known += 1  # hi is r_c, accepted but not yet decided
+        if not accepts(hi):
+            raise InvariantViolation("decision rejected a rung its certificate proves")
     return MakespanResult(
         schedule=best.schedule,
         makespan=best.makespan,

@@ -947,6 +947,15 @@ try:
 except InvariantViolation as exc:
     print(exc)
 print("optimize", sys.flags.optimize)
+# guided mode decides the certificate's rung, which it knows accepts, only
+# at the end; here rung 0, made to reject
+from typesched.model import Schedule, evaluate_makespan
+from typesched.modes import Guided
+makespan.evaluate_makespan = evaluate_makespan
+try:
+    makespan.makespan_ptas(inst, rat(1, 2), Guided(Schedule(((0, 0),))))
+except InvariantViolation as exc:
+    print(exc)
 """
 
 
@@ -956,12 +965,13 @@ def test_trip_wires_survive_python_O():
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:11] == [
+    assert out.stdout.split("\n")[:12] == [
         "sparsity checked", "guard checked",
         "phase-1 pivots 1", "sparsity checked on reuse, simplex runs 1", "assembler checked",
         "eps must lie in (0, 1], got 2", "eps must lie in (0, 1], got 2",
         "decision exceeded its guarantee factor", "decision rejected a valid upper bound",
         "reduced LP became infeasible; reduction invariants broken", "optimize 1",
+        "decision rejected a rung its certificate proves",
     ]
 
 

@@ -4,7 +4,13 @@ import pytest
 
 from typesched import makespan
 from typesched.cli import ExperimentConfig
-from typesched.errors import BudgetExhausted, Infeasible, InvariantViolation, PatternOverflow
+from typesched.errors import (
+    BudgetExhausted,
+    Infeasible,
+    InvalidSchedule,
+    InvariantViolation,
+    PatternOverflow,
+)
 from typesched.lp import solve_extreme_point
 from typesched.makespan import (
     FullEnum,
@@ -24,7 +30,14 @@ from typesched.makespan import (
     profile_from_schedule,
     realized_types,
 )
-from typesched.model import GeneratorSpec, Schedule, generate_instance, make_instance
+from typesched.model import (
+    GeneratorSpec,
+    Instance,
+    Schedule,
+    evaluate_makespan,
+    generate_instance,
+    make_instance,
+)
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, parse_rational, rat, rat_floor
 from typesched.rounding import (
@@ -623,6 +636,159 @@ def test_full_enum_matches_guided_on_tiny_instances():
         opt = exact_solve(inst)
         res = makespan_ptas(inst, rat(1, 2), FullEnum(budget=10**6))
         assert rat(res.makespan) <= rat(3, 2) * rat(opt.optimum)
+
+
+def certificate_ladder(inst, eps_user, cert):
+    """(ladder, r_c, top) of makespan_ptas under Guided(cert): r_c is the
+    least rung whose target is >= the certificate's makespan, and top the
+    ladder's last rung before it is raised to r_c."""
+    lower, upper = makespan._target_bounds(inst)
+    ladder = ScaleLadder(inst, lower, calibrate_eps(eps_user, inst.dims))
+    r_c = ladder.grid.round_up(evaluate_makespan(inst, cert) / lower)
+    return ladder, r_c, ladder.grid.round_up(upper / lower)
+
+
+def random_schedule(inst, rng) -> Schedule:
+    machines = list(inst.machines())
+    return Schedule(tuple(rng.choice(machines) for _ in range(inst.num_jobs)))
+
+
+def test_every_rung_from_the_certificate_rung_accepts():
+    # the argument of the makespan_ptas docstring: at a target at or above
+    # the certificate's makespan, decide accepts its profile, so the guided
+    # search may skip those rungs; oracle and random (mostly non-optimal)
+    # certificates, up to the raised top
+    shapes = [(1, (2, 1)), (2, (1, 2)), (3, (2, 2)), (2, (1, 1, 1))]
+    rungs = poor = 0
+    for s, (dims, machines) in enumerate(shapes):
+        for e, eps_user in enumerate((rat(1, 4), rat(1, 2), rat(1))):
+            for seed in range(2):
+                spec = GeneratorSpec(5, dims, machines, 1, 10)
+                inst = generate_instance(spec, 3000 + 6 * s + 2 * e + seed)
+                opt = exact_solve(inst)
+                for cert in (opt.witness, random_schedule(inst, random.Random(seed))):
+                    ladder, r_c, top = certificate_ladder(inst, eps_user, cert)
+                    for i in range(r_c, max(top, r_c) + 1):
+                        decide(ladder.rung(i), Guided(cert))
+                        rungs += 1
+                    poor += evaluate_makespan(inst, cert) > opt.optimum
+    assert rungs > 1000 and poor > 10, (rungs, poor)
+
+
+def reference_search(inst, eps_user, mode):
+    """makespan_ptas's bisection with every probe decided, as it stood
+    before the guided search skipped its certificate's rungs:
+    (decision at the accepted rung, probes)."""
+    lower, upper = makespan._target_bounds(inst)
+    ladder = ScaleLadder(inst, lower, calibrate_eps(eps_user, inst.dims))
+    probes = 0
+
+    def probe(i):
+        nonlocal probes
+        probes += 1
+        try:
+            return decide(ladder.rung(i), mode)
+        except Infeasible:
+            return None
+
+    best = probe(0)
+    if best is None:
+        lo, hi = 0, ladder.grid.round_up(upper / lower)
+        best = probe(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            res = probe(mid)
+            if res is None:
+                lo = mid
+            else:
+                hi, best = mid, res
+    return best, probes
+
+
+def reference_cases():
+    """A1-shape instances, the bench-pinned guided ones among them, and the
+    instance of the pinned guided `solve` outputs."""
+    half = rat(1, 2)
+    for trials, seed in ((6, 21), (40, 4000)):
+        cfg = ExperimentConfig("makespan", trials, seed, half)
+        for i in range(cfg.trials):
+            yield generate_instance(cfg.trial_spec(i), cfg.seed + i)
+    yield generate_instance(GeneratorSpec(5, 2, (2, 1), 1, 10), 3)
+
+
+def test_guided_search_returns_the_reference_decision():
+    # the same accepted rung, schedule and makespan with fewer decisions;
+    # when rung 0 accepts, both make exactly one
+    fewer = first_accepts = 0
+    for inst in reference_cases():
+        mode = Guided(exact_solve(inst).witness)
+        expected, ref_probes = reference_search(inst, rat(1, 2), mode)
+        res = makespan_ptas(inst, rat(1, 2), mode)
+        assert (res.schedule, res.makespan, res.accepted_target) == (
+            expected.schedule, expected.makespan, expected.target)
+        assert res.probes <= ref_probes
+        if res.accepted_target == makespan._target_bounds(inst)[0]:
+            assert res.probes == ref_probes == 1
+            first_accepts += 1
+        fewer += res.probes < ref_probes
+    assert fewer > 10 and first_accepts > 5, (fewer, first_accepts)
+
+
+def test_guided_search_checks_the_rung_it_never_decided(monkeypatch):
+    # a case whose accepted rung is its certificate's rung r_c > 0: the
+    # search decides it only at the end, and a rejection there is a bug
+    half = rat(1, 2)
+    for inst in reference_cases():
+        cert = exact_solve(inst).witness
+        ladder, r_c, _ = certificate_ladder(inst, half, cert)
+        target = ladder.rung(r_c).target
+        if r_c > 0 and makespan_ptas(inst, half, Guided(cert)).accepted_target == target:
+            break
+    else:
+        pytest.fail("no case accepts at its certificate's rung")
+    real = makespan.decide
+
+    def rejecting(scaled, mode):
+        if scaled.target == target:
+            raise Infeasible("rejected")
+        return real(scaled, mode)
+
+    monkeypatch.setattr(makespan, "decide", rejecting)
+    with pytest.raises(InvariantViolation, match="rung its certificate proves"):
+        makespan_ptas(inst, half, Guided(cert))
+
+
+def test_certificate_above_the_ladder_is_solved():
+    # three jobs of cost 1 on type 0 and 10 on type 1, all on machine (1, 0):
+    # makespan 30, while the ladder ends at the sum of floors, 3
+    inst = Instance(1, (1, 1), (((1,), (10,)),) * 3)
+    cert = Schedule(((1, 0),) * 3)
+    _, r_c, top = certificate_ladder(inst, rat(1, 2), cert)
+    assert top < r_c
+    res = makespan_ptas(inst, rat(1, 2), Guided(cert))
+    assert res.makespan == 3
+
+
+def test_guided_search_rejects_an_invalid_certificate():
+    # the certificate's makespan is evaluated first, which validates it
+    inst = Instance(1, (1, 1), (((1,), (10,)),) * 3)
+    for cert in (Schedule(((0, 5),) * 3), Schedule(((0, 0),) * 2)):
+        with pytest.raises(InvalidSchedule):
+            makespan_ptas(inst, rat(1, 2), Guided(cert))
+
+
+def test_random_certificates_keep_the_certificate_bound():
+    # makespan <= (1 + eps_user) * the certificate's makespan, also for the
+    # certificates whose rung lies above the ladder
+    above = 0
+    for seed in range(200):
+        inst = generate_instance(GeneratorSpec(5, 1 + seed % 2, (2, 1), 1, 10), seed)
+        cert = random_schedule(inst, random.Random(seed))
+        _, r_c, top = certificate_ladder(inst, rat(1, 2), cert)
+        above += r_c > top
+        res = makespan_ptas(inst, rat(1, 2), Guided(cert))
+        assert res.makespan <= rat(3, 2) * evaluate_makespan(inst, cert), seed
+    assert above > 5, above
 
 
 from hypothesis import given, strategies as st

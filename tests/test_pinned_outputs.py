@@ -31,8 +31,11 @@ def sha(text: str) -> str:
 
 BENCH_PINS = [
     (
+        # re-pinned when the guided search stopped deciding the rungs its
+        # certificate proves: only the rows' "probes", "lp_solves" and
+        # "counting_checks" moved (they count the decisions run)
         dict(objective="makespan", trials=6, seed=21, eps_user=rat(1, 2)),
-        "6bcd1c6bcce82438b3fabf7d804b2d90e67d0becca97f0916ea827073fb3294d",
+        "b1310a42095947f0d831726351587c4788f6530acaddaf1ee52479561218f404",
     ),
     (
         dict(objective="makespan", trials=3, seed=5, eps_user=rat(1, 2), mode="full",
@@ -73,10 +76,13 @@ SOLVE_INSTANCES = {
 
 # (objective, solve arguments, format) -> digest of the `solve --out` file
 SOLVE_PINS = [
+    # the guided makespan pair was re-pinned when the guided search stopped
+    # deciding the rungs its certificate proves: only "probes", "lp_solves"
+    # and "counting_checks" moved (they count the decisions run)
     ("makespan", ["--mode", "guided", "--emit-forest"], "json",
-     "a24a6c83331b8fb005058189064c0ade21eea21e0399094c379638493b965abf"),
+     "fee3ec71647a062c8ebd5a52a0ce1b2b965f0f0550f7cea3bf39c038d731cac1"),
     ("makespan", ["--mode", "guided", "--emit-forest"], "table",
-     "d08ca08d7deaa84c184e53d9cf5d9bb5c22095535102253ac111f08a00bc7b80"),
+     "d0760d3603dc4aadea349214f2b0141c0c91a172afa0bce35b29bdf6b0dc8179"),
     ("makespan", ["--mode", "full"], "json",
      "84c130f53d5c453d6908d80753a6dab288e0bc6ae0dba42a83cb38886d20d59d"),
     ("makespan", ["--mode", "full"], "table",
