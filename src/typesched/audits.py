@@ -193,9 +193,7 @@ def load_difference_audit(samples: int = 40, seed: int = 0, p: int = 2) -> Audit
                 (t, k) for k in range(inst.machine_counts[t]) if jobs_on[(t, k)] != 1
             ]
             hosted = [
-                rat(inst.cost(j, t))
-                for j, mk in enumerate(res.witness.assignment)
-                if mk in non_huge
+                inst.cost(j, t) for j, mk in enumerate(res.witness.assignment) if mk in non_huge
             ]
             if not hosted:
                 continue

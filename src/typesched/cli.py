@@ -54,9 +54,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # trial_spec divides by jobs_max - 1, machines_max - 1, num_types and
-        # the number of dims choices, and a batch without trials checks nothing
+        # the number of dims choices, a batch without trials checks nothing,
+        # and a negative budget would only be reported as exhausted
         for name, value, low in (
             ("trials", self.trials, 1),
+            ("enum_budget", self.enum_budget, 0),
             ("jobs_max", self.jobs_max, 2),
             ("machines_max", self.machines_max, 2),
             ("num_types", self.num_types, 1),
@@ -227,7 +229,7 @@ def _ints_arg(text: str) -> tuple[int, ...]:
 def _int_at_least(low: int):
     """The type of an integer option that must be >= low, checked before any
     work starts (bench shapes divide by jobs-max - 1, machines-max - 1 and
-    types; a bench needs a trial and an audit a sample)."""
+    types; a bench needs a trial, an audit a sample; a budget is a count)."""
 
     def parse(text: str) -> int:
         try:
@@ -277,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="target accuracy eps_user (rational in (0, 1])")
     s.add_argument("--p", type=_p_arg, default="2", help="norm exponent for lpnorm (> 1)")
     s.add_argument("--mode", choices=["guided", "full"], default="guided")
-    s.add_argument("--enum-budget", type=int, default=10**6)
+    s.add_argument("--enum-budget", type=_int_at_least(0), default=10**6)
     s.add_argument("--emit-forest", action="store_true", help="dump the subsumption forest")
     s.add_argument("--format", choices=["json", "table"], default="table")
     s.add_argument("--out", help="output path (default: stdout)")
@@ -294,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--eps", type=_eps_arg, default="1/2")
     b.add_argument("--p", type=_p_arg, default="2")
     b.add_argument("--mode", choices=["guided", "full"], default="guided")
-    b.add_argument("--enum-budget", type=int, default=10**6)
+    b.add_argument("--enum-budget", type=_int_at_least(0), default=10**6)
     b.add_argument("--jobs-max", type=_int_at_least(2), default=7)
     b.add_argument("--machines-max", type=_int_at_least(2), default=4)
     b.add_argument("--types", type=_int_at_least(1), default=2)

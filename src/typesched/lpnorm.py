@@ -44,7 +44,10 @@ unbounded above and their rows never bind; so the region is nonempty iff
 the remaining jobs have a fractional b-matching onto the slots (capacity
 1) and the huge budgets.  A bipartite b-matching polytope is integral, so
 that holds iff an integral matching exists, which is Hall's condition.  A
-refuted guess raises InfeasibleRegion, as its convex solve would.
+refuted guess raises InfeasibleRegion, as its convex solve would.  That is
+the one error full mode skips a guess for: enumerated guesses are consistent
+by construction, and the rounding of a point of a nonempty region never
+turns infeasible, so any other error is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -60,13 +63,12 @@ from .errors import (
     BudgetExhausted,
     DimensionMismatch,
     GuessInconsistent,
-    Infeasible,
     InfeasibleRegion,
     InvariantViolation,
 )
 from .lp import GE, LE, LinearProgram, _Phase1
 from .convex import ConvexSolveResult, solve_convex_over_polytope
-from .model import Instance, Schedule, evaluate_lp_norm_pow, load_vector, require_valid
+from .model import Instance, Schedule, evaluate_lp_norm_pow, load_vector
 from .modes import FullEnum, Guided
 from .rationals import (
     ONE,
@@ -162,7 +164,6 @@ def job_kind(c_max, alpha: int, eps):
     c_max (every cost when c_max is None), large above eps*alpha*c_max."""
     if c_max is None:
         return lambda c: HUGE
-    c_max = rat(c_max)
     threshold = rat(eps) * alpha * c_max
 
     def kind(c):
@@ -180,7 +181,7 @@ def job_kind(c_max, alpha: int, eps):
 def _pattern_caps(alpha: int, c_max, eps) -> tuple[int, object]:
     """(max slots per machine, max pattern mass) under the alpha load window."""
     count_cap = rat_floor(rat(alpha + 2) / (rat(eps) * alpha))
-    mass_cap = (alpha + 2) * rat(c_max)
+    mass_cap = (alpha + 2) * c_max
     return count_cap, mass_cap
 
 
@@ -203,12 +204,12 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
     per_type = []
     for t in range(inst.num_types):
         huge_jobs, non_huge = _certificate_machines(inst, sched, t)
-        huge_jobs.sort(key=lambda j: (-rat(inst.cost(j, t)), j))
+        huge_jobs.sort(key=lambda j: (-inst.cost(j, t), j))
         vh = tuple(huge_jobs[: min(f, len(huge_jobs))])
         if len(vh) < len(huge_jobs):
-            floor = min(rat(inst.cost(j, t)) for j in vh)
+            floor = min(inst.cost(j, t) for j in vh)
             for j in huge_jobs[len(vh):]:
-                if rat(inst.cost(j, t)) > floor:
+                if inst.cost(j, t) > floor:
                     raise GuessInconsistent("non-listed huge job longer than a listed one")
 
         hosted = [j for jobs in non_huge.values() for j in jobs]
@@ -217,7 +218,7 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
                 TypeGuess(len(huge_jobs), vh, None, 1, tuple(() for _ in non_huge))
             )
             continue
-        c_max = max(rat(inst.cost(j, t)) for j in hosted)
+        c_max = max(inst.cost(j, t) for j in hosted)
         nh_loads = [loads[(t, k)][0] for k in non_huge]
         if min(nh_loads) < c_max or max(nh_loads) - min(nh_loads) > c_max:
             raise GuessInconsistent("non-huge loads violate the load-difference property")
@@ -225,7 +226,7 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
         if max(nh_loads) > (alpha + 2) * c_max:
             raise GuessInconsistent("no load window of width 2*c_max fits")
         if len(vh) < len(huge_jobs):
-            spill = [j for j in huge_jobs[len(vh):] if rat(inst.cost(j, t)) <= c_max]
+            spill = [j for j in huge_jobs[len(vh):] if inst.cost(j, t) <= c_max]
             if spill:
                 raise GuessInconsistent("huge machine hosts a job not huge on its type")
 
@@ -260,7 +261,7 @@ def _large_patterns(inst: Instance, t: int, grid, kind, machines) -> list[tuple[
     canonical order; a pattern is the sorted size classes of its large jobs."""
     out = []
     for k, jobs in machines.items():
-        costs = [rat(inst.cost(j, t)) for j in jobs]
+        costs = [inst.cost(j, t) for j in jobs]
         out.append((tuple(sorted(grid.round_down(c) for c in costs if kind(c) is LARGE)), k))
     return sorted(out)
 
@@ -268,11 +269,7 @@ def _large_patterns(inst: Instance, t: int, grid, kind, machines) -> list[tuple[
 def _cost_table(inst: Instance, t: int, eps) -> list[tuple]:
     """(cost, size class) of every job on type t, computed once per enumeration."""
     grid = geometric_grid(eps)
-    out = []
-    for j in range(inst.num_jobs):
-        c = rat(inst.cost(j, t))
-        out.append((c, grid.round_down(c)))
-    return out
+    return [(c, grid.round_down(c)) for c in (job[t][0] for job in inst.costs)]
 
 
 def _type_guess_options(inst: Instance, t: int, p, eps, table) -> Iterator[TypeGuess]:
@@ -379,7 +376,7 @@ def _type_lower_bound(inst: Instance, p, eps, t: int, tg: TypeGuess):
     total = sum((rat(power(inst.cost(j, t), p)) for j in tg.very_huge), ZERO)
     if tg.c_max is not None:
         grid = geometric_grid(eps)
-        floor_val = tg.alpha * rat(tg.c_max)
+        floor_val = tg.alpha * tg.c_max
         for pat in tg.profile:
             mass = sum((grid.value(e) for e in pat), ZERO)
             total += rat(power(max(floor_val, mass), p))
@@ -478,7 +475,7 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
         for r, j in enumerate(tg.very_huge):
             mk = (t, non_huge + r)
             vh_machines[j] = mk
-            vh_loads[mk] = rat(inst.cost(j, t))
+            vh_loads[mk] = inst.cost(j, t)
         free_huge[t] = [(t, k) for k in range(non_huge + len(tg.very_huge), m)]
         if free_huge[t]:
             budgets[t] = len(free_huge[t])
@@ -488,7 +485,7 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
             patterns.append((mk, tg.profile[i]))
             if tg.c_max is None and tg.profile[i]:
                 raise GuessInconsistent(f"type {t}: pattern without c_max")
-            load_floor[mk] = ZERO if tg.c_max is None else tg.alpha * rat(tg.c_max)
+            load_floor[mk] = ZERO if tg.c_max is None else tg.alpha * tg.c_max
             small_caps[mk] = eps * load_floor[mk]
     grid = geometric_grid(eps)
     slots, mass, slots_of = build_slots(patterns, lambda e: (grid.value(e),), 1)
@@ -653,7 +650,7 @@ class LoadObjective:
         """Exact t_i = max(small_load, alpha*c_max - B_i) at route point x."""
         out = {}
         for mk, _, coeffs, B, floor_val in self.machines:
-            u = sum((rat(c) * rat(x.get(v, ZERO)) for v, c in coeffs.items()), ZERO)
+            u = sum((c * rat(x.get(v, ZERO)) for v, c in coeffs.items()), ZERO)
             out[mk] = max(u, floor_val - B)
         return out
 
@@ -725,7 +722,7 @@ def build_rounding_from_cp(model: CpModel, t_star: dict) -> RoundingProblem:
         capacities={mk: (t_star[mk],) for mk in model.small_machines},
         small_caps={mk: model.small_caps[mk] for mk in model.small_machines},
         type_budgets=dict(model.budgets),
-        leaf_raw_cost=lambda j, t: rat(model.inst.cost(j, t)),
+        leaf_raw_cost=model.inst.cost,
     )
 
 
@@ -773,7 +770,7 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
             if pattern != tg.profile[canon]:
                 raise InvariantViolation("profile out of sync")
             for j in non_huge[orig]:
-                c = rat(inst.cost(j, t))
+                c = inst.cost(j, t)
                 if kind(c) is LARGE:
                     s = slot_pool[(mk, grid.round_down(c))].pop(0)
                     point[route_var("s", j, s)] = ONE
@@ -843,7 +840,7 @@ def _assert_quality_chain(model: CpModel, cp: CpSolution, final, total) -> None:
         slot_true = ZERO
         for s, j in final.slot_assign.items():
             if model.slots[s].machine == mk:
-                slot_true += rat(model.inst.cost(j, mk[0]))
+                slot_true += model.inst.cost(j, mk[0])
         g = load + slot_true
         bound = (ONE + eps) * model.pattern_mass[mk] + cp.t_star[mk] + 3 * model.small_caps[mk]
         if g > bound:
@@ -857,7 +854,6 @@ def _assert_quality_chain(model: CpModel, cp: CpSolution, final, total) -> None:
 
 def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     """Schedule with ||g||_p <= (1 + eps_user) * OPT_p."""
-    require_valid(inst)
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
     p = parse_rational(p)
@@ -880,7 +876,7 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
             continue
         try:
             run = _run_guess(inst, p, eps, guess)
-        except (Infeasible, InfeasibleRegion, GuessInconsistent):
+        except InfeasibleRegion:
             continue  # wrong guess, not an instance failure
         value = rat(run.objective_pow)
         if incumbent is None or value < incumbent:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExhausted, Infeasible, InvariantViolation, PatternOverflow
-from .model import Instance, Schedule, evaluate_makespan, require_valid
+from .model import Instance, Schedule, evaluate_makespan
 from .modes import FullEnum, Guided
 from .rationals import (
     ONE,
@@ -131,8 +131,7 @@ class ScaleLadder:
     exponents only for the large pairs; it divides no cost.
     """
 
-    def __init__(self, inst: Instance, base, eps, rows: list | None = None):
-        """rows, when given, is _cost_rows(inst)."""
+    def __init__(self, inst: Instance, base, eps):
         base = parse_rational(base)
         eps = parse_rational(eps)
         if base <= 0 or not 0 < eps < 1:
@@ -149,9 +148,9 @@ class ScaleLadder:
         # exponent of each distinct cost, keyed by its integer pair: hashing
         # a rational would take a modular inverse per lookup
         exponents: dict[tuple[int, int], int] = {}
-        for row in _cost_rows(inst) if rows is None else rows:
+        for job in inst.costs:
             out = []
-            for vec, top in row:
+            for vec in job:
                 ks = []
                 for c in vec:
                     key = (c.numerator, c.denominator)
@@ -159,7 +158,7 @@ class ScaleLadder:
                     if k is None:
                         k = exponents[key] = -self.grid.round_up(c / base)
                     ks.append(k)
-                out.append((top, tuple(ks)))
+                out.append((max(vec), tuple(ks)))
             self._costs.append(out)
 
     def rung(self, i: int) -> ScaledInstance:
@@ -186,18 +185,6 @@ def make_scaled_instance(inst: Instance, target, eps) -> ScaledInstance:
     """Classify on cost/T, lift large costs to eps^2/D, then round up: rung 0
     of the ladder whose base is target."""
     return ScaleLadder(inst, target, eps).rung(0)
-
-
-def _cost_rows(inst: Instance) -> list[list[tuple]]:
-    """Per job, per type: (the cost vector as rationals, its max)."""
-    out = []
-    for j in range(inst.num_jobs):
-        row = []
-        for t in range(inst.num_types):
-            vec = tuple(rat(c) for c in inst.cost_vec(j, t))
-            row.append((vec, max(vec)))
-        out.append(row)
-    return out
 
 
 def klass_value(grid: GeometricGrid, klass: Klass) -> tuple:
@@ -362,7 +349,7 @@ def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> Rounding
             if entry.large:
                 slot_ids.update(slots_of.get((t, entry.klass), ()))
             else:
-                raw = tuple(rat(c) / scaled.target for c in inst.cost_vec(j, t))
+                raw = tuple(c / scaled.target for c in inst.cost_vec(j, t))
                 for k in range(inst.machine_counts[t]):
                     machine_costs[(t, k)] = raw
         jobs[j] = JobRoutes(machine_costs, slot_ids)
@@ -466,13 +453,11 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
         )
 
 
-def _target_bounds(inst: Instance, rows: list | None = None):
+def _target_bounds(inst: Instance):
     """(lower, upper): the largest and the sum of the jobs' least max costs
-    over the usable types; rows, when given, is _cost_rows(inst)."""
+    over the usable types."""
     usable = [t for t in range(inst.num_types) if inst.machine_counts[t] > 0]
-    floors = [
-        min(row[t][1] for t in usable) for row in (_cost_rows(inst) if rows is None else rows)
-    ]
+    floors = [min(max(job[t]) for t in usable) for job in inst.costs]
     return max(floors), sum(floors, ZERO)
 
 
@@ -496,13 +481,11 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     it was never decided, it is decided once at the end.  top is raised to
     r_c for a valid certificate above the ladder.
     """
-    require_valid(inst)
     eps_user = parse_rational(eps_user)
     eps = calibrate_eps(eps_user, inst.dims)
-    rows = _cost_rows(inst)
-    lower, upper = _target_bounds(inst, rows)
+    lower, upper = _target_bounds(inst)
     # rungs lower * (1+eps)^i up to the first target >= upper (upper >= lower)
-    ladder = ScaleLadder(inst, lower, eps, rows)
+    ladder = ScaleLadder(inst, lower, eps)
     top = ladder.grid.round_up(upper / lower)
     known = top + 1  # rungs >= known accept without a decision
     if isinstance(mode, Guided):

@@ -5,6 +5,10 @@ are identical, so each job carries one cost vector per type (D entries).
 Costs are exact rationals throughout: the approximation pipelines scale by
 a binary-search target and round to geometric grids, and with rational
 epsilon every comparison stays exact.
+
+An Instance makes its costs exact (parse_rational) and checks them
+(validate_instance) when it is built, raising BadSpec on a cost that is not
+a rational or on any violation, so no solver checks or converts a cost again.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import BadExponent, BadSpec, DimensionMismatch, InvalidSchedule
-from .rationals import ZERO, parse_rational, power, rat, rat_str
+from .rationals import ZERO, parse_rational, power, rat_str
 
 #: machine identifier: (type index, slot-in-type index)
 MachineId = tuple[int, int]
@@ -24,17 +28,31 @@ MachineId = tuple[int, int]
 
 @dataclass(frozen=True)
 class Instance:
-    """Scheduling instance with typed machines.
+    """Scheduling instance with typed machines; BadSpec unless valid.
 
     dims: number of load dimensions D.
     machine_counts: machines per type, K entries.
     costs: costs[j][t][d] > 0 is the requirement of job j in dimension d
-        on any machine of type t.
+        on any machine of type t, a rational after construction.
     """
 
     dims: int
     machine_counts: tuple[int, ...]
     costs: tuple[tuple[tuple[object, ...], ...], ...]
+
+    def __post_init__(self):
+        try:
+            dims = int(self.dims)
+            counts = tuple(int(m) for m in self.machine_counts)
+            costs = tuple(tuple(tuple(map(parse_rational, v)) for v in job) for job in self.costs)
+        except _UNPARSED as exc:
+            raise BadSpec(_unparsed(self.costs, exc)) from None
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "machine_counts", counts)
+        object.__setattr__(self, "costs", costs)
+        problems = validate_instance(self)
+        if problems:
+            raise BadSpec("; ".join(problems))
 
     @property
     def num_jobs(self) -> int:
@@ -60,13 +78,27 @@ class Instance:
         return self.costs[job][mtype]
 
 
-def make_instance(dims: int, machine_counts: Sequence[int], costs) -> Instance:
-    """Build an Instance, normalizing every cost entry to an exact rational."""
-    norm = tuple(
-        tuple(tuple(parse_rational(c) for c in per_type) for per_type in job)
-        for job in costs
-    )
-    return Instance(dims=dims, machine_counts=tuple(int(m) for m in machine_counts), costs=norm)
+#: make_instance(dims, machine_counts, costs) is the Instance constructor
+make_instance = Instance
+
+
+_UNPARSED = (TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _unparsed(costs, exc) -> str:
+    """BadSpec's message for a table that failed to parse with exc: where its
+    first cost that is not a rational sits, unless its shape failed first."""
+    try:
+        for j, job in enumerate(costs):
+            for t, vec in enumerate(job):
+                for d, c in enumerate(vec):
+                    try:
+                        parse_rational(c)
+                    except _UNPARSED:
+                        return f"NonRationalCost: job {j} type {t} dim {d} cost {c!r}"
+    except TypeError:
+        pass
+    return f"malformed instance: {exc}"
 
 
 @dataclass(frozen=True)
@@ -74,9 +106,6 @@ class Schedule:
     """Total assignment of jobs to concrete machines."""
 
     assignment: tuple[MachineId, ...]
-
-    def machine_of(self, job: int) -> MachineId:
-        return self.assignment[job]
 
 
 def validate_instance(inst: Instance) -> list[str]:
@@ -99,15 +128,9 @@ def validate_instance(inst: Instance) -> list[str]:
                 errors.append(f"MissingCostEntry: job {j} type {t} has {len(vec)} dims, expected {inst.dims}")
                 continue
             for d, c in enumerate(vec):
-                if rat(c) <= 0:
+                if c <= 0:
                     errors.append(f"NonPositiveCost: job {j} type {t} dim {d} cost {rat_str(c)}")
     return errors
-
-
-def require_valid(inst: Instance) -> None:
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("; ".join(problems))
 
 
 def validate_schedule(inst: Instance, sched: Schedule) -> None:
@@ -127,7 +150,7 @@ def load_vector(inst: Instance, sched: Schedule) -> dict[MachineId, list]:
     for j, (t, k) in enumerate(sched.assignment):
         vec = loads[(t, k)]
         for d in range(inst.dims):
-            vec[d] = vec[d] + rat(inst.costs[j][t][d])
+            vec[d] = vec[d] + inst.costs[j][t][d]
     return loads
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BadExponent, DimensionMismatch, TooLarge
 from .model import Instance, Schedule
-from .rationals import ZERO, parse_rational, power, rat
+from .rationals import ZERO, parse_rational, power
 
 JOB_CAP = 8
 MACHINE_CAP = 5
@@ -61,11 +61,7 @@ def _solve_makespan(inst: Instance, prune: bool) -> OracleResult:
     counts = inst.machine_counts
     # per-job floor: wherever job j lands, some dimension carries at least this
     job_floor = [
-        min(
-            max(rat(inst.cost(j, t, d)) for d in range(dims))
-            for t in range(inst.num_types)
-            if counts[t] > 0
-        )
+        min(max(inst.cost_vec(j, t)) for t in range(inst.num_types) if counts[t] > 0)
         for j in range(n)
     ]
     suffix_floor = [ZERO] * (n + 1)
@@ -81,7 +77,7 @@ def _solve_lp_norm(inst: Instance, p, prune: bool) -> OracleResult:
     counts = inst.machine_counts
     zero = power(ZERO, p)
     job_floor = [
-        power(min(rat(inst.cost(j, t, 0)) for t in range(inst.num_types) if counts[t] > 0), p)
+        power(min(inst.cost(j, t) for t in range(inst.num_types) if counts[t] > 0), p)
         for j in range(n)
     ]
     suffix = [zero] * (n + 1)
@@ -135,7 +131,7 @@ class _Search:
             for k in range(top):
                 machine = loads[(t, k)]
                 for d in range(dims):
-                    machine[d] += rat(vec[d])
+                    machine[d] += vec[d]
                 new_max = max(cur_max, max(machine))
                 assignment[j] = (t, k)
                 opened = k == used[t]
@@ -145,7 +141,7 @@ class _Search:
                 if opened:
                     used[t] -= 1
                 for d in range(dims):
-                    machine[d] -= rat(vec[d])
+                    machine[d] -= vec[d]
         assignment[j] = None
 
     def lp_norm_dfs(self, j: int, cur_sum, p) -> None:
@@ -160,7 +156,7 @@ class _Search:
         counts, loads = inst.machine_counts, self.loads
         for t in range(inst.num_types):
             top = min(used[t] + 1, counts[t])
-            c = rat(inst.cost(j, t, 0))
+            c = inst.cost(j, t)
             for k in range(top):
                 old = loads[(t, k)]
                 loads[(t, k)] = old + c

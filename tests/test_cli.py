@@ -78,8 +78,10 @@ def test_bench_report_byte_stable():
         ("machines_max", 1, "machines_max must be at least 2, got 1"),
         ("num_types", 0, "num_types must be at least 1, got 0"),
         ("dims_choices", (), "len(dims_choices) must be at least 1, got 0"),
+        ("enum_budget", -3, "enum_budget must be at least 0, got -3"),
     ],
-    ids=["trials-0", "trials-negative", "jobs-max-1", "machines-max-1", "types-0", "no-dims"],
+    ids=["trials-0", "trials-negative", "jobs-max-1", "machines-max-1", "types-0", "no-dims",
+         "budget-negative"],
 )
 def test_experiment_config_rejects_shapes_it_cannot_run(field, value, message):
     # each of these used to run no trial, or end in ZeroDivisionError from trial_spec
@@ -236,6 +238,48 @@ def test_library_errors_end_a_command_without_a_traceback(tmp_path, capsys, argv
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "costs, message",
+    [
+        ([["3"], ["0"]], "BadSpec: NonPositiveCost: job 0 type 1 dim 0 cost 0"),
+        ([["3"]], "BadSpec: MissingCostEntry: job 0 has 1 type entries, expected 2"),
+        ([["3"], ["abc"]], "BadSpec: NonRationalCost: job 0 type 1 dim 0 cost 'abc'"),
+        ([["3"], ["1/0"]], "BadSpec: NonRationalCost: job 0 type 1 dim 0 cost '1/0'"),
+    ],
+    ids=["zero-cost", "short-cost-list", "cost-abc", "cost-1-over-0"],
+)
+def test_a_bad_instance_file_is_one_badspec_line(tmp_path, capsys, costs, message):
+    # the oracle used to report optimum 0 for a zero cost and the others
+    # ended in IndexError or ValueError tracebacks
+    path = tmp_path / "inst.json"
+    jobs = [{"costs": costs}, {"costs": [["2"], ["5"]]}]
+    doc = {"D": 1, "types": [{"machine_count": 1}] * 2, "jobs": jobs}
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["solve", "--mode", "guided"],
+        ["solve", "--mode", "full"],
+        ["solve", "--objective", "lpnorm", "--mode", "full"],
+        ["oracle"],
+    ):
+        code = main(argv + ["--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == message + "\n"
+
+
+def test_negative_enum_budget_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--jobs", "3", "--machines", "1,1", "--seed", "2", "--out", str(path))
+    for argv in (
+        ["solve", "--instance", str(path), "--mode", "full"],
+        ["bench", "--trials", "1", "--mode", "full"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--enum-budget", "-3"])
+        assert exit_info.value.code == 2
+        assert "must be at least 0, got -3" in capsys.readouterr().err
 
 
 def test_solve_reports_an_exhausted_budget_as_its_json_document(tmp_path, capsys):

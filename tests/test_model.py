@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from typesched.errors import BadExponent, DimensionMismatch, InvalidSchedule
+from typesched.errors import BadExponent, BadSpec, DimensionMismatch, InvalidSchedule
 from typesched.model import (
     GeneratorSpec,
+    Instance,
     Schedule,
     evaluate_lp_norm_pow,
     evaluate_makespan,
@@ -29,18 +31,55 @@ def test_validate_ok():
 
 
 def test_validate_zero_cost():
-    inst = make_instance(1, [1], [[[0]]])
-    assert any("NonPositiveCost" in e for e in validate_instance(inst))
+    with pytest.raises(BadSpec, match="NonPositiveCost"):
+        make_instance(1, [1], [[[0]]])
 
 
 def test_validate_no_machines():
-    inst = make_instance(1, [0], [[[3]]])
-    assert any("EmptyMachineSet" in e for e in validate_instance(inst))
+    with pytest.raises(BadSpec, match="EmptyMachineSet"):
+        make_instance(1, [0], [[[3]]])
 
 
 def test_validate_missing_entry():
-    inst = make_instance(2, [1, 1], [[[1, 2], [3]]])
-    assert any("MissingCostEntry" in e for e in validate_instance(inst))
+    with pytest.raises(BadSpec, match="MissingCostEntry"):
+        make_instance(2, [1, 1], [[[1, 2], [3]]])
+
+
+def test_instance_normalizes_costs_to_rationals():
+    raw = [[[2], [Fraction(3, 2)]], [["5/3"], [4]]]
+    inst = Instance(1, [1, 2], raw)
+    assert inst == make_instance(1, (1, 2), raw)
+    assert inst.machine_counts == (1, 2)
+    assert inst.costs == (((2,), (rat(3, 2),)), ((rat(5, 3),), (4,)))
+    assert all(type(c) is type(rat(1)) for job in inst.costs for vec in job for c in vec)
+
+
+@pytest.mark.parametrize(
+    "cost, message",
+    [
+        (0, "NonPositiveCost: job 0 type 0 dim 0 cost 0"),
+        ("-1/2", "NonPositiveCost: job 0 type 0 dim 0 cost -1/2"),
+        ("abc", "NonRationalCost: job 0 type 0 dim 0 cost 'abc'"),
+        ("1/0", "NonRationalCost: job 0 type 0 dim 0 cost '1/0'"),
+        (None, "NonRationalCost: job 0 type 0 dim 0 cost None"),
+    ],
+)
+def test_instance_rejects_a_bad_cost_at_construction(cost, message):
+    # so no zero cost reaches a solver: exact_solve used to report optimum 0
+    with pytest.raises(BadSpec) as info:
+        Instance(1, (1,), (((cost,),),))
+    assert str(info.value) == message
+
+
+def test_instance_rejects_a_malformed_cost_table():
+    with pytest.raises(BadSpec, match="MissingCostEntry: job 0 has 1 type entries, expected 2"):
+        Instance(1, (1, 1), (((3,),),))
+    with pytest.raises(BadSpec, match="EmptyJobSet"):
+        Instance(1, (1,), ())
+    with pytest.raises(BadSpec, match="malformed instance"):
+        Instance(1, (1,), (5,))
+    with pytest.raises(BadSpec, match="malformed instance"):
+        Instance("D", (1,), (((3,),),))
 
 
 def test_makespan_single_job():
