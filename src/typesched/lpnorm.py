@@ -48,6 +48,18 @@ refuted guess raises InfeasibleRegion, as its convex solve would.  That is
 the one error full mode skips a guess for: enumerated guesses are consistent
 by construction, and the rounding of a point of a nonempty region never
 turns infeasible, so any other error is a bug and propagates.
+
+A guess also runs only when its lower bound is at most a limit: for
+integral p, the value of the greedy list schedule (model.greedy_schedule),
+lowered to each better run's value.  The bound holds for every schedule
+consistent with the guess, so the guess of an optimal schedule has bound
+at most OPT^p; each limit is the value of a feasible schedule, at least
+OPT^p, and the test is strict (bound > limit skips), so that guess always
+runs and the (1 + eps) guarantee stands.  A skipped guess still counts in
+the stream and against the budget.  For non-integral p the bounds and the
+greedy value are float powers rounded differently, so a tight optimum
+guess could read above the greedy value; there the limit is unset until
+the first run and then the best run's value.
 """
 
 from __future__ import annotations
@@ -68,7 +80,7 @@ from .errors import (
 )
 from .lp import GE, LE, LinearProgram, _Phase1
 from .convex import ConvexSolveResult, solve_convex_over_polytope
-from .model import Instance, Schedule, evaluate_lp_norm_pow, load_vector
+from .model import Instance, Schedule, evaluate_lp_norm_pow, greedy_schedule, load_vector
 from .modes import FullEnum, Guided
 from .rationals import (
     ONE,
@@ -114,8 +126,10 @@ class TypeGuess:
 @dataclass(frozen=True)
 class Guess:
     types: tuple[TypeGuess, ...]
-    # exact lower bound on any schedule consistent with the guess, the sum of
-    # its types' _type_lower_bound; set by enumerate_guesses only
+    # exact lower bound on the schedules consistent with the guess, the sum
+    # of its types' _type_lower_bound; set by enumerate_guesses only.  It
+    # does not bound the guess's run, whose rounded schedule may leave the
+    # guess: a run can come out below it
     lower_bound: object = field(default=None, compare=False, repr=False)
 
 
@@ -853,7 +867,14 @@ def _assert_quality_chain(model: CpModel, cp: CpSolution, final, total) -> None:
 
 
 def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
-    """Schedule with ||g||_p <= (1 + eps_user) * OPT_p."""
+    """Schedule with ||g||_p <= (1 + eps_user) * OPT_p.
+
+    Guided mode runs the guess of mode.schedule.  Full mode runs every
+    enumerated guess whose lower bound is at most the limit (the greedy
+    schedule's value for integral p, then each better run's value; see the
+    module docstring for why the optimum's guess always runs) and returns
+    the best run; guesses_tried counts the stream, skipped guesses too.
+    """
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
     p = parse_rational(p)
@@ -869,10 +890,11 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
 
     best: LpnormRun | None = None
     incumbent = None  # rat(best.objective_pow)
+    limit = evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p) if is_integral(p) else None
     tried = 0
     for guess in enumerate_guesses(inst, p, eps, mode.budget):
         tried += 1
-        if incumbent is not None and guess.lower_bound > incumbent:
+        if limit is not None and guess.lower_bound > limit:
             continue
         try:
             run = _run_guess(inst, p, eps, guess)
@@ -881,6 +903,7 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
         value = rat(run.objective_pow)
         if incumbent is None or value < incumbent:
             best, incumbent = run, value
+            limit = value if limit is None else min(limit, value)
     if best is None:
         raise InvariantViolation("no guess produced a schedule")
     return LpnormResult(best.schedule, best.objective_pow, eps, tried, best)

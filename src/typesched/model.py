@@ -42,8 +42,8 @@ class Instance:
 
     def __post_init__(self):
         try:
-            dims = int(self.dims)
-            counts = tuple(int(m) for m in self.machine_counts)
+            dims = _whole(self.dims)
+            counts = tuple(map(_whole, self.machine_counts))
             costs = tuple(tuple(tuple(map(parse_rational, v)) for v in job) for job in self.costs)
         except _UNPARSED as exc:
             raise BadSpec(_unparsed(self.costs, exc)) from None
@@ -83,6 +83,15 @@ make_instance = Instance
 
 
 _UNPARSED = (TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _whole(value) -> int:
+    """value as an int; ValueError unless it is a whole number (int() would
+    truncate a D of 1.9 to 1)."""
+    q = parse_rational(value)
+    if q.denominator != 1:
+        raise ValueError(f"{value!r} is not a whole number")
+    return q.numerator
 
 
 def _unparsed(costs, exc) -> str:
@@ -175,6 +184,23 @@ def evaluate_lp_norm_pow(inst: Instance, sched: Schedule, p):
     return sum((power(vec[0], p) for vec in loads.values()), power(ZERO, p))
 
 
+def greedy_schedule(inst: Instance, p) -> Schedule:
+    """List schedule for the L_p norm, 1-dimensional jobs: the job of longest
+    cheapest cost first (ties by job id), each onto the first machine whose
+    load^p grows least.  Being feasible, its value bounds OPT_p^p above."""
+    if inst.dims != 1:
+        raise DimensionMismatch(f"L_p norm requires D=1, got D={inst.dims}")
+    p = parse_rational(p)
+    loads = {m: ZERO for m in inst.machines()}
+    cheapest = [min(vec[0] for vec in job) for job in inst.costs]
+    assignment: list = [None] * inst.num_jobs
+    for j in sorted(range(inst.num_jobs), key=lambda j: (-cheapest[j], j)):
+        m = min(loads, key=lambda m: power(loads[m] + inst.cost(j, m[0]), p) - power(loads[m], p))
+        assignment[j] = m
+        loads[m] += inst.cost(j, m[0])
+    return Schedule(tuple(assignment))
+
+
 # ---------------------------------------------------------------------------
 # instance file format
 
@@ -192,8 +218,8 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     try:
-        dims = int(data["D"])
-        counts = [int(t["machine_count"]) for t in data["types"]]
+        dims = data["D"]
+        counts = [t["machine_count"] for t in data["types"]]
         costs = [job["costs"] for job in data["jobs"]]
     except (KeyError, TypeError) as exc:
         raise BadSpec(f"malformed instance document: {exc}") from exc

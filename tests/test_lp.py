@@ -26,7 +26,7 @@ from typesched.errors import Infeasible, InvariantViolation, PivotLimitExceeded,
 from typesched.lp import EQ, GE, LE, LinearProgram, solve_extreme_point
 from typesched.lpnorm import lpnorm_ptas
 from typesched.makespan import Guided, makespan_ptas
-from typesched.model import GeneratorSpec, generate_instance
+from typesched.model import GeneratorSpec, generate_instance, greedy_schedule
 from typesched.oracle import exact_solve
 from typesched.rationals import rat
 
@@ -400,7 +400,7 @@ def test_integer_tableau_pivots_like_the_fraction_tableau(pivot_logs):
 
 
 def test_pipeline_lps_pivot_like_the_fraction_tableau(pivot_logs, monkeypatch):
-    from test_pinned_outputs import greedy_schedule, guided_instance
+    from test_pinned_outputs import guided_instance
 
     # the LPs the pipelines really solve: slot LPs of the rounding engine and
     # Frank-Wolfe LMO calls with rat(float) objectives
@@ -421,7 +421,7 @@ def test_pipeline_lps_pivot_like_the_fraction_tableau(pivot_logs, monkeypatch):
     # the lpnorm-guided shape (n=20, machines (3,3), greedy certificate),
     # whose LPs are the size the sparse rows were made for
     inst = guided_instance(56)
-    lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst)))
+    lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst, 2)))
     assert any(
         any(a.denominator > 2**20 for a in lp.objective.values()) for lp in captured
     )
@@ -668,7 +668,7 @@ def test_a_plain_solve_reads_rows_replaced_or_edited_in_place():
 
 
 def test_convex_solves_run_phase_one_once(monkeypatch):
-    from test_pinned_outputs import greedy_schedule, guided_instance
+    from test_pinned_outputs import guided_instance
 
     # phase-1 pivots of each solve_extreme_point call, per convex solve
     per_solve = []
@@ -685,7 +685,7 @@ def test_convex_solves_run_phase_one_once(monkeypatch):
     monkeypatch.setattr(lpnorm, "solve_convex_over_polytope", convex_solve)
     monkeypatch.setattr(convex, "solve_extreme_point", solve)
     inst = guided_instance(56)  # the lpnorm-guided shape: n=20, machines (3,3)
-    lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst)))
+    lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst, 2)))
     inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 30)
     lpnorm_ptas(inst, 2, rat(1, 2), lpnorm.FullEnum(10**6))
     assert len(per_solve) >= 3  # one guided convex solve, two in full mode

@@ -45,7 +45,9 @@ from typesched.lp import EQ, GE, LE, LinearProgram, solve_extreme_point
 from typesched.model import (
     GeneratorSpec,
     Schedule,
+    evaluate_lp_norm_pow,
     generate_instance,
+    greedy_schedule,
     make_instance,
 )
 from typesched.oracle import exact_solve
@@ -170,7 +172,9 @@ def test_guided_guess_is_enumerable():
 def test_guided_guess_is_a_full_mode_guess_with_a_sound_bound(n, machines):
     # full mode enumerates the guess the oracle certificate induces, and the
     # bound it carries there is at most the optimum's p-th power (the
-    # certificate is consistent with the guess); p alternates 2 and 3
+    # certificate is consistent with the guess), so at most the greedy
+    # schedule's value too: full mode's greedy limit never skips that guess;
+    # p alternates 2 and 3
     eps = rat(1, 2)  # coarse grid keeps the streams small
     tight = 0
     for seed in range(5000, 5020):
@@ -180,8 +184,22 @@ def test_guided_guess_is_a_full_mode_guess_with_a_sound_bound(n, machines):
         guess = guess_from_schedule(inst, p, eps, opt.witness)
         streamed = next(g for g in enumerate_guesses(inst, p, eps, 10**6) if g == guess)
         assert streamed.lower_bound <= opt.optimum, seed
+        assert streamed.lower_bound <= evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p)
         tight += streamed.lower_bound == opt.optimum
     assert tight > 0
+
+
+@pytest.mark.parametrize("machines", [(1, 1), (2, 1), (1, 1, 1)])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("eps_user", [rat(1, 2), ONE])
+def test_seeded_full_mode_is_within_the_ratio_of_the_oracle(machines, p, eps_user):
+    # full mode, pruning from the greedy value, against the brute-force
+    # optimum in exact rationals
+    for seed in range(7200, 7204):
+        inst = generate_instance(GeneratorSpec(3, 1, machines, 1, 10), seed)
+        opt = exact_solve(inst, "lp_norm", p=p)
+        res = lpnorm_ptas(inst, p, eps_user, FullEnum(10**6))
+        assert res.objective_pow <= (1 + eps_user) ** p * opt.optimum, seed
 
 
 def test_cp_single_machine_all_small():
@@ -429,16 +447,23 @@ def test_guess_lower_bound_matches_uncached_masses(counts, n, seed, count, diges
         assert guess.lower_bound == ref_guess_lower_bound(inst, 2, eps, guess)
 
 
-def ref_full_mode(inst, p, eps_user, budget):
+def ref_full_mode(inst, p, eps_user, budget, seeded=True):
     """lpnorm_ptas's full-mode loop as it was when every guess was priced
-    against the incumbent: (best run, guesses tried)."""
+    against the incumbent: (best run, guesses tried).  Seeded, a guess also
+    runs only if its bound is at most the greedy schedule's value, for
+    integral p."""
     eps = calibrate_eps(eps_user)
     best = None
+    limit = None
+    if seeded and is_integral(p):
+        limit = rat(evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p))
     tried = 0
     for guess in enumerate_guesses(inst, p, eps, budget):
         tried += 1
         bound = ref_guess_lower_bound(inst, p, eps, guess)
         if best is not None and bound > rat(best.objective_pow):
+            continue
+        if limit is not None and bound > limit:
             continue
         try:
             run = _run_guess(inst, p, eps, guess)
@@ -460,11 +485,15 @@ FULL_MODE_CASES = [
 
 @pytest.mark.parametrize("counts,seed,eps_user", FULL_MODE_CASES)
 def test_full_mode_matches_the_per_guess_pricing_loop(counts, seed, eps_user, monkeypatch):
-    # the carried bound prunes exactly the guesses the per-guess pricing did
+    # the carried bound prunes exactly the guesses the per-guess pricing did,
+    # both seeded with the greedy value, and the seed saves CP models
     inst = generate_instance(GeneratorSpec(3, 1, counts, 1, 10), seed)
     built = []
     build = lpnorm.build_cp_model
     monkeypatch.setattr(lpnorm, "build_cp_model", lambda *a: built.append(1) or build(*a))
+    ref_full_mode(inst, 2, eps_user, 10**6, seeded=False)
+    unseeded_built = len(built)
+    built.clear()
     ref, ref_tried = ref_full_mode(inst, 2, eps_user, 10**6)
     ref_built = len(built)
     built.clear()
@@ -472,11 +501,35 @@ def test_full_mode_matches_the_per_guess_pricing_loop(counts, seed, eps_user, mo
     assert res.schedule == ref.schedule
     assert res.objective_pow == ref.objective_pow
     assert res.guesses_tried == ref_tried
-    assert len(built) == ref_built < ref_tried
+    assert len(built) == ref_built < unseeded_built < ref_tried
     with pytest.raises(BudgetExhausted):
         ref_full_mode(inst, 2, eps_user, ref_tried - 1)
     with pytest.raises(BudgetExhausted):
         lpnorm_ptas(inst, 2, eps_user, FullEnum(ref_tried - 1))
+
+
+@pytest.mark.parametrize("counts,seed,eps_user", FULL_MODE_CASES)
+def test_full_mode_has_no_greedy_seed_at_non_integral_p(counts, seed, eps_user, monkeypatch):
+    # at p = 5/2 the bounds and the greedy value are float powers rounded
+    # differently, so full mode builds the CP models of the unseeded loop,
+    # guess for guess, some of them with a bound above the greedy value
+    p = rat(5, 2)
+    inst = generate_instance(GeneratorSpec(3, 1, counts, 1, 10), seed)
+    bounds = []
+    build = lpnorm.build_cp_model
+    monkeypatch.setattr(
+        lpnorm, "build_cp_model", lambda *a: bounds.append(a[3].lower_bound) or build(*a)
+    )
+    ref, ref_tried = ref_full_mode(inst, p, eps_user, 10**6, seeded=False)
+    ref_bounds = list(bounds)
+    bounds.clear()
+    res = lpnorm_ptas(inst, p, eps_user, FullEnum(10**6))
+    assert (res.schedule, res.objective_pow, res.guesses_tried) == (
+        ref.schedule, ref.objective_pow, ref_tried
+    )
+    assert bounds == ref_bounds
+    greedy = rat(evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p))
+    assert any(b > greedy for b in bounds)
 
 
 def ref_enumerate_guesses(inst, p, eps, budget):
@@ -885,18 +938,6 @@ class FullLoop:
         self.gradient = objective.gradient
 
 
-def greedy_schedule(inst, p=2):
-    """Longest job first, each onto the machine whose load^p grows least."""
-    loads = {mk: ZERO for mk in inst.machines()}
-    cheapest = [min(inst.cost(j, t) for t in range(inst.num_types)) for j in range(inst.num_jobs)]
-    assignment = [None] * inst.num_jobs
-    for j in sorted(range(inst.num_jobs), key=lambda j: (-cheapest[j], j)):
-        mk = min(loads, key=lambda m: (loads[m] + inst.cost(j, m[0])) ** p - loads[m] ** p)
-        loads[mk] += inst.cost(j, mk[0])
-        assignment[j] = mk
-    return Schedule(tuple(assignment))
-
-
 def test_line_search_on_the_support_takes_the_full_loop_step(monkeypatch):
     # bit for bit against the loop over every variable: random points and
     # directions on eps = 1 models with huge routes (their charges are the
@@ -933,7 +974,7 @@ def test_line_search_on_the_support_takes_the_full_loop_step(monkeypatch):
     searches = interior = 0
     for seed in range(100, 120):
         inst = generate_instance(GeneratorSpec(40, 1, (5, 5), 1, 10), seed)
-        lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst)))
+        lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst, 2)))
     assert searches > 100 and interior > 100
 
 
@@ -1013,7 +1054,7 @@ def test_routable_mask_matches_the_reference_rule(counts, n, seed, eps):
 
 
 def test_first_rounding_lp_reused_from_the_region_solves_like_a_fresh_one(monkeypatch):
-    from test_pinned_outputs import greedy_schedule, guided_instance
+    from test_pinned_outputs import guided_instance
 
     # every first round that begins from the region's phase-1 tableau gives
     # the values, registry, outcome and stats of an engine that runs its own
@@ -1057,7 +1098,7 @@ def test_first_rounding_lp_reused_from_the_region_solves_like_a_fresh_one(monkey
     shape[0] = "guided (3,3)"  # the lpnorm-guided shape
     for seed in range(56, 60):
         inst = guided_instance(seed)
-        lpnorm_ptas(inst, 2, half, Guided(greedy_schedule(inst)))
+        lpnorm_ptas(inst, 2, half, Guided(greedy_schedule(inst, 2)))
     shape[0] = "full (1,1)"
     for seed in range(30, 36):
         inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), seed)
@@ -1069,7 +1110,7 @@ def test_first_rounding_lp_reused_from_the_region_solves_like_a_fresh_one(monkey
     budget_rows_before = with_budget_rows[0]
     shape[0] = "guided (20,2)"
     inst = generate_instance(GeneratorSpec(24, 1, (20, 2), 1, 10), 2)
-    lpnorm_ptas(inst, 2, ONE, Guided(greedy_schedule(inst)))
+    lpnorm_ptas(inst, 2, ONE, Guided(greedy_schedule(inst, 2)))
     assert with_budget_rows[0] > budget_rows_before
     assert reused["guided (3,3)"] >= 3 and reused["full (1,1)"] >= 3, reused
     assert reused["guided (20,2)"] == 1, reused

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from typesched.model import (
     evaluate_lp_norm_pow,
     evaluate_makespan,
     generate_instance,
+    greedy_schedule,
     instance_digest,
     instance_from_json,
     instance_to_json,
@@ -80,6 +82,40 @@ def test_instance_rejects_a_malformed_cost_table():
         Instance(1, (1,), (5,))
     with pytest.raises(BadSpec, match="malformed instance"):
         Instance("D", (1,), (((3,),),))
+
+
+def count_document(dims, count) -> str:
+    doc = {"D": dims, "types": [{"machine_count": count}], "jobs": [{"costs": [["3"]]}]}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("dims, count", [(1.9, 1), (1, 1.5), ("3/2", 1), (1, "5/2")])
+def test_instance_rejects_a_non_integral_count(dims, count):
+    # int() truncated these: D=1.9 loaded as D=1, 1.5 machines as one
+    with pytest.raises(BadSpec, match="is not a whole number"):
+        instance_from_json(count_document(dims, count))
+    with pytest.raises(BadSpec, match="is not a whole number"):
+        Instance(dims, (count,), (((3,),),))
+
+
+@pytest.mark.parametrize("dims, count", [(1, 2), (1.0, 2.0), ("1", "2")])
+def test_instance_accepts_integral_counts(dims, count):
+    built = Instance(dims, (count,), (((3,),),))
+    for inst in (instance_from_json(count_document(dims, count)), built):
+        assert (inst.dims, inst.machine_counts) == (1, (2,))
+        assert type(inst.dims) is int and type(inst.machine_counts[0]) is int
+
+
+def test_greedy_schedule_takes_the_longest_cheapest_cost_first():
+    # cheapest costs 2, 4, 2: job 1 goes first, onto type 1 (growth 16 < 25),
+    # then job 0 and job 2 onto type 0 (4 < 33, then 12 < 20)
+    inst = make_instance(1, [1, 1], [[[2], [3]], [[5], [4]], [[2], [2]]])
+    assert greedy_schedule(inst, 2).assignment == ((0, 0), (1, 0), (0, 0))
+    # equal growth: the first machine in machine order
+    twins = make_instance(1, [2], [[[3]], [[3]]])
+    assert greedy_schedule(twins, 3).assignment == ((0, 0), (0, 1))
+    with pytest.raises(DimensionMismatch):
+        greedy_schedule(make_instance(2, [1], [[[1, 1]]]), 2)
 
 
 def test_makespan_single_job():

@@ -9,7 +9,7 @@ from typesched import lpnorm, makespan, rounding
 from typesched.cli import ExperimentConfig
 from typesched.errors import ForestInconsistent, Infeasible, InvariantViolation
 from typesched.makespan import build_rounding_problem, make_scaled_instance, profile_from_schedule
-from typesched.model import GeneratorSpec, Schedule, generate_instance
+from typesched.model import GeneratorSpec, generate_instance, greedy_schedule
 from typesched.modes import FullEnum, Guided
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, ZERO, geometric_grid, rat
@@ -446,18 +446,6 @@ def ref_lp_job_class(model, j: int, t: int):
     return geometric_grid(rat(model.eps)).round_down(c)
 
 
-def greedy_schedule(inst):
-    """Longest job first, each onto the machine whose squared load grows least."""
-    loads = {m: ZERO for m in inst.machines()}
-    assignment: list = [None] * inst.num_jobs
-    cheapest = [min(inst.cost(j, t) for t in range(inst.num_types)) for j in range(inst.num_jobs)]
-    for j in sorted(range(inst.num_jobs), key=lambda j: (-cheapest[j], j)):
-        m = min(loads, key=lambda m: ((loads[m] + inst.cost(j, m[0])) ** 2 - loads[m] ** 2, m))
-        assignment[j] = m
-        loads[m] += inst.cost(j, m[0])
-    return Schedule(tuple(assignment))
-
-
 def test_slot_routes_agree_with_the_old_class_rules(monkeypatch):
     # every rounding problem the pipelines build: a job has a route to a slot
     # exactly when the old rule gave it the slot's class on the slot's type
@@ -490,7 +478,7 @@ def test_slot_routes_agree_with_the_old_class_rules(monkeypatch):
         inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 1800 + seed)
         lpnorm.lpnorm_ptas(inst, 2, half, FullEnum())
         inst = generate_instance(GeneratorSpec(20, 1, (3, 3), 1, 10), 1900 + seed)
-        lpnorm.lpnorm_ptas(inst, 2, half, Guided(greedy_schedule(inst)))
+        lpnorm.lpnorm_ptas(inst, 2, half, Guided(greedy_schedule(inst, 2)))
 
     pairs = routed = 0
     for klass, problem in problems:
