@@ -64,7 +64,6 @@ the first run and then the best run's value.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -158,16 +157,11 @@ def f_threshold(p, eps) -> int:
 
 def calibrate_eps(eps_user):
     """Largest eps_user/2^k with (1+4e)(1+e)^2 <= 1 + eps_user."""
-    eps_user = parse_rational(eps_user)
-    return _calibrated(eps_user.numerator, eps_user.denominator)
+    return halve_until(eps_user, _end_to_end)
 
 
-@functools.lru_cache(maxsize=64)
-def _calibrated(num: int, den: int):
-    """calibrate_eps of num/den, computed once; the key is the integer pair,
-    since hashing a rational would take a modular inverse per call."""
-    bound = ONE + rat(num, den)
-    return halve_until(rat(num, den), lambda e: (ONE + 4 * e) * (ONE + e) ** 2 <= bound)
+def _end_to_end(e):
+    return (ONE + 4 * e) * (ONE + e) ** 2
 
 
 HUGE, LARGE, SMALL = "huge", "large", "small"

@@ -372,18 +372,12 @@ def guarantee_factor(eps, dims: int):
 
 def calibrate_eps(eps_user, dims: int):
     """Largest eps_user/2^k whose end-to-end factor stays within 1 + eps_user."""
-    eps_user = parse_rational(eps_user)
-    return _calibrated(eps_user.numerator, eps_user.denominator, dims)
+    return halve_until(eps_user, _end_to_end, dims)
 
 
-@functools.lru_cache(maxsize=64)
-def _calibrated(num: int, den: int, dims: int):
-    """calibrate_eps of num/den, computed once per dims; the key is the
-    integer pair, since hashing a rational would take a modular inverse."""
-    bound = ONE + rat(num, den)
-    return halve_until(
-        rat(num, den), lambda eps: guarantee_factor(eps, dims) * (ONE + eps) <= bound
-    )
+def _end_to_end(eps, dims: int):
+    """G(eps, D) * (1 + eps): the decision's overshoot times one ladder step."""
+    return guarantee_factor(eps, dims) * (ONE + eps)
 
 
 @dataclass

@@ -172,8 +172,8 @@ def evaluate_makespan(inst: Instance, sched: Schedule):
 def evaluate_lp_norm_pow(inst: Instance, sched: Schedule, p):
     """Sum of load^p over machines, i.e. ||g||_p^p, for 1-dimensional jobs.
 
-    Exact rational for integer p; float otherwise (documented relative
-    tolerance 1e-9 in callers that compare such values).
+    Exact rational for integer p; float otherwise (rationals.power gives its
+    error and who compares such values).
     """
     if inst.dims != 1:
         raise DimensionMismatch(f"L_p norm requires D=1, got D={inst.dims}")

@@ -6,15 +6,34 @@ first unused machine of each type, so every orbit of within-type machine
 permutations is visited exactly once.  Branch-and-bound pruning is
 admissible and never affects exactness; it can be disabled to count the
 canonical search space.
+
+One search serves every objective, on costs scaled by the lcm of their
+denominators so that each load is an int.  A positive scale preserves every
+comparison: the search visits the same leaves, prunes the same nodes and
+keeps the same witness as on the rationals.  An objective is a start value,
+the value after a job joins a machine, and how the bound on the jobs left
+joins the value so far (the bound is their largest floor, or the sum of
+their floors' p-th powers as (L + c)^p >= L^p + c^p; a floor is the least
+value a job adds to an empty machine):
+
+  makespan    0    max(cur, max(new load vector))                      max
+  p = k       0    cur + ((old + c)**k - old**k)                       +
+  other p     0.0  cur + (((old + c) / scale)**p - (old / scale)**p)   +
+
+The optimum is rat(v, scale), rat(v, scale**k) or the float v.  int / int
+is correctly rounded, so load / scale is float() of the rational load, the
+float rationals.power takes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import add
 
 from .errors import BadExponent, DimensionMismatch, TooLarge
 from .model import Instance, Schedule
-from .rationals import ZERO, parse_rational, power
+from .rationals import parse_rational, rat
 
 JOB_CAP = 8
 MACHINE_CAP = 5
@@ -42,9 +61,16 @@ def exact_solve(
             f"{n} jobs / {inst.num_machines} machines exceed caps "
             f"({JOB_CAP} / {MACHINE_CAP})"
         )
+    scale = math.lcm(*(int(c.denominator) for job in inst.costs for vec in job for c in vec))
+    costs = [
+        [tuple(int(c.numerator) * (scale // int(c.denominator)) for c in vec) for vec in job]
+        for job in inst.costs
+    ]
+    open_types = [t for t, m in enumerate(inst.machine_counts) if m]
     if objective == "makespan":
-        return _solve_makespan(inst, prune)
-    if objective == "lp_norm":
+        start, unit, join, step, empty = 0, scale, max, _makespan_step, (0,) * inst.dims
+        floors = [min(max(job[t]) for t in open_types) for job in costs]
+    elif objective == "lp_norm":
         if p is None:
             raise BadExponent("lp_norm objective needs p")
         if inst.dims != 1:
@@ -52,121 +78,80 @@ def exact_solve(
         p = parse_rational(p)
         if p <= 1:
             raise BadExponent(f"need p > 1, got {p}")
-        return _solve_lp_norm(inst, p, prune)
-    raise ValueError(f"unknown objective {objective!r}")
+        costs = [[vec[0] for vec in job] for job in costs]
+        join, empty = add, 0
+        if p.denominator == 1:
+            k = int(p.numerator)
+            start, unit = 0, scale ** k
 
+            def step(cur, old, c):
+                return old + c, cur + ((old + c) ** k - old ** k)
+        else:
+            fp, start, unit = float(p), 0.0, None
 
-def _solve_makespan(inst: Instance, prune: bool) -> OracleResult:
-    n, dims = inst.num_jobs, inst.dims
-    counts = inst.machine_counts
-    # per-job floor: wherever job j lands, some dimension carries at least this
-    job_floor = [
-        min(max(inst.cost_vec(j, t)) for t in range(inst.num_types) if counts[t] > 0)
-        for j in range(n)
-    ]
-    suffix_floor = [ZERO] * (n + 1)
+            def step(cur, old, c):
+                return old + c, cur + (((old + c) / scale) ** fp - (old / scale) ** fp)
+        floors = [step(start, 0, min(job[t] for t in open_types))[1] for job in costs]
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    bound = [start] * (n + 1)
     for j in range(n - 1, -1, -1):
-        suffix_floor[j] = max(job_floor[j], suffix_floor[j + 1])
-    search = _Search(inst, prune, suffix_floor, {m: [ZERO] * dims for m in inst.machines()})
-    search.makespan_dfs(0, ZERO)
-    return search.result()
+        bound[j] = join(bound[j + 1], floors[j])
+    search = _Search(inst, costs, step, join, bound if prune else None, empty)
+    search.dfs(0, start)
+    optimum = search.value if unit is None else rat(search.value, unit)
+    return OracleResult(optimum, Schedule(search.witness), search.explored)
 
 
-def _solve_lp_norm(inst: Instance, p, prune: bool) -> OracleResult:
-    n = inst.num_jobs
-    counts = inst.machine_counts
-    zero = power(ZERO, p)
-    job_floor = [
-        power(min(inst.cost(j, t) for t in range(inst.num_types) if counts[t] > 0), p)
-        for j in range(n)
-    ]
-    suffix = [zero] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + job_floor[j]
-    search = _Search(inst, prune, suffix, {m: ZERO for m in inst.machines()})
-    search.lp_norm_dfs(0, zero, p)
-    return search.result()
+def _makespan_step(cur, old, vec):
+    new = tuple(map(add, old, vec))
+    return new, max(cur, *new)
 
 
 class _Search:
     """State of one canonical depth-first search: the loads, the machines
     opened per type, the partial assignment and the best leaf so far.
 
-    bound[j] is the admissible bound on what jobs j.. add: their largest
-    floor for makespan, the sum of their floors' p-th powers for L_p.
+    bound[j] is the admissible bound on what jobs j.. add (None: no pruning).
     """
 
-    def __init__(self, inst: Instance, prune: bool, bound: list, loads: dict):
-        self.inst = inst
-        self.prune = prune
+    def __init__(self, inst: Instance, costs: list, step, join, bound, empty):
+        self.n = inst.num_jobs
+        self.counts = inst.machine_counts
+        self.costs = costs
+        self.step = step
+        self.join = join
         self.bound = bound
-        self.loads = loads
+        self.loads = [[empty] * m for m in self.counts]
         self.used = [0] * inst.num_types
-        self.assignment: list = [None] * inst.num_jobs
+        self.assignment: list = [None] * self.n
         self.value = None
         self.witness = None
         self.explored = 0
 
-    def result(self) -> OracleResult:
-        return OracleResult(self.value, Schedule(self.witness), self.explored)
-
-    def _leaf(self, value) -> None:
-        self.explored += 1
-        if self.value is None or value < self.value:
-            self.value = value
-            self.witness = tuple(self.assignment)
-
-    def makespan_dfs(self, j: int, cur_max) -> None:
-        inst, used, assignment = self.inst, self.used, self.assignment
-        if j == inst.num_jobs:
-            self._leaf(cur_max)
+    def dfs(self, j: int, cur) -> None:
+        if j == self.n:
+            self.explored += 1
+            if self.value is None or cur < self.value:
+                self.value = cur
+                self.witness = tuple(self.assignment)
             return
-        if self.prune and self.value is not None:
-            if max(cur_max, self.bound[j]) >= self.value:
+        bound = self.bound
+        if bound is not None and self.value is not None:
+            if self.join(cur, bound[j]) >= self.value:
                 return
-        dims, counts, loads = inst.dims, inst.machine_counts, self.loads
-        for t in range(inst.num_types):
-            top = min(used[t] + 1, counts[t])
-            vec = inst.cost_vec(j, t)
-            for k in range(top):
-                machine = loads[(t, k)]
-                for d in range(dims):
-                    machine[d] += vec[d]
-                new_max = max(cur_max, max(machine))
+        step, counts, used, assignment = self.step, self.counts, self.used, self.assignment
+        for t, cost in enumerate(self.costs[j]):
+            loads = self.loads[t]
+            for k in range(min(used[t] + 1, counts[t])):
+                old = loads[k]
+                loads[k], value = step(cur, old, cost)
                 assignment[j] = (t, k)
                 opened = k == used[t]
                 if opened:
                     used[t] += 1
-                self.makespan_dfs(j + 1, new_max)
+                self.dfs(j + 1, value)
                 if opened:
                     used[t] -= 1
-                for d in range(dims):
-                    machine[d] -= vec[d]
-        assignment[j] = None
-
-    def lp_norm_dfs(self, j: int, cur_sum, p) -> None:
-        inst, used, assignment = self.inst, self.used, self.assignment
-        if j == inst.num_jobs:
-            self._leaf(cur_sum)
-            return
-        if self.prune and self.value is not None:
-            # (L + c)^p >= L^p + c^p for p > 1, so this bound is admissible
-            if cur_sum + self.bound[j] >= self.value:
-                return
-        counts, loads = inst.machine_counts, self.loads
-        for t in range(inst.num_types):
-            top = min(used[t] + 1, counts[t])
-            c = inst.cost(j, t)
-            for k in range(top):
-                old = loads[(t, k)]
-                loads[(t, k)] = old + c
-                assignment[j] = (t, k)
-                delta = power(old + c, p) - power(old, p)
-                opened = k == used[t]
-                if opened:
-                    used[t] += 1
-                self.lp_norm_dfs(j + 1, cur_sum + delta, p)
-                if opened:
-                    used[t] -= 1
-                loads[(t, k)] = old
+                loads[k] = old
         assignment[j] = None

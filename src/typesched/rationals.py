@@ -321,23 +321,46 @@ def is_integral(value) -> bool:
 
 def power(value, p):
     """value^p for rationals value and p: exact when p is integral, a float
-    otherwise (so power(0, p) is the zero to start a sum of such powers from)."""
+    otherwise (so power(0, p) is the zero to start a sum of such powers from).
+
+    The float is C pow on float(value) and float(p).  float() of a rational
+    is correctly rounded (relative error at most u = 2^-53) and pow is within
+    one ulp (2u), so to first order power(v, p) = v^p (1 + r) with
+    |r| <= (p (1 + |ln v|) + 2) u; the |ln v| term is absent when p's
+    denominator is a power of two (3/2, 5/2), as float(p) is then exact.  A
+    sum of n such terms adds at most (n - 1) u.  Its callers compare these
+    floats with no slack: the oracle's L_p search (which computes the same
+    floats on integer-scaled loads), evaluate_lp_norm_pow and greedy_schedule,
+    lpnorm's guess bounds against its limit, and the bench ratio check.  Two
+    values closer than that error may compare either way, which is why L_p
+    full mode takes no greedy limit at non-integral p.
+    """
     if p.denominator == 1:
         return value ** p.numerator
     return float(value) ** float(p)
 
 
-def halve_until(eps_user, fits):
-    """Largest eps_user/2^k, k < 64, that passes a scheme's fit test.
+def halve_until(eps_user, factor, *args):
+    """Largest eps_user/2^k, k < 64, with factor(eps, *args) <= 1 + eps_user:
+    the calibration of a scheme whose end-to-end factor is factor.
 
     eps_user outside (0, 1] is a ValueError (a plain check: python -O keeps it).
+    Each calibration is computed once, cached by factor, args and the integer
+    pair of eps_user (hashing a rational would take a modular inverse per call).
     """
     eps_user = parse_rational(eps_user)
+    return _halve_until(int(eps_user.numerator), int(eps_user.denominator), factor, args)
+
+
+@functools.lru_cache(maxsize=128)
+def _halve_until(num: int, den: int, factor, args: tuple):
+    eps_user = rat(num, den)
     if not 0 < eps_user <= 1:
         raise ValueError(f"eps must lie in (0, 1], got {rat_str(eps_user)}")
+    bound = ONE + eps_user
     for k in range(64):
         eps = eps_user / (2 ** k)
-        if fits(eps):
+        if factor(eps, *args) <= bound:
             return eps
     raise InvariantViolation("calibration failed to terminate")
 

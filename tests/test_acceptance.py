@@ -27,7 +27,7 @@ from typesched.model import (
     make_instance,
 )
 from typesched.oracle import exact_solve
-from typesched.rationals import ONE, rat
+from typesched.rationals import ONE, parse_rational, power, rat
 from typesched.rounding import (
     JobRoutes,
     MergeNode,
@@ -129,6 +129,39 @@ def test_a3_full_enumeration_sanity():
         checked == A3_TRIALS,
         f"{A3_TRIALS} tiny instances, both pipelines within bounds, no BudgetExhausted",
     )
+
+
+SWEEP_JOBS = (4, 6, 7)
+SWEEP_SEEDS = range(8)
+
+
+@pytest.mark.parametrize("eps_user", [rat(1, 4), ONE])
+@pytest.mark.parametrize("counts", [(1, 1, 1), (2, 1, 1), (1, 2, 2)])
+def test_guided_makespan_sweep_d3(counts, eps_user):
+    # D = 3 on three types, within (1 + eps) of the oracle in exact rationals
+    for n in SWEEP_JOBS:
+        for s in SWEEP_SEEDS:
+            seed = 9100 + 10 * n + s
+            inst = generate_instance(GeneratorSpec(n, 3, counts, 1, 10), seed)
+            opt = exact_solve(inst)
+            res = makespan.makespan_ptas(inst, eps_user, makespan.Guided(opt.witness))
+            assert res.makespan <= (ONE + eps_user) * opt.optimum, (n, seed)
+
+
+@pytest.mark.parametrize("eps_user", [rat(1, 4), ONE])
+@pytest.mark.parametrize("counts", [(1, 1, 1), (2, 1), (2, 2, 1)])
+@pytest.mark.parametrize("p", ["3/2", "3"])
+def test_guided_lp_norm_sweep(p, counts, eps_user):
+    # within (1 + eps)^p of the oracle's p-th power: exact at p = 3, in
+    # floats at p = 3/2
+    p = parse_rational(p)
+    for n in SWEEP_JOBS:
+        for s in SWEEP_SEEDS:
+            seed = 9300 + 10 * n + s
+            inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+            opt = exact_solve(inst, "lp_norm", p=p)
+            res = lpnorm.lpnorm_ptas(inst, p, eps_user, lpnorm.Guided(opt.witness))
+            assert res.objective_pow <= power(ONE + eps_user, p) * opt.optimum, (n, seed)
 
 
 def test_a4_counting_audit(a1_report, a2_records):

@@ -14,7 +14,7 @@ from typesched.model import (
     make_instance,
 )
 from typesched.oracle import exact_solve
-from typesched.rationals import rat
+from typesched.rationals import parse_rational, rat
 
 
 def test_one_job_two_identical_machines():
@@ -116,8 +116,10 @@ def stirling2_pack(k: int, m: int) -> int:
 def test_unpruned_search_matches_combinatorics(n, counts):
     costs = [[[((j + 2) * (t + 3)) % 7 + 1] for t in range(len(counts))] for j in range(n)]
     inst = make_instance(1, counts, costs)
-    res = exact_solve(inst, prune=False)
-    assert res.explored == canonical_count(n, counts)
+    # the canonical search space does not depend on the objective
+    for objective, p in (("makespan", None), ("lp_norm", 2)):
+        res = exact_solve(inst, objective, p=p, prune=False)
+        assert res.explored == canonical_count(n, counts), objective
 
 
 def test_pruning_never_changes_the_optimum():
@@ -137,3 +139,88 @@ def test_size_caps():
     big = make_instance(1, [1], [[[1]]] * 9)
     with pytest.raises(TooLarge):
         exact_solve(big)
+
+
+# Rational costs, D = 2, types with 0 machines; (dims, machine_counts, costs).
+PIN_INSTANCES = [
+    (1, (2, 1), [[["7/10"], ["1/2"]], [["3"], ["5/4"]], [["2/3"], ["1/2"]], [["3"], ["7/10"]], [["3"], ["2/3"]]]),
+    (1, (0, 2, 1), [[["5/4"], ["1/2"], ["3"]], [["3"], ["7/10"], ["2/3"]], [["7/10"], ["5/4"], ["3"]], [["5/4"], ["1/2"], ["2/3"]], [["5/4"], ["3"], ["2/3"]]]),
+    (1, (1, 1, 1), [[["5/4"], ["1/9"], ["3"]], [["1/2"], ["3"], ["3"]], [["7/10"], ["3"], ["3"]], [["1/2"], ["5/4"], ["1/2"]], [["7/10"], ["1/9"], ["2/3"]], [["3"], ["7/10"], ["7/10"]]]),
+    (1, (3,), [[["1/9"]], [["3"]], [["3"]], [["1/2"]], [["2/3"]], [["7/10"]]]),
+    (2, (2, 0), [[["2/3", "2/3"], ["1/2", "2/3"]], [["7/10", "7/10"], ["2/3", "5/4"]], [["1/2", "7/10"], ["1/2", "1/2"]], [["1/9", "3"], ["1/2", "1/9"]]]),
+    (2, (1, 2), [[["2/3", "5/4"], ["2/3", "5/4"]], [["3", "7/10"], ["5/4", "1/9"]], [["2/3", "3"], ["5/4", "1/2"]], [["1/2", "7/10"], ["2/3", "1/2"]], [["1/2", "2/3"], ["7/10", "5/4"]]]),
+]
+
+# (instance, p or None for makespan, optimum, witness, explored with pruning,
+# explored without); an optimum is a rational string, or float.hex for a
+# non-integral p.  Recorded from the search over rational loads, before it ran
+# on integer-scaled costs.
+ORACLE_PINS = [
+    (0, None, '157/60', ((0, 0), (1, 0), (0, 0), (1, 0), (1, 0)), 24, 122),
+    (0, '2', '28013/3600', ((0, 0), (1, 0), (0, 1), (1, 0), (1, 0)), 33, 122),
+    (0, '3', '4007981/216000', ((0, 0), (1, 0), (0, 1), (1, 0), (1, 0)), 36, 122),
+    (0, '3/2', '0x1.57372e17bc30ap+2', ((0, 0), (1, 0), (0, 1), (1, 0), (1, 0)), 33, 122),
+    (0, '5/2', '0x1.7b274a694a4d7p+3', ((0, 0), (1, 0), (0, 1), (1, 0), (1, 0)), 36, 122),
+    (1, None, '4/3', ((1, 0), (1, 0), (1, 1), (2, 0), (2, 0)), 15, 122),
+    (1, '2', '625/144', ((1, 0), (2, 0), (1, 1), (1, 0), (2, 0)), 27, 122),
+    (1, '3', '9199/1728', ((1, 0), (2, 0), (1, 1), (1, 0), (2, 0)), 18, 122),
+    (1, '3/2', '0x1.f7f44ef9f1afcp+1', ((1, 0), (2, 0), (1, 1), (1, 0), (2, 0)), 27, 122),
+    (1, '5/2', '0x1.332ec2d077248p+2', ((1, 0), (2, 0), (1, 1), (1, 0), (2, 0)), 24, 122),
+    (2, None, '6/5', ((1, 0), (0, 0), (0, 0), (2, 0), (1, 0), (1, 0)), 24, 729),
+    (2, '2', '10289/4050', ((1, 0), (0, 0), (0, 0), (2, 0), (1, 0), (1, 0)), 21, 729),
+    (2, '3', '240328/91125', ((1, 0), (0, 0), (0, 0), (2, 0), (1, 0), (1, 0)), 30, 729),
+    (2, '3/2', '0x1.46e04955ff055p+1', ((1, 0), (0, 0), (0, 0), (2, 0), (1, 0), (1, 0)), 18, 729),
+    (2, '5/2', '0x1.491574f4f17acp+1', ((1, 0), (0, 0), (0, 0), (2, 0), (1, 0), (1, 0)), 24, 729),
+    (3, None, '3', ((0, 0), (0, 1), (0, 2), (0, 0), (0, 0), (0, 0)), 26, 122),
+    (3, '2', '44371/2025', ((0, 0), (0, 1), (0, 2), (0, 0), (0, 0), (0, 0)), 32, 122),
+    (3, '3', '5625719/91125', ((0, 0), (0, 1), (0, 2), (0, 0), (0, 0), (0, 0)), 32, 122),
+    (3, '3/2', '0x1.a58f22ec4c12ep+3', ((0, 0), (0, 1), (0, 2), (0, 0), (0, 0), (0, 0)), 50, 122),
+    (3, '5/2', '0x1.256c6c5145774p+5', ((0, 0), (0, 1), (0, 2), (0, 0), (0, 0), (0, 0)), 32, 122),
+    (4, None, '3', ((0, 0), (0, 0), (0, 0), (0, 1)), 2, 8),
+    (5, None, '23/12', ((0, 0), (1, 0), (1, 1), (1, 0), (0, 0)), 20, 122),
+]
+
+
+def _brute_force(inst, p):
+    """The optimum over every labelled assignment: makespan for p None,
+    else the sum of load^p (exact for integral p, in floats otherwise)."""
+    machines = list(inst.machines())
+    best = None
+    for assignment in itertools.product(machines, repeat=inst.num_jobs):
+        loads = {m: [rat(0)] * inst.dims for m in machines}
+        for j, m in enumerate(assignment):
+            for d in range(inst.dims):
+                loads[m][d] += inst.cost(j, m[0], d)
+        if p is None:
+            value = max(max(vec) for vec in loads.values())
+        elif p.denominator == 1:
+            value = sum(vec[0] ** int(p) for vec in loads.values())
+        else:
+            value = sum(float(vec[0]) ** float(p) for vec in loads.values())
+        if best is None or value < best:
+            best = value
+    return best
+
+
+@pytest.mark.parametrize("pin", ORACLE_PINS, ids=lambda pin: f"{pin[0]}-p{pin[1]}")
+def test_oracle_outputs_are_pinned(pin):
+    i, p, optimum, witness, explored_pruned, explored_all = pin
+    dims, counts, costs = PIN_INSTANCES[i]
+    inst = make_instance(dims, counts, costs)
+    p = None if p is None else parse_rational(p)
+    exact = p is None or p.denominator == 1
+    for prune, explored in ((True, explored_pruned), (False, explored_all)):
+        res = exact_solve(inst, "makespan" if p is None else "lp_norm", p=p, prune=prune)
+        if exact:
+            assert type(res.optimum) is type(rat(0))
+            assert res.optimum == parse_rational(optimum)
+        else:
+            assert type(res.optimum) is float
+            assert res.optimum.hex() == optimum
+        assert res.witness.assignment == witness
+        assert res.explored == explored
+    expected = _brute_force(inst, p)
+    if exact:
+        assert res.optimum == expected
+    else:
+        assert res.optimum == pytest.approx(expected, rel=1e-12)

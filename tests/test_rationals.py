@@ -229,6 +229,6 @@ def test_fallback_backend_is_the_fast_type():
         rationals.parse_rational(0.25),
         rationals.parse_rational(Fraction(1, 3)),
         rationals.geometric_grid(Fraction(1, 3)).value(-4),
-        rationals.halve_until("1", lambda eps: eps < Fraction(1, 5)),
+        rationals.halve_until("1", lambda eps: 10 * eps),
     ]
     assert [type(v) for v in values] == [FastFraction] * len(values)
