@@ -182,24 +182,12 @@ ORACLE_PINS = [
 
 
 def _brute_force(inst, p):
-    """The optimum over every labelled assignment: makespan for p None,
-    else the sum of load^p (exact for integral p, in floats otherwise)."""
-    machines = list(inst.machines())
-    best = None
-    for assignment in itertools.product(machines, repeat=inst.num_jobs):
-        loads = {m: [rat(0)] * inst.dims for m in machines}
-        for j, m in enumerate(assignment):
-            for d in range(inst.dims):
-                loads[m][d] += inst.cost(j, m[0], d)
-        if p is None:
-            value = max(max(vec) for vec in loads.values())
-        elif p.denominator == 1:
-            value = sum(vec[0] ** int(p) for vec in loads.values())
-        else:
-            value = sum(float(vec[0]) ** float(p) for vec in loads.values())
-        if best is None or value < best:
-            best = value
-    return best
+    """The least objective over every labelled assignment: makespan for p
+    None, else the sum of load^p."""
+    schedules = map(Schedule, itertools.product(list(inst.machines()), repeat=inst.num_jobs))
+    if p is None:
+        return min(evaluate_makespan(inst, s) for s in schedules)
+    return min(evaluate_lp_norm_pow(inst, s, p) for s in schedules)
 
 
 @pytest.mark.parametrize("pin", ORACLE_PINS, ids=lambda pin: f"{pin[0]}-p{pin[1]}")
