@@ -18,9 +18,14 @@ the iterate nor a vertex weight would repeat forever, so it ends the
 solve: the gap is certified there or ToleranceNotReached is raised.
 
 Every LMO call prices its gradient over the region's rows, so phase 1 runs
-once, in the first call, and the later calls begin from its tableau.  The
-result hands that tableau on as start: a caller whose next LP is a leading
-block of the region reads its own phase 1 off it (lp.leading_block_start).
+once, in the first call, and the later calls begin from its tableau.  With
+a warm start it does not run at all: every call, the first too, begins from
+the tableau lp.vertex_start builds with the warm start as its basic
+solution; only a warm start that is no vertex of the region leaves the
+first call its phase 1.  Any optimal vertex is a valid LMO answer, since
+the gap reads only the minimum value.  The result hands that tableau on as
+start: a caller whose next LP is a leading block of the region reads its
+own phase 1 off it (lp.leading_block_start).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .errors import Infeasible, InfeasibleRegion, InvariantViolation, ToleranceNotReached
-from .lp import EQ, LE, LinearProgram, _Phase1, solve_extreme_point
+from .lp import EQ, LE, LinearProgram, _Phase1, solve_extreme_point, vertex_start
 from .rationals import ZERO, rat
 
 
@@ -162,6 +167,7 @@ def solve_convex_over_polytope(
 
     if start is not None:
         base = {v: rat(start.get(v, 0)) for v in region.variables}
+        phase1 = vertex_start(lp, base)  # None: the first LMO call runs phase 1
     else:
         try:  # an empty objective: this is a feasibility vertex
             base = lmo({})

@@ -58,6 +58,26 @@ others':
 So the rows of whole's phase-1 tableau whose basis column lies in part's
 block are, with the slack columns renumbered, the tableau part's own phase
 1 returns (leading_block_start).
+
+A start can also be built at a known vertex instead of by phase 1, as a
+crash basis (Bixby, ORSA J. Computing 1992): vertex_start.  It sets up the
+rows, slacks and artificials as phase 1 does.  Then each column positive at
+the point, the variables in column order and then the slacks in row order,
+pivots into the first row whose basic column is 0 at the point, an
+artificial's row first; a seeded slack is basic already.  The artificials
+left basic are at 0 and are driven out, and redundant rows dropped, as in
+phase 1.  Every positive coordinate is then basic and every other one 0, so
+the basic solution is the point, after at most one pivot per row.  It is
+None when the point violates a row, when a column finds no row (its
+positive columns are dependent, so the point is no vertex), or when a basic
+value comes out negative; the caller then runs phase 1.  Phase 2 from this
+basis reaches the minimum value, but may stop at another optimal vertex
+than a fresh solve, whose pivots begin elsewhere.  The block argument above
+holds for these pivots too: each pivot eliminates inside its block, its
+row is chosen among the rows holding its column, which are its block's,
+and the column order keeps each block's order.  So leading_block_start
+reads vertex_start(part, the point on part's variables) off
+vertex_start(whole, the point).
 """
 
 from __future__ import annotations
@@ -242,32 +262,26 @@ def _int_row(coeffs: dict, index: dict[str, int], rhs) -> tuple[dict[int, int], 
     return row, scale
 
 
-def _phase_one(lp: LinearProgram) -> _Phase1:
-    """A feasible basis of lp's constraints, artificial columns cut.
-
-    Reads no objective.  Raises Infeasible when no point satisfies the rows.
-    """
+def _phase_one_rows(lp: LinearProgram) -> tuple[list[dict[int, int]], list[int], int, int]:
+    """(rows, basis, art_start, ncols): lp's rows as  a.x (+ slack)
+    (+ artificial) = b  with b >= 0, over ncols columns numbered variables,
+    slacks in row order, then artificials from art_start; each row's slack
+    or artificial is basic."""
     nvars = len(lp.variables)
     index = {v: j for j, v in enumerate(lp.variables)}
-    nslack = sum(1 for c in lp.constraints if c.rel != EQ)
-    art_start = nvars + nslack
-
-    # Normalize every row to  a.x (+ slack) = b with b >= 0.  A slack whose
-    # coefficient stays positive after the sign flip seeds the basis; every
-    # other row gets a phase-1 artificial.
-    seeded = [c.rel != EQ and (c.rel == LE) == (c.rhs >= 0) for c in lp.constraints]
-    nart = seeded.count(False)
-    total = art_start + nart
+    art_start = nvars + sum(1 for c in lp.constraints if c.rel != EQ)
+    # A slack whose coefficient stays positive after the sign flip seeds the
+    # basis; every other row gets a phase-1 artificial.
     rows: list[dict[int, int]] = []
     basis: list[int] = []
     slack, art = nvars, art_start
-    for c, slack_basic in zip(lp.constraints, seeded):
+    for c in lp.constraints:
         row, scale = _int_row(c.coeffs, index, c.rhs)
         if c.rel != EQ:
             row[slack] = scale if c.rel == LE else -scale
         if c.rhs < 0:
             row = {k: -a for k, a in row.items()}
-        if slack_basic:
+        if c.rel != EQ and row[slack] > 0:
             basis.append(slack)
         else:
             row[art] = scale
@@ -276,17 +290,14 @@ def _phase_one(lp: LinearProgram) -> _Phase1:
         if c.rel != EQ:
             slack += 1
         rows.append(row)
+    return rows, basis, art_start, art
 
-    if not nart:
-        return _Phase1(rows, basis, total, 0)
-    tab = _Tableau(rows, basis, total)
-    tab.price(dict.fromkeys(range(art_start, total), 1))
-    pivots = _run_simplex(tab)
-    if any(b >= art_start and row.get(RHS, 0) > 0 for row, b in zip(tab.rows, tab.basis)):
-        raise Infeasible("phase-1 optimum positive")
-    # Drive leftover zero-valued artificials out of the basis; a row with
-    # no structural pivot candidate is redundant and can be dropped.  The
-    # phase-1 costs are not read again, so the pivots carry none.
+
+def _drive_out(tab: _Tableau, art_start: int, pivots: int) -> _Phase1:
+    """The _Phase1 of tab, a feasible basis whose basic artificials are all
+    at 0, after driving them out; pivots counts those taken before."""
+    # A row whose artificial has no structural pivot candidate is redundant
+    # and is dropped.  No cost is read again, so the pivots carry none.
     tab.price({})
     drop = []
     for r in range(len(tab.rows)):
@@ -304,6 +315,70 @@ def _phase_one(lp: LinearProgram) -> _Phase1:
     # artificials are never basic again and never enter: cut their columns
     rows = [{k: a for k, a in row.items() if k < art_start} for row in tab.rows]
     return _Phase1(rows, tab.basis, art_start, pivots)
+
+
+def _phase_one(lp: LinearProgram) -> _Phase1:
+    """A feasible basis of lp's constraints, artificial columns cut.
+
+    Reads no objective.  Raises Infeasible when no point satisfies the rows.
+    """
+    rows, basis, art_start, total = _phase_one_rows(lp)
+    if total == art_start:
+        return _Phase1(rows, basis, total, 0)
+    tab = _Tableau(rows, basis, total)
+    tab.price(dict.fromkeys(range(art_start, total), 1))
+    pivots = _run_simplex(tab)
+    if any(b >= art_start and row.get(RHS, 0) > 0 for row, b in zip(tab.rows, tab.basis)):
+        raise Infeasible("phase-1 optimum positive")
+    return _drive_out(tab, art_start, pivots)
+
+
+def vertex_start(lp: LinearProgram, point: dict) -> _Phase1 | None:
+    """A feasible phase-1 tableau of lp whose basic solution is point, built
+    without the simplex (see the module docstring); None when point
+    violates a row or is no vertex of lp's region.
+
+    point maps variables to exact values; an absent variable counts as 0.
+    """
+    rows, basis, art_start, ncols = _phase_one_rows(lp)
+    index = {v: j for j, v in enumerate(lp.variables)}
+    # the point over the lcm of its denominators, keyed by column in column order
+    x, scale = _int_row({v: rat(point.get(v, ZERO)) for v in lp.variables}, index, ZERO)
+    if any(a < 0 for a in x.values()):
+        return None
+    slack_positive = []
+    slack = len(lp.variables)
+    for row, c in zip(rows, lp.constraints):
+        # the slack's entry times its value, times scale
+        residual = row.get(RHS, 0) * scale - sum(row.get(k, 0) * a for k, a in x.items())
+        if c.rel == EQ:
+            if residual:
+                return None
+            continue
+        if residual * row[slack] < 0:
+            return None  # the slack would be negative
+        if residual:
+            slack_positive.append(slack)
+        slack += 1
+    # Pivot each positive column in, structural columns first, into the first
+    # row whose basic column is 0 at point, preferring an artificial's row.
+    # A seeded slack is basic in its own row already.
+    seeded = set(basis).intersection(slack_positive)
+    at_zero = [b not in seeded for b in basis]
+    tab = _Tableau(rows, basis, ncols)
+    pivots = 0
+    for c in [*x, *(s for s in slack_positive if s not in seeded)]:
+        candidates = [r for r, row in enumerate(tab.rows) if at_zero[r] and c in row]
+        if not candidates:  # c depends on the positive columns before it
+            return None
+        leave = next((r for r in candidates if tab.basis[r] >= art_start), candidates[0])
+        tab.pivot(leave, c)
+        at_zero[leave] = False
+        pivots += 1
+    start = _drive_out(tab, art_start, pivots)
+    if any(row.get(RHS, 0) < 0 for row in start.rows):
+        return None
+    return start
 
 
 def leading_block_start(start: _Phase1, whole: LinearProgram, part: LinearProgram) -> _Phase1 | None:

@@ -22,6 +22,22 @@ so it is exactly the region's leading block: the region's later rows
 round then reads phase 1 off the tableau the Frank-Wolfe LMO calls began
 from (CpSolution.start, lp.leading_block_start) instead of running it again.
 
+In guided mode that tableau is built at the warm start (_warm_start: each
+job's one route at 1, each allowance t_i = max(small_load, alpha*c_max -
+B_i)) by lp.vertex_start, with no phase 1.  The warm start is a vertex of
+the region, so that basis exists: its positive columns, slacks included,
+are independent.  Each job's one route column has a 1 in its own job row,
+where no other positive column has an entry, so a vanishing combination of
+the columns gives every route weight 0.  What remains are the slacks of the
+slot and budget rows, each alone in its row, and per machine t_i with the
+slacks of its rows  small_load - t_i <= 0  and  t_i >= alpha*c_max - B_i.
+t_i is the larger of the two bounds, so one of the rows is tight and at
+most one of the slacks is positive; t_i with either slack is a nonsingular
+2x2 block, and without the second row t_i is the small load, which leaves
+the first row tight.  The rounding's first round then begins at the warm
+start's routes, which may be another vertex than its own phase 1 would
+reach.
+
 Slot sizes are rounded DOWN so the relaxation never exceeds the integral
 optimum (the correctness chain then pays a (1+eps) factor when real jobs
 replace slot masses); the load lower bound applies to the full modeled

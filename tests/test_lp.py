@@ -670,7 +670,8 @@ def test_a_plain_solve_reads_rows_replaced_or_edited_in_place():
 def test_convex_solves_run_phase_one_once(monkeypatch):
     from test_pinned_outputs import guided_instance
 
-    # phase-1 pivots of each solve_extreme_point call, per convex solve
+    # (phase-1 pivots, its start's pivots) of each solve_extreme_point call,
+    # per convex solve
     per_solve = []
 
     def convex_solve(*args, **kwargs):
@@ -679,18 +680,27 @@ def test_convex_solves_run_phase_one_once(monkeypatch):
 
     def solve(lp, start=None):
         sol = solve_extreme_point(lp, start)
-        per_solve[-1].append(sol.pivots[0])
+        per_solve[-1].append((sol.pivots[0], sol.start.pivots))
         return sol
 
     monkeypatch.setattr(lpnorm, "solve_convex_over_polytope", convex_solve)
     monkeypatch.setattr(convex, "solve_extreme_point", solve)
     inst = guided_instance(56)  # the lpnorm-guided shape: n=20, machines (3,3)
     lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst, 2)))
+    # the guided solve has a warm start: every call, the first too, begins
+    # from the tableau vertex_start built at it with pivots of its own
+    guided = per_solve[0]
+    assert len(guided) > 1 and all(calls == (0, guided[0][1]) for calls in guided), guided
+    assert guided[0][1] > 0
     inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 30)
     lpnorm_ptas(inst, 2, rat(1, 2), lpnorm.FullEnum(10**6))
-    assert len(per_solve) >= 3  # one guided convex solve, two in full mode
-    assert all(pivots[1:] == [0] * (len(pivots) - 1) for pivots in per_solve), per_solve
-    assert any(pivots[0] > 0 and len(pivots) > 1 for pivots in per_solve)
+    full = per_solve[1:]
+    assert len(full) >= 2
+    # without one, the first call runs phase 1 and the later calls reuse it
+    assert all(
+        pivots[1:] == [(0, pivots[0][0])] * (len(pivots) - 1) for pivots in full
+    ), full
+    assert any(pivots[0][0] > 0 and len(pivots) > 1 for pivots in full)
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +788,124 @@ def test_leading_block_phase_one_is_read_off_the_whole_program():
             assert lp_module.leading_block_start(whole_start, mutant, part) is None
             tally["mutations"] += 1
     assert tally["read"] >= 150 and min(tally.values()) >= 10, tally
+
+
+# ---------------------------------------------------------------------------
+# a vertex's phase-1 tableau, built without the simplex
+
+
+def lp_vertices(rng, lp, tries):
+    """Distinct vertices of lp's region from fresh solves under random
+    objectives, in the order found; lp's objective is left as the last tried."""
+    found = []
+    for _ in range(tries):
+        lp.objective = random_objective(rng, lp)
+        outcome = fresh_outcome(lp)
+        if outcome is Infeasible:
+            return []
+        if not isinstance(outcome, type) and outcome.values not in found:
+            found.append(outcome.values)
+    return found
+
+
+def basic_values(lp, start):
+    """The values start's basic solution gives lp's variables, after
+    checking that start is a feasible tableau over lp's columns and slacks."""
+    nvars = len(lp.variables)
+    assert start.ncols == nvars + sum(1 for c in lp.constraints if c.rel != EQ)
+    values = {v: ZERO for v in lp.variables}
+    for r, (row, b) in enumerate(zip(start.rows, start.basis)):
+        assert row[b] > 0 and row.get(lp_module.RHS, 0) >= 0
+        assert all(-1 <= k < start.ncols for k in row)
+        assert not any(b in other for k, other in enumerate(start.rows) if k != r)
+        if b < nvars:
+            values[lp.variables[b]] = Fraction(row.get(lp_module.RHS, 0), row[b])
+    return values
+
+
+def violates(lp, point):
+    return any(x < 0 for x in point.values()) or not all(c.holds(point) for c in lp.constraints)
+
+
+def test_vertex_start_is_a_basis_at_the_vertex():
+    rng = random.Random(20261025)
+    tally = {"vertices": 0, "phase 2 pivoted": 0, "rows dropped": 0, "midpoints": 0,
+             "infeasible points": 0}
+    for i in range(300):
+        lp = diff_lp(rng) if i % 4 else random_lp(rng, max_vars=5, max_rows=4)
+        found = lp_vertices(rng, lp, 4)
+        for x in found:
+            start = lp_module.vertex_start(lp, x)
+            assert start is not None
+            assert basic_values(lp, start) == x
+            positive = sum(1 for v in x.values() if v > 0)
+            assert start.pivots <= positive + lp.num_rows
+            tally["vertices"] += 1
+            tally["rows dropped"] += len(start.rows) < lp.num_rows
+            # phase 2 from the vertex reaches the optimum value, maybe at
+            # another optimal vertex than a fresh solve
+            lp.objective = random_objective(rng, lp)
+            expected = fresh_outcome(lp)
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    solve_extreme_point(lp, start)
+                continue
+            sol = solve_extreme_point(lp, start)
+            assert sol.objective_value == expected.objective_value
+            assert sol.pivots[0] == 0 and sol.start is start
+            assert len(sol.positives()) <= lp.num_rows
+            assert all(c.holds(sol.values) for c in lp.constraints)
+            tally["phase 2 pivoted"] += sol.pivots[1] > 0
+            # a point off the region has no basis
+            shifted = {v: a + rat(rng.randint(-2, 2), rng.choice(DENOMS)) for v, a in x.items()}
+            if violates(lp, shifted):
+                assert lp_module.vertex_start(lp, shifted) is None
+                tally["infeasible points"] += 1
+        if len(found) >= 2:  # on the region, but no vertex of it
+            a, b = found[:2]
+            assert lp_module.vertex_start(lp, {v: (a[v] + b[v]) / 2 for v in a}) is None
+            tally["midpoints"] += 1
+    assert min(tally.values()) >= 10, tally
+
+
+def test_vertex_start_pivots_on_hand_solved_programs():
+    # columns x, y, then the slack (2); x + y <= 1, x = 1 at (1, 0): x enters
+    # the artificial's row, not the slack's (0 at the point), so nothing is
+    # left to drive out
+    lp = _lp(["x", "y"], [({"x": 1, "y": 1}, LE, 1), ({"x": 1}, EQ, 1)])
+    start = lp_module.vertex_start(lp, {"x": 1})
+    assert (start.basis, start.pivots) == ([2, 0], 1)
+    # x + y = 1, x - y = 1 at (1, 0): x enters row 1, which leaves row 2 as
+    # -2y - a1 + a2 = 0; driving a2 out pivots on y
+    lp = _lp(["x", "y"], [({"x": 1, "y": 1}, EQ, 1), ({"x": 1, "y": -1}, EQ, 1)])
+    start = lp_module.vertex_start(lp, {"x": 1})
+    assert (start.basis, start.pivots) == ([0, 1], 2)
+    # a repeated equality: x enters row 1, and the copy's row is dropped
+    lp = _lp(["x", "y"], [({"x": 1, "y": 1}, EQ, 1), ({"x": 2, "y": 2}, EQ, 2)])
+    start = lp_module.vertex_start(lp, {"x": 1})
+    assert (start.basis, start.pivots, len(start.rows)) == ([0], 1, 1)
+    # x <= 2: at 2 x replaces the seeded slack; at 1 x and the slack are
+    # both positive over one row, no vertex
+    lp = _lp(["x"], [({"x": 1}, LE, 2)])
+    assert lp_module.vertex_start(lp, {"x": 2}).basis == [0]
+    assert lp_module.vertex_start(lp, {"x": 1}) is None
+
+
+def test_leading_block_start_reads_a_vertex_start_off_the_whole_program():
+    rng = random.Random(20261026)
+    read = 0
+    for _ in range(400):
+        whole, part = block_lps(rng)
+        x = fresh_outcome(whole)
+        if x is Unbounded:  # the rows are feasible: take a feasibility vertex
+            x = solve_extreme_point(LinearProgram(whole.variables, whole.constraints))
+        if x is Infeasible:
+            continue
+        got = lp_module.leading_block_start(lp_module.vertex_start(whole, x.values), whole, part)
+        expected = lp_module.vertex_start(part, {v: x.values[v] for v in part.variables})
+        assert (got.rows, got.basis, got.ncols) == (expected.rows, expected.basis, expected.ncols)
+        read += 1
+    assert read >= 150, read
 
 
 # ---------------------------------------------------------------------------
@@ -956,6 +1084,15 @@ try:
     makespan.makespan_ptas(inst, rat(1, 2), Guided(Schedule(((0, 0),))))
 except InvariantViolation as exc:
     print(exc)
+# a vertex gets its basis; a point between two vertices and one off the
+# region fall back to phase 1
+from typesched.lp import vertex_start
+lp = LinearProgram()
+lp.add_variable("x")
+lp.add_variable("y")
+lp.add_constraint({"x": 1, "y": 1}, EQ, 1)
+print("vertex start", vertex_start(lp, {"x": 1}).pivots,
+      vertex_start(lp, {"x": rat(1, 2), "y": rat(1, 2)}), vertex_start(lp, {"x": 2}))
 """
 
 
@@ -965,13 +1102,13 @@ def test_trip_wires_survive_python_O():
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:12] == [
+    assert out.stdout.split("\n")[:13] == [
         "sparsity checked", "guard checked",
         "phase-1 pivots 1", "sparsity checked on reuse, simplex runs 1", "assembler checked",
         "eps must lie in (0, 1], got 2", "eps must lie in (0, 1], got 2",
         "decision exceeded its guarantee factor", "decision rejected a valid upper bound",
         "reduced LP became infeasible; reduction invariants broken", "optimize 1",
-        "decision rejected a rung its certificate proves",
+        "decision rejected a rung its certificate proves", "vertex start 1 None None",
     ]
 
 

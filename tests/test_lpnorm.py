@@ -41,7 +41,7 @@ from typesched.lpnorm import (
     job_kind,
     solve_slot_cp,
 )
-from typesched.lp import EQ, GE, LE, LinearProgram, solve_extreme_point
+from typesched.lp import EQ, GE, LE, LinearProgram, solve_extreme_point, vertex_start
 from typesched.model import (
     GeneratorSpec,
     Schedule,
@@ -943,7 +943,8 @@ def test_line_search_on_the_support_takes_the_full_loop_step(monkeypatch):
     # directions on eps = 1 models with huge routes (their charges are the
     # linear part of the support), then every line search, Frank-Wolfe and
     # pairwise, of guided solves at n=40 on (5,5) machines from greedy
-    # certificates
+    # certificates (seeds 100-129: since the first LMO call starts at the
+    # warm start's vertex, seeds 100-119 alone make fewer than 100 searches)
     line_min = convex._line_min
     searches = interior = 0
 
@@ -972,7 +973,7 @@ def test_line_search_on_the_support_takes_the_full_loop_step(monkeypatch):
 
     monkeypatch.setattr(convex, "_line_min", both)
     searches = interior = 0
-    for seed in range(100, 120):
+    for seed in range(100, 130):
         inst = generate_instance(GeneratorSpec(40, 1, (5, 5), 1, 10), seed)
         lpnorm_ptas(inst, 2, rat(1, 2), Guided(greedy_schedule(inst, 2)))
     assert searches > 100 and interior > 100
@@ -1057,20 +1058,30 @@ def test_first_rounding_lp_reused_from_the_region_solves_like_a_fresh_one(monkey
     from test_pinned_outputs import guided_instance
 
     # every first round that begins from the region's phase-1 tableau gives
-    # the values, registry, outcome and stats of an engine that runs its own
-    handed = []  # first-round starts handed to the simplex, per engine
+    # the values, registry, outcome and stats of an engine whose first LP
+    # starts where the region's did: from vertex_start at the warm start's
+    # routes in guided mode (the region's LMO calls began at the warm start),
+    # from its own phase 1 in full mode
+    handed = []  # (LP, start) of the first rounds handed a start, per engine
     reused = {}  # shape -> engines whose first round was read off the region
     with_budget_rows = [0]
+    warm = []  # the warm start of the guided run whose engine runs next
+    recording = [True]
     simplex = rounding.solve_extreme_point
+    warm_start = lpnorm._warm_start
     shape = [None]
 
     def solve(lp, start=None):
-        if start is not None:
-            handed.append(start)
+        if start is not None and recording[0]:
+            handed.append((lp, start))
             with_budget_rows[0] += any(
                 all(v.startswith("h|") for v in c.coeffs) and c.rel == LE for c in lp.constraints
             )
         return simplex(lp, start)
+
+    def record_warm_start(model, sched):
+        warm.append(warm_start(model, sched))
+        return warm[-1]
 
     class FirstRound(rounding.RoundingEngine):
         def _solve_round(self, *args):
@@ -1083,16 +1094,26 @@ def test_first_rounding_lp_reused_from_the_region_solves_like_a_fresh_one(monkey
     class Compared(FirstRound):
         def run(self):
             before = len(handed)
+            point = warm.pop() if warm else None
             outcome = super().run()
             if len(handed) > before:
-                fresh = FirstRound(self.problem)
+                if point is None:
+                    fresh = FirstRound(self.problem)
+                else:
+                    lp = handed[before][0]
+                    start = vertex_start(lp, {v: point.get(v, ZERO) for v in lp.variables})
+                    assert start is not None
+                    fresh = FirstRound(self.problem, lp, start)
+                recording[0] = False
                 assert fresh.run() == outcome  # RoundingOutcome, stats included
+                recording[0] = True
                 assert fresh.stats == self.stats
                 assert fresh.first == self.first
                 reused[shape[0]] = reused.get(shape[0], 0) + 1
             return outcome
 
     monkeypatch.setattr(rounding, "solve_extreme_point", solve)
+    monkeypatch.setattr(lpnorm, "_warm_start", record_warm_start)
     monkeypatch.setattr(lpnorm, "RoundingEngine", Compared)
     half = rat(1, 2)
     shape[0] = "guided (3,3)"  # the lpnorm-guided shape
@@ -1114,3 +1135,49 @@ def test_first_rounding_lp_reused_from_the_region_solves_like_a_fresh_one(monkey
     assert with_budget_rows[0] > budget_rows_before
     assert reused["guided (3,3)"] >= 3 and reused["full (1,1)"] >= 3, reused
     assert reused["guided (20,2)"] == 1, reused
+    assert not warm
+
+
+def guided_shapes():
+    """(p, eps_user, instance, certificate) of the lpnorm-guided pool shape
+    (seeds 56-59), the (20,2) shape whose first round holds a budget row, and
+    the guided L_p sweeps of the acceptance suite."""
+    from test_acceptance import SWEEP_JOBS, SWEEP_SEEDS
+    from test_pinned_outputs import guided_instance
+
+    for seed in range(56, 60):
+        inst = guided_instance(seed)
+        yield 2, rat(1, 2), inst, greedy_schedule(inst, 2)
+    inst = generate_instance(GeneratorSpec(24, 1, (20, 2), 1, 10), 2)
+    yield 2, ONE, inst, greedy_schedule(inst, 2)
+    for p in (rat(3, 2), rat(3)):
+        for counts in ((1, 1, 1), (2, 1), (2, 2, 1)):
+            for n in SWEEP_JOBS:
+                for s in SWEEP_SEEDS:
+                    inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), 9300 + 10 * n + s)
+                    witness = exact_solve(inst, "lp_norm", p=p).witness
+                    for eps_user in (rat(1, 4), ONE):
+                        yield p, eps_user, inst, witness
+
+
+def test_guided_regions_start_at_the_warm_start_vertex(monkeypatch):
+    # the warm start is a vertex of its region (module docstring of lpnorm),
+    # so vertex_start never falls back to phase 1 on these shapes, and it
+    # takes at most one pivot per positive coordinate and one drive-out per row
+    starts = []
+
+    def recorded(lp, point):
+        start = vertex_start(lp, point)
+        assert start is not None
+        positive = sum(1 for x in point.values() if x > 0)
+        assert start.pivots <= positive + lp.num_rows
+        starts.append(start.pivots)
+        return start
+
+    monkeypatch.setattr(convex, "vertex_start", recorded)
+    runs = 0
+    for p, eps_user, inst, witness in guided_shapes():
+        lpnorm_ptas(inst, p, eps_user, Guided(witness))
+        runs += 1
+    assert len(starts) == runs and runs > 280
+    assert sum(starts) > 0
