@@ -23,9 +23,7 @@ a warm start it does not run at all: every call, the first too, begins from
 the tableau lp.vertex_start builds with the warm start as its basic
 solution; only a warm start that is no vertex of the region leaves the
 first call its phase 1.  Any optimal vertex is a valid LMO answer, since
-the gap reads only the minimum value.  The result hands that tableau on as
-start: a caller whose next LP is a leading block of the region reads its
-own phase 1 off it (lp.leading_block_start).
+the gap reads only the minimum value.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .errors import Infeasible, InfeasibleRegion, InvariantViolation, ToleranceNotReached
-from .lp import EQ, LE, LinearProgram, _Phase1, solve_extreme_point, vertex_start
+from .lp import EQ, LE, LinearProgram, solve_extreme_point, vertex_start
 from .rationals import ZERO, rat
 
 
@@ -65,9 +63,6 @@ class ConvexSolveResult:
     duality_gap: float
     iterations: int
     objective_trace: list[float] = field(default_factory=list)
-    # the region's phase-1 tableau every LMO call began from, for a later
-    # solve over the same rows or a leading block of them
-    start: _Phase1 | None = field(default=None, compare=False, repr=False)
 
 
 def _line_min(objective, x: dict, d: dict, hi: float) -> float:
@@ -194,7 +189,7 @@ def solve_convex_over_polytope(
             gap = float(gap_ex)
             if gap_ex <= rat(additive_tol):
                 fval = float(objective.exact_value(x_ex))
-                return ConvexSolveResult(x_ex, fval, gap, iteration, trace, phase1), gap
+                return ConvexSolveResult(x_ex, fval, gap, iteration, trace), gap
             return None, gap
         xf = {v: float(val) for v, val in x_ex.items()}
         g = objective.gradient(xf)
@@ -202,9 +197,7 @@ def solve_convex_over_polytope(
         gap = sum(g.get(v, 0.0) * (xf[v] - float(s[v])) for v in region.variables)
         gap = float(max(gap, 0.0))  # the sum is the int 0 when there are no variables
         if gap <= additive_tol * (1 - 1e-9):
-            return ConvexSolveResult(
-                x_ex, objective.value(xf), gap, iteration, trace, phase1
-            ), gap
+            return ConvexSolveResult(x_ex, objective.value(xf), gap, iteration, trace), gap
         return None, gap
 
     def correct_over_active() -> float:

@@ -40,25 +40,6 @@ the same rows passes it back, and phase 2 begins from the basis a fresh
 solve would reach, so the pivots, vertex and objective value are the same.
 Without a start, a solve runs phase 1 on the rows the program holds now.
 
-Phase 1 also separates over blocks that share no column.  Say a program
-whole begins with the variables and rows of a program part, and no later
-row of whole touches part's variables.  Then the rows of part never hold a
-column of the other rows (slacks and artificials belong to their own row),
-and Bland's pivots on whole are part's own pivots interleaved with the
-others':
-  * a pivot eliminates only inside its block, since the rows outside hold
-    a 0 in its column;
-  * a pivot in the other block scales part's reduced costs by a positive
-    integer, and only their signs are read, so the first negative one is
-    the column part alone would enter;
-  * a ratio tie compares basis indices inside one block, and whole's
-    numbering (part's variables, the others', part's slacks, the others',
-    part's artificials, the others') keeps their order;
-  * driving artificials out and dropping redundant rows go row by row.
-So the rows of whole's phase-1 tableau whose basis column lies in part's
-block are, with the slack columns renumbered, the tableau part's own phase
-1 returns (leading_block_start).
-
 A start can also be built at a known vertex instead of by phase 1, as a
 crash basis (Bixby, ORSA J. Computing 1992): vertex_start.  It sets up the
 rows, slacks and artificials as phase 1 does.  Then each column positive at
@@ -72,12 +53,7 @@ None when the point violates a row, when a column finds no row (its
 positive columns are dependent, so the point is no vertex), or when a basic
 value comes out negative; the caller then runs phase 1.  Phase 2 from this
 basis reaches the minimum value, but may stop at another optimal vertex
-than a fresh solve, whose pivots begin elsewhere.  The block argument above
-holds for these pivots too: each pivot eliminates inside its block, its
-row is chosen among the rows holding its column, which are its block's,
-and the column order keeps each block's order.  So leading_block_start
-reads vertex_start(part, the point on part's variables) off
-vertex_start(whole, the point).
+than a fresh solve, whose pivots begin elsewhere.
 """
 
 from __future__ import annotations
@@ -381,36 +357,6 @@ def vertex_start(lp: LinearProgram, point: dict) -> _Phase1 | None:
     return start
 
 
-def leading_block_start(start: _Phase1, whole: LinearProgram, part: LinearProgram) -> _Phase1 | None:
-    """part's phase-1 tableau read off start, whole's, with no pivot; None
-    unless part is a decoupled leading block of whole.
-
-    That is: part's variables are whole's first variables, part's rows are
-    whole's first rows (coefficients, relation and rhs), and no later row of
-    whole has a nonzero on part's variables.  Each is checked exactly.  The
-    result is the rows, basis and ncols _phase_one(part) returns (see the
-    module docstring), and it reports 0 pivots.
-    """
-    nvars, nrows = len(part.variables), len(part.constraints)
-    if whole.variables[:nvars] != part.variables or whole.constraints[:nrows] != part.constraints:
-        return None
-    own = set(part.variables)
-    if any(v in own for c in whole.constraints[nrows:] for v, a in c.coeffs.items() if a):
-        return None
-    width = len(whole.variables)
-    nslack = sum(1 for c in part.constraints if c.rel != EQ)
-    shift, top = width - nvars, width + nslack  # part's slacks are whole's first
-    rows, basis = [], []
-    for row, b in zip(start.rows, start.basis):
-        if b < nvars or width <= b < top:
-            if shift:
-                row = {k - shift if k >= width else k: a for k, a in row.items()}
-                b = b - shift if b >= width else b
-            rows.append(row)
-            basis.append(b)
-    return _Phase1(rows, basis, nvars + nslack, 0)
-
-
 def solve_extreme_point(lp: LinearProgram, start: _Phase1 | None = None) -> ExtremePointSolution:
     """Optimal basic feasible solution of lp, exact.
 
@@ -418,9 +364,9 @@ def solve_extreme_point(lp: LinearProgram, start: _Phase1 | None = None) -> Extr
     when the minimum does not exist.  For feasibility-sense programs (empty
     objective) any vertex of the feasible region is returned.  start is the
     ``start`` of an earlier solution of a program with these same variables
-    and rows, or what leading_block_start reads off one whose leading block
-    lp is: phase 2 then begins from it and the call reports no phase-1
-    pivots.  Without it, phase 1 runs on lp's rows.
+    and rows, or what vertex_start builds for them: phase 2 then begins from
+    it and the call reports no phase-1 pivots.  Without it, phase 1 runs on
+    lp's rows.
     """
     phase1 = 0
     if start is None:

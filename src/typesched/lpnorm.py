@@ -15,18 +15,28 @@ Pipeline per guess (enumerated, or extracted from a certificate schedule):
     max(small_load, alpha*c_max - B_i), rounded iteratively with the slot
     engine extended by the improper-machine case.
 
-The rounding LP is the region's assignment, slot and budget rows with each
-allowance frozen.  When no job has a machine route it has no capacity row,
-so it is exactly the region's leading block: the region's later rows
-(small_load - t_i <= 0, t_i >= ...) touch only the t_i columns.  Its first
-round then reads phase 1 off the tableau the Frank-Wolfe LMO calls began
-from (CpSolution.start, lp.leading_block_start) instead of running it again.
+The rounding LP is the region's assignment, slot and budget rows, with
+one capacity row per machine that holds each allowance frozen at t*_i.
+The rounding engine is handed the convex solution x itself, which is a
+point of that LP: its assignment, slot and budget rows are the region's
+own rows, and each capacity row holds because t*_i = max(small_load,
+alpha*c_max - B_i) is at least the small load at x.  So the first round
+is never infeasible; if it is, this argument has failed, and _run_guess
+raises InvariantViolation, not Infeasible.  When x is integral the engine
+keeps each job's one route at 1, so its first round is forced:
+_forced_point checks every row exactly and commits x, whose LP value is
+its own huge charge, a term the CP objective already counts; an integral
+point has no fractional variable, so the counting bound holds trivially.
+A fractional x gets the first round's own phase 1, a valid start for any
+LP.  Either way _assert_quality_chain checks the per-machine bound and the
+(1+4eps)^p chain after untangling.
 
-In guided mode that tableau is built at the warm start (_warm_start: each
-job's one route at 1, each allowance t_i = max(small_load, alpha*c_max -
-B_i)) by lp.vertex_start, with no phase 1.  The warm start is a vertex of
-the region, so that basis exists: its positive columns, slacks included,
-are independent.  Each job's one route column has a 1 in its own job row,
+In guided mode the convex solve's LMO calls begin at the warm start
+(_warm_start: each job's one route at 1, each allowance t_i =
+max(small_load, alpha*c_max - B_i)), from the tableau lp.vertex_start
+builds, with no phase 1.  The warm start is a vertex of the region, so
+that basis exists: its positive columns, slacks included, are
+independent.  Each job's one route column has a 1 in its own job row,
 where no other positive column has an entry, so a vanishing combination of
 the columns gives every route weight 0.  What remains are the slacks of the
 slot and budget rows, each alone in its row, and per machine t_i with the
@@ -34,9 +44,7 @@ slacks of its rows  small_load - t_i <= 0  and  t_i >= alpha*c_max - B_i.
 t_i is the larger of the two bounds, so one of the rows is tight and at
 most one of the slacks is positive; t_i with either slack is a nonsingular
 2x2 block, and without the second row t_i is the small load, which leaves
-the first row tight.  The rounding's first round then begins at the warm
-start's routes, which may be another vertex than its own phase 1 would
-reach.
+the first row tight.
 
 Slot sizes are rounded DOWN so the relaxation never exceeds the integral
 optimum (the correctness chain then pays a (1+eps) factor when real jobs
@@ -90,10 +98,11 @@ from .errors import (
     BudgetExhausted,
     DimensionMismatch,
     GuessInconsistent,
+    Infeasible,
     InfeasibleRegion,
     InvariantViolation,
 )
-from .lp import GE, LE, LinearProgram, _Phase1
+from .lp import GE, LE, LinearProgram
 from .convex import ConvexSolveResult, solve_convex_over_polytope
 from .model import Instance, Schedule, evaluate_lp_norm_pow, greedy_schedule, load_vector
 from .modes import FullEnum, Guided
@@ -467,9 +476,6 @@ class CpSolution:
     duality_gap: float
     iterations: int
     tolerance: float
-    # the region LP and the phase-1 tableau its LMO calls began from
-    region: LinearProgram | None = field(default=None, compare=False, repr=False)
-    start: _Phase1 | None = field(default=None, compare=False, repr=False)
 
 
 def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
@@ -727,8 +733,6 @@ def solve_slot_cp(
         duality_gap=res.duality_gap,
         iterations=res.iterations,
         tolerance=additive_tol,
-        region=region,
-        start=res.start,
     )
 
 
@@ -838,8 +842,11 @@ def _run_guess(inst: Instance, p, eps, guess: Guess, start_schedule=None) -> Lpn
     start = _warm_start(model, start_schedule) if start_schedule is not None else None
     cp = solve_slot_cp(model, start=start)
     problem = build_rounding_from_cp(model, cp.t_star)
-    engine = RoundingEngine(problem, cp.region, cp.start)
-    outcome = engine.run()  # CP point is LP-feasible, so Infeasible cannot fire
+    engine = RoundingEngine(problem, cp.x)
+    try:
+        outcome = engine.run()
+    except Infeasible as exc:  # cp.x is a point of the first round's LP
+        raise InvariantViolation("the rounding LP rejected the convex solution") from exc
     final = untangle(problem, outcome)
     schedule = assemble_schedule(problem, final, inst.num_jobs, model.vh_machines, model.free_huge)
     total = evaluate_lp_norm_pow(inst, schedule, p)

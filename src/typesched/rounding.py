@@ -31,12 +31,13 @@ order with the summed huge charges as its objective, which is the simplex's
 own answer; a violated row raises Infeasible where the simplex would.  Such
 a round commits every live job, so it is always the last.
 
-The engine may be handed an LP solved before and that solve's phase-1
-tableau (the L_p pipeline hands over its convex region).  When the first
-round's LP is a decoupled leading block of that LP (lp.leading_block_start),
-phase 2 begins from the block's rows of that tableau, which are the rows
-its own phase 1 would reach; otherwise, as when the round has a capacity
-row, it runs its own phase 1.
+The engine may be handed a point of its first LP, as the L_p pipeline
+hands over its convex solution.  When every value of that point is 0 or 1,
+its routes at 0 are dropped before the first round; the assignment rows
+then leave each live job the one route the point takes, so the first round
+is forced and commits the point itself once _forced_point has checked its
+slot, capacity and budget rows exactly.  A point with a fractional value is
+not read: the first round runs its own phase 1, a valid start for any LP.
 
 Untangling then replaces every artificial job by real jobs: tree placement
 for artificial jobs sitting in foreign slots or on huge machines, and a
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import CountingViolation, ForestInconsistent, Infeasible, InvariantViolation
-from .lp import EQ, GE, LE, LinearProgram, _Phase1, leading_block_start, solve_extreme_point
+from .lp import EQ, GE, LE, LinearProgram, solve_extreme_point
 from .model import Schedule
 from .rationals import ONE, ZERO, rat
 
@@ -390,14 +391,12 @@ class SlotRows:
 
 
 class RoundingEngine:
-    """The iterative rounding of problem.  region and start, when given, are
-    an LP solved before and its phase-1 tableau, which only the first
-    round's LP may read (module docstring)."""
+    """The iterative rounding of problem.  point, when given, maps route
+    columns to values (an absent column counts as 0); only a point whose
+    values are all 0 or 1 is read (module docstring)."""
 
-    def __init__(self, problem: RoundingProblem, region: LinearProgram | None = None,
-                 start: _Phase1 | None = None):
+    def __init__(self, problem: RoundingProblem, point: dict | None = None):
         self.problem = problem
-        self._region = (region, start) if region is not None and start is not None else None
         self.dims = problem.dims
         self.live: dict[JobKey, JobRoutes] = {
             j: routes.clone() for j, routes in sorted(problem.jobs.items())
@@ -423,6 +422,10 @@ class RoundingEngine:
         self.stats = RoundingStats()
         self._art_counter = 0
         self._committed_charge = ZERO
+        if point is not None and all(x == 0 or x == 1 for x in point.values()):
+            registry = {name: (kind, j, target) for j, routes in self.live.items()
+                        for name, kind, target in route_vars(j, routes)}
+            self._fix_integrals({v: ZERO for v in registry if point.get(v, ZERO) == 0}, registry)
 
     # -- LP construction ---------------------------------------------------
 
@@ -476,12 +479,7 @@ class RoundingEngine:
         if all(len(r.machine_costs) + len(r.slots) + len(r.huge) == 1 for r in self.live.values()):
             return self._forced_point(by_machine, by_slot, by_type)
         lp, registry = self._build_lp()
-        start = None
-        if self._region is not None:
-            region, region_start = self._region
-            start = leading_block_start(region_start, region, lp)
-            self._region = None
-        sol = solve_extreme_point(lp, start)
+        sol = solve_extreme_point(lp)
         return sol.values, registry, sol.objective_value
 
     def _route_index(self):

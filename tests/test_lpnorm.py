@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -52,7 +53,7 @@ from typesched.model import (
 )
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, ZERO, geometric_grid, is_integral, rat, rat_str
-from typesched.rounding import slot_lp
+from typesched.rounding import route_var, slot_lp
 
 
 def brute_f(p, eps):
@@ -1051,73 +1052,60 @@ def test_routable_mask_matches_the_reference_rule(counts, n, seed, eps):
 
 
 # ---------------------------------------------------------------------------
-# the first rounding LP reads phase 1 off the region's tableau
+# the rounding engine starts from the convex solution's point
 
 
-def test_first_rounding_lp_reused_from_the_region_solves_like_a_fresh_one(monkeypatch):
+def route_point(outcome) -> set:
+    """The route columns a rounding outcome commits without merges."""
+    return ({route_var("m", j, mk) for j, mk in outcome.machine_assign.items()}
+            | {route_var("s", j, s) for s, j in outcome.slot_assign.items()}
+            | {route_var("h", j, t) for j, t in outcome.huge_assign.items()})
+
+
+def test_rounding_commits_an_integral_convex_point(monkeypatch):
     from test_pinned_outputs import guided_instance
 
-    # every first round that begins from the region's phase-1 tableau gives
-    # the values, registry, outcome and stats of an engine whose first LP
-    # starts where the region's did: from vertex_start at the warm start's
-    # routes in guided mode (the region's LMO calls began at the warm start),
-    # from its own phase 1 in full mode
-    handed = []  # (LP, start) of the first rounds handed a start, per engine
-    reused = {}  # shape -> engines whose first round was read off the region
-    with_budget_rows = [0]
-    warm = []  # the warm start of the guided run whose engine runs next
-    recording = [True]
+    # an engine handed an integral point commits it in one forced round
+    # without the simplex; one handed a fractional point rounds as an engine
+    # handed none, outcome and stats included
+    tally = collections.Counter()  # (shape, integral or fractional) -> engines
+    budget_rows = collections.Counter()  # shape -> forced first rounds with a budget row
+    simplex_calls = [0]
     simplex = rounding.solve_extreme_point
-    warm_start = lpnorm._warm_start
     shape = [None]
 
-    def solve(lp, start=None):
-        if start is not None and recording[0]:
-            handed.append((lp, start))
-            with_budget_rows[0] += any(
-                all(v.startswith("h|") for v in c.coeffs) and c.rel == LE for c in lp.constraints
-            )
+    def counted(lp, start=None):
+        simplex_calls[0] += 1
         return simplex(lp, start)
 
-    def record_warm_start(model, sched):
-        warm.append(warm_start(model, sched))
-        return warm[-1]
+    class Checked(rounding.RoundingEngine):
+        def __init__(self, problem, point=None):
+            super().__init__(problem, point)
+            self.point = point
 
-    class FirstRound(rounding.RoundingEngine):
-        def _solve_round(self, *args):
-            result = super()._solve_round(*args)
-            if not hasattr(self, "first"):
-                values, registry, objective = result
-                self.first = (list(values.items()), list(registry.items()), objective)
-            return result
+        def _forced_point(self, *args):
+            if self.stats.lp_solves == 0:
+                budget_rows[shape[0]] += bool(self.live_types)
+            return super()._forced_point(*args)
 
-    class Compared(FirstRound):
         def run(self):
-            before = len(handed)
-            point = warm.pop() if warm else None
+            before = simplex_calls[0]
             outcome = super().run()
-            if len(handed) > before:
-                if point is None:
-                    fresh = FirstRound(self.problem)
-                else:
-                    lp = handed[before][0]
-                    start = vertex_start(lp, {v: point.get(v, ZERO) for v in lp.variables})
-                    assert start is not None
-                    fresh = FirstRound(self.problem, lp, start)
-                recording[0] = False
-                assert fresh.run() == outcome  # RoundingOutcome, stats included
-                recording[0] = True
-                assert fresh.stats == self.stats
-                assert fresh.first == self.first
-                reused[shape[0]] = reused.get(shape[0], 0) + 1
+            if all(x == 0 or x == 1 for x in self.point.values()):
+                assert simplex_calls[0] == before
+                assert (outcome.stats.lp_solves, outcome.stats.iterations) == (1, 0)
+                assert route_point(outcome) == {v for v, x in self.point.items() if x == 1}
+                tally[shape[0], "integral"] += 1
+            else:
+                assert rounding.RoundingEngine(self.problem).run() == outcome
+                tally[shape[0], "fractional"] += 1
             return outcome
 
-    monkeypatch.setattr(rounding, "solve_extreme_point", solve)
-    monkeypatch.setattr(lpnorm, "_warm_start", record_warm_start)
-    monkeypatch.setattr(lpnorm, "RoundingEngine", Compared)
+    monkeypatch.setattr(rounding, "solve_extreme_point", counted)
+    monkeypatch.setattr(lpnorm, "RoundingEngine", Checked)
     half = rat(1, 2)
-    shape[0] = "guided (3,3)"  # the lpnorm-guided shape
-    for seed in range(56, 60):
+    shape[0] = "guided (3,3)"  # the lpnorm-guided shape; seed 3's point is fractional
+    for seed in (3, 56, 57, 58, 59):
         inst = guided_instance(seed)
         lpnorm_ptas(inst, 2, half, Guided(greedy_schedule(inst, 2)))
     shape[0] = "full (1,1)"
@@ -1125,17 +1113,14 @@ def test_first_rounding_lp_reused_from_the_region_solves_like_a_fresh_one(monkey
         inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), seed)
         lpnorm_ptas(inst, 2, half, FullEnum(10**6))
     # 20 machines of type 0 give it huge machines past the pinned ones, so
-    # the leading block holds a budget row; seed 2 is the first whose region
-    # has one and whose first round has no machine-routed job
-    assert sum(reused.values()) == len(handed)
-    budget_rows_before = with_budget_rows[0]
+    # the first round holds a budget row
     shape[0] = "guided (20,2)"
     inst = generate_instance(GeneratorSpec(24, 1, (20, 2), 1, 10), 2)
     lpnorm_ptas(inst, 2, ONE, Guided(greedy_schedule(inst, 2)))
-    assert with_budget_rows[0] > budget_rows_before
-    assert reused["guided (3,3)"] >= 3 and reused["full (1,1)"] >= 3, reused
-    assert reused["guided (20,2)"] == 1, reused
-    assert not warm
+    assert budget_rows["guided (20,2)"] == 1, budget_rows
+    assert tally["guided (3,3)", "integral"] >= 3 and tally["full (1,1)", "integral"] >= 3, tally
+    assert tally["guided (3,3)", "fractional"] >= 1, tally
+    assert tally["guided (20,2)", "integral"] == 1, tally
 
 
 def guided_shapes():
@@ -1181,3 +1166,74 @@ def test_guided_regions_start_at_the_warm_start_vertex(monkeypatch):
         runs += 1
     assert len(starts) == runs and runs > 280
     assert sum(starts) > 0
+
+
+def test_an_integral_warm_start_point_keeps_the_certificate_value(monkeypatch):
+    # when the engine's point is the warm start, the rounding commits the
+    # certificate's routes, so at integral p the schedule's value is the
+    # certificate's exactly
+    warm, points = [], []
+    warm_start = lpnorm._warm_start
+
+    def recorded_warm_start(model, sched):
+        warm.append(warm_start(model, sched))
+        return warm[-1]
+
+    class Recorded(rounding.RoundingEngine):
+        def __init__(self, problem, point=None):
+            super().__init__(problem, point)
+            points.append(point)
+
+    monkeypatch.setattr(lpnorm, "_warm_start", recorded_warm_start)
+    monkeypatch.setattr(lpnorm, "RoundingEngine", Recorded)
+    kept = runs = 0
+    for p, eps_user, inst, witness in guided_shapes():
+        res = lpnorm_ptas(inst, p, eps_user, Guided(witness))
+        point, start = points.pop(), warm.pop()
+        if not is_integral(p):
+            continue
+        runs += 1
+        if {v: x for v, x in point.items() if x} == start:
+            assert res.objective_pow == evaluate_lp_norm_pow(inst, witness, p)
+            kept += 1
+    assert runs > 140 and kept > 140, (kept, runs)
+
+
+def small_loads(model, x) -> dict:
+    """Each non-huge machine's small load at route point x."""
+    return {
+        mk: sum((r.machine_costs[mk][0] * x.get(route_var("m", j, mk), ZERO)
+                 for j, r in model.routes.items() if mk in r.machine_costs), ZERO)
+        for mk in model.small_machines
+    }
+
+
+@pytest.mark.parametrize("mode", ["guided", "full"])
+def test_an_allowance_below_its_small_load_is_an_invariant_violation(monkeypatch, mode):
+    # the convex point fits every frozen allowance; one pushed below its
+    # small load makes the first round infeasible, which is a broken
+    # invariant, not an infeasible guess
+    real = lpnorm.solve_slot_cp
+    lowered = []
+
+    def one_allowance_low(model, *args, **kwargs):
+        cp = real(model, *args, **kwargs)
+        loads = small_loads(model, cp.x)
+        mk = max(loads, key=loads.get, default=None)
+        if mk is not None and loads[mk] > 0:
+            cp.t_star[mk] = loads[mk] / 2
+            lowered.append(mk)
+        return cp
+
+    monkeypatch.setattr(lpnorm, "solve_slot_cp", one_allowance_low)
+    # at eps_user = 1 both runs have small jobs; the point of the first run
+    # with a positive small load is integral
+    if mode == "guided":
+        inst = generate_instance(GeneratorSpec(24, 1, (20, 2), 1, 10), 0)
+        mode = Guided(greedy_schedule(inst, 2))
+    else:
+        inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 30)
+        mode = FullEnum(10**6)
+    with pytest.raises(InvariantViolation, match="rounding LP rejected the convex solution"):
+        lpnorm_ptas(inst, 2, ONE, mode)
+    assert len(lowered) == 1

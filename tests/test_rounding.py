@@ -24,6 +24,7 @@ from typesched.rounding import (
     SlotInfo,
     assemble_schedule,
     pattern_multisets,
+    route_var,
     slot_patterns,
     untangle,
 )
@@ -594,10 +595,69 @@ def test_forced_capacity_check_counts_committed_load(monkeypatch, committed, fit
     assert outcomes == ([{0: m0}] if fits else [Infeasible]) * 2
 
 
+def point_problem():
+    """Three jobs with two or three routes each, over two machines, two
+    slots and one huge type with a budget of 1."""
+    half, m0, m1 = rat(1, 2), (0, 0), (0, 1)
+    return simple_problem(
+        jobs={
+            0: JobRoutes({m0: (half,), m1: (half,)}, {0}),
+            1: JobRoutes({m0: (half,), m1: (ONE,)}, {0, 1}),
+            2: JobRoutes({m1: (half,)}, set(), {1: (rat(3), rat(9))}),
+        },
+        slots={0: SlotInfo(0, m1, "q", (half,)), 1: SlotInfo(1, m0, "q", (half,))},
+        capacities={m0: (ONE,), m1: (half,)},
+        budgets={1: 1},
+    )
+
+
+def test_an_integral_point_is_committed_in_one_forced_round(monkeypatch):
+    problem = point_problem()
+    m0, m1 = (0, 0), (0, 1)
+    monkeypatch.setattr(rounding, "solve_extreme_point", no_simplex)
+    # every route at 0 or 1, one route per job; absent routes count as 0
+    point = {route_var("m", 0, m0): ONE, route_var("m", 0, m1): ZERO,
+             route_var("s", 1, 1): ONE, route_var("h", 2, 1): ONE}
+    outcome = RoundingEngine(problem, point).run()
+    assert outcome.machine_assign == {0: m0}
+    assert outcome.slot_assign == {1: 1}
+    assert outcome.huge_assign == {2: 1}
+    assert not outcome.forest and not outcome.improper
+    stats = outcome.stats
+    assert (stats.lp_solves, stats.iterations, stats.lp_objectives) == (1, 0, [rat(9)])
+    assert problem.jobs == point_problem().jobs  # the engine drops routes from its copies
+    # jobs 0 and 2 overfill machine 1's capacity of 1/2
+    overfull = {route_var("m", 0, m1): ONE, route_var("m", 1, m0): ONE,
+                route_var("m", 2, m1): ONE}
+    with pytest.raises(Infeasible):
+        RoundingEngine(problem, overfull).run()
+
+
+def test_a_fractional_point_rounds_as_no_point(monkeypatch):
+    problem = point_problem()
+    half = rat(1, 2)
+    point = {route_var("m", 0, (0, 0)): half, route_var("s", 0, 0): half,
+             route_var("s", 1, 1): ONE, route_var("h", 2, 1): ONE}
+    solved = []
+    simplex = rounding.solve_extreme_point
+
+    def counted(lp, start=None):
+        solved.append(lp.num_rows)
+        return simplex(lp, start)
+
+    monkeypatch.setattr(rounding, "solve_extreme_point", counted)
+    expected = RoundingEngine(problem).run()
+    first = list(solved)
+    assert RoundingEngine(problem, point).run() == expected  # stats included
+    assert first and solved == first * 2  # the first round reached the simplex
+
+
 def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
-    # every forced round of seeded makespan (guided, full) and L_p full-mode
-    # runs: the simplex on that round's LP gives the same values, column
-    # order and objective, or both raise Infeasible
+    # every forced round of seeded makespan (guided, full) and L_p runs: the
+    # simplex on that round's LP gives the same values, column order and
+    # objective, or both raise Infeasible.  Full-mode L_p points are all
+    # integral, so every round is forced; the L_p simplex rounds come from
+    # guided runs of the lpnorm-guided shape whose convex point is fractional
     seen = collections.defaultdict(collections.Counter)  # pipeline -> round kinds
     pipeline = [None]
     check_forced = RoundingEngine._forced_point
@@ -634,10 +694,13 @@ def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
         pipeline[0] = "makespan full"
         inst = generate_instance(GeneratorSpec(4, 1, (2, 2), 1, 10), 2200 + seed)
         makespan.makespan_ptas(inst, half, FullEnum())
-        pipeline[0] = "lpnorm full"
+        pipeline[0] = "lpnorm"
         inst = generate_instance(GeneratorSpec(3, 1, (1, 1), 1, 10), 2300 + seed)
         lpnorm.lpnorm_ptas(inst, 2, half, FullEnum())
-    assert set(seen) == {"makespan guided", "makespan full", "lpnorm full"}
+    for seed in (3, 29, 33):
+        inst = generate_instance(GeneratorSpec(20, 1, (3, 3), 1, 10), seed)
+        lpnorm.lpnorm_ptas(inst, 2, half, Guided(greedy_schedule(inst, 2)))
+    assert set(seen) == {"makespan guided", "makespan full", "lpnorm"}
     for tally in seen.values():
         assert tally["forced"] > 0 and tally["simplex"] > 0, seen
 
