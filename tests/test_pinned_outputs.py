@@ -16,13 +16,16 @@ import hashlib
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from typesched.cli import ExperimentConfig, main, run_experiment
+from typesched import lpnorm
 from typesched.lpnorm import FullEnum, Guided, lpnorm_ptas
 from typesched.model import GeneratorSpec, generate_instance, greedy_schedule
 from typesched.rationals import rat, rat_str
+from typesched.rounding import RoundingEngine
 
 
 def sha(text: str) -> str:
@@ -139,55 +142,92 @@ def guided_instance(seed: int):
     return generate_instance(GeneratorSpec(20, 1, (3, 3), 1, 10), seed)
 
 
+class ReadOffEngine(RoundingEngine):
+    """The rounding engine handed no point when a job has a machine route.
+
+    The L_p rounding once read its first round's phase 1 off the convex
+    region's tableau.  That read-off served only a first round without a
+    capacity row, so a problem with a machine-routed job ran its own phase
+    1; the engine now commits an integral convex point there too.  Runs with
+    this engine give the records recorded under the read-off.
+    """
+
+    def __init__(self, problem, point=None):
+        routed = any(routes.machine_costs for routes in problem.jobs.values())
+        super().__init__(problem, None if routed else point)
+
+
 @functools.cache
-def guided_runs(p) -> tuple:
-    """Seeds 0..7, n=20 on machines (3,3), greedy certificate."""
-    return tuple(
-        lpnorm_ptas(inst, p, rat(1, 2), Guided(greedy_schedule(inst, 2)))
-        for inst in map(guided_instance, range(8))
-    )
+def guided_runs(p, engine=RoundingEngine) -> tuple:
+    """Seeds 0..7, n=20 on machines (3,3), greedy certificate, rounded by engine."""
+    with mock.patch.object(lpnorm, "RoundingEngine", engine):
+        return tuple(
+            lpnorm_ptas(inst, p, rat(1, 2), Guided(greedy_schedule(inst, 2)))
+            for inst in map(guided_instance, range(8))
+        )
 
 
-# p -> digest of the run records of guided_runs(p); seed 3 has a nonzero
-# certified gap at every p.  Re-pinned when every Frank-Wolfe step length
-# became a bisection on the slope: only seed 3 moved, its cp_gap at every p
-# and the last bits of its cp_objective at p = 2 and 3.  Re-pinned again
-# when the first LMO call began at the warm start's vertex: phase 2 may then
-# reach another optimal vertex, so the records of seeds 1, 2 and 4-7 moved
-# in schedule.assignment alone (GUIDED_VALUE_PINS holds the rest); seeds 0
-# and 3 did not move.  Re-pinned again when the rounding engine was handed
-# the convex solution's point instead of reading its first phase 1 off the
-# region's tableau: at each p only seed 0's schedule.assignment moved, and
-# its objective, cp_objective, cp_gap, tolerance and stats did not
+# p -> digest of the run records of guided_runs(p, ReadOffEngine); seed 3
+# has a nonzero certified gap at every p.  Re-pinned when every Frank-Wolfe
+# step length became a bisection on the slope: only seed 3 moved, its
+# cp_gap at every p and the last bits of its cp_objective at p = 2 and 3.
+# Re-pinned again when the first LMO call began at the warm start's vertex:
+# phase 2 may then reach another optimal vertex, so the records of seeds 1,
+# 2 and 4-7 moved in schedule.assignment alone (GUIDED_VALUE_PINS holds the
+# rest); seeds 0 and 3 did not move.  Recorded with the read-off itself; the
+# engine handed the convex point gives the same records wherever the
+# read-off served
 GUIDED_CP_PINS = [
-    (2, "b898da887548e3b4bccb75f79817197a5e7daba4431d110892b960288cd04111"),
-    (3, "6d4519d3a0a692bbd2beb909984d68cf65e185ce7be0fb2470ee09818a3e7632"),
-    (rat(5, 2), "72b8bc4d45b3f4a22cc5de007d91fadf3820454c76dd277268418c1d2ad521d4"),
+    (2, "bdf59d0a9ca7ea123ac796f2928c589714345be9c49ae26a00da9c83234483d5"),
+    (3, "cae62bc6f1e243f2f94933e27a23e4ecaae83013c0c50f04f84c4436733669c9"),
+    (rat(5, 2), "90390f351b42cb4c4ca823226a78e38fa01fff647a65b283ae57779537cbea2b"),
 ]
 
 
 @pytest.mark.parametrize("p,digest", GUIDED_CP_PINS)
 def test_guided_cp_runs_are_pinned(p, digest):
-    assert sha("\n".join(map(run_record, guided_runs(p)))) == digest
+    assert sha("\n".join(map(run_record, guided_runs(p, ReadOffEngine)))) == digest
 
 
-# p -> digest of the schedule records of guided_runs(p), recorded before the
-# Frank-Wolfe solver's two line searches became one; a change of step rule
-# may move cp_objective and cp_gap, never what the rounding makes of them.
-# Re-pinned when the first LMO call began at the warm start's vertex: as in
-# GUIDED_CP_PINS, seeds 1, 2 and 4-7 moved in schedule.assignment alone.
-# Re-pinned again when the rounding engine was handed the convex solution's
-# point: as in GUIDED_CP_PINS, seed 0 moved in schedule.assignment alone
+# p -> digest of the schedule records of guided_runs(p, ReadOffEngine),
+# recorded before the Frank-Wolfe solver's two line searches became one; a
+# change of step rule may move cp_objective and cp_gap, never what the
+# rounding makes of them.  Re-pinned when the first LMO call began at the
+# warm start's vertex: as in GUIDED_CP_PINS, seeds 1, 2 and 4-7 moved in
+# schedule.assignment alone
 GUIDED_SCHEDULE_PINS = [
-    (2, "367d08011eb67356a7bcf71e0db2864b2be21be615793c86fb26fc521038bea0"),
-    (3, "9f84561df60e0ba08129e2a02ba39379358b77dfcc0bd4a2e95bb1b9c129acca"),
-    (rat(5, 2), "1bf2e9e05853989e879ecca93e915aabe722e5fab971fe7cf2c208081aade776"),
+    (2, "3911a94deb665fb8d3110009878e4a9c20dd5d9907c8cf9abc1524b23fae7d28"),
+    (3, "d56f1fda28e1adc79e0bf319dc9fedb60623c527abc91fdbf9ff2ac8af2e3020"),
+    (rat(5, 2), "bae673e02c38b38a84336567b4a1fabeecdd180b722ee0bcc06d3dd2996ff937"),
 ]
 
 
 @pytest.mark.parametrize("p,digest", GUIDED_SCHEDULE_PINS)
 def test_guided_schedules_are_pinned(p, digest):
-    assert sha("\n".join(map(schedule_record, guided_runs(p)))) == digest
+    assert sha("\n".join(map(schedule_record, guided_runs(p, ReadOffEngine)))) == digest
+
+
+# p -> digests of the run records and of the schedule records of
+# guided_runs(p), whose engines are handed the convex point.  Recorded when
+# the point replaced the read-off: against GUIDED_CP_PINS and
+# GUIDED_SCHEDULE_PINS only seed 0 moved, in schedule.assignment alone; its
+# objective, cp_objective, cp_gap, tolerance and stats did not.  Seeds 0
+# and 3 are the runs with a machine-routed job, and seed 3's convex point is
+# fractional, which the engine does not read
+GUIDED_POINT_PINS = [
+    (2, "b898da887548e3b4bccb75f79817197a5e7daba4431d110892b960288cd04111",
+     "367d08011eb67356a7bcf71e0db2864b2be21be615793c86fb26fc521038bea0"),
+    (3, "6d4519d3a0a692bbd2beb909984d68cf65e185ce7be0fb2470ee09818a3e7632",
+     "9f84561df60e0ba08129e2a02ba39379358b77dfcc0bd4a2e95bb1b9c129acca"),
+    (rat(5, 2), "72b8bc4d45b3f4a22cc5de007d91fadf3820454c76dd277268418c1d2ad521d4",
+     "1bf2e9e05853989e879ecca93e915aabe722e5fab971fe7cf2c208081aade776"),
+]
+
+
+@pytest.mark.parametrize("p,runs,schedules", GUIDED_POINT_PINS)
+def test_guided_runs_from_the_convex_point_are_pinned(p, runs, schedules):
+    assert sha("\n".join(map(run_record, guided_runs(p)))) == runs
+    assert sha("\n".join(map(schedule_record, guided_runs(p)))) == schedules
 
 
 # p -> digest of the run records of guided_runs(p) without the assignment:
