@@ -66,6 +66,13 @@ class ExperimentConfig:
         ):
             if value < low:
                 raise BadSpec(f"{name} must be at least {low}, got {value}")
+        # an unknown mode would run full enumeration under its own label
+        for name, value, known in (
+            ("objective", self.objective, ("makespan", "lp_norm")),
+            ("mode", self.mode, ("guided", "full")),
+        ):
+            if value not in known:
+                raise BadSpec(f"{name} must be {known[0]!r} or {known[1]!r}, got {value!r}")
 
     def trial_spec(self, index: int) -> GeneratorSpec:
         """Deterministic instance shape for one trial (spec + seed fix it)."""

@@ -51,14 +51,14 @@ class ConvexObjective(Protocol):
     search then works on the support alone.
     """
 
-    def value(self, x: dict[str, float]) -> float: ...
+    def value(self, x: dict) -> float: ...
 
-    def gradient(self, x: dict[str, float]) -> dict[str, float]: ...
+    def gradient(self, x: dict) -> dict: ...
 
 
 @dataclass
 class ConvexSolveResult:
-    x: dict[str, object]           # exact rationals, exactly feasible
+    x: dict  # exact rationals, exactly feasible
     objective_value: float
     duality_gap: float
     iterations: int
@@ -116,7 +116,7 @@ def _diameter_estimate(lp: LinearProgram) -> float:
     return math.sqrt(sum(float(b if b is not None else 1) ** 2 for b in ub.values())) or 1.0
 
 
-def _exactify(active: list[tuple[dict, float]], variables) -> dict[str, object]:
+def _exactify(active: list[tuple[dict, float]], variables) -> dict:
     """Exactly feasible point: rationalized weights renormalized to sum 1."""
     weights = []
     scale = 1 << 48
@@ -152,7 +152,7 @@ def solve_convex_over_polytope(
     lp = LinearProgram(region.variables, region.constraints)
     phase1 = None  # the first solve's phase-1 tableau: every later solve starts there
 
-    def lmo(gradient: dict) -> dict[str, object]:
+    def lmo(gradient: dict) -> dict:
         """Vertex minimizing the linearization; gradient entries may be float or rational."""
         nonlocal phase1
         lp.objective = {v: rat(g) for v, g in gradient.items() if g != 0}

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Hashable, NamedTuple
 
 from .errors import Infeasible, InvariantViolation, PivotLimitExceeded, Unbounded
 from .rationals import ZERO, rat
@@ -72,14 +72,14 @@ RHS = -1  # the key of the rhs in a tableau row; columns are numbered from 0
 
 @dataclass
 class Constraint:
-    coeffs: dict[str, object]
+    coeffs: dict[Hashable, object]
     rel: str
     rhs: object
 
     def __post_init__(self):
         if self.rel not in _RELATIONS:
             raise ValueError(f"unknown relation {self.rel!r}")
-        self.coeffs = {v: rat(c) for v, c in self.coeffs.items() if rat(c) != 0}
+        self.coeffs = {v: a for v, c in self.coeffs.items() if (a := rat(c)) != 0}
         self.rhs = rat(self.rhs)
 
     def holds(self, values: dict) -> bool:
@@ -94,16 +94,20 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """min c.x  s.t. rows, x >= 0.  Empty objective = pure feasibility."""
+    """min c.x  s.t. rows, x >= 0.  Empty objective = pure feasibility.
 
-    variables: list[str] = field(default_factory=list)
+    A variable is any hashable key, such as the object its column stands
+    for; the solver reads only the order in which variables were added.
+    """
+
+    variables: list[Hashable] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[str, object] = field(default_factory=dict)
+    objective: dict[Hashable, object] = field(default_factory=dict)
 
     def __post_init__(self):
         self._index = {v: j for j, v in enumerate(self.variables)}
 
-    def add_variable(self, name: str, objective=0) -> str:
+    def add_variable(self, name: Hashable, objective=0) -> Hashable:
         if name in self._index:
             raise ValueError(f"duplicate variable {name!r}")
         self._index[name] = len(self.variables)
@@ -126,8 +130,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class ExtremePointSolution:
-    values: dict[str, object]
-    basis: tuple[str, ...]
+    values: dict[Hashable, object]
+    basis: tuple
     objective_value: object
     # pivots this call took, as (phase 1 including driving out artificials,
     # phase 2); phase 1 is 0 when the call was handed its start
@@ -135,7 +139,7 @@ class ExtremePointSolution:
     # the phase-1 tableau phase 2 began from, to hand to a solve over the same rows
     start: _Phase1 | None = field(default=None, compare=False, repr=False)
 
-    def positives(self) -> dict[str, object]:
+    def positives(self) -> dict[Hashable, object]:
         return {v: x for v, x in self.values.items() if x > 0}
 
 
@@ -226,7 +230,7 @@ def _run_simplex(tab: _Tableau) -> int:
         pivots += 1
 
 
-def _int_row(coeffs: dict, index: dict[str, int], rhs) -> tuple[dict[int, int], int]:
+def _int_row(coeffs: dict, index: dict[Hashable, int], rhs) -> tuple[dict[int, int], int]:
     """(row, scale): the nonzero coeffs and rhs as ints over the lcm of their denominators."""
     scale = math.lcm(int(rhs.denominator), *(int(a.denominator) for a in coeffs.values()))
     row = {

@@ -129,7 +129,6 @@ from .rounding import (
     build_slots,
     has_matching,
     pattern_multisets,
-    route_var,
     route_vars,
     slot_patterns,
     untangle,
@@ -470,7 +469,7 @@ class CpModel:
 
 @dataclass
 class CpSolution:
-    x: dict[str, object]
+    x: dict
     t_star: dict[tuple[int, int], object]
     objective_value: float
     duality_gap: float
@@ -559,14 +558,10 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
     )
 
 
-def _load_var(mk) -> str:
-    return f"t|{mk[0]}|{mk[1]}"
-
-
 def build_cp_region(model: CpModel) -> LinearProgram:
     """Slot-LP rows, huge-budget rows, then one allowance variable per
     non-huge machine with the rows  small_load <= t_i  and
-    t_i >= alpha*c_max - B_i.
+    t_i >= alpha*c_max - B_i.  Machine mk's allowance is the column ("t", mk).
 
     Loads live in the objective.  The solver iterates on this smooth
     formulation (the eliminated max() form puts a kink exactly where optima
@@ -578,8 +573,8 @@ def build_cp_region(model: CpModel) -> LinearProgram:
     rows.add_budget_rows(model.budgets)
     lp = rows.lp
     for mk in model.small_machines:
-        tvar = lp.add_variable(_load_var(mk))
-        coeffs = {name: cost[0] for name, cost in rows.machine_vars.get(mk, [])}
+        tvar = lp.add_variable(("t", mk))
+        coeffs = {var: cost[0] for var, cost in rows.machine_vars.get(mk, [])}
         coeffs[tvar] = -1
         lp.add_constraint(coeffs, LE, 0)
         floor_val = model.load_floor[mk] - model.pattern_mass[mk]
@@ -605,19 +600,18 @@ class LoadObjective:
 
     def __init__(self, model: CpModel):
         self.exact_p = is_integral(model.p)
-        coeffs_of: dict[tuple[int, int], dict[str, object]] = {
-            mk: {} for mk in model.small_machines
-        }
-        self.linear: dict[str, object] = {}
+        coeffs_of: dict[tuple[int, int], dict] = {mk: {} for mk in model.small_machines}
+        self.linear: dict = {}
         for j, routes in model.routes.items():
-            for name, kind, target in route_vars(j, routes):
+            for var in route_vars(j, routes):
+                kind, _, target = var
                 if kind == "m":
-                    coeffs_of[target][name] = routes.machine_costs[target][0]
+                    coeffs_of[target][var] = routes.machine_costs[target][0]
                 elif kind == "h":
-                    self.linear[name] = routes.huge[target][1]
+                    self.linear[var] = routes.huge[target][1]
         # (machine, allowance variable, small-load coefficients, B_i, alpha*c_max)
         self.machines = [
-            (mk, _load_var(mk), coeffs_of[mk], model.pattern_mass[mk], model.load_floor[mk])
+            (mk, ("t", mk), coeffs_of[mk], model.pattern_mass[mk], model.load_floor[mk])
             for mk in model.small_machines
         ]
         self.const = sum((rat(power(v, model.p)) for v in model.vh_loads.values()), ZERO)
@@ -627,10 +621,10 @@ class LoadObjective:
         if self.exact_p:
             self._exact = (rat, ZERO, int(model.p))
 
-    def value(self, x: dict[str, float]) -> float:
+    def value(self, x: dict) -> float:
         return self._value(x, *self._floats)
 
-    def gradient(self, x: dict[str, float]) -> dict[str, float]:
+    def gradient(self, x: dict) -> dict:
         return self._gradient(x, *self._floats)
 
     @property
@@ -718,14 +712,14 @@ def solve_slot_cp(
     if start is not None:
         start = dict(start)
         for mk, t in objective.allowances(start).items():
-            start[_load_var(mk)] = t
+            start["t", mk] = t
         _assert_region_point(region, start)
     res: ConvexSolveResult = solve_convex_over_polytope(
         region, objective, additive_tol, start=start
     )
     # drop the allowance coordinates and re-evaluate at their eliminated
     # values; the point only improves, so f(x) - f* <= gap still holds
-    x_routes = {v: val for v, val in res.x.items() if not v.startswith("t|")}
+    x_routes = {v: val for v, val in res.x.items() if v[0] != "t"}
     return CpSolution(
         x=x_routes,
         t_star=objective.allowances(x_routes),
@@ -783,7 +777,7 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
     """Exact CP point induced by a schedule consistent with the guess."""
     inst = model.inst
     grid = geometric_grid(model.eps)
-    point: dict[str, object] = {}
+    point: dict[tuple, object] = {}
     slot_pool: dict[tuple[tuple[int, int], int], list[int]] = {}
     for s, info in sorted(model.slots.items()):
         slot_pool.setdefault((info.machine, info.klass), []).append(s)
@@ -801,19 +795,16 @@ def _warm_start(model: CpModel, sched: Schedule) -> dict:
                 c = inst.cost(j, t)
                 if kind(c) is LARGE:
                     s = slot_pool[(mk, grid.round_down(c))].pop(0)
-                    point[route_var("s", j, s)] = ONE
+                    point["s", j, s] = ONE
                 else:
-                    point[route_var("m", j, mk)] = ONE
+                    point["m", j, mk] = ONE
     # remaining unpinned jobs on huge machines travel the huge route
     for j, routes in model.routes.items():
-        covered = any(
-            point.get(name, ZERO) == ONE for name, _, _ in route_vars(j, routes)
-        )
-        if not covered:
+        if not any(point.get(v, ZERO) == ONE for v in route_vars(j, routes)):
             t = sched.assignment[j][0]
             if t not in routes.huge:
                 raise InvariantViolation("guided schedule routed a job outside the guess")
-            point[route_var("h", j, t)] = ONE
+            point["h", j, t] = ONE
     return point
 
 

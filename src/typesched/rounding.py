@@ -44,11 +44,13 @@ for artificial jobs sitting in foreign slots or on huge machines, and a
 per-machine covering LP whose extreme point has at most |AJ_i| + D nonzeros
 for artificial jobs sitting in remaining space.
 
-The slots of a pattern profile, the route column names, the assignment
-and slot rows (SlotRows, also the base of the L_p convex region) and the
-final schedule assembly live here too, so both pipelines build and read one
-LP shape; so does the matcher (has_matching) behind both pipelines' count
-checks.  Untangling reads slot fit from the routes alone.
+The slots of a pattern profile, the route columns, the assignment and
+slot rows (SlotRows, also the base of the L_p convex region) and the final
+schedule assembly live here too, so both pipelines build and read one LP
+shape; so does the matcher (has_matching) behind both pipelines' count
+checks.  Each LP column is the route it stands for, the triple
+(kind, job, target) of route_vars, so reading a value needs no decoding.
+Untangling reads slot fit from the routes alone.
 """
 
 from __future__ import annotations
@@ -332,21 +334,15 @@ def _augment(i: int, seen: set, options: list[list], capacity: dict, holders: di
     return False
 
 
-def route_var(kind: str, jkey: JobKey, target) -> str:
-    """Name of the column routing jkey to a machine ("m"), slot ("s") or huge type ("h")."""
-    if kind == "m":
-        return f"m|{jkey}|{target[0]}|{target[1]}"
-    return f"{kind}|{jkey}|{target}"
-
-
 def route_vars(jkey: JobKey, routes: JobRoutes):
-    """(name, kind, target) of every route of jkey, in column order."""
+    """The column (kind, jkey, target) of every route of jkey, in column
+    order: to a machine ("m"), a slot ("s") or a huge type ("h")."""
     for mk in routes.machine_costs:
-        yield route_var("m", jkey, mk), "m", mk
+        yield "m", jkey, mk
     for s in sorted(routes.slots):
-        yield route_var("s", jkey, s), "s", s
+        yield "s", jkey, s
     for t in sorted(routes.huge):
-        yield route_var("h", jkey, t), "h", t
+        yield "h", jkey, t
 
 
 class SlotRows:
@@ -359,25 +355,24 @@ class SlotRows:
 
     def __init__(self, jobs: dict[JobKey, JobRoutes], slots):
         self.lp = LinearProgram()
-        self.registry: dict[str, tuple] = {}
-        self.machine_vars: dict[MachineKey, list] = {}  # machine -> [(name, cost vector)]
+        self.machine_vars: dict[MachineKey, list] = {}  # machine -> [(column, cost vector)]
         self.budget_vars: dict[int, list] = {}
         slot_vars: dict[int, list] = {s: [] for s in slots}
         for jkey, routes in jobs.items():
             row = {}
-            for name, kind, target in route_vars(jkey, routes):
+            for var in route_vars(jkey, routes):
+                kind, _, target = var
                 if kind == "h":
-                    self.lp.add_variable(name, objective=routes.huge[target][1])
-                    self.budget_vars.setdefault(target, []).append(name)
+                    self.lp.add_variable(var, objective=routes.huge[target][1])
+                    self.budget_vars.setdefault(target, []).append(var)
                 else:
-                    self.lp.add_variable(name)
+                    self.lp.add_variable(var)
                     if kind == "m":
                         cost = routes.machine_costs[target]
-                        self.machine_vars.setdefault(target, []).append((name, cost))
+                        self.machine_vars.setdefault(target, []).append((var, cost))
                     else:
-                        slot_vars[target].append(name)
-                self.registry[name] = (kind, jkey, target)
-                row[name] = 1
+                        slot_vars[target].append(var)
+                row[var] = 1
             self.lp.add_constraint(row, EQ, 1)
         for s in sorted(slot_vars):
             if slot_vars[s]:
@@ -392,8 +387,8 @@ class SlotRows:
 
 class RoundingEngine:
     """The iterative rounding of problem.  point, when given, maps route
-    columns to values (an absent column counts as 0); only a point whose
-    values are all 0 or 1 is read (module docstring)."""
+    columns (kind, job, target) to values (an absent column counts as 0);
+    only a point whose values are all 0 or 1 is read (module docstring)."""
 
     def __init__(self, problem: RoundingProblem, point: dict | None = None):
         self.problem = problem
@@ -423,30 +418,29 @@ class RoundingEngine:
         self._art_counter = 0
         self._committed_charge = ZERO
         if point is not None and all(x == 0 or x == 1 for x in point.values()):
-            registry = {name: (kind, j, target) for j, routes in self.live.items()
-                        for name, kind, target in route_vars(j, routes)}
-            self._fix_integrals({v: ZERO for v in registry if point.get(v, ZERO) == 0}, registry)
+            self._fix_integrals({v: ZERO for j, routes in self.live.items()
+                                 for v in route_vars(j, routes) if point.get(v, ZERO) == 0})
 
     # -- LP construction ---------------------------------------------------
 
     def _build_lp(self):
-        """This round's LP and its registry (column -> (kind, job, target))."""
+        """This round's LP."""
         rows = SlotRows({j: self.live[j] for j in sorted(self.live, key=_job_sort_key)},
                         self.live_slots)
         lp = rows.lp
         for mk in sorted(self.live_machines & rows.machine_vars.keys()):
             for d in range(self.dims):
-                coeffs = {name: vec[d] for name, vec in rows.machine_vars[mk] if vec[d] != 0}
+                coeffs = {var: vec[d] for var, vec in rows.machine_vars[mk] if vec[d] != 0}
                 lp.add_constraint(coeffs, LE, self._room(mk, d))
         rows.add_budget_rows({t: self.budget_left[t] for t in self.live_types})
-        return lp, rows.registry
+        return lp
 
     def _room(self, mk: MachineKey, d: int):
         """The rhs of machine mk's capacity row in dimension d."""
         return self.problem.capacities[mk][d] - self.committed[mk][d]
 
     def _forced_point(self, by_machine, by_slot, by_type):
-        """(values, registry, objective) of a round in which every live job
+        """(values, objective) of a round in which every live job
         has exactly one live route.
 
         The assignment rows then fix every route at 1, so that point is the
@@ -463,24 +457,22 @@ class RoundingEngine:
                     raise Infeasible("forced routes exceed a machine's capacity")
         if any(len(by_type[t]) > self.budget_left[t] for t in self.live_types):
             raise Infeasible("forced huge routes exceed a type's budget")
-        values, registry, objective = {}, {}, ZERO
+        values, objective = {}, ZERO
         for jkey in sorted(self.live, key=_job_sort_key):
             routes = self.live[jkey]
-            (name, kind, target), = route_vars(jkey, routes)
-            values[name] = ONE
-            registry[name] = (kind, jkey, target)
+            (kind, _, target), = route_vars(jkey, routes)
+            values[kind, jkey, target] = ONE
             if kind == "h":
                 objective += rat(routes.huge[target][1])
-        return values, registry, objective
+        return values, objective
 
     def _solve_round(self, by_machine, by_slot, by_type):
-        """(values, registry, objective) of an extreme point of this round's LP; the
+        """(values, objective) of an extreme point of this round's LP; the
         row clean-up has run, so every live row has a live route."""
         if all(len(r.machine_costs) + len(r.slots) + len(r.huge) == 1 for r in self.live.values()):
             return self._forced_point(by_machine, by_slot, by_type)
-        lp, registry = self._build_lp()
-        sol = solve_extreme_point(lp)
-        return sol.values, registry, sol.objective_value
+        sol = solve_extreme_point(self._build_lp())
+        return sol.values, sol.objective_value
 
     def _route_index(self):
         """The live jobs routed to each machine, slot and huge type."""
@@ -525,10 +517,9 @@ class RoundingEngine:
             raise InvariantViolation("huge budget overdrawn")
         self.huge_assign[jkey] = t
 
-    def _fix_integrals(self, values, registry):
+    def _fix_integrals(self, values):
         ones = []
-        for name, value in values.items():
-            kind, jkey, target = registry[name]
+        for (kind, jkey, target), value in values.items():
             if value == 1:
                 ones.append((kind, jkey, target))
             elif value == 0:
@@ -605,8 +596,8 @@ class RoundingEngine:
         def weights(kind: str, target, in1: bool, in2: bool) -> tuple:
             """Each parent's share of a route: its LP value over both, or all of it alone."""
             if in1 and in2:
-                x1 = values.get(route_var(kind, j1, target), ZERO)
-                x2 = values.get(route_var(kind, j2, target), ZERO)
+                x1 = values.get((kind, j1, target), ZERO)
+                x2 = values.get((kind, j2, target), ZERO)
                 w1 = x1 / (x1 + x2)
                 return w1, ONE - w1
             return (ONE, ZERO) if in1 else (ZERO, ONE)
@@ -649,7 +640,7 @@ class RoundingEngine:
             self.live_machines &= by_machine.keys()
             self.live_types &= by_type.keys()
             try:
-                values, registry, objective = self._solve_round(by_machine, by_slot, by_type)
+                values, objective = self._solve_round(by_machine, by_slot, by_type)
             except Infeasible:
                 if first:
                     raise
@@ -673,7 +664,7 @@ class RoundingEngine:
             prev_objective = full_objective
             self.stats.lp_objectives.append(full_objective)
 
-            self._fix_integrals(values, registry)
+            self._fix_integrals(values)
             if not self.live:
                 break
             self._apply_case(values)
@@ -695,7 +686,7 @@ class RoundingEngine:
 
 def slot_lp(problem: RoundingProblem) -> LinearProgram:
     """The first LP the engine solves for problem."""
-    return RoundingEngine(problem)._build_lp()[0]
+    return RoundingEngine(problem)._build_lp()
 
 
 # ---------------------------------------------------------------------------
@@ -890,9 +881,9 @@ def _solve_art_lp(problem, outcome, view, mk: MachineKey, arts: list[str]):
             raise ForestInconsistent(f"artificial {key} has no leaf small on {mk}")
         members[key] = mem
         for leaf in mem:
-            lp.add_variable(f"x{leaf}", objective=1)  # min total mass keeps values in [0,1]
+            lp.add_variable(leaf, objective=1)  # min total mass keeps values in [0,1]
     for key, mem in members.items():
-        lp.add_constraint({f"x{leaf}": 1 for leaf in mem}, GE, 1)
+        lp.add_constraint(dict.fromkeys(mem, 1), GE, 1)
     cap = problem.capacities[mk]
     slack = 2 * problem.dims * rat(problem.small_caps[mk])
     for d in range(problem.dims):
@@ -901,7 +892,7 @@ def _solve_art_lp(problem, outcome, view, mk: MachineKey, arts: list[str]):
             for leaf in mem:
                 c = problem.jobs[leaf].machine_costs[mk][d]
                 if c != 0:
-                    coeffs[f"x{leaf}"] = coeffs.get(f"x{leaf}", ZERO) + c
+                    coeffs[leaf] = coeffs.get(leaf, ZERO) + c
         rhs = cap[d] + slack - outcome.committed_real[mk][d]
         lp.add_constraint(coeffs, LE, rhs)
 
@@ -932,7 +923,7 @@ def _solve_art_lp(problem, outcome, view, mk: MachineKey, arts: list[str]):
     for key, mem in members.items():
         # round fractional values up to 1; the lowest-index covered leaf stays
         # on the machine, surplus members flow back to the tree slots
-        chosen = [leaf for leaf in mem if sol.values[f"x{leaf}"] > 0]
+        chosen = [leaf for leaf in mem if sol.values[leaf] > 0]
         if not chosen:
             raise InvariantViolation("coverage row unsatisfied after rounding")
         reps[key] = min(chosen)

@@ -92,6 +92,24 @@ def test_experiment_config_rejects_shapes_it_cannot_run(field, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("objective", "lpnorm", "objective must be 'makespan' or 'lp_norm', got 'lpnorm'"),
+        ("mode", "Guided", "mode must be 'guided' or 'full', got 'Guided'"),
+    ],
+    ids=["objective-lpnorm", "mode-Guided"],
+)
+def test_experiment_config_rejects_unknown_names(field, value, message):
+    # the objective used to escape run_experiment as ValueError from the
+    # oracle, and the mode to run full enumeration labelled "Guided"
+    spec = dict(objective="makespan", trials=1, seed=0, eps_user="1/2")
+    spec[field] = value
+    with pytest.raises(BadSpec) as info:
+        run_experiment(ExperimentConfig(**spec))
+    assert str(info.value) == message
+
+
 def test_bench_zero_budget_reports_budget_exhausted():
     cfg = ExperimentConfig(
         objective="makespan", trials=2, seed=0, eps_user=rat(1, 2),

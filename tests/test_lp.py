@@ -992,13 +992,12 @@ print("vertex start", vertex_start(lp, {"x": 1}).pivots,
 # an allowance frozen below its small load makes the rounding reject the
 # convex point: a broken invariant, not an infeasible instance
 from typesched.model import GeneratorSpec, generate_instance, greedy_schedule
-from typesched.rounding import route_var
 rounding.solve_extreme_point = solve_extreme_point
 real_cp = lpnorm.solve_slot_cp
 def one_allowance_low(model, *args, **kwargs):
     cp = real_cp(model, *args, **kwargs)
     j, mk = next((j, mk) for j, r in sorted(model.routes.items()) for mk in r.machine_costs
-                 if cp.x[route_var("m", j, mk)] == 1)
+                 if cp.x["m", j, mk] == 1)
     cp.t_star[mk] = model.routes[j].machine_costs[mk][0] / 2
     return cp
 lpnorm.solve_slot_cp = one_allowance_low

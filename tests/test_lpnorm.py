@@ -53,7 +53,7 @@ from typesched.model import (
 )
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, ZERO, geometric_grid, is_integral, rat, rat_str
-from typesched.rounding import route_var, slot_lp
+from typesched.rounding import slot_lp
 
 
 def brute_f(p, eps):
@@ -254,7 +254,7 @@ def test_cp_relaxation_below_oracle_and_lp_consistency():
         lp = slot_lp(build_rounding_from_cp(model, cp.t_star))
         sol = solve_extreme_point(lp)
         huge_part = sum(
-            float(model.routes[j].huge[t][1]) * float(cp.x.get(f"h|{j}|{t}", 0))
+            float(model.routes[j].huge[t][1]) * float(cp.x.get(("h", j, t), 0))
             for j in model.routes
             for t in model.routes[j].huge
         )
@@ -680,20 +680,21 @@ def test_non_integer_exponent_uses_float_certification():
 # ---------------------------------------------------------------------------
 # reference code: the CP region builder and the two objective classes that
 # build_cp_region and LoadObjective replaced, copied unchanged apart from
-# their names (and a local import moved to the top)
+# their names, their column keys (once "|"-joined strings, now the route
+# triples and ("t", mk)) and a local import moved to the top
 
 
 def ref_var_names(j, routes):
     for mk in routes.machine_costs:
-        yield f"m|{j}|{mk[0]}|{mk[1]}", ("m", mk)
+        yield ("m", j, mk), ("m", mk)
     for s in sorted(routes.slots):
-        yield f"s|{j}|{s}", ("s", s)
+        yield ("s", j, s), ("s", s)
     for t in sorted(routes.huge):
-        yield f"h|{j}|{t}", ("h", t)
+        yield ("h", j, t), ("h", t)
 
 
-def ref_load_var(mk) -> str:
-    return f"t|{mk[0]}|{mk[1]}"
+def ref_load_var(mk) -> tuple:
+    return ("t", mk)
 
 
 def ref_build_cp_region(model, with_loads: bool = False) -> LinearProgram:
@@ -748,10 +749,10 @@ class RefLoadPowObjective:
         self.p = model.p
         self.exact_p = is_integral(model.p)
         self.machines = []
-        coeff_of: dict[tuple[int, int], dict[str, object]] = {
+        coeff_of: dict[tuple[int, int], dict] = {
             mk: {} for mk in model.small_machines
         }
-        self.linear: dict[str, object] = {}
+        self.linear: dict = {}
         for j, routes in model.routes.items():
             for name, (kind, target) in ref_var_names(j, routes):
                 if kind == "m":
@@ -774,7 +775,7 @@ class RefLoadPowObjective:
     def _pow_f(self, x: float) -> float:
         return x ** float(self.p)
 
-    def value(self, x: dict[str, float]) -> float:
+    def value(self, x: dict) -> float:
         total = float(self.const)
         for _, coeffs, B, floor_val in self.machines:
             u = sum(float(c) * x.get(v, 0.0) for v, c in coeffs.items())
@@ -782,7 +783,7 @@ class RefLoadPowObjective:
         total += sum(float(c) * x.get(v, 0.0) for v, c in self.linear.items())
         return total
 
-    def gradient(self, x: dict[str, float]) -> dict[str, float]:
+    def gradient(self, x: dict) -> dict:
         g = {v: float(c) for v, c in self.linear.items()}
         pf = float(self.p)
         for _, coeffs, B, floor_val in self.machines:
@@ -830,10 +831,10 @@ class RefSmoothLoadObjective:
         self.terms = [
             (ref_load_var(mk), model.pattern_mass[mk]) for mk in model.small_machines
         ]
-        self.linear: dict[str, object] = {}
+        self.linear: dict = {}
         for j, routes in model.routes.items():
             for t in routes.huge:
-                self.linear[f"h|{j}|{t}"] = routes.huge[t][1]
+                self.linear["h", j, t] = routes.huge[t][1]
         self.const = sum((ref_charge(v, model.p) for v in model.vh_loads.values()), ZERO)
         if self.exact_p:
             self.exact_value = self._exact_value
@@ -841,7 +842,7 @@ class RefSmoothLoadObjective:
         else:
             self.const = float(self.const)
 
-    def value(self, x: dict[str, float]) -> float:
+    def value(self, x: dict) -> float:
         pf = float(self.p)
         total = float(self.const)
         for tvar, B in self.terms:
@@ -849,7 +850,7 @@ class RefSmoothLoadObjective:
         total += sum(float(c) * x.get(v, 0.0) for v, c in self.linear.items())
         return total
 
-    def gradient(self, x: dict[str, float]) -> dict[str, float]:
+    def gradient(self, x: dict) -> dict:
         pf = float(self.p)
         g = {v: float(c) for v, c in self.linear.items()}
         for tvar, B in self.terms:
@@ -913,7 +914,7 @@ def test_region_and_objective_match_the_code_they_replaced(p):
             assert bits(new.value(xf)) == bits(smooth.value(xf))
             assert float_items(new.gradient(xf)) == float_items(smooth.gradient(xf))
             # eliminated form at the route coordinates
-            routes = {v: x for v, x in point.items() if not v.startswith("t|")}
+            routes = {v: x for v, x in point.items() if v[0] != "t"}
             routes_f = {v: float(x) for v, x in routes.items()}
             assert bits(new.eliminated_value(routes, False)) == bits(eliminated.value(routes_f))
             for mk, coeffs, B, floor_val in eliminated.machines:
@@ -1057,9 +1058,9 @@ def test_routable_mask_matches_the_reference_rule(counts, n, seed, eps):
 
 def route_point(outcome) -> set:
     """The route columns a rounding outcome commits without merges."""
-    return ({route_var("m", j, mk) for j, mk in outcome.machine_assign.items()}
-            | {route_var("s", j, s) for s, j in outcome.slot_assign.items()}
-            | {route_var("h", j, t) for j, t in outcome.huge_assign.items()})
+    return ({("m", j, mk) for j, mk in outcome.machine_assign.items()}
+            | {("s", j, s) for s, j in outcome.slot_assign.items()}
+            | {("h", j, t) for j, t in outcome.huge_assign.items()})
 
 
 def test_rounding_commits_an_integral_convex_point(monkeypatch):
@@ -1202,7 +1203,7 @@ def test_an_integral_warm_start_point_keeps_the_certificate_value(monkeypatch):
 def small_loads(model, x) -> dict:
     """Each non-huge machine's small load at route point x."""
     return {
-        mk: sum((r.machine_costs[mk][0] * x.get(route_var("m", j, mk), ZERO)
+        mk: sum((r.machine_costs[mk][0] * x.get(("m", j, mk), ZERO)
                  for j, r in model.routes.items() if mk in r.machine_costs), ZERO)
         for mk in model.small_machines
     }

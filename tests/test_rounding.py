@@ -24,7 +24,7 @@ from typesched.rounding import (
     SlotInfo,
     assemble_schedule,
     pattern_multisets,
-    route_var,
+    route_vars,
     slot_patterns,
     untangle,
 )
@@ -87,10 +87,10 @@ def test_merge_equal_costs_yields_same_cost_artificial():
     )
     engine = RoundingEngine(problem)
     values = {
-        "m|0|0|0": rat(1, 2),
-        "s|0|0": rat(1, 2),
-        "m|1|0|0": rat(1, 2),
-        "s|1|0": rat(1, 2),
+        ("m", 0, (0, 0)): rat(1, 2),
+        ("s", 0, 0): rat(1, 2),
+        ("m", 1, (0, 0)): rat(1, 2),
+        ("s", 1, 0): rat(1, 2),
     }
     engine._merge(0, 1, 0, values)
     assert "a0" in engine.live
@@ -112,10 +112,10 @@ def test_merge_one_sided_route_inherits_cost():
     )
     engine = RoundingEngine(problem)
     values = {
-        "m|0|0|0": rat(1, 2),
-        "s|0|0": rat(1, 2),
-        "m|1|0|1": rat(1, 2),
-        "s|1|0": rat(1, 2),
+        ("m", 0, (0, 0)): rat(1, 2),
+        ("s", 0, 0): rat(1, 2),
+        ("m", 1, (0, 1)): rat(1, 2),
+        ("s", 1, 0): rat(1, 2),
     }
     engine._merge(0, 1, 0, values)
     art = engine.live["a0"]
@@ -216,7 +216,7 @@ def test_improper_case_semantics_whitebox():
         leaf_raw_cost=lambda j, t: rat(1),
     )
     engine = RoundingEngine(problem)
-    engine._apply_case({"h|0|0": rat(1, 2), "h|1|0": rat(1, 2)})
+    engine._apply_case({("h", 0, 0): rat(1, 2), ("h", 1, 0): rat(1, 2)})
     assert engine.improper == {0: [0, 1]}
     assert not engine.live
     assert 0 not in engine.live_types
@@ -431,6 +431,33 @@ def test_assemble_schedule_raises_typed_errors(final, free, message):
         assemble_schedule(problem, final, 2, None, free)
 
 
+def test_lp_columns_are_the_route_triples():
+    # a column is the route it stands for: the slot LP's columns are each
+    # job's route_vars, jobs in order, and the L_p region appends one
+    # allowance column ("t", mk) per small machine
+    def columns(jobs):
+        return [v for j in sorted(jobs) for v in route_vars(j, jobs[j])]
+
+    inst = generate_instance(GeneratorSpec(6, 2, (2, 2), 1, 10), 2400)
+    opt = exact_solve(inst)
+    scaled = make_scaled_instance(inst, opt.optimum, rat(1, 4))
+    problem = build_rounding_problem(scaled, profile_from_schedule(scaled, opt.witness))
+    assert rounding.slot_lp(problem).variables == columns(problem.jobs)
+    assert {kind for kind, _, _ in columns(problem.jobs)} == {"m", "s"}
+
+    # a guess with machine, slot and huge routes
+    half = rat(1, 2)
+    inst = generate_instance(GeneratorSpec(10, 1, (6, 1), 1, 10), 301)
+    guess = lpnorm.guess_from_schedule(inst, 2, half, greedy_schedule(inst, 2))
+    model = lpnorm.build_cp_model(inst, 2, half, guess)
+    routes = columns(model.routes)
+    assert {kind for kind, _, _ in routes} == {"m", "s", "h"}
+    allowances = [("t", mk) for mk in model.small_machines]
+    assert allowances and lpnorm.build_cp_region(model).variables == routes + allowances
+    frozen = lpnorm.build_rounding_from_cp(model, dict.fromkeys(model.small_machines, ONE))
+    assert rounding.slot_lp(frozen).variables == routes
+
+
 # ---------------------------------------------------------------------------
 # reference code: the class rules untangling read before slot fit came from
 # the routes, namely makespan's ScaledEntry.klass and lpnorm._lp_job_class
@@ -502,9 +529,8 @@ class SimplexEngine(RoundingEngine):
     """The engine with every forced round solved by the simplex instead."""
 
     def _forced_point(self, by_machine, by_slot, by_type):
-        lp, registry = self._build_lp()
-        sol = lp_module.solve_extreme_point(lp)
-        return sol.values, registry, sol.objective_value
+        sol = lp_module.solve_extreme_point(self._build_lp())
+        return sol.values, sol.objective_value
 
 
 def no_simplex(lp, start=None):
@@ -616,8 +642,7 @@ def test_an_integral_point_is_committed_in_one_forced_round(monkeypatch):
     m0, m1 = (0, 0), (0, 1)
     monkeypatch.setattr(rounding, "solve_extreme_point", no_simplex)
     # every route at 0 or 1, one route per job; absent routes count as 0
-    point = {route_var("m", 0, m0): ONE, route_var("m", 0, m1): ZERO,
-             route_var("s", 1, 1): ONE, route_var("h", 2, 1): ONE}
+    point = {("m", 0, m0): ONE, ("m", 0, m1): ZERO, ("s", 1, 1): ONE, ("h", 2, 1): ONE}
     outcome = RoundingEngine(problem, point).run()
     assert outcome.machine_assign == {0: m0}
     assert outcome.slot_assign == {1: 1}
@@ -627,8 +652,7 @@ def test_an_integral_point_is_committed_in_one_forced_round(monkeypatch):
     assert (stats.lp_solves, stats.iterations, stats.lp_objectives) == (1, 0, [rat(9)])
     assert problem.jobs == point_problem().jobs  # the engine drops routes from its copies
     # jobs 0 and 2 overfill machine 1's capacity of 1/2
-    overfull = {route_var("m", 0, m1): ONE, route_var("m", 1, m0): ONE,
-                route_var("m", 2, m1): ONE}
+    overfull = {("m", 0, m1): ONE, ("m", 1, m0): ONE, ("m", 2, m1): ONE}
     with pytest.raises(Infeasible):
         RoundingEngine(problem, overfull).run()
 
@@ -636,8 +660,7 @@ def test_an_integral_point_is_committed_in_one_forced_round(monkeypatch):
 def test_a_fractional_point_rounds_as_no_point(monkeypatch):
     problem = point_problem()
     half = rat(1, 2)
-    point = {route_var("m", 0, (0, 0)): half, route_var("s", 0, 0): half,
-             route_var("s", 1, 1): ONE, route_var("h", 2, 1): ONE}
+    point = {("m", 0, (0, 0)): half, ("s", 0, 0): half, ("s", 1, 1): ONE, ("h", 2, 1): ONE}
     solved = []
     simplex = rounding.solve_extreme_point
 
@@ -654,8 +677,8 @@ def test_a_fractional_point_rounds_as_no_point(monkeypatch):
 
 def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
     # every forced round of seeded makespan (guided, full) and L_p runs: the
-    # simplex on that round's LP gives the same values, column order and
-    # objective, or both raise Infeasible.  Full-mode L_p points are all
+    # simplex on that round's LP gives the same values over the LP's columns
+    # in their order, and the same objective, or both raise Infeasible.  Full-mode L_p points are all
     # integral, so every round is forced; the L_p simplex rounds come from
     # guided runs of the lpnorm-guided shape whose convex point is fractional
     seen = collections.defaultdict(collections.Counter)  # pipeline -> round kinds
@@ -664,7 +687,7 @@ def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
     simplex = rounding.solve_extreme_point
 
     def checked(self, by_machine, by_slot, by_type):
-        lp, registry = self._build_lp()
+        lp = self._build_lp()
         try:
             sol = lp_module.solve_extreme_point(lp)
         except Infeasible:
@@ -672,12 +695,12 @@ def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
                 check_forced(self, by_machine, by_slot, by_type)
             seen[pipeline[0]]["infeasible"] += 1
             raise
-        values, forced_registry, objective = check_forced(self, by_machine, by_slot, by_type)
+        values, objective = check_forced(self, by_machine, by_slot, by_type)
         assert list(values.items()) == list(sol.values.items())
-        assert list(forced_registry.items()) == list(registry.items())
+        assert list(values) == lp.variables
         assert objective == sol.objective_value
         seen[pipeline[0]]["forced"] += 1
-        return values, forced_registry, objective
+        return values, objective
 
     def counted(lp, start=None):
         seen[pipeline[0]]["simplex"] += 1
