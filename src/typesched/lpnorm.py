@@ -62,8 +62,10 @@ pins a job twice is skipped, and a guess that leaves a job without a route is
 dropped.  The survivors are sorted back into product order and run under
 the live limit.  guesses_tried still counts the whole stream (the guesses
 enumerate_guesses yields), by folding per-type states instead of walking it
-(_count_guesses).  The budget counts work: one unit per type option built
-and one per node the walk enters.
+(_count_guesses).  The budget counts work: one unit per type option built,
+one per (state, mask pair) step of that fold and one per node the walk
+enters.  Each type's fold steps are charged before they are taken, so the
+budget bounds the count as it bounds the walk.
 
 Each guess's CP model then passes a count-level check before its region is
 built (region_admits): the jobs without a machine route need distinct
@@ -318,8 +320,9 @@ def _cost_table(inst: Instance, t: int, eps) -> list[tuple]:
 
 
 class _Work:
-    """Full mode's budget: one unit per type option built and per node the
-    guess walk enters; BudgetExhausted as soon as the units pass budget."""
+    """Full mode's budget: one unit per type option built, per step of the
+    guess count (_count_guesses) and per node the guess walk enters;
+    BudgetExhausted as soon as the units pass budget."""
 
     def __init__(self, budget=math.inf):
         self.budget = budget
@@ -338,8 +341,8 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
     A share is the very-huge charge plus max(alpha*c_max, pattern mass)^p
     per non-huge machine, so at least the charge plus non_huge*(alpha*c_max)^p;
     a (c_max, alpha) group whose least share is above limit keeps its masks
-    but is not priced (share None).  The profiles and job kinds are listed
-    once per (non_huge, c_max, alpha), each pattern's term once per
+    but is not priced (share None).  The profiles are listed once per
+    (non_huge, c_max, alpha), each pattern's term once per
     (alpha*c_max, pattern), each route mask once per _type_routes key.  work
     is charged one unit per option, a group at a time.
     """
@@ -360,19 +363,17 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
     out = []
     for h in range(0, m + 1):
         non_huge = m - h
-        # per (c_max, alpha): its least pattern terms, its job kinds, and per
-        # profile (profile, its classes, its pattern terms when priced)
-        groups = [(None, 1, ZERO, _job_kinds(table, None, 1, eps),
-                   [(tuple(() for _ in range(non_huge)), frozenset(), ZERO)])]
+        # per (c_max, alpha): its least pattern terms, and per profile
+        # (profile, its classes, its pattern terms when priced)
+        groups = [(None, 1, ZERO, [(tuple(() for _ in range(non_huge)), frozenset(), ZERO)])]
         for c_max in costs if non_huge else ():
             for alpha in range(1, n + 1):
                 least = non_huge * rat(power(alpha * c_max, p))
-                kinds = _job_kinds(table, c_max, alpha, eps)
-                groups.append((c_max, alpha, least, kinds, [
+                groups.append((c_max, alpha, least, [
                     (profile, frozenset(e for pat in profile for e in pat),
                      None if limit is not None and least > limit
                      else sum((term(alpha * c_max, pat) for pat in profile), ZERO))
-                    for profile in _profiles_for(table, kinds, non_huge, c_max, alpha, eps)
+                    for profile in _profiles_for(table, non_huge, c_max, alpha, eps)
                 ]))
         masks: dict[tuple, dict] = {}  # (shortest very-huge cost, group) -> classes -> mask
         for vh in itertools.combinations(range(n), min(f, h)):
@@ -380,7 +381,7 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
             pinned = sum(1 << j for j in vh)
             vh_charge = sum((rat(power(table[j][0], p)) for j in vh), ZERO)
             shortest = min((table[j][0] for j in vh), default=None)
-            for g, (c_max, alpha, least, kinds, group) in enumerate(groups):
+            for g, (c_max, alpha, least, group) in enumerate(groups):
                 if work is not None:
                     work.charge(len(group))
                 priced = limit is None or vh_charge + least <= limit
@@ -388,22 +389,17 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
                 for profile, classes, pattern_terms in group:
                     tg = TypeGuess(h, vh, c_max, alpha, profile)
                     if classes not in route_masks:
-                        route_masks[classes] = _routable_mask(inst, t, tg, table, kinds)
+                        route_masks[classes] = _routable_mask(inst, eps, t, tg, table)
                     share = vh_charge + pattern_terms if priced else None
                     out.append((len(out), tg, pinned, route_masks[classes], share))
     return out
 
 
-def _job_kinds(table, c_max, alpha: int, eps) -> list:
-    """Each job's kind on a type (see job_kind), from the type's cost table."""
+def _profiles_for(table, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern, ...]]:
     kind = job_kind(c_max, alpha, eps)
-    return [kind(c) for c, _ in table]
-
-
-def _profiles_for(table, kinds, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern, ...]]:
     counts: dict[int, int] = {}
-    for (_, e), k in zip(table, kinds):
-        if k is LARGE:
+    for c, e in table:
+        if kind(c) is LARGE:
             counts[e] = counts.get(e, 0) + 1
     count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
     grid = geometric_grid(eps)
@@ -481,15 +477,18 @@ def _survivors(num_jobs: int, options: list, limit, work: _Work) -> list[tuple[t
     return sorted(_walk(num_jobs, ranked, limit, work))
 
 
-def _count_guesses(num_jobs: int, options: list) -> int:
+def _count_guesses(num_jobs: int, options: list, work: _Work) -> int:
     """The number of guesses the walk with no limit yields over options (per
     type, as _type_options lists them), without walking it: type by type,
     the prefixes fold into (jobs pinned, jobs pinned or routed) states with
-    multiplicities, each state extended once per distinct pair of masks."""
+    multiplicities, each state extended once per distinct pair of masks.
+    work is charged one unit per (state, pair) step, a type at a time, before
+    the type's steps are taken."""
     every_job = (1 << num_jobs) - 1
     states = {(0, 0): 1}
     for opts in options:
         masks = collections.Counter((vh, vh | routes) for _, _, vh, routes, _ in opts)
+        work.charge(len(states) * len(masks))
         folded: dict[tuple[int, int], int] = collections.defaultdict(int)
         for (pinned, covered), k in states.items():
             for (vh, reach), count in masks.items():
@@ -499,9 +498,8 @@ def _count_guesses(num_jobs: int, options: list) -> int:
     return sum(k for (_, covered), k in states.items() if covered == every_job)
 
 
-def _type_routes(inst, t: int, tg: TypeGuess, table, kinds) -> list:
-    """Each job's route kind on type t under tg, or None when it has no route
-    there; kinds is _job_kinds under tg's c_max and alpha.
+def _type_routes(inst, eps, t: int, tg: TypeGuess, table) -> list:
+    """Each job's route kind on type t under tg, or None when it has no route there.
 
     Huge jobs up to the shortest very-huge one may take a free huge machine,
     large ones the slots of their class, small ones any non-huge machine.
@@ -512,8 +510,10 @@ def _type_routes(inst, t: int, tg: TypeGuess, table, kinds) -> list:
     floor = min((table[j][0] for j in tg.very_huge), default=None)
     classes = {e for pat in tg.profile for e in pat}
     small_ok = inst.machine_counts[t] > tg.huge_count
+    kind = job_kind(tg.c_max, tg.alpha, eps)
     out = []
-    for (c, e), k in zip(table, kinds):
+    for c, e in table:
+        k = kind(c)
         if k is HUGE:
             ok = free_huge and floor is not None and c <= floor
         else:
@@ -522,9 +522,9 @@ def _type_routes(inst, t: int, tg: TypeGuess, table, kinds) -> list:
     return out
 
 
-def _routable_mask(inst, t: int, tg: TypeGuess, table, kinds) -> int:
+def _routable_mask(inst, eps, t: int, tg: TypeGuess, table) -> int:
     """Bit j set when type t offers job j a route under tg."""
-    routes = _type_routes(inst, t, tg, table, kinds)
+    routes = _type_routes(inst, eps, t, tg, table)
     return sum(1 << j for j, k in enumerate(routes) if k is not None)
 
 
@@ -603,10 +603,7 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
     slots, mass, slots_of = build_slots(patterns, lambda e: (grid.value(e),), 1)
 
     tables = [_cost_table(inst, t, eps) for t in range(inst.num_types)]
-    route_kinds = [
-        _type_routes(inst, t, tg, tables[t], _job_kinds(tables[t], tg.c_max, tg.alpha, eps))
-        for t, tg in enumerate(guess.types)
-    ]
+    route_kinds = [_type_routes(inst, eps, t, tg, tables[t]) for t, tg in enumerate(guess.types)]
     routes: dict[int, JobRoutes] = {}
     for j in range(inst.num_jobs):
         if j in vh_machines:
@@ -969,7 +966,8 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     module docstring for why the optimum's guess always runs), walking only
     the guesses under it, and returns the best run.  guesses_tried counts
     the whole stream, skipped guesses too; mode.budget caps the work, one
-    unit per type option built and per node of the walk.
+    unit per type option built, per step of that count and per node of the
+    walk.
     """
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
@@ -987,6 +985,7 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     work = _Work(mode.budget)
     limit = evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p) if is_integral(p) else None
     options = [_type_options(inst, t, p, eps, limit, work) for t in range(inst.num_types)]
+    tried = _count_guesses(inst.num_jobs, options, work)
     best: LpnormRun | None = None
     incumbent = None  # rat(best.objective_pow)
     walked = ()  # positions of the guess whose run set the first limit
@@ -1013,6 +1012,5 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
             limit = min(limit, value)
     if best is None:
         raise InvariantViolation("no guess produced a schedule")
-    tried = _count_guesses(inst.num_jobs, options)
     return LpnormResult(best.schedule, best.objective_pow, eps, tried, best)
 

@@ -22,7 +22,6 @@ from typesched.lpnorm import (
     FullEnum,
     Guess,
     _cost_table,
-    _job_kinds,
     _routable_mask,
     _run_guess,
     _type_options,
@@ -403,7 +402,7 @@ def test_routable_mask_is_the_routes_of_build_cp_model(counts, n, seed, eps):
     for guess in enumerate_guesses(inst, 2, eps, 10**6):
         model = build_cp_model(inst, 2, eps, guess)
         for t, tg in enumerate(guess.types):
-            mask = route_mask(inst, eps, t, tg, tables[t])
+            mask = _routable_mask(inst, eps, t, tg, tables[t])
             for j, routes in model.routes.items():
                 on_type = (
                     t in routes.huge
@@ -516,7 +515,8 @@ def test_full_mode_matches_the_per_guess_pricing_loop(counts, seed, eps_user, mo
 
 def full_mode_work(inst, p, eps_user, monkeypatch) -> int:
     """The units a full-mode solve at the default budget charges: one per
-    type option built and one per node of the guess walk."""
+    type option built, per step of the guess count and per node of the
+    guess walk."""
     ledgers = []
 
     class Ledger(lpnorm._Work):
@@ -571,21 +571,8 @@ def ref_type_guess_options(inst, t, p, eps, table):
                 continue
             for c_max in costs:
                 for alpha in range(1, n + 1):
-                    for profile in ref_profiles(table, non_huge, c_max, alpha, eps):
+                    for profile in lpnorm._profiles_for(table, non_huge, c_max, alpha, eps):
                         yield lpnorm.TypeGuess(h, vh_sorted, c_max, alpha, profile)
-
-
-def ref_profiles(table, machines, c_max, alpha, eps):
-    """lpnorm._profiles_for as it was before it took the job kinds."""
-    kind = job_kind(c_max, alpha, eps)
-    counts = {}
-    for c, e in table:
-        if kind(c) is LARGE:
-            counts[e] = counts.get(e, 0) + 1
-    count_cap, mass_cap = lpnorm._pattern_caps(alpha, c_max, eps)
-    grid = geometric_grid(eps)
-    patterns = rounding.slot_patterns(counts, count_cap, lambda e: (grid.value(e),), mass_cap)
-    return rounding.pattern_multisets(patterns, machines, counts)
 
 
 def ref_type_lower_bound(inst, p, eps, t, tg):
@@ -690,7 +677,12 @@ def test_walk_keeps_exactly_the_stream_under_its_limit(counts, n, seed, eps_user
         kept = [g for g in stream if limit is None or g.lower_bound <= limit]
         assert [g.types for g in found] == [g.types for g in kept]
         assert [g.lower_bound for g in found] == [g.lower_bound for g in kept]
-        assert lpnorm._count_guesses(inst.num_jobs, options) == len(stream)
+        # the count charges its fold: one unit less than its steps raises
+        counted = lpnorm._Work()
+        assert lpnorm._count_guesses(inst.num_jobs, options, counted) == len(stream)
+        assert counted.spent > 0
+        with pytest.raises(BudgetExhausted):
+            lpnorm._count_guesses(inst.num_jobs, options, lpnorm._Work(counted.spent - 1))
     assert 0 < len(found) < len(stream)
 
 
@@ -712,7 +704,7 @@ def test_type_options_are_the_reference_lists(counts, n, seed, eps):
             assert [(pos, tg) for pos, tg, *_ in options] == list(enumerate(ref))
             for _, tg, vh, routes, share in options:
                 assert vh == sum(1 << j for j in tg.very_huge)
-                assert routes == route_mask(inst, eps, t, tg, table)
+                assert routes == _routable_mask(inst, eps, t, tg, table)
                 if share is None:
                     assert limit is not None and ref_type_lower_bound(inst, 2, eps, t, tg) > limit
                     unpriced += 1
@@ -1164,11 +1156,6 @@ def test_infeasible_warm_start_raises_invariant_violation():
         solve_slot_cp(model, 1e-6, start=bad)
 
 
-def route_mask(inst, eps, t, tg, table):
-    """lpnorm._routable_mask of an option, its job kinds computed here."""
-    return _routable_mask(inst, t, tg, table, _job_kinds(table, tg.c_max, tg.alpha, eps))
-
-
 def ref_routable_mask(inst, eps, t, tg, table):
     # the route rule as the enumeration filter wrote it before the CP builder
     # shared it: huge up to the shortest very-huge cost, large into a profile
@@ -1200,7 +1187,7 @@ def test_routable_mask_matches_the_reference_rule(counts, n, seed, eps):
     for t in range(inst.num_types):
         table = _cost_table(inst, t, eps)
         for tg in ref_type_guess_options(inst, t, 2, eps, table):
-            mask = route_mask(inst, eps, t, tg, table)
+            mask = _routable_mask(inst, eps, t, tg, table)
             assert mask == ref_routable_mask(inst, eps, t, tg, table)
             options += 1
             set_bits += bin(mask).count("1")

@@ -3,8 +3,10 @@
 perfbench/layers.py rebinds the functions named in its TARGETS by name, so
 renaming or deleting one of them breaks only a traced benchmark run.  These
 tests enter the tracer against the current library and check that every
-target is found, rebound, and restored on exit, and that the solver calls
-the rebound names.
+target is found, rebound, and restored on exit.  Full mode walks and
+counts the L_p guess stream itself, without iterating enumerate_guesses,
+so the stream is checked by tracing enumerate_guesses directly: its traced yields, and the guesses_tried row
+the tracer derives from them, equal the solver's guesses_tried.
 """
 
 import importlib
@@ -85,3 +87,4 @@ def assert_traced_guess_count(counts, eps_user, expected):
     values = layers.summarize(rec)
     assert res.guesses_tried == streamed == expected
     assert values["lpnorm.enumerate_guesses.yielded"] == expected
+    assert values["lpnorm.guesses_tried"] == expected

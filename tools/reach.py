@@ -1,11 +1,11 @@
 """Reach list: the shapes of the ROADMAP reach table, solved in full mode.
 
-    python3 tools/reach.py [--cap SECONDS]
+    python3 tools/reach.py
 
 Each shape is solved at the default enumeration budget (FullEnum()), with
 costs 1..10, eps_user = 1/2 and, for the L_p norm, p = 2.  The shapes run
-one at a time, each in its own child process under a wall cap (default 120
-s); a child past the cap is killed and reported as timed out.  One line per
+one at a time, each in its own child process under a wall cap of CAP
+seconds; a child past the cap is killed and reported as timed out.  One line per
 shape says whether the solve finished, its wall time in the child (the
 solve alone, not the start-up) and, when it failed, the error type.
 
@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CAP = 120.0  # wall cap per shape, seconds
 
 # (objective, machine counts, jobs, seed), in the order of the reach table
 SHAPES = [
@@ -62,13 +63,13 @@ def solve_one(index: int) -> dict:
     return {"finished": True, "seconds": time.perf_counter() - start, "error": None}
 
 
-def run_one(index: int, cap: float) -> dict:
-    """Solve SHAPES[index] in a child process killed after cap seconds."""
+def run_one(index: int) -> dict:
+    """Solve SHAPES[index] in a child process killed after CAP seconds."""
     argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(index)]
     try:
-        done = subprocess.run(argv, capture_output=True, text=True, timeout=cap)
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=CAP)
     except subprocess.TimeoutExpired:
-        return {"finished": False, "seconds": cap, "error": f"timed out after {cap:g} s"}
+        return {"finished": False, "seconds": CAP, "error": f"timed out after {CAP:g} s"}
     if done.returncode != 0:
         last = (done.stderr.strip().splitlines() or ["no output"])[-1]
         return {"finished": False, "seconds": None, "error": f"child failed: {last}"}
@@ -77,7 +78,6 @@ def run_one(index: int, cap: float) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cap", type=float, default=120.0, help="wall cap per shape, seconds")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child is not None:
@@ -85,7 +85,7 @@ def main() -> None:
         return
     print(f"{'objective':<9} {'machines':<10} {'n':>3} {'seed':>4}  {'result':<8} {'time':>8}  error")
     for index, (objective, counts, n, seed) in enumerate(SHAPES):
-        out = run_one(index, args.cap)
+        out = run_one(index)
         shape = ",".join(map(str, counts))
         result = "solved" if out["finished"] else "failed"
         seconds = "-" if out["seconds"] is None else f"{out['seconds']:.2f} s"
