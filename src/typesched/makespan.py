@@ -32,6 +32,19 @@ Guided mode skips the check, which cannot fail there: profile_from_schedule
 puts the class of every such job into the pattern of the certificate
 machine that job sits on, or raises PatternOverflow.
 
+A guided decision hands the rounding engine the certificate's routes
+(certificate_point): each large job to a slot of its class on its own
+machine, no two jobs to one slot, and each small job to its own machine,
+an integral point of the first slot LP once every machine's small load is
+within its rem.  The engine then commits that point in one forced round,
+with no simplex call.  The search cannot move: a point that fits proves the
+first LP feasible, and phase 1 accepts every feasible first LP; a point
+that does not fit is not handed over, and phase 1 decides as before.  So
+every accept and reject, probes and the accepted rung stay those of
+handing no point, and only an accepting decision's schedule can change, to
+the certificate with same-type machines relabelled.  An Infeasible from the
+engine after a point that fits is a broken invariant, not a rejection.
+
 A makespan-T solution survives the lift (+eps additively) and the round-up
 (factor 1+eps), so rounded per-machine loads stay within (1+eps)^2; that is
 the pattern capacity, and rem(i) is whatever the pattern leaves unused.
@@ -64,6 +77,7 @@ from .rationals import (
 )
 from .rounding import (
     JobRoutes,
+    MachineKey,
     RoundingEngine,
     RoundingProblem,
     RoundingStats,
@@ -410,41 +424,87 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
     return decide(make_scaled_instance(inst, target, eps), mode)
 
 
+def certificate_point(scaled: ScaledInstance, problem: RoundingProblem, sched: Schedule):
+    """The certificate sched as a 0/1 point of the first slot LP of problem,
+    built from profile_from_schedule(scaled, sched), or None when the small
+    load of some machine exceeds its rem in some dimension.
+
+    That profile sorts each type's patterns (stably), so certificate machine
+    (t, k) is profile machine (t, i), i its position when the type's
+    machines are ordered by (pattern, k).  Each large job takes a slot of
+    its class there that no other job takes and each small job that machine,
+    so the assignment and slot rows hold; only the capacity rows are checked.
+    """
+    inst = scaled.base
+    klasses = [scaled.entry(j, t).klass for j, (t, _) in enumerate(sched.assignment)]
+    patterns: dict[MachineKey, list] = {mk: [] for mk in inst.machines()}
+    for mk, klass in zip(sched.assignment, klasses):
+        if klass is not None:
+            patterns[mk].append(klass)
+    relabel = {}
+    for t in range(inst.num_types):
+        order = sorted(range(inst.machine_counts[t]), key=lambda k: (sorted(patterns[t, k]), k))
+        relabel.update({(t, k): (t, i) for i, k in enumerate(order)})
+    free: dict[tuple, list[int]] = {}
+    for sid, slot in problem.slots.items():
+        free.setdefault((slot.machine, slot.klass), []).append(sid)
+    point = {}
+    loads = {mk: [ZERO] * inst.dims for mk in problem.capacities}
+    for j, (mk, klass) in enumerate(zip(sched.assignment, klasses)):
+        mk = relabel[mk]
+        if klass is not None:
+            point["s", j, free[mk, klass].pop()] = ONE
+        else:
+            point["m", j, mk] = ONE
+            for d, c in enumerate(problem.jobs[j].machine_costs[mk]):
+                loads[mk][d] += c
+    for mk, rem in problem.capacities.items():
+        if any(load > r for load, r in zip(loads[mk], rem)):
+            return None
+    return point
+
+
 def decide(scaled: ScaledInstance, mode) -> DecisionResult:
     """The decision step of makespan_decision, at the target of scaled."""
-    inst = scaled.base
-    check = None  # guided mode runs no count check (module docstring)
     if isinstance(mode, Guided):
         try:
-            profiles: Iterator[Profile] = iter([profile_from_schedule(scaled, mode.schedule)])
+            profile = profile_from_schedule(scaled, mode.schedule)
         except PatternOverflow as exc:
             raise Infeasible(str(exc)) from exc
-    else:
-        profiles = enumerate_pattern_profiles(scaled, mode.budget)
-        check = count_check(scaled)
-
-    bound = guarantee_factor(scaled.eps, inst.dims) * scaled.target
-    while True:
+        problem = build_rounding_problem(scaled, profile)
+        point = certificate_point(scaled, problem, mode.schedule)
+        if point is None:  # phase 1 decides, as without a certificate
+            return _round(scaled, profile, problem)
         try:
-            profile = next(profiles)
-        except StopIteration:
-            raise Infeasible("every enumerated profile failed") from None
+            return _round(scaled, profile, problem, point)
+        except Infeasible as exc:  # the point fits every row of the first LP
+            raise InvariantViolation("the rounding LP rejected the certificate") from exc
+
+    check = count_check(scaled)
+    for profile in enumerate_pattern_profiles(scaled, mode.budget):
         if check is not None and not check(profile):
             continue
         problem = build_rounding_problem(scaled, profile)
-        engine = RoundingEngine(problem)
         try:
-            outcome = engine.run()
+            return _round(scaled, profile, problem)
         except Infeasible:
             continue
-        final = untangle(problem, outcome)
-        schedule = assemble_schedule(problem, final, inst.num_jobs)
-        makespan = evaluate_makespan(inst, schedule)
-        if makespan > bound:
-            raise InvariantViolation("decision exceeded its guarantee factor")
-        return DecisionResult(
-            schedule, makespan, scaled.target, profile, engine.stats, outcome.forest
-        )
+    raise Infeasible("every enumerated profile failed")
+
+
+def _round(scaled: ScaledInstance, profile: Profile, problem: RoundingProblem,
+           point: dict | None = None) -> DecisionResult:
+    """The decision for problem, the rounding problem of profile; Infeasible
+    when its first LP is."""
+    inst = scaled.base
+    engine = RoundingEngine(problem, point)
+    outcome = engine.run()
+    final = untangle(problem, outcome)
+    schedule = assemble_schedule(problem, final, inst.num_jobs)
+    makespan = evaluate_makespan(inst, schedule)
+    if makespan > guarantee_factor(scaled.eps, inst.dims) * scaled.target:
+        raise InvariantViolation("decision exceeded its guarantee factor")
+    return DecisionResult(schedule, makespan, scaled.target, profile, engine.stats, outcome.forest)
 
 
 def _target_bounds(inst: Instance):
@@ -456,9 +516,13 @@ def _target_bounds(inst: Instance):
 
 
 def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
-    """Schedule with makespan <= (1 + eps_user) * OPT; in guided mode also
-    <= (1 + eps_user) * C, C the certificate's makespan: the accepted target
-    is at most T_{r_c} < (1+eps) * C, and G(eps, D) * (1+eps) <= 1 + eps_user.
+    """Schedule with makespan <= (1 + eps_user) * OPT in full mode, and
+    <= (1 + eps_user) * C in guided mode, C the certificate's makespan: the
+    accepted target is at most T_{r_c} < (1+eps) * C, and G(eps, D) * (1+eps)
+    <= 1 + eps_user.  A guided rung rejects when the certificate overflows
+    its patterns or its own profile's LP, which proves nothing about OPT, so
+    the guided bound is relative to C; it bounds OPT too when the
+    certificate is optimal, as the oracle's is.
 
     r_c is the least rung whose target is >= C, and guided decide accepts
     every such rung, so the search decides none of them.  Scaled by such a

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from typesched import makespan
+from typesched import makespan, rounding
 from typesched.cli import ExperimentConfig
 from typesched.errors import (
     BudgetExhausted,
@@ -760,13 +760,20 @@ def test_guided_search_checks_the_rung_it_never_decided(monkeypatch):
 
 def test_certificate_above_the_ladder_is_solved():
     # three jobs of cost 1 on type 0 and 10 on type 1, all on machine (1, 0):
-    # makespan 30, while the ladder ends at the sum of floors, 3
+    # makespan 30, while the ladder ends at the sum of floors, 3.  The search
+    # takes its 7 probes and accepts rung 55 as when the decision ran phase 1
+    # (which put every job on type 0, makespan 3); the certificate fits that
+    # rung's slot LP, so the decision now commits it.  A certificate's rungs
+    # reject by PatternOverflow, which proves nothing about the optimum, so
+    # the bound is relative to the certificate, not to the optimum
     inst = Instance(1, (1, 1), (((1,), (10,)),) * 3)
     cert = Schedule(((1, 0),) * 3)
-    _, r_c, top = certificate_ladder(inst, rat(1, 2), cert)
+    ladder, r_c, top = certificate_ladder(inst, rat(1, 2), cert)
     assert top < r_c
     res = makespan_ptas(inst, rat(1, 2), Guided(cert))
-    assert res.makespan == 3
+    assert (res.probes, res.accepted_target) == (7, ladder.rung(55).target)
+    assert res.makespan == 30
+    assert res.makespan <= rat(3, 2) * evaluate_makespan(inst, cert)
 
 
 def test_guided_search_rejects_an_invalid_certificate():
@@ -789,6 +796,87 @@ def test_random_certificates_keep_the_certificate_bound():
         res = makespan_ptas(inst, rat(1, 2), Guided(cert))
         assert res.makespan <= rat(3, 2) * evaluate_makespan(inst, cert), seed
     assert above > 5, above
+
+
+def no_point(monkeypatch):
+    """Make decide hand the engine no point, so every guided decision runs
+    phase 1: the reference that handing the certificate's routes must match."""
+    monkeypatch.setattr(makespan, "certificate_point", lambda scaled, problem, sched: None)
+
+
+def is_relabelled(cert: Schedule, sched: Schedule) -> bool:
+    """Whether sched is cert with the machines of each type permuted."""
+    image: dict = {}
+    for (t, k), (u, to) in zip(cert.assignment, sched.assignment):
+        if t != u or image.setdefault((t, k), to) != to:
+            return False
+    return len({(t, to) for (t, _), to in image.items()}) == len(image)
+
+
+def a1_cases(dims: int) -> list[Instance]:
+    cfg = ExperimentConfig("makespan", 300, 6000, rat(1, 2), dims_choices=(dims,))
+    return [generate_instance(cfg.trial_spec(i), cfg.seed + i) for i in range(cfg.trials)]
+
+
+def pool_cases(seed: int) -> list[Instance]:
+    """The makespan-guided benchmark pool of seed: 800 A1-shape instances."""
+    return [generate_instance(ExperimentConfig("makespan", 1, s, rat(1, 2)).trial_spec(0), s)
+            for s in range(800 * seed, 800 * (seed + 1))]
+
+
+@pytest.mark.parametrize("sweep, arg", [(a1_cases, 1), (a1_cases, 2), (pool_cases, 1),
+                                        (pool_cases, 1000)],
+                         ids=["A1 D=1", "A1 D=2", "pool 1", "pool 1000"])
+def test_certificate_points_keep_the_search(monkeypatch, sweep, arg):
+    # a point that fits proves the first LP feasible, which phase 1 accepts,
+    # and one that does not leaves phase 1 to decide: the probes, the
+    # accepted rung and (on these oracle certificates) the makespan are those
+    # of handing no point, and a schedule that moves is the certificate
+    half = rat(1, 2)
+    cases = [(inst, Guided(exact_solve(inst).witness)) for inst in sweep(arg)]
+    results = [makespan_ptas(inst, half, mode) for inst, mode in cases]
+    no_point(monkeypatch)
+    moved = 0
+    for (inst, mode), res in zip(cases, results):
+        ref = makespan_ptas(inst, half, mode)
+        assert (res.probes, res.accepted_target, res.makespan) == (
+            ref.probes, ref.accepted_target, ref.makespan)
+        if res.schedule != ref.schedule:
+            assert is_relabelled(mode.schedule, res.schedule)
+            moved += 1
+    assert moved > 0
+
+
+def overfilling_case():
+    """Twenty unit jobs on one of two identical machines.  The search
+    decides rung 46 (target about 16.3), where every job is small and the
+    certificate's small load, about 1.23, is above rem = (1 + 1/16)^2."""
+    inst = Instance(1, (2,), (((1,),),) * 20)
+    cert = Schedule(((0, 0),) * 20)
+    ladder, _, _ = certificate_ladder(inst, rat(1, 2), cert)
+    return inst, cert, ladder.rung(46)
+
+
+def test_an_overfilling_certificate_decides_as_with_no_point(monkeypatch):
+    inst, cert, scaled = overfilling_case()
+    problem = build_rounding_problem(scaled, profile_from_schedule(scaled, cert))
+    assert makespan.certificate_point(scaled, problem, cert) is None
+    decision, res = decide(scaled, Guided(cert)), makespan_ptas(inst, rat(1, 2), Guided(cert))
+    assert res.accepted_target == scaled.target
+    no_point(monkeypatch)
+    assert decision == decide(scaled, Guided(cert))
+    assert res == makespan_ptas(inst, rat(1, 2), Guided(cert))
+
+
+def test_a_fitting_certificate_is_committed_without_the_simplex(monkeypatch):
+    # at its own rung r_c the overfilling case's certificate fits (small load
+    # 20/T <= 1 <= rem), so one forced round commits it with no simplex call
+    inst, cert, _ = overfilling_case()
+    ladder, r_c, _ = certificate_ladder(inst, rat(1, 2), cert)
+    monkeypatch.setattr(rounding, "solve_extreme_point", None)
+    res = decide(ladder.rung(r_c), Guided(cert))
+    assert res.schedule == cert and res.makespan == 20
+    assert (res.stats.lp_solves, res.stats.iterations) == (1, 0)
 
 
 from hypothesis import given, strategies as st

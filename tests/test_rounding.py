@@ -9,7 +9,7 @@ from typesched import lpnorm, makespan, rounding
 from typesched.cli import ExperimentConfig
 from typesched.errors import ForestInconsistent, Infeasible, InvariantViolation
 from typesched.makespan import build_rounding_problem, make_scaled_instance, profile_from_schedule
-from typesched.model import GeneratorSpec, generate_instance, greedy_schedule
+from typesched.model import GeneratorSpec, Instance, Schedule, generate_instance, greedy_schedule
 from typesched.modes import FullEnum, Guided
 from typesched.oracle import exact_solve
 from typesched.rationals import ONE, ZERO, geometric_grid, rat
@@ -680,7 +680,11 @@ def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
     # simplex on that round's LP gives the same values over the LP's columns
     # in their order, and the same objective, or both raise Infeasible.  Full-mode L_p points are all
     # integral, so every round is forced; the L_p simplex rounds come from
-    # guided runs of the lpnorm-guided shape whose convex point is fractional
+    # guided runs of the lpnorm-guided shape whose convex point is fractional.
+    # Guided makespan hands the engine its certificate's routes, so its oracle
+    # certificates make only forced rounds; its simplex rounds come from a
+    # certificate that overfills a machine's rem at a decided rung (twenty
+    # unit jobs on one of two machines), where the decision runs phase 1
     seen = collections.defaultdict(collections.Counter)  # pipeline -> round kinds
     pipeline = [None]
     check_forced = RoundingEngine._forced_point
@@ -713,6 +717,8 @@ def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
         pipeline[0] = "makespan guided"
         inst = generate_instance(ExperimentConfig("makespan", 1, seed, half).trial_spec(0), seed)
         makespan.makespan_ptas(inst, half, Guided(exact_solve(inst).witness))
+    overfilling = Schedule(((0, 0),) * 20)
+    makespan.makespan_ptas(Instance(1, (2,), (((1,),),) * 20), half, Guided(overfilling))
     for seed in range(10):
         pipeline[0] = "makespan full"
         inst = generate_instance(GeneratorSpec(4, 1, (2, 2), 1, 10), 2200 + seed)
