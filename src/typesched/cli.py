@@ -73,6 +73,10 @@ class ExperimentConfig:
         ):
             if value not in known:
                 raise BadSpec(f"{name} must be {known[0]!r} or {known[1]!r}, got {value!r}")
+        # calibration would stop the first trial with a bare ValueError
+        eps = parse_rational(self.eps_user)
+        if not 0 < eps <= 1:
+            raise BadSpec(f"eps_user must lie in (0, 1], got {rat_str(eps)}")
 
     def trial_spec(self, index: int) -> GeneratorSpec:
         """Deterministic instance shape for one trial (spec + seed fix it)."""

@@ -144,6 +144,7 @@ from .rounding import (
     build_slots,
     has_matching,
     pattern_multisets,
+    route_point,
     route_vars,
     slot_patterns,
     untangle,
@@ -857,30 +858,25 @@ class LpnormResult:
 
 
 def _warm_start(model: CpModel, sched: Schedule) -> dict:
-    """Exact CP point induced by a schedule consistent with the guess."""
+    """Exact CP point induced by a schedule consistent with the guess: the
+    route point (rounding.route_point) of its non-huge machines, and the
+    huge route for every other job."""
     inst = model.inst
     grid = geometric_grid(model.eps)
-    point: dict[tuple, object] = {}
-    slot_pool: dict[tuple[tuple[int, int], int], list[int]] = {}
-    for s, info in sorted(model.slots.items()):
-        slot_pool.setdefault((info.machine, info.klass), []).append(s)
-    # map original machines to canonical pattern positions, per type
+    machines: dict = {}
     for t, tg in enumerate(model.guess.types):
         if inst.machine_counts[t] == 0 or tg.c_max is None:
             continue
         _, non_huge = _certificate_machines(inst, sched, t)
         kind = job_kind(tg.c_max, tg.alpha, model.eps)
-        for canon, (pattern, orig) in enumerate(_large_patterns(inst, t, grid, kind, non_huge)):
-            mk = (t, canon)
-            if pattern != tg.profile[canon]:
-                raise InvariantViolation("profile out of sync")
-            for j in non_huge[orig]:
-                c = inst.cost(j, t)
-                if kind(c) is LARGE:
-                    s = slot_pool[(mk, grid.round_down(c))].pop(0)
-                    point["s", j, s] = ONE
-                else:
-                    point["m", j, mk] = ONE
+        pats = tuple(pattern for pattern, _ in _large_patterns(inst, t, grid, kind, non_huge))
+        if pats != tg.profile:
+            raise InvariantViolation("profile out of sync")
+        for k, jobs in non_huge.items():
+            costs = [inst.cost(j, t) for j in jobs]
+            machines[t, k] = [(j, grid.round_down(c) if kind(c) is LARGE else None)
+                              for j, c in zip(jobs, costs)]
+    point = route_point(model.slots, machines)
     # remaining unpinned jobs on huge machines travel the huge route
     for j, routes in model.routes.items():
         if not any(point.get(v, ZERO) == ONE for v in route_vars(j, routes)):

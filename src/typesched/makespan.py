@@ -33,17 +33,17 @@ puts the class of every such job into the pattern of the certificate
 machine that job sits on, or raises PatternOverflow.
 
 A guided decision hands the rounding engine the certificate's routes
-(certificate_point): each large job to a slot of its class on its own
-machine, no two jobs to one slot, and each small job to its own machine,
-an integral point of the first slot LP once every machine's small load is
-within its rem.  The engine then commits that point in one forced round,
-with no simplex call.  The search cannot move: a point that fits proves the
-first LP feasible, and phase 1 accepts every feasible first LP; a point
-that does not fit is not handed over, and phase 1 decides as before.  So
-every accept and reject, probes and the accepted rung stay those of
-handing no point, and only an accepting decision's schedule can change, to
-the certificate with same-type machines relabelled.  An Infeasible from the
-engine after a point that fits is a broken invariant, not a rejection.
+(certificate_point, via rounding.route_point): each large job to its own
+slot of its class on its own machine, each small job to that machine.
+That point holds the first slot LP's assignment and slot rows, and a
+makespan problem has no budget rows, so the engine's forced first round,
+which commits it with no simplex call, is its only fit check: it raises
+Infeasible exactly when some machine's small load exceeds its rem, and
+phase 1 then decides on a fresh engine, as with no point.  The search
+cannot move: a point that fits proves the first LP feasible, which phase
+1 accepts.  So every accept and reject, probes and the accepted rung stay
+those of handing no point, and only an accepting decision's schedule can
+change, to the certificate with same-type machines relabelled.
 
 A makespan-T solution survives the lift (+eps additively) and the round-up
 (factor 1+eps), so rounded per-machine loads stay within (1+eps)^2; that is
@@ -77,7 +77,6 @@ from .rationals import (
 )
 from .rounding import (
     JobRoutes,
-    MachineKey,
     RoundingEngine,
     RoundingProblem,
     RoundingStats,
@@ -85,6 +84,7 @@ from .rounding import (
     build_slots,
     has_matching,
     pattern_multisets,
+    route_point,
     slot_patterns,
     untangle,
 )
@@ -425,43 +425,14 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
 
 
 def certificate_point(scaled: ScaledInstance, problem: RoundingProblem, sched: Schedule):
-    """The certificate sched as a 0/1 point of the first slot LP of problem,
-    built from profile_from_schedule(scaled, sched), or None when the small
-    load of some machine exceeds its rem in some dimension.
-
-    That profile sorts each type's patterns (stably), so certificate machine
-    (t, k) is profile machine (t, i), i its position when the type's
-    machines are ordered by (pattern, k).  Each large job takes a slot of
-    its class there that no other job takes and each small job that machine,
-    so the assignment and slot rows hold; only the capacity rows are checked.
-    """
-    inst = scaled.base
-    klasses = [scaled.entry(j, t).klass for j, (t, _) in enumerate(sched.assignment)]
-    patterns: dict[MachineKey, list] = {mk: [] for mk in inst.machines()}
-    for mk, klass in zip(sched.assignment, klasses):
-        if klass is not None:
-            patterns[mk].append(klass)
-    relabel = {}
-    for t in range(inst.num_types):
-        order = sorted(range(inst.machine_counts[t]), key=lambda k: (sorted(patterns[t, k]), k))
-        relabel.update({(t, k): (t, i) for i, k in enumerate(order)})
-    free: dict[tuple, list[int]] = {}
-    for sid, slot in problem.slots.items():
-        free.setdefault((slot.machine, slot.klass), []).append(sid)
-    point = {}
-    loads = {mk: [ZERO] * inst.dims for mk in problem.capacities}
-    for j, (mk, klass) in enumerate(zip(sched.assignment, klasses)):
-        mk = relabel[mk]
-        if klass is not None:
-            point["s", j, free[mk, klass].pop()] = ONE
-        else:
-            point["m", j, mk] = ONE
-            for d, c in enumerate(problem.jobs[j].machine_costs[mk]):
-                loads[mk][d] += c
-    for mk, rem in problem.capacities.items():
-        if any(load > r for load, r in zip(loads[mk], rem)):
-            return None
-    return point
+    """The certificate sched as a 0/1 route point (rounding.route_point) of
+    problem, the rounding problem of profile_from_schedule(scaled, sched).
+    No capacity row is checked: the engine's forced first round is the one
+    fit check, and an overfilling certificate leaves decide to phase 1."""
+    machines: dict = {mk: [] for mk in scaled.base.machines()}
+    for j, (t, k) in enumerate(sched.assignment):
+        machines[t, k].append((j, scaled.entry(j, t).klass))
+    return route_point(problem.slots, machines)
 
 
 def decide(scaled: ScaledInstance, mode) -> DecisionResult:
@@ -473,12 +444,10 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
             raise Infeasible(str(exc)) from exc
         problem = build_rounding_problem(scaled, profile)
         point = certificate_point(scaled, problem, mode.schedule)
-        if point is None:  # phase 1 decides, as without a certificate
-            return _round(scaled, profile, problem)
         try:
             return _round(scaled, profile, problem, point)
-        except Infeasible as exc:  # the point fits every row of the first LP
-            raise InvariantViolation("the rounding LP rejected the certificate") from exc
+        except Infeasible:  # the certificate overfills a machine: phase 1 decides
+            return _round(scaled, profile, problem)
 
     check = count_check(scaled)
     for profile in enumerate_pattern_profiles(scaled, mode.budget):

@@ -47,10 +47,12 @@ for artificial jobs sitting in remaining space.
 The slots of a pattern profile, the route columns, the assignment and
 slot rows (SlotRows, also the base of the L_p convex region) and the final
 schedule assembly live here too, so both pipelines build and read one LP
-shape; so does the matcher (has_matching) behind both pipelines' count
-checks.  Each LP column is the route it stands for, the triple
-(kind, job, target) of route_vars, so reading a value needs no decoding.
-Untangling reads slot fit from the routes alone.
+shape; so do the matcher (has_matching) behind both pipelines' count
+checks and the route point of a certificate (route_point): the point a
+guided makespan decision hands the engine, and the L_p warm start.  Each
+LP column is the route it stands for, the triple (kind, job, target) of
+route_vars, so reading a value needs no decoding.  Untangling reads slot
+fit from the routes alone.
 """
 
 from __future__ import annotations
@@ -245,6 +247,33 @@ def build_slots(patterns, size, dims: int):
             for d in range(dims):
                 used[d] += slots[sid].size[d]
     return slots, mass, slots_of
+
+
+def route_point(slots: dict[int, SlotInfo], machines: dict[MachineKey, list]) -> dict:
+    """The 0/1 route point of an integral assignment, such as a certificate.
+
+    machines maps each assignment machine (t, k) to the (job, class) pairs
+    on it, class None for a job routed to the machine itself.  A type's
+    machines are ranked by (sorted classes, k), the order in which a profile
+    lists its patterns, and machine (t, k) of rank i becomes machine (t, i)
+    of slots.  Each job with a class takes the lowest free slot of that
+    class there, and every other job that machine.
+    """
+    free: dict[tuple, list[int]] = {}  # descending, so pop() takes the lowest
+    for sid in sorted(slots, reverse=True):
+        free.setdefault((slots[sid].machine, slots[sid].klass), []).append(sid)
+    ranked: dict[int, list] = {}
+    for (t, k), pairs in machines.items():
+        ranked.setdefault(t, []).append((sorted(q for _, q in pairs if q is not None), k, pairs))
+    point = {}
+    for t, order in ranked.items():
+        for i, (_, _, pairs) in enumerate(sorted(order, key=lambda m: m[:2])):
+            for j, q in pairs:
+                if q is None:
+                    point["m", j, (t, i)] = ONE
+                else:
+                    point["s", j, free[(t, i), q].pop()] = ONE
+    return point
 
 
 def pattern_multisets(patterns: list[tuple], machines: int, counts: dict) -> list[tuple]:

@@ -79,12 +79,15 @@ def test_bench_report_byte_stable():
         ("num_types", 0, "num_types must be at least 1, got 0"),
         ("dims_choices", (), "len(dims_choices) must be at least 1, got 0"),
         ("enum_budget", -3, "enum_budget must be at least 0, got -3"),
+        ("eps_user", 2, "eps_user must lie in (0, 1], got 2"),
+        ("eps_user", 0, "eps_user must lie in (0, 1], got 0"),
     ],
     ids=["trials-0", "trials-negative", "jobs-max-1", "machines-max-1", "types-0", "no-dims",
-         "budget-negative"],
+         "budget-negative", "eps-2", "eps-0"],
 )
 def test_experiment_config_rejects_shapes_it_cannot_run(field, value, message):
-    # each of these used to run no trial, or end in ZeroDivisionError from trial_spec
+    # each of these used to run no trial, or end in ZeroDivisionError from
+    # trial_spec or in a bare ValueError from the eps calibration
     spec = dict(objective="makespan", trials=1, seed=0, eps_user=rat(1, 2))
     spec[field] = value
     with pytest.raises(BadSpec) as info:

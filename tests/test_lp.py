@@ -946,7 +946,6 @@ except InvariantViolation as exc:
     print(exc)
 def reject(*args):
     raise Infeasible("rejected")
-real_decide = makespan.decide
 makespan.decide = reject
 try:
     makespan.makespan_ptas(inst, rat(1, 2), FullEnum())
@@ -1007,15 +1006,6 @@ try:
     lpnorm.lpnorm_ptas(inst, 2, 1, Guided(greedy_schedule(inst, 2)))
 except InvariantViolation as exc:
     print(exc)
-# a guided certificate that fits its first LP, whose forced round is made to
-# reject it: a broken invariant, not a rejected rung
-makespan.decide = real_decide
-RoundingEngine._forced_point = reject
-try:
-    makespan.makespan_decision(make_instance(1, [1], [[[5]]]), 5, rat(1, 2),
-                               Guided(Schedule(((0, 0),))))
-except InvariantViolation as exc:
-    print(exc)
 """
 
 
@@ -1025,7 +1015,7 @@ def test_trip_wires_survive_python_O():
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:15] == [
+    assert out.stdout.split("\n")[:14] == [
         "sparsity checked", "guard checked",
         "phase-1 pivots 1", "sparsity checked on reuse, simplex runs 1", "assembler checked",
         "eps must lie in (0, 1], got 2", "eps must lie in (0, 1], got 2",
@@ -1033,7 +1023,6 @@ def test_trip_wires_survive_python_O():
         "reduced LP became infeasible; reduction invariants broken", "optimize 1",
         "decision rejected a rung its certificate proves", "vertex start 1 None None",
         "the rounding LP rejected the convex solution",
-        "the rounding LP rejected the certificate",
     ]
 
 

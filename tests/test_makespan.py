@@ -860,7 +860,9 @@ def overfilling_case():
 def test_an_overfilling_certificate_decides_as_with_no_point(monkeypatch):
     inst, cert, scaled = overfilling_case()
     problem = build_rounding_problem(scaled, profile_from_schedule(scaled, cert))
-    assert makespan.certificate_point(scaled, problem, cert) is None
+    point = makespan.certificate_point(scaled, problem, cert)
+    with pytest.raises(Infeasible):  # the forced round is the point's fit check
+        RoundingEngine(problem, point).run()
     decision, res = decide(scaled, Guided(cert)), makespan_ptas(inst, rat(1, 2), Guided(cert))
     assert res.accepted_target == scaled.target
     no_point(monkeypatch)

@@ -7,7 +7,13 @@ import pytest
 from typesched import lp as lp_module
 from typesched import lpnorm, makespan, rounding
 from typesched.cli import ExperimentConfig
-from typesched.errors import ForestInconsistent, Infeasible, InvariantViolation
+from typesched.errors import (
+    ForestInconsistent,
+    GuessInconsistent,
+    Infeasible,
+    InvariantViolation,
+    PatternOverflow,
+)
 from typesched.makespan import build_rounding_problem, make_scaled_instance, profile_from_schedule
 from typesched.model import GeneratorSpec, Instance, Schedule, generate_instance, greedy_schedule
 from typesched.modes import FullEnum, Guided
@@ -23,7 +29,9 @@ from typesched.rounding import (
     RoundingStats,
     SlotInfo,
     assemble_schedule,
+    build_slots,
     pattern_multisets,
+    route_point,
     route_vars,
     slot_patterns,
     untangle,
@@ -732,6 +740,189 @@ def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
     assert set(seen) == {"makespan guided", "makespan full", "lpnorm"}
     for tally in seen.values():
         assert tally["forced"] > 0 and tally["simplex"] > 0, seen
+
+
+def test_route_point_ranks_machines_and_takes_the_lowest_slots():
+    # type 0's machines hold the patterns (b,), (a, a), () and (), so they
+    # rank 3, 2, 0, 1; machine 2 of the profile has two slots of class a
+    slots, _, _ = build_slots(
+        [((0, 0), ()), ((0, 1), ()), ((0, 2), ("a", "a")), ((0, 3), ("b",)), ((1, 0), ())],
+        lambda q: (ONE,), 1,
+    )
+    machines = {
+        (0, 0): [(0, "b"), (1, None)],
+        (0, 1): [(2, "a"), (3, "a"), (4, None)],
+        (0, 2): [(5, None)],
+        (0, 3): [],
+        (1, 0): [(6, None)],
+    }
+    assert route_point(slots, machines) == {
+        ("s", 0, 2): ONE, ("m", 1, (0, 3)): ONE,
+        ("s", 2, 0): ONE, ("s", 3, 1): ONE, ("m", 4, (0, 2)): ONE,
+        ("m", 5, (0, 0)): ONE,
+        ("m", 6, (1, 0)): ONE,
+    }
+
+
+def ref_certificate_point(scaled, problem, sched):
+    # makespan.certificate_point as it stood before route_point: its own
+    # ranking and slot pool, the highest slot id first, and a capacity check
+    inst = scaled.base
+    klasses = [scaled.entry(j, t).klass for j, (t, _) in enumerate(sched.assignment)]
+    patterns = {mk: [] for mk in inst.machines()}
+    for mk, klass in zip(sched.assignment, klasses):
+        if klass is not None:
+            patterns[mk].append(klass)
+    relabel = {}
+    for t in range(inst.num_types):
+        order = sorted(range(inst.machine_counts[t]), key=lambda k: (sorted(patterns[t, k]), k))
+        relabel.update({(t, k): (t, i) for i, k in enumerate(order)})
+    free = {}
+    for sid, slot in problem.slots.items():
+        free.setdefault((slot.machine, slot.klass), []).append(sid)
+    point = {}
+    loads = {mk: [ZERO] * inst.dims for mk in problem.capacities}
+    for j, (mk, klass) in enumerate(zip(sched.assignment, klasses)):
+        mk = relabel[mk]
+        if klass is not None:
+            point["s", j, free[mk, klass].pop()] = ONE
+        else:
+            point["m", j, mk] = ONE
+            for d, c in enumerate(problem.jobs[j].machine_costs[mk]):
+                loads[mk][d] += c
+    for mk, rem in problem.capacities.items():
+        if any(load > r for load, r in zip(loads[mk], rem)):
+            return None
+    return point
+
+
+def ref_warm_start(model, sched):
+    # lpnorm._warm_start as it stood before route_point
+    inst = model.inst
+    grid = geometric_grid(model.eps)
+    point = {}
+    slot_pool = {}
+    for s, info in sorted(model.slots.items()):
+        slot_pool.setdefault((info.machine, info.klass), []).append(s)
+    for t, tg in enumerate(model.guess.types):
+        if inst.machine_counts[t] == 0 or tg.c_max is None:
+            continue
+        _, non_huge = lpnorm._certificate_machines(inst, sched, t)
+        kind = lpnorm.job_kind(tg.c_max, tg.alpha, model.eps)
+        patterns = lpnorm._large_patterns(inst, t, grid, kind, non_huge)
+        for canon, (pattern, orig) in enumerate(patterns):
+            mk = (t, canon)
+            assert pattern == tg.profile[canon]
+            for j in non_huge[orig]:
+                c = inst.cost(j, t)
+                if kind(c) is lpnorm.LARGE:
+                    point["s", j, slot_pool[(mk, grid.round_down(c))].pop(0)] = ONE
+                else:
+                    point["m", j, mk] = ONE
+    for j, routes in model.routes.items():
+        if not any(point.get(v, ZERO) == ONE for v in route_vars(j, routes)):
+            point["h", j, sched.assignment[j][0]] = ONE
+    return point
+
+
+def placements(slots, point):
+    """job -> (route kind, machine) of a 0/1 route point."""
+    return {j: (kind, slots[target].machine if kind == "s" else target)
+            for kind, j, target in point}
+
+
+def taken_patterns(slots, point):
+    """The sorted classes of the slots point takes, per machine."""
+    taken = collections.defaultdict(list)
+    for kind, _, target in point:
+        if kind == "s":
+            taken[slots[target].machine].append(slots[target].klass)
+    return {mk: tuple(sorted(qs)) for mk, qs in taken.items()}
+
+
+def profile_patterns(profile):
+    """The non-empty patterns of a profile (one tuple of patterns per type),
+    by machine."""
+    return {(t, i): pattern for t, patterns in enumerate(profile)
+            for i, pattern in enumerate(patterns) if pattern}
+
+
+def guided_decisions():
+    """(scaled, profile, certificate) of guided makespan decisions: n=5 on
+    machines (2, 1), D 1 and 2, oracle certificates, at the ladder's first
+    twelve rungs, and the rung where twenty unit jobs on one of two machines
+    overfill its rem."""
+    half = rat(1, 2)
+    cases = [generate_instance(GeneratorSpec(5, dims, (2, 1), 1, 10), seed)
+             for seed in range(150) for dims in (1, 2)]
+    for inst in cases:
+        cert = exact_solve(inst).witness
+        lower, _ = makespan._target_bounds(inst)
+        ladder = makespan.ScaleLadder(inst, lower, makespan.calibrate_eps(half, inst.dims))
+        for i in range(12):
+            scaled = ladder.rung(i)
+            try:
+                profile = profile_from_schedule(scaled, cert)
+            except PatternOverflow:
+                continue
+            yield scaled, profile, cert
+    inst = Instance(1, (2,), (((1,),),) * 20)
+    cert = Schedule(((0, 0),) * 20)
+    ladder = makespan.ScaleLadder(inst, makespan._target_bounds(inst)[0],
+                                  makespan.calibrate_eps(half, 1))
+    scaled = ladder.rung(46)
+    yield scaled, profile_from_schedule(scaled, cert), cert
+
+
+def test_certificate_points_place_jobs_as_the_old_builder():
+    # the old builder took the highest free slot of a class, so only the
+    # slot ids may differ; where it found a machine's small load above its
+    # rem, the engine's forced round rejects the new point
+    decided = overfilled = 0
+    for scaled, profile, cert in guided_decisions():
+        problem = build_rounding_problem(scaled, profile)
+        point = makespan.certificate_point(scaled, problem, cert)
+        assert set(point.values()) == {ONE} and len(point) == scaled.base.num_jobs
+        assert taken_patterns(problem.slots, point) == profile_patterns(profile)
+        ref = ref_certificate_point(scaled, problem, cert)
+        if ref is None:
+            with pytest.raises(Infeasible):
+                RoundingEngine(problem, point).run()
+            overfilled += 1
+        else:
+            assert placements(problem.slots, point) == placements(problem.slots, ref)
+            decided += 1
+    assert decided > 1000 and overfilled > 0
+
+
+def guided_models():
+    """(model, certificate) of guided L_p guesses, p = 2: n=20 on machines
+    (3, 3) with greedy certificates, n=7 on (2, 2) and n=5 on (1, 2) with
+    oracle certificates."""
+    eps = lpnorm.calibrate_eps(rat(1, 2))
+    for seed in range(40):
+        for n, counts in ((20, (3, 3)), (7, (2, 2)), (5, (1, 2))):
+            inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
+            if n == 20:
+                cert = greedy_schedule(inst, 2)
+            else:
+                cert = exact_solve(inst, "lp_norm", p=2).witness
+            try:
+                guess = lpnorm.guess_from_schedule(inst, 2, eps, cert)
+            except GuessInconsistent:
+                continue
+            yield lpnorm.build_cp_model(inst, 2, eps, guess), cert
+
+
+def test_warm_starts_equal_the_old_builder():
+    runs = 0
+    for model, cert in guided_models():
+        point = lpnorm._warm_start(model, cert)
+        assert list(point.items()) == list(ref_warm_start(model, cert).items())
+        profile = tuple(tg.profile for tg in model.guess.types)
+        assert taken_patterns(model.slots, point) == profile_patterns(profile)
+        runs += 1
+    assert runs == 120
 
 
 def ref_slot_patterns(counts, slot_cap, size, mass_cap, dims=1):
