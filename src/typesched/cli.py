@@ -73,10 +73,18 @@ class ExperimentConfig:
         ):
             if value not in known:
                 raise BadSpec(f"{name} must be {known[0]!r} or {known[1]!r}, got {value!r}")
-        # calibration would stop the first trial with a bare ValueError
-        eps = parse_rational(self.eps_user)
-        if not 0 < eps <= 1:
-            raise BadSpec(f"eps_user must lie in (0, 1], got {rat_str(eps)}")
+        # calibration would stop the first trial with a bare error, the report
+        # renders p for either objective, and every L_p trial needs p > 1
+        parsed = {}
+        for name in ("eps_user", "p"):
+            try:
+                parsed[name] = parse_rational(getattr(self, name))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise BadSpec(f"{name} is not a rational: {getattr(self, name)!r}") from None
+        if not 0 < parsed["eps_user"] <= 1:
+            raise BadSpec(f"eps_user must lie in (0, 1], got {rat_str(parsed['eps_user'])}")
+        if self.objective == "lp_norm" and not parsed["p"] > 1:
+            raise BadSpec(f"p must be > 1, got {rat_str(parsed['p'])}")
 
     def trial_spec(self, index: int) -> GeneratorSpec:
         """Deterministic instance shape for one trial (spec + seed fix it)."""

@@ -13,7 +13,13 @@ instead of rounding every cost again (see ScaleLadder).  In guided mode
 every rung whose target is at least the certificate's makespan is known to
 accept (makespan_ptas gives the argument), so the search takes those rungs
 as accepted without deciding them, and decides its final rung once if it
-was one of them; probes counts the decisions run.
+was one of them; probes counts the decisions run.  Full mode does the same
+with a greedy schedule (model.greedy_makespan_schedule) as certificate, and
+tries the guided decision on it at each probe before the enumeration.  No
+rung's answer moves: that decision accepts only if the greedy profile's
+first LP is feasible, and the enumeration lists that profile (realized
+classes, within large_cap and the capacity) and its count check passes it.
+Only an accepting decision's schedule can move.
 
 Machines of one type are identical, so whether a profile can host the jobs
 that are large on every usable type depends only on its slot counts per
@@ -63,7 +69,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExhausted, Infeasible, InvariantViolation, PatternOverflow
-from .model import Instance, Schedule, evaluate_makespan
+from .model import Instance, Schedule, evaluate_makespan, greedy_makespan_schedule
 from .modes import FullEnum, Guided
 from .rationals import (
     ONE,
@@ -410,7 +416,7 @@ class MakespanResult:
     makespan: object
     accepted_target: object
     eps_internal: object
-    probes: int  # decisions run; guided mode skips rungs it knows accept
+    probes: int  # decisions run; rungs known to accept are skipped
     probe_stats: list[RoundingStats] = field(default_factory=list)
     forest: dict = field(default_factory=dict)
 
@@ -507,6 +513,14 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     Each midpoint >= r_c moves hi down, so the final hi is at most r_c; if
     it was never decided, it is decided once at the end.  top is raised to
     r_c for a valid certificate above the ladder.
+
+    Full mode takes min(r_g, top + 1) in place of r_c, r_g the greedy
+    schedule's rung (at most top: a job's finishing load is at most the
+    largest load so far plus its least max cost), and enumerates a probe
+    only when the greedy decision rejects it.  That attempt is charged as
+    one profile against FullEnum.budget: a probe enumerates at most
+    budget - 1 more, and budget 0 raises BudgetExhausted before any
+    decision.
     """
     eps_user = parse_rational(eps_user)
     eps = calibrate_eps(eps_user, inst.dims)
@@ -518,6 +532,13 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     if isinstance(mode, Guided):
         known = ladder.grid.round_up(evaluate_makespan(inst, mode.schedule) / lower)
         top = max(top, known)
+        steps = (mode,)
+    elif mode.budget < 1:  # the greedy attempt is the first profile charged
+        raise BudgetExhausted(f"profile budget {mode.budget} exhausted")
+    else:
+        greedy = greedy_makespan_schedule(inst)
+        known = min(known, ladder.grid.round_up(evaluate_makespan(inst, greedy) / lower))
+        steps = (Guided(greedy), FullEnum(mode.budget - 1))
 
     probes = 0
     probe_stats: list[RoundingStats] = []
@@ -528,12 +549,17 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
         if idx >= known:
             return True
         probes += 1
-        try:
-            best = decide(ladder.rung(idx), mode)
-        except Infeasible:
-            return False
-        probe_stats.append(best.stats)
-        return True
+        scaled = ladder.rung(idx)
+        for step in steps:
+            try:
+                best = decide(scaled, step)
+            except Infeasible:
+                continue
+            except BudgetExhausted:  # report the budget asked for
+                raise BudgetExhausted(f"profile budget {mode.budget} exhausted") from None
+            probe_stats.append(best.stats)
+            return True
+        return False
 
     hi = 0
     if not accepts(0):

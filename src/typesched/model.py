@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -184,21 +185,34 @@ def evaluate_lp_norm_pow(inst: Instance, sched: Schedule, p):
     return sum((power(vec[0], p) for vec in loads.values()), power(ZERO, p))
 
 
+def list_schedule(inst: Instance, growth) -> Schedule:
+    """The job of longest cheapest max cost first (ties by job id), each onto
+    the first machine whose growth(load, cost) is least, for that machine's
+    load vector and the job's cost vector on its type."""
+    loads = {m: (ZERO,) * inst.dims for m in inst.machines()}
+    cheapest = [min(max(vec) for vec in job) for job in inst.costs]
+    assignment: list = [None] * inst.num_jobs
+    for j in sorted(range(inst.num_jobs), key=lambda j: (-cheapest[j], j)):
+        m = min(loads, key=lambda m: growth(loads[m], inst.cost_vec(j, m[0])))
+        assignment[j] = m
+        loads[m] = tuple(map(operator.add, loads[m], inst.cost_vec(j, m[0])))
+    return Schedule(tuple(assignment))
+
+
 def greedy_schedule(inst: Instance, p) -> Schedule:
-    """List schedule for the L_p norm, 1-dimensional jobs: the job of longest
-    cheapest cost first (ties by job id), each onto the first machine whose
-    load^p grows least.  Being feasible, its value bounds OPT_p^p above."""
+    """List schedule for the L_p norm, 1-dimensional jobs: each job onto the
+    machine whose load^p grows least.  Being feasible, its value bounds
+    OPT_p^p above."""
     if inst.dims != 1:
         raise DimensionMismatch(f"L_p norm requires D=1, got D={inst.dims}")
     p = parse_rational(p)
-    loads = {m: ZERO for m in inst.machines()}
-    cheapest = [min(vec[0] for vec in job) for job in inst.costs]
-    assignment: list = [None] * inst.num_jobs
-    for j in sorted(range(inst.num_jobs), key=lambda j: (-cheapest[j], j)):
-        m = min(loads, key=lambda m: power(loads[m] + inst.cost(j, m[0]), p) - power(loads[m], p))
-        assignment[j] = m
-        loads[m] += inst.cost(j, m[0])
-    return Schedule(tuple(assignment))
+    return list_schedule(inst, lambda load, cost: power(load[0] + cost[0], p) - power(load[0], p))
+
+
+def greedy_makespan_schedule(inst: Instance) -> Schedule:
+    """List schedule for the makespan: each job onto the machine whose
+    largest finishing load is least.  Its makespan bounds OPT above."""
+    return list_schedule(inst, lambda load, cost: max(map(operator.add, load, cost)))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,28 @@ def test_experiment_config_rejects_unknown_names(field, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (dict(eps_user="abc"), "eps_user is not a rational: 'abc'"),
+        (dict(eps_user="1/0"), "eps_user is not a rational: '1/0'"),
+        (dict(eps_user=None), "eps_user is not a rational: None"),
+        (dict(objective="lp_norm", p="abc"), "p is not a rational: 'abc'"),
+        (dict(objective="lp_norm", p=1), "p must be > 1, got 1"),
+        (dict(objective="lp_norm", p="1/2"), "p must be > 1, got 1/2"),
+    ],
+    ids=["eps-abc", "eps-1-over-0", "eps-none", "p-abc", "p-1", "p-half"],
+)
+def test_experiment_config_rejects_eps_and_p_it_cannot_use(spec, message):
+    # an eps_user that does not parse used to escape as a bare ValueError,
+    # ZeroDivisionError or TypeError, and an L_p p <= 1 to fail every trial
+    # with BadExponent
+    config = dict(objective="makespan", trials=1, seed=0, eps_user=rat(1, 2))
+    with pytest.raises(BadSpec) as info:
+        ExperimentConfig(**{**config, **spec})
+    assert str(info.value) == message
+
+
 def test_bench_zero_budget_reports_budget_exhausted():
     cfg = ExperimentConfig(
         objective="makespan", trials=2, seed=0, eps_user=rat(1, 2),

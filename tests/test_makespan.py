@@ -36,6 +36,7 @@ from typesched.model import (
     Schedule,
     evaluate_makespan,
     generate_instance,
+    greedy_makespan_schedule,
     make_instance,
 )
 from typesched.oracle import exact_solve
@@ -756,6 +757,76 @@ def test_guided_search_checks_the_rung_it_never_decided(monkeypatch):
     monkeypatch.setattr(makespan, "decide", rejecting)
     with pytest.raises(InvariantViolation, match="rung its certificate proves"):
         makespan_ptas(inst, half, Guided(cert))
+
+
+def shape_cases(seeds: int):
+    """(eps_user, instance) over oracle-sized shapes: n=5, D 1-2, machines
+    (2,1), (1,2), (2,2) and (1,1,1), eps_user 1/4, 1/2 and 1."""
+    for dims in (1, 2):
+        for machines in ((2, 1), (1, 2), (2, 2), (1, 1, 1)):
+            for e, eps_user in enumerate((rat(1, 4), rat(1, 2), rat(1))):
+                for seed in range(seeds):
+                    spec = GeneratorSpec(5, dims, machines, 1, 10)
+                    yield eps_user, generate_instance(spec, 5000 + 10 * e + seed)
+
+
+def accepts(scaled, mode) -> bool:
+    try:
+        decide(scaled, mode)
+    except Infeasible:
+        return False
+    return True
+
+
+def test_greedy_first_decides_every_rung_as_the_enumeration():
+    # the greedy profile is one the enumeration lists and its count check
+    # passes, so a greedy accept is an enumeration accept, and a greedy
+    # reject leaves the enumeration to decide: greedy first accepts iff the
+    # enumeration does.  From the greedy schedule's rung r_g up, the greedy
+    # decision itself accepts (the certificate argument of makespan_ptas),
+    # so full mode skips those rungs
+    fallbacks = skipped = 0
+    for eps_user, inst in shape_cases(2):
+        greedy = greedy_makespan_schedule(inst)
+        ladder, r_g, top = certificate_ladder(inst, eps_user, greedy)
+        assert r_g <= top
+        for i in range(top + 1):
+            scaled = ladder.rung(i)
+            full, first = accepts(scaled, FullEnum()), accepts(scaled, Guided(greedy))
+            assert (first or full) == full, (inst, eps_user, i)
+            assert first or i < r_g, (inst, eps_user, i)
+            fallbacks += full and not first
+            skipped += i >= r_g
+    assert fallbacks > 30 and skipped > 1000, (fallbacks, skipped)
+
+
+def test_full_search_keeps_the_reference_rung():
+    # against deciding every probe by the enumeration: the same accepted
+    # rung in no more decisions, within 1 + eps_user of the optimum
+    half = rat(1, 2)
+    cases = [(half, inst) for inst in reference_cases()] + list(shape_cases(1))
+    fewer = 0
+    for eps_user, inst in cases:
+        expected, ref_probes = reference_search(inst, eps_user, FullEnum())
+        res = makespan_ptas(inst, eps_user, FullEnum())
+        assert res.accepted_target == expected.target
+        assert res.probes <= ref_probes
+        assert res.makespan <= (1 + eps_user) * exact_solve(inst).optimum
+        fewer += res.probes < ref_probes
+    assert fewer > 10, fewer
+
+
+def test_the_greedy_attempt_is_charged_to_the_budget():
+    # one profile per greedy attempt: budget 0 raises before any decision,
+    # budget 1 is enough when every greedy decision accepts, and a probe
+    # left to enumerate with no profile to spare reports the budget asked
+    easy = make_instance(1, [2], [[[1]], [[1]]])
+    with pytest.raises(BudgetExhausted, match="profile budget 0 exhausted"):
+        makespan_ptas(easy, rat(1, 2), FullEnum(0))
+    assert makespan_ptas(easy, rat(1, 2), FullEnum(1)).probes == 1
+    hard = make_instance(1, [1], [[[4]], [[9]]])
+    with pytest.raises(BudgetExhausted, match="profile budget 1 exhausted"):
+        makespan_ptas(hard, rat(1, 2), FullEnum(1))
 
 
 def test_certificate_above_the_ladder_is_solved():

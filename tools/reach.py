@@ -27,7 +27,9 @@ CAP = 120.0  # wall cap per shape, seconds
 # (objective, machine counts, jobs, seed), in the order of the reach table
 SHAPES = [
     ("makespan", (2, 2), 8, 0),
+    ("makespan", (2, 2), 12, 0),
     ("makespan", (2, 2), 14, 0),
+    ("makespan", (3, 3), 12, 0),
     ("makespan", (3, 3), 20, 0),
     ("lpnorm", (1, 1, 1), 4, 0),
     ("lpnorm", (1, 1, 1), 4, 1),
