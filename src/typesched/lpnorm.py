@@ -60,12 +60,13 @@ walked depth-first: a type's loop stops at the first option whose bound,
 plus the least share of every later type, exceeds the limit; an option that
 pins a job twice is skipped, and a guess that leaves a job without a route is
 dropped.  The survivors are sorted back into product order and run under
-the live limit.  guesses_tried still counts the whole stream (the guesses
-enumerate_guesses yields), by folding per-type states instead of walking it
-(_count_guesses).  The budget counts work: one unit per type option built,
-one per (state, mask pair) step of that fold and one per node the walk
-enters.  Each type's fold steps are charged before they are taken, so the
-budget bounds the count as it bounds the walk.
+the live limit.  Under a limit, _type_options skips each (very-huge tuple,
+(c_max, alpha) group) whose least share is above it, since no guess under
+the limit takes one of its options; the listed options keep their
+product-order positions, so the same guesses run in the same order.  No
+count of the whole stream is kept: guesses_tried counts the guesses run,
+one CP model each.  The budget counts work: one unit per type option
+listed and one per node the walk enters.
 
 Each guess's CP model then passes a count-level check before its region is
 built (region_admits): the jobs without a machine route need distinct
@@ -102,7 +103,6 @@ run's value.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -321,9 +321,8 @@ def _cost_table(inst: Instance, t: int, eps) -> list[tuple]:
 
 
 class _Work:
-    """Full mode's budget: one unit per type option built, per step of the
-    guess count (_count_guesses) and per node the guess walk enters;
-    BudgetExhausted as soon as the units pass budget."""
+    """Full mode's budget: one unit per type option listed and per node the
+    guess walk enters; BudgetExhausted as soon as the units pass budget."""
 
     def __init__(self, budget=math.inf):
         self.budget = budget
@@ -340,12 +339,13 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
     very-huge jobs, mask of the jobs it can route, its lower-bound share).
 
     A share is the very-huge charge plus max(alpha*c_max, pattern mass)^p
-    per non-huge machine, so at least the charge plus non_huge*(alpha*c_max)^p;
-    a (c_max, alpha) group whose least share is above limit keeps its masks
-    but is not priced (share None).  The profiles are listed once per
+    per non-huge machine, so at least the charge plus non_huge*(alpha*c_max)^p.
+    Under a limit, a (very-huge tuple, (c_max, alpha) group) whose least share
+    is above it is not listed: its positions are skipped, and no guess, route
+    mask or work is made for it.  The profiles are listed once per
     (non_huge, c_max, alpha), each pattern's term once per
     (alpha*c_max, pattern), each route mask once per _type_routes key.  work
-    is charged one unit per option, a group at a time.
+    is charged one unit per listed option, a group at a time.
     """
     n = inst.num_jobs
     m = inst.machine_counts[t]
@@ -362,10 +362,12 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
         return terms[floor_val, pat]
 
     out = []
+    position = 0
     for h in range(0, m + 1):
         non_huge = m - h
         # per (c_max, alpha): its least pattern terms, and per profile
-        # (profile, its classes, its pattern terms when priced)
+        # (profile, its classes, its pattern terms); a group above limit is
+        # never listed, so its terms are not summed
         groups = [(None, 1, ZERO, [(tuple(() for _ in range(non_huge)), frozenset(), ZERO)])]
         for c_max in costs if non_huge else ():
             for alpha in range(1, n + 1):
@@ -383,16 +385,19 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
             vh_charge = sum((rat(power(table[j][0], p)) for j in vh), ZERO)
             shortest = min((table[j][0] for j in vh), default=None)
             for g, (c_max, alpha, least, group) in enumerate(groups):
+                if limit is not None and vh_charge + least > limit:
+                    position += len(group)
+                    continue
                 if work is not None:
                     work.charge(len(group))
-                priced = limit is None or vh_charge + least <= limit
                 route_masks = masks.setdefault((shortest, g), {})
                 for profile, classes, pattern_terms in group:
                     tg = TypeGuess(h, vh, c_max, alpha, profile)
                     if classes not in route_masks:
                         route_masks[classes] = _routable_mask(inst, eps, t, tg, table)
-                    share = vh_charge + pattern_terms if priced else None
-                    out.append((len(out), tg, pinned, route_masks[classes], share))
+                    share = vh_charge + pattern_terms
+                    out.append((position, tg, pinned, route_masks[classes], share))
+                    position += 1
     return out
 
 
@@ -472,31 +477,9 @@ def _descend(options, caps, every_job, work, t, positions, chosen, pinned, cover
 
 def _survivors(num_jobs: int, options: list, limit, work: _Work) -> list[tuple[tuple, Guess]]:
     """(positions, guess) of every guess with bound at most limit, in product
-    order: the walk over each type's priced options sorted by share."""
-    ranked = [sorted((o for o in opts if o[4] is not None), key=lambda o: (o[4], o[0]))
-              for opts in options]
+    order: the walk over each type's options sorted by share."""
+    ranked = [sorted(opts, key=lambda o: (o[4], o[0])) for opts in options]
     return sorted(_walk(num_jobs, ranked, limit, work))
-
-
-def _count_guesses(num_jobs: int, options: list, work: _Work) -> int:
-    """The number of guesses the walk with no limit yields over options (per
-    type, as _type_options lists them), without walking it: type by type,
-    the prefixes fold into (jobs pinned, jobs pinned or routed) states with
-    multiplicities, each state extended once per distinct pair of masks.
-    work is charged one unit per (state, pair) step, a type at a time, before
-    the type's steps are taken."""
-    every_job = (1 << num_jobs) - 1
-    states = {(0, 0): 1}
-    for opts in options:
-        masks = collections.Counter((vh, vh | routes) for _, _, vh, routes, _ in opts)
-        work.charge(len(states) * len(masks))
-        folded: dict[tuple[int, int], int] = collections.defaultdict(int)
-        for (pinned, covered), k in states.items():
-            for (vh, reach), count in masks.items():
-                if not pinned & vh:
-                    folded[pinned | vh, covered | reach] += k * count
-        states = folded
-    return sum(k for (_, covered), k in states.items() if covered == every_job)
 
 
 def _type_routes(inst, eps, t: int, tg: TypeGuess, table) -> list:
@@ -961,9 +944,9 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     schedule's value for integral p, then each better run's value; see the
     module docstring for why the optimum's guess always runs), walking only
     the guesses under it, and returns the best run.  guesses_tried counts
-    the whole stream, skipped guesses too; mode.budget caps the work, one
-    unit per type option built, per step of that count and per node of the
-    walk.
+    the guesses run, one CP model each (guided mode's 1 is its one run);
+    mode.budget caps the work, one unit per type option listed under the
+    limit and per node of the walk.
     """
     if inst.dims != 1:
         raise DimensionMismatch("L_p pipeline requires D=1")
@@ -981,12 +964,13 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     work = _Work(mode.budget)
     limit = evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p) if is_integral(p) else None
     options = [_type_options(inst, t, p, eps, limit, work) for t in range(inst.num_types)]
-    tried = _count_guesses(inst.num_jobs, options, work)
+    tried = 0  # guesses handed to _run_guess, one CP model each
     best: LpnormRun | None = None
     incumbent = None  # rat(best.objective_pow)
     walked = ()  # positions of the guess whose run set the first limit
     if limit is None:  # take the stream in product order until a guess runs
         for walked, guess in _walk(inst.num_jobs, options, None, work):
+            tried += 1
             try:
                 best = _run_guess(inst, p, eps, guess)
             except InfeasibleRegion:
@@ -998,6 +982,7 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     for positions, guess in _survivors(inst.num_jobs, options, limit, work):
         if positions <= walked or guess.lower_bound > limit:
             continue
+        tried += 1
         try:
             run = _run_guess(inst, p, eps, guess)
         except InfeasibleRegion:

@@ -39,6 +39,9 @@ SHAPES = [
     ("lpnorm", (3, 3), 6, 1),
     ("lpnorm", (2, 2, 2), 6, 0),
     ("lpnorm", (2, 2, 2), 6, 1),
+    ("lpnorm", (3, 3), 7, 0),
+    ("lpnorm", (3, 3), 8, 0),
+    ("lpnorm", (2, 2, 2), 8, 0),
 ]
 
 
