@@ -55,7 +55,9 @@ class ExperimentConfig:
     def __post_init__(self):
         # trial_spec divides by jobs_max - 1, machines_max - 1, num_types and
         # the number of dims choices, a batch without trials checks nothing,
-        # and a negative budget would only be reported as exhausted
+        # a negative budget would only be reported as exhausted, and the
+        # generator rejects a dims choice or cost range below 1 only in the
+        # trial that draws it
         for name, value, low in (
             ("trials", self.trials, 1),
             ("enum_budget", self.enum_budget, 0),
@@ -63,6 +65,9 @@ class ExperimentConfig:
             ("machines_max", self.machines_max, 2),
             ("num_types", self.num_types, 1),
             ("len(dims_choices)", len(self.dims_choices), 1),
+            ("min(dims_choices)", min(self.dims_choices, default=1), 1),
+            ("cost_min", self.cost_min, 1),
+            ("cost_max", self.cost_max, self.cost_min),
         ):
             if value < low:
                 raise BadSpec(f"{name} must be at least {low}, got {value}")

@@ -26,8 +26,7 @@ cross-multiplication, ties to the lower basis index) and the phase-1
 verdict decide exactly as a rational tableau would: the pivot sequence,
 bases and vertices are the same.  Rationals appear only where the
 constraints are read and the basic values are returned, through integer
-numerators and denominators, so the tableau does not depend on the
-rational backend.
+numerators and denominators.
 
 Equality constraints are handled natively via phase-1 artificials rather
 than split into inequality pairs, keeping row counts aligned with the
@@ -232,13 +231,13 @@ def _run_simplex(tab: _Tableau) -> int:
 
 def _int_row(coeffs: dict, index: dict[Hashable, int], rhs) -> tuple[dict[int, int], int]:
     """(row, scale): the nonzero coeffs and rhs as ints over the lcm of their denominators."""
-    scale = math.lcm(int(rhs.denominator), *(int(a.denominator) for a in coeffs.values()))
+    scale = math.lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
     row = {
-        index[v]: int(a.numerator) * (scale // int(a.denominator))
+        index[v]: a.numerator * (scale // a.denominator)
         for v, a in coeffs.items() if a
     }
     if rhs:
-        row[RHS] = int(rhs.numerator) * (scale // int(rhs.denominator))
+        row[RHS] = rhs.numerator * (scale // rhs.denominator)
     return row, scale
 
 
@@ -248,7 +247,6 @@ def _phase_one_rows(lp: LinearProgram) -> tuple[list[dict[int, int]], list[int],
     slacks in row order, then artificials from art_start; each row's slack
     or artificial is basic."""
     nvars = len(lp.variables)
-    index = {v: j for j, v in enumerate(lp.variables)}
     art_start = nvars + sum(1 for c in lp.constraints if c.rel != EQ)
     # A slack whose coefficient stays positive after the sign flip seeds the
     # basis; every other row gets a phase-1 artificial.
@@ -256,7 +254,7 @@ def _phase_one_rows(lp: LinearProgram) -> tuple[list[dict[int, int]], list[int],
     basis: list[int] = []
     slack, art = nvars, art_start
     for c in lp.constraints:
-        row, scale = _int_row(c.coeffs, index, c.rhs)
+        row, scale = _int_row(c.coeffs, lp._index, c.rhs)
         if c.rel != EQ:
             row[slack] = scale if c.rel == LE else -scale
         if c.rhs < 0:
@@ -321,9 +319,8 @@ def vertex_start(lp: LinearProgram, point: dict) -> _Phase1 | None:
     point maps variables to exact values; an absent variable counts as 0.
     """
     rows, basis, art_start, ncols = _phase_one_rows(lp)
-    index = {v: j for j, v in enumerate(lp.variables)}
     # the point over the lcm of its denominators, keyed by column in column order
-    x, scale = _int_row({v: rat(point.get(v, ZERO)) for v in lp.variables}, index, ZERO)
+    x, scale = _int_row({v: rat(point.get(v, ZERO)) for v in lp.variables}, lp._index, ZERO)
     if any(a < 0 for a in x.values()):
         return None
     slack_positive = []
@@ -380,9 +377,8 @@ def solve_extreme_point(lp: LinearProgram, start: _Phase1 | None = None) -> Extr
     tab = _Tableau(list(start.rows), list(start.basis), start.ncols)
 
     nvars = len(lp.variables)
-    index = {v: j for j, v in enumerate(lp.variables)}
     objective = {v: rat(a) for v, a in lp.objective.items()}
-    tab.price(_int_row(objective, index, ZERO)[0])
+    tab.price(_int_row(objective, lp._index, ZERO)[0])
     phase2 = _run_simplex(tab)
 
     values = {v: ZERO for v in lp.variables}

@@ -61,9 +61,9 @@ def exact_solve(
             f"{n} jobs / {inst.num_machines} machines exceed caps "
             f"({JOB_CAP} / {MACHINE_CAP})"
         )
-    scale = math.lcm(*(int(c.denominator) for job in inst.costs for vec in job for c in vec))
+    scale = math.lcm(*(c.denominator for job in inst.costs for vec in job for c in vec))
     costs = [
-        [tuple(int(c.numerator) * (scale // int(c.denominator)) for c in vec) for vec in job]
+        [tuple(c.numerator * (scale // c.denominator) for c in vec) for vec in job]
         for job in inst.costs
     ]
     open_types = [t for t, m in enumerate(inst.machine_counts) if m]
@@ -81,7 +81,7 @@ def exact_solve(
         costs = [[vec[0] for vec in job] for job in costs]
         join, empty = add, 0
         if p.denominator == 1:
-            k = int(p.numerator)
+            k = p.numerator
             start, unit = 0, scale ** k
 
             def step(cur, old, c):

@@ -2,10 +2,9 @@
 
 All solver-facing numbers are exact rationals so that classification
 thresholds, LP inputs and outputs and overshoot bounds compare exactly.
-rat() builds them: gmpy2.mpq when gmpy2 is installed, otherwise
-FastFraction.  The types interoperate, so callers may pass either, or a
-plain int or Fraction.  The simplex itself pivots over Python ints (see
-lp.py), so its speed does not depend on the backend.
+rat() builds them, always as a FastFraction; callers may also pass a plain
+int or Fraction, which mix with it exactly.  The simplex itself pivots over
+Python ints (see lp.py).
 
 FastFraction is a fractions.Fraction subclass with no instance dict
 (__slots__ = ()).  It overrides only the operators the solvers use: + - * /
@@ -15,7 +14,7 @@ exactly int, Fraction or FastFraction: it computes the reduced pair with
 the gcd steps of Fraction._add and Fraction._mul and writes it straight
 into Fraction's _numerator and _denominator slots, skipping Fraction's
 generic dispatch, its numbers-ABC checks and its property reads.  Any
-other operand (bool, float, complex, Decimal, mpq, ...) and every division
+other operand (bool, float, complex, Decimal, ...) and every division
 by zero go to Fraction's own method, and everything not overridden is
 Fraction's, so results, exceptions, hash and repr ("Fraction(n, d)") are
 Fraction's; only a fast-path result is a FastFraction instead.  A rational
@@ -245,8 +244,8 @@ class FastFraction(Fraction):
         return a._numerator != 0
 
 
-def _fast_rat(num, den=None):
-    """rat() without gmpy2: num, or num/den, as a FastFraction."""
+def rat(num, den=None):
+    """num, or num/den, as a FastFraction."""
     if den is None:
         t = type(num)
         if t is FastFraction:
@@ -264,22 +263,9 @@ def _fast_rat(num, den=None):
     return FastFraction(num, den)
 
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def rat(num, den=None):
-        if den is None:
-            if type(num) is _mpq:
-                return num  # immutable: no need to rebuild
-            if isinstance(num, float):
-                return _mpq(Fraction(num))
-            return _mpq(num)
-        return _mpq(num, den)
-
-    HAVE_GMPY = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    rat = _fast_rat
-    HAVE_GMPY = False
+# rat() has one backend.  perfbench/run.py reads this flag to label its
+# reports' rational backend, so it stays, always False.
+HAVE_GMPY = False
 
 ZERO = rat(0)
 ONE = rat(1)
@@ -349,7 +335,7 @@ def halve_until(eps_user, factor, *args):
     pair of eps_user (hashing a rational would take a modular inverse per call).
     """
     eps_user = parse_rational(eps_user)
-    return _halve_until(int(eps_user.numerator), int(eps_user.denominator), factor, args)
+    return _halve_until(eps_user.numerator, eps_user.denominator, factor, args)
 
 
 @functools.lru_cache(maxsize=128)
@@ -403,7 +389,7 @@ class GeometricGrid:
 
     def round_down(self, x) -> int:
         """Largest e with (1+eps)^e <= x, for a rational x > 0."""
-        a, b = int(x.numerator), int(x.denominator)
+        a, b = x.numerator, x.denominator
         if a <= 0 or b <= 0:
             raise ValueError(f"grid rounding needs x > 0, got {a}/{b}")
         e = math.floor((math.log(a) - math.log(b)) / self._log_base)

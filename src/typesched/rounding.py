@@ -713,11 +713,6 @@ class RoundingEngine:
         )
 
 
-def slot_lp(problem: RoundingProblem) -> LinearProgram:
-    """The first LP the engine solves for problem."""
-    return RoundingEngine(problem)._build_lp()
-
-
 # ---------------------------------------------------------------------------
 # untangling
 

@@ -78,16 +78,24 @@ def test_bench_report_byte_stable():
         ("machines_max", 1, "machines_max must be at least 2, got 1"),
         ("num_types", 0, "num_types must be at least 1, got 0"),
         ("dims_choices", (), "len(dims_choices) must be at least 1, got 0"),
+        ("dims_choices", (1, 0), "min(dims_choices) must be at least 1, got 0"),
+        ("dims_choices", (-1,), "min(dims_choices) must be at least 1, got -1"),
+        ("cost_min", 0, "cost_min must be at least 1, got 0"),
+        ("cost_max", 0, "cost_max must be at least 1, got 0"),
+        ("cost_min", 11, "cost_max must be at least 11, got 10"),
         ("enum_budget", -3, "enum_budget must be at least 0, got -3"),
         ("eps_user", 2, "eps_user must lie in (0, 1], got 2"),
         ("eps_user", 0, "eps_user must lie in (0, 1], got 0"),
     ],
     ids=["trials-0", "trials-negative", "jobs-max-1", "machines-max-1", "types-0", "no-dims",
+         "dims-0", "dims-negative", "cost-min-0", "cost-max-0", "cost-range-empty",
          "budget-negative", "eps-2", "eps-0"],
 )
 def test_experiment_config_rejects_shapes_it_cannot_run(field, value, message):
-    # each of these used to run no trial, or end in ZeroDivisionError from
-    # trial_spec or in a bare ValueError from the eps calibration
+    # each of these used to run no trial, end in ZeroDivisionError from
+    # trial_spec or in a bare ValueError from the eps calibration, or pass
+    # until a trial drew the bad dims choice or cost and the generator
+    # raised
     spec = dict(objective="makespan", trials=1, seed=0, eps_user=rat(1, 2))
     spec[field] = value
     with pytest.raises(BadSpec) as info:

@@ -60,7 +60,7 @@ def ref_large_class_ks(eps, dims):
 
 
 class MpqShaped:
-    """Stands in for gmpy2.mpq: only numerator and denominator are read."""
+    """Stands in for a third-party rational: only numerator and denominator are read."""
 
     def __init__(self, value: Fraction):
         self.numerator = value.numerator

@@ -1039,7 +1039,7 @@ def test_no_assert_statements_in_the_library():
 
 
 def test_only_rationals_touches_fractions():
-    # every solver rational comes from rat(), so it is the backend's fast type
+    # every solver rational comes from rat(), so it is a FastFraction
     offenders = []
     for path in sorted((SRC / "typesched").glob("*.py")):
         if path.name == "rationals.py":

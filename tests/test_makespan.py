@@ -45,7 +45,6 @@ from typesched.rounding import (
     RoundingEngine,
     assemble_schedule,
     has_matching,
-    slot_lp,
     untangle,
 )
 
@@ -339,7 +338,7 @@ def test_profile_budget_exhaustion(monkeypatch):
 
 def _lp_feasible(scaled, profile) -> bool:
     try:
-        solve_extreme_point(slot_lp(build_rounding_problem(scaled, profile)))
+        solve_extreme_point(RoundingEngine(build_rounding_problem(scaled, profile))._build_lp())
     except Infeasible:
         return False
     return True
@@ -517,7 +516,7 @@ def test_slot_lp_row_count():
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
     profiles = list(enumerate_pattern_profiles(scaled, 10**6))
     profile = max(profiles, key=lambda p: sum(len(x) for pats in p for x in pats))
-    lp = slot_lp(build_rounding_problem(scaled, profile))
+    lp = RoundingEngine(build_rounding_problem(scaled, profile))._build_lp()
     n_slots = len(build_rounding_problem(scaled, profile).slots)
     assert n_slots > 0
     assert lp.num_rows == inst.num_jobs + n_slots + inst.dims * inst.num_machines

@@ -1,7 +1,6 @@
 """Differential tests: FastFraction against plain fractions.Fraction.
 
-FastFraction is defined whatever the backend, so these tests run with or
-without gmpy2.  Every overridden operator is run on random operands, with
+Every overridden operator is run on random operands, with
 FastFraction on either side, and on the same operands with each FastFraction
 turned into a plain Fraction; the two outcomes must match exactly: the same
 reduced (numerator, denominator), the same float or bool, or the same
@@ -14,14 +13,19 @@ import math
 import numbers
 import operator
 import pickle
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from typesched import rationals
-from typesched.rationals import FastFraction, _fast_rat
+from typesched.rationals import FastFraction, rat
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 small = st.integers(min_value=-12, max_value=12)
 large = st.integers(min_value=-(2 ** 80), max_value=2 ** 80)
@@ -183,7 +187,7 @@ def test_fast_type_has_no_instance_dict():
 
 @given(fast=fasts)
 def test_rat_returns_a_fast_value_itself(fast):
-    assert _fast_rat(fast) is fast
+    assert rat(fast) is fast
 
 
 @pytest.mark.parametrize(
@@ -204,23 +208,21 @@ def test_rat_returns_a_fast_value_itself(fast):
     ],
 )
 def test_rat_builds_the_same_pair_as_fraction(args, want):
-    got = _fast_rat(*args)
+    got = rat(*args)
     assert type(got) is FastFraction
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 def test_rat_rejects_what_fraction_rejects():
     with pytest.raises(ZeroDivisionError):
-        _fast_rat(1, 0)
+        rat(1, 0)
     with pytest.raises(ValueError):
-        _fast_rat("one half")
+        rat("one half")
     with pytest.raises(TypeError):
-        _fast_rat(1, 0.5)
+        rat(1, 0.5)
 
 
-@pytest.mark.skipif(rationals.HAVE_GMPY, reason="gmpy2 backs rat()")
 def test_fallback_backend_is_the_fast_type():
-    assert rationals.rat is _fast_rat
     values = [
         rationals.ZERO,
         rationals.ONE,
@@ -232,3 +234,21 @@ def test_fallback_backend_is_the_fast_type():
         rationals.halve_until("1", lambda eps: 10 * eps),
     ]
     assert [type(v) for v in values] == [FastFraction] * len(values)
+
+
+def test_rat_ignores_an_installed_gmpy2(tmp_path):
+    # rat() has one backend: a gmpy2 on the path is not imported in its place
+    (tmp_path / "gmpy2.py").write_text("from fractions import Fraction as mpq\n")
+    script = (
+        "import gmpy2\n"
+        "from fractions import Fraction\n"
+        "from typesched import rationals\n"
+        "args = [(1, 2), (3,), (Fraction(1, 3),), (rationals.rat(2, 5),), (0.25,)]\n"
+        "print(*(type(rationals.rat(*a)).__name__ for a in args), rationals.HAVE_GMPY)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": f"{tmp_path}:{SRC}"}, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["FastFraction"] * 5 + ["False"]

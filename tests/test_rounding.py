@@ -450,7 +450,7 @@ def test_lp_columns_are_the_route_triples():
     opt = exact_solve(inst)
     scaled = make_scaled_instance(inst, opt.optimum, rat(1, 4))
     problem = build_rounding_problem(scaled, profile_from_schedule(scaled, opt.witness))
-    assert rounding.slot_lp(problem).variables == columns(problem.jobs)
+    assert RoundingEngine(problem)._build_lp().variables == columns(problem.jobs)
     assert {kind for kind, _, _ in columns(problem.jobs)} == {"m", "s"}
 
     # a guess with machine, slot and huge routes
@@ -463,7 +463,7 @@ def test_lp_columns_are_the_route_triples():
     allowances = [("t", mk) for mk in model.small_machines]
     assert allowances and lpnorm.build_cp_region(model).variables == routes + allowances
     frozen = lpnorm.build_rounding_from_cp(model, dict.fromkeys(model.small_machines, ONE))
-    assert rounding.slot_lp(frozen).variables == routes
+    assert RoundingEngine(frozen)._build_lp().variables == routes
 
 
 # ---------------------------------------------------------------------------
