@@ -60,13 +60,13 @@ walked depth-first: a type's loop stops at the first option whose bound,
 plus the least share of every later type, exceeds the limit; an option that
 pins a job twice is skipped, and a guess that leaves a job without a route is
 dropped.  The survivors are sorted back into product order and run under
-the live limit.  Under a limit, _type_options skips each (very-huge tuple,
-(c_max, alpha) group) whose least share is above it, since no guess under
-the limit takes one of its options; the listed options keep their
-product-order positions, so the same guesses run in the same order.  No
-count of the whole stream is kept: guesses_tried counts the guesses run,
-one CP model each.  The budget counts work: one unit per type option
-listed and one per node the walk enters.
+the live limit.  Under a limit, _type_options lists a (c_max, alpha) group
+only for the very-huge tuples whose charge plus its least share is within
+it, as no guess under the limit takes the others; each option's key sorts
+it as in the product, so the same guesses run in the same order.  No count
+of the whole stream is kept: guesses_tried counts the guesses run, one CP
+model each.  The budget counts work: one unit per type option listed and
+one per node the walk enters.
 
 Each guess's CP model then passes a count-level check before its region is
 built (region_admits): the jobs without a machine route need distinct
@@ -335,21 +335,23 @@ class _Work:
 
 
 def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list[tuple]:
-    """Type t's options in product order, each (position, guess, mask of its
+    """Type t's options in product order, each (key, guess, mask of its
     very-huge jobs, mask of the jobs it can route, its lower-bound share).
 
-    A share is the very-huge charge plus max(alpha*c_max, pattern mass)^p
-    per non-huge machine, so at least the charge plus non_huge*(alpha*c_max)^p.
-    Under a limit, a (very-huge tuple, (c_max, alpha) group) whose least share
-    is above it is not listed: its positions are skipped, and no guess, route
-    mask or work is made for it.  The profiles are listed once per
-    (non_huge, c_max, alpha), each pattern's term once per
-    (alpha*c_max, pattern), each route mask once per _type_routes key.  work
-    is charged one unit per listed option, a group at a time.
+    A key (h, r, g, i) is the huge-machine count, the very-huge tuple's rank
+    in itertools.combinations order, the (c_max, alpha) group's index and the
+    profile's index in it, so keys compare in product order.  A share is the
+    very-huge charge plus max(alpha*c_max, pattern mass)^p per non-huge
+    machine, at least the charge plus the group's non_huge*(alpha*c_max)^p.
+    Under a limit, a (tuple, group) pair above it is not listed, and a group
+    is listed at its first pair within it.  work is charged one unit per
+    listed option, a group at a time; a group lists at most one profile past
+    the budget left.
     """
     n = inst.num_jobs
     m = inst.machine_counts[t]
     f = f_threshold(p, eps)
+    work = _Work() if work is None else work
     table = _cost_table(inst, t, eps)
     costs = sorted({c for c, _ in table})
     grid = geometric_grid(eps)
@@ -362,46 +364,42 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
         return terms[floor_val, pat]
 
     out = []
-    position = 0
     for h in range(0, m + 1):
         non_huge = m - h
-        # per (c_max, alpha): its least pattern terms, and per profile
-        # (profile, its classes, its pattern terms); a group above limit is
-        # never listed, so its terms are not summed
-        groups = [(None, 1, ZERO, [(tuple(() for _ in range(non_huge)), frozenset(), ZERO)])]
-        for c_max in costs if non_huge else ():
-            for alpha in range(1, n + 1):
-                least = non_huge * rat(power(alpha * c_max, p))
-                groups.append((c_max, alpha, least, [
-                    (profile, frozenset(e for pat in profile for e in pat),
-                     None if limit is not None and least > limit
-                     else sum((term(alpha * c_max, pat) for pat in profile), ZERO))
-                    for profile in _profiles_for(table, non_huge, c_max, alpha, eps)
-                ]))
+        # (c_max, alpha, least share) per group; group 0 has no large job
+        groups = [(None, 1, ZERO)] + [
+            (c_max, alpha, non_huge * rat(power(alpha * c_max, p)))
+            for c_max in (costs if non_huge else ()) for alpha in range(1, n + 1)
+        ]
+        listed = {0: [(tuple(() for _ in range(non_huge)), frozenset(), ZERO)]}
         masks: dict[tuple, dict] = {}  # (shortest very-huge cost, group) -> classes -> mask
-        for vh in itertools.combinations(range(n), min(f, h)):
+        for r, vh in enumerate(itertools.combinations(range(n), min(f, h))):
             vh = tuple(sorted(vh, key=lambda j: (-table[j][0], j)))
             pinned = sum(1 << j for j in vh)
             vh_charge = sum((rat(power(table[j][0], p)) for j in vh), ZERO)
             shortest = min((table[j][0] for j in vh), default=None)
-            for g, (c_max, alpha, least, group) in enumerate(groups):
+            for g, (c_max, alpha, least) in enumerate(groups):
                 if limit is not None and vh_charge + least > limit:
-                    position += len(group)
                     continue
-                if work is not None:
-                    work.charge(len(group))
+                if g not in listed:  # (profile, its classes, its pattern terms)
+                    listed[g] = [
+                        (profile, frozenset(e for pat in profile for e in pat),
+                         sum((term(alpha * c_max, pat) for pat in profile), ZERO))
+                        for profile in _profiles_for(table, non_huge, c_max, alpha, eps,
+                                                     work.budget - work.spent + 1)
+                    ]
+                work.charge(len(listed[g]))
                 route_masks = masks.setdefault((shortest, g), {})
-                for profile, classes, pattern_terms in group:
+                for i, (profile, classes, pattern_terms) in enumerate(listed[g]):
                     tg = TypeGuess(h, vh, c_max, alpha, profile)
                     if classes not in route_masks:
                         route_masks[classes] = _routable_mask(inst, eps, t, tg, table)
-                    share = vh_charge + pattern_terms
-                    out.append((position, tg, pinned, route_masks[classes], share))
-                    position += 1
+                    out.append(((h, r, g, i), tg, pinned, route_masks[classes],
+                                vh_charge + pattern_terms))
     return out
 
 
-def _profiles_for(table, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern, ...]]:
+def _profiles_for(table, machines, c_max, alpha, eps, cap=None) -> list[tuple[Pattern, ...]]:
     kind = job_kind(c_max, alpha, eps)
     counts: dict[int, int] = {}
     for c, e in table:
@@ -410,7 +408,7 @@ def _profiles_for(table, machines, c_max, alpha, eps) -> Iterator[tuple[Pattern,
     count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
     grid = geometric_grid(eps)
     patterns = slot_patterns(counts, count_cap, lambda e: (grid.value(e),), mass_cap)
-    yield from pattern_multisets(patterns, machines, counts)
+    return pattern_multisets(patterns, machines, counts, cap)
 
 
 def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
@@ -436,9 +434,9 @@ def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
 
 
 def _walk(num_jobs: int, options: list, limit, work: _Work) -> Iterator[tuple[tuple, Guess]]:
-    """(positions, guess) of every guess made of one option per type that
-    pins no job twice and leaves no job without a route, depth-first over
-    each type's options (position, guess, very-huge mask, route mask, share)
+    """(keys, guess) of every guess made of one option per type that pins
+    no job twice and leaves no job without a route, depth-first over each
+    type's options (key, guess, very-huge mask, route mask, share)
     in the order given.  A guess's lower_bound is the left-to-right sum of
     its shares; work is charged one unit per node the walk enters.
 
@@ -456,11 +454,11 @@ def _walk(num_jobs: int, options: list, limit, work: _Work) -> Iterator[tuple[tu
     return _descend(options, caps, (1 << num_jobs) - 1, work, 0, (), (), 0, 0, ZERO)
 
 
-def _descend(options, caps, every_job, work, t, positions, chosen, pinned, covered, bound):
-    """The walk below a prefix over the types before t: its positions and
+def _descend(options, caps, every_job, work, t, keys, chosen, pinned, covered, bound):
+    """The walk below a prefix over the types before t: its keys and
     options, the jobs it pins, the jobs it pins or routes, and its bound."""
     room = None if caps is None else caps[t] - bound
-    for pos, tg, vh, routes, share in options[t]:
+    for key, tg, vh, routes, share in options[t]:
         if room is not None and share > room:
             break
         if pinned & vh:
@@ -468,17 +466,18 @@ def _descend(options, caps, every_job, work, t, positions, chosen, pinned, cover
         work.charge()
         if t + 1 < len(options):
             yield from _descend(
-                options, caps, every_job, work, t + 1, positions + (pos,), chosen + (tg,),
+                options, caps, every_job, work, t + 1, keys + (key,), chosen + (tg,),
                 pinned | vh, covered | vh | routes, bound + share,
             )
         elif covered | vh | routes == every_job:
-            yield positions + (pos,), Guess(chosen + (tg,), bound + share)
+            yield keys + (key,), Guess(chosen + (tg,), bound + share)
 
 
 def _survivors(num_jobs: int, options: list, limit, work: _Work) -> list[tuple[tuple, Guess]]:
-    """(positions, guess) of every guess with bound at most limit, in product
-    order: the walk over each type's options sorted by share."""
-    ranked = [sorted(opts, key=lambda o: (o[4], o[0])) for opts in options]
+    """(keys, guess) of every guess with bound at most limit, in product
+    order: the walk over each type's options sorted by share (a stable sort,
+    so options of equal share stay in key order)."""
+    ranked = [sorted(opts, key=lambda o: o[4]) for opts in options]
     return sorted(_walk(num_jobs, ranked, limit, work))
 
 
@@ -967,7 +966,7 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     tried = 0  # guesses handed to _run_guess, one CP model each
     best: LpnormRun | None = None
     incumbent = None  # rat(best.objective_pow)
-    walked = ()  # positions of the guess whose run set the first limit
+    walked = ()  # keys of the guess whose run set the first limit
     if limit is None:  # take the stream in product order until a guess runs
         for walked, guess in _walk(inst.num_jobs, options, None, work):
             tried += 1
@@ -979,8 +978,8 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
             break
         else:
             raise InvariantViolation("no guess produced a schedule")
-    for positions, guess in _survivors(inst.num_jobs, options, limit, work):
-        if positions <= walked or guess.lower_bound > limit:
+    for keys, guess in _survivors(inst.num_jobs, options, limit, work):
+        if keys <= walked or guess.lower_bound > limit:
             continue
         tried += 1
         try:

@@ -225,14 +225,11 @@ def realized_types(scaled: ScaledInstance) -> dict[int, dict[Klass, int]]:
 
 
 def _type_profiles(
-    scaled: ScaledInstance, mtype: int, counts: dict[Klass, int]
+    scaled: ScaledInstance, mtype: int, counts: dict[Klass, int], cap: int
 ) -> list[tuple[Pattern, ...]]:
     """Multisets of patterns for the machines of one type, slot-count pruned:
     patterns over the type's realized classes (counts, from realized_types)
-    within the count and per-dimension mass limits."""
-    m = scaled.base.machine_counts[mtype]
-    if m == 0:
-        return [()]
+    within the count and per-dimension mass limits; the first cap of them."""
     patterns = slot_patterns(
         counts,
         scaled.large_cap,
@@ -240,13 +237,16 @@ def _type_profiles(
         scaled.capacity,
         scaled.base.dims,
     )
-    return pattern_multisets(patterns, m, counts)
+    return pattern_multisets(patterns, scaled.base.machine_counts[mtype], counts, cap)
 
 
 def enumerate_pattern_profiles(scaled: ScaledInstance, budget: int) -> Iterator[Profile]:
-    """Lazily yield profiles; raise BudgetExhausted when the cap cuts the stream."""
+    """Lazily yield profiles; raise BudgetExhausted when the cap cuts the stream.
+    Each type lists at most budget + 1 multisets: the first budget profiles
+    of the product take none past them, and over budget are left if there were."""
     realized = realized_types(scaled)
-    per_type = [_type_profiles(scaled, t, realized[t]) for t in range(scaled.base.num_types)]
+    per_type = [_type_profiles(scaled, t, realized[t], budget + 1)
+                for t in range(scaled.base.num_types)]
     yielded = 0
     for profile in itertools.product(*per_type):
         if yielded >= budget:
@@ -514,9 +514,9 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     it was never decided, it is decided once at the end.  top is raised to
     r_c for a valid certificate above the ladder.
 
-    Full mode takes min(r_g, top + 1) in place of r_c, r_g the greedy
-    schedule's rung (at most top: a job's finishing load is at most the
-    largest load so far plus its least max cost), and enumerates a probe
+    Full mode takes r_g in place of r_c, r_g the greedy schedule's rung
+    (at most top: a job's finishing load is at most the largest load so far
+    plus its least max cost, so top stays), and enumerates a probe
     only when the greedy decision rejects it.  That attempt is charged as
     one profile against FullEnum.budget: a probe enumerates at most
     budget - 1 more, and budget 0 raises BudgetExhausted before any
@@ -528,17 +528,15 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     # rungs lower * (1+eps)^i up to the first target >= upper (upper >= lower)
     ladder = ScaleLadder(inst, lower, eps)
     top = ladder.grid.round_up(upper / lower)
-    known = top + 1  # rungs >= known accept without a decision
     if isinstance(mode, Guided):
-        known = ladder.grid.round_up(evaluate_makespan(inst, mode.schedule) / lower)
-        top = max(top, known)
         steps = (mode,)
     elif mode.budget < 1:  # the greedy attempt is the first profile charged
         raise BudgetExhausted(f"profile budget {mode.budget} exhausted")
     else:
-        greedy = greedy_makespan_schedule(inst)
-        known = min(known, ladder.grid.round_up(evaluate_makespan(inst, greedy) / lower))
-        steps = (Guided(greedy), FullEnum(mode.budget - 1))
+        steps = (Guided(greedy_makespan_schedule(inst)), FullEnum(mode.budget - 1))
+    # the certificate's rung: rungs >= known accept without a decision
+    known = ladder.grid.round_up(evaluate_makespan(inst, steps[0].schedule) / lower)
+    top = max(top, known)
 
     probes = 0
     probe_stats: list[RoundingStats] = []
@@ -563,9 +561,7 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
 
     hi = 0
     if not accepts(0):
-        lo, hi = 0, top
-        if not accepts(hi):
-            raise InvariantViolation("decision rejected a valid upper bound")
+        lo, hi = 0, top  # top >= known accepts
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if accepts(mid):

@@ -276,10 +276,10 @@ def route_point(slots: dict[int, SlotInfo], machines: dict[MachineKey, list]) ->
     return point
 
 
-def pattern_multisets(patterns: list[tuple], machines: int, counts: dict) -> list[tuple]:
+def pattern_multisets(patterns: list[tuple], machines: int, counts: dict, cap=None) -> list[tuple]:
     """Multisets of `machines` patterns needing at most counts[q] jobs of each
-    class q, in itertools.combinations_with_replacement order.  Every class
-    of a pattern must be a key of counts.
+    class q, in itertools.combinations_with_replacement order, up to cap of
+    them.  Every class of a pattern must be a key of counts.
 
     Each pattern's class counts are packed once into one int, a field of
     `width` bits per class, and a multiset's counts are the sum of its
@@ -327,6 +327,8 @@ def pattern_multisets(patterns: list[tuple], machines: int, counts: dict) -> lis
             picks[d] += 1
         elif d == last:
             out.append(tuple([patterns[k] for k in picks]))
+            if len(out) == cap:
+                return out
             picks[d] += 1
         else:
             d += 1

@@ -681,25 +681,27 @@ def test_walk_keeps_exactly_the_stream_under_its_limit(counts, n, seed, eps_user
 @pytest.mark.parametrize("counts,n,seed,eps", ROUTE_STREAMS)
 def test_type_options_are_the_reference_lists(counts, n, seed, eps):
     # the options listed once per key are the per-option reference lists item
-    # by item: positions, guesses, very-huge masks, route masks and shares;
-    # under the greedy limit every reference option left out has its share
-    # above the limit
+    # by item: each key's rank in the limit-free list is its reference index,
+    # and guesses, very-huge masks, route masks and shares match; under the
+    # greedy limit the ranks rise and every reference option left out has its
+    # share above the limit
     inst = generate_instance(GeneratorSpec(n, 1, counts, 1, 10), seed)
     greedy = rat(evaluate_lp_norm_pow(inst, greedy_schedule(inst, 2), 2))
     skipped = 0
     for t in range(inst.num_types):
         table = _cost_table(inst, t, eps)
         ref = list(ref_type_guess_options(inst, t, 2, eps, table))
+        rank = {key: i for i, (key, *_) in enumerate(_type_options(inst, t, 2, eps))}
         for limit in (None, greedy):
             work = lpnorm._Work()
             options = _type_options(inst, t, 2, eps, limit, work)
             assert work.spent == len(options)
-            for pos, tg, vh, routes, share in options:
+            listed = [rank[key] for key, *_ in options]
+            for pos, (_, tg, vh, routes, share) in zip(listed, options):
                 assert tg == ref[pos]
                 assert vh == sum(1 << j for j in tg.very_huge)
                 assert routes == _routable_mask(inst, eps, t, tg, table)
                 assert share == ref_type_lower_bound(inst, 2, eps, t, tg)
-            listed = [pos for pos, *_ in options]
             assert listed == sorted(set(listed))
             if limit is None:
                 assert listed == list(range(len(ref)))
@@ -707,6 +709,26 @@ def test_type_options_are_the_reference_lists(counts, n, seed, eps):
                 assert ref_type_lower_bound(inst, 2, eps, t, ref[pos]) > limit
                 skipped += 1
     assert skipped > 0
+
+
+def test_type_options_list_no_group_above_the_limit(monkeypatch):
+    # under the greedy limit, _type_options lists the profiles of no
+    # (c_max, alpha) group whose least share non_huge*(alpha*c_max)^p is
+    # above the limit: no very-huge tuple can take such a group
+    inst = generate_instance(GeneratorSpec(6, 1, (3, 3), 1, 10), 0)
+    eps = calibrate_eps(rat(1, 2))
+    greedy = rat(evaluate_lp_norm_pow(inst, greedy_schedule(inst, 2), 2))
+    calls = []
+    listing = lpnorm._profiles_for
+
+    def spy(table, machines, c_max, alpha, eps, *rest):
+        calls.append(machines * rat(power(alpha * c_max, 2)))
+        return listing(table, machines, c_max, alpha, eps, *rest)
+
+    monkeypatch.setattr(lpnorm, "_profiles_for", spy)
+    for t in range(inst.num_types):
+        _type_options(inst, t, 2, eps, greedy, lpnorm._Work())
+    assert calls and max(calls) <= greedy
 
 
 # (machine counts, jobs, seed, assignment, objective, guesses run) of

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -826,6 +827,56 @@ def test_the_greedy_attempt_is_charged_to_the_budget():
     hard = make_instance(1, [1], [[[4]], [[9]]])
     with pytest.raises(BudgetExhausted, match="profile budget 1 exhausted"):
         makespan_ptas(hard, rat(1, 2), FullEnum(1))
+
+
+def test_the_greedy_rung_is_at_most_top():
+    # full mode takes the greedy schedule's rung r_g as its certificate rung
+    # and raises top to it, which leaves top as it was because r_g <= top: a
+    # job's finishing load is at most the largest load so far plus its least
+    # max cost.  Checked on the makespan-full pool shape and on D=2 shapes
+    specs = [(GeneratorSpec(4, 1, (2, 2), 1, 10), range(1760))] + [
+        (GeneratorSpec(n, 2, machines, 1, 10), range(100))
+        for n in (4, 8) for machines in ((2, 2), (3, 1), (1, 1, 1))
+    ]
+    for spec, seeds in specs:
+        for seed in seeds:
+            inst = generate_instance(spec, seed)
+            for eps_user in (rat(1, 4), rat(1, 2)):
+                _, r_g, top = certificate_ladder(inst, eps_user, greedy_makespan_schedule(inst))
+                assert r_g <= top, (spec, seed, eps_user)
+
+
+def test_a_budget_lists_at_most_one_multiset_past_it(monkeypatch):
+    # each type's pattern multisets are listed up to one past the budget, so
+    # a budget of 1 lists at most 2 per type where (2,2), n=8, rung 0 has 22
+    # and 45, and the budget still runs out at the same yield
+    inst = generate_instance(GeneratorSpec(8, 1, (2, 2), 1, 10), 0)
+    scaled = certificate_ladder(inst, rat(1, 2), greedy_makespan_schedule(inst))[0].rung(0)
+    lengths = []
+    listing = makespan._type_profiles
+
+    def spy(*args):
+        lengths.append(len(out := listing(*args)))
+        return out
+
+    monkeypatch.setattr(makespan, "_type_profiles", spy)
+    assert len(list(enumerate_pattern_profiles(scaled, 10**6))) == 22 * 45
+    assert lengths == [22, 45]
+    lengths.clear()
+    with pytest.raises(BudgetExhausted, match="profile budget 1 exhausted"):
+        decide(scaled, FullEnum(1))
+    assert 0 < max(lengths) <= 2, lengths
+
+
+def test_a_budget_of_one_runs_out_at_once_on_many_machines():
+    # at (5,5), n=14, rung 16 the types' full multiset lists take about a
+    # minute and a gigabyte to build; a budget of 1 lists two of each
+    inst = generate_instance(GeneratorSpec(14, 1, (5, 5), 1, 10), 0)
+    ladder = certificate_ladder(inst, rat(1, 2), greedy_makespan_schedule(inst))[0]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExhausted, match="profile budget 1 exhausted"):
+        decide(ladder.rung(16), FullEnum(1))
+    assert time.perf_counter() - start < 5
 
 
 def test_certificate_above_the_ladder_is_solved():

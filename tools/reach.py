@@ -42,6 +42,8 @@ SHAPES = [
     ("lpnorm", (3, 3), 7, 0),
     ("lpnorm", (3, 3), 8, 0),
     ("lpnorm", (2, 2, 2), 8, 0),
+    ("lpnorm", (4, 4), 8, 0),
+    ("lpnorm", (5, 5), 10, 0),
 ]
 
 
