@@ -55,18 +55,18 @@ covered by the eps calibration (1+4e)(1+e)^2 <= 1 + eps_user.
 
 Full mode lists each type's options once (_type_options), each with its
 share of a lower bound, and walks only the guesses whose bound is at most a
-limit (see below).  Each type's options are sorted by share and the types
-walked depth-first: a type's loop stops at the first option whose bound,
-plus the least share of every later type, exceeds the limit; an option that
-pins a job twice is skipped, and a guess that leaves a job without a route is
-dropped.  The survivors are sorted back into product order and run under
-the live limit.  Under a limit, _type_options lists a (c_max, alpha) group
-only for the very-huge tuples whose charge plus its least share is within
-it, as no guess under the limit takes the others; each option's key sorts
-it as in the product, so the same guesses run in the same order.  No count
-of the whole stream is kept: guesses_tried counts the guesses run, one CP
-model each.  The budget counts work: one unit per type option listed and
-one per node the walk enters.
+limit (see below), with rounding.walk.  Each type's options within its room
+(the limit less the other types' least shares) are sorted by share and the
+types walked depth-first: a type's loop stops at the first option whose
+bound, plus the least share of every later type, exceeds the limit; an
+option that pins a job twice is skipped, and a guess that leaves a job
+without a route is dropped.  The survivors are sorted back into product
+order and run under the live limit.  Under a limit, _type_options lists a
+(c_max, alpha) group only for the very-huge tuples whose charge plus its
+least share is within it, as no guess under the limit takes the others;
+each option's key sorts it as in the product, so the same guesses run in
+the same order.  guesses_tried counts the guesses run, one CP model each;
+the budget counts one unit per type option listed and per walk node.
 
 Each guess's CP model then passes a count-level check before its region is
 built (region_admits): the jobs without a machine route need distinct
@@ -140,6 +140,7 @@ from .rounding import (
     RoundingStats,
     SlotInfo,
     SlotRows,
+    Work,
     assemble_schedule,
     build_slots,
     has_matching,
@@ -148,6 +149,7 @@ from .rounding import (
     route_vars,
     slot_patterns,
     untangle,
+    walk,
 )
 
 Pattern = tuple[int, ...]  # sorted size-class exponents e, size (1+eps)^e
@@ -320,20 +322,6 @@ def _cost_table(inst: Instance, t: int, eps) -> list[tuple]:
     return [(c, grid.round_down(c)) for c in (job[t][0] for job in inst.costs)]
 
 
-class _Work:
-    """Full mode's budget: one unit per type option listed and per node the
-    guess walk enters; BudgetExhausted as soon as the units pass budget."""
-
-    def __init__(self, budget=math.inf):
-        self.budget = budget
-        self.spent = 0
-
-    def charge(self, units: int = 1) -> None:
-        self.spent += units
-        if self.spent > self.budget:
-            raise BudgetExhausted(f"work budget {self.budget} exhausted")
-
-
 def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list[tuple]:
     """Type t's options in product order, each (key, guess, mask of its
     very-huge jobs, mask of the jobs it can route, its lower-bound share).
@@ -351,7 +339,7 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
     n = inst.num_jobs
     m = inst.machine_counts[t]
     f = f_threshold(p, eps)
-    work = _Work() if work is None else work
+    work = Work() if work is None else work
     table = _cost_table(inst, t, eps)
     costs = sorted({c for c, _ in table})
     grid = geometric_grid(eps)
@@ -426,59 +414,29 @@ def enumerate_guesses(inst: Instance, p, eps, budget: int) -> Iterator[Guess]:
     p = parse_rational(p)
     eps = parse_rational(eps)
     options = [_type_options(inst, t, p, eps) for t in range(inst.num_types)]
-    walk = _walk(inst.num_jobs, options, None, _Work())
-    for yielded, (_, guess) in enumerate(walk):
+    every = (1 << inst.num_jobs) - 1
+    for yielded, (_, types, bound) in enumerate(walk(every, options, None, Work())):
         if yielded >= budget:
             raise BudgetExhausted(f"guess budget {budget} exhausted")
-        yield guess
+        yield Guess(types, bound)
 
 
-def _walk(num_jobs: int, options: list, limit, work: _Work) -> Iterator[tuple[tuple, Guess]]:
-    """(keys, guess) of every guess made of one option per type that pins
-    no job twice and leaves no job without a route, depth-first over each
-    type's options (key, guess, very-huge mask, route mask, share)
-    in the order given.  A guess's lower_bound is the left-to-right sum of
-    its shares; work is charged one unit per node the walk enters.
-
-    With a limit, each type's options must be sorted by share, and a type's
-    loop stops at the first option whose bound plus the least share of
-    every later type exceeds limit: no later option of that loop can give a
-    guess with a bound at most limit.  Without one the walk yields every
-    guess, in product order when the options are in product order.
-    """
-    caps = None  # per type, the most a prefix through it may cost
-    if limit is not None:  # every type prices its all-huge option with no very-huge job
-        caps = [limit] * len(options)
-        for t in range(len(options) - 2, -1, -1):
-            caps[t] = caps[t + 1] - options[t + 1][0][4]
-    return _descend(options, caps, (1 << num_jobs) - 1, work, 0, (), (), 0, 0, ZERO)
-
-
-def _descend(options, caps, every_job, work, t, keys, chosen, pinned, covered, bound):
-    """The walk below a prefix over the types before t: its keys and
-    options, the jobs it pins, the jobs it pins or routes, and its bound."""
-    room = None if caps is None else caps[t] - bound
-    for key, tg, vh, routes, share in options[t]:
-        if room is not None and share > room:
-            break
-        if pinned & vh:
-            continue
-        work.charge()
-        if t + 1 < len(options):
-            yield from _descend(
-                options, caps, every_job, work, t + 1, keys + (key,), chosen + (tg,),
-                pinned | vh, covered | vh | routes, bound + share,
-            )
-        elif covered | vh | routes == every_job:
-            yield keys + (key,), Guess(chosen + (tg,), bound + share)
-
-
-def _survivors(num_jobs: int, options: list, limit, work: _Work) -> list[tuple[tuple, Guess]]:
+def _survivors(num_jobs: int, options: list, limit, work: Work) -> list[tuple[tuple, Guess]]:
     """(keys, guess) of every guess with bound at most limit, in product
     order: the walk over each type's options sorted by share (a stable sort,
-    so options of equal share stay in key order)."""
+    so options of equal share stay in key order).  Under a limit, the
+    options above their type's room, the limit less the other types' least
+    shares, are dropped first, as the walk never enters them."""
+    if limit is not None:  # every type lists its all-empty option, share 0
+        least = [min(o[4] for o in opts) for opts in options]
+        total = sum(least, ZERO)
+        options = [[o for o in opts if o[4] <= limit - total + own]
+                   for opts, own in zip(options, least)]
+        if not all(options):
+            return []
     ranked = [sorted(opts, key=lambda o: o[4]) for opts in options]
-    return sorted(_walk(num_jobs, ranked, limit, work))
+    found = walk((1 << num_jobs) - 1, ranked, limit, work)
+    return sorted((keys, Guess(types, bound)) for keys, types, bound in found)
 
 
 def _type_routes(inst, eps, t: int, tg: TypeGuess, table) -> list:
@@ -960,7 +918,7 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
         run = _run_guess(inst, p, eps, guess, start_schedule=mode.schedule)
         return LpnormResult(run.schedule, run.objective_pow, eps, 1, run)
 
-    work = _Work(mode.budget)
+    work = Work(mode.budget)
     limit = evaluate_lp_norm_pow(inst, greedy_schedule(inst, p), p) if is_integral(p) else None
     options = [_type_options(inst, t, p, eps, limit, work) for t in range(inst.num_types)]
     tried = 0  # guesses handed to _run_guess, one CP model each
@@ -968,10 +926,10 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
     incumbent = None  # rat(best.objective_pow)
     walked = ()  # keys of the guess whose run set the first limit
     if limit is None:  # take the stream in product order until a guess runs
-        for walked, guess in _walk(inst.num_jobs, options, None, work):
+        for walked, types, bound in walk((1 << inst.num_jobs) - 1, options, None, work):
             tried += 1
             try:
-                best = _run_guess(inst, p, eps, guess)
+                best = _run_guess(inst, p, eps, Guess(types, bound))
             except InfeasibleRegion:
                 continue  # wrong guess, not an instance failure
             incumbent = limit = rat(best.objective_pow)

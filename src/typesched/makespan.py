@@ -17,24 +17,24 @@ was one of them; probes counts the decisions run.  Full mode does the same
 with a greedy schedule (model.greedy_makespan_schedule) as certificate, and
 tries the guided decision on it at each probe before the enumeration.  No
 rung's answer moves: that decision accepts only if the greedy profile's
-first LP is feasible, and the enumeration lists that profile (realized
-classes, within large_cap and the capacity) and its count check passes it.
-Only an accepting decision's schedule can move.
+first LP is feasible, and the enumeration yields that profile (realized
+classes, within large_cap and the capacity, a slot per slot-only job) and
+its count check passes it.  Only an accepting decision's schedule can move.
 
 Machines of one type are identical, so whether a profile can host the jobs
-that are large on every usable type depends only on its slot counts per
-(type, class).  In full mode each profile first passes a count check
-(count_check), with no slots, rows or LP built: every such job needs a slot
-group of its own (type, class), and the jobs must match distinct slots
+that are large on every usable type (slot-only jobs) depends only on its
+slot counts per (type, class).  In full mode each profile passes two
+checks, with no slots, rows or LP built: every such job needs a slot group
+of its own (type, class), and the jobs must match distinct slots
 (augmenting paths over the groups, each with its slot count as capacity).
 Both conditions are necessary for the slot LP: its assignment and slot rows
 hold exactly a fractional matching of these jobs, and a bipartite graph has
-one only if it has an integral one.  Per type and pattern multiset the check
-memoises the bitmask of the jobs its slots can serve and its slot counts, so
-a profile that leaves a job without a group fails on one lookup per type,
-and only the rest reach the matching.  A profile that fails is skipped like
-one whose LP is infeasible; it was still yielded and charged to the budget.
-Guided mode skips the check, which cannot fail there: profile_from_schedule
+one only if it has an integral one.  The first is the profile walk's
+(rounding.walk): each pattern multiset carries the bitmask of the jobs its
+slots can serve, and only profiles whose masks cover every job are yielded.
+The second is count_check's.  A profile that fails either is skipped like
+one whose LP is infeasible, its walk node still charged to the budget.
+Guided mode skips both, which cannot fail there: profile_from_schedule
 puts the class of every such job into the pattern of the certificate
 machine that job sits on, or raises PatternOverflow.
 
@@ -64,7 +64,6 @@ covers the grid granularity.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
@@ -86,6 +85,7 @@ from .rounding import (
     RoundingEngine,
     RoundingProblem,
     RoundingStats,
+    Work,
     assemble_schedule,
     build_slots,
     has_matching,
@@ -93,6 +93,7 @@ from .rounding import (
     route_point,
     slot_patterns,
     untangle,
+    walk,
 )
 
 Klass = tuple[int, ...]  # per-dimension exponents k, size (1+eps)^(-k)
@@ -241,17 +242,28 @@ def _type_profiles(
 
 
 def enumerate_pattern_profiles(scaled: ScaledInstance, budget: int) -> Iterator[Profile]:
-    """Lazily yield profiles; raise BudgetExhausted when the cap cuts the stream.
-    Each type lists at most budget + 1 multisets: the first budget profiles
-    of the product take none past them, and over budget are left if there were."""
+    """Lazily yield, in product order, the profiles whose slots serve every
+    slot-only job; BudgetExhausted once the work, one unit per multiset
+    listed and per walk node, passes budget (a type lists at most one
+    multiset past the budget left).  A multiset is the walk option (index,
+    multiset, 0, mask, 0), bit i of mask set if it can serve slot-only job i."""
+    groups = _slot_only_groups(scaled)
+    serves: dict[SlotGroup, int] = {}
+    for i, job_groups in enumerate(groups):
+        for g in job_groups:
+            serves[g] = serves.get(g, 0) | 1 << i
     realized = realized_types(scaled)
-    per_type = [_type_profiles(scaled, t, realized[t], budget + 1)
-                for t in range(scaled.base.num_types)]
-    yielded = 0
-    for profile in itertools.product(*per_type):
-        if yielded >= budget:
-            raise BudgetExhausted(f"profile budget {budget} exhausted")
-        yielded += 1
+    work = Work(budget)
+    options = []
+    for t in range(scaled.base.num_types):
+        multisets = _type_profiles(scaled, t, realized[t], work.budget - work.spent + 1)
+        work.charge(len(multisets))
+        opts = []
+        for i, patterns in enumerate(multisets):
+            served = (serves.get((t, q), 0) for pattern in patterns for q in pattern)
+            opts.append((i, patterns, 0, functools.reduce(int.__or__, served, 0), ZERO))
+        options.append(opts)
+    for _, profile, _ in walk((1 << len(groups)) - 1, options, None, work):
         yield profile
 
 
@@ -285,57 +297,32 @@ def profile_from_schedule(scaled: ScaledInstance, sched: Schedule) -> Profile:
     return tuple(profile)
 
 
-def count_check(scaled: ScaledInstance) -> Callable[[Profile], bool] | None:
-    """The count check of the module docstring, built once per decision:
-    None when no job is large on every usable type, so every profile
-    passes; else profile -> whether it passes.
-
-    Per type and pattern multiset it memoises the route mask (bit i set
-    when one of the multiset's slots can serve the i-th such job) and the
-    slot count of each (type, class) group.  A profile whose masks miss a
-    job fails without a matching; only one whose masks cover every job
-    counts its multisets' slots, once each, and merges the counts (their
-    keys hold the type, so they never collide) for has_matching.
-    """
-    inst = scaled.base
-    usable = [t for t in range(inst.num_types) if inst.machine_counts[t] > 0]
-    groups: list[list[SlotGroup]] = [
+def _slot_only_groups(scaled: ScaledInstance) -> list[list[SlotGroup]]:
+    """Per slot-only job, the (type, class) groups it can take: one per
+    usable type on which it is not oversize."""
+    usable = [t for t, m in enumerate(scaled.base.machine_counts) if m > 0]
+    return [
         [(t, row[t].klass) for t in usable if row[t].klass is not None]
         for row in scaled.entries
         if all(row[t].large for t in usable)
     ]
+
+
+def count_check(scaled: ScaledInstance) -> Callable[[Profile], bool] | None:
+    """The matching of the module docstring, built once per decision: None
+    when there is no slot-only job, so every profile passes; else profile
+    -> whether those jobs match distinct slots of their groups, each group
+    holding as many jobs as the profile has slots of its (type, class)."""
+    groups = _slot_only_groups(scaled)
     if not groups:
         return None
-    serves: dict[SlotGroup, int] = {}
-    for i, job_groups in enumerate(groups):
-        for g in job_groups:
-            serves[g] = serves.get(g, 0) | 1 << i
-    every = (1 << len(groups)) - 1
-    masks: list[dict] = [{} for _ in range(inst.num_types)]
-    counts: list[dict] = [{} for _ in range(inst.num_types)]
 
     def admits(profile: Profile) -> bool:
-        covered = 0
-        for t, patterns in enumerate(profile):
-            mask = masks[t].get(patterns)
-            if mask is None:
-                mask = 0
-                for pattern in patterns:
-                    for q in pattern:
-                        mask |= serves.get((t, q), 0)
-                masks[t][patterns] = mask
-            covered |= mask
-        if covered != every:
-            return False
         capacity: dict[SlotGroup, int] = {}
         for t, patterns in enumerate(profile):
-            slots = counts[t].get(patterns)
-            if slots is None:
-                slots = counts[t][patterns] = {}
-                for pattern in patterns:
-                    for q in pattern:
-                        slots[(t, q)] = slots.get((t, q), 0) + 1
-            capacity.update(slots)
+            for pattern in patterns:
+                for q in pattern:
+                    capacity[t, q] = capacity.get((t, q), 0) + 1
         return has_matching([[g for g in gs if g in capacity] for gs in groups], capacity)
 
     return admits
@@ -457,13 +444,11 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
 
     check = count_check(scaled)
     for profile in enumerate_pattern_profiles(scaled, mode.budget):
-        if check is not None and not check(profile):
-            continue
-        problem = build_rounding_problem(scaled, profile)
-        try:
-            return _round(scaled, profile, problem)
-        except Infeasible:
-            continue
+        if check is None or check(profile):
+            try:
+                return _round(scaled, profile, build_rounding_problem(scaled, profile))
+            except Infeasible:
+                continue
     raise Infeasible("every enumerated profile failed")
 
 
@@ -518,8 +503,8 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     (at most top: a job's finishing load is at most the largest load so far
     plus its least max cost, so top stays), and enumerates a probe
     only when the greedy decision rejects it.  That attempt is charged as
-    one profile against FullEnum.budget: a probe enumerates at most
-    budget - 1 more, and budget 0 raises BudgetExhausted before any
+    one unit of work against FullEnum.budget: a probe's enumeration has
+    budget - 1 units left, and budget 0 raises BudgetExhausted before any
     decision.
     """
     eps_user = parse_rational(eps_user)
@@ -530,9 +515,8 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     top = ladder.grid.round_up(upper / lower)
     if isinstance(mode, Guided):
         steps = (mode,)
-    elif mode.budget < 1:  # the greedy attempt is the first profile charged
-        raise BudgetExhausted(f"profile budget {mode.budget} exhausted")
     else:
+        Work(mode.budget).charge()  # the greedy attempt is the first unit
         steps = (Guided(greedy_makespan_schedule(inst)), FullEnum(mode.budget - 1))
     # the certificate's rung: rungs >= known accept without a decision
     known = ladder.grid.round_up(evaluate_makespan(inst, steps[0].schedule) / lower)
@@ -554,7 +538,7 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
             except Infeasible:
                 continue
             except BudgetExhausted:  # report the budget asked for
-                raise BudgetExhausted(f"profile budget {mode.budget} exhausted") from None
+                raise BudgetExhausted(f"work budget {mode.budget} exhausted") from None
             probe_stats.append(best.stats)
             return True
         return False

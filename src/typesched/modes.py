@@ -9,7 +9,7 @@ from .model import Schedule
 
 @dataclass(frozen=True)
 class FullEnum:
-    """Enumerate every structural guess, up to an explicit budget."""
+    """Enumerate every structural guess, up to a budget of work (rounding.Work)."""
 
     budget: int = 10**6
 

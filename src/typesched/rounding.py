@@ -44,23 +44,29 @@ for artificial jobs sitting in foreign slots or on huge machines, and a
 per-machine covering LP whose extreme point has at most |AJ_i| + D nonzeros
 for artificial jobs sitting in remaining space.
 
-The slots of a pattern profile, the route columns, the assignment and
-slot rows (SlotRows, also the base of the L_p convex region) and the final
+The slots of a pattern profile, the route columns, the assignment and slot
+rows (SlotRows, also the base of the L_p convex region) and the final
 schedule assembly live here too, so both pipelines build and read one LP
 shape; so do the matcher (has_matching) behind both pipelines' count
-checks and the route point of a certificate (route_point): the point a
-guided makespan decision hands the engine, and the L_p warm start.  Each
-LP column is the route it stands for, the triple (kind, job, target) of
-route_vars, so reading a value needs no decoding.  Untangling reads slot
-fit from the routes alone.
+checks, full mode's product walk (walk) and the route point of a
+certificate (route_point): the point a guided makespan decision hands the
+engine, and the L_p warm start.  Each LP column is the route it stands
+for, the triple (kind, job, target) of route_vars, so reading a value
+needs no decoding.  Untangling reads slot fit from the routes alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
-from .errors import CountingViolation, ForestInconsistent, Infeasible, InvariantViolation
+from .errors import (
+    BudgetExhausted,
+    CountingViolation,
+    ForestInconsistent,
+    Infeasible,
+    InvariantViolation,
+)
 from .lp import EQ, GE, LE, LinearProgram, solve_extreme_point
 from .model import Schedule
 from .rationals import ONE, ZERO, rat
@@ -363,6 +369,57 @@ def _augment(i: int, seen: set, options: list[list], capacity: dict, holders: di
                 holders[g][pos] = i
                 return True
     return False
+
+
+class Work:
+    """A full mode's budget: one unit per option listed and per node the
+    product walk enters; BudgetExhausted as soon as the units pass budget."""
+
+    def __init__(self, budget=float("inf")):
+        self.budget = budget
+        self.spent = 0
+
+    def charge(self, units: int = 1) -> None:
+        self.spent += units
+        if self.spent > self.budget:
+            raise BudgetExhausted(f"work budget {self.budget} exhausted")
+
+
+def walk(every: int, options: list, limit, work: Work) -> Iterator[tuple[tuple, tuple, object]]:
+    """(keys, items, bound) of every product of one option per type that
+    pins no job twice and pins or routes every job of the mask every,
+    depth-first over each type's options (key, item, pinned mask, route
+    mask, share) in the order given; bound is the sum of the shares, and
+    work is charged one unit per node the walk enters.
+
+    With a limit, each type's options must be sorted by share and none
+    empty, and a type's loop stops at the first option whose bound plus the
+    least share of every later type exceeds limit: no later option of that
+    loop gives a product within limit.  Without one the walk yields every
+    product, in product order when the options are."""
+    caps = None  # per type, the most a prefix through it may cost
+    if limit is not None:
+        caps = [limit] * len(options)
+        for t in range(len(options) - 2, -1, -1):
+            caps[t] = caps[t + 1] - options[t + 1][0][4]
+    return _descend(options, caps, every, work, 0, (), (), 0, 0, ZERO)
+
+
+def _descend(options, caps, every, work, t, keys, chosen, pinned, covered, bound):
+    """The walk below a prefix over the types before t: its keys and items,
+    the jobs it pins, the jobs it pins or routes, and its bound."""
+    room = None if caps is None else caps[t] - bound
+    for key, item, vh, routes, share in options[t]:
+        if room is not None and share > room:
+            break
+        if pinned & vh:
+            continue
+        work.charge()
+        if t + 1 < len(options):
+            yield from _descend(options, caps, every, work, t + 1, keys + (key,), chosen + (item,),
+                                pinned | vh, covered | vh | routes, bound + share)
+        elif covered | vh | routes == every:
+            yield keys + (key,), chosen + (item,), bound + share
 
 
 def route_vars(jkey: JobKey, routes: JobRoutes):

@@ -340,7 +340,7 @@ def test_solve_reports_an_exhausted_budget_as_its_json_document(tmp_path, capsys
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     assert captured.out == json.dumps(
-        {"eps_user": "1/2", "error": "BudgetExhausted: profile budget 0 exhausted",
+        {"eps_user": "1/2", "error": "BudgetExhausted: work budget 0 exhausted",
          "mode": "full", "objective": "makespan"},
         indent=2, sort_keys=True,
     ) + "\n"

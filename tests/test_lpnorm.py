@@ -518,13 +518,13 @@ def full_mode_work(inst, p, eps_user, monkeypatch) -> int:
     type option listed and per node of the guess walk."""
     ledgers = []
 
-    class Ledger(lpnorm._Work):
+    class Ledger(rounding.Work):
         def __init__(self, budget):
             super().__init__(budget)
             ledgers.append(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(lpnorm, "_Work", Ledger)
+        patch.setattr(lpnorm, "Work", Ledger)
         lpnorm_ptas(inst, p, eps_user, FullEnum())
     (ledger,) = ledgers
     return ledger.spent
@@ -671,7 +671,7 @@ def test_walk_keeps_exactly_the_stream_under_its_limit(counts, n, seed, eps_user
     assert run <= greedy
     for limit in (None, greedy, run):
         options = [_type_options(inst, t, p, eps, limit) for t in range(inst.num_types)]
-        found = [g for _, g in lpnorm._survivors(inst.num_jobs, options, limit, lpnorm._Work())]
+        found = [g for _, g in lpnorm._survivors(inst.num_jobs, options, limit, rounding.Work())]
         kept = [g for g in stream if limit is None or g.lower_bound <= limit]
         assert [g.types for g in found] == [g.types for g in kept]
         assert [g.lower_bound for g in found] == [g.lower_bound for g in kept]
@@ -693,7 +693,7 @@ def test_type_options_are_the_reference_lists(counts, n, seed, eps):
         ref = list(ref_type_guess_options(inst, t, 2, eps, table))
         rank = {key: i for i, (key, *_) in enumerate(_type_options(inst, t, 2, eps))}
         for limit in (None, greedy):
-            work = lpnorm._Work()
+            work = rounding.Work()
             options = _type_options(inst, t, 2, eps, limit, work)
             assert work.spent == len(options)
             listed = [rank[key] for key, *_ in options]
@@ -727,8 +727,35 @@ def test_type_options_list_no_group_above_the_limit(monkeypatch):
 
     monkeypatch.setattr(lpnorm, "_profiles_for", spy)
     for t in range(inst.num_types):
-        _type_options(inst, t, 2, eps, greedy, lpnorm._Work())
+        _type_options(inst, t, 2, eps, greedy, rounding.Work())
     assert calls and max(calls) <= greedy
+
+
+def test_survivors_hand_the_walk_no_option_above_its_room(monkeypatch):
+    # full mode's first walk runs under the greedy limit, and each option
+    # _survivors hands it has a share within its type's room, the limit less
+    # the least shares of the other types: the walk could never enter an
+    # option above it
+    inst = generate_instance(GeneratorSpec(6, 1, (3, 3), 1, 10), 0)
+    eps = calibrate_eps(rat(1, 2))
+    greedy = rat(evaluate_lp_norm_pow(inst, greedy_schedule(inst, 2), 2))
+    options = [_type_options(inst, t, 2, eps, greedy) for t in range(inst.num_types)]
+    least = [min(o[4] for o in opts) for opts in options]
+    handed = []
+    real_walk = lpnorm.walk
+
+    def spy(every, ranked, limit, work):
+        handed.append((ranked, limit))
+        return real_walk(every, ranked, limit, work)
+
+    monkeypatch.setattr(lpnorm, "walk", spy)
+    lpnorm_ptas(inst, 2, rat(1, 2), FullEnum())
+    ((ranked, limit),) = handed
+    assert limit == greedy
+    for t, opts in enumerate(ranked):
+        room = limit - sum(least[:t] + least[t + 1:], ZERO)
+        assert opts and all(o[4] <= room for o in opts), t
+    assert sum(map(len, ranked)) < sum(map(len, options))
 
 
 # (machine counts, jobs, seed, assignment, objective, guesses run) of

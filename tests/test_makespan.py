@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -295,46 +296,113 @@ def test_realized_types_restriction():
     assert realized_types(scaled) == {0: {(0,): 2}}
 
 
+def product_profiles(scaled) -> list:
+    """Every profile of the product over the types' pattern multisets, in
+    product order: the stream the enumeration yielded before it walked."""
+    realized = realized_types(scaled)
+    return list(itertools.product(*[
+        makespan._type_profiles(scaled, t, realized[t], None)
+        for t in range(scaled.base.num_types)
+    ]))
+
+
 def test_profile_enumeration_tiny_cases():
     # no large jobs -> exactly one (all-empty) profile
     inst = make_instance(1, [2], [[[1]], [[1]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
     profiles = list(enumerate_pattern_profiles(scaled, 100))
     assert profiles == [((tuple(), tuple()),)]
-    # 1 machine, 1 large job -> empty pattern or one slot: 2 profiles
+    # 1 machine, 1 large job -> the product holds the empty pattern and one
+    # slot, and the walk yields the one whose slot serves the job
     inst2 = make_instance(1, [1], [[[8]]])
     scaled2 = make_scaled_instance(inst2, 10, rat(1, 2))
+    klass = scaled2.entry(0, 0).klass
+    assert product_profiles(scaled2) == [(((),),), (((klass,),),)]
     profiles2 = list(enumerate_pattern_profiles(scaled2, 100))
-    assert len(profiles2) == 2
+    assert profiles2 == [(((klass,),),)]
     # slot totals never exceed the number of large jobs
     counts = [sum(len(p) for pats in prof for p in pats) for prof in profiles2]
     assert max(counts) <= 1
 
 
 def test_profile_budget_exhaustion(monkeypatch):
+    # one type, so the walk enters one node per product profile after
+    # charging one unit per multiset listed: a budget of listed + k walks
+    # the first k profiles and yields the covering ones among them
     inst = make_instance(1, [2], [[[8]], [[9]], [[10]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
-    gen = enumerate_pattern_profiles(scaled, 1)
-    next(gen)
-    with pytest.raises(BudgetExhausted):
-        next(gen)
-    # profiles the count check rejects still use up the budget, and no
-    # rounding problem is built for them
+    product = product_profiles(scaled)
+    listed = len(product)
+    groups = slot_only_groups(scaled)
+    for k in range(listed):
+        covering = [p for p in product[:k] if _slot_classes_routed(groups, p)]
+        gen = enumerate_pattern_profiles(scaled, listed + k)
+        assert [next(gen) for _ in covering] == covering
+        with pytest.raises(BudgetExhausted, match=f"work budget {listed + k} exhausted"):
+            next(gen)
+    # profiles the walk drops and profiles the count check rejects still
+    # use up the budget, and no rounding problem is built for them
     check = count_check(scaled)
-    verdicts = [check(p) for p in enumerate_pattern_profiles(scaled, 10**6)]
+    verdicts = [_slot_classes_routed(groups, p) and check(p) for p in product]
     first = verdicts.index(True)
-    assert first > 0
+    assert not _slot_classes_routed(groups, product[0])
     built = []
     real_build = makespan.build_rounding_problem
     monkeypatch.setattr(
         makespan, "build_rounding_problem", lambda *args: built.append(1) or real_build(*args)
     )
     with pytest.raises(BudgetExhausted):
-        makespan_decision(inst, 10, rat(1, 2), FullEnum(budget=first))
+        makespan_decision(inst, 10, rat(1, 2), FullEnum(budget=listed + first))
     assert built == []
-    res = makespan_decision(inst, 10, rat(1, 2), FullEnum(budget=first + 1))
+    res = makespan_decision(inst, 10, rat(1, 2), FullEnum(budget=listed + first + 1))
     assert len(built) == 1
     assert res.makespan <= guarantee_factor(rat(1, 2), 1) * 10
+
+
+def decision_work(scaled, monkeypatch) -> int:
+    """The units a full decision at the default budget charges: one per
+    pattern multiset listed and per node of the profile walk."""
+    ledgers = []
+
+    class Ledger(rounding.Work):
+        def __init__(self, budget):
+            super().__init__(budget)
+            ledgers.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(makespan, "Work", Ledger)
+        try:
+            decide(scaled, FullEnum())
+        except Infeasible:
+            pass
+    (ledger,) = ledgers
+    return ledger.spent
+
+
+def test_a_decision_runs_on_exactly_its_work(monkeypatch):
+    # as in L_p full mode, the budget counts work: a decision passes on its
+    # own count, with the same answer, and one unit less does not
+    inst = generate_instance(GeneratorSpec(6, 1, (2, 2), 1, 10), 0)
+    lower, upper = makespan._target_bounds(inst)
+    ladder = ScaleLadder(inst, lower, calibrate_eps(rat(1, 2), 1))
+    outcomes = set()
+    for i in range(ladder.grid.round_up(upper / lower) + 1):
+        scaled = ladder.rung(i)
+        work = decision_work(scaled, monkeypatch)
+        assert work > 1
+        try:
+            expected = decide(scaled, FullEnum())
+        except Infeasible:
+            expected = None
+            with pytest.raises(Infeasible):
+                decide(scaled, FullEnum(work))
+        else:
+            res = decide(scaled, FullEnum(work))
+            assert (res.profile, res.schedule) == (expected.profile, expected.schedule)
+        with pytest.raises(BudgetExhausted, match=f"work budget {work - 1} exhausted"):
+            decide(scaled, FullEnum(work - 1))
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def _lp_feasible(scaled, profile) -> bool:
@@ -374,37 +442,60 @@ def _slot_classes_routed(groups, profile) -> bool:
     return all(any(g in present for g in job_groups) for job_groups in groups)
 
 
-@pytest.mark.parametrize("dims, machines", [(1, (2, 2)), (2, (2, 2)), (1, (1, 1, 2))])
-def test_count_check_rejects_only_lp_infeasible_profiles(dims, machines):
-    # every enumerated profile around the optimum: a rejection must be a
-    # profile whose slot LP is infeasible (the check is only a necessary
-    # condition), and the sweep must reject profiles by both parts of it
-    route_rejects = hall_rejects = 0
+COUNT_CHECK_SHAPES = [(1, (2, 2)), (2, (2, 2)), (1, (1, 1, 2))]
+
+
+def count_check_rungs(dims, machines):
+    """Scaled instances around the optimum: three rungs per seed."""
     for seed in range(880, 900):
         inst = generate_instance(GeneratorSpec(4, dims, machines, 1, 10), seed)
         opt = rat(exact_solve(inst).optimum)
         eps = calibrate_eps(rat(1, 2), dims)
         for k in (-3, 0, 3):
-            scaled = make_scaled_instance(inst, opt * (1 + eps) ** k, eps)
-            check = count_check(scaled)
-            groups = slot_only_groups(scaled)
-            for profile in enumerate_pattern_profiles(scaled, 10**6):
-                if check is None or check(profile):
-                    continue
-                assert not _lp_feasible(scaled, profile), (seed, k, profile)
-                if _slot_classes_routed(groups, profile):
-                    hall_rejects += 1
-                else:
-                    route_rejects += 1
+            yield seed, k, make_scaled_instance(inst, opt * (1 + eps) ** k, eps)
+
+
+@pytest.mark.parametrize("dims, machines", COUNT_CHECK_SHAPES)
+def test_the_walk_yields_the_covering_product_profiles(dims, machines):
+    # the profiles of the product, in product order, whose slots serve
+    # every slot-only job on some type: exactly those the walk yields
+    dropped = 0
+    for seed, k, scaled in count_check_rungs(dims, machines):
+        groups = slot_only_groups(scaled)
+        product = product_profiles(scaled)
+        covering = [p for p in product if _slot_classes_routed(groups, p)]
+        assert list(enumerate_pattern_profiles(scaled, 10**6)) == covering, (seed, k)
+        dropped += len(product) - len(covering)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("dims, machines", COUNT_CHECK_SHAPES)
+def test_count_check_rejects_only_lp_infeasible_profiles(dims, machines):
+    # every product profile around the optimum: a rejection, by the walk
+    # (a profile it does not yield) or by count_check, must be a profile
+    # whose slot LP is infeasible (both are only necessary conditions), and
+    # the sweep must reject profiles both ways
+    route_rejects = hall_rejects = 0
+    for seed, k, scaled in count_check_rungs(dims, machines):
+        check = count_check(scaled)
+        yielded = set(enumerate_pattern_profiles(scaled, 10**6))
+        for profile in product_profiles(scaled):
+            if profile not in yielded:
+                route_rejects += 1
+            elif check is None or check(profile):
+                continue
+            else:
+                hall_rejects += 1
+            assert not _lp_feasible(scaled, profile), (seed, k, profile)
     assert route_rejects > 0 and hall_rejects > 0
 
 
 def reference_full_decide(scaled):
-    """Full-mode decide with every profile checked from scratch by
-    reference_admits.  (profile, schedule, stats) of the first that rounds,
-    or None when none does."""
+    """Full-mode decide over the whole product with every profile checked
+    from scratch by reference_admits.  (profile, schedule, stats) of the
+    first that rounds, or None when none does."""
     groups = slot_only_groups(scaled)
-    for profile in enumerate_pattern_profiles(scaled, 10**6):
+    for profile in product_profiles(scaled):
         if not reference_admits(groups, profile):
             continue
         problem = build_rounding_problem(scaled, profile)
@@ -422,8 +513,9 @@ def reference_full_decide(scaled):
     "n, dims, machines", [(4, 1, (2, 2)), (4, 2, (2, 2)), (4, 1, (1, 1, 2)), (5, 1, (2, 1))]
 )
 def test_route_mask_decides_as_the_matching_loop(n, dims, machines):
-    # count_check gives the from-scratch verdict on every profile, so decide
-    # picks the profile, schedule and rounding stats the reference loop
+    # the walk's route masks and count_check together give the from-scratch
+    # verdict on every product profile, so decide picks the profile,
+    # schedule and rounding stats the reference loop over the product
     # picks, at rungs on both sides of the optimum; the sweep covers
     # profiles that leave a slot-only job without a group
     masked = accepted = rejected = 0
@@ -435,9 +527,11 @@ def test_route_mask_decides_as_the_matching_loop(n, dims, machines):
             scaled = make_scaled_instance(inst, opt * (1 + eps) ** k, eps)
             check = count_check(scaled)
             groups = slot_only_groups(scaled)
-            for profile in enumerate_pattern_profiles(scaled, 10**6):
+            yielded = set(enumerate_pattern_profiles(scaled, 10**6))
+            for profile in product_profiles(scaled):
                 verdict = reference_admits(groups, profile)
-                assert (check is None or check(profile)) == verdict, (seed, k, profile)
+                passes = profile in yielded and (check is None or check(profile))
+                assert passes == verdict, (seed, k, profile)
                 masked += not _slot_classes_routed(groups, profile)
             expected = reference_full_decide(scaled)
             try:
@@ -817,15 +911,15 @@ def test_full_search_keeps_the_reference_rung():
 
 
 def test_the_greedy_attempt_is_charged_to_the_budget():
-    # one profile per greedy attempt: budget 0 raises before any decision,
-    # budget 1 is enough when every greedy decision accepts, and a probe
-    # left to enumerate with no profile to spare reports the budget asked
+    # one unit of work per greedy attempt: budget 0 raises before any
+    # decision, budget 1 is enough when every greedy decision accepts, and a
+    # probe left to enumerate with no unit to spare reports the budget asked
     easy = make_instance(1, [2], [[[1]], [[1]]])
-    with pytest.raises(BudgetExhausted, match="profile budget 0 exhausted"):
+    with pytest.raises(BudgetExhausted, match="work budget 0 exhausted"):
         makespan_ptas(easy, rat(1, 2), FullEnum(0))
     assert makespan_ptas(easy, rat(1, 2), FullEnum(1)).probes == 1
     hard = make_instance(1, [1], [[[4]], [[9]]])
-    with pytest.raises(BudgetExhausted, match="profile budget 1 exhausted"):
+    with pytest.raises(BudgetExhausted, match="work budget 1 exhausted"):
         makespan_ptas(hard, rat(1, 2), FullEnum(1))
 
 
@@ -847,9 +941,10 @@ def test_the_greedy_rung_is_at_most_top():
 
 
 def test_a_budget_lists_at_most_one_multiset_past_it(monkeypatch):
-    # each type's pattern multisets are listed up to one past the budget, so
-    # a budget of 1 lists at most 2 per type where (2,2), n=8, rung 0 has 22
-    # and 45, and the budget still runs out at the same yield
+    # each type's pattern multisets are listed up to one past the budget
+    # left, so a budget of 1 lists at most 2 per type where (2,2), n=8,
+    # rung 0 has 22 and 45; of the 990 profiles of their product the walk
+    # yields the 2 whose slots serve every slot-only job
     inst = generate_instance(GeneratorSpec(8, 1, (2, 2), 1, 10), 0)
     scaled = certificate_ladder(inst, rat(1, 2), greedy_makespan_schedule(inst))[0].rung(0)
     lengths = []
@@ -860,21 +955,22 @@ def test_a_budget_lists_at_most_one_multiset_past_it(monkeypatch):
         return out
 
     monkeypatch.setattr(makespan, "_type_profiles", spy)
-    assert len(list(enumerate_pattern_profiles(scaled, 10**6))) == 22 * 45
+    assert len(list(enumerate_pattern_profiles(scaled, 10**6))) == 2
     assert lengths == [22, 45]
     lengths.clear()
-    with pytest.raises(BudgetExhausted, match="profile budget 1 exhausted"):
+    with pytest.raises(BudgetExhausted, match="work budget 1 exhausted"):
         decide(scaled, FullEnum(1))
     assert 0 < max(lengths) <= 2, lengths
 
 
 def test_a_budget_of_one_runs_out_at_once_on_many_machines():
     # at (5,5), n=14, rung 16 the types' full multiset lists take about a
-    # minute and a gigabyte to build; a budget of 1 lists two of each
+    # minute and a gigabyte to build; a budget of 1 lists two multisets of
+    # the first type and stops
     inst = generate_instance(GeneratorSpec(14, 1, (5, 5), 1, 10), 0)
     ladder = certificate_ladder(inst, rat(1, 2), greedy_makespan_schedule(inst))[0]
     start = time.perf_counter()
-    with pytest.raises(BudgetExhausted, match="profile budget 1 exhausted"):
+    with pytest.raises(BudgetExhausted, match="work budget 1 exhausted"):
         decide(ladder.rung(16), FullEnum(1))
     assert time.perf_counter() - start < 5
 
