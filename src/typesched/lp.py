@@ -327,7 +327,7 @@ def vertex_start(lp: LinearProgram, point: dict) -> _Phase1 | None:
     slack = len(lp.variables)
     for row, c in zip(rows, lp.constraints):
         # the slack's entry times its value, times scale
-        residual = row.get(RHS, 0) * scale - sum(row.get(k, 0) * a for k, a in x.items())
+        residual = row.get(RHS, 0) * scale - sum(a * x.get(k, 0) for k, a in row.items() if k >= 0)
         if c.rel == EQ:
             if residual:
                 return None

@@ -21,6 +21,12 @@ first LP is feasible, and the enumeration yields that profile (realized
 classes, within large_cap and the capacity, a slot per slot-only job) and
 its count check passes it.  Only an accepting decision's schedule can move.
 
+A certificate's profile at a rung is read off the ladder's grid exponents
+(ScaleLadder.profile), with no rung built; every class is a power of
+1/(1+eps), so its pattern masses are summed and checked as integers.  A
+guided probe whose certificate overflows its patterns rejects there, and
+only a probe whose certificate fits builds its rung.
+
 Machines of one type are identical, so whether a profile can host the jobs
 that are large on every usable type (slot-only jobs) depends only on its
 slot counts per (type, class).  In full mode each profile passes two
@@ -123,6 +129,8 @@ class ScaledInstance:
     capacity: object       # (1+eps)^2
     large_cap: int         # floor(D/eps), max large jobs per machine
     grid: GeometricGrid    # powers of 1+eps; class exponents index into it
+    ladder: ScaleLadder    # the ladder this is a rung of
+    rung: int              # its index: target = ladder.base * (1+eps)^rung
 
     def entry(self, job: int, mtype: int) -> ScaledEntry:
         return self.entries[job][mtype]
@@ -139,6 +147,29 @@ def power_round_up(value, eps) -> tuple[int, object]:
     return -e, grid.value(e)
 
 
+class _Classes(NamedTuple):
+    """The class constants of one (eps, D), 1+eps = up/down."""
+
+    lift: int                 # exponent of eps^2/D, the largest class
+    capacity: object          # (1+eps)^2
+    large_cap: int            # floor(D/eps)
+    weights: tuple[int, ...]  # w[k] = down^k * up^(lift-k): class k's mass times up^lift
+    room: int                 # the largest integer mass, times up^lift, within capacity
+
+
+@functools.lru_cache(maxsize=16)
+def _classes(num: int, den: int, dims: int) -> _Classes:
+    """Keyed by eps's integer pair: hashing a rational would take a modular
+    inverse per lookup.  A sum s of weights is a mass s/up^lift, within
+    (1+eps)^2 = up^2/down^2 iff s*down^2 <= up^(lift+2), that is s <= room."""
+    eps = rat(num, den)
+    lift = power_round_up(eps * eps / dims, eps)[0]
+    up, down = num + den, den
+    weights = tuple(down**k * up ** (lift - k) for k in range(lift + 1))
+    return _Classes(lift, (ONE + eps) ** 2, rat_floor(rat(dims) / eps), weights,
+                    up ** (lift + 2) // down**2)
+
+
 class ScaleLadder:
     """The scaled instances of one instance at the targets base*(1+eps)^i.
 
@@ -150,6 +181,9 @@ class ScaleLadder:
     being the exponent of eps^2/D.  A rung therefore makes one exact
     comparison per (job, type), large iff max cost >= eps*T_i, and shifts
     exponents only for the large pairs; it divides no cost.
+
+    profile decides a certificate's pattern profile at a rung from the same
+    exponents, without building the rung: see its docstring.
     """
 
     def __init__(self, inst: Instance, base, eps):
@@ -161,9 +195,10 @@ class ScaleLadder:
         self.base = base
         self.eps = eps
         self.grid = geometric_grid(eps)
-        self.lift = power_round_up(eps * eps / inst.dims, eps)[0]
-        self.capacity = (ONE + eps) ** 2
-        self.large_cap = rat_floor(rat(inst.dims) / eps)
+        self._classes = _classes(eps.numerator, eps.denominator, inst.dims)
+        self.lift, self.capacity, self.large_cap = self._classes[:3]
+        # eps*T_0: a cost is large at rung i iff its max reaches _floor*(1+eps)^i
+        self._floor = eps * base
         # per (job, type): max cost, and each cost's exponent against base
         self._costs = []
         # exponent of each distinct cost, keyed by its integer pair: hashing
@@ -181,11 +216,14 @@ class ScaleLadder:
                     ks.append(k)
                 out.append((max(vec), tuple(ks)))
             self._costs.append(out)
+        # per certificate schedule, its table (see _table) and its profiles by rung
+        self._tables: dict[Schedule, tuple[list, dict[int, Profile]]] = {}
 
     def rung(self, i: int) -> ScaledInstance:
         """The scaled instance at target base*(1+eps)^i."""
-        target = self.base * self.grid.value(i)
-        threshold = self.eps * target
+        value = self.grid.value(i)
+        target = self.base * value
+        threshold = self._floor * value
         lift = self.lift
         entries: list[list[ScaledEntry]] = []
         for row in self._costs:
@@ -198,8 +236,72 @@ class ScaleLadder:
                     out.append(_SMALL)
             entries.append(out)
         return ScaledInstance(
-            self.inst, self.eps, target, entries, self.capacity, self.large_cap, self.grid
+            self.inst, self.eps, target, entries, self.capacity, self.large_cap, self.grid,
+            self, i,
         )
+
+    def _table(self, sched: Schedule) -> list:
+        """Per machine of sched, in machines() order: ((t, k), jobs), jobs
+        the (max cost, least exponent, exponents, job) of the jobs on it,
+        by max cost descending, so a rung's large jobs are a prefix."""
+        per_machine: dict[tuple[int, int], list] = {m: [] for m in self.inst.machines()}
+        for j, (t, k) in enumerate(sched.assignment):
+            top, ks = self._costs[j][t]
+            per_machine[t, k].append((top, min(ks), ks, j))
+        table = []
+        for machine, jobs in per_machine.items():
+            jobs.sort(key=lambda e: e[0], reverse=True)
+            table.append((machine, jobs))
+        return table
+
+    def profile(self, i: int, sched: Schedule) -> Profile:
+        """The pattern profile sched induces at rung i, or PatternOverflow.
+
+        A job is large on its machine at rung i when its max cost reaches
+        eps*T_i, with classes min(k + i, lift) over its exponents k.  The
+        certificate overflows when a large job has no class (some k + i <
+        0), when a machine holds more than large_cap large jobs, or when a
+        machine's mass exceeds (1+eps)^2 in some dimension.  Every mass is
+        a sum of class weights (_classes), so those tests are integer
+        ones, made before any class or pattern is built; the rung itself
+        is never built.  Each schedule's table is built once per ladder,
+        and each profile given is kept for the rung's decision.
+        """
+        known = self._tables.get(sched)
+        if known is None:
+            known = self._tables[sched] = (self._table(sched), {})
+        table, profiles = known
+        if i in profiles:
+            return profiles[i]
+        threshold = self._floor * self.grid.value(i)
+        lift, _, large_cap, weights, room = self._classes
+        large = []  # per machine, its jobs that are large at rung i
+        for _, jobs in table:
+            n = 0
+            while n < len(jobs) and jobs[n][0] >= threshold:
+                n += 1
+            large.append(jobs[:n])
+        oversize = min(((j, t) for ((t, _), _), jobs in zip(table, large)
+                        for _, kmin, _, j in jobs if kmin + i < 0), default=None)
+        if oversize is not None:
+            j, t = oversize
+            raise PatternOverflow(f"job {j} oversize on type {t} at this target")
+        for ((t, k), _), jobs in zip(table, large):
+            if len(jobs) > large_cap:
+                raise PatternOverflow(
+                    f"machine ({t},{k}) holds {len(jobs)} large jobs, cap {large_cap}"
+                )
+            # one job has mass at most 1, a class being a power <= 1
+            if len(jobs) > 1 and any(
+                sum([weights[min(x + i, lift)] for x in dim]) > room
+                for dim in zip(*(e[2] for e in jobs))
+            ):
+                raise PatternOverflow(f"machine ({t},{k}) pattern mass exceeds capacity")
+        profile: list[list[Pattern]] = [[] for _ in self.inst.machine_counts]
+        for ((t, _), _), jobs in zip(table, large):
+            profile[t].append(tuple(sorted(tuple(min(x + i, lift) for x in e[2]) for e in jobs)))
+        profiles[i] = tuple(tuple(sorted(pats)) for pats in profile)
+        return profiles[i]
 
 
 def make_scaled_instance(inst: Instance, target, eps) -> ScaledInstance:
@@ -268,33 +370,9 @@ def enumerate_pattern_profiles(scaled: ScaledInstance, budget: int) -> Iterator[
 
 
 def profile_from_schedule(scaled: ScaledInstance, sched: Schedule) -> Profile:
-    """The pattern profile an assignment induces (certificate-guided mode)."""
-    per_machine: dict[tuple[int, int], list[Klass]] = {
-        m: [] for m in scaled.base.machines()
-    }
-    for j, (t, k) in enumerate(sched.assignment):
-        entry = scaled.entry(j, t)
-        if entry.large:
-            if entry.klass is None:
-                raise PatternOverflow(
-                    f"job {j} oversize on type {t} at this target"
-                )
-            per_machine[(t, k)].append(entry.klass)
-    profile = []
-    for t in range(scaled.base.num_types):
-        pats = []
-        for k in range(scaled.base.machine_counts[t]):
-            qs = sorted(per_machine[(t, k)])
-            if len(qs) > scaled.large_cap:
-                raise PatternOverflow(
-                    f"machine ({t},{k}) holds {len(qs)} large jobs, cap {scaled.large_cap}"
-                )
-            mass = [sum(dim, ZERO) for dim in zip(*(klass_value(scaled.grid, q) for q in qs))]
-            if any(m > scaled.capacity for m in mass):
-                raise PatternOverflow(f"machine ({t},{k}) pattern mass exceeds capacity")
-            pats.append(tuple(qs))
-        profile.append(tuple(sorted(pats)))
-    return tuple(profile)
+    """The pattern profile an assignment induces (certificate-guided mode):
+    ScaleLadder.profile at the rung scaled is, or PatternOverflow."""
+    return scaled.ladder.profile(scaled.rung, sched)
 
 
 def _slot_only_groups(scaled: ScaledInstance) -> list[list[SlotGroup]]:
@@ -531,6 +609,11 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
         if idx >= known:
             return True
         probes += 1
+        if isinstance(mode, Guided):  # an overflowing certificate rejects unbuilt
+            try:
+                ladder.profile(idx, mode.schedule)
+            except PatternOverflow:
+                return False
         scaled = ladder.rung(idx)
         for step in steps:
             try:

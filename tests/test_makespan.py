@@ -42,7 +42,7 @@ from typesched.model import (
     make_instance,
 )
 from typesched.oracle import exact_solve
-from typesched.rationals import ONE, parse_rational, rat, rat_floor
+from typesched.rationals import ONE, geometric_grid, parse_rational, rat, rat_floor
 from typesched.rounding import (
     RoundingEngine,
     assemble_schedule,
@@ -603,6 +603,131 @@ def test_pattern_over_capacity_is_a_bug():
     assert scaled.capacity == rat(9, 4)
     with pytest.raises(InvariantViolation):
         build_rounding_problem(scaled, ((((0,), (0,), (0,)),),))
+
+
+def reference_profile(scaled, sched):
+    """profile_from_schedule as it stood before the ladder decided it: read
+    off the rung's entries, masses summed from klass_value rationals."""
+    per_machine = {m: [] for m in scaled.base.machines()}
+    for j, (t, k) in enumerate(sched.assignment):
+        entry = scaled.entry(j, t)
+        if entry.large:
+            if entry.klass is None:
+                raise PatternOverflow(f"job {j} oversize on type {t} at this target")
+            per_machine[(t, k)].append(entry.klass)
+    profile = []
+    for t in range(scaled.base.num_types):
+        pats = []
+        for k in range(scaled.base.machine_counts[t]):
+            qs = sorted(per_machine[(t, k)])
+            if len(qs) > scaled.large_cap:
+                raise PatternOverflow(
+                    f"machine ({t},{k}) holds {len(qs)} large jobs, cap {scaled.large_cap}"
+                )
+            mass = [sum(dim, rat(0)) for dim in zip(*(klass_value(scaled.grid, q) for q in qs))]
+            if any(m > scaled.capacity for m in mass):
+                raise PatternOverflow(f"machine ({t},{k}) pattern mass exceeds capacity")
+            pats.append(tuple(qs))
+        profile.append(tuple(sorted(pats)))
+    return tuple(profile)
+
+
+def profile_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PatternOverflow as exc:
+        return str(exc)
+
+
+def test_ladder_profiles_match_the_rung_reference():
+    # ScaleLadder.profile decides from grid exponents in integers, with no
+    # rung built; on A1-shape, (2,2) and (1,1) instances, D 1 and 2, oracle and
+    # greedy certificates, at every rung and three eps, it gives the
+    # reference's profile or its PatternOverflow, through
+    # profile_from_schedule too
+    cases = [generate_instance(ExperimentConfig("makespan", 1, s, 1).trial_spec(0), s)
+             for s in range(300, 312)]
+    cases += [generate_instance(GeneratorSpec(n, dims, machines, 1, 10), 620 + s)
+              for n, machines in ((5, (2, 2)), (6, (1, 1))) for dims in (1, 2) for s in range(4)]
+    # n equal jobs on one machine: more large jobs than large_cap at some rungs
+    cases += [make_instance(1, [1], [[[6]]] * n) for n in (3, 4, 5)]
+    seen = {"profile": 0, "oversize": 0, "large jobs": 0, "mass": 0}
+    for inst in cases:
+        lower, upper = makespan._target_bounds(inst)
+        for cert in (exact_solve(inst).witness, greedy_makespan_schedule(inst)):
+            for eps in (calibrate_eps(rat(1, 2), inst.dims), rat(1, 2), rat(1, 3)):
+                rungs, ladder = ScaleLadder(inst, lower, eps), ScaleLadder(inst, lower, eps)
+                for i in range(ladder.grid.round_up(upper / lower) + 1):
+                    expected = profile_outcome(reference_profile, rungs.rung(i), cert)
+                    assert profile_outcome(ladder.profile, i, cert) == expected, (inst, eps, i)
+                    scaled = rungs.rung(i)
+                    assert profile_outcome(profile_from_schedule, scaled, cert) == expected
+                    kind = next((k for k in seen if k in str(expected)), "profile")
+                    seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_guided_search_builds_a_rung_only_for_a_fitting_certificate(monkeypatch):
+    # a probe whose certificate overflows rejects before its rung is built;
+    # the search itself keeps the reference's accepted rung and schedule
+    built, profiled = [], []
+    rung, profile = ScaleLadder.rung, ScaleLadder.profile
+
+    def counted_rung(self, i):
+        built.append(i)
+        return rung(self, i)
+
+    def counted_profile(self, i, sched):
+        profiled.append(i)
+        return profile(self, i, sched)
+
+    monkeypatch.setattr(ScaleLadder, "rung", counted_rung)
+    monkeypatch.setattr(ScaleLadder, "profile", counted_profile)
+    overflows = 0
+    for inst in reference_cases():
+        cert = exact_solve(inst).witness
+        expected, ref_probes = reference_search(inst, rat(1, 2), Guided(cert))
+        built.clear()
+        profiled.clear()
+        res = makespan_ptas(inst, rat(1, 2), Guided(cert))
+        probed = list(dict.fromkeys(profiled))
+        assert len(probed) == res.probes
+        ladder = certificate_ladder(inst, rat(1, 2), cert)[0]
+        fits = [i for i in probed if not isinstance(profile_outcome(ladder.profile, i, cert), str)]
+        assert built == fits
+        overflows += len(probed) - len(fits)
+        assert (res.schedule, res.makespan, res.accepted_target) == (
+            expected.schedule, expected.makespan, expected.target)
+        assert res.probes <= ref_probes
+    assert overflows > 20, overflows
+
+
+@pytest.mark.parametrize("den", [16, 32])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_class_weights_are_class_values(den, dims):
+    # w[k] / up^lift is class k's value (1+eps)^(-k), and a weight sum is
+    # within room exactly when its mass is within (1+eps)^2
+    eps = rat(1, den)
+    up, grid = den + 1, geometric_grid(eps)
+    lift, capacity, large_cap, weights, room = makespan._classes(1, den, dims)
+    assert lift == power_round_up(eps * eps / dims, eps)[0]
+    assert (capacity, large_cap) == ((1 + eps) ** 2, dims * den)
+    assert len(weights) == lift + 1
+    for k, w in enumerate(weights):
+        assert rat(w, up**lift) == klass_value(grid, (k,))[0]
+    # room is the boundary: room passes, room + 1 does not
+    assert rat(room, up**lift) <= capacity < rat(room + 1, up**lift)
+    # every pair and a sweep of triples of classes, the tightest among them
+    fits = tried = 0
+    for pattern in itertools.chain(
+        itertools.combinations_with_replacement(range(lift + 1), 2),
+        ((0, a, b) for a in range(lift + 1) for b in range(a, lift + 1, 7)),
+    ):
+        mass = sum((klass_value(grid, (k,))[0] for k in pattern), rat(0))
+        assert (sum(weights[k] for k in pattern) <= room) == (mass <= capacity), pattern
+        fits += mass <= capacity
+        tried += 1
+    assert 0 < fits < tried
 
 
 def test_slot_lp_row_count():
