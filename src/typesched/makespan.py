@@ -22,10 +22,11 @@ classes, within large_cap and the capacity, a slot per slot-only job) and
 its count check passes it.  Only an accepting decision's schedule can move.
 
 A certificate's profile at a rung is read off the ladder's grid exponents
-(ScaleLadder.profile), with no rung built; every class is a power of
-1/(1+eps), so its pattern masses are summed and checked as integers.  A
-guided probe whose certificate overflows its patterns rejects there, and
-only a probe whose certificate fits builds its rung.
+(ScaleLadder.certificate); every class is a power of 1/(1+eps), so its
+pattern masses are summed and checked as integers.  A rung's entries are
+built only when something reads them (ScaledInstance.entries): the
+enumeration and phase 1 do, a guided decision that overflows or fits its
+certificate does not.
 
 Machines of one type are identical, so whether a profile can host the jobs
 that are large on every usable type (slot-only jobs) depends only on its
@@ -44,22 +45,26 @@ Guided mode skips both, which cannot fail there: profile_from_schedule
 puts the class of every such job into the pattern of the certificate
 machine that job sits on, or raises PatternOverflow.
 
-A guided decision hands the rounding engine the certificate's routes
-(certificate_point, via rounding.route_point): each large job to its own
-slot of its class on its own machine, each small job to that machine.
-That point holds the first slot LP's assignment and slot rows, and a
-makespan problem has no budget rows, so the engine's forced first round,
-which commits it with no simplex call, is its only fit check: it raises
-Infeasible exactly when some machine's small load exceeds its rem, and
-phase 1 then decides on a fresh engine, as with no point.  The search
+A guided decision rounds the certificate's own routes first
+(certificate_problem): the profile's slots and rem, and per job the one
+route rounding.route_point gives it, each large job the slot of its class
+on its own machine, each small job that machine.  Every other route of the
+full problem is one the certificate's 0/1 point sets to 0, which the
+engine would drop before its first round, so this is the round the engine
+makes with the full problem and that point.  A makespan problem has no
+budget rows, so that forced round, which commits the certificate with no
+simplex call, is its only fit check: it raises Infeasible exactly when
+some machine's small load exceeds its rem, and phase 1 then decides on the
+full problem (build_rounding_problem), as with no point.  The search
 cannot move: a point that fits proves the first LP feasible, which phase
 1 accepts.  So every accept and reject, probes and the accepted rung stay
-those of handing no point, and only an accepting decision's schedule can
-change, to the certificate with same-type machines relabelled.
+those of phase 1, and only an accepting decision's schedule can change, to
+the certificate with same-type machines relabelled.
 
 A makespan-T solution survives the lift (+eps additively) and the round-up
 (factor 1+eps), so rounded per-machine loads stay within (1+eps)^2; that is
-the pattern capacity, and rem(i) is whatever the pattern leaves unused.
+the pattern capacity, and rem(i) is whatever the pattern leaves unused, one
+exact rational from the integer class weights (_Classes.rem).
 Small-job routes use unrounded scaled costs c/T, divided out per rounding
 problem, so the 2D*eps / 3D*eps overshoot bounds of the rounding engine
 hold exactly.  The decision guarantee factor is G(eps, D) = (1+eps)^3 +
@@ -93,8 +98,8 @@ from .rounding import (
     RoundingStats,
     Work,
     assemble_schedule,
-    build_slots,
     has_matching,
+    number_slots,
     pattern_multisets,
     route_point,
     slot_patterns,
@@ -122,15 +127,23 @@ _SMALL = ScaledEntry(False, None)
 
 @dataclass
 class ScaledInstance:
+    """One rung of a ScaleLadder.  Its entries are built on first read, so
+    a rung whose decision reads only the ladder's certificate table (decide,
+    Guided) costs no entry at all."""
+
     base: Instance
     eps: object
     target: object
-    entries: list[list[ScaledEntry]]
     capacity: object       # (1+eps)^2
     large_cap: int         # floor(D/eps), max large jobs per machine
     grid: GeometricGrid    # powers of 1+eps; class exponents index into it
     ladder: ScaleLadder    # the ladder this is a rung of
     rung: int              # its index: target = ladder.base * (1+eps)^rung
+
+    @functools.cached_property
+    def entries(self) -> list[list[ScaledEntry]]:
+        """Per job, per type, its entry at this target."""
+        return self.ladder._entries(self.rung)
 
     def entry(self, job: int, mtype: int) -> ScaledEntry:
         return self.entries[job][mtype]
@@ -156,6 +169,22 @@ class _Classes(NamedTuple):
     weights: tuple[int, ...]  # w[k] = down^k * up^(lift-k): class k's mass times up^lift
     room: int                 # the largest integer mass, times up^lift, within capacity
 
+    def rem(self, pattern: Pattern, dims: int) -> tuple:
+        """capacity minus pattern's mass, per dimension, each one exact
+        rational from integers: a weight sum s is the mass s/up^lift, which
+        leaves (up^(lift+2) - s*down^2) / (down^2*up^lift).  slot_patterns
+        and ScaleLadder.profile keep every pattern within the capacity, so a
+        pattern above it is a bug, not a wrong profile."""
+        scale = self.weights[0]  # up^lift
+        num, den = self.capacity.numerator * scale, self.capacity.denominator * scale
+        out = []
+        for d in range(dims):
+            s = sum([self.weights[q[d]] for q in pattern])
+            if s > self.room:
+                raise InvariantViolation("pattern mass exceeds capacity")
+            out.append(rat(num - s * self.capacity.denominator, den))
+        return tuple(out)
+
 
 @functools.lru_cache(maxsize=16)
 def _classes(num: int, den: int, dims: int) -> _Classes:
@@ -178,16 +207,25 @@ class ScaleLadder:
     power_round_up gives, read off the ladder's grid.  At rung i, c/T_i is
     (c/base)*(1+eps)^(-i), whose exponent is k + i; rounding up is monotone,
     so a large cost lifted to eps^2/D has exponent min(k + i, lift), lift
-    being the exponent of eps^2/D.  A rung therefore makes one exact
-    comparison per (job, type), large iff max cost >= eps*T_i, and shifts
-    exponents only for the large pairs; it divides no cost.
+    being the exponent of eps^2/D.  A rung's entries therefore take one
+    exact comparison per (job, type), large iff max cost >= eps*T_i, and
+    shift exponents only for the large pairs; they divide no cost.
 
-    profile decides a certificate's pattern profile at a rung from the same
-    exponents, without building the rung: see its docstring.
+    The pass that takes each (job, type)'s max cost also gives the target
+    bounds: lower, the largest of the jobs' least max costs over the usable
+    types, and upper, their sum.  base defaults to lower.
+
+    certificate decides a certificate's pattern profile and routes at a
+    rung from the same exponents, without building the rung's entries: see
+    its docstring.
     """
 
     def __init__(self, inst: Instance, base, eps):
-        base = parse_rational(base)
+        usable = [t for t, m in enumerate(inst.machine_counts) if m > 0]
+        tops = [[max(vec) for vec in job] for job in inst.costs]
+        floors = [min([row[t] for t in usable]) for row in tops]
+        self.lower, self.upper = max(floors), sum(floors, ZERO)
+        base = self.lower if base is None else parse_rational(base)
         eps = parse_rational(eps)
         if base <= 0 or not 0 < eps < 1:
             raise ValueError("scaling needs a positive target and eps in (0, 1)")
@@ -204,9 +242,9 @@ class ScaleLadder:
         # exponent of each distinct cost, keyed by its integer pair: hashing
         # a rational would take a modular inverse per lookup
         exponents: dict[tuple[int, int], int] = {}
-        for job in inst.costs:
+        for job, row in zip(inst.costs, tops):
             out = []
-            for vec in job:
+            for vec, top in zip(job, row):
                 ks = []
                 for c in vec:
                     key = (c.numerator, c.denominator)
@@ -214,16 +252,23 @@ class ScaleLadder:
                     if k is None:
                         k = exponents[key] = -self.grid.round_up(c / base)
                     ks.append(k)
-                out.append((max(vec), tuple(ks)))
+                out.append((top, tuple(ks)))
             self._costs.append(out)
-        # per certificate schedule, its table (see _table) and its profiles by rung
-        self._tables: dict[Schedule, tuple[list, dict[int, Profile]]] = {}
+        # per certificate schedule, its table (see _table) and its
+        # (profile, routes) by rung
+        self._tables: dict[Schedule, tuple[list, dict[int, tuple]]] = {}
 
     def rung(self, i: int) -> ScaledInstance:
-        """The scaled instance at target base*(1+eps)^i."""
-        value = self.grid.value(i)
-        target = self.base * value
-        threshold = self._floor * value
+        """The scaled instance at target base*(1+eps)^i; its entries are
+        built on first read (_entries)."""
+        return ScaledInstance(
+            self.inst, self.eps, self.base * self.grid.value(i), self.capacity, self.large_cap,
+            self.grid, self, i,
+        )
+
+    def _entries(self, i: int) -> list[list[ScaledEntry]]:
+        """The entries of rung i."""
+        threshold = self._floor * self.grid.value(i)
         lift = self.lift
         entries: list[list[ScaledEntry]] = []
         for row in self._costs:
@@ -235,10 +280,7 @@ class ScaleLadder:
                 else:
                     out.append(_SMALL)
             entries.append(out)
-        return ScaledInstance(
-            self.inst, self.eps, target, entries, self.capacity, self.large_cap, self.grid,
-            self, i,
-        )
+        return entries
 
     def _table(self, sched: Schedule) -> list:
         """Per machine of sched, in machines() order: ((t, k), jobs), jobs
@@ -255,7 +297,11 @@ class ScaleLadder:
         return table
 
     def profile(self, i: int, sched: Schedule) -> Profile:
-        """The pattern profile sched induces at rung i, or PatternOverflow.
+        """The pattern profile sched induces at rung i, or PatternOverflow."""
+        return self.certificate(i, sched)[0]
+
+    def certificate(self, i: int, sched: Schedule) -> tuple[Profile, dict]:
+        """(profile, routes) of sched at rung i, or PatternOverflow.
 
         A job is large on its machine at rung i when its max cost reaches
         eps*T_i, with classes min(k + i, lift) over its exponents k.  The
@@ -263,16 +309,21 @@ class ScaleLadder:
         0), when a machine holds more than large_cap large jobs, or when a
         machine's mass exceeds (1+eps)^2 in some dimension.  Every mass is
         a sum of class weights (_classes), so those tests are integer
-        ones, made before any class or pattern is built; the rung itself
-        is never built.  Each schedule's table is built once per ladder,
-        and each profile given is kept for the rung's decision.
+        ones, made before any class or pattern is built; the rung's
+        entries are never built.
+
+        profile is the pattern profile sched induces; routes maps each
+        machine (t, k) of sched to its (job, class) pairs, class None for a
+        job small there: the machines argument of rounding.route_point.
+        Each schedule's table is built once per ladder, and each rung's
+        answer is kept for the rung's decision.
         """
         known = self._tables.get(sched)
         if known is None:
             known = self._tables[sched] = (self._table(sched), {})
-        table, profiles = known
-        if i in profiles:
-            return profiles[i]
+        table, found = known
+        if i in found:
+            return found[i]
         threshold = self._floor * self.grid.value(i)
         lift, _, large_cap, weights, room = self._classes
         large = []  # per machine, its jobs that are large at rung i
@@ -280,28 +331,30 @@ class ScaleLadder:
             n = 0
             while n < len(jobs) and jobs[n][0] >= threshold:
                 n += 1
-            large.append(jobs[:n])
-        oversize = min(((j, t) for ((t, _), _), jobs in zip(table, large)
-                        for _, kmin, _, j in jobs if kmin + i < 0), default=None)
+            large.append(n)
+        oversize = min(((j, t) for ((t, _), jobs), n in zip(table, large)
+                        for _, kmin, _, j in jobs[:n] if kmin + i < 0), default=None)
         if oversize is not None:
             j, t = oversize
             raise PatternOverflow(f"job {j} oversize on type {t} at this target")
-        for ((t, k), _), jobs in zip(table, large):
-            if len(jobs) > large_cap:
-                raise PatternOverflow(
-                    f"machine ({t},{k}) holds {len(jobs)} large jobs, cap {large_cap}"
-                )
+        for ((t, k), jobs), n in zip(table, large):
+            if n > large_cap:
+                raise PatternOverflow(f"machine ({t},{k}) holds {n} large jobs, cap {large_cap}")
             # one job has mass at most 1, a class being a power <= 1
-            if len(jobs) > 1 and any(
+            if n > 1 and any(
                 sum([weights[min(x + i, lift)] for x in dim]) > room
-                for dim in zip(*(e[2] for e in jobs))
+                for dim in zip(*(e[2] for e in jobs[:n]))
             ):
                 raise PatternOverflow(f"machine ({t},{k}) pattern mass exceeds capacity")
         profile: list[list[Pattern]] = [[] for _ in self.inst.machine_counts]
-        for ((t, _), _), jobs in zip(table, large):
-            profile[t].append(tuple(sorted(tuple(min(x + i, lift) for x in e[2]) for e in jobs)))
-        profiles[i] = tuple(tuple(sorted(pats)) for pats in profile)
-        return profiles[i]
+        routes = {}
+        for ((t, k), jobs), n in zip(table, large):
+            pairs = [(e[3], tuple([min(x + i, lift) for x in e[2]])) for e in jobs[:n]]
+            profile[t].append(tuple(sorted([q for _, q in pairs])))
+            pairs += [(e[3], None) for e in jobs[n:]]
+            routes[t, k] = pairs
+        found[i] = tuple(tuple(sorted(pats)) for pats in profile), routes
+        return found[i]
 
 
 def make_scaled_instance(inst: Instance, target, eps) -> ScaledInstance:
@@ -406,23 +459,37 @@ def count_check(scaled: ScaledInstance) -> Callable[[Profile], bool] | None:
     return admits
 
 
-def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> RoundingProblem:
+def _machine_rows(scaled: ScaledInstance, profile: Profile):
+    """The slots of profile (machine (t, k) takes pattern profile[t][k]), the
+    slot ids of each (type, class), and each machine's rem: the capacity
+    its pattern leaves, from the integer class weights (_Classes.rem)."""
     inst = scaled.base
-    slots, mass, slots_of = build_slots(
-        [(mk, profile[mk[0]][mk[1]]) for mk in inst.machines()],
-        functools.partial(klass_value, scaled.grid),
-        inst.dims,
-    )
-    # slot_patterns and profile_from_schedule both keep every pattern within
-    # the capacity, so a negative remainder is a bug, not a wrong profile
-    rem = {}
-    for machine, used in mass.items():
-        rem[machine] = tuple([scaled.capacity - u for u in used])
-        if any(r < 0 for r in rem[machine]):
-            raise InvariantViolation("pattern mass exceeds capacity")
+    patterns = [(mk, profile[mk[0]][mk[1]]) for mk in inst.machines()]
+    slots, slots_of = number_slots(patterns, functools.partial(klass_value, scaled.grid))
+    classes = scaled.ladder._classes
+    return slots, slots_of, {mk: classes.rem(pattern, inst.dims) for mk, pattern in patterns}
 
-    # large jobs route to the slots of their class, small ones to every machine
-    # at unrounded scaled cost (keeping the 2D*eps overshoot bound exact)
+
+def _problem(scaled: ScaledInstance, jobs: dict[int, JobRoutes], slots, rem) -> RoundingProblem:
+    inst = scaled.base
+    return RoundingProblem(
+        dims=inst.dims,
+        jobs=jobs,
+        slots=slots,
+        capacities=rem,
+        small_caps={m: scaled.eps for m in rem},
+        type_budgets={},
+        leaf_raw_cost=lambda j, t: max(inst.cost_vec(j, t)) / scaled.target,
+    )
+
+
+def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> RoundingProblem:
+    """The rounding problem of profile with every route: each job large on a
+    type to the slots of its class there, each job small on a type to every
+    machine of it at unrounded scaled cost (keeping the 2D*eps overshoot
+    bound exact)."""
+    inst = scaled.base
+    slots, slots_of, rem = _machine_rows(scaled, profile)
     jobs: dict[int, JobRoutes] = {}
     for j in range(inst.num_jobs):
         machine_costs = {}
@@ -438,16 +505,27 @@ def build_rounding_problem(scaled: ScaledInstance, profile: Profile) -> Rounding
                 for k in range(inst.machine_counts[t]):
                     machine_costs[(t, k)] = raw
         jobs[j] = JobRoutes(machine_costs, slot_ids)
+    return _problem(scaled, jobs, slots, rem)
 
-    return RoundingProblem(
-        dims=inst.dims,
-        jobs=jobs,
-        slots=slots,
-        capacities=rem,
-        small_caps={m: scaled.eps for m in rem},
-        type_budgets={},
-        leaf_raw_cost=lambda j, t: max(inst.cost_vec(j, t)) / scaled.target,
-    )
+
+def certificate_problem(scaled: ScaledInstance, profile: Profile,
+                        sched: Schedule) -> RoundingProblem:
+    """The rounding problem of profile, sched's profile at the rung of
+    scaled, holding only sched's own routes (rounding.route_point): each
+    large job the slot of its class on its machine, each small job its
+    machine at cost c/T.  Its classes come from the ladder's certificate
+    table, so the rung's entries are not built."""
+    inst = scaled.base
+    slots, _, rem = _machine_rows(scaled, profile)
+    point = route_point(slots, scaled.ladder.certificate(scaled.rung, sched)[1])
+    jobs: dict[int, JobRoutes] = {}
+    for kind, j, to in point:
+        if kind == "s":
+            jobs[j] = JobRoutes({}, {to})
+        else:
+            cost = tuple([c / scaled.target for c in inst.cost_vec(j, to[0])])
+            jobs[j] = JobRoutes({to: cost}, set())
+    return _problem(scaled, jobs, slots, rem)
 
 
 def guarantee_factor(eps, dims: int):
@@ -495,17 +573,6 @@ def makespan_decision(inst: Instance, target, eps, mode) -> DecisionResult:
     return decide(make_scaled_instance(inst, target, eps), mode)
 
 
-def certificate_point(scaled: ScaledInstance, problem: RoundingProblem, sched: Schedule):
-    """The certificate sched as a 0/1 route point (rounding.route_point) of
-    problem, the rounding problem of profile_from_schedule(scaled, sched).
-    No capacity row is checked: the engine's forced first round is the one
-    fit check, and an overfilling certificate leaves decide to phase 1."""
-    machines: dict = {mk: [] for mk in scaled.base.machines()}
-    for j, (t, k) in enumerate(sched.assignment):
-        machines[t, k].append((j, scaled.entry(j, t).klass))
-    return route_point(problem.slots, machines)
-
-
 def decide(scaled: ScaledInstance, mode) -> DecisionResult:
     """The decision step of makespan_decision, at the target of scaled."""
     if isinstance(mode, Guided):
@@ -513,12 +580,11 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
             profile = profile_from_schedule(scaled, mode.schedule)
         except PatternOverflow as exc:
             raise Infeasible(str(exc)) from exc
-        problem = build_rounding_problem(scaled, profile)
-        point = certificate_point(scaled, problem, mode.schedule)
+        problem = certificate_problem(scaled, profile, mode.schedule)
         try:
-            return _round(scaled, profile, problem, point)
-        except Infeasible:  # the certificate overfills a machine: phase 1 decides
             return _round(scaled, profile, problem)
+        except Infeasible:  # the certificate overfills a machine: phase 1 decides
+            return _round(scaled, profile, build_rounding_problem(scaled, profile))
 
     check = count_check(scaled)
     for profile in enumerate_pattern_profiles(scaled, mode.budget):
@@ -530,12 +596,11 @@ def decide(scaled: ScaledInstance, mode) -> DecisionResult:
     raise Infeasible("every enumerated profile failed")
 
 
-def _round(scaled: ScaledInstance, profile: Profile, problem: RoundingProblem,
-           point: dict | None = None) -> DecisionResult:
-    """The decision for problem, the rounding problem of profile; Infeasible
+def _round(scaled: ScaledInstance, profile: Profile, problem: RoundingProblem) -> DecisionResult:
+    """The decision for problem, a rounding problem of profile; Infeasible
     when its first LP is."""
     inst = scaled.base
-    engine = RoundingEngine(problem, point)
+    engine = RoundingEngine(problem)
     outcome = engine.run()
     final = untangle(problem, outcome)
     schedule = assemble_schedule(problem, final, inst.num_jobs)
@@ -543,14 +608,6 @@ def _round(scaled: ScaledInstance, profile: Profile, problem: RoundingProblem,
     if makespan > guarantee_factor(scaled.eps, inst.dims) * scaled.target:
         raise InvariantViolation("decision exceeded its guarantee factor")
     return DecisionResult(schedule, makespan, scaled.target, profile, engine.stats, outcome.forest)
-
-
-def _target_bounds(inst: Instance):
-    """(lower, upper): the largest and the sum of the jobs' least max costs
-    over the usable types."""
-    usable = [t for t in range(inst.num_types) if inst.machine_counts[t] > 0]
-    floors = [min(max(job[t]) for t in usable) for job in inst.costs]
-    return max(floors), sum(floors, ZERO)
 
 
 def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
@@ -587,10 +644,10 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
     """
     eps_user = parse_rational(eps_user)
     eps = calibrate_eps(eps_user, inst.dims)
-    lower, upper = _target_bounds(inst)
     # rungs lower * (1+eps)^i up to the first target >= upper (upper >= lower)
-    ladder = ScaleLadder(inst, lower, eps)
-    top = ladder.grid.round_up(upper / lower)
+    ladder = ScaleLadder(inst, None, eps)
+    lower = ladder.base
+    top = ladder.grid.round_up(ladder.upper / lower)
     if isinstance(mode, Guided):
         steps = (mode,)
     else:
@@ -609,11 +666,6 @@ def makespan_ptas(inst: Instance, eps_user, mode) -> MakespanResult:
         if idx >= known:
             return True
         probes += 1
-        if isinstance(mode, Guided):  # an overflowing certificate rejects unbuilt
-            try:
-                ladder.profile(idx, mode.schedule)
-            except PatternOverflow:
-                return False
         scaled = ladder.rung(idx)
         for step in steps:
             try:

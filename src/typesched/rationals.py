@@ -354,12 +354,12 @@ def _halve_until(num: int, den: int, factor, args: tuple):
 class GeometricGrid:
     """The exact powers (1+eps)^e, e any integer, with rounding onto them.
 
-    A rounding starts from the float estimate floor(log(x) / log(1+eps)),
-    taken as log(numerator) - log(denominator) so huge rationals cannot
-    overflow, and corrects it by exact integer comparisons against the
-    cached powers.  Results are exact; the float is only a starting point.
-    The cache is keyed by exponent, so it grows with the range of
-    magnitudes rounded, never with the number of values.
+    A rounding starts from the float estimate log(x) / log(1+eps), rounded
+    down or up, with log(x) taken as log(numerator) - log(denominator) so
+    huge rationals cannot overflow, and corrects it by exact integer
+    comparisons against the cached powers.  Results are exact; the float is
+    only a starting point.  The cache is keyed by exponent, so it grows with
+    the range of magnitudes rounded, never with the number of values.
     """
 
     def __init__(self, eps):
@@ -400,10 +400,25 @@ class GeometricGrid:
         return e
 
     def round_up(self, x) -> int:
-        """Smallest e with (1+eps)^e >= x, for a rational x > 0."""
-        e = self.round_down(x)
+        """Smallest e with (1+eps)^e >= x, for a rational x > 0.
+
+        The estimate ceil(log(x) / log(1+eps)) is usually right, so the
+        usual cost is two comparisons: (1+eps)^e >= x and (1+eps)^(e-1) < x.
+        """
+        a, b = x.numerator, x.denominator
+        if a <= 0 or b <= 0:
+            raise ValueError(f"grid rounding needs x > 0, got {a}/{b}")
+        e = math.ceil((math.log(a) - math.log(b)) / self._log_base)
+        while not self._at_least(e, a, b):
+            e += 1
+        while self._at_least(e - 1, a, b):
+            e -= 1
+        return e
+
+    def _at_least(self, e: int, a, b) -> bool:
+        """(1+eps)^e >= a/b, for b > 0."""
         v = self.value(e)
-        return e if v.numerator * x.denominator == x.numerator * v.denominator else e + 1
+        return v.numerator * b >= a * v.denominator
 
 
 @functools.lru_cache(maxsize=16)

@@ -49,10 +49,10 @@ rows (SlotRows, also the base of the L_p convex region) and the final
 schedule assembly live here too, so both pipelines build and read one LP
 shape; so do the matcher (has_matching) behind both pipelines' count
 checks, full mode's product walk (walk) and the route point of a
-certificate (route_point): the point a guided makespan decision hands the
-engine, and the L_p warm start.  Each LP column is the route it stands
-for, the triple (kind, job, target) of route_vars, so reading a value
-needs no decoding.  Untangling reads slot fit from the routes alone.
+certificate (route_point): the one route per job a guided makespan
+decision keeps, and the L_p warm start.  Each LP column is the route it
+stands for, the triple (kind, job, target) of route_vars, so reading a
+value needs no decoding.  Untangling reads slot fit from the routes alone.
 """
 
 from __future__ import annotations
@@ -233,25 +233,32 @@ def slot_patterns(counts: dict, slot_cap: int, size, mass_cap, dims: int = 1) ->
     return out
 
 
-def build_slots(patterns, size, dims: int):
+def number_slots(patterns, size):
     """The slots of (machine, pattern) pairs, numbered in the order given.
 
     size(q) is a class-q slot's reserved mass per dimension.  Returns the
-    slots by id, each machine's pattern mass (a list per dimension), and the
-    ascending slot ids of each (machine type, class), so a job's slot routes
-    take one lookup instead of a scan over all slots.
+    slots by id and the ascending slot ids of each (machine type, class), so
+    a job's slot routes take one lookup instead of a scan over all slots.
     """
     slots: dict[int, SlotInfo] = {}
-    mass: dict[MachineKey, list] = {}
     slots_of: dict[tuple, list[int]] = {}
     for machine, pattern in patterns:
-        used = mass[machine] = [ZERO] * dims
         for q in pattern:
             sid = len(slots)
             slots[sid] = SlotInfo(sid, machine, q, size(q))
             slots_of.setdefault((machine[0], q), []).append(sid)
-            for d in range(dims):
-                used[d] += slots[sid].size[d]
+    return slots, slots_of
+
+
+def build_slots(patterns, size, dims: int):
+    """number_slots's slots and slot ids, with each machine's pattern mass
+    between them: a list per dimension, its slots' sizes summed."""
+    slots, slots_of = number_slots(patterns, size)
+    mass: dict[MachineKey, list] = {machine: [ZERO] * dims for machine, _ in patterns}
+    for slot in slots.values():
+        used = mass[slot.machine]
+        for d in range(dims):
+            used[d] += slot.size[d]
     return slots, mass, slots_of
 
 

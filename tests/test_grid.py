@@ -131,3 +131,41 @@ def test_grid_rejects_non_positive_input():
         grid.round_down(Fraction(0))
     with pytest.raises(ValueError):
         grid.round_up(Fraction(-1, 3))
+
+
+def assert_least_exponent(grid: GeometricGrid, eps: Fraction, x: Fraction) -> int:
+    """round_up(x) is the least e with (1+eps)^e >= x, checked on powers
+    computed here, not read from the grid's cache."""
+    e = grid.round_up(rat(x))
+    assert (1 + eps) ** e >= x > (1 + eps) ** (e - 1)
+    return e
+
+
+@pytest.mark.parametrize("eps", EPS_VALUES)
+@given(e=st.integers(min_value=-300, max_value=300), shift=st.integers(min_value=6, max_value=80))
+def test_round_up_is_the_least_exponent_at_and_beside_grid_powers(eps, e, shift):
+    # an exact power rounds to its own exponent; a value a hair above it (a
+    # hair below eps/(1+eps)), to the next one; a hair below, to its own
+    grid = geometric_grid(rat(eps))
+    power = (1 + eps) ** e
+    assert assert_least_exponent(grid, eps, power) == e
+    hair = Fraction(1, 2**shift)
+    assert assert_least_exponent(grid, eps, power * (1 + hair)) == e + 1
+    assert assert_least_exponent(grid, eps, power * (1 - hair)) == e
+
+
+@pytest.mark.parametrize("eps", EPS_VALUES)
+@given(a=st.integers(min_value=1, max_value=10**6), b=st.integers(min_value=1, max_value=10**6),
+       digits=st.integers(min_value=310, max_value=700))
+def test_round_up_takes_numerators_and_denominators_past_the_float_range(eps, a, b, digits):
+    # numerators and denominators above 1e308, where float() overflows, give
+    # their estimate through the logarithms of the two integers: values near
+    # a/b, and (at the coarse eps, where the exponents stay in the
+    # thousands) values near 10^digits and 10^-digits
+    grid = geometric_grid(rat(eps))
+    big = 10**digits
+    xs = [Fraction(a * big + 1, b * big), Fraction(a * big, b * big + 1)]
+    if eps > Fraction(1, 3):
+        xs += [Fraction(a * big, b), Fraction(a, b * big)]
+    for x in xs:
+        assert_least_exponent(grid, eps, x)

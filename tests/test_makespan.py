@@ -46,6 +46,7 @@ from typesched.rationals import ONE, geometric_grid, parse_rational, rat, rat_fl
 from typesched.rounding import (
     RoundingEngine,
     assemble_schedule,
+    build_slots,
     has_matching,
     untangle,
 )
@@ -102,6 +103,13 @@ def test_large_lift_applies_only_to_large_jobs():
     assert klass_value(scaled.grid, entry.klass)[1] >= rat(1, 8)
 
 
+def target_bounds(inst):
+    """(lower, upper) of makespan_ptas's ladder: the largest and the sum of
+    the jobs' least max costs over the usable types."""
+    ladder = ScaleLadder(inst, None, rat(1, 2))
+    return ladder.lower, ladder.upper
+
+
 def reference_scaled(inst, target, eps):
     """(entries, target, capacity, large_cap) from the per-cost loop that
     scaled every instance before the scale ladder: each cost is divided by
@@ -150,7 +158,7 @@ def test_ladder_rungs_match_the_per_cost_loop():
               for dims in (1, 2) for s in range(10)]
     rungs = lifted = 0
     for inst in cases:
-        lower, upper = makespan._target_bounds(inst)
+        lower, upper = target_bounds(inst)
         for eps in (calibrate_eps(rat(1, 2), inst.dims), rat(1, 2), rat(1, 3)):
             top = ScaleLadder(inst, lower, eps).grid.round_up(upper / lower)
             ladder = assert_ladder_matches_reference(inst, lower, eps, range(top + 1))
@@ -170,7 +178,7 @@ def test_ladder_exponents_are_the_power_round_up_exponents():
     checked = 0
     for s in range(300, 340):
         inst = generate_instance(ExperimentConfig("makespan", 1, s, 1).trial_spec(0), s)
-        lower, _ = makespan._target_bounds(inst)
+        lower, _ = target_bounds(inst)
         for eps in (calibrate_eps(rat(1, 2), inst.dims), rat(1, 3)):
             ladder = ScaleLadder(inst, lower, eps)
             for j, row in enumerate(ladder._costs):
@@ -220,7 +228,7 @@ def test_small_routes_cost_exactly_cost_over_target_at_every_rung():
     routes = {}
     for inst in cases:
         witness = exact_solve(inst).witness
-        lower, upper = makespan._target_bounds(inst)
+        lower, upper = target_bounds(inst)
         for eps in (calibrate_eps(rat(1, 2), inst.dims), rat(1, 2), rat(1, 3)):
             ladder = ScaleLadder(inst, lower, eps)
             for i in range(ladder.grid.round_up(upper / lower) + 1):
@@ -250,7 +258,7 @@ def test_guided_acceptance_implies_full_acceptance_at_every_rung():
         machines = ((1, 1), (2, 1))[seed // 2 % 2]
         inst = generate_instance(GeneratorSpec(3, dims, machines, 1, 10), 700 + seed)
         witness = exact_solve(inst).witness
-        lower, upper = makespan._target_bounds(inst)
+        lower, upper = target_bounds(inst)
         ladder = ScaleLadder(inst, lower, calibrate_eps(rat(1, 2), dims))
         for i in range(ladder.grid.round_up(upper / lower) + 1):
             scaled = ladder.rung(i)
@@ -275,7 +283,7 @@ def test_certificate_profiles_pass_the_count_check_at_every_rung():
         for seed in range(8):
             inst = generate_instance(GeneratorSpec(4, dims, machines, 1, 10), 800 + seed)
             witness = exact_solve(inst).witness
-            lower, upper = makespan._target_bounds(inst)
+            lower, upper = target_bounds(inst)
             ladder = ScaleLadder(inst, lower, calibrate_eps(rat(1, 2), dims))
             for i in range(ladder.grid.round_up(upper / lower) + 1):
                 scaled = ladder.rung(i)
@@ -383,7 +391,7 @@ def test_a_decision_runs_on_exactly_its_work(monkeypatch):
     # as in L_p full mode, the budget counts work: a decision passes on its
     # own count, with the same answer, and one unit less does not
     inst = generate_instance(GeneratorSpec(6, 1, (2, 2), 1, 10), 0)
-    lower, upper = makespan._target_bounds(inst)
+    lower, upper = target_bounds(inst)
     ladder = ScaleLadder(inst, lower, calibrate_eps(rat(1, 2), 1))
     outcomes = set()
     for i in range(ladder.grid.round_up(upper / lower) + 1):
@@ -653,7 +661,7 @@ def test_ladder_profiles_match_the_rung_reference():
     cases += [make_instance(1, [1], [[[6]]] * n) for n in (3, 4, 5)]
     seen = {"profile": 0, "oversize": 0, "large jobs": 0, "mass": 0}
     for inst in cases:
-        lower, upper = makespan._target_bounds(inst)
+        lower, upper = target_bounds(inst)
         for cert in (exact_solve(inst).witness, greedy_makespan_schedule(inst)):
             for eps in (calibrate_eps(rat(1, 2), inst.dims), rat(1, 2), rat(1, 3)):
                 rungs, ladder = ScaleLadder(inst, lower, eps), ScaleLadder(inst, lower, eps)
@@ -667,39 +675,57 @@ def test_ladder_profiles_match_the_rung_reference():
     assert min(seen.values()) >= 10, seen
 
 
-def test_guided_search_builds_a_rung_only_for_a_fitting_certificate(monkeypatch):
-    # a probe whose certificate overflows rejects before its rung is built;
-    # the search itself keeps the reference's accepted rung and schedule
-    built, profiled = [], []
-    rung, profile = ScaleLadder.rung, ScaleLadder.profile
+def test_guided_search_builds_rung_entries_only_for_phase_1(monkeypatch):
+    # a guided decision reads its classes off the ladder's certificate table
+    # and builds only the certificate's routes: a rung's entries and its full
+    # rounding problem are built only where the forced round rejects and
+    # phase 1 decides, so an overflowing or fitting certificate builds
+    # neither; the search keeps the reference's accepted rung and schedule
+    built, full, certified, rejected = [], [], set(), []
+    entries, build = ScaleLadder._entries, makespan.build_rounding_problem
+    certify, round_ = makespan.certificate_problem, makespan._round
 
-    def counted_rung(self, i):
+    def counted_entries(self, i):
         built.append(i)
-        return rung(self, i)
+        return entries(self, i)
 
-    def counted_profile(self, i, sched):
-        profiled.append(i)
-        return profile(self, i, sched)
+    def counted_build(scaled, profile):
+        full.append(scaled.rung)
+        return build(scaled, profile)
 
-    monkeypatch.setattr(ScaleLadder, "rung", counted_rung)
-    monkeypatch.setattr(ScaleLadder, "profile", counted_profile)
-    overflows = 0
-    for inst in reference_cases():
-        cert = exact_solve(inst).witness
-        expected, ref_probes = reference_search(inst, rat(1, 2), Guided(cert))
+    def counted_certify(scaled, profile, sched):
+        problem = certify(scaled, profile, sched)
+        certified.add(id(problem))
+        return problem
+
+    def counted_round(scaled, profile, problem):
+        try:
+            return round_(scaled, profile, problem)
+        except Infeasible:
+            if id(problem) in certified:
+                rejected.append(scaled.rung)
+            raise
+
+    cases = [(inst, exact_solve(inst).witness) for inst in reference_cases()]
+    cases.append(overfilling_case()[:2])
+    expected = [reference_search(inst, rat(1, 2), Guided(cert)) for inst, cert in cases]
+    monkeypatch.setattr(ScaleLadder, "_entries", counted_entries)
+    monkeypatch.setattr(makespan, "build_rounding_problem", counted_build)
+    monkeypatch.setattr(makespan, "certificate_problem", counted_certify)
+    monkeypatch.setattr(makespan, "_round", counted_round)
+    probes = phase_1 = 0
+    for (inst, cert), (ref, ref_probes) in zip(cases, expected):
         built.clear()
-        profiled.clear()
+        full.clear()
+        rejected.clear()
         res = makespan_ptas(inst, rat(1, 2), Guided(cert))
-        probed = list(dict.fromkeys(profiled))
-        assert len(probed) == res.probes
-        ladder = certificate_ladder(inst, rat(1, 2), cert)[0]
-        fits = [i for i in probed if not isinstance(profile_outcome(ladder.profile, i, cert), str)]
-        assert built == fits
-        overflows += len(probed) - len(fits)
+        assert built == full == rejected
+        probes += res.probes
+        phase_1 += len(built)
         assert (res.schedule, res.makespan, res.accepted_target) == (
-            expected.schedule, expected.makespan, expected.target)
+            ref.schedule, ref.makespan, ref.target)
         assert res.probes <= ref_probes
-    assert overflows > 20, overflows
+    assert 0 < phase_1 < probes // 20, (phase_1, probes)
 
 
 @pytest.mark.parametrize("den", [16, 32])
@@ -728,6 +754,38 @@ def test_class_weights_are_class_values(den, dims):
         fits += mass <= capacity
         tried += 1
     assert 0 < fits < tried
+
+
+@pytest.mark.parametrize("den", [16, 32])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_integer_room_is_capacity_minus_the_summed_mass(den, dims):
+    # a rounding problem's rem, one rational from integer class weights, is
+    # the capacity minus the pattern mass build_slots sums from klass_value
+    # rationals: for every profile the enumeration lists and every
+    # certificate profile (oracle and greedy), at every rung
+    eps = rat(1, den)
+    listed = certified = 0
+    for seed in range(4):
+        inst = generate_instance(GeneratorSpec(3, dims, (2, 2), 1, 10), 7100 + seed)
+        certs = (exact_solve(inst).witness, greedy_makespan_schedule(inst))
+        ladder = ScaleLadder(inst, None, eps)
+        for i in range(ladder.grid.round_up(ladder.upper / ladder.lower) + 1):
+            scaled = ladder.rung(i)
+            profiles = list(enumerate_pattern_profiles(scaled, 10**6))
+            listed += len(profiles)
+            for cert in certs:
+                try:
+                    profiles.append(profile_from_schedule(scaled, cert))
+                except PatternOverflow:
+                    continue
+                certified += 1
+            for profile in profiles:
+                patterns = [(mk, profile[mk[0]][mk[1]]) for mk in inst.machines()]
+                _, mass, _ = build_slots(patterns, lambda q: klass_value(scaled.grid, q), dims)
+                rem = build_rounding_problem(scaled, profile).capacities
+                assert rem == {mk: tuple(scaled.capacity - u for u in used)
+                               for mk, used in mass.items()}
+    assert listed > 1000 and certified > 100, (listed, certified)
 
 
 def test_slot_lp_row_count():
@@ -862,7 +920,7 @@ def certificate_ladder(inst, eps_user, cert):
     """(ladder, r_c, top) of makespan_ptas under Guided(cert): r_c is the
     least rung whose target is >= the certificate's makespan, and top the
     ladder's last rung before it is raised to r_c."""
-    lower, upper = makespan._target_bounds(inst)
+    lower, upper = target_bounds(inst)
     ladder = ScaleLadder(inst, lower, calibrate_eps(eps_user, inst.dims))
     r_c = ladder.grid.round_up(evaluate_makespan(inst, cert) / lower)
     return ladder, r_c, ladder.grid.round_up(upper / lower)
@@ -899,7 +957,7 @@ def reference_search(inst, eps_user, mode):
     """makespan_ptas's bisection with every probe decided, as it stood
     before the guided search skipped its certificate's rungs:
     (decision at the accepted rung, probes)."""
-    lower, upper = makespan._target_bounds(inst)
+    lower, upper = target_bounds(inst)
     ladder = ScaleLadder(inst, lower, calibrate_eps(eps_user, inst.dims))
     probes = 0
 
@@ -947,7 +1005,7 @@ def test_guided_search_returns_the_reference_decision():
         assert (res.schedule, res.makespan, res.accepted_target) == (
             expected.schedule, expected.makespan, expected.target)
         assert res.probes <= ref_probes
-        if res.accepted_target == makespan._target_bounds(inst)[0]:
+        if res.accepted_target == target_bounds(inst)[0]:
             assert res.probes == ref_probes == 1
             first_accepts += 1
         fewer += res.probes < ref_probes
@@ -1140,10 +1198,22 @@ def test_random_certificates_keep_the_certificate_bound():
     assert above > 5, above
 
 
+def phase_1_decide(scaled, mode) -> makespan.DecisionResult:
+    """decide with every guided decision run by phase 1 on its rung's full
+    rounding problem, as deciding with no certificate point did."""
+    if not isinstance(mode, Guided):
+        return decide(scaled, mode)
+    try:
+        profile = profile_from_schedule(scaled, mode.schedule)
+    except PatternOverflow as exc:
+        raise Infeasible(str(exc)) from exc
+    return makespan._round(scaled, profile, build_rounding_problem(scaled, profile))
+
+
 def no_point(monkeypatch):
-    """Make decide hand the engine no point, so every guided decision runs
-    phase 1: the reference that handing the certificate's routes must match."""
-    monkeypatch.setattr(makespan, "certificate_point", lambda scaled, problem, sched: None)
+    """Make makespan_ptas decide by phase_1_decide: the reference that
+    deciding on the certificate's routes must match."""
+    monkeypatch.setattr(makespan, "decide", phase_1_decide)
 
 
 def is_relabelled(cert: Schedule, sched: Schedule) -> bool:
@@ -1201,15 +1271,88 @@ def overfilling_case():
 
 def test_an_overfilling_certificate_decides_as_with_no_point(monkeypatch):
     inst, cert, scaled = overfilling_case()
-    problem = build_rounding_problem(scaled, profile_from_schedule(scaled, cert))
-    point = makespan.certificate_point(scaled, problem, cert)
-    with pytest.raises(Infeasible):  # the forced round is the point's fit check
-        RoundingEngine(problem, point).run()
+    problem = makespan.certificate_problem(scaled, profile_from_schedule(scaled, cert), cert)
+    with pytest.raises(Infeasible):  # the forced round is the certificate's fit check
+        RoundingEngine(problem).run()
     decision, res = decide(scaled, Guided(cert)), makespan_ptas(inst, rat(1, 2), Guided(cert))
     assert res.accepted_target == scaled.target
+    assert decision == phase_1_decide(scaled, Guided(cert))
     no_point(monkeypatch)
-    assert decision == decide(scaled, Guided(cert))
     assert res == makespan_ptas(inst, rat(1, 2), Guided(cert))
+
+
+def reference_certificate_decision(scaled, cert):
+    """The guided decision as it stood before it read the ladder's table:
+    (decision or None, whether the forced round rejected).  A fresh ladder
+    builds the rung's entries, the full rounding problem holds every route,
+    and the engine gets the certificate's 0/1 point (route_point over the
+    entries' classes); where that forced round rejects, phase 1 decides on
+    the same problem."""
+    inst = scaled.base
+    rung = ScaleLadder(inst, scaled.ladder.base, scaled.eps).rung(scaled.rung)
+    assert rung.entries == scaled.ladder._entries(scaled.rung)
+    try:
+        profile = profile_from_schedule(rung, cert)
+    except PatternOverflow:
+        return None, False
+    problem = build_rounding_problem(rung, profile)
+    machines = {mk: [] for mk in inst.machines()}
+    for j, (t, k) in enumerate(cert.assignment):
+        machines[t, k].append((j, rung.entry(j, t).klass))
+    for point in (rounding.route_point(problem.slots, machines), None):
+        engine = RoundingEngine(problem, point)
+        try:
+            outcome = engine.run()
+        except Infeasible:
+            continue
+        schedule = assemble_schedule(problem, untangle(problem, outcome), inst.num_jobs)
+        decision = makespan.DecisionResult(schedule, evaluate_makespan(inst, schedule),
+                                           rung.target, profile, engine.stats, outcome.forest)
+        return decision, point is None
+    return None, True
+
+
+def differential_cases(sweep, arg):
+    if sweep is overfilling_case:
+        return [overfilling_case()[:2]]
+    return [(inst, exact_solve(inst).witness) for inst in sweep(arg)]
+
+
+@pytest.mark.parametrize("sweep, arg", [(a1_cases, 2), (pool_cases, 1), (pool_cases, 1000),
+                                        (overfilling_case, None)],
+                         ids=["A1 D=2", "pool 1", "pool 1000", "overfilling"])
+def test_certificate_decisions_equal_the_full_problem_with_the_point(monkeypatch, sweep, arg):
+    # at every rung the guided search probes, deciding on the certificate's
+    # routes alone gives the decision (schedule, makespan, target, profile,
+    # stats, forest) of the full problem handed the certificate's point, and
+    # where that point's forced round rejects, the phase-1 decision
+    seen = []
+
+    def recording(scaled, mode):
+        try:
+            result = decide(scaled, mode)
+        except Infeasible:
+            result = None
+            raise
+        finally:
+            seen.append((scaled, mode.schedule, result))
+        return result
+
+    monkeypatch.setattr(makespan, "decide", recording)
+    kinds = {"accepted": 0, "rejected": 0, "phase 1": 0}
+    for inst, cert in differential_cases(sweep, arg):
+        seen.clear()
+        makespan_ptas(inst, rat(1, 2), Guided(cert))
+        for scaled, sched, result in seen:
+            expected, phase_1 = reference_certificate_decision(scaled, sched)
+            assert result == expected, (inst, scaled.rung)
+            if phase_1:
+                assert result == phase_1_decide(scaled, Guided(sched))
+                kinds["phase 1"] += 1
+            kinds["accepted" if result else "rejected"] += 1
+    assert kinds["accepted"] > 0 and kinds["rejected"] > 0, kinds
+    if sweep is overfilling_case:
+        assert kinds["phase 1"] == 1, kinds
 
 
 def test_a_fitting_certificate_is_committed_without_the_simplex(monkeypatch):

@@ -484,21 +484,23 @@ def ref_lp_job_class(model, j: int, t: int):
 
 def test_slot_routes_agree_with_the_old_class_rules(monkeypatch):
     # every rounding problem the pipelines build: a job has a route to a slot
-    # exactly when the old rule gave it the slot's class on the slot's type
-    problems = []  # (old class rule, rounding problem)
+    # exactly when the old rule gave it the slot's class on the slot's type;
+    # a makespan certificate problem keeps one of those routes per job
+    problems = []  # (old class rule, rounding problem, whether it holds every route)
 
-    def record(module, name, rule_of):
+    def record(module, name, rule_of, every=True):
         original = getattr(module, name)
 
         def recording(*args):
             problem = original(*args)
-            problems.append((rule_of(*args), problem))
+            problems.append((rule_of(*args[:2]), problem, every))
             return problem
 
         monkeypatch.setattr(module, name, recording)
 
-    record(makespan, "build_rounding_problem",
-           lambda scaled, profile: lambda j, t: scaled.entry(j, t).klass)
+    makespan_rule = lambda scaled, profile: lambda j, t: scaled.entry(j, t).klass  # noqa: E731
+    record(makespan, "build_rounding_problem", makespan_rule)
+    record(makespan, "certificate_problem", makespan_rule, every=False)
     record(lpnorm, "build_rounding_from_cp",
            lambda model, t_star: lambda j, t: ref_lp_job_class(model, j, t))
 
@@ -516,16 +518,19 @@ def test_slot_routes_agree_with_the_old_class_rules(monkeypatch):
         inst = generate_instance(GeneratorSpec(20, 1, (3, 3), 1, 10), 1900 + seed)
         lpnorm.lpnorm_ptas(inst, 2, half, Guided(greedy_schedule(inst, 2)))
 
-    pairs = routed = 0
-    for klass, problem in problems:
+    pairs = routed = certified = 0
+    for klass, problem, every in problems:
         for j, routes in problem.jobs.items():
+            if not every:
+                assert len(routes.machine_costs) + len(routes.slots) == 1
+                certified += len(routes.slots)
             for s, slot in problem.slots.items():
                 fits = klass(j, slot.machine[0]) == slot.klass
-                assert fits == (s in routes.slots)
+                assert fits == (s in routes.slots) if every else fits >= (s in routes.slots)
                 pairs += 1
                 routed += fits
-    assert {type(p.slots[0].klass) for _, p in problems if p.slots} == {tuple, int}
-    assert routed > 0 and pairs > routed
+    assert {type(p.slots[0].klass) for _, p, _ in problems if p.slots} == {tuple, int}
+    assert routed > 0 and pairs > routed and certified > 0
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +770,7 @@ def test_route_point_ranks_machines_and_takes_the_lowest_slots():
 
 
 def ref_certificate_point(scaled, problem, sched):
-    # makespan.certificate_point as it stood before route_point: its own
+    # the makespan certificate point as it stood before route_point: its own
     # ranking and slot pool, the highest slot id first, and a capacity check
     inst = scaled.base
     klasses = [scaled.entry(j, t).klass for j, (t, _) in enumerate(sched.assignment)]
@@ -857,8 +862,7 @@ def guided_decisions():
              for seed in range(150) for dims in (1, 2)]
     for inst in cases:
         cert = exact_solve(inst).witness
-        lower, _ = makespan._target_bounds(inst)
-        ladder = makespan.ScaleLadder(inst, lower, makespan.calibrate_eps(half, inst.dims))
+        ladder = makespan.ScaleLadder(inst, None, makespan.calibrate_eps(half, inst.dims))
         for i in range(12):
             scaled = ladder.rung(i)
             try:
@@ -868,26 +872,35 @@ def guided_decisions():
             yield scaled, profile, cert
     inst = Instance(1, (2,), (((1,),),) * 20)
     cert = Schedule(((0, 0),) * 20)
-    ladder = makespan.ScaleLadder(inst, makespan._target_bounds(inst)[0],
-                                  makespan.calibrate_eps(half, 1))
+    ladder = makespan.ScaleLadder(inst, None, makespan.calibrate_eps(half, 1))
     scaled = ladder.rung(46)
     yield scaled, profile_from_schedule(scaled, cert), cert
 
 
 def test_certificate_points_place_jobs_as_the_old_builder():
-    # the old builder took the highest free slot of a class, so only the
-    # slot ids may differ; where it found a machine's small load above its
-    # rem, the engine's forced round rejects the new point
+    # a certificate problem is the full problem's slots and rows with one
+    # route per job, the route point's; the old builder took the highest free
+    # slot of a class, so only the slot ids may differ; where it found a
+    # machine's small load above its rem, the engine's forced round rejects
     decided = overfilled = 0
     for scaled, profile, cert in guided_decisions():
         problem = build_rounding_problem(scaled, profile)
-        point = makespan.certificate_point(scaled, problem, cert)
-        assert set(point.values()) == {ONE} and len(point) == scaled.base.num_jobs
+        certified = makespan.certificate_problem(scaled, profile, cert)
+        assert (certified.slots, certified.capacities, certified.small_caps) == (
+            problem.slots, problem.capacities, problem.small_caps)
+        point = {v: ONE for j, routes in certified.jobs.items() for v in route_vars(j, routes)}
+        assert len(point) == len(certified.jobs) == scaled.base.num_jobs
+        for kind, j, target in point:
+            routes = problem.jobs[j]
+            if kind == "m":
+                assert certified.jobs[j].machine_costs[target] == routes.machine_costs[target]
+            else:
+                assert target in routes.slots
         assert taken_patterns(problem.slots, point) == profile_patterns(profile)
         ref = ref_certificate_point(scaled, problem, cert)
         if ref is None:
             with pytest.raises(Infeasible):
-                RoundingEngine(problem, point).run()
+                RoundingEngine(certified).run()
             overfilled += 1
         else:
             assert placements(problem.slots, point) == placements(problem.slots, ref)

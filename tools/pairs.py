@@ -1,22 +1,25 @@
 """Paired benchmark runs: this checkout against another one.
 
-    python3 tools/pairs.py --against DIR --workload NAME [--seed N]
+    python3 tools/pairs.py --against DIR --workload NAME [NAME ...] [--seed N]
         [--seconds S] [--pairs P]
 
 Runs perfbench/run.py --trace 0 of this checkout (the change) and of DIR
 (the parent) in P pairs, alternating which side runs first, each run with
-the same workload, seed and run length.  Every run gets its own empty
-bytecode cache (-X pycache_prefix, with PYTHONDONTWRITEBYTECODE=1), so both
-sides compile their sources afresh and neither reads a stale .pyc; nothing
-is written into either checkout.
+the same workload, seed and run length.  --workload takes one or more
+workload names of BENCHMARK.json, or all; the workloads run one after the
+other.  Every run gets its own empty bytecode cache (-X pycache_prefix,
+with PYTHONDONTWRITEBYTECODE=1), so both sides compile their sources afresh
+and neither reads a stale .pyc; nothing is written into either checkout.
 
 The runs must agree on the schedules: the tool stops with status 1 as soon
 as the two sides print different digests.  Otherwise it prints, per
-end-to-end metric of BENCHMARK.json, each side's median and quartiles, how
-many pairs the change won (ties count for neither side), whether the change
-is worse than the parent's median by more than the metric's bound, and
-whether a gain may be claimed: at least nine tenths of the pairs won and the
-medians apart by more than the parent's interquartile range.
+workload and per end-to-end metric of BENCHMARK.json, each side's median
+and quartiles, how many pairs the change won (ties count for neither side),
+whether the change is worse than the parent's median by more than the
+metric's bound, and whether a gain may be claimed: at least nine tenths of
+the pairs won and the medians apart by more than the parent's interquartile
+range.  A last table gives, per workload, the failed solves of each side
+and the metrics over their bound.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(metric: dict, parent: list[float], change: list[float]) -> str:
+def summary(metric: dict, parent: list[float], change: list[float]) -> tuple[str, bool]:
+    """(the metric's line, whether the change is over its bound)."""
     higher = metric["better"] == "higher"
     wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     p1, pm, p3 = quartiles(parent)
@@ -65,26 +69,65 @@ def summary(metric: dict, parent: list[float], change: list[float]) -> str:
     gain = (cm - pm) if higher else (pm - cm)
     # relative loss of the change's median against the parent's
     loss = -gain / abs(pm) if pm else 0.0
+    over = loss > metric["bound"]
     claim = wins >= 0.9 * len(parent) and gain > p3 - p1
     moved = (cm / pm - 1) * 100 if pm else 0.0
     return (f"{metric['name']:<13} parent {pm:>10.4g} [{p1:.4g}, {p3:.4g}]  "
             f"change {cm:>10.4g} [{c1:.4g}, {c3:.4g}]  {moved:+6.1f}%  "
             f"wins {wins}/{len(parent)}  "
-            f"{'OVER BOUND' if loss > metric['bound'] else 'within bound'}  "
-            f"{'gain claimable' if claim else 'no claim'}")
+            f"{'OVER BOUND' if over else 'within bound'}  "
+            f"{'gain claimable' if claim else 'no claim'}"), over
+
+
+def compare(bench: dict, sides: dict, workload: str, args) -> tuple[int, int, list[str]] | None:
+    """Runs the pairs of one workload and prints its summary: (failed solves
+    of the parent, of the change, the metrics over their bound), or None
+    when the digests differ."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(sides[side], workload, args.seed, args.seconds))
+        p, c = runs["parent"][-1], runs["change"][-1]
+        print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): solves_per_s "
+              f"parent {p['values']['solves_per_s']:.1f} change {c['values']['solves_per_s']:.1f}",
+              file=sys.stderr, flush=True)
+        if p["digest"] != c["digest"]:
+            print(f"{workload}: digests differ: parent {p['digest']} change {c['digest']}")
+            return None
+
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+    print(f"{workload} seed {args.seed}, {args.seconds:g}-s runs, {args.pairs} pairs; "
+          f"digest {runs['change'][0]['digest'][:16]}; failed solves parent "
+          f"{failed['parent']}, change {failed['change']}")
+    over = []
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        line, worse = summary(metric, [r["values"][name] for r in runs["parent"]],
+                              [r["values"][name] for r in runs["change"]])
+        print(line, flush=True)
+        if worse:
+            over.append(name)
+    return failed["parent"], failed["change"], over
 
 
 def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, type=Path,
                         help="the other checkout (the parent side)")
-    parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--workload", required=True, nargs="+", metavar="NAME",
+                        help=f"one or more of {', '.join(names)}, or all")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
+    workloads = names if args.workload == ["all"] else list(dict.fromkeys(args.workload))
+    unknown = [w for w in workloads if w not in names]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}: "
+                     f"choose from {', '.join(names)} or all")
     against = args.against.resolve()
     if not (against / "perfbench" / "run.py").is_file():
         parser.error(f"{against} has no perfbench/run.py")
@@ -92,28 +135,16 @@ def main() -> int:
         parser.error("--pairs must be at least 1")
 
     sides = {"parent": against, "change": ROOT}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
-        p, c = runs["parent"][-1], runs["change"][-1]
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): solves_per_s "
-              f"parent {p['values']['solves_per_s']:.1f} change {c['values']['solves_per_s']:.1f}",
-              file=sys.stderr, flush=True)
-        if p["digest"] != c["digest"]:
-            print(f"digests differ: parent {p['digest']} change {c['digest']}")
+    results = {}
+    for workload in workloads:
+        result = compare(bench, sides, workload, args)
+        if result is None:
             return 1
-
-    first = runs["change"][0]
-    print(f"{args.workload} seed {args.seed}, {args.seconds:g}-s runs, {args.pairs} pairs; "
-          f"digest {first['digest'][:16]}; failed solves parent "
-          f"{sum(r['failed'] for r in runs['parent'])}, change "
-          f"{sum(r['failed'] for r in runs['change'])}")
-    for metric in bench["end_to_end"]:
-        name = metric["name"]
-        print(summary(metric, [r["values"][name] for r in runs["parent"]],
-                      [r["values"][name] for r in runs["change"]]))
+        results[workload] = result
+        print()
+    print("workload          failed parent  failed change  over bound")
+    for workload, (parent, change, over) in results.items():
+        print(f"{workload:<17} {parent:>13}  {change:>13}  {', '.join(over) or 'none'}")
     return 0
 
 
