@@ -71,6 +71,11 @@ class ExperimentConfig:
         ):
             if value < low:
                 raise BadSpec(f"{name} must be at least {low}, got {value}")
+        # trial_spec gives each type a machine, so more types than machines_max
+        # would overrun the machine count of every trial
+        if self.num_types > self.machines_max:
+            raise BadSpec(f"num_types must be at most machines_max ({self.machines_max}), "
+                          f"got {self.num_types}")
         # an unknown mode would run full enumeration under its own label
         for name, value, known in (
             ("objective", self.objective, ("makespan", "lp_norm")),

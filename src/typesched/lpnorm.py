@@ -142,8 +142,8 @@ from .rounding import (
     SlotRows,
     Work,
     assemble_schedule,
-    build_slots,
     has_matching,
+    number_slots,
     pattern_multisets,
     route_point,
     route_vars,
@@ -235,6 +235,11 @@ def _pattern_caps(alpha: int, c_max, eps) -> tuple[int, object]:
     return count_cap, mass_cap
 
 
+def _mass(grid, pattern: Pattern):
+    """The mass of pattern: its classes' sizes (1+eps)^e, summed."""
+    return sum((grid.value(e) for e in pattern), ZERO)
+
+
 def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
     """Structural guess induced by a schedule (certificate-guided mode).
 
@@ -286,7 +291,7 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
         for pattern in pats:
             if len(pattern) > count_cap:
                 raise GuessInconsistent("pattern slot count exceeds its cap")
-            if sum((grid.value(e) for e in pattern), ZERO) > mass_cap:
+            if _mass(grid, pattern) > mass_cap:
                 raise GuessInconsistent("pattern mass exceeds the load window")
         per_type.append(TypeGuess(len(huge_jobs), vh, c_max, alpha, pats))
     return Guess(tuple(per_type))
@@ -347,8 +352,7 @@ def _type_options(inst: Instance, t: int, p, eps, limit=None, work=None) -> list
 
     def term(floor_val, pat: Pattern):
         if (floor_val, pat) not in terms:
-            mass = sum((grid.value(e) for e in pat), ZERO)
-            terms[floor_val, pat] = rat(power(max(floor_val, mass), p))
+            terms[floor_val, pat] = rat(power(max(floor_val, _mass(grid, pat)), p))
         return terms[floor_val, pat]
 
     out = []
@@ -541,7 +545,7 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
             load_floor[mk] = ZERO if tg.c_max is None else tg.alpha * tg.c_max
             small_caps[mk] = eps * load_floor[mk]
     grid = geometric_grid(eps)
-    slots, mass, slots_of = build_slots(patterns, lambda e: (grid.value(e),), 1)
+    slots, slots_of = number_slots(patterns)
 
     tables = [_cost_table(inst, t, eps) for t in range(inst.num_types)]
     route_kinds = [_type_routes(inst, eps, t, tg, tables[t]) for t, tg in enumerate(guess.types)]
@@ -570,7 +574,7 @@ def build_cp_model(inst: Instance, p, eps, guess: Guess) -> CpModel:
         eps=eps,
         guess=guess,
         small_machines=small_machines,
-        pattern_mass={mk: mass[mk][0] for mk in small_machines},
+        pattern_mass={mk: _mass(grid, pattern) for mk, pattern in patterns},
         load_floor=load_floor,
         slots=slots,
         routes=routes,

@@ -21,12 +21,15 @@ first LP is feasible, and the enumeration yields that profile (realized
 classes, within large_cap and the capacity, a slot per slot-only job) and
 its count check passes it.  Only an accepting decision's schedule can move.
 
-A certificate's profile at a rung is read off the ladder's grid exponents
-(ScaleLadder.certificate); every class is a power of 1/(1+eps), so its
-pattern masses are summed and checked as integers.  A rung's entries are
-built only when something reads them (ScaledInstance.entries): the
-enumeration and phase 1 do, a guided decision that overflows or fits its
-certificate does not.
+Every class is a power of 1/(1+eps), so a pattern's mass is a sum of
+integer class weights (_classes), checked against an integer room: the
+enumeration lists patterns with those weights (_type_profiles), a
+certificate's profile at a rung is read off the ladder's grid exponents
+with them (ScaleLadder.certificate), and each machine's rem is one
+rational from them (_Classes.rem).  Slots carry only their class.  A
+rung's entries are built only when something reads them
+(ScaledInstance.entries): the enumeration and phase 1 do, a guided
+decision that overflows or fits its certificate does not.
 
 Machines of one type are identical, so whether a profile can host the jobs
 that are large on every usable type (slot-only jobs) depends only on its
@@ -134,10 +137,7 @@ class ScaledInstance:
     base: Instance
     eps: object
     target: object
-    capacity: object       # (1+eps)^2
-    large_cap: int         # floor(D/eps), max large jobs per machine
-    grid: GeometricGrid    # powers of 1+eps; class exponents index into it
-    ladder: ScaleLadder    # the ladder this is a rung of
+    ladder: ScaleLadder    # the ladder this is a rung of; its classes and grid
     rung: int              # its index: target = ladder.base * (1+eps)^rung
 
     @functools.cached_property
@@ -172,8 +172,8 @@ class _Classes(NamedTuple):
     def rem(self, pattern: Pattern, dims: int) -> tuple:
         """capacity minus pattern's mass, per dimension, each one exact
         rational from integers: a weight sum s is the mass s/up^lift, which
-        leaves (up^(lift+2) - s*down^2) / (down^2*up^lift).  slot_patterns
-        and ScaleLadder.profile keep every pattern within the capacity, so a
+        leaves (up^(lift+2) - s*down^2) / (down^2*up^lift).  _type_profiles
+        and ScaleLadder.certificate keep every pattern within room, so a
         pattern above it is a bug, not a wrong profile."""
         scale = self.weights[0]  # up^lift
         num, den = self.capacity.numerator * scale, self.capacity.denominator * scale
@@ -261,10 +261,7 @@ class ScaleLadder:
     def rung(self, i: int) -> ScaledInstance:
         """The scaled instance at target base*(1+eps)^i; its entries are
         built on first read (_entries)."""
-        return ScaledInstance(
-            self.inst, self.eps, self.base * self.grid.value(i), self.capacity, self.large_cap,
-            self.grid, self, i,
-        )
+        return ScaledInstance(self.inst, self.eps, self.base * self.grid.value(i), self, i)
 
     def _entries(self, i: int) -> list[list[ScaledEntry]]:
         """The entries of rung i."""
@@ -295,10 +292,6 @@ class ScaleLadder:
             jobs.sort(key=lambda e: e[0], reverse=True)
             table.append((machine, jobs))
         return table
-
-    def profile(self, i: int, sched: Schedule) -> Profile:
-        """The pattern profile sched induces at rung i, or PatternOverflow."""
-        return self.certificate(i, sched)[0]
 
     def certificate(self, i: int, sched: Schedule) -> tuple[Profile, dict]:
         """(profile, routes) of sched at rung i, or PatternOverflow.
@@ -385,12 +378,14 @@ def _type_profiles(
 ) -> list[tuple[Pattern, ...]]:
     """Multisets of patterns for the machines of one type, slot-count pruned:
     patterns over the type's realized classes (counts, from realized_types)
-    within the count and per-dimension mass limits; the first cap of them."""
+    of at most large_cap slots whose class weights sum within room in every
+    dimension, that is whose mass is within (1+eps)^2; the first cap of them."""
+    classes = scaled.ladder._classes
     patterns = slot_patterns(
         counts,
-        scaled.large_cap,
-        functools.partial(klass_value, scaled.grid),
-        scaled.capacity,
+        classes.large_cap,
+        lambda q: [classes.weights[k] for k in q],
+        classes.room,
         scaled.base.dims,
     )
     return pattern_multisets(patterns, scaled.base.machine_counts[mtype], counts, cap)
@@ -424,8 +419,9 @@ def enumerate_pattern_profiles(scaled: ScaledInstance, budget: int) -> Iterator[
 
 def profile_from_schedule(scaled: ScaledInstance, sched: Schedule) -> Profile:
     """The pattern profile an assignment induces (certificate-guided mode):
-    ScaleLadder.profile at the rung scaled is, or PatternOverflow."""
-    return scaled.ladder.profile(scaled.rung, sched)
+    ScaleLadder.certificate's profile at the rung scaled is, or
+    PatternOverflow."""
+    return scaled.ladder.certificate(scaled.rung, sched)[0]
 
 
 def _slot_only_groups(scaled: ScaledInstance) -> list[list[SlotGroup]]:
@@ -465,7 +461,7 @@ def _machine_rows(scaled: ScaledInstance, profile: Profile):
     its pattern leaves, from the integer class weights (_Classes.rem)."""
     inst = scaled.base
     patterns = [(mk, profile[mk[0]][mk[1]]) for mk in inst.machines()]
-    slots, slots_of = number_slots(patterns, functools.partial(klass_value, scaled.grid))
+    slots, slots_of = number_slots(patterns)
     classes = scaled.ladder._classes
     return slots, slots_of, {mk: classes.rem(pattern, inst.dims) for mk, pattern in patterns}
 

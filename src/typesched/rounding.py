@@ -80,7 +80,6 @@ class SlotInfo:
     slot_id: int
     machine: MachineKey
     klass: object
-    size: tuple  # reserved mass per dimension, exact
 
 
 @dataclass
@@ -205,6 +204,7 @@ def slot_patterns(counts: dict, slot_cap: int, size, mass_cap, dims: int = 1) ->
     """Sorted distinct slot patterns: sorted tuples of classes q, at most
     slot_cap slots and counts[q] slots of class q, whose sizes size(q) (one
     entry per dimension) add up to at most mass_cap in every dimension.
+    The sums start from int 0, so integer sizes are compared as integers.
 
     A depth-first walk over non-decreasing class indices, each pattern
     listed before its extensions and those in class order, meets every
@@ -214,7 +214,7 @@ def slot_patterns(counts: dict, slot_cap: int, size, mass_cap, dims: int = 1) ->
     sizes = [size(q) for q in klasses]
     out: list[tuple] = []
     # (pattern, its mass, index of its last class, copies of that class)
-    stack = [((), [ZERO] * dims, 0, 0)]
+    stack = [((), [0] * dims, 0, 0)]
     while stack:
         chosen, mass, last, run = stack.pop()
         out.append(chosen)
@@ -233,33 +233,21 @@ def slot_patterns(counts: dict, slot_cap: int, size, mass_cap, dims: int = 1) ->
     return out
 
 
-def number_slots(patterns, size):
+def number_slots(patterns):
     """The slots of (machine, pattern) pairs, numbered in the order given.
 
-    size(q) is a class-q slot's reserved mass per dimension.  Returns the
-    slots by id and the ascending slot ids of each (machine type, class), so
-    a job's slot routes take one lookup instead of a scan over all slots.
+    Returns the slots by id and the ascending slot ids of each (machine
+    type, class), so a job's slot routes take one lookup instead of a scan
+    over all slots.
     """
     slots: dict[int, SlotInfo] = {}
     slots_of: dict[tuple, list[int]] = {}
     for machine, pattern in patterns:
         for q in pattern:
             sid = len(slots)
-            slots[sid] = SlotInfo(sid, machine, q, size(q))
+            slots[sid] = SlotInfo(sid, machine, q)
             slots_of.setdefault((machine[0], q), []).append(sid)
     return slots, slots_of
-
-
-def build_slots(patterns, size, dims: int):
-    """number_slots's slots and slot ids, with each machine's pattern mass
-    between them: a list per dimension, its slots' sizes summed."""
-    slots, slots_of = number_slots(patterns, size)
-    mass: dict[MachineKey, list] = {machine: [ZERO] * dims for machine, _ in patterns}
-    for slot in slots.values():
-        used = mass[slot.machine]
-        for d in range(dims):
-            used[d] += slot.size[d]
-    return slots, mass, slots_of
 
 
 def route_point(slots: dict[int, SlotInfo], machines: dict[MachineKey, list]) -> dict:

@@ -135,7 +135,7 @@ SWEEP_JOBS = (4, 6, 7)
 SWEEP_SEEDS = range(8)
 
 
-@pytest.mark.parametrize("eps_user", [rat(1, 4), ONE])
+@pytest.mark.parametrize("eps_user", [rat(1, 4), ONE, rat(3, 4)])
 @pytest.mark.parametrize("counts", [(1, 1, 1), (2, 1, 1), (1, 2, 2)])
 def test_guided_makespan_sweep_d3(counts, eps_user):
     # D = 3 on three types, within (1 + eps) of the oracle in exact rationals
@@ -213,7 +213,7 @@ def test_a6_forest_untangling(a1_report):
     # the root's foreign slot; every withheld-leaf choice must place cleanly
     ok_choices = 0
     for withheld in range(5):
-        slots = {s: SlotInfo(s, (0, 0), "q", (rat(1),)) for s in range(6)}
+        slots = {s: SlotInfo(s, (0, 0), "q") for s in range(6)}
         jobs = {j: JobRoutes({}, set(range(6))) for j in range(5)}
         problem = RoundingProblem(
             dims=1,

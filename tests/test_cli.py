@@ -77,6 +77,7 @@ def test_bench_report_byte_stable():
         ("jobs_max", 1, "jobs_max must be at least 2, got 1"),
         ("machines_max", 1, "machines_max must be at least 2, got 1"),
         ("num_types", 0, "num_types must be at least 1, got 0"),
+        ("num_types", 5, "num_types must be at most machines_max (4), got 5"),
         ("dims_choices", (), "len(dims_choices) must be at least 1, got 0"),
         ("dims_choices", (1, 0), "min(dims_choices) must be at least 1, got 0"),
         ("dims_choices", (-1,), "min(dims_choices) must be at least 1, got -1"),
@@ -87,15 +88,16 @@ def test_bench_report_byte_stable():
         ("eps_user", 2, "eps_user must lie in (0, 1], got 2"),
         ("eps_user", 0, "eps_user must lie in (0, 1], got 0"),
     ],
-    ids=["trials-0", "trials-negative", "jobs-max-1", "machines-max-1", "types-0", "no-dims",
-         "dims-0", "dims-negative", "cost-min-0", "cost-max-0", "cost-range-empty",
-         "budget-negative", "eps-2", "eps-0"],
+    ids=["trials-0", "trials-negative", "jobs-max-1", "machines-max-1", "types-0",
+         "types-above-machines-max", "no-dims", "dims-0", "dims-negative", "cost-min-0",
+         "cost-max-0", "cost-range-empty", "budget-negative", "eps-2", "eps-0"],
 )
 def test_experiment_config_rejects_shapes_it_cannot_run(field, value, message):
     # each of these used to run no trial, end in ZeroDivisionError from
-    # trial_spec or in a bare ValueError from the eps calibration, or pass
+    # trial_spec or in a bare ValueError from the eps calibration, pass
     # until a trial drew the bad dims choice or cost and the generator
-    # raised
+    # raised, or (more types than machines_max) run every trial on more
+    # machines than machines_max
     spec = dict(objective="makespan", trials=1, seed=0, eps_user=rat(1, 2))
     spec[field] = value
     with pytest.raises(BadSpec) as info:
@@ -275,9 +277,11 @@ def test_eps_and_p_boundaries_are_accepted(capsys):
          "BadSpec: malformed instance document: Expecting value: line 1 column 1 (char 0)"),
         (["solve", "--instance", "{missing}"],
          "FileNotFoundError: [Errno 2] No such file or directory: "),
+        (["bench", "--types", "7", "--machines-max", "2"],
+         "BadSpec: num_types must be at most machines_max (2), got 7"),
     ],
     ids=["gen-no-jobs", "solve-malformed", "solve-too-large", "solve-lpnorm-2d", "oracle-too-large",
-         "solve-not-json", "solve-missing-file"],
+         "solve-not-json", "solve-missing-file", "bench-types-above-machines-max"],
 )
 def test_library_errors_end_a_command_without_a_traceback(tmp_path, capsys, argv, message):
     paths = {name: str(tmp_path / f"{name}.json") for name in ("bad", "big", "dims2", "text", "missing")}

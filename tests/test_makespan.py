@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -46,8 +47,9 @@ from typesched.rationals import ONE, geometric_grid, parse_rational, rat, rat_fl
 from typesched.rounding import (
     RoundingEngine,
     assemble_schedule,
-    build_slots,
     has_matching,
+    pattern_multisets,
+    slot_patterns,
     untangle,
 )
 
@@ -84,7 +86,7 @@ def test_scaled_instance_classification():
     assert not small.large and small.klass is None
     large = scaled.entry(1, 0)
     assert large.large and large.klass == (0,)
-    assert klass_value(scaled.grid, large.klass) == (ONE,)
+    assert klass_value(scaled.ladder.grid, large.klass) == (ONE,)
 
 
 def test_scaled_boundary_is_large():
@@ -100,7 +102,7 @@ def test_large_lift_applies_only_to_large_jobs():
     scaled = make_scaled_instance(inst, 100, rat(1, 2))
     entry = scaled.entry(0, 0)
     assert entry.large
-    assert klass_value(scaled.grid, entry.klass)[1] >= rat(1, 8)
+    assert klass_value(scaled.ladder.grid, entry.klass)[1] >= rat(1, 8)
 
 
 def target_bounds(inst):
@@ -142,9 +144,10 @@ def assert_ladder_matches_reference(inst, base, eps, rungs):
         target = rat(base) * (1 + rat(eps)) ** i
         expected = reference_scaled(inst, target, eps)
         scaled = ladder.rung(i)
-        assert (scaled.entries, scaled.target, scaled.capacity, scaled.large_cap) == expected
+        assert (scaled.entries, scaled.target, ladder.capacity, ladder.large_cap) == expected
         direct = make_scaled_instance(inst, target, eps)
-        assert (direct.entries, direct.target, direct.capacity, direct.large_cap) == expected
+        assert (direct.entries, direct.target, direct.ladder.capacity,
+                direct.ladder.large_cap) == expected
     return ladder
 
 
@@ -204,8 +207,9 @@ def test_ladder_boundaries_match_the_per_cost_loop():
     rung = ladder.rung(2)
     entry = rung.entry(0, 0)
     assert entry.large and rung.target == 8
-    assert klass_value(rung.grid, entry.klass)[1] == power_round_up(rat(1, 8), eps)[1] == rat(32, 243)
-    assert klass_value(rung.grid, ladder.rung(4).entry(1, 0).klass)[1] == rat(32, 243)
+    grid = ladder.grid
+    assert klass_value(grid, entry.klass)[1] == power_round_up(rat(1, 8), eps)[1] == rat(32, 243)
+    assert klass_value(grid, ladder.rung(4).entry(1, 0).klass)[1] == rat(32, 243)
     # costs exactly on a grid power: 4/9 = (2/3)^2 small, 6/9 = (2/3)^1 large
     inst = make_instance(1, [1], [[[4]], [[6]]])
     ladder = assert_ladder_matches_reference(inst, 4, eps, range(-1, 5))
@@ -598,7 +602,7 @@ def test_profile_overflow_when_target_too_small():
     # 3 large jobs on one machine with floor(D/eps) = 2
     inst = make_instance(1, [1], [[[6]], [[6]], [[6]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
-    assert scaled.large_cap == 2
+    assert scaled.ladder.large_cap == 2
     with pytest.raises(PatternOverflow):
         profile_from_schedule(scaled, Schedule(((0, 0), (0, 0), (0, 0))))
 
@@ -608,7 +612,7 @@ def test_pattern_over_capacity_is_a_bug():
     # class-(0,) slots have mass 3, above the capacity (1 + 1/2)^2 = 9/4
     inst = make_instance(1, [1], [[[10]], [[10]], [[10]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
-    assert scaled.capacity == rat(9, 4)
+    assert scaled.ladder.capacity == rat(9, 4)
     with pytest.raises(InvariantViolation):
         build_rounding_problem(scaled, ((((0,), (0,), (0,)),),))
 
@@ -628,12 +632,13 @@ def reference_profile(scaled, sched):
         pats = []
         for k in range(scaled.base.machine_counts[t]):
             qs = sorted(per_machine[(t, k)])
-            if len(qs) > scaled.large_cap:
+            if len(qs) > scaled.ladder.large_cap:
                 raise PatternOverflow(
-                    f"machine ({t},{k}) holds {len(qs)} large jobs, cap {scaled.large_cap}"
+                    f"machine ({t},{k}) holds {len(qs)} large jobs, cap {scaled.ladder.large_cap}"
                 )
-            mass = [sum(dim, rat(0)) for dim in zip(*(klass_value(scaled.grid, q) for q in qs))]
-            if any(m > scaled.capacity for m in mass):
+            values = (klass_value(scaled.ladder.grid, q) for q in qs)
+            mass = [sum(dim, rat(0)) for dim in zip(*values)]
+            if any(m > scaled.ladder.capacity for m in mass):
                 raise PatternOverflow(f"machine ({t},{k}) pattern mass exceeds capacity")
             pats.append(tuple(qs))
         profile.append(tuple(sorted(pats)))
@@ -648,10 +653,10 @@ def profile_outcome(fn, *args):
 
 
 def test_ladder_profiles_match_the_rung_reference():
-    # ScaleLadder.profile decides from grid exponents in integers, with no
-    # rung built; on A1-shape, (2,2) and (1,1) instances, D 1 and 2, oracle and
-    # greedy certificates, at every rung and three eps, it gives the
-    # reference's profile or its PatternOverflow, through
+    # ScaleLadder.certificate decides from grid exponents in integers, with
+    # no rung built; on A1-shape, (2,2) and (1,1) instances, D 1 and 2,
+    # oracle and greedy certificates, at every rung and three eps, its
+    # profile is the reference's profile or its PatternOverflow, through
     # profile_from_schedule too
     cases = [generate_instance(ExperimentConfig("makespan", 1, s, 1).trial_spec(0), s)
              for s in range(300, 312)]
@@ -667,7 +672,8 @@ def test_ladder_profiles_match_the_rung_reference():
                 rungs, ladder = ScaleLadder(inst, lower, eps), ScaleLadder(inst, lower, eps)
                 for i in range(ladder.grid.round_up(upper / lower) + 1):
                     expected = profile_outcome(reference_profile, rungs.rung(i), cert)
-                    assert profile_outcome(ladder.profile, i, cert) == expected, (inst, eps, i)
+                    got = profile_outcome(lambda: ladder.certificate(i, cert)[0])
+                    assert got == expected, (inst, eps, i)
                     scaled = rungs.rung(i)
                     assert profile_outcome(profile_from_schedule, scaled, cert) == expected
                     kind = next((k for k in seen if k in str(expected)), "profile")
@@ -728,16 +734,22 @@ def test_guided_search_builds_rung_entries_only_for_phase_1(monkeypatch):
     assert 0 < phase_1 < probes // 20, (phase_1, probes)
 
 
-@pytest.mark.parametrize("den", [16, 32])
+# eps = num/den: calibrate_eps gives 1/16 and 3/32 at D = 1 (eps_user 1/2
+# and 3/4), 1/32 and 3/64 at D = 2, and 1/24 for eps_user 1/3 at D = 1
+EPS_PAIRS = [(1, 16), (1, 32), (3, 32), (3, 64), (1, 24)]
+EPS_IDS = [str(den) if num == 1 else f"{num}over{den}" for num, den in EPS_PAIRS]
+
+
+@pytest.mark.parametrize("num, den", EPS_PAIRS, ids=EPS_IDS)
 @pytest.mark.parametrize("dims", [1, 2])
-def test_class_weights_are_class_values(den, dims):
+def test_class_weights_are_class_values(num, den, dims):
     # w[k] / up^lift is class k's value (1+eps)^(-k), and a weight sum is
     # within room exactly when its mass is within (1+eps)^2
-    eps = rat(1, den)
-    up, grid = den + 1, geometric_grid(eps)
-    lift, capacity, large_cap, weights, room = makespan._classes(1, den, dims)
+    eps = rat(num, den)
+    up, grid = num + den, geometric_grid(eps)
+    lift, capacity, large_cap, weights, room = makespan._classes(num, den, dims)
     assert lift == power_round_up(eps * eps / dims, eps)[0]
-    assert (capacity, large_cap) == ((1 + eps) ** 2, dims * den)
+    assert (capacity, large_cap) == ((1 + eps) ** 2, rat_floor(dims / eps))
     assert len(weights) == lift + 1
     for k, w in enumerate(weights):
         assert rat(w, up**lift) == klass_value(grid, (k,))[0]
@@ -756,21 +768,29 @@ def test_class_weights_are_class_values(den, dims):
     assert 0 < fits < tried
 
 
-@pytest.mark.parametrize("den", [16, 32])
+@pytest.mark.parametrize("num, den", EPS_PAIRS, ids=EPS_IDS)
 @pytest.mark.parametrize("dims", [1, 2])
-def test_integer_room_is_capacity_minus_the_summed_mass(den, dims):
-    # a rounding problem's rem, one rational from integer class weights, is
-    # the capacity minus the pattern mass build_slots sums from klass_value
-    # rationals: for every profile the enumeration lists and every
-    # certificate profile (oracle and greedy), at every rung
-    eps = rat(1, den)
+def test_integer_room_is_capacity_minus_the_summed_mass(num, den, dims):
+    # at every rung, each type's patterns listed by their integer class
+    # weights within room are the multisets the rational rule lists
+    # (klass_value sizes within (1+eps)^2), and a rounding problem's rem, one
+    # rational from integer class weights, is the capacity minus the pattern
+    # mass summed from klass_value rationals: for every profile the
+    # enumeration lists and every certificate profile (oracle and greedy)
+    eps = rat(num, den)
     listed = certified = 0
-    for seed in range(4):
+    for seed in range(6):
         inst = generate_instance(GeneratorSpec(3, dims, (2, 2), 1, 10), 7100 + seed)
         certs = (exact_solve(inst).witness, greedy_makespan_schedule(inst))
         ladder = ScaleLadder(inst, None, eps)
+        value = functools.partial(klass_value, ladder.grid)
         for i in range(ladder.grid.round_up(ladder.upper / ladder.lower) + 1):
             scaled = ladder.rung(i)
+            realized = realized_types(scaled)
+            for t, counts in realized.items():
+                rational = slot_patterns(counts, ladder.large_cap, value, ladder.capacity, dims)
+                assert makespan._type_profiles(scaled, t, counts, None) == pattern_multisets(
+                    rational, inst.machine_counts[t], counts)
             profiles = list(enumerate_pattern_profiles(scaled, 10**6))
             listed += len(profiles)
             for cert in certs:
@@ -780,11 +800,11 @@ def test_integer_room_is_capacity_minus_the_summed_mass(den, dims):
                     continue
                 certified += 1
             for profile in profiles:
-                patterns = [(mk, profile[mk[0]][mk[1]]) for mk in inst.machines()]
-                _, mass, _ = build_slots(patterns, lambda q: klass_value(scaled.grid, q), dims)
                 rem = build_rounding_problem(scaled, profile).capacities
-                assert rem == {mk: tuple(scaled.capacity - u for u in used)
-                               for mk, used in mass.items()}
+                for mk in inst.machines():
+                    pattern = profile[mk[0]][mk[1]]
+                    mass = [sum((value(q)[d] for q in pattern), rat(0)) for d in range(dims)]
+                    assert rem[mk] == tuple(ladder.capacity - m for m in mass)
     assert listed > 1000 and certified > 100, (listed, certified)
 
 

@@ -29,7 +29,7 @@ from typesched.rounding import (
     RoundingStats,
     SlotInfo,
     assemble_schedule,
-    build_slots,
+    number_slots,
     pattern_multisets,
     route_point,
     route_vars,
@@ -63,7 +63,7 @@ def test_already_integral_no_reductions():
 
 
 def test_single_large_job_forced_into_slot():
-    slots = {0: SlotInfo(0, (0, 0), "q", (rat(1),))}
+    slots = {0: SlotInfo(0, (0, 0), "q")}
     problem = simple_problem(
         jobs={0: JobRoutes({}, {0})},
         slots=slots,
@@ -90,7 +90,7 @@ def test_merge_equal_costs_yields_same_cost_artificial():
             0: JobRoutes({(0, 0): (rat(1, 4),)}, {0}),
             1: JobRoutes({(0, 0): (rat(1, 4),)}, {0}),
         },
-        slots={0: SlotInfo(0, (0, 1), "q", (rat(1),))},
+        slots={0: SlotInfo(0, (0, 1), "q")},
         capacities={(0, 0): (rat(1),), (0, 1): (rat(1),)},
     )
     engine = RoundingEngine(problem)
@@ -115,7 +115,7 @@ def test_merge_one_sided_route_inherits_cost():
             0: JobRoutes({(0, 0): (rat(1, 8),)}, {0}),
             1: JobRoutes({(0, 1): (rat(1, 3),)}, {0}),
         },
-        slots={0: SlotInfo(0, (1, 0), "q", (rat(1),))},
+        slots={0: SlotInfo(0, (1, 0), "q")},
         capacities={(0, 0): (rat(1),), (0, 1): (rat(1),), (1, 0): (rat(1),)},
     )
     engine = RoundingEngine(problem)
@@ -160,7 +160,7 @@ def build_nested_forest_outcome(problem, foreign_slot=5):
 @pytest.mark.parametrize("withheld", [0, 1, 2, 3, 4])
 def test_nested_forest_untangles_for_every_withheld_leaf(withheld):
     # every leaf/slot pair is compatible; raw costs steer the top-level pick
-    slots = {s: SlotInfo(s, (0, 0), "q", (rat(1),)) for s in range(6)}
+    slots = {s: SlotInfo(s, (0, 0), "q") for s in range(6)}
     jobs = {j: JobRoutes({}, set(range(6))) for j in range(5)}
     problem = RoundingProblem(
         dims=1,
@@ -180,7 +180,7 @@ def test_nested_forest_untangles_for_every_withheld_leaf(withheld):
 
 def test_forest_rejects_incompatible_leaves():
     # a leaf fits a slot exactly when it has a route there; these reach none
-    slots = {s: SlotInfo(s, (0, 0), "q", (rat(1),)) for s in range(6)}
+    slots = {s: SlotInfo(s, (0, 0), "q") for s in range(6)}
     jobs = {j: JobRoutes({}, set()) for j in range(5)}
     problem = RoundingProblem(
         dims=1,
@@ -296,7 +296,7 @@ def test_art_lp_untangles_machine_committed_artificial():
             0: JobRoutes({M: c0}, {0}),
             1: JobRoutes({M: c1}, {0}),
         },
-        slots={0: SlotInfo(0, (1, 0), "q", (rat(1),))},
+        slots={0: SlotInfo(0, (1, 0), "q")},
         capacities={M: (rat(1, 2),)},
         small_caps={M: rat(1, 2)},
         leaf_raw_cost=lambda j, t: rat(j + 1),
@@ -336,7 +336,7 @@ def test_art_lp_seed_mismatch_is_detected():
             0: JobRoutes({M: (rat(1, 4),)}, {0}),
             1: JobRoutes({M: (rat(1, 3),)}, {0}),
         },
-        slots={0: SlotInfo(0, (1, 0), "q", (rat(1),))},
+        slots={0: SlotInfo(0, (1, 0), "q")},
         capacities={M: (rat(1, 2),)},
         small_caps={M: rat(1, 2)},
         leaf_raw_cost=lambda j, t: rat(1),
@@ -370,7 +370,7 @@ def slot_problems(draw):
     n_jobs = draw(st.integers(1, 5))
     machines = {(0, k): (rat(draw(st.integers(2, 12)), 4),) for k in range(n_machines)}
     slots = {
-        s: SlotInfo(s, (1, s), draw(st.sampled_from(["a", "b"])), (rat(1),))
+        s: SlotInfo(s, (1, s), draw(st.sampled_from(["a", "b"])))
         for s in range(n_slots)
     }
     jobs = {}
@@ -419,7 +419,7 @@ def test_engine_places_every_job_or_reports_infeasible(drawn):
 
 def test_assemble_schedule_places_every_route_kind():
     # job 0 pinned, 1 on a machine, 2 in a slot, 3 huge, 4 and 5 improper
-    problem = simple_problem({}, {0: SlotInfo(0, (0, 1), "q", (ONE,))}, {(0, 0): (ONE,)})
+    problem = simple_problem({}, {0: SlotInfo(0, (0, 1), "q")}, {(0, 0): (ONE,)})
     final = FinalAssignment({0: 2}, {1: (0, 0)}, {3: 0}, {0: [4, 5]}, {})
     free = {0: [(0, 3), (0, 4)]}
     sched = assemble_schedule(problem, final, 6, {0: (0, 2)}, free)
@@ -564,14 +564,14 @@ def forced_problems():
             4: JobRoutes({}, set(), {1: (rat(2), rat(4))}),
             5: JobRoutes({m1: (ONE, ZERO)}, set()),
         },
-        slots={0: SlotInfo(0, m1, "q", (half, half)), 1: SlotInfo(1, m1, "q", (half, half))},
+        slots={0: SlotInfo(0, m1, "q"), 1: SlotInfo(1, m1, "q")},
         capacities={m0: (ONE, half), m1: (ONE, ONE)},
         small_caps={m0: half, m1: half},
         type_budgets={1: 2},
     )
     clash = simple_problem(
         jobs={0: JobRoutes({}, {0}), 1: JobRoutes({}, {0})},
-        slots={0: SlotInfo(0, (0, 1), "q", (ONE,))},
+        slots={0: SlotInfo(0, (0, 1), "q")},
         capacities={(0, 0): (ONE,), (0, 1): (ONE,)},
     )
     # dimension 0 fits exactly, dimension 1 is over by 1/4
@@ -644,7 +644,7 @@ def point_problem():
             1: JobRoutes({m0: (half,), m1: (ONE,)}, {0, 1}),
             2: JobRoutes({m1: (half,)}, set(), {1: (rat(3), rat(9))}),
         },
-        slots={0: SlotInfo(0, m1, "q", (half,)), 1: SlotInfo(1, m0, "q", (half,))},
+        slots={0: SlotInfo(0, m1, "q"), 1: SlotInfo(1, m0, "q")},
         capacities={m0: (ONE,), m1: (half,)},
         budgets={1: 1},
     )
@@ -750,9 +750,8 @@ def test_forced_rounds_match_the_simplex_in_the_pipelines(monkeypatch):
 def test_route_point_ranks_machines_and_takes_the_lowest_slots():
     # type 0's machines hold the patterns (b,), (a, a), () and (), so they
     # rank 3, 2, 0, 1; machine 2 of the profile has two slots of class a
-    slots, _, _ = build_slots(
-        [((0, 0), ()), ((0, 1), ()), ((0, 2), ("a", "a")), ((0, 3), ("b",)), ((1, 0), ())],
-        lambda q: (ONE,), 1,
+    slots, _ = number_slots(
+        [((0, 0), ()), ((0, 1), ()), ((0, 2), ("a", "a")), ((0, 3), ("b",)), ((1, 0), ())]
     )
     machines = {
         (0, 0): [(0, "b"), (1, None)],
