@@ -31,8 +31,10 @@ A fractional x gets the first round's own phase 1, a valid start for any
 LP.  Either way _assert_quality_chain checks the per-machine bound and the
 (1+4eps)^p chain after untangling.
 
-In guided mode the convex solve's LMO calls begin at the warm start
-(_warm_start: each job's one route at 1, each allowance t_i =
+In guided mode one pass over the certificate schedule (guess_from_schedule)
+gives the guess and the certificate's routes, which the guess carries.  The
+convex solve's LMO calls begin at the warm start (_warm_start: those routes
+as a point, each job's one route at 1, each allowance t_i =
 max(small_load, alpha*c_max - B_i)), from the tableau lp.vertex_start
 builds, with no phase 1.  The warm start is a vertex of the region, so
 that basis exists: its positive columns, slacks included, are
@@ -55,13 +57,14 @@ covered by the eps calibration (1+4e)(1+e)^2 <= 1 + eps_user.
 
 Full mode lists each type's options once (_type_options), each with its
 share of a lower bound, and walks only the guesses whose bound is at most a
-limit (see below), with rounding.walk.  Each type's options within its room
-(the limit less the other types' least shares) are sorted by share and the
-types walked depth-first: a type's loop stops at the first option whose
-bound, plus the least share of every later type, exceeds the limit; an
-option that pins a job twice is skipped, and a guess that leaves a job
-without a route is dropped.  The survivors are sorted back into product
-order and run under the live limit.  Under a limit, _type_options lists a
+limit (see below), with rounding.walk.  Each type's options within the
+limit are sorted by share and the types walked depth-first: a type's loop
+stops at the first option whose bound exceeds the limit.  Every type lists
+its all-empty option (no huge machine, no large job) at share 0, so no
+later type's least share tightens that test.  An option that pins a job
+twice is skipped, and a guess that leaves a job without a route is
+dropped.  The survivors are sorted back into product order and run under
+the live limit.  Under a limit, _type_options lists a
 (c_max, alpha) group only for the very-huge tuples whose charge plus its
 least share is within it, as no guess under the limit takes the others;
 each option's key sorts it as in the product, so the same guesses run in
@@ -172,6 +175,9 @@ class Guess:
     # does not bound the guess's run, whose rounded schedule may leave the
     # guess: a run can come out below it
     lower_bound: object = field(default=None, compare=False, repr=False)
+    # (machines, huge): the warm start's routes, from the schedule
+    # guess_from_schedule read the guess off; None for enumerated guesses
+    certificate: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def f_threshold(p, eps) -> int:
@@ -243,6 +249,12 @@ def _mass(grid, pattern: Pattern):
 def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
     """Structural guess induced by a schedule (certificate-guided mode).
 
+    The guess carries the schedule as its certificate, read in the same
+    pass: machines, the (job, class or None) pairs of each non-huge machine
+    (t, k), class None for a small job (the machines argument of
+    rounding.route_point), and huge, the (job, type) of each job alone on a
+    huge machine past the very-huge ones, in job order.
+
     Raises GuessInconsistent when the schedule violates the load-difference
     properties every optimal solution has.  Nothing falls back to
     enumeration: lpnorm_ptas in Guided mode lets the error propagate, so a
@@ -255,26 +267,32 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
     grid = geometric_grid(eps)
     f = f_threshold(p, eps)
     loads = load_vector(inst, sched)
+    jobs_on: dict[tuple[int, int], list[int]] = {mk: [] for mk in inst.machines()}
+    for j, mk in enumerate(sched.assignment):
+        jobs_on[mk].append(j)
 
+    machines: dict[tuple[int, int], list] = {}
+    huge: list[tuple[int, int]] = []
     per_type = []
     for t in range(inst.num_types):
-        huge_jobs, non_huge = _certificate_machines(inst, sched, t)
+        on_type = [(k, jobs_on[t, k]) for k in range(inst.machine_counts[t])]
+        huge_jobs = [jobs[0] for _, jobs in on_type if len(jobs) == 1]
+        non_huge = [(k, jobs) for k, jobs in on_type if len(jobs) != 1]
         huge_jobs.sort(key=lambda j: (-inst.cost(j, t), j))
         vh = tuple(huge_jobs[: min(f, len(huge_jobs))])
+        huge += [(j, t) for j in huge_jobs[len(vh):]]
         if len(vh) < len(huge_jobs):
             floor = min(inst.cost(j, t) for j in vh)
             for j in huge_jobs[len(vh):]:
                 if inst.cost(j, t) > floor:
                     raise GuessInconsistent("non-listed huge job longer than a listed one")
 
-        hosted = [j for jobs in non_huge.values() for j in jobs]
+        hosted = [j for _, jobs in non_huge for j in jobs]
         if not hosted:
-            per_type.append(
-                TypeGuess(len(huge_jobs), vh, None, 1, tuple(() for _ in non_huge))
-            )
+            per_type.append(TypeGuess(len(huge_jobs), vh, None, 1, ((),) * len(non_huge)))
             continue
         c_max = max(inst.cost(j, t) for j in hosted)
-        nh_loads = [loads[(t, k)][0] for k in non_huge]
+        nh_loads = [loads[(t, k)][0] for k, _ in non_huge]
         if min(nh_loads) < c_max or max(nh_loads) - min(nh_loads) > c_max:
             raise GuessInconsistent("non-huge loads violate the load-difference property")
         alpha = max(1, min(inst.num_jobs, rat_floor(min(nh_loads) / c_max)))
@@ -287,38 +305,20 @@ def guess_from_schedule(inst: Instance, p, eps, sched: Schedule) -> Guess:
 
         kind = job_kind(c_max, alpha, eps)
         count_cap, mass_cap = _pattern_caps(alpha, c_max, eps)
-        pats = tuple(pattern for pattern, _ in _large_patterns(inst, t, grid, kind, non_huge))
+        pats = []
+        for k, jobs in non_huge:
+            costs = [inst.cost(j, t) for j in jobs]
+            machines[t, k] = pairs = [(j, grid.round_down(c) if kind(c) is LARGE else None)
+                                      for j, c in zip(jobs, costs)]
+            pats.append(tuple(sorted(q for _, q in pairs if q is not None)))
+        pats = tuple(sorted(pats))
         for pattern in pats:
             if len(pattern) > count_cap:
                 raise GuessInconsistent("pattern slot count exceeds its cap")
             if _mass(grid, pattern) > mass_cap:
                 raise GuessInconsistent("pattern mass exceeds the load window")
         per_type.append(TypeGuess(len(huge_jobs), vh, c_max, alpha, pats))
-    return Guess(tuple(per_type))
-
-
-def _certificate_machines(
-    inst: Instance, sched: Schedule, t: int
-) -> tuple[list[int], dict[int, list[int]]]:
-    """Type t's machines under a certificate schedule: the jobs alone on a
-    machine (its huge machines, in machine order), and the job lists of the
-    other machines by index."""
-    jobs_on: dict[int, list[int]] = {k: [] for k in range(inst.machine_counts[t])}
-    for j, (tt, k) in enumerate(sched.assignment):
-        if tt == t:
-            jobs_on[k].append(j)
-    huge = [jobs[0] for jobs in jobs_on.values() if len(jobs) == 1]
-    return huge, {k: jobs for k, jobs in jobs_on.items() if len(jobs) != 1}
-
-
-def _large_patterns(inst: Instance, t: int, grid, kind, machines) -> list[tuple[Pattern, int]]:
-    """(pattern, k) of each machine k of type t in machines (index -> jobs), in
-    canonical order; a pattern is the sorted size classes of its large jobs."""
-    out = []
-    for k, jobs in machines.items():
-        costs = [inst.cost(j, t) for j in jobs]
-        out.append((tuple(sorted(grid.round_down(c) for c in costs if kind(c) is LARGE)), k))
-    return sorted(out)
+    return Guess(tuple(per_type), certificate=(machines, tuple(sorted(huge))))
 
 
 def _cost_table(inst: Instance, t: int, eps) -> list[tuple]:
@@ -429,15 +429,9 @@ def _survivors(num_jobs: int, options: list, limit, work: Work) -> list[tuple[tu
     """(keys, guess) of every guess with bound at most limit, in product
     order: the walk over each type's options sorted by share (a stable sort,
     so options of equal share stay in key order).  Under a limit, the
-    options above their type's room, the limit less the other types' least
-    shares, are dropped first, as the walk never enters them."""
-    if limit is not None:  # every type lists its all-empty option, share 0
-        least = [min(o[4] for o in opts) for opts in options]
-        total = sum(least, ZERO)
-        options = [[o for o in opts if o[4] <= limit - total + own]
-                   for opts, own in zip(options, least)]
-        if not all(options):
-            return []
+    options above it are dropped first, as the walk never enters them."""
+    if limit is not None:
+        options = [[o for o in opts if o[4] <= limit] for opts in options]
     ranked = [sorted(opts, key=lambda o: o[4]) for opts in options]
     found = walk((1 << num_jobs) - 1, ranked, limit, work)
     return sorted((keys, Guess(types, bound)) for keys, types, bound in found)
@@ -801,33 +795,16 @@ class LpnormResult:
     run: LpnormRun
 
 
-def _warm_start(model: CpModel, sched: Schedule) -> dict:
-    """Exact CP point induced by a schedule consistent with the guess: the
-    route point (rounding.route_point) of its non-huge machines, and the
-    huge route for every other job."""
-    inst = model.inst
-    grid = geometric_grid(model.eps)
-    machines: dict = {}
-    for t, tg in enumerate(model.guess.types):
-        if inst.machine_counts[t] == 0 or tg.c_max is None:
-            continue
-        _, non_huge = _certificate_machines(inst, sched, t)
-        kind = job_kind(tg.c_max, tg.alpha, model.eps)
-        pats = tuple(pattern for pattern, _ in _large_patterns(inst, t, grid, kind, non_huge))
-        if pats != tg.profile:
-            raise InvariantViolation("profile out of sync")
-        for k, jobs in non_huge.items():
-            costs = [inst.cost(j, t) for j in jobs]
-            machines[t, k] = [(j, grid.round_down(c) if kind(c) is LARGE else None)
-                              for j, c in zip(jobs, costs)]
+def _warm_start(model: CpModel) -> dict:
+    """Exact CP point of the certificate model.guess carries: the route point
+    (rounding.route_point) of its non-huge machines, and the huge route of
+    every job alone on a huge machine past the very-huge ones.  A route the
+    guess does not offer is no column of the region, so that job's
+    assignment row fails _assert_region_point."""
+    machines, huge = model.guess.certificate
     point = route_point(model.slots, machines)
-    # remaining unpinned jobs on huge machines travel the huge route
-    for j, routes in model.routes.items():
-        if not any(point.get(v, ZERO) == ONE for v in route_vars(j, routes)):
-            t = sched.assignment[j][0]
-            if t not in routes.huge:
-                raise InvariantViolation("guided schedule routed a job outside the guess")
-            point["h", j, t] = ONE
+    for j, t in huge:
+        point["h", j, t] = ONE
     return point
 
 
@@ -849,11 +826,11 @@ def region_admits(model: CpModel) -> bool:
     return has_matching(options, capacity)
 
 
-def _run_guess(inst: Instance, p, eps, guess: Guess, start_schedule=None) -> LpnormRun:
+def _run_guess(inst: Instance, p, eps, guess: Guess) -> LpnormRun:
     model = build_cp_model(inst, p, eps, guess)
     if not region_admits(model):
         raise InfeasibleRegion("the jobs without a machine route cannot take distinct places")
-    start = _warm_start(model, start_schedule) if start_schedule is not None else None
+    start = None if guess.certificate is None else _warm_start(model)
     cp = solve_slot_cp(model, start=start)
     problem = build_rounding_from_cp(model, cp.t_star)
     engine = RoundingEngine(problem, cp.x)
@@ -919,7 +896,7 @@ def lpnorm_ptas(inst: Instance, p, eps_user, mode) -> LpnormResult:
 
     if isinstance(mode, Guided):
         guess = guess_from_schedule(inst, p, eps, mode.schedule)
-        run = _run_guess(inst, p, eps, guess, start_schedule=mode.schedule)
+        run = _run_guess(inst, p, eps, guess)
         return LpnormResult(run.schedule, run.objective_pow, eps, 1, run)
 
     work = Work(mode.budget)

@@ -234,7 +234,6 @@ class ScaleLadder:
         self.eps = eps
         self.grid = geometric_grid(eps)
         self._classes = _classes(eps.numerator, eps.denominator, inst.dims)
-        self.lift, self.capacity, self.large_cap = self._classes[:3]
         # eps*T_0: a cost is large at rung i iff its max reaches _floor*(1+eps)^i
         self._floor = eps * base
         # per (job, type): max cost, and each cost's exponent against base
@@ -266,7 +265,7 @@ class ScaleLadder:
     def _entries(self, i: int) -> list[list[ScaledEntry]]:
         """The entries of rung i."""
         threshold = self._floor * self.grid.value(i)
-        lift = self.lift
+        lift = self._classes.lift
         entries: list[list[ScaledEntry]] = []
         for row in self._costs:
             out = []

@@ -387,23 +387,18 @@ def walk(every: int, options: list, limit, work: Work) -> Iterator[tuple[tuple, 
     mask, share) in the order given; bound is the sum of the shares, and
     work is charged one unit per node the walk enters.
 
-    With a limit, each type's options must be sorted by share and none
-    empty, and a type's loop stops at the first option whose bound plus the
-    least share of every later type exceeds limit: no later option of that
-    loop gives a product within limit.  Without one the walk yields every
-    product, in product order when the options are."""
-    caps = None  # per type, the most a prefix through it may cost
-    if limit is not None:
-        caps = [limit] * len(options)
-        for t in range(len(options) - 2, -1, -1):
-            caps[t] = caps[t + 1] - options[t + 1][0][4]
-    return _descend(options, caps, every, work, 0, (), (), 0, 0, ZERO)
+    With a limit, each type's options must be sorted by share and no share
+    be negative, and a type's loop stops at the first option whose bound
+    exceeds limit: the later types add no negative share, so no later
+    option of that loop gives a product within limit.  Without one the
+    walk yields every product, in product order when the options are."""
+    return _descend(options, limit, every, work, 0, (), (), 0, 0, ZERO)
 
 
-def _descend(options, caps, every, work, t, keys, chosen, pinned, covered, bound):
+def _descend(options, limit, every, work, t, keys, chosen, pinned, covered, bound):
     """The walk below a prefix over the types before t: its keys and items,
     the jobs it pins, the jobs it pins or routes, and its bound."""
-    room = None if caps is None else caps[t] - bound
+    room = None if limit is None else limit - bound
     for key, item, vh, routes, share in options[t]:
         if room is not None and share > room:
             break
@@ -411,7 +406,7 @@ def _descend(options, caps, every, work, t, keys, chosen, pinned, covered, bound
             continue
         work.charge()
         if t + 1 < len(options):
-            yield from _descend(options, caps, every, work, t + 1, keys + (key,), chosen + (item,),
+            yield from _descend(options, limit, every, work, t + 1, keys + (key,), chosen + (item,),
                                 pinned | vh, covered | vh | routes, bound + share)
         elif covered | vh | routes == every:
             yield keys + (key,), chosen + (item,), bound + share

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -162,9 +163,12 @@ def test_guided_guess_is_enumerable():
         guess = guess_from_schedule(inst, 2, eps, opt.witness)
         stream = list(enumerate_guesses(inst, 2, eps, 10**6))
         assert guess in stream
-        # the carried bound takes no part in equality; extraction leaves it unset
-        assert guess.lower_bound is None
-        assert stream[stream.index(guess)].lower_bound is not None
+        # the carried bound and certificate take no part in equality or the
+        # hash; extraction sets the certificate alone, the stream the bound alone
+        streamed = stream[stream.index(guess)]
+        assert guess.lower_bound is None and streamed.lower_bound is not None
+        assert guess.certificate is not None and streamed.certificate is None
+        assert hash(guess) == hash(streamed)
 
 
 @pytest.mark.parametrize(
@@ -247,7 +251,7 @@ def test_cp_relaxation_below_oracle_and_lp_consistency():
         eps = rat(1, 16)
         guess = guess_from_schedule(inst, 2, eps, opt.witness)
         model = build_cp_model(inst, 2, eps, guess)
-        cp = solve_slot_cp(model, start=_start(model, opt.witness))
+        cp = solve_slot_cp(model, start=_start(model))
         # relaxation: CP value minus its certified gap lower-bounds the oracle
         assert cp.objective_value - cp.duality_gap <= float(opt.optimum) * (1 + 1e-9)
         # the CP point is feasible for the frozen-allowance LP
@@ -261,10 +265,10 @@ def test_cp_relaxation_below_oracle_and_lp_consistency():
         assert float(sol.objective_value) <= huge_part + 1e-9
 
 
-def _start(model, schedule):
+def _start(model):
     from typesched.lpnorm import _warm_start
 
-    return _warm_start(model, schedule)
+    return _warm_start(model)
 
 
 def test_cp_against_grid_oracle():
@@ -697,6 +701,8 @@ def test_type_options_are_the_reference_lists(counts, n, seed, eps):
             options = _type_options(inst, t, 2, eps, limit, work)
             assert work.spent == len(options)
             listed = [rank[key] for key, *_ in options]
+            # the all-empty option: the walk's limit test needs no least share
+            assert min(o[4] for o in options) == 0
             for pos, (_, tg, vh, routes, share) in zip(listed, options):
                 assert tg == ref[pos]
                 assert vh == sum(1 << j for j in tg.very_huge)
@@ -1093,7 +1099,7 @@ def test_region_and_objective_match_the_code_they_replaced(p):
         assert [(list(c.coeffs.items()), c.rel, c.rhs) for c in region.constraints] == [
             (list(c.coeffs.items()), c.rel, c.rhs) for c in ref_region.constraints
         ]
-        start = _start(model, opt.witness)
+        start = _start(model)
         cp = solve_slot_cp(model, 1e-6, start=start)
         variables = region.variables
         points = [start, cp.x] + [
@@ -1200,9 +1206,25 @@ def test_infeasible_warm_start_raises_invariant_violation():
     sched = Schedule(((0, 0), (0, 1), (0, 0), (0, 1)))
     eps = rat(1, 2)
     model = build_cp_model(inst, 2, eps, guess_from_schedule(inst, 2, eps, sched))
-    bad = {v: ZERO for v in _start(model, sched)}  # every assignment row reads 0 = 1
+    bad = {v: ZERO for v in _start(model)}  # every assignment row reads 0 = 1
     with pytest.raises(InvariantViolation):
         solve_slot_cp(model, 1e-6, start=bad)
+
+
+def test_a_huge_route_outside_the_guess_raises_invariant_violation():
+    # the warm start takes the certificate's huge routes as they are; one the
+    # guess does not offer is no column of the region, so its job's
+    # assignment row fails the exact check of the start point
+    inst = make_instance(1, [3, 1], [[[9], [9]], [[8], [9]], [[7], [9]], [[1], [1]], [[1], [1]]])
+    sched = Schedule(((0, 0), (0, 1), (0, 2), (1, 0), (1, 0)))
+    eps = ONE  # f_threshold(2, 1) = 2: job 2 is huge past the very-huge jobs 0 and 1
+    guess = guess_from_schedule(inst, 2, eps, sched)
+    machines, huge = guess.certificate
+    assert huge == ((2, 0),)
+    assert _run_guess(inst, 2, eps, guess).schedule == sched
+    wrong = dataclasses.replace(guess, certificate=(machines, ((2, 1),)))
+    with pytest.raises(InvariantViolation, match="warm-start point"):
+        _run_guess(inst, 2, eps, wrong)
 
 
 def ref_routable_mask(inst, eps, t, tg, table):
@@ -1367,8 +1389,8 @@ def test_an_integral_warm_start_point_keeps_the_certificate_value(monkeypatch):
     warm, points = [], []
     warm_start = lpnorm._warm_start
 
-    def recorded_warm_start(model, sched):
-        warm.append(warm_start(model, sched))
+    def recorded_warm_start(model):
+        warm.append(warm_start(model))
         return warm[-1]
 
     class Recorded(rounding.RoundingEngine):

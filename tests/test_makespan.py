@@ -144,10 +144,11 @@ def assert_ladder_matches_reference(inst, base, eps, rungs):
         target = rat(base) * (1 + rat(eps)) ** i
         expected = reference_scaled(inst, target, eps)
         scaled = ladder.rung(i)
-        assert (scaled.entries, scaled.target, ladder.capacity, ladder.large_cap) == expected
+        classes = ladder._classes
+        assert (scaled.entries, scaled.target, classes.capacity, classes.large_cap) == expected
         direct = make_scaled_instance(inst, target, eps)
-        assert (direct.entries, direct.target, direct.ladder.capacity,
-                direct.ladder.large_cap) == expected
+        classes = direct.ladder._classes
+        assert (direct.entries, direct.target, classes.capacity, classes.large_cap) == expected
     return ladder
 
 
@@ -602,7 +603,7 @@ def test_profile_overflow_when_target_too_small():
     # 3 large jobs on one machine with floor(D/eps) = 2
     inst = make_instance(1, [1], [[[6]], [[6]], [[6]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
-    assert scaled.ladder.large_cap == 2
+    assert scaled.ladder._classes.large_cap == 2
     with pytest.raises(PatternOverflow):
         profile_from_schedule(scaled, Schedule(((0, 0), (0, 0), (0, 0))))
 
@@ -612,7 +613,7 @@ def test_pattern_over_capacity_is_a_bug():
     # class-(0,) slots have mass 3, above the capacity (1 + 1/2)^2 = 9/4
     inst = make_instance(1, [1], [[[10]], [[10]], [[10]]])
     scaled = make_scaled_instance(inst, 10, rat(1, 2))
-    assert scaled.ladder.capacity == rat(9, 4)
+    assert scaled.ladder._classes.capacity == rat(9, 4)
     with pytest.raises(InvariantViolation):
         build_rounding_problem(scaled, ((((0,), (0,), (0,)),),))
 
@@ -632,13 +633,12 @@ def reference_profile(scaled, sched):
         pats = []
         for k in range(scaled.base.machine_counts[t]):
             qs = sorted(per_machine[(t, k)])
-            if len(qs) > scaled.ladder.large_cap:
-                raise PatternOverflow(
-                    f"machine ({t},{k}) holds {len(qs)} large jobs, cap {scaled.ladder.large_cap}"
-                )
+            cap = scaled.ladder._classes.large_cap
+            if len(qs) > cap:
+                raise PatternOverflow(f"machine ({t},{k}) holds {len(qs)} large jobs, cap {cap}")
             values = (klass_value(scaled.ladder.grid, q) for q in qs)
             mass = [sum(dim, rat(0)) for dim in zip(*values)]
-            if any(m > scaled.ladder.capacity for m in mass):
+            if any(m > scaled.ladder._classes.capacity for m in mass):
                 raise PatternOverflow(f"machine ({t},{k}) pattern mass exceeds capacity")
             pats.append(tuple(qs))
         profile.append(tuple(sorted(pats)))
@@ -783,12 +783,13 @@ def test_integer_room_is_capacity_minus_the_summed_mass(num, den, dims):
         inst = generate_instance(GeneratorSpec(3, dims, (2, 2), 1, 10), 7100 + seed)
         certs = (exact_solve(inst).witness, greedy_makespan_schedule(inst))
         ladder = ScaleLadder(inst, None, eps)
+        classes = ladder._classes
         value = functools.partial(klass_value, ladder.grid)
         for i in range(ladder.grid.round_up(ladder.upper / ladder.lower) + 1):
             scaled = ladder.rung(i)
             realized = realized_types(scaled)
             for t, counts in realized.items():
-                rational = slot_patterns(counts, ladder.large_cap, value, ladder.capacity, dims)
+                rational = slot_patterns(counts, classes.large_cap, value, classes.capacity, dims)
                 assert makespan._type_profiles(scaled, t, counts, None) == pattern_multisets(
                     rational, inst.machine_counts[t], counts)
             profiles = list(enumerate_pattern_profiles(scaled, 10**6))
@@ -804,7 +805,7 @@ def test_integer_room_is_capacity_minus_the_summed_mass(num, den, dims):
                 for mk in inst.machines():
                     pattern = profile[mk[0]][mk[1]]
                     mass = [sum((value(q)[d] for q in pattern), rat(0)) for d in range(dims)]
-                    assert rem[mk] == tuple(ladder.capacity - m for m in mass)
+                    assert rem[mk] == tuple(classes.capacity - m for m in mass)
     assert listed > 1000 and certified > 100, (listed, certified)
 
 

@@ -811,9 +811,17 @@ def ref_warm_start(model, sched):
     for t, tg in enumerate(model.guess.types):
         if inst.machine_counts[t] == 0 or tg.c_max is None:
             continue
-        _, non_huge = lpnorm._certificate_machines(inst, sched, t)
+        jobs_on = {k: [] for k in range(inst.machine_counts[t])}
+        for j, (tt, k) in enumerate(sched.assignment):
+            if tt == t:
+                jobs_on[k].append(j)
+        non_huge = {k: jobs for k, jobs in jobs_on.items() if len(jobs) != 1}
         kind = lpnorm.job_kind(tg.c_max, tg.alpha, model.eps)
-        patterns = lpnorm._large_patterns(inst, t, grid, kind, non_huge)
+        patterns = sorted(
+            (tuple(sorted(grid.round_down(inst.cost(j, t)) for j in jobs
+                          if kind(inst.cost(j, t)) is lpnorm.LARGE)), k)
+            for k, jobs in non_huge.items()
+        )
         for canon, (pattern, orig) in enumerate(patterns):
             mk = (t, canon)
             assert pattern == tg.profile[canon]
@@ -929,7 +937,7 @@ def guided_models():
 def test_warm_starts_equal_the_old_builder():
     runs = 0
     for model, cert in guided_models():
-        point = lpnorm._warm_start(model, cert)
+        point = lpnorm._warm_start(model)
         assert list(point.items()) == list(ref_warm_start(model, cert).items())
         profile = tuple(tg.profile for tg in model.guess.types)
         assert taken_patterns(model.slots, point) == profile_patterns(profile)

@@ -15,11 +15,16 @@ The runs must agree on the schedules: the tool stops with status 1 as soon
 as the two sides print different digests.  Otherwise it prints, per
 workload and per end-to-end metric of BENCHMARK.json, each side's median
 and quartiles, how many pairs the change won (ties count for neither side),
-whether the change is worse than the parent's median by more than the
-metric's bound, and whether a gain may be claimed: at least nine tenths of
-the pairs won and the medians apart by more than the parent's interquartile
-range.  A last table gives, per workload, the failed solves of each side
-and the metrics over their bound.
+a verdict and whether a gain may be claimed.  The verdict is OVER BOUND
+when the change's median is worse than the parent's by more than the
+metric's bound; otherwise unresolved when the parent's own interquartile
+range exceeds the bound (times the parent's median) and some change run
+does not beat every parent run, as such a spread can hide a loss within
+the bound; otherwise within bound.  A gain may be claimed with at least
+ten pairs, at least nine tenths of them won and the medians apart by more
+than the parent's interquartile range.  A last table gives, per workload,
+the failed solves of each side and the metrics over their bound or
+unresolved.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(metric: dict, parent: list[float], change: list[float]) -> tuple[str, bool]:
-    """(the metric's line, whether the change is over its bound)."""
+def summary(metric: dict, parent: list[float], change: list[float]) -> tuple[str, str]:
+    """(the metric's line, its verdict: OVER BOUND, unresolved or within bound)."""
     higher = metric["better"] == "higher"
     wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     p1, pm, p3 = quartiles(parent)
@@ -69,20 +74,25 @@ def summary(metric: dict, parent: list[float], change: list[float]) -> tuple[str
     gain = (cm - pm) if higher else (pm - cm)
     # relative loss of the change's median against the parent's
     loss = -gain / abs(pm) if pm else 0.0
-    over = loss > metric["bound"]
-    claim = wins >= 0.9 * len(parent) and gain > p3 - p1
+    beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+    if loss > metric["bound"]:
+        verdict = "OVER BOUND"
+    elif p3 - p1 > metric["bound"] * abs(pm) and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    claim = len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > p3 - p1
     moved = (cm / pm - 1) * 100 if pm else 0.0
     return (f"{metric['name']:<13} parent {pm:>10.4g} [{p1:.4g}, {p3:.4g}]  "
             f"change {cm:>10.4g} [{c1:.4g}, {c3:.4g}]  {moved:+6.1f}%  "
-            f"wins {wins}/{len(parent)}  "
-            f"{'OVER BOUND' if over else 'within bound'}  "
-            f"{'gain claimable' if claim else 'no claim'}"), over
+            f"wins {wins}/{len(parent)}  {verdict}  "
+            f"{'gain claimable' if claim else 'no claim'}"), verdict
 
 
-def compare(bench: dict, sides: dict, workload: str, args) -> tuple[int, int, list[str]] | None:
+def compare(bench: dict, sides: dict, workload: str, args) -> tuple | None:
     """Runs the pairs of one workload and prints its summary: (failed solves
-    of the parent, of the change, the metrics over their bound), or None
-    when the digests differ."""
+    of the parent, of the change, the metrics over their bound, the
+    unresolved metrics), or None when the digests differ."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -100,15 +110,14 @@ def compare(bench: dict, sides: dict, workload: str, args) -> tuple[int, int, li
     print(f"{workload} seed {args.seed}, {args.seconds:g}-s runs, {args.pairs} pairs; "
           f"digest {runs['change'][0]['digest'][:16]}; failed solves parent "
           f"{failed['parent']}, change {failed['change']}")
-    over = []
+    verdicts: dict[str, list[str]] = {"OVER BOUND": [], "unresolved": [], "within bound": []}
     for metric in bench["end_to_end"]:
         name = metric["name"]
-        line, worse = summary(metric, [r["values"][name] for r in runs["parent"]],
-                              [r["values"][name] for r in runs["change"]])
+        line, verdict = summary(metric, [r["values"][name] for r in runs["parent"]],
+                                [r["values"][name] for r in runs["change"]])
         print(line, flush=True)
-        if worse:
-            over.append(name)
-    return failed["parent"], failed["change"], over
+        verdicts[verdict].append(name)
+    return failed["parent"], failed["change"], verdicts["OVER BOUND"], verdicts["unresolved"]
 
 
 def main() -> int:
@@ -142,9 +151,10 @@ def main() -> int:
             return 1
         results[workload] = result
         print()
-    print("workload          failed parent  failed change  over bound")
-    for workload, (parent, change, over) in results.items():
-        print(f"{workload:<17} {parent:>13}  {change:>13}  {', '.join(over) or 'none'}")
+    print("workload          failed parent  failed change  over bound  unresolved")
+    for workload, (parent, change, over, unresolved) in results.items():
+        print(f"{workload:<17} {parent:>13}  {change:>13}  {', '.join(over) or 'none'}  "
+              f"{', '.join(unresolved) or 'none'}")
     return 0
 
 
